@@ -5,7 +5,7 @@ optionally add a correction built from server-side state, then take the
 effective server step.
 
     fedavg          no state
-    fedvarp         per-client table of latest updates + running mean
+    fedvarp         per-client table of latest updates (N singleton clusters)
     clusterfedvarp  one shared state per client cluster
     mifa            per-client table, equal weight to stored updates
 
@@ -24,15 +24,13 @@ assert these equalities at the bit level; do not reorder the sums.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
 from .core import CLUSTERFEDVARP, FEDAVG, FEDVARP, MIFA, ConfigError, DimensionError
 from .sampling import RoundPlan
-
-MEAN_CONSISTENCY_RTOL = 1e-10
 
 
 @dataclass
@@ -54,19 +52,19 @@ class RoundUpdates:
 
 @dataclass
 class ServerAggregatorState:
-    """Mutable server memory: model, per-client or per-cluster update tables.
+    """Mutable server memory: the model and a table of stored updates.
 
-    update_table rows and cluster_table rows start at zero. assignment
-    maps each client to a cluster id < K (clusterfedvarp only).
+    table rows start at zero: one row per client for mifa, one per
+    cluster for fedvarp and clusterfedvarp. assignment maps each client
+    to its row and sizes counts the clients per row (stored-update
+    kernel only; fedvarp uses the identity assignment).
     """
 
     algo: str
     w: np.ndarray
-    update_table: np.ndarray | None = None
-    update_mean: np.ndarray | None = None
-    cluster_table: np.ndarray | None = None
+    table: np.ndarray | None = None
     assignment: np.ndarray | None = None
-    cluster_sizes: np.ndarray | None = None
+    sizes: np.ndarray | None = None
     round: int = 0
 
 
@@ -80,10 +78,9 @@ def init_state(
     """Zero-initialized aggregator state for N clients."""
     d = w0.shape[0]
     state = ServerAggregatorState(algo=algo, w=np.array(w0, dtype=np.float64))
-    if algo in (FEDVARP, MIFA):
-        state.update_table = np.zeros((N, d))
-        state.update_mean = np.zeros(d)
-    elif algo == CLUSTERFEDVARP:
+    if algo == FEDVARP:  # N singleton clusters
+        K, assignment = N, np.arange(N)
+    if algo in (FEDVARP, CLUSTERFEDVARP):
         if K is None or assignment is None:
             raise ConfigError("clusterfedvarp needs K and a client->cluster assignment")
         assignment = np.asarray(assignment, dtype=np.int64)
@@ -91,9 +88,11 @@ def init_state(
             raise ConfigError(f"assignment must cover all {N} clients")
         if assignment.min() < 0 or assignment.max() >= K:
             raise ConfigError(f"cluster ids must lie in [0, {K})")
-        state.cluster_table = np.zeros((K, d))
+        state.table = np.zeros((K, d))
         state.assignment = assignment
-        state.cluster_sizes = np.bincount(assignment, minlength=K)
+        state.sizes = np.bincount(assignment, minlength=K)
+    elif algo == MIFA:
+        state.table = np.zeros((N, d))
     elif algo != FEDAVG:
         raise ConfigError(f"unknown algorithm tag {algo!r}")
     return state
@@ -126,70 +125,23 @@ def fedavg_step(
     return _server_step(state, _participant_mean(upd), eta_tilde)
 
 
-def fedvarp_step(
-    state: ServerAggregatorState, upd: RoundUpdates, eta_tilde: float
-) -> np.ndarray:
-    """Variance-reduced step using the stored latest update per client.
-
-    Applies w <- w - eta_tilde * v with
-    v = mean_{i in S}(delta_i - y_i) + mean_j y_j, all terms from the
-    pre-round table, then refreshes the running mean and the table rows
-    of the participants.
-    """
-    if state.algo != FEDVARP:
-        raise ConfigError(f"state is tagged {state.algo!r}, not fedvarp")
-    parts = upd.plan.participants
-    table = state.update_table
-    N = table.shape[0]
-    M = len(parts)
-    mean_delta = _participant_mean(upd)
-    t_part = np.zeros_like(mean_delta)
-    for i in parts:
-        t_part = t_part + table[i] * (1 / M)
-    t_all = np.zeros_like(mean_delta)
-    for j in range(N):
-        t_all = t_all + table[j] * (1 / N)
-    v = mean_delta + (t_all - t_part)
-    w = _server_step(state, v, eta_tilde)
-    # Running mean kept incrementally; the table refresh happens after.
-    shift = np.zeros_like(mean_delta)
-    for i in parts:
-        shift = shift + (upd.deltas[i] - table[i])
-    state.update_mean = state.update_mean + shift / N
-    for i in parts:
-        table[i] = upd.deltas[i]
-    _check_running_mean(state)
-    return w
-
-
-def _check_running_mean(state: ServerAggregatorState) -> None:
-    """The incremental running mean must track the table mean each round."""
-    recomputed = np.zeros_like(state.update_mean)
-    N = state.update_table.shape[0]
-    for j in range(N):
-        recomputed = recomputed + state.update_table[j] * (1 / N)
-    err = float(np.linalg.norm(state.update_mean - recomputed))
-    if err > MEAN_CONSISTENCY_RTOL * max(1.0, float(np.linalg.norm(recomputed))):
-        raise RuntimeError(
-            f"running update mean drifted from table mean: error {err:.3e} at round {state.round}"
-        )
-
-
 def clusterfedvarp_step(
     state: ServerAggregatorState, upd: RoundUpdates, eta_tilde: float
 ) -> np.ndarray:
-    """Variance-reduced step using one shared state per cluster.
+    """Variance-reduced step using one stored update per cluster.
 
-    v = mean_{i in S}(delta_i - y_{c_i}) + (1/N) sum_j y_{c_j}; afterwards
-    every cluster with sampled members stores the mean update of those
-    members, other clusters keep their state.
+    v = mean_{i in S}(delta_i - y_{c_i}) + (1/N) sum_j y_{c_j}, all terms
+    from the pre-round table; afterwards every cluster with sampled
+    members stores the mean update of those members, other clusters keep
+    their state. With singleton clusters this is fedvarp: the
+    coefficients are 1/M and 1/N and the refresh stores delta_i / 1.
     """
-    if state.algo != CLUSTERFEDVARP:
-        raise ConfigError(f"state is tagged {state.algo!r}, not clusterfedvarp")
+    if state.algo not in (FEDVARP, CLUSTERFEDVARP):
+        raise ConfigError(f"state is tagged {state.algo!r}, not fedvarp or clusterfedvarp")
     parts = upd.plan.participants
     assign = state.assignment
-    table = state.cluster_table
-    sizes = state.cluster_sizes
+    table = state.table
+    sizes = state.sizes
     N = assign.shape[0]
     M = len(parts)
     K = table.shape[0]
@@ -200,6 +152,9 @@ def clusterfedvarp_step(
     for i in parts:
         hit.setdefault(int(assign[i]), []).append(i)
 
+    # Reductions stay sequential loops: a cumsum/np.add.at form kept the bits
+    # but copies the table per reduction; deep-local (N=200, d=2000) fedvarp
+    # rounds went from 23.4 to 34.2 ms on a 2-core VM.
     mean_delta = _participant_mean(upd)
     t_part = np.zeros_like(mean_delta)
     for k in sorted(hit):
@@ -232,7 +187,7 @@ def mifa_step(
     parts = upd.plan.participants
     if not parts:
         raise ConfigError("empty participant set")
-    table = state.update_table
+    table = state.table
     N = table.shape[0]
     for i in parts:
         table[i] = upd.deltas[i]
@@ -245,7 +200,7 @@ def mifa_step(
 
 STEP_FUNCTIONS = {
     FEDAVG: fedavg_step,
-    FEDVARP: fedvarp_step,
+    FEDVARP: clusterfedvarp_step,
     CLUSTERFEDVARP: clusterfedvarp_step,
     MIFA: mifa_step,
 }

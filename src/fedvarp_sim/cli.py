@@ -6,16 +6,13 @@ Progress goes to stderr; machine-readable artifacts only to output_dir.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from .core import ConfigError, DivergenceError
 from .harness import (
     SWEEP_AXES,
-    apply_overrides,
     floor_estimate,
-    parse_config,
+    load_config,
     run,
     sweep,
     verify,
@@ -26,23 +23,10 @@ def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _load_raw(path: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
-    with open(p, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
-
-
 def _config_from_args(args) -> "RunConfig":
     if not args.config:
         raise ConfigError("--config PATH is required for this subcommand")
-    raw = _load_raw(args.config)
-    raw = apply_overrides(raw, args.set or [])
-    return parse_config(raw)
+    return load_config(args.config, args.set or [])
 
 
 def _parse_values(axis: str, text: str) -> list:

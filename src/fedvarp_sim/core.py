@@ -39,10 +39,13 @@ class DivergenceError(RuntimeError):
     """
 
     def __init__(self, step: int | None, round: int | None = None):
+        super().__init__(step, round)
         self.step = step
         self.round = round
-        where = "server step" if step is None else f"local_step={step}"
-        super().__init__(f"non-finite iterate at round={round} ({where})")
+
+    def __str__(self) -> str:
+        where = "server step" if self.step is None else f"local_step={self.step}"
+        return f"non-finite iterate at round={self.round} ({where})"
 
 
 def as_model_vector(values, d: int | None = None) -> np.ndarray:

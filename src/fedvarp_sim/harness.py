@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -149,6 +149,8 @@ _SCHEMA = {
 
 def _coerce(name: str, value, typ):
     if typ is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if not math.isfinite(value):
+            raise ConfigError(f"config key {name!r} must be finite, got {value!r}")
         return float(value)
     if typ is int and isinstance(value, int) and not isinstance(value, bool):
         return value
@@ -219,7 +221,8 @@ def parse_config(raw: dict) -> RunConfig:
     return cfg
 
 
-def load_config(path: str | Path) -> RunConfig:
+def load_config(path: str | Path, overrides: tuple[str, ...] | list[str] = ()) -> RunConfig:
+    """Read a JSON config file, apply dotted-path overrides, and validate."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -228,7 +231,7 @@ def load_config(path: str | Path) -> RunConfig:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return parse_config(raw)
+    return parse_config(apply_overrides(raw, overrides))
 
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
@@ -319,23 +322,27 @@ def _format_row(rec: RunRecord) -> str:
 
 
 def _measure(clients, w, w_star, round_index) -> RunRecord:
-    g, loss = global_grad_and_loss(clients, w)
-    diff = w - w_star
-    return RunRecord(
-        round=round_index,
-        grad_norm_sq=float(np.dot(g, g)),
-        global_loss=loss,
-        dist_to_opt_sq=float(np.dot(diff, diff)),
-    )
+    # A finite but huge iterate overflows here; the caller treats it as divergence.
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, loss = global_grad_and_loss(clients, w)
+        diff = w - w_star
+        return RunRecord(
+            round=round_index,
+            grad_norm_sq=float(np.dot(g, g)),
+            global_loss=loss,
+            dist_to_opt_sq=float(np.dot(diff, diff)),
+        )
 
 
-def run(cfg: RunConfig, max_workers: int | None = None, write_artifacts: bool = True) -> RunResult:
+def run(cfg: RunConfig, write_artifacts: bool = True) -> RunResult:
     """Execute one configured run; deterministic in cfg.seed.
 
-    max_workers > 1 evaluates the participating clients of each round in
-    a thread pool; results are bitwise identical to sequential execution
-    because every client draws from its own keyed stream and reductions
-    are ordered by client id.
+    Participants train in ascending id order, but the result does not
+    depend on that order: every client draws from its own keyed stream
+    and the aggregators reduce in client id order.
+
+    A non-finite iterate or metric raises DivergenceError naming the
+    round whose update produced it; no non-finite row reaches metrics.csv.
     """
     clients, consts = _realize(cfg)
     h = cfg.hyper_params()
@@ -359,6 +366,10 @@ def run(cfg: RunConfig, max_workers: int | None = None, write_artifacts: bool = 
 
     def log(round_index: int) -> None:
         rec = _measure(clients, state.w, consts.w_star, round_index)
+        if not all(map(math.isfinite, (rec.grad_norm_sq, rec.global_loss, rec.dist_to_opt_sq))):
+            if round_index == 0:
+                raise ConfigError("metrics of the initial point overflow float64")
+            raise DivergenceError(step=None, round=round_index - 1)
         records.append(rec)
         if metrics_fh is not None:
             metrics_fh.write(_format_row(rec) + "\n")
@@ -370,17 +381,11 @@ def run(cfg: RunConfig, max_workers: int | None = None, write_artifacts: bool = 
                 plan = RoundPlan(round=0, participants=tuple(range(h.N)))
             else:
                 plan = sample_round(h.N, h.M, substream(cfg.seed, TAG_SAMPLING, t), t)
-
-            def train(i: int) -> tuple[int, np.ndarray]:
-                stream = substream(cfg.seed, TAG_LOCAL, t, i)
-                return i, local_sgd(clients[i], state.w, local_cfg, stream)
-
             try:
-                if max_workers and max_workers > 1:
-                    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                        deltas = dict(pool.map(train, plan.participants))
-                else:
-                    deltas = dict(train(i) for i in plan.participants)
+                deltas = {
+                    i: local_sgd(clients[i], state.w, local_cfg, substream(cfg.seed, TAG_LOCAL, t, i))
+                    for i in plan.participants
+                }
             except DivergenceError as exc:
                 exc.round = t
                 raise
@@ -607,11 +612,7 @@ def _verify_unbiased_correction(seed: int, cluster: bool) -> VerifyCheck:
         for p in subsets:
             algo = CLUSTERFEDVARP if cluster else FEDVARP
             state = init_state(algo, np.zeros(d), N, K, assignment)
-            if cluster:
-                state.cluster_table = table.copy()
-            else:
-                state.update_table = table.copy()
-                state.update_mean = np.mean(table, axis=0)
+            state.table = table.copy()
             upd = RoundUpdates(p, {i: deltas[i] for i in p.participants})
             aggregator_step(state, upd, 1.0)
             v_sum = v_sum - state.w  # w started at zero and moved by -v

@@ -1,14 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import make_clients
 from fedvarp_sim.aggregators import (
     RoundUpdates,
-    ServerAggregatorState,
+    aggregator_step,
     cluster_miss_probability,
     clusterfedvarp_step,
     fedavg_step,
-    fedvarp_step,
     init_state,
     mifa_step,
 )
@@ -64,7 +65,7 @@ def test_fedavg_full_participation_is_gradient_descent():
 def test_step_requires_matching_tag():
     state = init_state(FEDAVG, np.zeros(1), N=2)
     with pytest.raises(ConfigError):
-        fedvarp_step(state, updates(0, {0: [1.0]}), 0.1)
+        clusterfedvarp_step(state, updates(0, {0: [1.0]}), 0.1)
 
 
 def test_round_updates_key_mismatch_rejected():
@@ -77,19 +78,17 @@ def test_fedvarp_first_round_equals_fedavg():
     a = init_state(FEDAVG, np.zeros(2), N=4)
     b = init_state(FEDVARP, np.zeros(2), N=4)
     wa = fedavg_step(a, upd, 0.3)
-    wb = fedvarp_step(b, upd, 0.3)
+    wb = aggregator_step(b, upd, 0.3)
     assert wa.tobytes() == wb.tobytes()
 
 
 def test_fedvarp_hand_case():
     state = init_state(FEDVARP, np.zeros(1), N=3)
-    state.update_table = np.array([[1.0], [2.0], [3.0]])
-    state.update_mean = np.array([2.0])
-    w = fedvarp_step(state, updates(0, {0: [5.0]}), eta_tilde=1.0)
+    state.table = np.array([[1.0], [2.0], [3.0]])
+    w = aggregator_step(state, updates(0, {0: [5.0]}), eta_tilde=1.0)
     # v = (5 - 1) + (1/3)(1 + 2 + 3) = 6
     assert w[0] == pytest.approx(-6.0, rel=1e-12)
-    assert np.allclose(state.update_table[:, 0], [5.0, 2.0, 3.0])
-    assert state.update_mean[0] == pytest.approx(10 / 3, rel=1e-15)
+    assert np.allclose(state.table[:, 0], [5.0, 2.0, 3.0])
 
 
 def test_fedvarp_table_tracks_latest_updates():
@@ -101,18 +100,11 @@ def test_fedvarp_table_tracks_latest_updates():
         M = int(rng.integers(1, N + 1))
         parts = sorted(rng.choice(N, size=M, replace=False).tolist())
         upd = updates(t, {i: rng.normal(size=d) for i in parts})
-        fedvarp_step(state, upd, 0.05)
+        aggregator_step(state, upd, 0.05)
         for i in parts:
             shadow[i] = upd.deltas[i]
         for i in range(N):
-            assert np.array_equal(state.update_table[i], shadow[i])
-
-
-def test_fedvarp_mean_drift_detected():
-    state = init_state(FEDVARP, np.zeros(1), N=3)
-    state.update_mean = np.array([0.5])  # inconsistent with the all-zero table
-    with pytest.raises(RuntimeError, match="drifted"):
-        fedvarp_step(state, updates(0, {1: [1.0]}), 0.1)
+            assert np.array_equal(state.table[i], shadow[i])
 
 
 def test_exhaustive_unbiasedness_example():
@@ -122,9 +114,8 @@ def test_exhaustive_unbiasedness_example():
     for plan in enumerate_subsets(3, 2):
         upd = updates(0, {i: deltas[i] for i in plan.participants})
         sv = init_state(FEDVARP, np.zeros(1), N=3)
-        sv.update_table = np.ones((3, 1))
-        sv.update_mean = np.ones(1)
-        v_vals.append(-fedvarp_step(sv, upd, 1.0)[0])
+        sv.table = np.ones((3, 1))
+        v_vals.append(-aggregator_step(sv, upd, 1.0)[0])
         sa = init_state(FEDAVG, np.zeros(1), N=3)
         avg_vals.append(-fedavg_step(sa, upd, 1.0)[0])
     assert np.mean(v_vals) == pytest.approx(3.0, abs=1e-13)
@@ -136,7 +127,7 @@ def test_cluster_single_cluster_matches_fedavg_bitwise():
     upd = updates(0, {i: rng.normal(size=3) for i in (0, 2, 5)})
     a = init_state(FEDAVG, np.zeros(3), N=6)
     c = init_state(CLUSTERFEDVARP, np.zeros(3), N=6, K=1, assignment=np.zeros(6, dtype=int))
-    c.cluster_table = rng.normal(size=(1, 3))  # arbitrary shared state must cancel
+    c.table = rng.normal(size=(1, 3))  # arbitrary shared state must cancel
     wa = fedavg_step(a, upd, 0.2)
     wc = clusterfedvarp_step(c, upd, 0.2)
     assert wa.tobytes() == wc.tobytes()
@@ -146,21 +137,21 @@ def test_cluster_hand_case():
     state = init_state(
         CLUSTERFEDVARP, np.zeros(1), N=4, K=2, assignment=np.array([0, 0, 1, 1])
     )
-    state.cluster_table = np.array([[10.0], [20.0]])
+    state.table = np.array([[10.0], [20.0]])
     w = clusterfedvarp_step(state, updates(0, {0: [4.0], 2: [6.0]}), eta_tilde=1.0)
     # v = 1/2[(4-10)+(6-20)] + 1/4(10+10+20+20) = 5
     assert w[0] == pytest.approx(-5.0, rel=1e-12)
-    assert np.allclose(state.cluster_table[:, 0], [4.0, 6.0])
+    assert np.allclose(state.table[:, 0], [4.0, 6.0])
 
 
 def test_cluster_within_cluster_mean():
     state = init_state(
         CLUSTERFEDVARP, np.zeros(1), N=4, K=2, assignment=np.array([0, 0, 1, 1])
     )
-    state.cluster_table = np.array([[1.0], [9.0]])
+    state.table = np.array([[1.0], [9.0]])
     clusterfedvarp_step(state, updates(0, {0: [4.0], 1: [8.0]}), eta_tilde=1.0)
-    assert state.cluster_table[0, 0] == pytest.approx(6.0)
-    assert state.cluster_table[1, 0] == 9.0  # untouched cluster keeps its state
+    assert state.table[0, 0] == pytest.approx(6.0)
+    assert state.table[1, 0] == 9.0  # untouched cluster keeps its state
 
 
 def test_cluster_requires_assignment():
@@ -172,9 +163,9 @@ def test_cluster_requires_assignment():
 
 def test_exhaustive_unbiasedness_property():
     rng = np.random.default_rng(63)
-    for N in range(2, 7):
+    # d=1 is the shape where np.add.reduce switches to pairwise summation.
+    for d, N in itertools.product((2, 1), range(2, 7)):
         for M in range(1, N + 1):
-            d = 2
             deltas = {i: rng.normal(size=d) for i in range(N)}
             table = rng.normal(size=(N, d))
             K = int(rng.integers(1, N + 1))
@@ -187,11 +178,10 @@ def test_exhaustive_unbiasedness_property():
                 sa = init_state(FEDAVG, np.zeros(d), N=N)
                 sums[FEDAVG] -= fedavg_step(sa, upd, 1.0)
                 sv = init_state(FEDVARP, np.zeros(d), N=N)
-                sv.update_table = table.copy()
-                sv.update_mean = np.mean(table, axis=0)
-                sums[FEDVARP] -= fedvarp_step(sv, upd, 1.0)
+                sv.table = table.copy()
+                sums[FEDVARP] -= aggregator_step(sv, upd, 1.0)
                 sc = init_state(CLUSTERFEDVARP, np.zeros(d), N=N, K=K, assignment=assignment)
-                sc.cluster_table = ctable.copy()
+                sc.table = ctable.copy()
                 sums[CLUSTERFEDVARP] -= clusterfedvarp_step(sc, upd, 1.0)
             count = len(subsets)
             for algo in (FEDVARP, CLUSTERFEDVARP):
@@ -212,9 +202,9 @@ def test_mifa_full_history_matches_full_participation_average():
 
 def test_mifa_hand_case():
     state = init_state(MIFA, np.zeros(1), N=2)
-    state.update_table = np.array([[0.0], [7.0]])
+    state.table = np.array([[0.0], [7.0]])
     w = mifa_step(state, updates(0, {0: [3.0]}), eta_tilde=1.0)
-    assert np.allclose(state.update_table[:, 0], [3.0, 7.0])
+    assert np.allclose(state.table[:, 0], [3.0, 7.0])
     assert w[0] == pytest.approx(-5.0)
 
 

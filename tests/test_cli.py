@@ -61,6 +61,20 @@ def test_unknown_override_exits_two(config_file):
     assert main(["run", "--config", str(config_file), "--set", "hyper.rho=1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        "federation.within_cluster_spread=NaN",
+        "federation.noise_sigma=NaN",
+        "federation.cluster_center_spread=NaN",
+        "hyper.eta_s=Infinity",
+    ],
+)
+def test_non_finite_override_exits_two(config_file, capsys, override):
+    assert main(["run", "--config", str(config_file), "--set", override]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_divergent_run_exits_one(config_file):
     assert main(["run", "--config", str(config_file), "--set", "hyper.eta_c=1e200"]) == 1
 

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from fedvarp_sim.core import ConfigError, DivergenceError
+from fedvarp_sim.aggregators import RoundUpdates, aggregator_step, init_state
+from fedvarp_sim.core import ALGORITHMS, CLUSTERFEDVARP, ConfigError, DivergenceError
 from fedvarp_sim.harness import (
     apply_overrides,
     derive_sweep_seed,
@@ -15,8 +16,10 @@ from fedvarp_sim.harness import (
     sweep_point_config,
     verify,
 )
+from fedvarp_sim.localsgd import LocalRunConfig, local_sgd
 from fedvarp_sim.objectives import generate_federation, make_federation_spec
-from fedvarp_sim.sampling import enumerate_subsets, without_replacement_variance
+from fedvarp_sim.rng import TAG_LOCAL, TAG_SAMPLING, substream
+from fedvarp_sim.sampling import enumerate_subsets, sample_round, without_replacement_variance
 
 
 def raw_config(tmp_path, **edits):
@@ -169,12 +172,39 @@ def test_run_is_deterministic_byte_for_byte(small_config, tmp_path):
         assert (tmp_path / "det" / name).read_bytes() == payload
 
 
-def test_parallel_clients_match_sequential(small_config, tmp_path):
-    cfg = small_config(noise_sigma=0.4, T=25, M=6, output_dir=tmp_path / "par")
-    seq = run(cfg)
-    par = run(cfg, max_workers=4)
-    assert [r.grad_norm_sq for r in seq.records] == [r.grad_norm_sq for r in par.records]
-    assert (tmp_path / "par" / "metrics.csv").read_bytes() is not None
+def _round_deltas(clients, w, seed, t, order):
+    cfg = LocalRunConfig(tau=2, eta_c=0.05)
+    return {i: local_sgd(clients[i], w, cfg, substream(seed, TAG_LOCAL, t, i)) for i in order}
+
+
+def test_participant_order_does_not_change_step():
+    # Training the participants and inserting their deltas in reversed order
+    # must give the same bits as ascending order, round after round.
+    N, d, seed = 8, 3, 4242
+    spec = make_federation_spec(
+        N=N,
+        d=d,
+        K_true=4,
+        cluster_center_spread=1.0,
+        within_cluster_spread=0.1,
+        noise_sigma=0.4,
+        hessian_eig_min=0.5,
+        hessian_eig_max=1.0,
+        seed=11,
+    )
+    clients, _ = generate_federation(spec)
+    for algo in ALGORITHMS:
+        K, assignment = (3, np.arange(N) % 3) if algo == CLUSTERFEDVARP else (None, None)
+        ascending = init_state(algo, np.zeros(d), N, K, assignment)
+        reversed_ = init_state(algo, np.zeros(d), N, K, assignment)
+        for t in range(6):
+            plan = sample_round(N, 5, substream(seed, TAG_SAMPLING, t), t)
+            fwd = _round_deltas(clients, ascending.w, seed, t, plan.participants)
+            rev = _round_deltas(clients, reversed_.w, seed, t, plan.participants[::-1])
+            assert list(rev) == list(fwd)[::-1]
+            aggregator_step(ascending, RoundUpdates(plan, fwd), 0.1)
+            aggregator_step(reversed_, RoundUpdates(plan, rev), 0.1)
+            assert ascending.w.tobytes() == reversed_.w.tobytes(), algo
 
 
 def test_metrics_csv_round_trips_at_17_digits(small_config, tmp_path):
@@ -195,7 +225,9 @@ def test_divergent_run_persists_partial_results(small_config, tmp_path):
     cfg = small_config(eta_c=1e180, T=50, output_dir=tmp_path / "boom")
     with pytest.raises(DivergenceError) as err:
         run(cfg)
-    assert err.value.round is not None
+    assert err.value.step is not None  # a local step diverged
+    assert err.value.round == 0
+    assert "round=0" in str(err.value)  # the message follows the round set by run
     status = json.loads((tmp_path / "boom" / "status.json").read_text())
     assert status["completed"] is False
     assert status["aborted_round"] == err.value.round
@@ -203,13 +235,27 @@ def test_divergent_run_persists_partial_results(small_config, tmp_path):
     assert len(lines) >= 2  # header plus the initial point
 
 
-def test_server_side_divergence_detected(small_config):
-    # a sane client rate but an absurd server rate overflows at the server step
-    cfg = small_config(eta_c=0.05, eta_s=1e250, T=5)
+def test_server_side_divergence_detected(small_config, tmp_path):
+    # A sane client rate but an absurd server rate: the round-0 server step
+    # leaves a finite iterate of order 1e250 whose squared gradient norm
+    # overflows, so round 0 is the round that diverged.
+    cfg = small_config(eta_c=0.05, eta_s=1e250, T=5, output_dir=tmp_path / "server")
     with pytest.raises(DivergenceError) as err:
-        run(cfg, write_artifacts=False)
+        run(cfg)
     assert err.value.step is None
-    assert err.value.round is not None
+    assert err.value.round == 0
+    status = json.loads((tmp_path / "server" / "status.json").read_text())
+    assert status == {"completed": False, "aborted_round": 0}
+    lines = (tmp_path / "server" / "metrics.csv").read_text().strip().splitlines()
+    assert len(lines) == 2  # header plus the initial point
+    assert all(np.isfinite(float(x)) for x in lines[1].split(","))
+
+
+def test_initial_point_overflow_is_config_error(small_config):
+    # One cluster: the constants stay finite, but ||w0 - w*||^2 ~ 1e320 does not.
+    cfg = small_config(K_true=1, within_cluster_spread=0.0, cluster_center_spread=1e160)
+    with pytest.raises(ConfigError, match="initial point"):
+        run(cfg, write_artifacts=False)
 
 
 def test_mifa_full_first_round_matches_full_participation(small_config):
