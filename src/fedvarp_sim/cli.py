@@ -11,6 +11,7 @@ import sys
 from .core import ConfigError, DivergenceError
 from .harness import (
     SWEEP_AXES,
+    SWEEP_AXIS_TYPES,
     floor_estimate,
     load_config,
     run,
@@ -33,11 +34,12 @@ def _parse_values(axis: str, text: str) -> list:
     items = [s for s in text.split(",") if s]
     if not items:
         raise ConfigError("--values must list at least one value")
-    if axis == "algo":
-        return items
-    if axis in ("M", "tau", "K"):
-        return [int(s) for s in items]
-    return [float(s) for s in items]
+    typ = SWEEP_AXIS_TYPES[axis]
+    try:
+        return [typ(s) for s in items]
+    except ValueError:
+        msg = f"--values for axis {axis} must be {typ.__name__}s, got {text!r}"
+        raise ConfigError(msg) from None
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -42,8 +42,8 @@ from .aggregators import (
 )
 from .localsgd import LocalRunConfig, local_sgd
 from .objectives import (
+    Federation,
     FederationConstants,
-    QuadraticClient,
     cluster_heterogeneity,
     generate_federation,
     global_grad_and_loss,
@@ -55,7 +55,16 @@ from .sampling import RoundPlan, enumerate_subsets, sample_round, without_replac
 
 METRICS_HEADER = "round,grad_norm_sq,global_loss,dist_to_opt_sq"
 MIFA_MODES = ("cold_start", "full_first_round")
-SWEEP_AXES = ("sigma_g_scale", "M", "eta_c", "eta_s", "tau", "K", "algo")
+SWEEP_AXIS_TYPES = {
+    "sigma_g_scale": float,
+    "M": int,
+    "eta_c": float,
+    "eta_s": float,
+    "tau": int,
+    "K": int,
+    "algo": str,
+}
+SWEEP_AXES = tuple(SWEEP_AXIS_TYPES)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +290,9 @@ def _run_assignment(cfg: RunConfig) -> np.ndarray | None:
     return (np.arange(N) * K) // N
 
 
-def build_manifest(cfg: RunConfig, clients, consts: FederationConstants, assignment) -> dict:
+def build_manifest(
+    cfg: RunConfig, fed: Federation, consts: FederationConstants, assignment
+) -> dict:
     h = cfg.hyper_params()
     p = None
     if cfg.algo.name == CLUSTERFEDVARP and cfg.federation.N % cfg.algo.K == 0:
@@ -289,7 +300,7 @@ def build_manifest(cfg: RunConfig, clients, consts: FederationConstants, assignm
     sigma_K_sq = consts.sigma_K_sq
     if assignment is not None:
         # Report the heterogeneity of the clustering the aggregator actually uses.
-        sigma_K_sq = cluster_heterogeneity(clients, assignment)
+        sigma_K_sq = cluster_heterogeneity(fed, assignment)
     if cfg.algo.name == CLUSTERFEDVARP and p is None:
         # Rate bounds need the equal-size clustering; report only what holds.
         report = []
@@ -321,10 +332,10 @@ def _format_row(rec: RunRecord) -> str:
     )
 
 
-def _measure(clients, w, w_star, round_index) -> RunRecord:
+def _measure(fed, w, w_star, round_index) -> RunRecord:
     # A finite but huge iterate overflows here; the caller treats it as divergence.
     with np.errstate(over="ignore", invalid="ignore"):
-        g, loss = global_grad_and_loss(clients, w)
+        g, loss = global_grad_and_loss(fed, w)
         diff = w - w_star
         return RunRecord(
             round=round_index,
@@ -337,18 +348,19 @@ def _measure(clients, w, w_star, round_index) -> RunRecord:
 def run(cfg: RunConfig, write_artifacts: bool = True) -> RunResult:
     """Execute one configured run; deterministic in cfg.seed.
 
-    Participants train in ascending id order, but the result does not
-    depend on that order: every client draws from its own keyed stream
-    and the aggregators reduce in client id order.
+    The participants of a round train as one batch, one row each. Each
+    draws its gradient noise from its own keyed stream, built only when
+    the federation is noisy, and the aggregators reduce in client id
+    order, so the result does not depend on how the batch is ordered.
 
     A non-finite iterate or metric raises DivergenceError naming the
     round whose update produced it; no non-finite row reaches metrics.csv.
     """
-    clients, consts = _realize(cfg)
+    fed, consts = _realize(cfg)
     h = cfg.hyper_params()
     eta_tilde = effective_server_lr(h)
     assignment = _run_assignment(cfg)
-    manifest = build_manifest(cfg, clients, consts, assignment)
+    manifest = build_manifest(cfg, fed, consts, assignment)
 
     out = None
     metrics_fh = None
@@ -365,7 +377,7 @@ def run(cfg: RunConfig, write_artifacts: bool = True) -> RunResult:
     aborted_round = None
 
     def log(round_index: int) -> None:
-        rec = _measure(clients, state.w, consts.w_star, round_index)
+        rec = _measure(fed, state.w, consts.w_star, round_index)
         if not all(map(math.isfinite, (rec.grad_norm_sq, rec.global_loss, rec.dist_to_opt_sq))):
             if round_index == 0:
                 raise ConfigError("metrics of the initial point overflow float64")
@@ -381,14 +393,15 @@ def run(cfg: RunConfig, write_artifacts: bool = True) -> RunResult:
                 plan = RoundPlan(round=0, participants=tuple(range(h.N)))
             else:
                 plan = sample_round(h.N, h.M, substream(cfg.seed, TAG_SAMPLING, t), t)
+            rngs = ()
+            if fed.noise_sigma > 0:
+                rngs = [substream(cfg.seed, TAG_LOCAL, t, i) for i in plan.participants]
             try:
-                deltas = {
-                    i: local_sgd(clients[i], state.w, local_cfg, substream(cfg.seed, TAG_LOCAL, t, i))
-                    for i in plan.participants
-                }
+                block = local_sgd(fed, plan.participants, state.w, local_cfg, rngs)
             except DivergenceError as exc:
                 exc.round = t
                 raise
+            deltas = dict(zip(plan.participants, block))  # row views of the (M, d) block
             aggregator_step(state, RoundUpdates(plan, deltas), eta_tilde)
             if not np.all(np.isfinite(state.w)):
                 raise DivergenceError(step=None, round=t)
@@ -441,30 +454,34 @@ def derive_sweep_seed(base_seed: int, axis: str, value) -> int:
 
 
 def sweep_point_config(base: RunConfig, axis: str, value, index: int) -> RunConfig:
-    """The config of one sweep point: axis applied, child seed, own subdir."""
+    """The config of one sweep point: axis applied, child seed, own subdir.
+
+    The value is checked like a config key (ints for counts, finite
+    floats for rates and scales); the child seed is derived from the value
+    as given.
+    """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
+    v = _coerce(f"sweep {axis} value", value, SWEEP_AXIS_TYPES[axis])
     cfg = base
     if axis == "sigma_g_scale":
-        scale = float(value)
-        fed = replace(
-            base.federation,
-            cluster_center_spread=base.federation.cluster_center_spread * scale,
-            within_cluster_spread=base.federation.within_cluster_spread * scale,
-        )
-        cfg = replace(base, federation=fed)
+        spreads = {
+            key: _coerce(f"federation.{key}", getattr(base.federation, key) * v, float)
+            for key in ("cluster_center_spread", "within_cluster_spread")
+        }
+        cfg = replace(base, federation=replace(base.federation, **spreads))
     elif axis == "M":
-        cfg = replace(base, hyper=replace(base.hyper, M=int(value)))
+        cfg = replace(base, hyper=replace(base.hyper, M=v))
     elif axis == "eta_c":
-        cfg = replace(base, hyper=replace(base.hyper, eta_c=float(value)))
+        cfg = replace(base, hyper=replace(base.hyper, eta_c=v))
     elif axis == "eta_s":
-        cfg = replace(base, hyper=replace(base.hyper, eta_s=float(value)))
+        cfg = replace(base, hyper=replace(base.hyper, eta_s=v))
     elif axis == "tau":
-        cfg = replace(base, hyper=replace(base.hyper, tau=int(value)))
+        cfg = replace(base, hyper=replace(base.hyper, tau=v))
     elif axis == "K":
-        cfg = replace(base, algo=replace(base.algo, K=int(value)))
+        cfg = replace(base, algo=replace(base.algo, K=v))
     elif axis == "algo":
-        name = str(value).lower()
+        name = v.lower()
         if name not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {name!r} in sweep values")
         cfg = replace(base, algo=replace(base.algo, name=name))
@@ -492,10 +509,11 @@ def sweep(
     """Run one point per value and write a floor summary CSV."""
     if not values:
         raise ConfigError("sweep needs at least one value")
+    # Every point is validated before the first one runs.
+    cfgs = [sweep_point_config(base, axis, value, idx) for idx, value in enumerate(values)]
     results = []
     rows = []
-    for idx, value in enumerate(values):
-        cfg = sweep_point_config(base, axis, value, idx)
+    for cfg, value in zip(cfgs, values):
         res = run(cfg, write_artifacts=write_artifacts)
         results.append(res)
         grads = [r.grad_norm_sq for r in res.records]
@@ -642,11 +660,7 @@ def _verify_saga(seed: int) -> VerifyCheck:
     rng = np.random.default_rng(seed + 5)
     N, steps, lr = 12, 120, 0.04
     mus = rng.normal(size=N)
-    eig = np.array([1.0])
-    clients = [
-        QuadraticClient(hessian_eigs=eig, mu=np.array([m]), noise_sigma=0.0, client_id=i)
-        for i, m in enumerate(mus)
-    ]
+    fed = Federation(eigs=np.array([1.0]), mus=mus.reshape(N, 1))
     picks = [int(rng.integers(N)) for _ in range(steps)]
     ref = saga_trajectory(1.0, mus, 0.0, lr, picks)
     state = init_state(FEDVARP, np.zeros(1), N)
@@ -655,7 +669,7 @@ def _verify_saga(seed: int) -> VerifyCheck:
     cfg = LocalRunConfig(tau=1, eta_c=lr)
     ok = True
     for t, j in enumerate(picks):
-        delta = local_sgd(clients[j], state.w, cfg, substream(seed, TAG_LOCAL, t, j))
+        (delta,) = local_sgd(fed, (j,), state.w, cfg)
         plan = RoundPlan(round=t, participants=(j,))
         fedvarp_like = aggregator_step(state, RoundUpdates(plan, {j: delta}), eta_tilde)
         ok = ok and fedvarp_like.tobytes() == np.array([ref[t + 1]]).tobytes()
@@ -668,16 +682,18 @@ def _verify_finite_difference(seed: int) -> VerifyCheck:
     eigs = rng.uniform(0.2, 2.0, size=d)
     worst = 0.0
     for _ in range(5):
-        client = QuadraticClient(
-            hessian_eigs=eigs, mu=rng.normal(size=d), noise_sigma=0.0, client_id=0
-        )
+        fed = Federation(eigs=eigs, mus=rng.normal(size=(1, d)))
         w = rng.normal(size=d)
-        g = client.grad(w)
+        (g,), _ = fed.grads_and_losses(w)
+
+        def loss(x):
+            return fed.grads_and_losses(x)[1][0]
+
         eps = 1e-5
         for j in range(d):
             e = np.zeros(d)
             e[j] = eps
-            fd = (client.loss(w + e) - client.loss(w - e)) / (2 * eps)
+            fd = (loss(w + e) - loss(w - e)) / (2 * eps)
             worst = max(worst, abs(fd - g[j]))
     return VerifyCheck("finite differences match exact gradients", worst <= 1e-6, f"max err {worst:.2e}")
 

@@ -24,33 +24,45 @@ from .rng import TAG_CENTERS, TAG_OFFSETS, substream
 
 
 @dataclass(frozen=True)
-class QuadraticClient:
-    """Local objective f_i(w) = 0.5 (w - mu)^T A (w - mu) with diagonal A."""
+class Federation:
+    """All N clients as arrays: shared Hessian diagonal eigs (d,), minimizers mus (N, d).
 
-    hessian_eigs: np.ndarray
-    mu: np.ndarray
-    noise_sigma: float
-    client_id: int
+    Client i has f_i(w) = 0.5 (w - mus[i])^T diag(eigs) (w - mus[i]); its
+    stochastic gradient adds N(0, (noise_sigma^2/d) I) noise.
+    """
+
+    eigs: np.ndarray
+    mus: np.ndarray
+    noise_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.hessian_eigs.shape != self.mu.shape:
-            raise DimensionError("hessian_eigs and mu must share the dimension")
-        if np.any(self.hessian_eigs < 0):
+        if self.mus.ndim != 2 or self.mus.shape[0] < 1:
+            raise ConfigError(f"mus must be an (N, d) array with N >= 1, got {self.mus.shape}")
+        if self.eigs.shape != (self.mus.shape[1],):
+            raise DimensionError("hessian eigenvalues and minimizers must share the dimension")
+        if np.any(self.eigs < 0):
             raise ConfigError("hessian eigenvalues must be nonnegative")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be nonnegative")
 
     @property
-    def dim(self) -> int:
-        return self.mu.shape[0]
+    def d(self) -> int:
+        return self.mus.shape[1]
 
-    def loss(self, w: np.ndarray) -> float:
-        diff = w - self.mu
-        return 0.5 * float(np.dot(self.hessian_eigs * diff, diff))
+    def grads_and_losses(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact per-client gradients A(w - mu_i), shape (N, d), and losses, shape (N,)."""
+        diffs = w - self.mus
+        grads = self.eigs * diffs
+        return grads, 0.5 * np.sum(grads * diffs, axis=1)
 
-    def grad(self, w: np.ndarray) -> np.ndarray:
-        """Exact gradient A(w - mu)."""
-        return self.hessian_eigs * (w - self.mu)
+    def draw_noise(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Fill out, shape (..., d), with gradient noise rows from rng.
+
+        A (tau, d) block holds the same numbers as tau successive (d,) draws.
+        """
+        rng.standard_normal(out=out)
+        out *= self.noise_sigma / np.sqrt(self.d)
+        return out
 
 
 @dataclass(frozen=True)
@@ -144,37 +156,26 @@ def generator_assignment(N: int, K_true: int) -> np.ndarray:
     return np.arange(N) // r
 
 
-def generate_federation(spec: FederationSpec) -> tuple[list[QuadraticClient], FederationConstants]:
-    """Build the client list and its exact constants, deterministically in the seed."""
+def generate_federation(spec: FederationSpec) -> tuple[Federation, FederationConstants]:
+    """Build the federation arrays and their exact constants, deterministically in the seed."""
     assign = generator_assignment(spec.N, spec.K_true)
     s = spec.within_cluster_spread
     half_width = s / np.sqrt(spec.d)  # box offsets keep ||delta|| <= s
-    clients = []
+    mus = np.empty((spec.N, spec.d))
     for i in range(spec.N):
         offset = substream(spec.seed, TAG_OFFSETS, i).uniform(-half_width, half_width, spec.d)
-        mu = spec.cluster_centers[assign[i]] + offset
-        clients.append(
-            QuadraticClient(
-                hessian_eigs=spec.hessian_eigs,
-                mu=mu,
-                noise_sigma=spec.noise_sigma,
-                client_id=i,
-            )
-        )
-    constants = federation_constants(clients, assign)
-    return clients, constants
+        mus[i] = spec.cluster_centers[assign[i]] + offset
+    fed = Federation(eigs=spec.hessian_eigs, mus=mus, noise_sigma=spec.noise_sigma)
+    return fed, federation_constants(fed, assign)
 
 
-def federation_constants(
-    clients: list[QuadraticClient], assignment: np.ndarray
-) -> FederationConstants:
+def federation_constants(fed: Federation, assignment: np.ndarray) -> FederationConstants:
     """Exact L, heterogeneity bounds, minimizer, and optimal loss."""
-    eigs = clients[0].hessian_eigs
-    mus = np.stack([c.mu for c in clients])
+    eigs, mus = fed.eigs, fed.mus
     mu_bar = mus.mean(axis=0)
     dev = eigs * (mu_bar - mus)  # per-client gradient gap, constant in w
     sigma_g_sq = float(np.max(np.sum(dev * dev, axis=1)))
-    sigma_K_sq = float(cluster_heterogeneity(clients, assignment))
+    sigma_K_sq = float(cluster_heterogeneity(fed, assignment))
     f_star = float(np.mean(0.5 * np.sum(eigs * (mu_bar - mus) ** 2, axis=1)))
     return FederationConstants(
         L=float(np.max(eigs)),
@@ -185,41 +186,19 @@ def federation_constants(
     )
 
 
-def cluster_heterogeneity(clients: list[QuadraticClient], assignment: np.ndarray) -> float:
+def cluster_heterogeneity(fed: Federation, assignment: np.ndarray) -> float:
     """Exact max squared gap between a client gradient and its cluster mean gradient."""
-    eigs = clients[0].hessian_eigs
-    mus = np.stack([c.mu for c in clients])
     worst = 0.0
     for k in np.unique(assignment):
-        members = mus[assignment == k]
+        members = fed.mus[assignment == k]
         center = members.mean(axis=0)
-        dev = eigs * (center - members)
+        dev = fed.eigs * (center - members)
         worst = max(worst, float(np.max(np.sum(dev * dev, axis=1))))
     return worst
 
 
-def stochastic_gradient(
-    client: QuadraticClient, w: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Unbiased gradient oracle: exact gradient plus N(0, (sigma^2/d) I) noise."""
-    w = as_model_vector(w, client.dim)
-    g = client.grad(w)
-    if client.noise_sigma == 0.0:
-        return g
-    noise = rng.standard_normal(client.dim) * (client.noise_sigma / np.sqrt(client.dim))
-    return g + noise
-
-
-def global_grad_and_loss(
-    clients: list[QuadraticClient], w: np.ndarray
-) -> tuple[np.ndarray, float]:
+def global_grad_and_loss(fed: Federation, w: np.ndarray) -> tuple[np.ndarray, float]:
     """Exact global gradient and loss, averaged over all clients."""
-    if not clients:
-        raise ConfigError("client list is empty")
-    w = as_model_vector(w, clients[0].dim)
-    eigs = clients[0].hessian_eigs
-    mus = np.stack([c.mu for c in clients])
-    diffs = w - mus
-    grads = eigs * diffs
-    losses = 0.5 * np.sum(grads * diffs, axis=1)
+    w = as_model_vector(w, fed.d)
+    grads, losses = fed.grads_and_losses(w)
     return grads.mean(axis=0), float(losses.mean())

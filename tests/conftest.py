@@ -2,21 +2,16 @@ import numpy as np
 import pytest
 
 from fedvarp_sim.harness import AlgoConfig, FederationConfig, HyperConfig, RunConfig
-from fedvarp_sim.objectives import QuadraticClient
+from fedvarp_sim.objectives import Federation
 
 
-def make_clients(mus, eigs, sigma=0.0):
+def make_federation(mus, eigs, sigma=0.0):
     """Helper: one shared-Hessian quadratic client per row of mus."""
-    eigs = np.asarray(eigs, dtype=np.float64)
-    return [
-        QuadraticClient(
-            hessian_eigs=eigs,
-            mu=np.asarray(mu, dtype=np.float64),
-            noise_sigma=sigma,
-            client_id=i,
-        )
-        for i, mu in enumerate(mus)
-    ]
+    return Federation(
+        eigs=np.asarray(eigs, dtype=np.float64),
+        mus=np.asarray(mus, dtype=np.float64),
+        noise_sigma=sigma,
+    )
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_clients
+from conftest import make_federation
 from fedvarp_sim.aggregators import (
     RoundUpdates,
     aggregator_step,
@@ -35,9 +35,8 @@ from fedvarp_sim.harness import (
     sweep,
 )
 from fedvarp_sim.localsgd import LocalRunConfig, local_sgd
-from fedvarp_sim.objectives import stochastic_gradient
 from fedvarp_sim.reference_saga import saga_trajectory
-from fedvarp_sim.rng import TAG_LOCAL, substream
+from fedvarp_sim.rng import substream
 from fedvarp_sim.sampling import RoundPlan, enumerate_subsets, without_replacement_variance
 
 
@@ -291,7 +290,7 @@ def test_a7_saga_equivalence():
     rng = np.random.default_rng(877)
     N, steps, lr = 20, 500, 0.05
     mus = rng.normal(size=N)
-    clients = make_clients([[m] for m in mus], [1.0])
+    fed = make_federation([[m] for m in mus], [1.0])
     picks = [int(rng.integers(N)) for _ in range(steps)]
     reference = saga_trajectory(1.0, mus, 0.0, lr, picks)
 
@@ -300,7 +299,7 @@ def test_a7_saga_equivalence():
     local_cfg = LocalRunConfig(tau=1, eta_c=lr)
     state = init_state(FEDVARP, np.zeros(1), N)
     for t, j in enumerate(picks):
-        delta = local_sgd(clients[j], state.w, local_cfg, substream(42, TAG_LOCAL, t, j))
+        (delta,) = local_sgd(fed, (j,), state.w, local_cfg)
         plan = RoundPlan(round=t, participants=(j,))
         w = aggregator_step(state, RoundUpdates(plan, {j: delta}), eta_tilde)
         assert w.tobytes() == np.array([reference[t + 1]]).tobytes(), f"diverged at step {t}"
@@ -366,22 +365,26 @@ def test_a8_cluster_interpolation():
 def test_a9_gradient_oracle():
     rng = np.random.default_rng(899)
     eigs = rng.uniform(0.2, 2.0, size=6)
-    clients = make_clients(rng.normal(size=(4, 6)), eigs)
+    fed = make_federation(rng.normal(size=(4, 6)), eigs)
     eps = 1e-5
-    for client in clients:
+    for i in range(4):
         w = rng.normal(size=6)
-        g = client.grad(w)
+        g = fed.grads_and_losses(w)[0][i]
         for j in range(6):
             e = np.zeros(6)
             e[j] = eps
-            fd = (client.loss(w + e) - client.loss(w - e)) / (2 * eps)
+            fd = (fed.grads_and_losses(w + e)[1][i] - fed.grads_and_losses(w - e)[1][i]) / (2 * eps)
             assert abs(fd - g[j]) <= 1e-6
 
-    (noisy,) = make_clients([[0.2, -0.4]], [1.0, 1.5], sigma=1.0)
+    # One-step local updates are stochastic gradients; 100k participants
+    # sharing one client and one stream give 100k independent draws.
+    noisy = make_federation([[0.2, -0.4]], [1.0, 1.5], sigma=1.0)
     w = np.array([1.0, 2.0])
-    exact = noisy.grad(w)
+    exact = noisy.grads_and_losses(w)[0][0]
+    n = 100_000
     stream = substream(899, 0)
-    draws = np.stack([stochastic_gradient(noisy, w, stream) for _ in range(100_000)])
+    one_step = LocalRunConfig(tau=1, eta_c=0.1)
+    draws = local_sgd(noisy, np.zeros(n, dtype=int), w, one_step, [stream] * n)
     assert np.all(np.abs(draws.mean(axis=0) - exact) < 0.02)
     noise_sq = np.sum((draws - exact) ** 2, axis=1)
     assert abs(noise_sq.mean() - 1.0) < 0.03

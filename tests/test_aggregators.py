@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import make_clients
+from conftest import make_federation
 from fedvarp_sim.aggregators import (
     RoundUpdates,
     aggregator_step,
@@ -24,7 +24,6 @@ from fedvarp_sim.core import (
 )
 from fedvarp_sim.localsgd import LocalRunConfig, local_sgd
 from fedvarp_sim.objectives import global_grad_and_loss
-from fedvarp_sim.rng import substream
 from fedvarp_sim.sampling import RoundPlan, enumerate_subsets
 
 
@@ -51,14 +50,14 @@ def test_fedavg_singleton():
 def test_fedavg_full_participation_is_gradient_descent():
     # tau=1, no noise, M=N: one round equals plain GD with rate eta_s*eta_c on f.
     rng = np.random.default_rng(60)
-    clients = make_clients(rng.normal(size=(5, 3)), rng.uniform(0.5, 1.5, size=3))
+    fed = make_federation(rng.normal(size=(5, 3)), rng.uniform(0.5, 1.5, size=3))
     w0 = rng.normal(size=3)
     h = HyperParams(eta_c=0.08, eta_s=1.25, tau=1, T=1, M=5, N=5)
     cfg = LocalRunConfig(tau=1, eta_c=h.eta_c)
-    deltas = {i: local_sgd(clients[i], w0, cfg, substream(0, i)) for i in range(5)}
+    deltas = dict(enumerate(local_sgd(fed, range(5), w0, cfg)))
     state = init_state(FEDAVG, w0, N=5)
     w1 = fedavg_step(state, updates(0, deltas), effective_server_lr(h))
-    g, _ = global_grad_and_loss(clients, w0)
+    g, _ = global_grad_and_loss(fed, w0)
     assert np.allclose(w1, w0 - h.eta_s * h.eta_c * g, rtol=1e-12, atol=1e-14)
 
 

@@ -109,3 +109,19 @@ def test_sweep_cli(config_file, tmp_path):
     assert len(run_dirs) == 2
     for d in run_dirs:
         assert (d / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "axis,values,message",
+    [
+        ("sigma_g_scale", "inf", "must be finite"),
+        ("M", "abc", "must be ints"),
+        ("eta_c", "1e400", "must be finite"),
+    ],
+)
+def test_bad_sweep_values_exit_two(config_file, tmp_path, capsys, axis, values, message):
+    code = main(["sweep", "--config", str(config_file), "--axis", axis, "--values", values])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+    assert not (tmp_path / "artifacts").exists()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fedvarp_sim.aggregators import RoundUpdates, aggregator_step, init_state
+from fedvarp_sim import harness
 from fedvarp_sim.core import ALGORITHMS, CLUSTERFEDVARP, ConfigError, DivergenceError
 from fedvarp_sim.harness import (
     apply_overrides,
@@ -172,14 +173,51 @@ def test_run_is_deterministic_byte_for_byte(small_config, tmp_path):
         assert (tmp_path / "det" / name).read_bytes() == payload
 
 
-def _round_deltas(clients, w, seed, t, order):
+def _count_local_streams(monkeypatch):
+    """Wrap harness.substream; collect (generator, initial Philox position) per local stream."""
+    built = []
+    original = harness.substream
+
+    def counting(seed, *path):
+        gen = original(seed, *path)
+        if path and path[0] == TAG_LOCAL:
+            built.append((gen, _philox_position(gen)))
+        return gen
+
+    monkeypatch.setattr(harness, "substream", counting)
+    return built
+
+
+def _philox_position(gen):
+    state = gen.bit_generator.state
+    return state["state"]["counter"].tolist(), state["buffer_pos"]
+
+
+def test_noiseless_run_builds_no_local_streams(small_config, monkeypatch):
+    built = _count_local_streams(monkeypatch)
+    for algo in ALGORITHMS:
+        K = 2 if algo == CLUSTERFEDVARP else None
+        run(small_config(algo=algo, K=K, noise_sigma=0.0, T=12), write_artifacts=False)
+    assert built == []
+
+
+def test_noisy_run_builds_and_draws_one_stream_per_participant_round(small_config, monkeypatch):
+    built = _count_local_streams(monkeypatch)
+    run(small_config(noise_sigma=0.3, T=12, M=3), write_artifacts=False)
+    assert len(built) == 3 * 12
+    assert all(_philox_position(gen) != initial for gen, initial in built)
+
+
+def _round_deltas(fed, w, seed, t, order):
     cfg = LocalRunConfig(tau=2, eta_c=0.05)
-    return {i: local_sgd(clients[i], w, cfg, substream(seed, TAG_LOCAL, t, i)) for i in order}
+    block = local_sgd(fed, order, w, cfg, [substream(seed, TAG_LOCAL, t, i) for i in order])
+    return dict(zip(order, block))
 
 
 def test_participant_order_does_not_change_step():
-    # Training the participants and inserting their deltas in reversed order
-    # must give the same bits as ascending order, round after round.
+    # Training the participants as batch rows in reversed order, and inserting
+    # their deltas in that order, must give the same bits as ascending order,
+    # round after round.
     N, d, seed = 8, 3, 4242
     spec = make_federation_spec(
         N=N,
@@ -192,15 +230,15 @@ def test_participant_order_does_not_change_step():
         hessian_eig_max=1.0,
         seed=11,
     )
-    clients, _ = generate_federation(spec)
+    fed, _ = generate_federation(spec)
     for algo in ALGORITHMS:
         K, assignment = (3, np.arange(N) % 3) if algo == CLUSTERFEDVARP else (None, None)
         ascending = init_state(algo, np.zeros(d), N, K, assignment)
         reversed_ = init_state(algo, np.zeros(d), N, K, assignment)
         for t in range(6):
             plan = sample_round(N, 5, substream(seed, TAG_SAMPLING, t), t)
-            fwd = _round_deltas(clients, ascending.w, seed, t, plan.participants)
-            rev = _round_deltas(clients, reversed_.w, seed, t, plan.participants[::-1])
+            fwd = _round_deltas(fed, ascending.w, seed, t, plan.participants)
+            rev = _round_deltas(fed, reversed_.w, seed, t, plan.participants[::-1])
             assert list(rev) == list(fwd)[::-1]
             aggregator_step(ascending, RoundUpdates(plan, fwd), 0.1)
             aggregator_step(reversed_, RoundUpdates(plan, rev), 0.1)
@@ -379,10 +417,9 @@ def test_fedavg_floor_matches_stationary_prediction(small_config):
     )
     result = run(cfg, write_artifacts=False)
     spec = make_federation_spec(20, 3, 20, 1.0, 0.0, 0.0, 0.5, 1.0, seed=11)
-    clients, consts = generate_federation(spec)
-    eigs = clients[0].hessian_eigs
-    mus = np.stack([c.mu for c in clients])
-    gaps = eigs * (consts.w_star - mus)  # N x d, constant in w
+    fed, consts = generate_federation(spec)
+    eigs = fed.eigs
+    gaps = eigs * (consts.w_star - fed.mus)  # N x d, constant in w
     eta = (1 / 3) * (1 / 8) * 1
     predicted = 0.0
     for j in range(3):

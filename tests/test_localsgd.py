@@ -1,35 +1,39 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_clients
+from conftest import make_federation
 from fedvarp_sim.core import DivergenceError
 from fedvarp_sim.localsgd import LocalRunConfig, local_sgd
 from fedvarp_sim.rng import substream
 
 
+def gradient(fed, i, w):
+    return fed.grads_and_losses(w)[0][i]
+
+
 def test_single_noiseless_step_returns_gradient_bitwise():
-    (client,) = make_clients([[0.3, -1.7]], [0.8, 1.3])
+    fed = make_federation([[0.3, -1.7]], [0.8, 1.3])
     w = np.array([2.0, 0.5])
-    delta = local_sgd(client, w, LocalRunConfig(tau=1, eta_c=0.05), substream(1, 0))
-    assert delta.tobytes() == client.grad(w).tobytes()
+    (delta,) = local_sgd(fed, (0,), w, LocalRunConfig(tau=1, eta_c=0.05))
+    assert delta.tobytes() == gradient(fed, 0, w).tobytes()
 
 
 def test_two_step_hand_recursion():
-    (client,) = make_clients([[2.0]], [1.0])
+    fed = make_federation([[2.0]], [1.0])
     w = np.array([0.0])
-    delta, w_final = local_sgd(
-        client, w, LocalRunConfig(tau=2, eta_c=0.5), substream(1, 1), return_final=True
-    )
-    assert w_final[0] == 1.5  # iterates 0 -> 1 -> 1.5
-    assert delta[0] == -1.5  # (0 - 1.5) / (0.5 * 2)
+    delta, w_final = local_sgd(fed, (0,), w, LocalRunConfig(tau=2, eta_c=0.5), return_final=True)
+    assert w_final[0, 0] == 1.5  # iterates 0 -> 1 -> 1.5
+    assert delta[0, 0] == -1.5  # (0 - 1.5) / (0.5 * 2)
     assert w[0] == 0.0  # input untouched
 
 
 def test_fixed_point_returns_zero_update():
-    (client,) = make_clients([[1.0, -2.0, 0.5]], [1.0, 0.7, 0.2])
+    fed = make_federation([[1.0, -2.0, 0.5]], [1.0, 0.7, 0.2])
     for tau in (1, 3, 7):
-        delta = local_sgd(client, client.mu, LocalRunConfig(tau=tau, eta_c=0.1), substream(1, 2))
-        assert np.array_equal(delta, np.zeros(3))
+        delta = local_sgd(fed, (0,), fed.mus[0], LocalRunConfig(tau=tau, eta_c=0.1))
+        assert np.array_equal(delta, np.zeros((1, 3)))
 
 
 def test_server_step_reproduces_final_iterate_bitwise():
@@ -38,25 +42,30 @@ def test_server_step_reproduces_final_iterate_bitwise():
     rng = np.random.default_rng(40)
     for tau in (1, 2, 3, 5, 8):
         eigs = rng.uniform(0.3, 1.5, size=4)
-        (client,) = make_clients([rng.normal(size=4)], eigs, sigma=0.4)
+        fed = make_federation([rng.normal(size=4)], eigs, sigma=0.4)
         w = rng.normal(size=4)
         eta_c = float(rng.uniform(0.01, 0.2))
         stream_key = int(rng.integers(1 << 30))
         delta, w_final = local_sgd(
-            client, w, LocalRunConfig(tau=tau, eta_c=eta_c), substream(stream_key, 0), return_final=True
+            fed,
+            (0,),
+            w,
+            LocalRunConfig(tau=tau, eta_c=eta_c),
+            [substream(stream_key, 0)],
+            return_final=True,
         )
         eta_tilde = (1.0 * eta_c) * tau
-        reconstructed = w - eta_tilde * delta
-        assert reconstructed.tobytes() == w_final.tobytes()
+        reconstructed = w - eta_tilde * delta[0]
+        assert reconstructed.tobytes() == w_final[0].tobytes()
 
 
 def test_determinism_in_stream_key():
-    (client,) = make_clients([[0.0, 0.0]], [1.0, 1.0], sigma=0.5)
+    fed = make_federation([[0.0, 0.0]], [1.0, 1.0], sigma=0.5)
     w = np.array([1.0, -1.0])
     cfg = LocalRunConfig(tau=4, eta_c=0.05)
-    a = local_sgd(client, w, cfg, substream(7, 3, 5))
-    b = local_sgd(client, w, cfg, substream(7, 3, 5))
-    c = local_sgd(client, w, cfg, substream(7, 3, 6))
+    a = local_sgd(fed, (0,), w, cfg, [substream(7, 3, 5)])
+    b = local_sgd(fed, (0,), w, cfg, [substream(7, 3, 5)])
+    c = local_sgd(fed, (0,), w, cfg, [substream(7, 3, 6)])
     assert a.tobytes() == b.tobytes()
     assert a.tobytes() != c.tobytes()
 
@@ -65,23 +74,88 @@ def test_noiseless_contraction():
     rng = np.random.default_rng(41)
     eigs = np.array([0.5, 1.0, 2.0])
     L = eigs.max()
-    (client,) = make_clients([rng.normal(size=3)], eigs)
+    fed = make_federation([rng.normal(size=3)], eigs)
     for eta_c in (0.1 / L, 0.9 / L, 1.9 / L):
         for tau in (1, 2, 6):
             w = rng.normal(size=3)
-            _, w_final = local_sgd(
-                client, w, LocalRunConfig(tau=tau, eta_c=eta_c), substream(1, 4), return_final=True
-            )
-            assert np.linalg.norm(w_final - client.mu) <= np.linalg.norm(w - client.mu) * (
+            cfg = LocalRunConfig(tau=tau, eta_c=eta_c)
+            _, w_final = local_sgd(fed, (0,), w, cfg, return_final=True)
+            assert np.linalg.norm(w_final[0] - fed.mus[0]) <= np.linalg.norm(w - fed.mus[0]) * (
                 1 + 1e-12
             )
 
 
 def test_divergence_raises_with_step_index():
-    (client,) = make_clients([[0.0]], [1.0])
+    fed = make_federation([[0.0]], [1.0])
     with pytest.raises(DivergenceError) as err:
-        local_sgd(
-            client, np.array([1.0]), LocalRunConfig(tau=500, eta_c=1e200), substream(1, 5)
-        )
+        local_sgd(fed, (0,), np.array([1.0]), LocalRunConfig(tau=500, eta_c=1e200))
     assert err.value.step >= 0
     assert err.value.step < 500
+
+
+def test_divergence_step_is_that_of_the_first_diverging_row():
+    # Each local step multiplies |w - mu| by about 1e100, so client 0,
+    # starting 1e-300 from its minimizer, overflows several steps after
+    # client 1, starting 1 away. Trained one after another, client 0 is
+    # the first to raise, with its own (later) step.
+    fed = make_federation([[1e-300], [1.0]], [1.0])
+    cfg = LocalRunConfig(tau=50, eta_c=1e100)
+    w = np.array([0.0])
+    steps = []
+    for i in (0, 1):
+        with pytest.raises(DivergenceError) as alone:
+            local_sgd(fed, (i,), w, cfg)
+        steps.append(alone.value.step)
+    assert steps[0] > steps[1]
+    with pytest.raises(DivergenceError) as err:
+        local_sgd(fed, (0, 1), w, cfg)
+    assert err.value.step == steps[0]
+
+
+def reference_local_sgd(eigs, mu, w, tau, eta_c, sigma, rng):
+    """The per-client recursion the batched kernel must reproduce row by row."""
+    d = w.shape[0]
+    grad_sum = np.zeros_like(w)
+    w_k = w
+    for _ in range(tau):
+        g = eigs * (w_k - mu)
+        if sigma > 0:
+            g = g + rng.standard_normal(d) * (sigma / np.sqrt(d))
+        grad_sum = grad_sum + g
+        w_k = w - (eta_c * tau) * (grad_sum / tau)
+    return grad_sum / tau, w_k
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    M=st.integers(1, 8),
+    tau=st.integers(1, 6),
+    d=st.sampled_from([1, 2, 3, 17]),
+    noisy=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_kernel_matches_per_client_recursion(M, tau, d, noisy, seed):
+    rng = np.random.default_rng(seed)
+    N = M + int(rng.integers(0, 4))
+    sigma = float(rng.uniform(0.1, 2.0)) if noisy else 0.0
+    fed = make_federation(rng.normal(size=(N, d)), rng.uniform(0.1, 2.0, size=d), sigma)
+    parts = tuple(int(i) for i in rng.choice(N, size=M, replace=False))
+    w = rng.normal(size=d)
+    eta_c = float(rng.uniform(0.01, 0.5))
+    cfg = LocalRunConfig(tau=tau, eta_c=eta_c)
+
+    deltas, finals = local_sgd(
+        fed, parts, w, cfg, [substream(seed, 2, i) for i in parts], return_final=True
+    )
+    assert deltas.shape == finals.shape == (M, d)
+    for m, i in enumerate(parts):
+        ref_delta, ref_final = reference_local_sgd(
+            fed.eigs, fed.mus[i], w, tau, eta_c, sigma, substream(seed, 2, i)
+        )
+        assert deltas[m].tobytes() == ref_delta.tobytes()
+        assert finals[m].tobytes() == ref_final.tobytes()
+        # Module identities: the server step with eta_s = 1 lands on the
+        # final local iterate, and a noiseless single step is the gradient.
+        assert (w - (1.0 * eta_c * tau) * deltas[m]).tobytes() == finals[m].tobytes()
+        if tau == 1 and not noisy:
+            assert deltas[m].tobytes() == gradient(fed, i, w).tobytes()

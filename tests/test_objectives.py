@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from conftest import make_clients
+from conftest import make_federation
 from fedvarp_sim.core import ConfigError
 from fedvarp_sim.objectives import (
+    Federation,
     FederationSpec,
     cluster_heterogeneity,
     generate_federation,
     generator_assignment,
     global_grad_and_loss,
     make_federation_spec,
-    stochastic_gradient,
 )
+from fedvarp_sim.localsgd import LocalRunConfig, local_sgd
 from fedvarp_sim.rng import substream
 
 
@@ -30,13 +31,13 @@ def two_point_spec():
 
 
 def test_two_point_constants():
-    clients, consts = generate_federation(two_point_spec())
+    fed, consts = generate_federation(two_point_spec())
     assert consts.L == 1.0
     assert consts.w_star[0] == pytest.approx(1.0)
     # f(w*) = (1/2N) sum (mu_bar - mu_i)^T A (mu_bar - mu_i) = 1/2
     assert consts.f_star == pytest.approx(0.5)
     assert consts.sigma_g_sq == pytest.approx(1.0)
-    assert [c.mu[0] for c in clients] == [0.0, 2.0]
+    assert fed.mus[:, 0].tolist() == [0.0, 2.0]
 
 
 def test_identical_clients_have_zero_heterogeneity():
@@ -91,7 +92,7 @@ def test_generation_is_deterministic_in_seed():
     spec = make_federation_spec(6, 4, 3, 1.0, 0.2, 0.1, 0.5, 1.5, seed=77)
     a, ca = generate_federation(spec)
     b, cb = generate_federation(spec)
-    assert all(x.mu.tobytes() == y.mu.tobytes() for x, y in zip(a, b))
+    assert a.mus.tobytes() == b.mus.tobytes()
     assert ca.w_star.tobytes() == cb.w_star.tobytes()
     assert ca.sigma_g_sq == cb.sigma_g_sq
 
@@ -99,27 +100,27 @@ def test_generation_is_deterministic_in_seed():
 def test_offsets_respect_within_cluster_spread():
     spread = 0.3
     spec = make_federation_spec(8, 5, 2, 2.0, spread, 0.0, 1.0, 1.0, seed=13)
-    clients, _ = generate_federation(spec)
+    fed, _ = generate_federation(spec)
     assign = generator_assignment(8, 2)
-    for i, c in enumerate(clients):
-        delta = c.mu - np.asarray(spec.cluster_centers[assign[i]])
+    for i, mu in enumerate(fed.mus):
+        delta = mu - np.asarray(spec.cluster_centers[assign[i]])
         assert np.linalg.norm(delta) <= spread + 1e-12
 
 
 def test_noiseless_gradient_is_exact():
-    (client,) = make_clients([[0.0, 0.0]], [1.0, 1.0])
+    fed = make_federation([[0.0, 0.0]], [1.0, 1.0])
     w = np.array([3.0, 4.0])
-    g = stochastic_gradient(client, w, substream(0, 9))
-    assert np.array_equal(g, [3.0, 4.0])
-    assert np.array_equal(stochastic_gradient(client, client.mu, substream(0, 9)), [0.0, 0.0])
+    g = local_sgd(fed, (0,), w, LocalRunConfig(tau=1, eta_c=0.1))
+    assert np.array_equal(g, [[3.0, 4.0]])
+    at_mu = local_sgd(fed, (0,), fed.mus[0], LocalRunConfig(tau=1, eta_c=0.1))
+    assert np.array_equal(at_mu, [[0.0, 0.0]])
 
 
 def test_noise_mean_and_variance():
-    (client,) = make_clients([[0.5, -0.5]], [1.0, 2.0], sigma=1.0)
+    fed = make_federation([[0.5, -0.5]], [1.0, 2.0], sigma=1.0)
     w = np.array([1.0, 1.0])
-    exact = client.grad(w)
-    stream = substream(123, 1)
-    draws = np.stack([stochastic_gradient(client, w, stream) for _ in range(100_000)])
+    exact = fed.grads_and_losses(w)[0][0]
+    draws = exact + fed.draw_noise(substream(123, 1), np.empty((100_000, 2)))
     mean_err = np.abs(draws.mean(axis=0) - exact)
     assert np.all(mean_err < 0.02)
     noise_sq = np.sum((draws - exact) ** 2, axis=1)
@@ -127,84 +128,112 @@ def test_noise_mean_and_variance():
 
 
 def test_global_single_client():
-    clients = make_clients([[2.0]], [1.5])
-    g, loss = global_grad_and_loss(clients, np.array([0.0]))
+    fed = make_federation([[2.0]], [1.5])
+    g, loss = global_grad_and_loss(fed, np.array([0.0]))
     assert g[0] == pytest.approx(-3.0)
     assert loss == pytest.approx(0.5 * 1.5 * 4.0)
 
 
 def test_global_zero_gradient_at_mean():
-    clients = make_clients([[0.0, 1.0], [2.0, 3.0], [4.0, -1.0]], [1.0, 0.5])
-    mu_bar = np.mean([c.mu for c in clients], axis=0)
-    g, _ = global_grad_and_loss(clients, mu_bar)
+    fed = make_federation([[0.0, 1.0], [2.0, 3.0], [4.0, -1.0]], [1.0, 0.5])
+    mu_bar = fed.mus.mean(axis=0)
+    g, _ = global_grad_and_loss(fed, mu_bar)
     assert np.max(np.abs(g)) < 1e-15
 
 
 def test_global_hand_case():
-    clients = make_clients([[0.0], [2.0]], [1.0])
-    g, loss = global_grad_and_loss(clients, np.array([0.0]))
+    fed = make_federation([[0.0], [2.0]], [1.0])
+    g, loss = global_grad_and_loss(fed, np.array([0.0]))
     assert g[0] == pytest.approx(-1.0)
     assert loss == pytest.approx(1.0)
 
 
 def test_global_empty_rejected():
     with pytest.raises(ConfigError):
-        global_grad_and_loss([], np.array([0.0]))
+        Federation(eigs=np.ones(1), mus=np.zeros((0, 1)))
 
 
 def test_finite_difference_agreement():
     rng = np.random.default_rng(21)
     eigs = rng.uniform(0.1, 3.0, size=5)
-    clients = make_clients(rng.normal(size=(3, 5)), eigs)
+    fed = make_federation(rng.normal(size=(3, 5)), eigs)
     eps = 1e-5
-    for client in clients:
+    for i in range(3):
         w = rng.normal(size=5)
-        g = client.grad(w)
+        g = fed.grads_and_losses(w)[0][i]
         for j in range(5):
             e = np.zeros(5)
             e[j] = eps
-            fd = (client.loss(w + e) - client.loss(w - e)) / (2 * eps)
+            fd = (fed.grads_and_losses(w + e)[1][i] - fed.grads_and_losses(w - e)[1][i]) / (2 * eps)
             assert abs(fd - g[j]) < 1e-6
 
 
 def test_smoothness_with_equality_witness():
     rng = np.random.default_rng(22)
     eigs = np.array([0.3, 0.9, 2.0])
-    (client,) = make_clients([rng.normal(size=3)], eigs)
+    fed = make_federation([rng.normal(size=3)], eigs)
     L = eigs.max()
+
+    def grad(w):
+        return fed.grads_and_losses(w)[0][0]
+
     for _ in range(1000):
         x, y = rng.normal(size=(2, 3))
-        lhs = np.linalg.norm(client.grad(x) - client.grad(y))
+        lhs = np.linalg.norm(grad(x) - grad(y))
         assert lhs <= L * np.linalg.norm(x - y) * (1 + 1e-12)
     top = np.array([0.0, 0.0, 1.0])  # eigendirection of the max eigenvalue
     x = rng.normal(size=3)
     y = x + 0.7 * top
-    lhs = np.linalg.norm(client.grad(x) - client.grad(y))
+    lhs = np.linalg.norm(grad(x) - grad(y))
     assert lhs == pytest.approx(L * np.linalg.norm(x - y), rel=1e-12)
 
 
 def test_heterogeneity_is_w_independent_and_matches_reported():
     spec = make_federation_spec(6, 4, 3, 1.5, 0.3, 0.0, 0.4, 1.2, seed=31)
-    clients, consts = generate_federation(spec)
-    mus = np.stack([c.mu for c in clients])
-    mu_bar = mus.mean(axis=0)
-    eigs = clients[0].hessian_eigs
+    fed, consts = generate_federation(spec)
+    mu_bar = fed.mus.mean(axis=0)
     rng = np.random.default_rng(32)
     gaps = []
-    for i, client in enumerate(clients):
-        expected = float(np.sum((eigs * (mu_bar - client.mu)) ** 2))
+    for i, mu in enumerate(fed.mus):
+        expected = float(np.sum((fed.eigs * (mu_bar - mu)) ** 2))
         for _ in range(5):
             w = rng.normal(size=4)
-            g_global, _ = global_grad_and_loss(clients, w)
-            gap = float(np.sum((client.grad(w) - g_global) ** 2))
+            g_global, _ = global_grad_and_loss(fed, w)
+            gap = float(np.sum((fed.grads_and_losses(w)[0][i] - g_global) ** 2))
             assert gap == pytest.approx(expected, rel=1e-10, abs=1e-14)
         gaps.append(expected)
     assert max(gaps) == pytest.approx(consts.sigma_g_sq, rel=1e-12)
 
 
 def test_cluster_heterogeneity_uses_assignment():
-    clients = make_clients([[0.0], [0.2], [5.0], [5.2]], [1.0])
-    tight = cluster_heterogeneity(clients, np.array([0, 0, 1, 1]))
-    loose = cluster_heterogeneity(clients, np.array([0, 1, 0, 1]))
+    fed = make_federation([[0.0], [0.2], [5.0], [5.2]], [1.0])
+    tight = cluster_heterogeneity(fed, np.array([0, 0, 1, 1]))
+    loose = cluster_heterogeneity(fed, np.array([0, 1, 0, 1]))
     assert tight == pytest.approx(0.01)
     assert loose > 1.0
+
+
+def stacked_grad_and_loss(mu_list, eigs, w):
+    """The metrics pass before the federation kept its mus matrix: np.stack per call."""
+    mus = np.stack(mu_list)
+    diffs = w - mus
+    grads = eigs * diffs
+    losses = 0.5 * np.sum(grads * diffs, axis=1)
+    return grads.mean(axis=0), float(losses.mean())
+
+
+@pytest.mark.parametrize(
+    "N,d,K_true", [(1, 1, 1), (1, 6, 1), (9, 1, 3), (12, 17, 4), (40, 8, 40), (200, 100, 10)]
+)
+def test_cached_mus_metrics_match_stacked_bitwise(N, d, K_true):
+    rng = np.random.default_rng(N * 1000 + d)
+    for trial in range(5):
+        spec = make_federation_spec(N, d, K_true, 1.5, 0.3, 0.0, 0.2, 1.7, seed=trial)
+        fed, _ = generate_federation(spec)
+        mu_list = [fed.mus[i].copy() for i in range(N)]
+        for scale in (1e-3, 1.0, 1e150):
+            w = rng.normal(size=d) * scale
+            g, loss = global_grad_and_loss(fed, w)
+            g_ref, loss_ref = stacked_grad_and_loss(mu_list, fed.eigs, w)
+            assert g.tobytes() == g_ref.tobytes()
+            assert np.float64(loss).tobytes() == np.float64(loss_ref).tobytes()
