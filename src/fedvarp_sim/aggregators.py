@@ -29,7 +29,15 @@ from math import comb
 
 import numpy as np
 
-from .core import CLUSTERFEDVARP, FEDAVG, FEDVARP, MIFA, ConfigError, DimensionError
+from .core import (
+    CLUSTERFEDVARP,
+    FEDAVG,
+    FEDVARP,
+    MIFA,
+    ConfigError,
+    DimensionError,
+    ordered_row_sum,
+)
 from .sampling import RoundPlan
 
 
@@ -152,17 +160,17 @@ def clusterfedvarp_step(
     for i in parts:
         hit.setdefault(int(assign[i]), []).append(i)
 
-    # Reductions stay sequential loops: a cumsum/np.add.at form kept the bits
-    # but copies the table per reduction; deep-local (N=200, d=2000) fedvarp
-    # rounds went from 23.4 to 34.2 ms on a 2-core VM.
+    # The sum over all K rows reads the table in small blocks and never
+    # copies it whole. Empty clusters get coefficient 0 instead of being
+    # skipped: that adds ±0.0, which leaves a sum started at +0.0 unchanged.
     mean_delta = _participant_mean(upd)
     t_part = np.zeros_like(mean_delta)
     for k in sorted(hit):
         t_part = t_part + table[k] * (len(hit[k]) / M)
-    t_all = np.zeros_like(mean_delta)
-    for k in range(K):
-        if sizes[k] > 0:
-            t_all = t_all + table[k] * (sizes[k] / N)
+    coef = sizes / N
+    t_all = ordered_row_sum(
+        K, table.shape[1], lambda lo, hi, out: np.multiply(table[lo:hi], coef[lo:hi, None], out=out)
+    )
     v = mean_delta + (t_all - t_part)
     w = _server_step(state, v, eta_tilde)
 
@@ -191,10 +199,7 @@ def mifa_step(
     N = table.shape[0]
     for i in parts:
         table[i] = upd.deltas[i]
-    v = np.zeros_like(table[0])
-    for j in range(N):
-        v = v + table[j]
-    v = v / N
+    v = ordered_row_sum(N, table.shape[1], lambda lo, hi, out: np.copyto(out, table[lo:hi])) / N
     return _server_step(state, v, eta_tilde)
 
 

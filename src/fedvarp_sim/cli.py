@@ -87,7 +87,10 @@ def main(argv: list[str] | None = None) -> int:
         _say(f"sweep: axis={args.axis} over {values} -> {cfg.output_dir}")
         result = sweep(cfg, args.axis, values)
         _say(f"sweep: done, summary at {result.summary_path}")
-        return 0
+        aborted = [(v, r) for v, r in zip(values, result.results) if not r.completed]
+        for value, r in aborted:
+            _say(f"sweep: point {args.axis}={value} aborted at round={r.aborted_round}")
+        return 1 if aborted else 0
     except ConfigError as exc:
         _say(f"configuration error: {exc}")
         return 2

@@ -35,13 +35,15 @@ class DivergenceError(RuntimeError):
     """A trajectory produced a non-finite iterate.
 
     Carries the local step index (None for a server-side step); the round
-    index is filled in by the run loop that owns the round counter.
+    index is filled in by the run loop that owns the round counter, which
+    also attaches what the run logged before it stopped as `result`.
     """
 
     def __init__(self, step: int | None, round: int | None = None):
         super().__init__(step, round)
         self.step = step
         self.round = round
+        self.result = None
 
     def __str__(self) -> str:
         where = "server step" if self.step is None else f"local_step={self.step}"
@@ -63,6 +65,47 @@ def vec_axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if x.shape != y.shape:
         raise DimensionError(f"axpy shape mismatch: {x.shape} vs {y.shape}")
     return y + alpha * x
+
+
+# Byte budget of the one buffer an ordered row sum reads its rows through.
+ROW_BLOCK_BYTES = 128 * 1024
+
+
+def ordered_row_sum(n: int, d: int, fill, from_zero: bool = True) -> np.ndarray:
+    """Sum n rows of width d left to right, with the bits of the Python loop
+
+        acc = zeros(d)                               (from_zero)
+        acc = np.add.reduce(row_0[None], axis=0)     (otherwise)
+        for each further row k:  acc = acc + row_k
+
+    The second start is numpy's own, so for d >= 2 the result equals
+    np.add.reduce(rows, axis=0), the sum that rows.mean(axis=0) divides.
+
+    fill(lo, hi, out) writes rows lo..hi-1 into out, shape (hi - lo, d).
+    Rows pass through one buffer of at most ROW_BLOCK_BYTES whose first
+    row carries the running sum, and np.add.reduce(axis=0) adds a block
+    at least two columns wide row by row, so each block extends the same
+    sequential chain. A single column is reduced pairwise, so d=1 runs
+    two columns wide with the second one left at zero.
+
+    A row of ±0.0 (say a finite row scaled by 0) leaves a sum started at
+    +0.0 unchanged, since such a sum never becomes -0.0: skipping the row
+    and adding it give the same bits.
+    """
+    width = max(d, 2)
+    block = min(n + 1, max(2, ROW_BLOCK_BYTES // (8 * width)))
+    buf = np.zeros((block, width))
+    acc = np.zeros(width)
+    lo = 0
+    while lo < n:
+        head = 1 if from_zero or lo > 0 else 0  # buf[0] carries acc into the block
+        hi = min(n, lo + block - head)
+        fill(lo, hi, buf[head : head + hi - lo, :d])
+        if head:
+            buf[0] = acc
+        np.add.reduce(buf[: head + hi - lo], axis=0, out=acc)
+        lo = hi
+    return acc[:d]
 
 
 @dataclass(frozen=True)

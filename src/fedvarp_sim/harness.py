@@ -374,7 +374,6 @@ def run(cfg: RunConfig, write_artifacts: bool = True) -> RunResult:
     state = init_state(cfg.algo.name, np.zeros(cfg.federation.d), h.N, cfg.algo.K, assignment)
     local_cfg = LocalRunConfig(tau=h.tau, eta_c=h.eta_c)
     records: list[RunRecord] = []
-    aborted_round = None
 
     def log(round_index: int) -> None:
         rec = _measure(fed, state.w, consts.w_star, round_index)
@@ -408,11 +407,18 @@ def run(cfg: RunConfig, write_artifacts: bool = True) -> RunResult:
             if (t + 1) % cfg.log_every == 0 or (t + 1) == h.T:
                 log(t + 1)
     except DivergenceError as exc:
-        aborted_round = exc.round
         if write_artifacts:
             metrics_fh.close()
             metrics_fh = None
-            _write_json(out / "status.json", {"completed": False, "aborted_round": aborted_round})
+            _write_json(out / "status.json", {"completed": False, "aborted_round": exc.round})
+        exc.result = RunResult(
+            records=records,
+            manifest=manifest,
+            config=cfg,
+            completed=False,
+            aborted_round=exc.round,
+            output_dir=out,
+        )
         raise
     finally:
         if metrics_fh is not None:
@@ -506,7 +512,12 @@ class SweepResult:
 def sweep(
     base: RunConfig, axis: str, values: list, write_artifacts: bool = True
 ) -> SweepResult:
-    """Run one point per value and write a floor summary CSV."""
+    """Run one point per value and write a floor summary CSV.
+
+    A divergent point does not stop the sweep: its result has
+    completed=False, and its summary row leaves the floor columns empty
+    and names the aborted round.
+    """
     if not values:
         raise ConfigError("sweep needs at least one value")
     # Every point is validated before the first one runs.
@@ -514,18 +525,24 @@ def sweep(
     results = []
     rows = []
     for cfg, value in zip(cfgs, values):
-        res = run(cfg, write_artifacts=write_artifacts)
+        try:
+            res = run(cfg, write_artifacts=write_artifacts)
+        except DivergenceError as exc:
+            res = exc.result
         results.append(res)
         grads = [r.grad_norm_sq for r in res.records]
+        floors = (floor_estimate(res.records), min(grads), grads[-1]) if res.completed else ("",) * 3
         rows.append(
             {
                 "axis": axis,
                 "value": value,
                 "seed": cfg.seed,
                 "sigma_g_sq": res.manifest["constants"]["sigma_g_sq"],
-                "floor_grad_norm_sq": floor_estimate(res.records),
-                "min_grad_norm_sq": min(grads),
-                "final_grad_norm_sq": grads[-1],
+                "floor_grad_norm_sq": floors[0],
+                "min_grad_norm_sq": floors[1],
+                "final_grad_norm_sq": floors[2],
+                "completed": str(res.completed).lower(),
+                "aborted_round": "" if res.aborted_round is None else res.aborted_round,
             }
         )
     summary_path = None

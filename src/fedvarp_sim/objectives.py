@@ -19,7 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigError, DimensionError, as_model_vector
+from .core import (
+    ROW_BLOCK_BYTES,
+    ConfigError,
+    DimensionError,
+    as_model_vector,
+    ordered_row_sum,
+)
 from .rng import TAG_CENTERS, TAG_OFFSETS, substream
 
 
@@ -198,7 +204,25 @@ def cluster_heterogeneity(fed: Federation, assignment: np.ndarray) -> float:
 
 
 def global_grad_and_loss(fed: Federation, w: np.ndarray) -> tuple[np.ndarray, float]:
-    """Exact global gradient and loss, averaged over all clients."""
+    """Exact global gradient and loss, averaged over all clients.
+
+    The bits are those of grads_and_losses(w) followed by grads.mean(axis=0)
+    and losses.mean(). When mus spans more than one block, the gradients
+    are formed and summed block by block instead of as (N, d) temporaries.
+    At d=1 numpy sums the column pairwise, so d=1 keeps the whole column.
+    """
     w = as_model_vector(w, fed.d)
-    grads, losses = fed.grads_and_losses(w)
-    return grads.mean(axis=0), float(losses.mean())
+    N, d = fed.mus.shape
+    if d == 1 or fed.mus.nbytes <= ROW_BLOCK_BYTES:
+        grads, losses = fed.grads_and_losses(w)
+        return grads.mean(axis=0), float(losses.mean())
+    row_sums = np.empty(N)
+
+    def grads_into(lo: int, hi: int, out: np.ndarray) -> None:
+        diffs = np.subtract(w, fed.mus[lo:hi], out=np.empty_like(out))
+        np.multiply(fed.eigs, diffs, out=out)
+        diffs *= out  # grads * diffs, the products each loss sums
+        np.add.reduce(diffs, axis=1, out=row_sums[lo:hi])
+
+    grad_sum = ordered_row_sum(N, d, grads_into, from_zero=False)
+    return grad_sum / N, float((0.5 * row_sums).mean())

@@ -111,6 +111,18 @@ def test_sweep_cli(config_file, tmp_path):
         assert (d / "metrics.csv").exists()
 
 
+def test_sweep_with_divergent_point_writes_summary_then_exits_one(config_file, tmp_path, capsys):
+    code = main(["sweep", "--config", str(config_file), "--axis", "eta_s", "--values", "1,1e200"])
+    assert code == 1
+    assert "eta_s=1e+200 aborted at round=0" in capsys.readouterr().err
+    lines = (tmp_path / "artifacts" / "sweep_summary.csv").read_text().strip().splitlines()
+    assert lines[0].startswith("axis,value,seed")
+    assert lines[0].endswith(",completed,aborted_round")
+    assert lines[1].endswith(",true,") and lines[2].endswith(",,,,false,0")
+    for point in ("point00_eta_s", "point01_eta_s"):
+        assert (tmp_path / "artifacts" / point / "metrics.csv").exists()
+
+
 @pytest.mark.parametrize(
     "axis,values,message",
     [

@@ -375,6 +375,31 @@ def test_degenerate_sweep_equals_direct_run(small_config, tmp_path):
     assert len(lines) == 2 and lines[0].startswith("axis,value,seed")
 
 
+def test_divergent_sweep_point_keeps_the_other_points(small_config, tmp_path):
+    base = small_config(T=15, output_dir=tmp_path / "sw")
+    result = sweep(base, "eta_s", [1.0, 1e200, 0.5])
+    ok, boom, ok2 = result.results
+    assert ok.completed and ok2.completed and not boom.completed
+    assert boom.aborted_round == 0
+    assert len(boom.records) == 1  # the initial point, logged before the diverging round
+    status = json.loads((boom.output_dir / "status.json").read_text())
+    assert status == {"completed": False, "aborted_round": 0}
+    lines = result.summary_path.read_text().strip().splitlines()
+    header = lines[0].split(",")
+    assert lines[0].startswith("axis,value,seed")
+    assert header[-2:] == ["completed", "aborted_round"]
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert [r["completed"] for r in rows] == ["true", "false", "true"]
+    assert [r["aborted_round"] for r in rows] == ["", "0", ""]
+    floors = ("floor_grad_norm_sq", "min_grad_norm_sq", "final_grad_norm_sq")
+    assert all(rows[1][c] == "" for c in floors)
+    assert float(rows[0]["floor_grad_norm_sq"]) == floor_estimate(ok.records)
+    assert float(rows[2]["final_grad_norm_sq"]) == ok2.records[-1].grad_norm_sq
+    # Points after the divergent one are the runs they would be alone.
+    direct = run(sweep_point_config(base, "eta_s", 0.5, 2), write_artifacts=False)
+    assert ok2.records == direct.records
+
+
 def test_sigma_g_scale_axis_scales_heterogeneity(small_config):
     base = small_config(T=0, within_cluster_spread=0.0)
     lo = run(sweep_point_config(base, "sigma_g_scale", 1.0, 0), write_artifacts=False)
