@@ -321,9 +321,18 @@ def build_manifest(
     }
 
 
-def _realize(cfg: RunConfig):
+def _realize(cfg: RunConfig) -> tuple[Federation, FederationConstants, RunRecord]:
+    """Build cfg's federation and its round-0 record, checking that record is finite.
+
+    The run starts from w = 0, so the initial metrics depend on the
+    federation alone; a non-finite one is a ConfigError.
+    """
     spec = make_federation_spec(**asdict(cfg.federation))
-    return generate_federation(spec)
+    fed, consts = generate_federation(spec)
+    first = _measure(fed, np.zeros(cfg.federation.d), consts.w_star, 0)
+    if not _finite(first):
+        raise ConfigError("metrics of the initial point overflow float64")
+    return fed, consts, first
 
 
 def _format_row(rec: RunRecord) -> str:
@@ -345,7 +354,11 @@ def _measure(fed, w, w_star, round_index) -> RunRecord:
         )
 
 
-def run(cfg: RunConfig, write_artifacts: bool = True) -> RunResult:
+def _finite(rec: RunRecord) -> bool:
+    return all(map(math.isfinite, (rec.grad_norm_sq, rec.global_loss, rec.dist_to_opt_sq)))
+
+
+def run(cfg: RunConfig, write_artifacts: bool = True, realized=None) -> RunResult:
     """Execute one configured run; deterministic in cfg.seed.
 
     The participants of a round train as one batch, one row each. Each
@@ -353,10 +366,13 @@ def run(cfg: RunConfig, write_artifacts: bool = True) -> RunResult:
     the federation is noisy, and the aggregators reduce in client id
     order, so the result does not depend on how the batch is ordered.
 
-    A non-finite iterate or metric raises DivergenceError naming the
-    round whose update produced it; no non-finite row reaches metrics.csv.
+    realized is what _realize(cfg) returns, for a caller that has built
+    the federation already. Initial metrics that overflow are a
+    ConfigError raised before any artifact is written. A non-finite
+    iterate or later metric raises DivergenceError naming the round whose
+    update produced it; no non-finite row reaches metrics.csv.
     """
-    fed, consts = _realize(cfg)
+    fed, consts, first = realized or _realize(cfg)
     h = cfg.hyper_params()
     eta_tilde = effective_server_lr(h)
     assignment = _run_assignment(cfg)
@@ -375,18 +391,13 @@ def run(cfg: RunConfig, write_artifacts: bool = True) -> RunResult:
     local_cfg = LocalRunConfig(tau=h.tau, eta_c=h.eta_c)
     records: list[RunRecord] = []
 
-    def log(round_index: int) -> None:
-        rec = _measure(fed, state.w, consts.w_star, round_index)
-        if not all(map(math.isfinite, (rec.grad_norm_sq, rec.global_loss, rec.dist_to_opt_sq))):
-            if round_index == 0:
-                raise ConfigError("metrics of the initial point overflow float64")
-            raise DivergenceError(step=None, round=round_index - 1)
+    def log(rec: RunRecord) -> None:
         records.append(rec)
         if metrics_fh is not None:
             metrics_fh.write(_format_row(rec) + "\n")
 
     try:
-        log(0)
+        log(first)
         for t in range(h.T):
             if cfg.algo.name == MIFA and cfg.algo.mifa_mode == "full_first_round" and t == 0:
                 plan = RoundPlan(round=0, participants=tuple(range(h.N)))
@@ -405,7 +416,10 @@ def run(cfg: RunConfig, write_artifacts: bool = True) -> RunResult:
             if not np.all(np.isfinite(state.w)):
                 raise DivergenceError(step=None, round=t)
             if (t + 1) % cfg.log_every == 0 or (t + 1) == h.T:
-                log(t + 1)
+                rec = _measure(fed, state.w, consts.w_star, t + 1)
+                if not _finite(rec):
+                    raise DivergenceError(step=None, round=t)
+                log(rec)
     except DivergenceError as exc:
         if write_artifacts:
             metrics_fh.close()
@@ -520,13 +534,22 @@ def sweep(
     """
     if not values:
         raise ConfigError("sweep needs at least one value")
-    # Every point is validated before the first one runs.
+    # Every point, its federation and its initial metrics are checked
+    # before the first one runs; points that share a federation config
+    # share one realized federation.
     cfgs = [sweep_point_config(base, axis, value, idx) for idx, value in enumerate(values)]
+    realized = {}
+    for cfg, value in zip(cfgs, values):
+        if cfg.federation not in realized:
+            try:
+                realized[cfg.federation] = _realize(cfg)
+            except ConfigError as exc:
+                raise ConfigError(f"sweep point {axis}={value!r}: {exc}") from exc
     results = []
     rows = []
     for cfg, value in zip(cfgs, values):
         try:
-            res = run(cfg, write_artifacts=write_artifacts)
+            res = run(cfg, write_artifacts=write_artifacts, realized=realized[cfg.federation])
         except DivergenceError as exc:
             res = exc.result
         results.append(res)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,15 @@ def make_federation(mus, eigs, sigma=0.0):
         mus=np.asarray(mus, dtype=np.float64),
         noise_sigma=sigma,
     )
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_test():
+    """Fail a test that leaves more live threads than it started with."""
+    before = threading.active_count()
+    yield
+    left = threading.enumerate()
+    assert len(left) <= before, f"threads still running after the test: {left}"
 
 
 @pytest.fixture

@@ -137,3 +137,17 @@ def test_bad_sweep_values_exit_two(config_file, tmp_path, capsys, axis, values, 
     err = capsys.readouterr().err
     assert "configuration error" in err and message in err
     assert not (tmp_path / "artifacts").exists()
+
+
+def test_sweep_with_overflowing_initial_point_exits_two_before_any_point(
+    config_file, tmp_path, capsys
+):
+    # One cluster of identical clients scaled by 1e160: the first point is
+    # fine, the second's initial ||w0 - w*||^2 overflows.
+    one_cluster = ["--set", "federation.K_true=1", "--set", "federation.within_cluster_spread=0"]
+    args = ["--axis", "sigma_g_scale", "--values", "1,1e160"]
+    code = main(["sweep", "--config", str(config_file), *one_cluster, *args])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "sweep point sigma_g_scale=1e+160" in err and "initial point" in err
+    assert not (tmp_path / "artifacts").exists()

@@ -289,11 +289,42 @@ def test_server_side_divergence_detected(small_config, tmp_path):
     assert all(np.isfinite(float(x)) for x in lines[1].split(","))
 
 
-def test_initial_point_overflow_is_config_error(small_config):
+def test_initial_point_overflow_is_config_error(small_config, tmp_path):
     # One cluster: the constants stay finite, but ||w0 - w*||^2 ~ 1e320 does not.
-    cfg = small_config(K_true=1, within_cluster_spread=0.0, cluster_center_spread=1e160)
+    cfg = small_config(
+        K_true=1,
+        within_cluster_spread=0.0,
+        cluster_center_spread=1e160,
+        output_dir=tmp_path / "run",
+    )
     with pytest.raises(ConfigError, match="initial point"):
         run(cfg, write_artifacts=False)
+    with pytest.raises(ConfigError, match="initial point"):
+        run(cfg)
+    assert not (tmp_path / "run").exists()
+
+
+def test_sweep_checks_every_initial_point_before_the_first_runs(small_config, tmp_path):
+    base = small_config(K_true=1, within_cluster_spread=0.0, T=5, output_dir=tmp_path / "sw")
+    with pytest.raises(ConfigError, match="initial point"):
+        sweep(base, "sigma_g_scale", [1.0, 1e160])
+    assert not (tmp_path / "sw").exists()
+
+
+def test_sweep_builds_each_federation_once(small_config, tmp_path, monkeypatch):
+    built = []
+
+    def counting(spec):
+        built.append(spec)
+        return generate_federation(spec)
+
+    monkeypatch.setattr(harness, "generate_federation", counting)
+    base = small_config(T=5, output_dir=tmp_path / "sw")
+    sweep(base, "sigma_g_scale", [1.0, 2.0, 3.0])
+    assert len(built) == 3
+    built.clear()
+    sweep(base, "eta_c", [0.01, 0.02, 0.03], write_artifacts=False)
+    assert len(built) == 1
 
 
 def test_mifa_full_first_round_matches_full_participation(small_config):

@@ -1,9 +1,12 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_federation
+from fedvarp_sim import localsgd
 from fedvarp_sim.core import DivergenceError
 from fedvarp_sim.localsgd import LocalRunConfig, local_sgd
 from fedvarp_sim.rng import substream
@@ -11,6 +14,15 @@ from fedvarp_sim.rng import substream
 
 def gradient(fed, i, w):
     return fed.grads_and_losses(w)[0][i]
+
+
+@contextmanager
+def forced_split(workers=2):
+    """Every call with at least two rows trains min(M, workers) row slabs in threads."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(localsgd, "SPLIT_MIN_WORK", 0)
+        mp.setattr(localsgd, "WORKERS", workers)
+        yield
 
 
 def test_single_noiseless_step_returns_gradient_bitwise():
@@ -110,6 +122,48 @@ def test_divergence_step_is_that_of_the_first_diverging_row():
     with pytest.raises(DivergenceError) as err:
         local_sgd(fed, (0, 1), w, cfg)
     assert err.value.step == steps[0]
+    # Split into slabs, client 0 is slab 0 and client 1 diverges first in
+    # slab 1; the lower row's step is still the one reported.
+    with forced_split(), pytest.raises(DivergenceError) as err:
+        local_sgd(fed, (0, 1), w, cfg)
+    assert err.value.step == steps[0]
+
+
+def test_divergence_in_a_worker_slab_is_a_divergence_not_a_warning():
+    # Only client 1, trained in the second slab's thread, overflows. The
+    # suite turns warnings into errors, so a worker without its own
+    # errstate would surface a RuntimeWarning here instead.
+    fed = make_federation([[0.0], [1.0]], [1.0])
+    cfg = LocalRunConfig(tau=50, eta_c=1e100)
+    w = np.array([0.0])
+    with pytest.raises(DivergenceError) as alone:
+        local_sgd(fed, (1,), w, cfg)
+    with forced_split(), pytest.raises(DivergenceError) as err:
+        local_sgd(fed, (0, 1), w, cfg)
+    assert err.value.step == alone.value.step
+
+
+def test_rows_sharing_a_generator_draw_in_row_order():
+    # One stream shared by every row is read row after row, so such a
+    # call may not split: the draws would interleave across threads.
+    fed = make_federation([[0.5, -1.0, 2.0]] * 3, [1.0, 0.5, 2.0], sigma=0.7)
+    w = np.array([1.0, 1.0, 1.0])
+    cfg = LocalRunConfig(tau=3, eta_c=0.1)
+    parts = np.zeros(64, dtype=int)
+    serial = local_sgd(fed, parts, w, cfg, [substream(5, 1)] * len(parts))
+    with forced_split(workers=4):
+        split = local_sgd(fed, parts, w, cfg, [substream(5, 1)] * len(parts))
+    assert split.tobytes() == serial.tobytes()
+
+
+def test_one_cpu_trains_inline(monkeypatch):
+    def no_threads(*args, **kwargs):
+        raise AssertionError("a one-CPU host must not start a thread")
+
+    monkeypatch.setattr(localsgd.threading, "Thread", no_threads)
+    fed = make_federation(np.ones((4, 3)), [1.0, 0.5, 2.0])
+    with forced_split(workers=1):
+        local_sgd(fed, (0, 1, 2, 3), np.zeros(3), LocalRunConfig(tau=2, eta_c=0.1))
 
 
 def reference_local_sgd(eigs, mu, w, tau, eta_c, sigma, rng):
@@ -133,8 +187,9 @@ def reference_local_sgd(eigs, mu, w, tau, eta_c, sigma, rng):
     d=st.sampled_from([1, 2, 3, 17]),
     noisy=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
+    workers=st.sampled_from([2, 3, 8]),
 )
-def test_batched_kernel_matches_per_client_recursion(M, tau, d, noisy, seed):
+def test_batched_kernel_matches_per_client_recursion(M, tau, d, noisy, seed, workers):
     rng = np.random.default_rng(seed)
     N = M + int(rng.integers(0, 4))
     sigma = float(rng.uniform(0.1, 2.0)) if noisy else 0.0
@@ -144,18 +199,25 @@ def test_batched_kernel_matches_per_client_recursion(M, tau, d, noisy, seed):
     eta_c = float(rng.uniform(0.01, 0.5))
     cfg = LocalRunConfig(tau=tau, eta_c=eta_c)
 
-    deltas, finals = local_sgd(
-        fed, parts, w, cfg, [substream(seed, 2, i) for i in parts], return_final=True
-    )
-    assert deltas.shape == finals.shape == (M, d)
-    for m, i in enumerate(parts):
-        ref_delta, ref_final = reference_local_sgd(
-            fed.eigs, fed.mus[i], w, tau, eta_c, sigma, substream(seed, 2, i)
-        )
-        assert deltas[m].tobytes() == ref_delta.tobytes()
-        assert finals[m].tobytes() == ref_final.tobytes()
-        # Module identities: the server step with eta_s = 1 lands on the
-        # final local iterate, and a noiseless single step is the gradient.
-        assert (w - (1.0 * eta_c * tau) * deltas[m]).tobytes() == finals[m].tobytes()
-        if tau == 1 and not noisy:
-            assert deltas[m].tobytes() == gradient(fed, i, w).tobytes()
+    def train():
+        streams = [substream(seed, 2, i) for i in parts]
+        return local_sgd(fed, parts, w, cfg, streams, return_final=True)
+
+    inline = train()
+    # The same draws split into min(M, workers) row slabs, M below the
+    # worker count included.
+    with forced_split(workers):
+        split = train()
+    for deltas, finals in (inline, split):
+        assert deltas.shape == finals.shape == (M, d)
+        for m, i in enumerate(parts):
+            ref_delta, ref_final = reference_local_sgd(
+                fed.eigs, fed.mus[i], w, tau, eta_c, sigma, substream(seed, 2, i)
+            )
+            assert deltas[m].tobytes() == ref_delta.tobytes()
+            assert finals[m].tobytes() == ref_final.tobytes()
+            # Module identities: the server step with eta_s = 1 lands on the
+            # final local iterate, and a noiseless single step is the gradient.
+            assert (w - (1.0 * eta_c * tau) * deltas[m]).tobytes() == finals[m].tobytes()
+            if tau == 1 and not noisy:
+                assert deltas[m].tobytes() == gradient(fed, i, w).tobytes()
