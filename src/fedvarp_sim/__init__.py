@@ -21,5 +21,4 @@ from .core import (  # noqa: F401
     RunRecord,
     effective_server_lr,
     lr_precondition_report,
-    vec_axpy,
 )

@@ -9,9 +9,15 @@ effective server step.
     clusterfedvarp  one shared state per client cluster
     mifa            per-client table, equal weight to stored updates
 
+A round's updates arrive as one (M, d) block: row m is the update of
+client plan.participants[m], so rows are in ascending client id. Table
+writes are fancy-indexed row assignments and every sum is an array
+reduction; no step loops over participants or clusters in Python.
+
 Floating-point schedule is part of the contract here, not an accident.
-All reductions are sequential in ascending client/cluster id, and the
-state correction is assembled as
+Every sum has the bits of a sequential loop acc = 0; acc = acc + row in
+ascending client/cluster id (core.sum_rows, core.ordered_row_sum), and
+the state correction is assembled as
 
     (sum_k table_k * (n_k / N)) - (sum_k table_k * (m_k / M))
 
@@ -37,25 +43,9 @@ from .core import (
     ConfigError,
     DimensionError,
     ordered_row_sum,
+    sum_rows,
 )
 from .sampling import RoundPlan
-
-
-@dataclass
-class RoundUpdates:
-    """Normalized updates of one round, keyed by participant id."""
-
-    plan: RoundPlan
-    deltas: dict[int, np.ndarray]
-
-    def __post_init__(self):
-        if set(self.deltas) != set(self.plan.participants):
-            raise ConfigError(
-                f"delta keys {sorted(self.deltas)} != participants {self.plan.participants}"
-            )
-        dims = {v.shape for v in self.deltas.values()}
-        if len(dims) > 1:
-            raise DimensionError(f"inconsistent delta shapes: {dims}")
 
 
 @dataclass
@@ -106,14 +96,15 @@ def init_state(
     return state
 
 
-def _participant_mean(upd: RoundUpdates) -> np.ndarray:
-    parts = upd.plan.participants
-    if not parts:
+def _checked_block(state: ServerAggregatorState, plan: RoundPlan, block) -> np.ndarray:
+    """The round's updates as an (M, d) float64 array, row m for plan.participants[m]."""
+    M = len(plan.participants)
+    if not M:
         raise ConfigError("empty participant set")
-    acc = np.zeros_like(upd.deltas[parts[0]])
-    for i in parts:
-        acc = acc + upd.deltas[i]
-    return acc / len(parts)
+    block = np.asarray(block, dtype=np.float64)
+    if block.shape != (M, state.w.shape[0]):
+        raise DimensionError(f"update block shape {block.shape} != {(M, state.w.shape[0])}")
+    return block
 
 
 def _server_step(state: ServerAggregatorState, v: np.ndarray, eta_tilde: float) -> np.ndarray:
@@ -125,16 +116,17 @@ def _server_step(state: ServerAggregatorState, v: np.ndarray, eta_tilde: float) 
 
 
 def fedavg_step(
-    state: ServerAggregatorState, upd: RoundUpdates, eta_tilde: float
+    state: ServerAggregatorState, plan: RoundPlan, block: np.ndarray, eta_tilde: float
 ) -> np.ndarray:
     """w <- w - eta_tilde * mean of received updates."""
     if state.algo != FEDAVG:
         raise ConfigError(f"state is tagged {state.algo!r}, not fedavg")
-    return _server_step(state, _participant_mean(upd), eta_tilde)
+    block = _checked_block(state, plan, block)
+    return _server_step(state, sum_rows(block) / block.shape[0], eta_tilde)
 
 
 def clusterfedvarp_step(
-    state: ServerAggregatorState, upd: RoundUpdates, eta_tilde: float
+    state: ServerAggregatorState, plan: RoundPlan, block: np.ndarray, eta_tilde: float
 ) -> np.ndarray:
     """Variance-reduced step using one stored update per cluster.
 
@@ -146,44 +138,46 @@ def clusterfedvarp_step(
     """
     if state.algo not in (FEDVARP, CLUSTERFEDVARP):
         raise ConfigError(f"state is tagged {state.algo!r}, not fedvarp or clusterfedvarp")
-    parts = upd.plan.participants
-    assign = state.assignment
+    block = _checked_block(state, plan, block)
     table = state.table
-    sizes = state.sizes
-    N = assign.shape[0]
-    M = len(parts)
-    K = table.shape[0]
-    if not parts:
-        raise ConfigError("empty participant set")
+    K, d = table.shape
+    M = block.shape[0]
+    cl = state.assignment[list(plan.participants)]  # cluster of each row
+    counts = np.bincount(cl, minlength=K)
+    hit = counts.nonzero()[0]  # clusters with sampled members, ascending
+    members = counts[hit]
 
-    hit: dict[int, list[int]] = {}
-    for i in parts:
-        hit.setdefault(int(assign[i]), []).append(i)
-
-    # The sum over all K rows reads the table in small blocks and never
-    # copies it whole. Empty clusters get coefficient 0 instead of being
-    # skipped: that adds ±0.0, which leaves a sum started at +0.0 unchanged.
-    mean_delta = _participant_mean(upd)
-    t_part = np.zeros_like(mean_delta)
-    for k in sorted(hit):
-        t_part = t_part + table[k] * (len(hit[k]) / M)
-    coef = sizes / N
+    # The hit rows are at most M, so they are scaled in one copy. The sum
+    # over all K rows reads the table in small blocks and never copies it
+    # whole. Empty clusters get coefficient 0 instead of being skipped:
+    # that adds ±0.0, which leaves a sum started at +0.0 unchanged.
+    hit_rows = table[hit]
+    hit_rows *= (members / M)[:, None]
+    t_part = sum_rows(hit_rows)
+    coef = state.sizes / state.assignment.shape[0]
     t_all = ordered_row_sum(
-        K, table.shape[1], lambda lo, hi, out: np.multiply(table[lo:hi], coef[lo:hi, None], out=out)
+        K, d, lambda lo, hi, out: np.multiply(table[lo:hi], coef[lo:hi, None], out=out)
     )
-    v = mean_delta + (t_all - t_part)
+    v = sum_rows(block) / M + (t_all - t_part)
     w = _server_step(state, v, eta_tilde)
 
-    for k in sorted(hit):
-        acc = np.zeros_like(mean_delta)
-        for i in hit[k]:
-            acc = acc + upd.deltas[i]
-        table[k] = acc / len(hit[k])
+    # Refresh: each hit cluster's members, in row order, are consecutive
+    # in `order` from `first`. Pass j adds every hit cluster's j-th
+    # member at once, so each cluster sums its rows left to right.
+    order = cl.argsort(kind="stable")
+    first = members.cumsum() - members
+    acc = block[order[first]]
+    acc += 0.0  # the loop's +0.0 start: a -0.0 first row stores +0.0
+    for j in range(1, members.max()):
+        more = (members > j).nonzero()[0]
+        acc[more] += block[order[first[more] + j]]
+    acc /= members[:, None]
+    table[hit] = acc
     return w
 
 
 def mifa_step(
-    state: ServerAggregatorState, upd: RoundUpdates, eta_tilde: float
+    state: ServerAggregatorState, plan: RoundPlan, block: np.ndarray, eta_tilde: float
 ) -> np.ndarray:
     """Equal-weight baseline: refresh stored updates first, then average all.
 
@@ -192,15 +186,10 @@ def mifa_step(
     """
     if state.algo != MIFA:
         raise ConfigError(f"state is tagged {state.algo!r}, not mifa")
-    parts = upd.plan.participants
-    if not parts:
-        raise ConfigError("empty participant set")
+    block = _checked_block(state, plan, block)
     table = state.table
-    N = table.shape[0]
-    for i in parts:
-        table[i] = upd.deltas[i]
-    v = ordered_row_sum(N, table.shape[1], lambda lo, hi, out: np.copyto(out, table[lo:hi])) / N
-    return _server_step(state, v, eta_tilde)
+    table[list(plan.participants)] = block
+    return _server_step(state, sum_rows(table) / table.shape[0], eta_tilde)
 
 
 STEP_FUNCTIONS = {
@@ -212,10 +201,13 @@ STEP_FUNCTIONS = {
 
 
 def aggregator_step(
-    state: ServerAggregatorState, upd: RoundUpdates, eta_tilde: float
+    state: ServerAggregatorState, plan: RoundPlan, block: np.ndarray, eta_tilde: float
 ) -> np.ndarray:
-    """Dispatch one aggregation round by the state's algorithm tag."""
-    return STEP_FUNCTIONS[state.algo](state, upd, eta_tilde)
+    """Dispatch one aggregation round by the state's algorithm tag.
+
+    Row m of the (M, d) block is the update of client plan.participants[m].
+    """
+    return STEP_FUNCTIONS[state.algo](state, plan, block, eta_tilde)
 
 
 def cluster_miss_probability(N: int, r: int, M: int) -> float:

@@ -60,13 +60,6 @@ def as_model_vector(values, d: int | None = None) -> np.ndarray:
     return v
 
 
-def vec_axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Return y + alpha*x without modifying the inputs."""
-    if x.shape != y.shape:
-        raise DimensionError(f"axpy shape mismatch: {x.shape} vs {y.shape}")
-    return y + alpha * x
-
-
 # Byte budget of the one buffer an ordered row sum reads its rows through.
 ROW_BLOCK_BYTES = 128 * 1024
 
@@ -106,6 +99,25 @@ def ordered_row_sum(n: int, d: int, fill, from_zero: bool = True) -> np.ndarray:
         np.add.reduce(buf[: head + hi - lo], axis=0, out=acc)
         lo = hi
     return acc[:d]
+
+
+def sum_rows(rows: np.ndarray) -> np.ndarray:
+    """Sum the rows of an (n, d) array, n >= 1, with the bits of the loop
+
+        acc = zeros(d)
+        for each row k in order:  acc = acc + row_k
+
+    np.add.reduce(axis=0) over C-contiguous rows at least two columns
+    wide adds them in that order. Where it starts from row_0 instead of
+    +0.0 (numpy versions differ), a sum of -0.0 rows is -0.0; the
+    leading 0.0 + gives the loop's +0.0 either way. A single column is
+    reduced pairwise, so it goes through ordered_row_sum.
+    """
+    rows = np.ascontiguousarray(rows)
+    n, d = rows.shape
+    if d == 1:
+        return ordered_row_sum(n, 1, lambda lo, hi, out: np.copyto(out, rows[lo:hi]))
+    return 0.0 + np.add.reduce(rows, axis=0)
 
 
 @dataclass(frozen=True)

@@ -34,12 +34,7 @@ from .core import (
     effective_server_lr,
     lr_precondition_report,
 )
-from .aggregators import (
-    RoundUpdates,
-    aggregator_step,
-    cluster_miss_probability,
-    init_state,
-)
+from .aggregators import aggregator_step, cluster_miss_probability, init_state
 from .localsgd import LocalRunConfig, local_sgd
 from .objectives import (
     Federation,
@@ -208,9 +203,7 @@ def parse_config(raw: dict) -> RunConfig:
         mifa_mode = _coerce("algo.mifa_mode", mifa_mode, str)
         if mifa_mode not in MIFA_MODES:
             raise ConfigError(f"algo.mifa_mode must be one of {MIFA_MODES}, got {mifa_mode!r}")
-    if name == CLUSTERFEDVARP:
-        if K is None or not 1 <= K <= fed.N:
-            raise ConfigError(f"clusterfedvarp needs 1 <= K <= N, got K={K}")
+    _check_cluster_count(name, K, fed.N)
     if name == MIFA and mifa_mode is None:
         mifa_mode = "cold_start"
 
@@ -228,6 +221,11 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("seeds must be nonnegative")
     cfg.hyper_params()  # trips the HyperParams invariants (M <= N etc.)
     return cfg
+
+
+def _check_cluster_count(name: str, K: int | None, N: int) -> None:
+    if name == CLUSTERFEDVARP and (K is None or not 1 <= K <= N):
+        raise ConfigError(f"clusterfedvarp needs 1 <= K <= N, got K={K}")
 
 
 def load_config(path: str | Path, overrides: tuple[str, ...] | list[str] = ()) -> RunConfig:
@@ -284,10 +282,7 @@ def _run_assignment(cfg: RunConfig) -> np.ndarray | None:
     """Client->cluster map used by the aggregator (contiguous balanced blocks)."""
     if cfg.algo.name != CLUSTERFEDVARP:
         return None
-    N, K = cfg.federation.N, cfg.algo.K
-    if K is None or not 1 <= K <= N:
-        raise ConfigError(f"clusterfedvarp needs 1 <= K <= N, got K={K}")
-    return (np.arange(N) * K) // N
+    return (np.arange(cfg.federation.N) * cfg.algo.K) // cfg.federation.N
 
 
 def build_manifest(
@@ -411,8 +406,7 @@ def run(cfg: RunConfig, write_artifacts: bool = True, realized=None) -> RunResul
             except DivergenceError as exc:
                 exc.round = t
                 raise
-            deltas = dict(zip(plan.participants, block))  # row views of the (M, d) block
-            aggregator_step(state, RoundUpdates(plan, deltas), eta_tilde)
+            aggregator_step(state, plan, block, eta_tilde)
             if not np.all(np.isfinite(state.w)):
                 raise DivergenceError(step=None, round=t)
             if (t + 1) % cfg.log_every == 0 or (t + 1) == h.T:
@@ -512,6 +506,7 @@ def sweep_point_config(base: RunConfig, axis: str, value, index: int) -> RunConf
         output_dir=str(subdir),
     )
     cfg.hyper_params()  # revalidate after the axis edit
+    _check_cluster_count(cfg.algo.name, cfg.algo.K, cfg.federation.N)
     return cfg
 
 
@@ -657,7 +652,7 @@ def _verify_unbiased_correction(seed: int, cluster: bool) -> VerifyCheck:
         N = int(rng.integers(2, 7))
         M = int(rng.integers(1, N + 1))
         d = 3
-        deltas = {i: rng.normal(size=d) for i in range(N)}
+        deltas = rng.normal(size=(N, d))
         if cluster:
             K = int(rng.integers(1, N + 1))
             assignment = rng.integers(0, K, size=N)
@@ -671,10 +666,10 @@ def _verify_unbiased_correction(seed: int, cluster: bool) -> VerifyCheck:
             algo = CLUSTERFEDVARP if cluster else FEDVARP
             state = init_state(algo, np.zeros(d), N, K, assignment)
             state.table = table.copy()
-            upd = RoundUpdates(p, {i: deltas[i] for i in p.participants})
-            aggregator_step(state, upd, 1.0)
+            rows = deltas[list(p.participants)]
+            aggregator_step(state, p, rows, 1.0)
             v_sum = v_sum - state.w  # w started at zero and moved by -v
-            avg_sum = avg_sum + np.mean([deltas[i] for i in p.participants], axis=0)
+            avg_sum = avg_sum + np.mean(rows, axis=0)
         worst = max(worst, float(np.max(np.abs((v_sum - avg_sum) / len(subsets)))))
     label = "clusterfedvarp" if cluster else "fedvarp"
     return VerifyCheck(
@@ -709,9 +704,9 @@ def _verify_saga(seed: int) -> VerifyCheck:
     cfg = LocalRunConfig(tau=1, eta_c=lr)
     ok = True
     for t, j in enumerate(picks):
-        (delta,) = local_sgd(fed, (j,), state.w, cfg)
         plan = RoundPlan(round=t, participants=(j,))
-        fedvarp_like = aggregator_step(state, RoundUpdates(plan, {j: delta}), eta_tilde)
+        block = local_sgd(fed, plan.participants, state.w, cfg)
+        fedvarp_like = aggregator_step(state, plan, block, eta_tilde)
         ok = ok and fedvarp_like.tobytes() == np.array([ref[t + 1]]).tobytes()
     return VerifyCheck("single-participant path reproduces reference SAGA bitwise", ok, f"{steps} steps")
 

@@ -55,8 +55,7 @@ def local_sgd(
     w: np.ndarray,
     cfg: LocalRunConfig,
     rngs=(),
-    return_final: bool = False,
-):
+) -> np.ndarray:
     """Run tau local SGD steps from w for each participant; return the (M, d) updates.
 
     Row m is (w - w_final_m) / (eta_c * tau), equivalently the mean of the
@@ -83,16 +82,12 @@ def local_sgd(
     slabs = min(M, WORKERS)
     work = M * cfg.tau * fed.d * (NOISE_WORK_WEIGHT if noisy else 1)
     if slabs < 2 or work < SPLIT_MIN_WORK or (noisy and len(set(map(id, rngs))) < M):
-        delta, w_k = _train_rows(fed, mus, w, cfg, rngs if noisy else None)
-    else:
-        delta, w_k = _train_slabs(fed, mus, w, cfg, rngs if noisy else None, slabs, return_final)
-    if return_final:
-        return delta, w_k
-    return delta
+        return _train_rows(fed, mus, w, cfg, rngs if noisy else None)
+    return _train_slabs(fed, mus, w, cfg, rngs if noisy else None, slabs)
 
 
 def _train_rows(fed, mus, w, cfg, rngs, out=None):
-    """tau steps for the rows of mus; returns (delta written to out, final iterates)."""
+    """tau steps for the rows of mus; returns their updates, written to out if given."""
     M = mus.shape[0]
     noise = None
     if rngs is not None:
@@ -119,30 +114,27 @@ def _train_rows(fed, mus, w, cfg, rngs, out=None):
                 first_bad[bad & (first_bad < 0)] = k
     if first_bad is not None:
         raise DivergenceError(step=int(first_bad[first_bad >= 0][0]))
-    return np.divide(grad_sum, cfg.tau, out=out), w_k
+    return np.divide(grad_sum, cfg.tau, out=out)
 
 
-def _train_slabs(fed, mus, w, cfg, rngs, slabs, return_final):
+def _train_slabs(fed, mus, w, cfg, rngs, slabs):
     """_train_rows on contiguous row slabs, slab 0 in this thread and one thread per other slab.
 
-    Returns the (M, d) updates and, if return_final, the final iterates.
-    Every thread is joined before this returns or raises. The exception
-    of the lowest failing slab is raised, so a divergence names the first
-    bad step of the lowest diverging row.
+    Returns the (M, d) updates. Every thread is joined before this returns
+    or raises. The exception of the lowest failing slab is raised, so a
+    divergence names the first bad step of the lowest diverging row.
     """
     M = mus.shape[0]
     bounds = [M * s // slabs for s in range(slabs + 1)]
     delta = np.empty_like(mus)
-    outcomes = [None] * slabs  # final iterates, or the exception the slab raised
+    errors = [None] * slabs  # the exception each slab raised, if any
 
     def train(s):
         lo, hi = bounds[s], bounds[s + 1]
         try:
-            outcomes[s] = _train_rows(
-                fed, mus[lo:hi], w, cfg, None if rngs is None else rngs[lo:hi], delta[lo:hi]
-            )[1]
+            _train_rows(fed, mus[lo:hi], w, cfg, None if rngs is None else rngs[lo:hi], delta[lo:hi])
         except BaseException as exc:  # re-raised by the calling thread below
-            outcomes[s] = exc
+            errors[s] = exc
 
     threads = [threading.Thread(target=train, args=(s,)) for s in range(1, slabs)]
     try:
@@ -153,7 +145,7 @@ def _train_slabs(fed, mus, w, cfg, rngs, slabs, return_final):
         for t in threads:
             if t.ident is not None:
                 t.join()
-    for outcome in outcomes:
-        if isinstance(outcome, BaseException):
-            raise outcome
-    return delta, np.concatenate(outcomes) if return_final else None
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return delta

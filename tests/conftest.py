@@ -6,6 +6,8 @@ import pytest
 from fedvarp_sim.harness import AlgoConfig, FederationConfig, HyperConfig, RunConfig
 from fedvarp_sim.objectives import Federation
 
+pytest_plugins = ["pytester"]
+
 
 def make_federation(mus, eigs, sigma=0.0):
     """Helper: one shared-Hessian quadratic client per row of mus."""

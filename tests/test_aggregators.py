@@ -2,10 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_federation
 from fedvarp_sim.aggregators import (
-    RoundUpdates,
     aggregator_step,
     cluster_miss_probability,
     clusterfedvarp_step,
@@ -14,11 +15,13 @@ from fedvarp_sim.aggregators import (
     mifa_step,
 )
 from fedvarp_sim.core import (
+    ALGORITHMS,
     CLUSTERFEDVARP,
     FEDAVG,
     FEDVARP,
     MIFA,
     ConfigError,
+    DimensionError,
     HyperParams,
     effective_server_lr,
 )
@@ -28,22 +31,21 @@ from fedvarp_sim.sampling import RoundPlan, enumerate_subsets
 
 
 def updates(round_index, deltas):
+    """The (plan, block) of one round from {client id: update}."""
     parts = tuple(sorted(deltas))
-    return RoundUpdates(
-        RoundPlan(round=round_index, participants=parts),
-        {i: np.atleast_1d(np.asarray(v, dtype=np.float64)) for i, v in deltas.items()},
-    )
+    block = np.array([np.atleast_1d(np.asarray(deltas[i], dtype=np.float64)) for i in parts])
+    return RoundPlan(round=round_index, participants=parts), block
 
 
 def test_fedavg_mean_and_step():
     state = init_state(FEDAVG, np.zeros(1), N=2)
-    w = fedavg_step(state, updates(0, {0: [1.0], 1: [3.0]}), eta_tilde=0.1)
+    w = fedavg_step(state, *updates(0, {0: [1.0], 1: [3.0]}), eta_tilde=0.1)
     assert w[0] == pytest.approx(-0.2, rel=1e-15)
 
 
 def test_fedavg_singleton():
     state = init_state(FEDAVG, np.array([1.0, 1.0]), N=5)
-    w = fedavg_step(state, updates(0, {3: [2.0, -2.0]}), eta_tilde=1.0)
+    w = fedavg_step(state, *updates(0, {3: [2.0, -2.0]}), eta_tilde=1.0)
     assert np.array_equal(w, [-1.0, 3.0])
 
 
@@ -54,9 +56,10 @@ def test_fedavg_full_participation_is_gradient_descent():
     w0 = rng.normal(size=3)
     h = HyperParams(eta_c=0.08, eta_s=1.25, tau=1, T=1, M=5, N=5)
     cfg = LocalRunConfig(tau=1, eta_c=h.eta_c)
-    deltas = dict(enumerate(local_sgd(fed, range(5), w0, cfg)))
+    plan = RoundPlan(round=0, participants=tuple(range(5)))
+    block = local_sgd(fed, plan.participants, w0, cfg)
     state = init_state(FEDAVG, w0, N=5)
-    w1 = fedavg_step(state, updates(0, deltas), effective_server_lr(h))
+    w1 = fedavg_step(state, plan, block, effective_server_lr(h))
     g, _ = global_grad_and_loss(fed, w0)
     assert np.allclose(w1, w0 - h.eta_s * h.eta_c * g, rtol=1e-12, atol=1e-14)
 
@@ -64,27 +67,34 @@ def test_fedavg_full_participation_is_gradient_descent():
 def test_step_requires_matching_tag():
     state = init_state(FEDAVG, np.zeros(1), N=2)
     with pytest.raises(ConfigError):
-        clusterfedvarp_step(state, updates(0, {0: [1.0]}), 0.1)
+        clusterfedvarp_step(state, *updates(0, {0: [1.0]}), 0.1)
 
 
 def test_round_updates_key_mismatch_rejected():
-    with pytest.raises(ConfigError):
-        RoundUpdates(RoundPlan(round=0, participants=(0, 1)), {0: np.zeros(1)})
+    # The block needs one row per participant, each as wide as the model.
+    plan = RoundPlan(round=0, participants=(0, 1))
+    for algo in ALGORITHMS:
+        for shape in ((1, 2), (3, 2), (2, 1), (2, 3), (2,), (2, 2, 1)):
+            state = init_state(algo, np.zeros(2), N=3, K=2, assignment=np.array([0, 0, 1]))
+            with pytest.raises(DimensionError):
+                aggregator_step(state, plan, np.zeros(shape), 0.1)
+        with pytest.raises(ConfigError):
+            aggregator_step(state, RoundPlan(round=0, participants=()), np.zeros((0, 2)), 0.1)
 
 
 def test_fedvarp_first_round_equals_fedavg():
     upd = updates(0, {0: [1.0, 0.0], 2: [3.0, -4.0]})
     a = init_state(FEDAVG, np.zeros(2), N=4)
     b = init_state(FEDVARP, np.zeros(2), N=4)
-    wa = fedavg_step(a, upd, 0.3)
-    wb = aggregator_step(b, upd, 0.3)
+    wa = fedavg_step(a, *upd, 0.3)
+    wb = aggregator_step(b, *upd, 0.3)
     assert wa.tobytes() == wb.tobytes()
 
 
 def test_fedvarp_hand_case():
     state = init_state(FEDVARP, np.zeros(1), N=3)
     state.table = np.array([[1.0], [2.0], [3.0]])
-    w = aggregator_step(state, updates(0, {0: [5.0]}), eta_tilde=1.0)
+    w = aggregator_step(state, *updates(0, {0: [5.0]}), eta_tilde=1.0)
     # v = (5 - 1) + (1/3)(1 + 2 + 3) = 6
     assert w[0] == pytest.approx(-6.0, rel=1e-12)
     assert np.allclose(state.table[:, 0], [5.0, 2.0, 3.0])
@@ -98,10 +108,9 @@ def test_fedvarp_table_tracks_latest_updates():
     for t in range(40):
         M = int(rng.integers(1, N + 1))
         parts = sorted(rng.choice(N, size=M, replace=False).tolist())
-        upd = updates(t, {i: rng.normal(size=d) for i in parts})
-        aggregator_step(state, upd, 0.05)
-        for i in parts:
-            shadow[i] = upd.deltas[i]
+        deltas = {i: rng.normal(size=d) for i in parts}
+        aggregator_step(state, *updates(t, deltas), 0.05)
+        shadow.update(deltas)
         for i in range(N):
             assert np.array_equal(state.table[i], shadow[i])
 
@@ -114,9 +123,9 @@ def test_exhaustive_unbiasedness_example():
         upd = updates(0, {i: deltas[i] for i in plan.participants})
         sv = init_state(FEDVARP, np.zeros(1), N=3)
         sv.table = np.ones((3, 1))
-        v_vals.append(-aggregator_step(sv, upd, 1.0)[0])
+        v_vals.append(-aggregator_step(sv, *upd, 1.0)[0])
         sa = init_state(FEDAVG, np.zeros(1), N=3)
-        avg_vals.append(-fedavg_step(sa, upd, 1.0)[0])
+        avg_vals.append(-fedavg_step(sa, *upd, 1.0)[0])
     assert np.mean(v_vals) == pytest.approx(3.0, abs=1e-13)
     assert np.mean(avg_vals) == pytest.approx(3.0, abs=1e-13)
 
@@ -127,8 +136,8 @@ def test_cluster_single_cluster_matches_fedavg_bitwise():
     a = init_state(FEDAVG, np.zeros(3), N=6)
     c = init_state(CLUSTERFEDVARP, np.zeros(3), N=6, K=1, assignment=np.zeros(6, dtype=int))
     c.table = rng.normal(size=(1, 3))  # arbitrary shared state must cancel
-    wa = fedavg_step(a, upd, 0.2)
-    wc = clusterfedvarp_step(c, upd, 0.2)
+    wa = fedavg_step(a, *upd, 0.2)
+    wc = clusterfedvarp_step(c, *upd, 0.2)
     assert wa.tobytes() == wc.tobytes()
 
 
@@ -137,7 +146,7 @@ def test_cluster_hand_case():
         CLUSTERFEDVARP, np.zeros(1), N=4, K=2, assignment=np.array([0, 0, 1, 1])
     )
     state.table = np.array([[10.0], [20.0]])
-    w = clusterfedvarp_step(state, updates(0, {0: [4.0], 2: [6.0]}), eta_tilde=1.0)
+    w = clusterfedvarp_step(state, *updates(0, {0: [4.0], 2: [6.0]}), eta_tilde=1.0)
     # v = 1/2[(4-10)+(6-20)] + 1/4(10+10+20+20) = 5
     assert w[0] == pytest.approx(-5.0, rel=1e-12)
     assert np.allclose(state.table[:, 0], [4.0, 6.0])
@@ -148,7 +157,7 @@ def test_cluster_within_cluster_mean():
         CLUSTERFEDVARP, np.zeros(1), N=4, K=2, assignment=np.array([0, 0, 1, 1])
     )
     state.table = np.array([[1.0], [9.0]])
-    clusterfedvarp_step(state, updates(0, {0: [4.0], 1: [8.0]}), eta_tilde=1.0)
+    clusterfedvarp_step(state, *updates(0, {0: [4.0], 1: [8.0]}), eta_tilde=1.0)
     assert state.table[0, 0] == pytest.approx(6.0)
     assert state.table[1, 0] == 9.0  # untouched cluster keeps its state
 
@@ -175,13 +184,13 @@ def test_exhaustive_unbiasedness_property():
             for plan in subsets:
                 upd = updates(0, {i: deltas[i] for i in plan.participants})
                 sa = init_state(FEDAVG, np.zeros(d), N=N)
-                sums[FEDAVG] -= fedavg_step(sa, upd, 1.0)
+                sums[FEDAVG] -= fedavg_step(sa, *upd, 1.0)
                 sv = init_state(FEDVARP, np.zeros(d), N=N)
                 sv.table = table.copy()
-                sums[FEDVARP] -= aggregator_step(sv, upd, 1.0)
+                sums[FEDVARP] -= aggregator_step(sv, *upd, 1.0)
                 sc = init_state(CLUSTERFEDVARP, np.zeros(d), N=N, K=K, assignment=assignment)
                 sc.table = ctable.copy()
-                sums[CLUSTERFEDVARP] -= clusterfedvarp_step(sc, upd, 1.0)
+                sums[CLUSTERFEDVARP] -= clusterfedvarp_step(sc, *upd, 1.0)
             count = len(subsets)
             for algo in (FEDVARP, CLUSTERFEDVARP):
                 assert np.max(np.abs(sums[algo] / count - sums[FEDAVG] / count)) < 1e-12
@@ -194,23 +203,117 @@ def test_mifa_full_history_matches_full_participation_average():
     upd = updates(0, deltas)
     m = init_state(MIFA, np.zeros(2), N=N)
     a = init_state(FEDAVG, np.zeros(2), N=N)
-    wm = mifa_step(m, upd, 0.5)
-    wa = fedavg_step(a, upd, 0.5)
+    wm = mifa_step(m, *upd, 0.5)
+    wa = fedavg_step(a, *upd, 0.5)
     assert np.allclose(wm, wa, rtol=1e-12)
 
 
 def test_mifa_hand_case():
     state = init_state(MIFA, np.zeros(1), N=2)
     state.table = np.array([[0.0], [7.0]])
-    w = mifa_step(state, updates(0, {0: [3.0]}), eta_tilde=1.0)
+    w = mifa_step(state, *updates(0, {0: [3.0]}), eta_tilde=1.0)
     assert np.allclose(state.table[:, 0], [3.0, 7.0])
     assert w[0] == pytest.approx(-5.0)
 
 
 def test_mifa_cold_start_bias():
     state = init_state(MIFA, np.zeros(1), N=4)
-    w = mifa_step(state, updates(0, {0: [4.0]}), eta_tilde=1.0)
+    w = mifa_step(state, *updates(0, {0: [4.0]}), eta_tilde=1.0)
     assert w[0] == pytest.approx(-1.0)  # averaged against three zero states
+
+
+# Values whose sums cancel exactly or keep a signed zero.
+EDGE_VALUES = np.array([-0.0, 0.0, 1.0, -1.0, 0.1, -0.1, 3.0, 1e16, -1e16])
+
+
+def edge_rows(rng, n, d):
+    """Rows mixing normals and edge values, some all -0.0, some cancelling others."""
+    normal = rng.normal(size=(n, d))
+    rows = np.where(rng.random((n, d)) < 0.5, normal, rng.choice(EDGE_VALUES, size=(n, d)))
+    rows[rng.random(n) < 0.2] = -0.0
+    for m in np.flatnonzero(rng.random(n) < 0.2):
+        rows[m] = -rows[rng.integers(n)]
+    return rows
+
+
+def loop_step(state, plan, block, eta_tilde):
+    """The per-participant loops the array-shaped steps replace."""
+    parts = plan.participants
+    deltas = dict(zip(parts, block))
+    M = len(parts)
+    mean_delta = np.zeros_like(block[0])
+    for i in parts:
+        mean_delta = mean_delta + deltas[i]
+    mean_delta = mean_delta / M
+    table = state.table
+    hit = {}
+    if state.algo == FEDAVG:
+        v = mean_delta
+    elif state.algo == MIFA:
+        for i in parts:
+            table[i] = deltas[i]
+        acc = np.zeros_like(mean_delta)
+        for row in table:
+            acc = acc + row
+        v = acc / table.shape[0]
+    else:
+        N = state.assignment.shape[0]
+        for i in parts:
+            hit.setdefault(int(state.assignment[i]), []).append(i)
+        t_part = np.zeros_like(mean_delta)
+        for k in sorted(hit):
+            t_part = t_part + table[k] * (len(hit[k]) / M)
+        t_all = np.zeros_like(mean_delta)
+        for k in range(table.shape[0]):
+            t_all = t_all + table[k] * (state.sizes[k] / N)
+        v = mean_delta + (t_all - t_part)
+    state.w = state.w - eta_tilde * v
+    for k in sorted(hit):
+        acc = np.zeros_like(mean_delta)
+        for i in hit[k]:
+            acc = acc + deltas[i]
+        table[k] = acc / len(hit[k])
+    return state.w
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    d=st.sampled_from([1, 2, 3, 17]),
+    N=st.one_of(st.integers(1, 8), st.integers(9, 24)),  # d=1 sums turn pairwise from 8 rows
+    rounds=st.integers(1, 4),
+    layout=st.sampled_from(["C", "F", "reversed view"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_steps_match_the_participant_loops_bitwise(algo, d, N, rounds, layout, seed):
+    rng = np.random.default_rng(seed)
+    # Few clusters put several sampled members in one; K > N leaves some empty.
+    K = int(rng.integers(1, N + 3))
+    assignment = rng.integers(0, K, size=N)  # unsorted
+    w0 = edge_rows(rng, 1, d)[0]
+    states = [init_state(algo, w0, N, K, assignment) for _ in range(2)]
+    if states[0].table is not None:
+        table = edge_rows(rng, *states[0].table.shape)
+        for state in states:
+            state.table[:] = table
+    for t in range(rounds):
+        M = int(rng.integers(1, N + 1))
+        parts = tuple(sorted(rng.choice(N, M, replace=False).tolist()))
+        plan = RoundPlan(round=t, participants=parts)
+        block = edge_rows(rng, M, d)
+        if layout == "F":
+            passed = np.asfortranarray(block)
+        elif layout == "reversed view":
+            passed = block[::-1].copy()[::-1]
+        else:
+            passed = block.copy()
+        eta_tilde = float(rng.choice([1.0, 0.3]))
+        expected = loop_step(states[0], plan, block, eta_tilde)
+        w = aggregator_step(states[1], plan, passed, eta_tilde)
+        assert w.tobytes() == expected.tobytes()
+        if algo != FEDAVG:
+            assert states[1].table.tobytes() == states[0].table.tobytes()
+        assert passed.tobytes() == block.tobytes()  # the step leaves its input alone
 
 
 def test_miss_probability_hand_case():
@@ -238,5 +341,5 @@ def test_miss_probability_matches_enumeration():
 def test_rounds_increment():
     state = init_state(FEDAVG, np.zeros(1), N=3)
     for t in range(5):
-        fedavg_step(state, updates(t, {0: [1.0]}), 0.01)
+        fedavg_step(state, *updates(t, {0: [1.0]}), 0.01)
     assert state.round == 5

@@ -7,48 +7,10 @@ from fedvarp_sim.core import (
     FEDVARP,
     MIFA,
     ConfigError,
-    DimensionError,
     HyperParams,
     effective_server_lr,
     lr_precondition_report,
-    vec_axpy,
 )
-
-
-def test_axpy_zero_scaling():
-    out = vec_axpy(0.0, np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-    assert np.array_equal(out, [3.0, 4.0])
-
-
-def test_axpy_zero_vector():
-    out = vec_axpy(1.0, np.array([0.0, 0.0]), np.array([3.0, 4.0]))
-    assert np.array_equal(out, [3.0, 4.0])
-
-
-def test_axpy_hand_case():
-    out = vec_axpy(-0.5, np.array([2.0, 4.0]), np.array([1.0, 1.0]))
-    assert np.array_equal(out, [0.0, -1.0])
-
-
-def test_axpy_leaves_inputs_alone():
-    x = np.array([1.0, 2.0])
-    y = np.array([5.0, 6.0])
-    vec_axpy(2.0, x, y)
-    assert np.array_equal(x, [1.0, 2.0]) and np.array_equal(y, [5.0, 6.0])
-
-
-def test_axpy_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        vec_axpy(1.0, np.zeros(2), np.zeros(3))
-
-
-def test_axpy_exact_on_integers():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        x = rng.integers(-50, 50, size=4).astype(float)
-        y = rng.integers(-50, 50, size=4).astype(float)
-        a = float(rng.integers(-8, 8))
-        assert np.array_equal(vec_axpy(a, x, y), y + a * x)
 
 
 def _hp(eta_c, eta_s, tau, M=1, N=1, T=10):

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from fedvarp_sim.aggregators import RoundUpdates, aggregator_step, init_state
+from fedvarp_sim.aggregators import aggregator_step, init_state
 from fedvarp_sim import harness
-from fedvarp_sim.core import ALGORITHMS, CLUSTERFEDVARP, ConfigError, DivergenceError
+from fedvarp_sim.core import ALGORITHMS, CLUSTERFEDVARP, FEDAVG, ConfigError, DivergenceError
 from fedvarp_sim.harness import (
     apply_overrides,
     derive_sweep_seed,
@@ -208,16 +208,15 @@ def test_noisy_run_builds_and_draws_one_stream_per_participant_round(small_confi
     assert all(_philox_position(gen) != initial for gen, initial in built)
 
 
-def _round_deltas(fed, w, seed, t, order):
+def _round_block(fed, w, seed, t, order):
     cfg = LocalRunConfig(tau=2, eta_c=0.05)
-    block = local_sgd(fed, order, w, cfg, [substream(seed, TAG_LOCAL, t, i) for i in order])
-    return dict(zip(order, block))
+    return local_sgd(fed, order, w, cfg, [substream(seed, TAG_LOCAL, t, i) for i in order])
 
 
 def test_participant_order_does_not_change_step():
-    # Training the participants as batch rows in reversed order, and inserting
-    # their deltas in that order, must give the same bits as ascending order,
-    # round after round.
+    # Training the participants as batch rows in reversed order, then
+    # flipping the rows back to plan order, must give the same bits as
+    # training them in plan order, round after round.
     N, d, seed = 8, 3, 4242
     spec = make_federation_spec(
         N=N,
@@ -237,12 +236,13 @@ def test_participant_order_does_not_change_step():
         reversed_ = init_state(algo, np.zeros(d), N, K, assignment)
         for t in range(6):
             plan = sample_round(N, 5, substream(seed, TAG_SAMPLING, t), t)
-            fwd = _round_deltas(fed, ascending.w, seed, t, plan.participants)
-            rev = _round_deltas(fed, reversed_.w, seed, t, plan.participants[::-1])
-            assert list(rev) == list(fwd)[::-1]
-            aggregator_step(ascending, RoundUpdates(plan, fwd), 0.1)
-            aggregator_step(reversed_, RoundUpdates(plan, rev), 0.1)
+            fwd = _round_block(fed, ascending.w, seed, t, plan.participants)
+            rev = _round_block(fed, reversed_.w, seed, t, plan.participants[::-1])
+            aggregator_step(ascending, plan, fwd, 0.1)
+            aggregator_step(reversed_, plan, rev[::-1], 0.1)
             assert ascending.w.tobytes() == reversed_.w.tobytes(), algo
+            if algo != FEDAVG:
+                assert ascending.table.tobytes() == reversed_.table.tobytes(), algo
 
 
 def test_metrics_csv_round_trips_at_17_digits(small_config, tmp_path):
@@ -308,6 +308,15 @@ def test_sweep_checks_every_initial_point_before_the_first_runs(small_config, tm
     base = small_config(K_true=1, within_cluster_spread=0.0, T=5, output_dir=tmp_path / "sw")
     with pytest.raises(ConfigError, match="initial point"):
         sweep(base, "sigma_g_scale", [1.0, 1e160])
+    assert not (tmp_path / "sw").exists()
+
+
+def test_sweep_checks_every_cluster_count_before_the_first_runs(small_config, tmp_path):
+    base = small_config(algo="clusterfedvarp", K=2, T=5, output_dir=tmp_path / "sw")
+    with pytest.raises(ConfigError, match="1 <= K <= N"):
+        sweep(base, "K", [2, 0])
+    with pytest.raises(ConfigError, match="1 <= K <= N"):
+        sweep(small_config(T=5, output_dir=tmp_path / "sw"), "algo", ["fedavg", "clusterfedvarp"])
     assert not (tmp_path / "sw").exists()
 
 

@@ -16,6 +16,20 @@ def gradient(fed, i, w):
     return fed.grads_and_losses(w)[0][i]
 
 
+def reference_local_sgd(eigs, mu, w, tau, eta_c, sigma, rng):
+    """The per-client recursion the batched kernel must reproduce row by row."""
+    d = w.shape[0]
+    grad_sum = np.zeros_like(w)
+    w_k = w
+    for _ in range(tau):
+        g = eigs * (w_k - mu)
+        if sigma > 0:
+            g = g + rng.standard_normal(d) * (sigma / np.sqrt(d))
+        grad_sum = grad_sum + g
+        w_k = w - (eta_c * tau) * (grad_sum / tau)
+    return grad_sum / tau, w_k
+
+
 @contextmanager
 def forced_split(workers=2):
     """Every call with at least two rows trains min(M, workers) row slabs in threads."""
@@ -35,9 +49,9 @@ def test_single_noiseless_step_returns_gradient_bitwise():
 def test_two_step_hand_recursion():
     fed = make_federation([[2.0]], [1.0])
     w = np.array([0.0])
-    delta, w_final = local_sgd(fed, (0,), w, LocalRunConfig(tau=2, eta_c=0.5), return_final=True)
-    assert w_final[0, 0] == 1.5  # iterates 0 -> 1 -> 1.5
-    assert delta[0, 0] == -1.5  # (0 - 1.5) / (0.5 * 2)
+    delta = local_sgd(fed, (0,), w, LocalRunConfig(tau=2, eta_c=0.5))
+    assert delta[0, 0] == -1.5  # iterates 0 -> 1 -> 1.5, and (0 - 1.5) / (0.5 * 2)
+    assert (w - (0.5 * 2) * delta[0])[0] == 1.5  # the server step lands on the final iterate
     assert w[0] == 0.0  # input untouched
 
 
@@ -58,17 +72,13 @@ def test_server_step_reproduces_final_iterate_bitwise():
         w = rng.normal(size=4)
         eta_c = float(rng.uniform(0.01, 0.2))
         stream_key = int(rng.integers(1 << 30))
-        delta, w_final = local_sgd(
-            fed,
-            (0,),
-            w,
-            LocalRunConfig(tau=tau, eta_c=eta_c),
-            [substream(stream_key, 0)],
-            return_final=True,
-        )
+        cfg = LocalRunConfig(tau=tau, eta_c=eta_c)
+        delta = local_sgd(fed, (0,), w, cfg, [substream(stream_key, 0)])
+        stream = substream(stream_key, 0)
+        _, w_final = reference_local_sgd(eigs, fed.mus[0], w, tau, eta_c, 0.4, stream)
         eta_tilde = (1.0 * eta_c) * tau
         reconstructed = w - eta_tilde * delta[0]
-        assert reconstructed.tobytes() == w_final[0].tobytes()
+        assert reconstructed.tobytes() == w_final.tobytes()
 
 
 def test_determinism_in_stream_key():
@@ -90,9 +100,10 @@ def test_noiseless_contraction():
     for eta_c in (0.1 / L, 0.9 / L, 1.9 / L):
         for tau in (1, 2, 6):
             w = rng.normal(size=3)
-            cfg = LocalRunConfig(tau=tau, eta_c=eta_c)
-            _, w_final = local_sgd(fed, (0,), w, cfg, return_final=True)
-            assert np.linalg.norm(w_final[0] - fed.mus[0]) <= np.linalg.norm(w - fed.mus[0]) * (
+            (delta,) = local_sgd(fed, (0,), w, LocalRunConfig(tau=tau, eta_c=eta_c))
+            _, w_final = reference_local_sgd(eigs, fed.mus[0], w, tau, eta_c, 0.0, None)
+            assert (w - (eta_c * tau) * delta).tobytes() == w_final.tobytes()
+            assert np.linalg.norm(w_final - fed.mus[0]) <= np.linalg.norm(w - fed.mus[0]) * (
                 1 + 1e-12
             )
 
@@ -166,20 +177,6 @@ def test_one_cpu_trains_inline(monkeypatch):
         local_sgd(fed, (0, 1, 2, 3), np.zeros(3), LocalRunConfig(tau=2, eta_c=0.1))
 
 
-def reference_local_sgd(eigs, mu, w, tau, eta_c, sigma, rng):
-    """The per-client recursion the batched kernel must reproduce row by row."""
-    d = w.shape[0]
-    grad_sum = np.zeros_like(w)
-    w_k = w
-    for _ in range(tau):
-        g = eigs * (w_k - mu)
-        if sigma > 0:
-            g = g + rng.standard_normal(d) * (sigma / np.sqrt(d))
-        grad_sum = grad_sum + g
-        w_k = w - (eta_c * tau) * (grad_sum / tau)
-    return grad_sum / tau, w_k
-
-
 @settings(max_examples=80, deadline=None, database=None)
 @given(
     M=st.integers(1, 8),
@@ -201,23 +198,22 @@ def test_batched_kernel_matches_per_client_recursion(M, tau, d, noisy, seed, wor
 
     def train():
         streams = [substream(seed, 2, i) for i in parts]
-        return local_sgd(fed, parts, w, cfg, streams, return_final=True)
+        return local_sgd(fed, parts, w, cfg, streams)
 
     inline = train()
     # The same draws split into min(M, workers) row slabs, M below the
     # worker count included.
     with forced_split(workers):
         split = train()
-    for deltas, finals in (inline, split):
-        assert deltas.shape == finals.shape == (M, d)
+    for deltas in (inline, split):
+        assert deltas.shape == (M, d)
         for m, i in enumerate(parts):
             ref_delta, ref_final = reference_local_sgd(
                 fed.eigs, fed.mus[i], w, tau, eta_c, sigma, substream(seed, 2, i)
             )
             assert deltas[m].tobytes() == ref_delta.tobytes()
-            assert finals[m].tobytes() == ref_final.tobytes()
             # Module identities: the server step with eta_s = 1 lands on the
             # final local iterate, and a noiseless single step is the gradient.
-            assert (w - (1.0 * eta_c * tau) * deltas[m]).tobytes() == finals[m].tobytes()
+            assert (w - (1.0 * eta_c * tau) * deltas[m]).tobytes() == ref_final.tobytes()
             if tau == 1 and not noisy:
                 assert deltas[m].tobytes() == gradient(fed, i, w).tobytes()

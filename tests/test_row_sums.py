@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_federation
-from fedvarp_sim.aggregators import RoundUpdates, aggregator_step, init_state
+from fedvarp_sim.aggregators import aggregator_step, init_state
 from fedvarp_sim.core import CLUSTERFEDVARP, FEDVARP, MIFA, ROW_BLOCK_BYTES, ordered_row_sum
 from fedvarp_sim.objectives import global_grad_and_loss
 from fedvarp_sim.sampling import RoundPlan
@@ -135,8 +135,8 @@ def test_table_reductions_allocate_far_less_than_the_table():
     assert peak_traced_bytes(lambda: global_grad_and_loss(fed, w)) < bound
 
     parts = tuple(sorted(int(i) for i in rng.choice(N, size=M, replace=False)))
+    plan = RoundPlan(round=0, participants=parts)
     block = rng.normal(size=(M, d))
-    upd = RoundUpdates(RoundPlan(round=0, participants=parts), dict(zip(parts, block)))
     states = [
         init_state(FEDVARP, np.zeros(d), N),
         init_state(CLUSTERFEDVARP, np.zeros(d), N, K=N // 2, assignment=rng.integers(0, N // 2, N)),
@@ -144,5 +144,5 @@ def test_table_reductions_allocate_far_less_than_the_table():
     ]
     for state in states:
         state.table[:] = rng.normal(size=state.table.shape)
-        peak = peak_traced_bytes(lambda: aggregator_step(state, upd, 0.1))
+        peak = peak_traced_bytes(lambda: aggregator_step(state, plan, block, 0.1))
         assert peak < bound, (state.algo, peak)
