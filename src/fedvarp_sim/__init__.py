@@ -16,7 +16,7 @@ from .core import (  # noqa: F401
     ConfigError,
     DimensionError,
     DivergenceError,
-    HyperParams,
+    HyperConfig,
     OracleScaleError,
     RunRecord,
     effective_server_lr,

@@ -63,7 +63,6 @@ class ServerAggregatorState:
     table: np.ndarray | None = None
     assignment: np.ndarray | None = None
     sizes: np.ndarray | None = None
-    round: int = 0
 
 
 def init_state(
@@ -111,7 +110,6 @@ def _server_step(state: ServerAggregatorState, v: np.ndarray, eta_tilde: float) 
     # Overflow surfaces as a divergence error in the run loop, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         state.w = state.w - eta_tilde * v
-    state.round += 1
     return state.w
 
 

@@ -11,11 +11,11 @@ import sys
 from .core import ConfigError, DivergenceError
 from .harness import (
     SWEEP_AXES,
-    SWEEP_AXIS_TYPES,
     floor_estimate,
     load_config,
     run,
     sweep,
+    sweep_axis_type,
     verify,
 )
 
@@ -34,7 +34,7 @@ def _parse_values(axis: str, text: str) -> list:
     items = [s for s in text.split(",") if s]
     if not items:
         raise ConfigError("--values must list at least one value")
-    typ = SWEEP_AXIS_TYPES[axis]
+    typ = sweep_axis_type(axis)
     try:
         return [typ(s) for s in items]
     except ValueError:

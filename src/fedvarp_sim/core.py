@@ -121,15 +121,17 @@ def sum_rows(rows: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class HyperParams:
-    """Run hyperparameters: client/server rates, local steps, rounds, participation."""
+class HyperConfig:
+    """The JSON `hyper` section: client/server rates, local steps, rounds, participants.
+
+    M <= N spans sections, so RunConfig checks it.
+    """
 
     eta_c: float
     eta_s: float
     tau: int
     T: int
     M: int
-    N: int
 
     def __post_init__(self):
         if not self.eta_c > 0:
@@ -140,13 +142,11 @@ class HyperParams:
             raise ConfigError(f"tau must be >= 1, got {self.tau}")
         if self.T < 0:
             raise ConfigError(f"T must be >= 0, got {self.T}")
-        if self.N < 1:
-            raise ConfigError(f"N must be >= 1, got {self.N}")
-        if not 1 <= self.M <= self.N:
-            raise ConfigError(f"M must satisfy 1 <= M <= N, got M={self.M} N={self.N}")
+        if self.M < 1:
+            raise ConfigError(f"M must be >= 1, got {self.M}")
 
 
-def effective_server_lr(h: HyperParams) -> float:
+def effective_server_lr(h: HyperConfig) -> float:
     """Effective server step size eta_s * eta_c * tau.
 
     This is the single place the product is formed; every server update
@@ -178,19 +178,11 @@ class LrCondition:
     value: float
     satisfied: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "bound": self.bound,
-            "value": self.value,
-            "satisfied": self.satisfied,
-        }
-
 
 def lr_precondition_report(
-    h: HyperParams, L: float, algo: str, p: float | None = None
+    h: HyperConfig, N: int, L: float, algo: str, p: float | None = None
 ) -> list[LrCondition]:
-    """Evaluate the convergence-theory learning-rate bounds for an algorithm.
+    """Evaluate the convergence-theory learning-rate bounds for an algorithm on N clients.
 
     Purely advisory: callers report the verdicts but never block a run on
     them. The MIFA baseline has no associated bounds and yields an empty
@@ -200,7 +192,7 @@ def lr_precondition_report(
         raise ValueError(f"smoothness constant L must be > 0, got {L}")
     if algo not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm tag {algo!r}")
-    tau, M, N = h.tau, h.M, h.N
+    tau, M = h.tau, h.M
     prod = h.eta_s * h.eta_c
 
     def cond(quantity: str, value: float, bound: float) -> LrCondition:

@@ -15,8 +15,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -29,20 +30,20 @@ from .core import (
     MIFA,
     ConfigError,
     DivergenceError,
-    HyperParams,
+    HyperConfig,
     RunRecord,
     effective_server_lr,
     lr_precondition_report,
 )
 from .aggregators import aggregator_step, cluster_miss_probability, init_state
-from .localsgd import LocalRunConfig, local_sgd
+from .localsgd import local_sgd
 from .objectives import (
     Federation,
+    FederationConfig,
     FederationConstants,
     cluster_heterogeneity,
     generate_federation,
     global_grad_and_loss,
-    make_federation_spec,
 )
 from .reference_saga import saga_trajectory
 from .rng import TAG_LOCAL, TAG_SAMPLING, substream
@@ -50,16 +51,17 @@ from .sampling import RoundPlan, enumerate_subsets, sample_round, without_replac
 
 METRICS_HEADER = "round,grad_norm_sq,global_loss,dist_to_opt_sq"
 MIFA_MODES = ("cold_start", "full_first_round")
-SWEEP_AXIS_TYPES = {
-    "sigma_g_scale": float,
-    "M": int,
-    "eta_c": float,
-    "eta_s": float,
-    "tau": int,
-    "K": int,
-    "algo": str,
+# Sweep axis -> the config section it edits and the field it sets.
+# sigma_g_scale sets no field: it scales both spreads by a float.
+SWEEP_AXES = {
+    "sigma_g_scale": ("federation", None),
+    "M": ("hyper", "M"),
+    "eta_c": ("hyper", "eta_c"),
+    "eta_s": ("hyper", "eta_s"),
+    "tau": ("hyper", "tau"),
+    "K": ("algo", "K"),
+    "algo": ("algo", "name"),
 }
-SWEEP_AXES = tuple(SWEEP_AXIS_TYPES)
 
 
 # ---------------------------------------------------------------------------
@@ -67,42 +69,34 @@ SWEEP_AXES = tuple(SWEEP_AXIS_TYPES)
 
 
 @dataclass(frozen=True)
-class FederationConfig:
-    """Generator knobs for the synthetic federation (mirrors the JSON schema)."""
-
-    N: int
-    d: int
-    K_true: int
-    cluster_center_spread: float
-    within_cluster_spread: float
-    noise_sigma: float
-    hessian_eig_min: float
-    hessian_eig_max: float
-    seed: int
-
-
-@dataclass(frozen=True)
-class HyperConfig:
-    """The tunable rates and counts of the JSON `hyper` section."""
-
-    eta_c: float
-    eta_s: float
-    tau: int
-    T: int
-    M: int
-
-
-@dataclass(frozen=True)
 class AlgoConfig:
-    """Aggregator choice plus its parameters."""
+    """Aggregator choice plus its parameters; the name is matched case-insensitively.
+
+    mifa runs default to mifa_mode cold_start.
+    """
 
     name: str
     K: int | None = None
     mifa_mode: str | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "name", self.name.lower())
+        if self.name not in ALGORITHMS:
+            raise ConfigError(f"algo.name must be one of {ALGORITHMS}, got {self.name!r}")
+        if self.name == MIFA and self.mifa_mode is None:
+            object.__setattr__(self, "mifa_mode", "cold_start")
+        if self.mifa_mode is not None and self.mifa_mode not in MIFA_MODES:
+            raise ConfigError(f"algo.mifa_mode must be one of {MIFA_MODES}, got {self.mifa_mode!r}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A whole run configuration: the JSON schema, one field per key.
+
+    Checks that span sections are made here, so a config edited with
+    dataclasses.replace is checked again.
+    """
+
     federation: FederationConfig
     hyper: HyperConfig
     algo: AlgoConfig
@@ -110,48 +104,24 @@ class RunConfig:
     output_dir: str
     seed: int
 
-    def hyper_params(self) -> HyperParams:
-        return HyperParams(
-            eta_c=self.hyper.eta_c,
-            eta_s=self.hyper.eta_s,
-            tau=self.hyper.tau,
-            T=self.hyper.T,
-            M=self.hyper.M,
-            N=self.federation.N,
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "federation": asdict(self.federation),
-            "hyper": asdict(self.hyper),
-            "algo": {"name": self.algo.name, "K": self.algo.K, "mifa_mode": self.algo.mifa_mode},
-            "log_every": self.log_every,
-            "output_dir": self.output_dir,
-            "seed": self.seed,
-        }
-
-
-_SCHEMA = {
-    "federation": {
-        "N": int,
-        "d": int,
-        "K_true": int,
-        "cluster_center_spread": float,
-        "within_cluster_spread": float,
-        "noise_sigma": float,
-        "hessian_eig_min": float,
-        "hessian_eig_max": float,
-        "seed": int,
-    },
-    "hyper": {"eta_c": float, "eta_s": float, "tau": int, "T": int, "M": int},
-    "algo": {"name": str, "K": int, "mifa_mode": str},
-    "log_every": int,
-    "output_dir": str,
-    "seed": int,
-}
+    def __post_init__(self):
+        N, M, K = self.federation.N, self.hyper.M, self.algo.K
+        if M > N:
+            raise ConfigError(f"M must satisfy 1 <= M <= N, got M={M} N={N}")
+        if self.algo.name == CLUSTERFEDVARP and (K is None or not 1 <= K <= N):
+            raise ConfigError(f"clusterfedvarp needs 1 <= K <= N, got K={K}")
+        if self.log_every < 1:
+            raise ConfigError(f"log_every must be >= 1, got {self.log_every}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _coerce(name: str, value, typ):
+    """value as a config field of type typ: int, finite float, str, or one of them | None."""
+    if get_args(typ):  # X | None
+        if value is None:
+            return None
+        typ = get_args(typ)[0]
     if typ is float and isinstance(value, (int, float)) and not isinstance(value, bool):
         if not math.isfinite(value):
             raise ConfigError(f"config key {name!r} must be finite, got {value!r}")
@@ -164,80 +134,43 @@ def _coerce(name: str, value, typ):
 
 
 def parse_config(raw: dict) -> RunConfig:
-    """Validate a raw config dict against the exact key schema."""
+    """Validate a raw config dict: each RunConfig field is one required key."""
+    return _parse_section(raw, RunConfig, None)
+
+
+def _parse_section(raw, cls, section: str | None):
+    """raw as a cls whose fields are required keys; a dataclass field is a nested section."""
     if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - set(_SCHEMA)
+        where = "config root" if section is None else f"config section {section!r}"
+        raise ConfigError(f"{where} must be a JSON object")
+    keys = "config keys" if section is None else f"keys in {section!r}"
+    types = get_type_hints(cls)
+    unknown = set(raw) - set(types)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = set(_SCHEMA) - set(raw)
+        raise ConfigError(f"unknown {keys}: {sorted(unknown)}")
+    missing = set(types) - set(raw)
     if missing:
-        raise ConfigError(f"missing config keys: {sorted(missing)}")
-    for section in ("federation", "hyper", "algo"):
-        sec = raw[section]
-        if not isinstance(sec, dict):
-            raise ConfigError(f"config section {section!r} must be an object")
-        unknown = set(sec) - set(_SCHEMA[section])
-        if unknown:
-            raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
-        missing = set(_SCHEMA[section]) - set(sec)
-        if missing:
-            raise ConfigError(f"missing keys in {section!r}: {sorted(missing)}")
-
-    fed_raw = {
-        k: _coerce(f"federation.{k}", v, _SCHEMA["federation"][k])
-        for k, v in raw["federation"].items()
-    }
-    fed = FederationConfig(**fed_raw)
-    hyper = {k: _coerce(f"hyper.{k}", v, _SCHEMA["hyper"][k]) for k, v in raw["hyper"].items()}
-
-    algo_raw = raw["algo"]
-    name = _coerce("algo.name", algo_raw["name"], str).lower()
-    if name not in ALGORITHMS:
-        raise ConfigError(f"algo.name must be one of {ALGORITHMS}, got {name!r}")
-    K = algo_raw["K"]
-    if K is not None:
-        K = _coerce("algo.K", K, int)
-    mifa_mode = algo_raw["mifa_mode"]
-    if mifa_mode is not None:
-        mifa_mode = _coerce("algo.mifa_mode", mifa_mode, str)
-        if mifa_mode not in MIFA_MODES:
-            raise ConfigError(f"algo.mifa_mode must be one of {MIFA_MODES}, got {mifa_mode!r}")
-    _check_cluster_count(name, K, fed.N)
-    if name == MIFA and mifa_mode is None:
-        mifa_mode = "cold_start"
-
-    cfg = RunConfig(
-        federation=fed,
-        hyper=HyperConfig(**hyper),
-        algo=AlgoConfig(name=name, K=K, mifa_mode=mifa_mode),
-        log_every=_coerce("log_every", raw["log_every"], int),
-        output_dir=_coerce("output_dir", raw["output_dir"], str),
-        seed=_coerce("seed", raw["seed"], int),
-    )
-    if cfg.log_every < 1:
-        raise ConfigError(f"log_every must be >= 1, got {cfg.log_every}")
-    if cfg.seed < 0 or fed.seed < 0:
-        raise ConfigError("seeds must be nonnegative")
-    cfg.hyper_params()  # trips the HyperParams invariants (M <= N etc.)
-    return cfg
-
-
-def _check_cluster_count(name: str, K: int | None, N: int) -> None:
-    if name == CLUSTERFEDVARP and (K is None or not 1 <= K <= N):
-        raise ConfigError(f"clusterfedvarp needs 1 <= K <= N, got K={K}")
+        raise ConfigError(f"missing {keys}: {sorted(missing)}")
+    values = {}
+    for key, value in raw.items():
+        typ = types[key]
+        if is_dataclass(typ):
+            values[key] = _parse_section(value, typ, key)
+        else:
+            values[key] = _coerce(key if section is None else f"{section}.{key}", value, typ)
+    return cls(**values)
 
 
 def load_config(path: str | Path, overrides: tuple[str, ...] | list[str] = ()) -> RunConfig:
     """Read a JSON config file, apply dotted-path overrides, and validate."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_config(apply_overrides(raw, overrides))
 
 
@@ -288,10 +221,10 @@ def _run_assignment(cfg: RunConfig) -> np.ndarray | None:
 def build_manifest(
     cfg: RunConfig, fed: Federation, consts: FederationConstants, assignment
 ) -> dict:
-    h = cfg.hyper_params()
+    N = cfg.federation.N
     p = None
-    if cfg.algo.name == CLUSTERFEDVARP and cfg.federation.N % cfg.algo.K == 0:
-        p = cluster_miss_probability(cfg.federation.N, cfg.federation.N // cfg.algo.K, h.M)
+    if cfg.algo.name == CLUSTERFEDVARP and N % cfg.algo.K == 0:
+        p = cluster_miss_probability(N, N // cfg.algo.K, cfg.hyper.M)
     sigma_K_sq = consts.sigma_K_sq
     if assignment is not None:
         # Report the heterogeneity of the clustering the aggregator actually uses.
@@ -300,10 +233,10 @@ def build_manifest(
         # Rate bounds need the equal-size clustering; report only what holds.
         report = []
     else:
-        report = [c.as_dict() for c in lr_precondition_report(h, consts.L, cfg.algo.name, p)]
+        report = [asdict(c) for c in lr_precondition_report(cfg.hyper, N, consts.L, cfg.algo.name, p)]
     return {
         "artifact_version": __version__,
-        "config": cfg.as_dict(),
+        "config": asdict(cfg),
         "constants": {
             "L": consts.L,
             "sigma_g_sq": consts.sigma_g_sq,
@@ -322,8 +255,7 @@ def _realize(cfg: RunConfig) -> tuple[Federation, FederationConstants, RunRecord
     The run starts from w = 0, so the initial metrics depend on the
     federation alone; a non-finite one is a ConfigError.
     """
-    spec = make_federation_spec(**asdict(cfg.federation))
-    fed, consts = generate_federation(spec)
+    fed, consts = generate_federation(cfg.federation)
     first = _measure(fed, np.zeros(cfg.federation.d), consts.w_star, 0)
     if not _finite(first):
         raise ConfigError("metrics of the initial point overflow float64")
@@ -368,7 +300,7 @@ def run(cfg: RunConfig, write_artifacts: bool = True, realized=None) -> RunResul
     update produced it; no non-finite row reaches metrics.csv.
     """
     fed, consts, first = realized or _realize(cfg)
-    h = cfg.hyper_params()
+    h, N = cfg.hyper, cfg.federation.N
     eta_tilde = effective_server_lr(h)
     assignment = _run_assignment(cfg)
     manifest = build_manifest(cfg, fed, consts, assignment)
@@ -376,14 +308,12 @@ def run(cfg: RunConfig, write_artifacts: bool = True, realized=None) -> RunResul
     out = None
     metrics_fh = None
     if write_artifacts:
-        out = Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _make_output_dir(cfg.output_dir)
         _write_json(out / "manifest.json", manifest)
         metrics_fh = open(out / "metrics.csv", "w", encoding="utf-8", newline="")
         metrics_fh.write(METRICS_HEADER + "\n")
 
-    state = init_state(cfg.algo.name, np.zeros(cfg.federation.d), h.N, cfg.algo.K, assignment)
-    local_cfg = LocalRunConfig(tau=h.tau, eta_c=h.eta_c)
+    state = init_state(cfg.algo.name, np.zeros(cfg.federation.d), N, cfg.algo.K, assignment)
     records: list[RunRecord] = []
 
     def log(rec: RunRecord) -> None:
@@ -395,14 +325,14 @@ def run(cfg: RunConfig, write_artifacts: bool = True, realized=None) -> RunResul
         log(first)
         for t in range(h.T):
             if cfg.algo.name == MIFA and cfg.algo.mifa_mode == "full_first_round" and t == 0:
-                plan = RoundPlan(round=0, participants=tuple(range(h.N)))
+                plan = RoundPlan(round=0, participants=tuple(range(N)))
             else:
-                plan = sample_round(h.N, h.M, substream(cfg.seed, TAG_SAMPLING, t), t)
+                plan = sample_round(N, h.M, substream(cfg.seed, TAG_SAMPLING, t), t)
             rngs = ()
             if fed.noise_sigma > 0:
                 rngs = [substream(cfg.seed, TAG_LOCAL, t, i) for i in plan.participants]
             try:
-                block = local_sgd(fed, plan.participants, state.w, local_cfg, rngs)
+                block = local_sgd(fed, plan.participants, state.w, h.tau, h.eta_c, rngs)
             except DivergenceError as exc:
                 exc.round = t
                 raise
@@ -443,6 +373,15 @@ def run(cfg: RunConfig, write_artifacts: bool = True, realized=None) -> RunResul
     )
 
 
+def _make_output_dir(path: str) -> Path:
+    """Create an output directory and its parents; a file in the way is a ConfigError."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+    return Path(path)
+
+
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -467,6 +406,15 @@ def derive_sweep_seed(base_seed: int, axis: str, value) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
+def sweep_axis_type(axis: str) -> type:
+    """The type of an axis value: that of the field the axis sets, float for sigma_g_scale."""
+    section, field = SWEEP_AXES[axis]
+    if field is None:
+        return float
+    typ = get_type_hints(get_type_hints(RunConfig)[section])[field]
+    return (get_args(typ) or (typ,))[0]  # K: int | None takes ints
+
+
 def sweep_point_config(base: RunConfig, axis: str, value, index: int) -> RunConfig:
     """The config of one sweep point: axis applied, child seed, own subdir.
 
@@ -475,39 +423,23 @@ def sweep_point_config(base: RunConfig, axis: str, value, index: int) -> RunConf
     as given.
     """
     if axis not in SWEEP_AXES:
-        raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
-    v = _coerce(f"sweep {axis} value", value, SWEEP_AXIS_TYPES[axis])
-    cfg = base
-    if axis == "sigma_g_scale":
-        spreads = {
-            key: _coerce(f"federation.{key}", getattr(base.federation, key) * v, float)
+        raise ConfigError(f"sweep axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
+    v = _coerce(f"sweep {axis} value", value, sweep_axis_type(axis))
+    section, field = SWEEP_AXES[axis]
+    part = getattr(base, section)
+    if field is None:
+        edit = {
+            key: _coerce(f"federation.{key}", getattr(part, key) * v, float)
             for key in ("cluster_center_spread", "within_cluster_spread")
         }
-        cfg = replace(base, federation=replace(base.federation, **spreads))
-    elif axis == "M":
-        cfg = replace(base, hyper=replace(base.hyper, M=v))
-    elif axis == "eta_c":
-        cfg = replace(base, hyper=replace(base.hyper, eta_c=v))
-    elif axis == "eta_s":
-        cfg = replace(base, hyper=replace(base.hyper, eta_s=v))
-    elif axis == "tau":
-        cfg = replace(base, hyper=replace(base.hyper, tau=v))
-    elif axis == "K":
-        cfg = replace(base, algo=replace(base.algo, K=v))
-    elif axis == "algo":
-        name = v.lower()
-        if name not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {name!r} in sweep values")
-        cfg = replace(base, algo=replace(base.algo, name=name))
-    subdir = Path(base.output_dir) / f"point{index:02d}_{axis}"
-    cfg = replace(
-        cfg,
+    else:
+        edit = {field: v}
+    return replace(
+        base,
+        **{section: replace(part, **edit)},
         seed=derive_sweep_seed(base.seed, axis, value),
-        output_dir=str(subdir),
+        output_dir=str(Path(base.output_dir) / f"point{index:02d}_{axis}"),
     )
-    cfg.hyper_params()  # revalidate after the axis edit
-    _check_cluster_count(cfg.algo.name, cfg.algo.K, cfg.federation.N)
-    return cfg
 
 
 @dataclass
@@ -540,6 +472,8 @@ def sweep(
                 realized[cfg.federation] = _realize(cfg)
             except ConfigError as exc:
                 raise ConfigError(f"sweep point {axis}={value!r}: {exc}") from exc
+    if write_artifacts:
+        out = _make_output_dir(base.output_dir)
     results = []
     rows = []
     for cfg, value in zip(cfgs, values):
@@ -565,8 +499,6 @@ def sweep(
         )
     summary_path = None
     if write_artifacts:
-        out = Path(base.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
         summary_path = out / "sweep_summary.csv"
         cols = list(rows[0])
         with open(summary_path, "w", encoding="utf-8", newline="") as fh:
@@ -699,13 +631,11 @@ def _verify_saga(seed: int) -> VerifyCheck:
     picks = [int(rng.integers(N)) for _ in range(steps)]
     ref = saga_trajectory(1.0, mus, 0.0, lr, picks)
     state = init_state(FEDVARP, np.zeros(1), N)
-    h = HyperParams(eta_c=lr, eta_s=1.0, tau=1, T=steps, M=1, N=N)
-    eta_tilde = effective_server_lr(h)
-    cfg = LocalRunConfig(tau=1, eta_c=lr)
+    eta_tilde = effective_server_lr(HyperConfig(eta_c=lr, eta_s=1.0, tau=1, T=steps, M=1))
     ok = True
     for t, j in enumerate(picks):
         plan = RoundPlan(round=t, participants=(j,))
-        block = local_sgd(fed, plan.participants, state.w, cfg)
+        block = local_sgd(fed, plan.participants, state.w, 1, lr)
         fedvarp_like = aggregator_step(state, plan, block, eta_tilde)
         ok = ok and fedvarp_like.tobytes() == np.array([ref[t + 1]]).tobytes()
     return VerifyCheck("single-participant path reproduces reference SAGA bitwise", ok, f"{steps} steps")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,25 +34,12 @@ SPLIT_MIN_WORK = 300_000
 NOISE_WORK_WEIGHT = 2
 
 
-@dataclass(frozen=True)
-class LocalRunConfig:
-    """Local steps and client learning rate."""
-
-    tau: int
-    eta_c: float
-
-    def __post_init__(self):
-        if self.tau < 1:
-            raise ConfigError(f"tau must be >= 1, got {self.tau}")
-        if not self.eta_c > 0:
-            raise ConfigError(f"eta_c must be > 0, got {self.eta_c}")
-
-
 def local_sgd(
     fed: Federation,
     participants,
     w: np.ndarray,
-    cfg: LocalRunConfig,
+    tau: int,
+    eta_c: float,
     rngs=(),
 ) -> np.ndarray:
     """Run tau local SGD steps from w for each participant; return the (M, d) updates.
@@ -73,6 +59,10 @@ def local_sgd(
     non-finite step of the lowest row that diverges, which is the step
     that training the participants one after another in row order reports.
     """
+    if tau < 1:
+        raise ConfigError(f"tau must be >= 1, got {tau}")
+    if not eta_c > 0:
+        raise ConfigError(f"eta_c must be > 0, got {eta_c}")
     w = as_model_vector(w, fed.d)
     mus = fed.mus[np.asarray(participants, dtype=np.intp)]
     M = mus.shape[0]
@@ -80,33 +70,33 @@ def local_sgd(
     if noisy and len(rngs) != M:
         raise ConfigError(f"need one generator per participant, got {len(rngs)} for {M}")
     slabs = min(M, WORKERS)
-    work = M * cfg.tau * fed.d * (NOISE_WORK_WEIGHT if noisy else 1)
+    work = M * tau * fed.d * (NOISE_WORK_WEIGHT if noisy else 1)
     if slabs < 2 or work < SPLIT_MIN_WORK or (noisy and len(set(map(id, rngs))) < M):
-        return _train_rows(fed, mus, w, cfg, rngs if noisy else None)
-    return _train_slabs(fed, mus, w, cfg, rngs if noisy else None, slabs)
+        return _train_rows(fed, mus, w, tau, eta_c, rngs if noisy else None)
+    return _train_slabs(fed, mus, w, tau, eta_c, rngs if noisy else None, slabs)
 
 
-def _train_rows(fed, mus, w, cfg, rngs, out=None):
+def _train_rows(fed, mus, w, tau, eta_c, rngs, out=None):
     """tau steps for the rows of mus; returns their updates, written to out if given."""
     M = mus.shape[0]
     noise = None
     if rngs is not None:
-        noise = np.empty((M, cfg.tau, fed.d))
+        noise = np.empty((M, tau, fed.d))
         for m, rng in enumerate(rngs):
             fed.draw_noise(rng, noise[m])
-    step_scale = cfg.eta_c * cfg.tau
+    step_scale = eta_c * tau
     grad_sum = np.zeros_like(mus)
     w_k = w
     first_bad = None  # per row: first non-finite step, -1 while finite
     # Overflow here is a reportable divergence, not a warning condition.
     # The error state is per thread, so each slab sets its own.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(cfg.tau):
+        for k in range(tau):
             g = fed.eigs * (w_k - mus)
             if noise is not None:
                 g = g + noise[:, k]
             grad_sum = grad_sum + g
-            w_k = w - step_scale * (grad_sum / cfg.tau)
+            w_k = w - step_scale * (grad_sum / tau)
             if not np.all(np.isfinite(w_k)):
                 if first_bad is None:
                     first_bad = np.full(M, -1)
@@ -114,10 +104,10 @@ def _train_rows(fed, mus, w, cfg, rngs, out=None):
                 first_bad[bad & (first_bad < 0)] = k
     if first_bad is not None:
         raise DivergenceError(step=int(first_bad[first_bad >= 0][0]))
-    return np.divide(grad_sum, cfg.tau, out=out)
+    return np.divide(grad_sum, tau, out=out)
 
 
-def _train_slabs(fed, mus, w, cfg, rngs, slabs):
+def _train_slabs(fed, mus, w, tau, eta_c, rngs, slabs):
     """_train_rows on contiguous row slabs, slab 0 in this thread and one thread per other slab.
 
     Returns the (M, d) updates. Every thread is joined before this returns
@@ -132,7 +122,8 @@ def _train_slabs(fed, mus, w, cfg, rngs, slabs):
     def train(s):
         lo, hi = bounds[s], bounds[s + 1]
         try:
-            _train_rows(fed, mus[lo:hi], w, cfg, None if rngs is None else rngs[lo:hi], delta[lo:hi])
+            streams = None if rngs is None else rngs[lo:hi]
+            _train_rows(fed, mus[lo:hi], w, tau, eta_c, streams, delta[lo:hi])
         except BaseException as exc:  # re-raised by the calling thread below
             errors[s] = exc
 

@@ -15,7 +15,7 @@ expected squared noise norm equals noise_sigma^2 exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,22 +72,26 @@ class Federation:
 
 
 @dataclass(frozen=True)
-class FederationSpec:
-    """Realized generator description for a population of N clients.
+class FederationConfig:
+    """Generator knobs for the synthetic federation: the JSON `federation` section.
 
-    cluster_centers holds K_true center vectors; client i belongs to
-    generator cluster i // (N / K_true) and sits at the center plus a
-    seeded offset of norm at most within_cluster_spread.
+    K_true equal-size generator clusters (K_true | N): client i belongs
+    to cluster i // (N / K_true) and sits at its center plus a seeded
+    offset of norm at most within_cluster_spread. Centers are
+    standard-normal draws scaled by cluster_center_spread/sqrt(d)
+    (expected squared norm = spread^2); the Hessian eigenvalues are
+    evenly spaced over [hessian_eig_min, hessian_eig_max].
     """
 
     N: int
     d: int
     K_true: int
-    cluster_centers: tuple = ()
-    within_cluster_spread: float = 0.0
-    noise_sigma: float = 0.0
-    hessian_eigs: np.ndarray = field(default_factory=lambda: np.ones(1))
-    seed: int = 0
+    cluster_center_spread: float
+    within_cluster_spread: float
+    noise_sigma: float
+    hessian_eig_min: float
+    hessian_eig_max: float
+    seed: int
 
     def __post_init__(self):
         if self.N < 1 or self.d < 1:
@@ -98,51 +102,14 @@ class FederationSpec:
             raise ConfigError(
                 f"equal-size generator clusters need K_true | N, got N={self.N} K_true={self.K_true}"
             )
-        if len(self.cluster_centers) != self.K_true:
-            raise ConfigError(
-                f"expected {self.K_true} cluster centers, got {len(self.cluster_centers)}"
-            )
-        if self.within_cluster_spread < 0 or self.noise_sigma < 0:
+        if min(self.cluster_center_spread, self.within_cluster_spread, self.noise_sigma) < 0:
             raise ConfigError("spreads and noise_sigma must be nonnegative")
-        if self.hessian_eigs.shape != (self.d,):
-            raise DimensionError("hessian_eigs must have length d")
-
-
-def make_federation_spec(
-    N: int,
-    d: int,
-    K_true: int,
-    cluster_center_spread: float,
-    within_cluster_spread: float,
-    noise_sigma: float,
-    hessian_eig_min: float,
-    hessian_eig_max: float,
-    seed: int,
-) -> FederationSpec:
-    """Realize a spec from scalar generator knobs.
-
-    Centers are standard-normal draws scaled by cluster_center_spread/sqrt(d)
-    (expected squared norm = spread^2); eigenvalues are evenly spaced over
-    [hessian_eig_min, hessian_eig_max].
-    """
-    if cluster_center_spread < 0:
-        raise ConfigError("cluster_center_spread must be nonnegative")
-    if not 0 <= hessian_eig_min <= hessian_eig_max:
-        raise ConfigError("need 0 <= hessian_eig_min <= hessian_eig_max")
-    gen = substream(seed, TAG_CENTERS)
-    scale = cluster_center_spread / np.sqrt(d)
-    centers = tuple(scale * gen.standard_normal(d) for _ in range(K_true))
-    eigs = np.linspace(hessian_eig_min, hessian_eig_max, d)
-    return FederationSpec(
-        N=N,
-        d=d,
-        K_true=K_true,
-        cluster_centers=centers,
-        within_cluster_spread=within_cluster_spread,
-        noise_sigma=noise_sigma,
-        hessian_eigs=eigs,
-        seed=seed,
-    )
+        if not 0 <= self.hessian_eig_min <= self.hessian_eig_max:
+            raise ConfigError("need 0 <= hessian_eig_min <= hessian_eig_max")
+        if not self.hessian_eig_max > 0:
+            raise ConfigError(f"hessian_eig_max must be > 0, got {self.hessian_eig_max}")
+        if self.seed < 0:
+            raise ConfigError(f"federation.seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -162,16 +129,18 @@ def generator_assignment(N: int, K_true: int) -> np.ndarray:
     return np.arange(N) // r
 
 
-def generate_federation(spec: FederationSpec) -> tuple[Federation, FederationConstants]:
+def generate_federation(cfg: FederationConfig) -> tuple[Federation, FederationConstants]:
     """Build the federation arrays and their exact constants, deterministically in the seed."""
-    assign = generator_assignment(spec.N, spec.K_true)
-    s = spec.within_cluster_spread
-    half_width = s / np.sqrt(spec.d)  # box offsets keep ||delta|| <= s
-    mus = np.empty((spec.N, spec.d))
-    for i in range(spec.N):
-        offset = substream(spec.seed, TAG_OFFSETS, i).uniform(-half_width, half_width, spec.d)
-        mus[i] = spec.cluster_centers[assign[i]] + offset
-    fed = Federation(eigs=spec.hessian_eigs, mus=mus, noise_sigma=spec.noise_sigma)
+    scale = cfg.cluster_center_spread / np.sqrt(cfg.d)
+    centers = scale * substream(cfg.seed, TAG_CENTERS).standard_normal((cfg.K_true, cfg.d))
+    assign = generator_assignment(cfg.N, cfg.K_true)
+    half_width = cfg.within_cluster_spread / np.sqrt(cfg.d)  # box offsets keep ||offset|| <= spread
+    mus = np.empty((cfg.N, cfg.d))
+    for i in range(cfg.N):
+        offset = substream(cfg.seed, TAG_OFFSETS, i).uniform(-half_width, half_width, cfg.d)
+        mus[i] = centers[assign[i]] + offset
+    eigs = np.linspace(cfg.hessian_eig_min, cfg.hessian_eig_max, cfg.d)
+    fed = Federation(eigs=eigs, mus=mus, noise_sigma=cfg.noise_sigma)
     return fed, federation_constants(fed, assign)
 
 

@@ -1,4 +1,5 @@
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,19 @@ from fedvarp_sim.harness import AlgoConfig, FederationConfig, HyperConfig, RunCo
 from fedvarp_sim.objectives import Federation
 
 pytest_plugins = ["pytester"]
+
+# Reporting a falsifying example makes hypothesis import libcst, which
+# warns on import. A command-line -W error overrides the ini filter for
+# that warning, and the warning would then crash the session, so libcst
+# is imported here with only that warning ignored.
+with warnings.catch_warnings():
+    warnings.filterwarnings(
+        "ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning
+    )
+    try:
+        import libcst  # noqa: F401
+    except ImportError:
+        pass
 
 
 def make_federation(mus, eigs, sigma=0.0):

@@ -17,7 +17,7 @@ from fedvarp_sim.core import (
     CLUSTERFEDVARP,
     FEDAVG,
     FEDVARP,
-    HyperParams,
+    HyperConfig,
     effective_server_lr,
     lr_precondition_report,
 )
@@ -30,7 +30,7 @@ from fedvarp_sim.harness import (
     run,
     sweep,
 )
-from fedvarp_sim.localsgd import LocalRunConfig, local_sgd
+from fedvarp_sim.localsgd import local_sgd
 from fedvarp_sim.reference_saga import saga_trajectory
 from fedvarp_sim.rng import substream
 from fedvarp_sim.sampling import RoundPlan, enumerate_subsets, without_replacement_variance
@@ -196,9 +196,8 @@ def test_a3_variance_elimination():
         M=M,
         algo=FEDVARP,
     )
-    h = base.hyper_params()
     for algo in (FEDAVG, FEDVARP):
-        assert all(c.satisfied for c in lr_precondition_report(h, L, algo))
+        assert all(c.satisfied for c in lr_precondition_report(base.hyper, N, L, algo))
     varp = run(base, write_artifacts=False)
     avg = run(replace(base, algo=AlgoConfig(FEDAVG)), write_artifacts=False)
     assert varp.manifest["constants"]["sigma_g_sq"] > 0
@@ -290,13 +289,11 @@ def test_a7_saga_equivalence():
     picks = [int(rng.integers(N)) for _ in range(steps)]
     reference = saga_trajectory(1.0, mus, 0.0, lr, picks)
 
-    h = HyperParams(eta_c=lr, eta_s=1.0, tau=1, T=steps, M=1, N=N)
-    eta_tilde = effective_server_lr(h)
-    local_cfg = LocalRunConfig(tau=1, eta_c=lr)
+    eta_tilde = effective_server_lr(HyperConfig(eta_c=lr, eta_s=1.0, tau=1, T=steps, M=1))
     state = init_state(FEDVARP, np.zeros(1), N)
     for t, j in enumerate(picks):
         plan = RoundPlan(round=t, participants=(j,))
-        block = local_sgd(fed, plan.participants, state.w, local_cfg)
+        block = local_sgd(fed, plan.participants, state.w, 1, lr)
         w = aggregator_step(state, plan, block, eta_tilde)
         assert w.tobytes() == np.array([reference[t + 1]]).tobytes(), f"diverged at step {t}"
 
@@ -379,8 +376,7 @@ def test_a9_gradient_oracle():
     exact = noisy.grads_and_losses(w)[0][0]
     n = 100_000
     stream = substream(899, 0)
-    one_step = LocalRunConfig(tau=1, eta_c=0.1)
-    draws = local_sgd(noisy, np.zeros(n, dtype=int), w, one_step, [stream] * n)
+    draws = local_sgd(noisy, np.zeros(n, dtype=int), w, 1, 0.1, [stream] * n)
     assert np.all(np.abs(draws.mean(axis=0) - exact) < 0.02)
     noise_sq = np.sum((draws - exact) ** 2, axis=1)
     assert abs(noise_sq.mean() - 1.0) < 0.03

@@ -22,10 +22,10 @@ from fedvarp_sim.core import (
     MIFA,
     ConfigError,
     DimensionError,
-    HyperParams,
+    HyperConfig,
     effective_server_lr,
 )
-from fedvarp_sim.localsgd import LocalRunConfig, local_sgd
+from fedvarp_sim.localsgd import local_sgd
 from fedvarp_sim.objectives import global_grad_and_loss
 from fedvarp_sim.sampling import RoundPlan, enumerate_subsets
 
@@ -54,10 +54,9 @@ def test_fedavg_full_participation_is_gradient_descent():
     rng = np.random.default_rng(60)
     fed = make_federation(rng.normal(size=(5, 3)), rng.uniform(0.5, 1.5, size=3))
     w0 = rng.normal(size=3)
-    h = HyperParams(eta_c=0.08, eta_s=1.25, tau=1, T=1, M=5, N=5)
-    cfg = LocalRunConfig(tau=1, eta_c=h.eta_c)
+    h = HyperConfig(eta_c=0.08, eta_s=1.25, tau=1, T=1, M=5)
     plan = RoundPlan(round=0, participants=tuple(range(5)))
-    block = local_sgd(fed, plan.participants, w0, cfg)
+    block = local_sgd(fed, plan.participants, w0, h.tau, h.eta_c)
     state = init_state(FEDAVG, w0, N=5)
     w1 = fedavg_step(state, plan, block, effective_server_lr(h))
     g, _ = global_grad_and_loss(fed, w0)
@@ -337,9 +336,3 @@ def test_miss_probability_matches_enumeration():
     missing = sum(1 for p in plans if not cluster & set(p.participants))
     assert cluster_miss_probability(N, r, M) == pytest.approx(missing / len(plans), rel=1e-15)
 
-
-def test_rounds_increment():
-    state = init_state(FEDAVG, np.zeros(1), N=3)
-    for t in range(5):
-        fedavg_step(state, *updates(t, {0: [1.0]}), 0.01)
-    assert state.round == 5

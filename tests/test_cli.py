@@ -151,3 +151,53 @@ def test_sweep_with_overflowing_initial_point_exits_two_before_any_point(
     err = capsys.readouterr().err
     assert "sweep point sigma_g_scale=1e+160" in err and "initial point" in err
     assert not (tmp_path / "artifacts").exists()
+
+
+def tree(root):
+    """Every path under root, with the bytes of each file."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_unreadable_config_exits_two(tmp_path, capsys, kind):
+    path = tmp_path / "config.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"output_dir": "\xff"}')
+    before = tree(tmp_path)
+    assert main(["run", "--config", str(path)]) == 2
+    assert f"configuration error: cannot read config file {path}" in capsys.readouterr().err
+    assert tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("where", ["is_file", "under_file"])
+@pytest.mark.parametrize(
+    "command", [["run"], ["sweep", "--axis", "eta_c", "--values", "0.01,0.02"]], ids=["run", "sweep"]
+)
+def test_output_dir_blocked_by_a_file_exits_two(config_file, tmp_path, capsys, command, where):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    out = blocker if where == "is_file" else blocker / "run"
+    before = tree(tmp_path)
+    args = [command[0], "--config", str(config_file), "--set", f"output_dir={out}", *command[1:]]
+    assert main(args) == 2
+    assert f"configuration error: cannot create output directory {out}" in capsys.readouterr().err
+    assert tree(tmp_path) == before
+
+
+def test_zero_hessian_exits_two(config_file, tmp_path, capsys):
+    zero = ["--set", "federation.hessian_eig_min=0", "--set", "federation.hessian_eig_max=0"]
+    assert main(["run", "--config", str(config_file), *zero]) == 2
+    assert "configuration error: hessian_eig_max must be > 0" in capsys.readouterr().err
+    assert not (tmp_path / "artifacts").exists()
+
+
+def test_sweep_point_echoes_the_algo_config_run_would(config_file, tmp_path):
+    assert main(["sweep", "--config", str(config_file), "--axis", "algo", "--values", "mifa"]) == 0
+    direct = ["--set", "algo.name=mifa", "--set", f"output_dir={tmp_path / 'direct'}"]
+    assert main(["run", "--config", str(config_file), *direct]) == 0
+    swept = json.loads((tmp_path / "artifacts" / "point00_algo" / "manifest.json").read_text())
+    ran = json.loads((tmp_path / "direct" / "manifest.json").read_text())
+    assert swept["config"]["algo"] == ran["config"]["algo"]
+    assert ran["config"]["algo"] == {"name": "mifa", "K": None, "mifa_mode": "cold_start"}

@@ -7,14 +7,14 @@ from fedvarp_sim.core import (
     FEDVARP,
     MIFA,
     ConfigError,
-    HyperParams,
+    HyperConfig,
     effective_server_lr,
     lr_precondition_report,
 )
 
 
-def _hp(eta_c, eta_s, tau, M=1, N=1, T=10):
-    return HyperParams(eta_c=eta_c, eta_s=eta_s, tau=tau, T=T, M=M, N=N)
+def _hp(eta_c, eta_s, tau, M=1, T=10):
+    return HyperConfig(eta_c=eta_c, eta_s=eta_s, tau=tau, T=T, M=M)
 
 
 @pytest.mark.parametrize(
@@ -33,17 +33,24 @@ def test_effective_server_lr_full_precision():
         assert effective_server_lr(_hp(eta_c, eta_s, tau)) == eta_s * eta_c * tau
 
 
-def test_hyperparams_validation():
+def test_hyperparams_validation(small_config):
     with pytest.raises(ConfigError):
         _hp(0.0, 1.0, 1)
     with pytest.raises(ConfigError):
+        _hp(0.1, 0.0, 1)
+    with pytest.raises(ConfigError):
         _hp(0.1, 1.0, 0)
     with pytest.raises(ConfigError):
-        HyperParams(eta_c=0.1, eta_s=1.0, tau=1, T=1, M=3, N=2)
+        _hp(0.1, 1.0, 1, T=-1)
+    with pytest.raises(ConfigError):
+        _hp(0.1, 1.0, 1, M=0)
+    # M <= N spans two sections, so the run config checks it.
+    with pytest.raises(ConfigError, match="M <= N"):
+        small_config(N=2, K_true=1, M=3)
 
 
 def test_fedavg_bounds_hand_case():
-    report = lr_precondition_report(_hp(0.01, 1.0, 4), L=1.0, algo=FEDAVG)
+    report = lr_precondition_report(_hp(0.01, 1.0, 4), N=1, L=1.0, algo=FEDAVG)
     by_name = {c.quantity: c for c in report}
     assert by_name["eta_c"].bound == pytest.approx(1 / 32)
     assert by_name["eta_s_eta_c"].bound == pytest.approx(1 / 96)
@@ -51,7 +58,7 @@ def test_fedavg_bounds_hand_case():
 
 
 def test_fedvarp_bound_is_min_of_three():
-    report = lr_precondition_report(_hp(0.01, 1.0, 1, M=1, N=1), L=1.0, algo=FEDVARP)
+    report = lr_precondition_report(_hp(0.01, 1.0, 1, M=1), N=1, L=1.0, algo=FEDVARP)
     by_name = {c.quantity: c for c in report}
     # min{1/8, 5/48, 1/4} = 5/48
     assert by_name["eta_s_eta_c"].bound == pytest.approx(5 / 48)
@@ -59,9 +66,9 @@ def test_fedvarp_bound_is_min_of_three():
 
 def test_clusterfedvarp_bound_needs_p():
     with pytest.raises(ConfigError):
-        lr_precondition_report(_hp(0.01, 1.0, 1, M=2, N=4), L=1.0, algo=CLUSTERFEDVARP)
+        lr_precondition_report(_hp(0.01, 1.0, 1, M=2), N=4, L=1.0, algo=CLUSTERFEDVARP)
     report = lr_precondition_report(
-        _hp(0.01, 1.0, 1, M=2, N=4), L=1.0, algo=CLUSTERFEDVARP, p=1 / 6
+        _hp(0.01, 1.0, 1, M=2), N=4, L=1.0, algo=CLUSTERFEDVARP, p=1 / 6
     )
     by_name = {c.quantity: c for c in report}
     expected = min(np.sqrt(2) * (1 - 1 / 6) / 8, 2 / 16, 1 / 4)
@@ -69,12 +76,12 @@ def test_clusterfedvarp_bound_needs_p():
 
 
 def test_mifa_has_no_bounds():
-    assert lr_precondition_report(_hp(0.01, 1.0, 1), L=1.0, algo=MIFA) == []
+    assert lr_precondition_report(_hp(0.01, 1.0, 1), N=1, L=1.0, algo=MIFA) == []
 
 
 def test_invalid_smoothness_rejected():
     with pytest.raises(ValueError):
-        lr_precondition_report(_hp(0.01, 1.0, 1), L=0.0, algo=FEDAVG)
+        lr_precondition_report(_hp(0.01, 1.0, 1), N=1, L=0.0, algo=FEDAVG)
 
 
 def test_report_monotone_in_rates():
@@ -87,9 +94,9 @@ def test_report_monotone_in_rates():
         N = int(rng.integers(M, 12))
         L = float(rng.uniform(0.2, 4.0))
         algo = [FEDAVG, FEDVARP][int(rng.integers(2))]
-        before = lr_precondition_report(_hp(eta_c, eta_s, tau, M, N), L, algo)
+        before = lr_precondition_report(_hp(eta_c, eta_s, tau, M), N, L, algo)
         shrink = float(rng.uniform(0.1, 1.0))
-        after = lr_precondition_report(_hp(eta_c * shrink, eta_s * shrink, tau, M, N), L, algo)
+        after = lr_precondition_report(_hp(eta_c * shrink, eta_s * shrink, tau, M), N, L, algo)
         for b, a in zip(before, after):
             if b.satisfied:
                 assert a.satisfied

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from fedvarp_sim.harness import (
     sweep_point_config,
     verify,
 )
-from fedvarp_sim.localsgd import LocalRunConfig, local_sgd
-from fedvarp_sim.objectives import generate_federation, make_federation_spec
+from fedvarp_sim.localsgd import local_sgd
+from fedvarp_sim.objectives import FederationConfig, generate_federation
 from fedvarp_sim.rng import TAG_LOCAL, TAG_SAMPLING, substream
 from fedvarp_sim.sampling import enumerate_subsets, sample_round, without_replacement_variance
 
@@ -60,7 +61,7 @@ def test_parse_round_trip(tmp_path):
     assert cfg.federation.N == 8
     assert cfg.hyper.M == 3
     assert cfg.algo.name == "fedavg"
-    assert cfg.as_dict()["hyper"]["tau"] == 2
+    assert asdict(cfg) == raw_config(tmp_path)
 
 
 def test_unknown_top_level_key_rejected(tmp_path):
@@ -105,6 +106,21 @@ def test_mifa_mode_defaults_and_validates(tmp_path):
     assert cfg.algo.mifa_mode == "cold_start"
     with pytest.raises(ConfigError):
         parse_config(raw_config(tmp_path, **{"algo.name": "mifa", "algo.mifa_mode": "warm"}))
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        ({"hyper.M": 9}, "M <= N"),
+        ({"algo.name": "clusterfedvarp", "algo.K": 9}, "1 <= K <= N"),
+        ({"log_every": 0}, "log_every"),
+        ({"seed": -1}, "seed"),
+        ({"federation.seed": -1}, "federation.seed"),
+    ],
+)
+def test_out_of_range_values_rejected(tmp_path, edit, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(raw_config(tmp_path, **edit))
 
 
 def test_load_config_missing_file(tmp_path):
@@ -209,8 +225,7 @@ def test_noisy_run_builds_and_draws_one_stream_per_participant_round(small_confi
 
 
 def _round_block(fed, w, seed, t, order):
-    cfg = LocalRunConfig(tau=2, eta_c=0.05)
-    return local_sgd(fed, order, w, cfg, [substream(seed, TAG_LOCAL, t, i) for i in order])
+    return local_sgd(fed, order, w, 2, 0.05, [substream(seed, TAG_LOCAL, t, i) for i in order])
 
 
 def test_participant_order_does_not_change_step():
@@ -218,18 +233,19 @@ def test_participant_order_does_not_change_step():
     # flipping the rows back to plan order, must give the same bits as
     # training them in plan order, round after round.
     N, d, seed = 8, 3, 4242
-    spec = make_federation_spec(
-        N=N,
-        d=d,
-        K_true=4,
-        cluster_center_spread=1.0,
-        within_cluster_spread=0.1,
-        noise_sigma=0.4,
-        hessian_eig_min=0.5,
-        hessian_eig_max=1.0,
-        seed=11,
+    fed, _ = generate_federation(
+        FederationConfig(
+            N=N,
+            d=d,
+            K_true=4,
+            cluster_center_spread=1.0,
+            within_cluster_spread=0.1,
+            noise_sigma=0.4,
+            hessian_eig_min=0.5,
+            hessian_eig_max=1.0,
+            seed=11,
+        )
     )
-    fed, _ = generate_federation(spec)
     for algo in ALGORITHMS:
         K, assignment = (3, np.arange(N) % 3) if algo == CLUSTERFEDVARP else (None, None)
         ascending = init_state(algo, np.zeros(d), N, K, assignment)
@@ -323,9 +339,9 @@ def test_sweep_checks_every_cluster_count_before_the_first_runs(small_config, tm
 def test_sweep_builds_each_federation_once(small_config, tmp_path, monkeypatch):
     built = []
 
-    def counting(spec):
-        built.append(spec)
-        return generate_federation(spec)
+    def counting(cfg):
+        built.append(cfg)
+        return generate_federation(cfg)
 
     monkeypatch.setattr(harness, "generate_federation", counting)
     base = small_config(T=5, output_dir=tmp_path / "sw")
@@ -358,18 +374,7 @@ def test_mifa_cold_start_differs_from_full_first(small_config):
 def test_manifest_constants_match_closed_forms(small_config):
     cfg = small_config(T=0)
     result = run(cfg, write_artifacts=False)
-    spec = make_federation_spec(
-        N=8,
-        d=3,
-        K_true=4,
-        cluster_center_spread=1.0,
-        within_cluster_spread=0.1,
-        noise_sigma=0.0,
-        hessian_eig_min=0.5,
-        hessian_eig_max=1.0,
-        seed=11,
-    )
-    _, consts = generate_federation(spec)
+    _, consts = generate_federation(cfg.federation)
     man = result.manifest["constants"]
     assert man["L"] == consts.L
     assert man["sigma_g_sq"] == consts.sigma_g_sq
@@ -481,8 +486,7 @@ def test_fedavg_floor_matches_stationary_prediction(small_config):
         T=4000,
     )
     result = run(cfg, write_artifacts=False)
-    spec = make_federation_spec(20, 3, 20, 1.0, 0.0, 0.0, 0.5, 1.0, seed=11)
-    fed, consts = generate_federation(spec)
+    fed, consts = generate_federation(cfg.federation)
     eigs = fed.eigs
     gaps = eigs * (consts.w_star - fed.mus)  # N x d, constant in w
     eta = (1 / 3) * (1 / 8) * 1

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import make_federation
 from fedvarp_sim import localsgd
-from fedvarp_sim.core import DivergenceError
-from fedvarp_sim.localsgd import LocalRunConfig, local_sgd
+from fedvarp_sim.core import ConfigError, DivergenceError
+from fedvarp_sim.localsgd import local_sgd
 from fedvarp_sim.rng import substream
 
 
@@ -42,14 +42,14 @@ def forced_split(workers=2):
 def test_single_noiseless_step_returns_gradient_bitwise():
     fed = make_federation([[0.3, -1.7]], [0.8, 1.3])
     w = np.array([2.0, 0.5])
-    (delta,) = local_sgd(fed, (0,), w, LocalRunConfig(tau=1, eta_c=0.05))
+    (delta,) = local_sgd(fed, (0,), w, 1, 0.05)
     assert delta.tobytes() == gradient(fed, 0, w).tobytes()
 
 
 def test_two_step_hand_recursion():
     fed = make_federation([[2.0]], [1.0])
     w = np.array([0.0])
-    delta = local_sgd(fed, (0,), w, LocalRunConfig(tau=2, eta_c=0.5))
+    delta = local_sgd(fed, (0,), w, 2, 0.5)
     assert delta[0, 0] == -1.5  # iterates 0 -> 1 -> 1.5, and (0 - 1.5) / (0.5 * 2)
     assert (w - (0.5 * 2) * delta[0])[0] == 1.5  # the server step lands on the final iterate
     assert w[0] == 0.0  # input untouched
@@ -58,7 +58,7 @@ def test_two_step_hand_recursion():
 def test_fixed_point_returns_zero_update():
     fed = make_federation([[1.0, -2.0, 0.5]], [1.0, 0.7, 0.2])
     for tau in (1, 3, 7):
-        delta = local_sgd(fed, (0,), fed.mus[0], LocalRunConfig(tau=tau, eta_c=0.1))
+        delta = local_sgd(fed, (0,), fed.mus[0], tau, 0.1)
         assert np.array_equal(delta, np.zeros((1, 3)))
 
 
@@ -72,8 +72,7 @@ def test_server_step_reproduces_final_iterate_bitwise():
         w = rng.normal(size=4)
         eta_c = float(rng.uniform(0.01, 0.2))
         stream_key = int(rng.integers(1 << 30))
-        cfg = LocalRunConfig(tau=tau, eta_c=eta_c)
-        delta = local_sgd(fed, (0,), w, cfg, [substream(stream_key, 0)])
+        delta = local_sgd(fed, (0,), w, tau, eta_c, [substream(stream_key, 0)])
         stream = substream(stream_key, 0)
         _, w_final = reference_local_sgd(eigs, fed.mus[0], w, tau, eta_c, 0.4, stream)
         eta_tilde = (1.0 * eta_c) * tau
@@ -84,10 +83,9 @@ def test_server_step_reproduces_final_iterate_bitwise():
 def test_determinism_in_stream_key():
     fed = make_federation([[0.0, 0.0]], [1.0, 1.0], sigma=0.5)
     w = np.array([1.0, -1.0])
-    cfg = LocalRunConfig(tau=4, eta_c=0.05)
-    a = local_sgd(fed, (0,), w, cfg, [substream(7, 3, 5)])
-    b = local_sgd(fed, (0,), w, cfg, [substream(7, 3, 5)])
-    c = local_sgd(fed, (0,), w, cfg, [substream(7, 3, 6)])
+    a = local_sgd(fed, (0,), w, 4, 0.05, [substream(7, 3, 5)])
+    b = local_sgd(fed, (0,), w, 4, 0.05, [substream(7, 3, 5)])
+    c = local_sgd(fed, (0,), w, 4, 0.05, [substream(7, 3, 6)])
     assert a.tobytes() == b.tobytes()
     assert a.tobytes() != c.tobytes()
 
@@ -100,7 +98,7 @@ def test_noiseless_contraction():
     for eta_c in (0.1 / L, 0.9 / L, 1.9 / L):
         for tau in (1, 2, 6):
             w = rng.normal(size=3)
-            (delta,) = local_sgd(fed, (0,), w, LocalRunConfig(tau=tau, eta_c=eta_c))
+            (delta,) = local_sgd(fed, (0,), w, tau, eta_c)
             _, w_final = reference_local_sgd(eigs, fed.mus[0], w, tau, eta_c, 0.0, None)
             assert (w - (eta_c * tau) * delta).tobytes() == w_final.tobytes()
             assert np.linalg.norm(w_final - fed.mus[0]) <= np.linalg.norm(w - fed.mus[0]) * (
@@ -111,7 +109,7 @@ def test_noiseless_contraction():
 def test_divergence_raises_with_step_index():
     fed = make_federation([[0.0]], [1.0])
     with pytest.raises(DivergenceError) as err:
-        local_sgd(fed, (0,), np.array([1.0]), LocalRunConfig(tau=500, eta_c=1e200))
+        local_sgd(fed, (0,), np.array([1.0]), 500, 1e200)
     assert err.value.step >= 0
     assert err.value.step < 500
 
@@ -122,21 +120,20 @@ def test_divergence_step_is_that_of_the_first_diverging_row():
     # client 1, starting 1 away. Trained one after another, client 0 is
     # the first to raise, with its own (later) step.
     fed = make_federation([[1e-300], [1.0]], [1.0])
-    cfg = LocalRunConfig(tau=50, eta_c=1e100)
     w = np.array([0.0])
     steps = []
     for i in (0, 1):
         with pytest.raises(DivergenceError) as alone:
-            local_sgd(fed, (i,), w, cfg)
+            local_sgd(fed, (i,), w, 50, 1e100)
         steps.append(alone.value.step)
     assert steps[0] > steps[1]
     with pytest.raises(DivergenceError) as err:
-        local_sgd(fed, (0, 1), w, cfg)
+        local_sgd(fed, (0, 1), w, 50, 1e100)
     assert err.value.step == steps[0]
     # Split into slabs, client 0 is slab 0 and client 1 diverges first in
     # slab 1; the lower row's step is still the one reported.
     with forced_split(), pytest.raises(DivergenceError) as err:
-        local_sgd(fed, (0, 1), w, cfg)
+        local_sgd(fed, (0, 1), w, 50, 1e100)
     assert err.value.step == steps[0]
 
 
@@ -145,12 +142,11 @@ def test_divergence_in_a_worker_slab_is_a_divergence_not_a_warning():
     # suite turns warnings into errors, so a worker without its own
     # errstate would surface a RuntimeWarning here instead.
     fed = make_federation([[0.0], [1.0]], [1.0])
-    cfg = LocalRunConfig(tau=50, eta_c=1e100)
     w = np.array([0.0])
     with pytest.raises(DivergenceError) as alone:
-        local_sgd(fed, (1,), w, cfg)
+        local_sgd(fed, (1,), w, 50, 1e100)
     with forced_split(), pytest.raises(DivergenceError) as err:
-        local_sgd(fed, (0, 1), w, cfg)
+        local_sgd(fed, (0, 1), w, 50, 1e100)
     assert err.value.step == alone.value.step
 
 
@@ -159,12 +155,19 @@ def test_rows_sharing_a_generator_draw_in_row_order():
     # call may not split: the draws would interleave across threads.
     fed = make_federation([[0.5, -1.0, 2.0]] * 3, [1.0, 0.5, 2.0], sigma=0.7)
     w = np.array([1.0, 1.0, 1.0])
-    cfg = LocalRunConfig(tau=3, eta_c=0.1)
     parts = np.zeros(64, dtype=int)
-    serial = local_sgd(fed, parts, w, cfg, [substream(5, 1)] * len(parts))
+    serial = local_sgd(fed, parts, w, 3, 0.1, [substream(5, 1)] * len(parts))
     with forced_split(workers=4):
-        split = local_sgd(fed, parts, w, cfg, [substream(5, 1)] * len(parts))
+        split = local_sgd(fed, parts, w, 3, 0.1, [substream(5, 1)] * len(parts))
     assert split.tobytes() == serial.tobytes()
+
+
+def test_local_steps_and_rate_are_checked():
+    fed = make_federation([[0.0]], [1.0])
+    with pytest.raises(ConfigError, match="tau"):
+        local_sgd(fed, (0,), np.zeros(1), 0, 0.1)
+    with pytest.raises(ConfigError, match="eta_c"):
+        local_sgd(fed, (0,), np.zeros(1), 1, 0.0)
 
 
 def test_one_cpu_trains_inline(monkeypatch):
@@ -174,7 +177,7 @@ def test_one_cpu_trains_inline(monkeypatch):
     monkeypatch.setattr(localsgd.threading, "Thread", no_threads)
     fed = make_federation(np.ones((4, 3)), [1.0, 0.5, 2.0])
     with forced_split(workers=1):
-        local_sgd(fed, (0, 1, 2, 3), np.zeros(3), LocalRunConfig(tau=2, eta_c=0.1))
+        local_sgd(fed, (0, 1, 2, 3), np.zeros(3), 2, 0.1)
 
 
 @settings(max_examples=80, deadline=None, database=None)
@@ -194,11 +197,10 @@ def test_batched_kernel_matches_per_client_recursion(M, tau, d, noisy, seed, wor
     parts = tuple(int(i) for i in rng.choice(N, size=M, replace=False))
     w = rng.normal(size=d)
     eta_c = float(rng.uniform(0.01, 0.5))
-    cfg = LocalRunConfig(tau=tau, eta_c=eta_c)
 
     def train():
         streams = [substream(seed, 2, i) for i in parts]
-        return local_sgd(fed, parts, w, cfg, streams)
+        return local_sgd(fed, parts, w, tau, eta_c, streams)
 
     inline = train()
     # The same draws split into min(M, workers) row slabs, M below the

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,59 +7,37 @@ from conftest import make_federation
 from fedvarp_sim.core import ConfigError
 from fedvarp_sim.objectives import (
     Federation,
-    FederationSpec,
+    FederationConfig,
     cluster_heterogeneity,
+    federation_constants,
     generate_federation,
     generator_assignment,
     global_grad_and_loss,
-    make_federation_spec,
 )
-from fedvarp_sim.localsgd import LocalRunConfig, local_sgd
+from fedvarp_sim.localsgd import local_sgd
 from fedvarp_sim.rng import substream
 
 
-def two_point_spec():
-    """N=2, d=1, A=[1], minimizers at 0 and 2, no noise."""
-    return FederationSpec(
-        N=2,
-        d=1,
-        K_true=2,
-        cluster_centers=(np.array([0.0]), np.array([2.0])),
-        within_cluster_spread=0.0,
-        noise_sigma=0.0,
-        hessian_eigs=np.array([1.0]),
-        seed=3,
-    )
-
-
 def test_two_point_constants():
-    fed, consts = generate_federation(two_point_spec())
+    # N=2, d=1, A=[1], minimizers at 0 and 2, two generator clusters.
+    fed = make_federation([[0.0], [2.0]], [1.0])
+    consts = federation_constants(fed, generator_assignment(2, 2))
     assert consts.L == 1.0
     assert consts.w_star[0] == pytest.approx(1.0)
     # f(w*) = (1/2N) sum (mu_bar - mu_i)^T A (mu_bar - mu_i) = 1/2
     assert consts.f_star == pytest.approx(0.5)
     assert consts.sigma_g_sq == pytest.approx(1.0)
-    assert fed.mus[:, 0].tolist() == [0.0, 2.0]
 
 
 def test_identical_clients_have_zero_heterogeneity():
-    spec = FederationSpec(
-        N=4,
-        d=2,
-        K_true=1,
-        cluster_centers=(np.array([1.0, -1.0]),),
-        within_cluster_spread=0.0,
-        noise_sigma=0.0,
-        hessian_eigs=np.array([1.0, 2.0]),
-        seed=5,
-    )
-    _, consts = generate_federation(spec)
+    fed = make_federation([[1.0, -1.0]] * 4, [1.0, 2.0])
+    consts = federation_constants(fed, generator_assignment(4, 1))
     assert consts.sigma_g_sq == 0.0
     assert consts.sigma_K_sq == 0.0
 
 
 def test_singleton_clusters_zero_within_spread():
-    spec = make_federation_spec(
+    cfg = FederationConfig(
         N=6,
         d=3,
         K_true=6,
@@ -68,14 +48,14 @@ def test_singleton_clusters_zero_within_spread():
         hessian_eig_max=1.0,
         seed=9,
     )
-    _, consts = generate_federation(spec)
+    _, consts = generate_federation(cfg)
     assert consts.sigma_K_sq == 0.0
     assert consts.sigma_g_sq > 0.0
 
 
 def test_unequal_cluster_split_rejected():
-    with pytest.raises(ConfigError):
-        make_federation_spec(
+    with pytest.raises(ConfigError, match="equal-size"):
+        FederationConfig(
             N=7,
             d=2,
             K_true=2,
@@ -88,10 +68,34 @@ def test_unequal_cluster_split_rejected():
         )
 
 
+VALID = FederationConfig(6, 4, 3, 1.0, 0.2, 0.1, 0.5, 1.5, seed=77)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"N": 0},
+        {"d": 0},
+        {"K_true": 0},
+        {"K_true": 12},
+        {"cluster_center_spread": -1.0},
+        {"within_cluster_spread": -0.1},
+        {"noise_sigma": -0.1},
+        {"hessian_eig_min": -0.5},
+        {"hessian_eig_min": 2.0},
+        {"hessian_eig_min": 0.0, "hessian_eig_max": 0.0},
+        {"seed": -1},
+    ],
+    ids=lambda edit: ",".join(f"{k}={v}" for k, v in edit.items()),
+)
+def test_federation_config_rejects_out_of_range_knobs(edit):
+    with pytest.raises(ConfigError):
+        replace(VALID, **edit)
+
+
 def test_generation_is_deterministic_in_seed():
-    spec = make_federation_spec(6, 4, 3, 1.0, 0.2, 0.1, 0.5, 1.5, seed=77)
-    a, ca = generate_federation(spec)
-    b, cb = generate_federation(spec)
+    a, ca = generate_federation(VALID)
+    b, cb = generate_federation(VALID)
     assert a.mus.tobytes() == b.mus.tobytes()
     assert ca.w_star.tobytes() == cb.w_star.tobytes()
     assert ca.sigma_g_sq == cb.sigma_g_sq
@@ -99,20 +103,22 @@ def test_generation_is_deterministic_in_seed():
 
 def test_offsets_respect_within_cluster_spread():
     spread = 0.3
-    spec = make_federation_spec(8, 5, 2, 2.0, spread, 0.0, 1.0, 1.0, seed=13)
-    fed, _ = generate_federation(spec)
+    cfg = FederationConfig(8, 5, 2, 2.0, spread, 0.0, 1.0, 1.0, seed=13)
+    fed, _ = generate_federation(cfg)
+    # With zero spread every client sits exactly at its cluster's center.
+    centers, _ = generate_federation(replace(cfg, within_cluster_spread=0.0))
     assign = generator_assignment(8, 2)
-    for i, mu in enumerate(fed.mus):
-        delta = mu - np.asarray(spec.cluster_centers[assign[i]])
-        assert np.linalg.norm(delta) <= spread + 1e-12
+    assert np.array_equal(centers.mus, centers.mus[assign * 4])
+    for mu, center in zip(fed.mus, centers.mus):
+        assert 0 < np.linalg.norm(mu - center) <= spread + 1e-12
 
 
 def test_noiseless_gradient_is_exact():
     fed = make_federation([[0.0, 0.0]], [1.0, 1.0])
     w = np.array([3.0, 4.0])
-    g = local_sgd(fed, (0,), w, LocalRunConfig(tau=1, eta_c=0.1))
+    g = local_sgd(fed, (0,), w, 1, 0.1)
     assert np.array_equal(g, [[3.0, 4.0]])
-    at_mu = local_sgd(fed, (0,), fed.mus[0], LocalRunConfig(tau=1, eta_c=0.1))
+    at_mu = local_sgd(fed, (0,), fed.mus[0], 1, 0.1)
     assert np.array_equal(at_mu, [[0.0, 0.0]])
 
 
@@ -189,8 +195,7 @@ def test_smoothness_with_equality_witness():
 
 
 def test_heterogeneity_is_w_independent_and_matches_reported():
-    spec = make_federation_spec(6, 4, 3, 1.5, 0.3, 0.0, 0.4, 1.2, seed=31)
-    fed, consts = generate_federation(spec)
+    fed, consts = generate_federation(FederationConfig(6, 4, 3, 1.5, 0.3, 0.0, 0.4, 1.2, seed=31))
     mu_bar = fed.mus.mean(axis=0)
     rng = np.random.default_rng(32)
     gaps = []
@@ -228,8 +233,7 @@ def stacked_grad_and_loss(mu_list, eigs, w):
 def test_cached_mus_metrics_match_stacked_bitwise(N, d, K_true):
     rng = np.random.default_rng(N * 1000 + d)
     for trial in range(5):
-        spec = make_federation_spec(N, d, K_true, 1.5, 0.3, 0.0, 0.2, 1.7, seed=trial)
-        fed, _ = generate_federation(spec)
+        fed, _ = generate_federation(FederationConfig(N, d, K_true, 1.5, 0.3, 0.0, 0.2, 1.7, trial))
         mu_list = [fed.mus[i].copy() for i in range(N)]
         for scale in (1e-3, 1.0, 1e150):
             w = rng.normal(size=d) * scale

@@ -1,14 +1,21 @@
 """The suite's warning filters: project warnings fail, failing property tests are reported."""
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+import fedvarp_sim
+
+TESTS = Path(__file__).resolve().parent
+PYPROJECT = TESTS.parent / "pyproject.toml"
 
 
-def test_failing_property_test_is_a_failure_and_project_warnings_still_fail(pytester):
-    # Run under the project's own pytest settings. Reporting a falsifying
-    # example makes hypothesis import libcst, which warns on import; that
-    # warning must not turn the failure into an internal error.
+def test_failing_property_test_is_a_failure_and_project_warnings_still_fail(pytester, monkeypatch):
+    # Run under the project's own pytest settings and conftest, once as
+    # configured and once with a command-line -W error, which overrides
+    # the ini filters. Reporting a falsifying example makes hypothesis
+    # import libcst, which warns on import; that warning must not turn
+    # the failure into an internal error.
     pytester.makepyprojecttoml(PYPROJECT.read_text(encoding="utf-8"))
+    pytester.makeconftest((TESTS / "conftest.py").read_text(encoding="utf-8"))
+    monkeypatch.setenv("PYTHONPATH", str(Path(fedvarp_sim.__file__).resolve().parents[1]))
     pytester.makepyfile(
         test_inner="""
         import warnings
@@ -31,10 +38,11 @@ def test_failing_property_test_is_a_failure_and_project_warnings_still_fail(pyte
             pass
         """
     )
-    result = pytester.runpytest_subprocess("-p", "no:cacheprovider", "test_inner.py")
-    result.assert_outcomes(failed=2, passed=1)
-    assert result.ret == 1
-    out = result.stdout.str() + result.stderr.str()
-    assert "INTERNALERROR" not in out
-    assert "Falsifying example" in out
-    assert "DeprecationWarning: deprecated project call" in out
+    for extra in ((), ("-W", "error")):
+        result = pytester.runpytest_subprocess("-p", "no:cacheprovider", *extra, "test_inner.py")
+        result.assert_outcomes(failed=2, passed=1)
+        assert result.ret == 1
+        out = result.stdout.str() + result.stderr.str()
+        assert "INTERNALERROR" not in out
+        assert "Falsifying example" in out
+        assert "DeprecationWarning: deprecated project call" in out
