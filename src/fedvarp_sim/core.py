@@ -39,10 +39,10 @@ class DivergenceError(RuntimeError):
     also attaches what the run logged before it stopped as `result`.
     """
 
-    def __init__(self, step: int | None, round: int | None = None):
-        super().__init__(step, round)
+    def __init__(self, step: int | None):
+        super().__init__(step)
         self.step = step
-        self.round = round
+        self.round = None
         self.result = None
 
     def __str__(self) -> str:

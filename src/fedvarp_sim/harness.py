@@ -9,6 +9,9 @@ Artifacts per run, all inside the configured output directory:
     manifest.json   config echo, derived constants, rate-bound report
     metrics.csv     round, grad_norm_sq, global_loss, dist_to_opt_sq
     status.json     completion flag, aborted round if the run diverged
+All three are written once, when the run completes or diverges; a run
+stopped by anything else writes none of them. A sweep checks every
+point's output directory before its first point runs.
 """
 from __future__ import annotations
 
@@ -41,6 +44,7 @@ from .objectives import (
     Federation,
     FederationConfig,
     FederationConstants,
+    block_assignment,
     cluster_heterogeneity,
     generate_federation,
     global_grad_and_loss,
@@ -50,6 +54,10 @@ from .rng import TAG_LOCAL, TAG_SAMPLING, substream
 from .sampling import RoundPlan, enumerate_subsets, sample_round, without_replacement_variance
 
 METRICS_HEADER = "round,grad_norm_sq,global_loss,dist_to_opt_sq"
+SUMMARY_HEADER = (
+    "axis,value,seed,sigma_g_sq,floor_grad_norm_sq,min_grad_norm_sq,final_grad_norm_sq,"
+    "completed,aborted_round"
+)
 MIFA_MODES = ("cold_start", "full_first_round")
 # Sweep axis -> the config section it edits and the field it sets.
 # sigma_g_scale sets no field: it scales both spreads by a float.
@@ -205,17 +213,16 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
 class RunResult:
     records: list[RunRecord]
     manifest: dict
-    config: RunConfig
     completed: bool
     aborted_round: int | None = None
     output_dir: Path | None = None
 
 
 def _run_assignment(cfg: RunConfig) -> np.ndarray | None:
-    """Client->cluster map used by the aggregator (contiguous balanced blocks)."""
+    """Client->cluster map used by the aggregator; only clusterfedvarp has one."""
     if cfg.algo.name != CLUSTERFEDVARP:
         return None
-    return (np.arange(cfg.federation.N) * cfg.algo.K) // cfg.federation.N
+    return block_assignment(cfg.federation.N, cfg.algo.K)
 
 
 def build_manifest(
@@ -262,12 +269,6 @@ def _realize(cfg: RunConfig) -> tuple[Federation, FederationConstants, RunRecord
     return fed, consts, first
 
 
-def _format_row(rec: RunRecord) -> str:
-    return (
-        f"{rec.round},{rec.grad_norm_sq:.17g},{rec.global_loss:.17g},{rec.dist_to_opt_sq:.17g}"
-    )
-
-
 def _measure(fed, w, w_star, round_index) -> RunRecord:
     # A finite but huge iterate overflows here; the caller treats it as divergence.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -295,82 +296,61 @@ def run(cfg: RunConfig, write_artifacts: bool = True, realized=None) -> RunResul
 
     realized is what _realize(cfg) returns, for a caller that has built
     the federation already. Initial metrics that overflow are a
-    ConfigError raised before any artifact is written. A non-finite
+    ConfigError raised before the output directory is made. A non-finite
     iterate or later metric raises DivergenceError naming the round whose
-    update produced it; no non-finite row reaches metrics.csv.
+    update produced it, with the finite records before it as `result`.
+    The artifacts are written once, when the run completes or diverges.
     """
     fed, consts, first = realized or _realize(cfg)
     h, N = cfg.hyper, cfg.federation.N
     eta_tilde = effective_server_lr(h)
     assignment = _run_assignment(cfg)
-    manifest = build_manifest(cfg, fed, consts, assignment)
-
-    out = None
-    metrics_fh = None
-    if write_artifacts:
-        out = _make_output_dir(cfg.output_dir)
-        _write_json(out / "manifest.json", manifest)
-        metrics_fh = open(out / "metrics.csv", "w", encoding="utf-8", newline="")
-        metrics_fh.write(METRICS_HEADER + "\n")
-
+    result = RunResult(
+        records=[first],
+        manifest=build_manifest(cfg, fed, consts, assignment),
+        completed=False,
+        # Made before round 0, so a blocked directory costs no compute.
+        output_dir=_make_output_dir(cfg.output_dir) if write_artifacts else None,
+    )
     state = init_state(cfg.algo.name, np.zeros(cfg.federation.d), N, cfg.algo.K, assignment)
-    records: list[RunRecord] = []
-
-    def log(rec: RunRecord) -> None:
-        records.append(rec)
-        if metrics_fh is not None:
-            metrics_fh.write(_format_row(rec) + "\n")
-
     try:
-        log(first)
         for t in range(h.T):
             if cfg.algo.name == MIFA and cfg.algo.mifa_mode == "full_first_round" and t == 0:
-                plan = RoundPlan(round=0, participants=tuple(range(N)))
+                plan = RoundPlan(participants=tuple(range(N)))
             else:
-                plan = sample_round(N, h.M, substream(cfg.seed, TAG_SAMPLING, t), t)
+                plan = sample_round(N, h.M, substream(cfg.seed, TAG_SAMPLING, t))
             rngs = ()
             if fed.noise_sigma > 0:
                 rngs = [substream(cfg.seed, TAG_LOCAL, t, i) for i in plan.participants]
-            try:
-                block = local_sgd(fed, plan.participants, state.w, h.tau, h.eta_c, rngs)
-            except DivergenceError as exc:
-                exc.round = t
-                raise
+            block = local_sgd(fed, plan.participants, state.w, h.tau, h.eta_c, rngs)
             aggregator_step(state, plan, block, eta_tilde)
             if not np.all(np.isfinite(state.w)):
-                raise DivergenceError(step=None, round=t)
+                raise DivergenceError(step=None)
             if (t + 1) % cfg.log_every == 0 or (t + 1) == h.T:
                 rec = _measure(fed, state.w, consts.w_star, t + 1)
                 if not _finite(rec):
-                    raise DivergenceError(step=None, round=t)
-                log(rec)
+                    raise DivergenceError(step=None)
+                result.records.append(rec)
     except DivergenceError as exc:
-        if write_artifacts:
-            metrics_fh.close()
-            metrics_fh = None
-            _write_json(out / "status.json", {"completed": False, "aborted_round": exc.round})
-        exc.result = RunResult(
-            records=records,
-            manifest=manifest,
-            config=cfg,
-            completed=False,
-            aborted_round=exc.round,
-            output_dir=out,
-        )
+        exc.round = result.aborted_round = t
+        exc.result = result
+        _write_run_artifacts(result)
         raise
-    finally:
-        if metrics_fh is not None:
-            metrics_fh.close()
+    result.completed = True
+    _write_run_artifacts(result)
+    return result
 
-    if write_artifacts:
-        _write_json(out / "status.json", {"completed": True, "aborted_round": None})
-    return RunResult(
-        records=records,
-        manifest=manifest,
-        config=cfg,
-        completed=True,
-        output_dir=out,
-    )
+
+def _write_run_artifacts(result: RunResult) -> None:
+    """manifest.json, metrics.csv and status.json of a run that has ended, if it writes any."""
+    out = result.output_dir
+    if out is None:
+        return
+    _write_json(out / "manifest.json", result.manifest)
+    rows = [(r.round, r.grad_norm_sq, r.global_loss, r.dist_to_opt_sq) for r in result.records]
+    _write_csv(out / "metrics.csv", METRICS_HEADER, rows)
+    status = {"completed": result.completed, "aborted_round": result.aborted_round}
+    _write_json(out / "status.json", status)
 
 
 def _make_output_dir(path: str) -> Path:
@@ -386,6 +366,14 @@ def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    """The header, then one line per row: floats as .17g (read back exactly), the rest as str."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{x:.17g}" if isinstance(x, float) else str(x) for x in row) + "\n")
 
 
 def floor_estimate(records: list[RunRecord]) -> float:
@@ -444,8 +432,6 @@ def sweep_point_config(base: RunConfig, axis: str, value, index: int) -> RunConf
 
 @dataclass
 class SweepResult:
-    axis: str
-    values: list
     results: list[RunResult]
     summary_path: Path | None
 
@@ -461,9 +447,9 @@ def sweep(
     """
     if not values:
         raise ConfigError("sweep needs at least one value")
-    # Every point, its federation and its initial metrics are checked
-    # before the first one runs; points that share a federation config
-    # share one realized federation.
+    # Every point, its federation, its initial metrics and its output
+    # directory are checked before the first one runs; points that share
+    # a federation config share one realized federation.
     cfgs = [sweep_point_config(base, axis, value, idx) for idx, value in enumerate(values)]
     realized = {}
     for cfg, value in zip(cfgs, values):
@@ -474,6 +460,10 @@ def sweep(
                 raise ConfigError(f"sweep point {axis}={value!r}: {exc}") from exc
     if write_artifacts:
         out = _make_output_dir(base.output_dir)
+        for cfg in cfgs:  # the base exists now, so only a point itself can be in the way
+            point = Path(cfg.output_dir)
+            if not point.is_dir() and (point.exists() or point.is_symlink()):
+                raise ConfigError(f"cannot create output directory {point}: a file is in the way")
     results = []
     rows = []
     for cfg, value in zip(cfgs, values):
@@ -482,36 +472,17 @@ def sweep(
         except DivergenceError as exc:
             res = exc.result
         results.append(res)
-        grads = [r.grad_norm_sq for r in res.records]
-        floors = (floor_estimate(res.records), min(grads), grads[-1]) if res.completed else ("",) * 3
-        rows.append(
-            {
-                "axis": axis,
-                "value": value,
-                "seed": cfg.seed,
-                "sigma_g_sq": res.manifest["constants"]["sigma_g_sq"],
-                "floor_grad_norm_sq": floors[0],
-                "min_grad_norm_sq": floors[1],
-                "final_grad_norm_sq": floors[2],
-                "completed": str(res.completed).lower(),
-                "aborted_round": "" if res.aborted_round is None else res.aborted_round,
-            }
-        )
+        if res.completed:
+            grads = [r.grad_norm_sq for r in res.records]
+            tail = (floor_estimate(res.records), min(grads), grads[-1], "true", "")
+        else:
+            tail = ("", "", "", "false", res.aborted_round)
+        rows.append((axis, value, cfg.seed, res.manifest["constants"]["sigma_g_sq"], *tail))
     summary_path = None
     if write_artifacts:
         summary_path = out / "sweep_summary.csv"
-        cols = list(rows[0])
-        with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(cols) + "\n")
-            for row in rows:
-                fh.write(
-                    ",".join(
-                        f"{row[c]:.17g}" if isinstance(row[c], float) else str(row[c])
-                        for c in cols
-                    )
-                    + "\n"
-                )
-    return SweepResult(axis=axis, values=list(values), results=results, summary_path=summary_path)
+        _write_csv(summary_path, SUMMARY_HEADER, rows)
+    return SweepResult(results=results, summary_path=summary_path)
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +590,7 @@ def _verify_reductions(seed: int) -> VerifyCheck:
     )
     avg = run(replace(base, algo=AlgoConfig(FEDAVG)), write_artifacts=False)
     c_1 = run(replace(base, algo=AlgoConfig(CLUSTERFEDVARP, K=1)), write_artifacts=False)
-    ok = _records_equal(varp.records, c_n.records) and _records_equal(avg.records, c_1.records)
+    ok = varp.records == c_n.records and avg.records == c_1.records
     return VerifyCheck("cluster reductions K=N and K=1 are bitwise identities", ok, "T=60 trajectories")
 
 
@@ -634,7 +605,7 @@ def _verify_saga(seed: int) -> VerifyCheck:
     eta_tilde = effective_server_lr(HyperConfig(eta_c=lr, eta_s=1.0, tau=1, T=steps, M=1))
     ok = True
     for t, j in enumerate(picks):
-        plan = RoundPlan(round=t, participants=(j,))
+        plan = RoundPlan(participants=(j,))
         block = local_sgd(fed, plan.participants, state.w, 1, lr)
         fedvarp_like = aggregator_step(state, plan, block, eta_tilde)
         ok = ok and fedvarp_like.tobytes() == np.array([ref[t + 1]]).tobytes()
@@ -683,14 +654,3 @@ def _quick_config(seed: int) -> RunConfig:
         seed=seed + 17,
     )
 
-
-def _records_equal(a: list[RunRecord], b: list[RunRecord]) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(
-        ra.round == rb.round
-        and ra.grad_norm_sq == rb.grad_norm_sq
-        and ra.global_loss == rb.global_loss
-        and ra.dist_to_opt_sq == rb.dist_to_opt_sq
-        for ra, rb in zip(a, b)
-    )

@@ -123,17 +123,16 @@ class FederationConstants:
     f_star: float
 
 
-def generator_assignment(N: int, K_true: int) -> np.ndarray:
-    """Contiguous equal-size blocks: client i -> cluster i // (N/K_true)."""
-    r = N // K_true
-    return np.arange(N) // r
+def block_assignment(N: int, K: int) -> np.ndarray:
+    """K contiguous blocks, i -> (i*K) // N: equal for K | N, else sizes differ by at most 1."""
+    return (np.arange(N) * K) // N
 
 
 def generate_federation(cfg: FederationConfig) -> tuple[Federation, FederationConstants]:
     """Build the federation arrays and their exact constants, deterministically in the seed."""
     scale = cfg.cluster_center_spread / np.sqrt(cfg.d)
     centers = scale * substream(cfg.seed, TAG_CENTERS).standard_normal((cfg.K_true, cfg.d))
-    assign = generator_assignment(cfg.N, cfg.K_true)
+    assign = block_assignment(cfg.N, cfg.K_true)
     half_width = cfg.within_cluster_spread / np.sqrt(cfg.d)  # box offsets keep ||offset|| <= spread
     mus = np.empty((cfg.N, cfg.d))
     for i in range(cfg.N):

@@ -16,7 +16,6 @@ ENUMERATION_CAP = 1_000_000
 class RoundPlan:
     """The participant set of one round: M distinct sorted client ids."""
 
-    round: int
     participants: tuple[int, ...]
 
     def __post_init__(self):
@@ -29,7 +28,7 @@ class RoundPlan:
             raise ConfigError(f"negative client id in {p}")
 
 
-def sample_round(N: int, M: int, rng: np.random.Generator, round_index: int = 0) -> RoundPlan:
+def sample_round(N: int, M: int, rng: np.random.Generator) -> RoundPlan:
     """Sample M of N clients uniformly without replacement.
 
     Partial Fisher-Yates over [0, N): exactly uniform over all C(N, M)
@@ -41,7 +40,7 @@ def sample_round(N: int, M: int, rng: np.random.Generator, round_index: int = 0)
     for j in range(M):
         r = j + int(rng.integers(N - j))
         idx[j], idx[r] = idx[r], idx[j]
-    return RoundPlan(round=round_index, participants=tuple(sorted(idx[:M])))
+    return RoundPlan(participants=tuple(sorted(idx[:M])))
 
 
 def enumerate_subsets(N: int, M: int) -> list[RoundPlan]:
@@ -51,7 +50,7 @@ def enumerate_subsets(N: int, M: int) -> list[RoundPlan]:
     count = comb(N, M)
     if count > ENUMERATION_CAP:
         raise OracleScaleError(f"C({N},{M}) = {count} exceeds cap {ENUMERATION_CAP}")
-    return [RoundPlan(round=0, participants=subset) for subset in combinations(range(N), M)]
+    return [RoundPlan(participants=subset) for subset in combinations(range(N), M)]
 
 
 def without_replacement_variance(xs: list[np.ndarray], M: int) -> float:

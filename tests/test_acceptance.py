@@ -292,7 +292,7 @@ def test_a7_saga_equivalence():
     eta_tilde = effective_server_lr(HyperConfig(eta_c=lr, eta_s=1.0, tau=1, T=steps, M=1))
     state = init_state(FEDVARP, np.zeros(1), N)
     for t, j in enumerate(picks):
-        plan = RoundPlan(round=t, participants=(j,))
+        plan = RoundPlan(participants=(j,))
         block = local_sgd(fed, plan.participants, state.w, 1, lr)
         w = aggregator_step(state, plan, block, eta_tilde)
         assert w.tobytes() == np.array([reference[t + 1]]).tobytes(), f"diverged at step {t}"

@@ -30,22 +30,22 @@ from fedvarp_sim.objectives import global_grad_and_loss
 from fedvarp_sim.sampling import RoundPlan, enumerate_subsets
 
 
-def updates(round_index, deltas):
+def updates(deltas):
     """The (plan, block) of one round from {client id: update}."""
     parts = tuple(sorted(deltas))
     block = np.array([np.atleast_1d(np.asarray(deltas[i], dtype=np.float64)) for i in parts])
-    return RoundPlan(round=round_index, participants=parts), block
+    return RoundPlan(participants=parts), block
 
 
 def test_fedavg_mean_and_step():
     state = init_state(FEDAVG, np.zeros(1), N=2)
-    w = fedavg_step(state, *updates(0, {0: [1.0], 1: [3.0]}), eta_tilde=0.1)
+    w = fedavg_step(state, *updates({0: [1.0], 1: [3.0]}), eta_tilde=0.1)
     assert w[0] == pytest.approx(-0.2, rel=1e-15)
 
 
 def test_fedavg_singleton():
     state = init_state(FEDAVG, np.array([1.0, 1.0]), N=5)
-    w = fedavg_step(state, *updates(0, {3: [2.0, -2.0]}), eta_tilde=1.0)
+    w = fedavg_step(state, *updates({3: [2.0, -2.0]}), eta_tilde=1.0)
     assert np.array_equal(w, [-1.0, 3.0])
 
 
@@ -55,7 +55,7 @@ def test_fedavg_full_participation_is_gradient_descent():
     fed = make_federation(rng.normal(size=(5, 3)), rng.uniform(0.5, 1.5, size=3))
     w0 = rng.normal(size=3)
     h = HyperConfig(eta_c=0.08, eta_s=1.25, tau=1, T=1, M=5)
-    plan = RoundPlan(round=0, participants=tuple(range(5)))
+    plan = RoundPlan(participants=tuple(range(5)))
     block = local_sgd(fed, plan.participants, w0, h.tau, h.eta_c)
     state = init_state(FEDAVG, w0, N=5)
     w1 = fedavg_step(state, plan, block, effective_server_lr(h))
@@ -66,23 +66,23 @@ def test_fedavg_full_participation_is_gradient_descent():
 def test_step_requires_matching_tag():
     state = init_state(FEDAVG, np.zeros(1), N=2)
     with pytest.raises(ConfigError):
-        clusterfedvarp_step(state, *updates(0, {0: [1.0]}), 0.1)
+        clusterfedvarp_step(state, *updates({0: [1.0]}), 0.1)
 
 
 def test_round_updates_key_mismatch_rejected():
     # The block needs one row per participant, each as wide as the model.
-    plan = RoundPlan(round=0, participants=(0, 1))
+    plan = RoundPlan(participants=(0, 1))
     for algo in ALGORITHMS:
         for shape in ((1, 2), (3, 2), (2, 1), (2, 3), (2,), (2, 2, 1)):
             state = init_state(algo, np.zeros(2), N=3, K=2, assignment=np.array([0, 0, 1]))
             with pytest.raises(DimensionError):
                 aggregator_step(state, plan, np.zeros(shape), 0.1)
         with pytest.raises(ConfigError):
-            aggregator_step(state, RoundPlan(round=0, participants=()), np.zeros((0, 2)), 0.1)
+            aggregator_step(state, RoundPlan(participants=()), np.zeros((0, 2)), 0.1)
 
 
 def test_fedvarp_first_round_equals_fedavg():
-    upd = updates(0, {0: [1.0, 0.0], 2: [3.0, -4.0]})
+    upd = updates({0: [1.0, 0.0], 2: [3.0, -4.0]})
     a = init_state(FEDAVG, np.zeros(2), N=4)
     b = init_state(FEDVARP, np.zeros(2), N=4)
     wa = fedavg_step(a, *upd, 0.3)
@@ -93,7 +93,7 @@ def test_fedvarp_first_round_equals_fedavg():
 def test_fedvarp_hand_case():
     state = init_state(FEDVARP, np.zeros(1), N=3)
     state.table = np.array([[1.0], [2.0], [3.0]])
-    w = aggregator_step(state, *updates(0, {0: [5.0]}), eta_tilde=1.0)
+    w = aggregator_step(state, *updates({0: [5.0]}), eta_tilde=1.0)
     # v = (5 - 1) + (1/3)(1 + 2 + 3) = 6
     assert w[0] == pytest.approx(-6.0, rel=1e-12)
     assert np.allclose(state.table[:, 0], [5.0, 2.0, 3.0])
@@ -104,11 +104,11 @@ def test_fedvarp_table_tracks_latest_updates():
     N, d = 6, 2
     state = init_state(FEDVARP, np.zeros(d), N=N)
     shadow = {i: np.zeros(d) for i in range(N)}
-    for t in range(40):
+    for _ in range(40):
         M = int(rng.integers(1, N + 1))
         parts = sorted(rng.choice(N, size=M, replace=False).tolist())
         deltas = {i: rng.normal(size=d) for i in parts}
-        aggregator_step(state, *updates(t, deltas), 0.05)
+        aggregator_step(state, *updates(deltas), 0.05)
         shadow.update(deltas)
         for i in range(N):
             assert np.array_equal(state.table[i], shadow[i])
@@ -119,7 +119,7 @@ def test_exhaustive_unbiasedness_example():
     deltas = {0: [0.0], 1: [3.0], 2: [6.0]}
     v_vals, avg_vals = [], []
     for plan in enumerate_subsets(3, 2):
-        upd = updates(0, {i: deltas[i] for i in plan.participants})
+        upd = updates({i: deltas[i] for i in plan.participants})
         sv = init_state(FEDVARP, np.zeros(1), N=3)
         sv.table = np.ones((3, 1))
         v_vals.append(-aggregator_step(sv, *upd, 1.0)[0])
@@ -131,7 +131,7 @@ def test_exhaustive_unbiasedness_example():
 
 def test_cluster_single_cluster_matches_fedavg_bitwise():
     rng = np.random.default_rng(62)
-    upd = updates(0, {i: rng.normal(size=3) for i in (0, 2, 5)})
+    upd = updates({i: rng.normal(size=3) for i in (0, 2, 5)})
     a = init_state(FEDAVG, np.zeros(3), N=6)
     c = init_state(CLUSTERFEDVARP, np.zeros(3), N=6, K=1, assignment=np.zeros(6, dtype=int))
     c.table = rng.normal(size=(1, 3))  # arbitrary shared state must cancel
@@ -145,7 +145,7 @@ def test_cluster_hand_case():
         CLUSTERFEDVARP, np.zeros(1), N=4, K=2, assignment=np.array([0, 0, 1, 1])
     )
     state.table = np.array([[10.0], [20.0]])
-    w = clusterfedvarp_step(state, *updates(0, {0: [4.0], 2: [6.0]}), eta_tilde=1.0)
+    w = clusterfedvarp_step(state, *updates({0: [4.0], 2: [6.0]}), eta_tilde=1.0)
     # v = 1/2[(4-10)+(6-20)] + 1/4(10+10+20+20) = 5
     assert w[0] == pytest.approx(-5.0, rel=1e-12)
     assert np.allclose(state.table[:, 0], [4.0, 6.0])
@@ -156,7 +156,7 @@ def test_cluster_within_cluster_mean():
         CLUSTERFEDVARP, np.zeros(1), N=4, K=2, assignment=np.array([0, 0, 1, 1])
     )
     state.table = np.array([[1.0], [9.0]])
-    clusterfedvarp_step(state, *updates(0, {0: [4.0], 1: [8.0]}), eta_tilde=1.0)
+    clusterfedvarp_step(state, *updates({0: [4.0], 1: [8.0]}), eta_tilde=1.0)
     assert state.table[0, 0] == pytest.approx(6.0)
     assert state.table[1, 0] == 9.0  # untouched cluster keeps its state
 
@@ -181,7 +181,7 @@ def test_exhaustive_unbiasedness_property():
             subsets = enumerate_subsets(N, M)
             sums = {FEDAVG: np.zeros(d), FEDVARP: np.zeros(d), CLUSTERFEDVARP: np.zeros(d)}
             for plan in subsets:
-                upd = updates(0, {i: deltas[i] for i in plan.participants})
+                upd = updates({i: deltas[i] for i in plan.participants})
                 sa = init_state(FEDAVG, np.zeros(d), N=N)
                 sums[FEDAVG] -= fedavg_step(sa, *upd, 1.0)
                 sv = init_state(FEDVARP, np.zeros(d), N=N)
@@ -199,7 +199,7 @@ def test_mifa_full_history_matches_full_participation_average():
     rng = np.random.default_rng(64)
     N = 4
     deltas = {i: rng.normal(size=2) for i in range(N)}
-    upd = updates(0, deltas)
+    upd = updates(deltas)
     m = init_state(MIFA, np.zeros(2), N=N)
     a = init_state(FEDAVG, np.zeros(2), N=N)
     wm = mifa_step(m, *upd, 0.5)
@@ -210,14 +210,14 @@ def test_mifa_full_history_matches_full_participation_average():
 def test_mifa_hand_case():
     state = init_state(MIFA, np.zeros(1), N=2)
     state.table = np.array([[0.0], [7.0]])
-    w = mifa_step(state, *updates(0, {0: [3.0]}), eta_tilde=1.0)
+    w = mifa_step(state, *updates({0: [3.0]}), eta_tilde=1.0)
     assert np.allclose(state.table[:, 0], [3.0, 7.0])
     assert w[0] == pytest.approx(-5.0)
 
 
 def test_mifa_cold_start_bias():
     state = init_state(MIFA, np.zeros(1), N=4)
-    w = mifa_step(state, *updates(0, {0: [4.0]}), eta_tilde=1.0)
+    w = mifa_step(state, *updates({0: [4.0]}), eta_tilde=1.0)
     assert w[0] == pytest.approx(-1.0)  # averaged against three zero states
 
 
@@ -298,7 +298,7 @@ def test_steps_match_the_participant_loops_bitwise(algo, d, N, rounds, layout, s
     for t in range(rounds):
         M = int(rng.integers(1, N + 1))
         parts = tuple(sorted(rng.choice(N, M, replace=False).tolist()))
-        plan = RoundPlan(round=t, participants=parts)
+        plan = RoundPlan(participants=parts)
         block = edge_rows(rng, M, d)
         if layout == "F":
             passed = np.asfortranarray(block)

@@ -171,18 +171,32 @@ def test_unreadable_config_exits_two(tmp_path, capsys, kind):
     assert tree(tmp_path) == before
 
 
-@pytest.mark.parametrize("where", ["is_file", "under_file"])
+RUN = ["run"]
+SWEEP = ["sweep", "--axis", "eta_c", "--values", "0.01,0.02"]
+
+
 @pytest.mark.parametrize(
-    "command", [["run"], ["sweep", "--axis", "eta_c", "--values", "0.01,0.02"]], ids=["run", "sweep"]
+    "command,where",
+    [
+        (RUN, "is_file"),
+        (RUN, "under_file"),
+        (SWEEP, "is_file"),
+        (SWEEP, "under_file"),
+        # The second point's directory is a file: no point may run first.
+        (SWEEP, "point_is_file"),
+    ],
+    ids=["run-is_file", "run-under_file", "sweep-is_file", "sweep-under_file", "sweep-point_is_file"],
 )
 def test_output_dir_blocked_by_a_file_exits_two(config_file, tmp_path, capsys, command, where):
-    blocker = tmp_path / "blocker"
+    blocker = tmp_path / ("point01_eta_c" if where == "point_is_file" else "blocker")
     blocker.write_text("a file, not a directory")
-    out = blocker if where == "is_file" else blocker / "run"
+    out = {"is_file": blocker, "under_file": blocker / "run", "point_is_file": tmp_path}[where]
+    blocked = blocker if where == "point_is_file" else out
     before = tree(tmp_path)
     args = [command[0], "--config", str(config_file), "--set", f"output_dir={out}", *command[1:]]
     assert main(args) == 2
-    assert f"configuration error: cannot create output directory {out}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"configuration error: cannot create output directory {blocked}" in err
     assert tree(tmp_path) == before
 
 

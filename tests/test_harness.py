@@ -251,7 +251,7 @@ def test_participant_order_does_not_change_step():
         ascending = init_state(algo, np.zeros(d), N, K, assignment)
         reversed_ = init_state(algo, np.zeros(d), N, K, assignment)
         for t in range(6):
-            plan = sample_round(N, 5, substream(seed, TAG_SAMPLING, t), t)
+            plan = sample_round(N, 5, substream(seed, TAG_SAMPLING, t))
             fwd = _round_block(fed, ascending.w, seed, t, plan.participants)
             rev = _round_block(fed, reversed_.w, seed, t, plan.participants[::-1])
             aggregator_step(ascending, plan, fwd, 0.1)
@@ -261,9 +261,15 @@ def test_participant_order_does_not_change_step():
                 assert ascending.table.tobytes() == reversed_.table.tobytes(), algo
 
 
-def test_metrics_csv_round_trips_at_17_digits(small_config, tmp_path):
-    cfg = small_config(noise_sigma=0.3, T=10, output_dir=tmp_path / "fmt")
-    result = run(cfg)
+@pytest.mark.parametrize("eta_s", [1.0, 1e250], ids=["completed", "diverged"])
+def test_metrics_csv_round_trips_at_17_digits(small_config, tmp_path, eta_s):
+    cfg = small_config(noise_sigma=0.3, eta_s=eta_s, T=10, output_dir=tmp_path / "fmt")
+    if eta_s == 1.0:
+        result = run(cfg)
+    else:
+        with pytest.raises(DivergenceError) as err:
+            run(cfg)
+        result = err.value.result
     lines = (tmp_path / "fmt" / "metrics.csv").read_text().strip().splitlines()
     assert lines[0] == "round,grad_norm_sq,global_loss,dist_to_opt_sq"
     assert len(lines) == 1 + len(result.records)
@@ -273,6 +279,7 @@ def test_metrics_csv_round_trips_at_17_digits(small_config, tmp_path):
         assert float(g) == rec.grad_norm_sq  # exact round trip
         assert float(l) == rec.global_loss
         assert float(dd) == rec.dist_to_opt_sq
+        assert all(np.isfinite(float(x)) for x in (g, l, dd))
 
 
 def test_divergent_run_persists_partial_results(small_config, tmp_path):

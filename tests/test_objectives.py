@@ -11,7 +11,7 @@ from fedvarp_sim.objectives import (
     cluster_heterogeneity,
     federation_constants,
     generate_federation,
-    generator_assignment,
+    block_assignment,
     global_grad_and_loss,
 )
 from fedvarp_sim.localsgd import local_sgd
@@ -21,7 +21,7 @@ from fedvarp_sim.rng import substream
 def test_two_point_constants():
     # N=2, d=1, A=[1], minimizers at 0 and 2, two generator clusters.
     fed = make_federation([[0.0], [2.0]], [1.0])
-    consts = federation_constants(fed, generator_assignment(2, 2))
+    consts = federation_constants(fed, block_assignment(2, 2))
     assert consts.L == 1.0
     assert consts.w_star[0] == pytest.approx(1.0)
     # f(w*) = (1/2N) sum (mu_bar - mu_i)^T A (mu_bar - mu_i) = 1/2
@@ -31,7 +31,7 @@ def test_two_point_constants():
 
 def test_identical_clients_have_zero_heterogeneity():
     fed = make_federation([[1.0, -1.0]] * 4, [1.0, 2.0])
-    consts = federation_constants(fed, generator_assignment(4, 1))
+    consts = federation_constants(fed, block_assignment(4, 1))
     assert consts.sigma_g_sq == 0.0
     assert consts.sigma_K_sq == 0.0
 
@@ -107,11 +107,24 @@ def test_offsets_respect_within_cluster_spread():
     fed, _ = generate_federation(cfg)
     # With zero spread every client sits exactly at its cluster's center.
     centers, _ = generate_federation(replace(cfg, within_cluster_spread=0.0))
-    assign = generator_assignment(8, 2)
+    assign = block_assignment(8, 2)
     assert np.array_equal(centers.mus, centers.mus[assign * 4])
     for mu, center in zip(fed.mus, centers.mus):
         assert 0 < np.linalg.norm(mu - center) <= spread + 1e-12
 
+
+
+def test_block_assignment_is_equal_blocks_or_balanced():
+    # The generator's clusters and clusterfedvarp's share this one map.
+    for N in range(1, 41):
+        for K in range(1, N + 1):
+            assign = block_assignment(N, K)
+            sizes = np.bincount(assign, minlength=K)
+            assert np.all(np.diff(assign) >= 0)  # contiguous blocks
+            if N % K == 0:
+                assert np.array_equal(assign, np.arange(N) // (N // K))
+            else:
+                assert sizes.min() >= 1 and sizes.max() - sizes.min() <= 1
 
 def test_noiseless_gradient_is_exact():
     fed = make_federation([[0.0, 0.0]], [1.0, 1.0])

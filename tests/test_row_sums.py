@@ -135,7 +135,7 @@ def test_table_reductions_allocate_far_less_than_the_table():
     assert peak_traced_bytes(lambda: global_grad_and_loss(fed, w)) < bound
 
     parts = tuple(sorted(int(i) for i in rng.choice(N, size=M, replace=False)))
-    plan = RoundPlan(round=0, participants=parts)
+    plan = RoundPlan(participants=parts)
     block = rng.normal(size=(M, d))
     states = [
         init_state(FEDVARP, np.zeros(d), N),

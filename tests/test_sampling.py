@@ -21,9 +21,9 @@ def test_full_participation_is_identity():
 
 def test_plan_validation():
     with pytest.raises(ConfigError):
-        RoundPlan(round=0, participants=(2, 1))
+        RoundPlan(participants=(2, 1))
     with pytest.raises(ConfigError):
-        RoundPlan(round=0, participants=(1, 1))
+        RoundPlan(participants=(1, 1))
     with pytest.raises(ConfigError):
         sample_round(3, 4, substream(1, 0))
 
