@@ -10,8 +10,10 @@ Artifacts per run, all inside the configured output directory:
     metrics.csv     round, grad_norm_sq, global_loss, dist_to_opt_sq
     status.json     completion flag, aborted round if the run diverged
 All three are written once, when the run completes or diverges; a run
-stopped by anything else writes none of them. A sweep checks every
-point's output directory before its first point runs.
+stopped by anything else writes none of them. Making the output
+directory removes the three files a previous run left there, so an
+interrupted run leaves none (likewise a sweep's sweep_summary.csv). A
+sweep checks every point's output directory before its first point runs.
 """
 from __future__ import annotations
 
@@ -53,6 +55,8 @@ from .reference_saga import saga_trajectory
 from .rng import TAG_LOCAL, TAG_SAMPLING, substream
 from .sampling import RoundPlan, enumerate_subsets, sample_round, without_replacement_variance
 
+RUN_ARTIFACTS = ("manifest.json", "metrics.csv", "status.json")
+SUMMARY_FILE = "sweep_summary.csv"
 METRICS_HEADER = "round,grad_norm_sq,global_loss,dist_to_opt_sq"
 SUMMARY_HEADER = (
     "axis,value,seed,sigma_g_sq,floor_grad_norm_sq,min_grad_norm_sq,final_grad_norm_sq,"
@@ -310,7 +314,7 @@ def run(cfg: RunConfig, write_artifacts: bool = True, realized=None) -> RunResul
         manifest=build_manifest(cfg, fed, consts, assignment),
         completed=False,
         # Made before round 0, so a blocked directory costs no compute.
-        output_dir=_make_output_dir(cfg.output_dir) if write_artifacts else None,
+        output_dir=_make_output_dir(cfg.output_dir, RUN_ARTIFACTS) if write_artifacts else None,
     )
     state = init_state(cfg.algo.name, np.zeros(cfg.federation.d), N, cfg.algo.K, assignment)
     try:
@@ -346,18 +350,24 @@ def _write_run_artifacts(result: RunResult) -> None:
     out = result.output_dir
     if out is None:
         return
-    _write_json(out / "manifest.json", result.manifest)
+    manifest, metrics, status = RUN_ARTIFACTS
+    _write_json(out / manifest, result.manifest)
     rows = [(r.round, r.grad_norm_sq, r.global_loss, r.dist_to_opt_sq) for r in result.records]
-    _write_csv(out / "metrics.csv", METRICS_HEADER, rows)
-    status = {"completed": result.completed, "aborted_round": result.aborted_round}
-    _write_json(out / "status.json", status)
+    _write_csv(out / metrics, METRICS_HEADER, rows)
+    _write_json(out / status, {"completed": result.completed, "aborted_round": result.aborted_round})
 
 
-def _make_output_dir(path: str) -> Path:
-    """Create an output directory and its parents; a file in the way is a ConfigError."""
+def _make_output_dir(path: str, stale: tuple[str, ...]) -> Path:
+    """Create an output directory and its parents, removing the stale files named in it.
+
+    A file in the way of the directory, or a directory in the way of a
+    stale file, is a ConfigError.
+    """
     try:
         Path(path).mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
+        for name in stale:
+            (Path(path) / name).unlink(missing_ok=True)
+    except (FileExistsError, NotADirectoryError, IsADirectoryError) as exc:
         raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
     return Path(path)
 
@@ -459,7 +469,7 @@ def sweep(
             except ConfigError as exc:
                 raise ConfigError(f"sweep point {axis}={value!r}: {exc}") from exc
     if write_artifacts:
-        out = _make_output_dir(base.output_dir)
+        out = _make_output_dir(base.output_dir, (SUMMARY_FILE,))
         for cfg in cfgs:  # the base exists now, so only a point itself can be in the way
             point = Path(cfg.output_dir)
             if not point.is_dir() and (point.exists() or point.is_symlink()):
@@ -480,7 +490,7 @@ def sweep(
         rows.append((axis, value, cfg.seed, res.manifest["constants"]["sigma_g_sq"], *tail))
     summary_path = None
     if write_artifacts:
-        summary_path = out / "sweep_summary.csv"
+        summary_path = out / SUMMARY_FILE
         _write_csv(summary_path, SUMMARY_HEADER, rows)
     return SweepResult(results=results, summary_path=summary_path)
 

@@ -76,12 +76,16 @@ def local_sgd(
     return _train_slabs(fed, mus, w, tau, eta_c, rngs if noisy else None, slabs)
 
 
-def _train_rows(fed, mus, w, tau, eta_c, rngs, out=None):
-    """tau steps for the rows of mus; returns their updates, written to out if given."""
+def _train_rows(fed, mus, w, tau, eta_c, rngs, out=None, noise=None):
+    """tau steps for the rows of mus; returns their updates, written to out if given.
+
+    With rngs, row m draws its noise into noise[m], shape (tau, d); the
+    (M, tau, d) buffer is allocated here unless the caller passes it.
+    """
     M = mus.shape[0]
-    noise = None
     if rngs is not None:
-        noise = np.empty((M, tau, fed.d))
+        if noise is None:
+            noise = np.empty((M, tau, fed.d))
         for m, rng in enumerate(rngs):
             fed.draw_noise(rng, noise[m])
     step_scale = eta_c * tau
@@ -110,20 +114,25 @@ def _train_rows(fed, mus, w, tau, eta_c, rngs, out=None):
 def _train_slabs(fed, mus, w, tau, eta_c, rngs, slabs):
     """_train_rows on contiguous row slabs, slab 0 in this thread and one thread per other slab.
 
-    Returns the (M, d) updates. Every thread is joined before this returns
-    or raises. The exception of the lowest failing slab is raised, so a
-    divergence names the first bad step of the lowest diverging row.
+    Returns the (M, d) updates. The updates and the (M, tau, d) noise
+    buffer, the largest blocks, are allocated here in the calling thread
+    and each slab fills its own rows, so they are not left cached in a
+    worker thread's malloc arena. Every thread is joined before this
+    returns or raises. The exception of the lowest failing slab is
+    raised, so a divergence names the first bad step of the lowest
+    diverging row.
     """
     M = mus.shape[0]
     bounds = [M * s // slabs for s in range(slabs + 1)]
     delta = np.empty_like(mus)
+    noise = None if rngs is None else np.empty((M, tau, fed.d))
     errors = [None] * slabs  # the exception each slab raised, if any
 
     def train(s):
         lo, hi = bounds[s], bounds[s + 1]
         try:
-            streams = None if rngs is None else rngs[lo:hi]
-            _train_rows(fed, mus[lo:hi], w, tau, eta_c, streams, delta[lo:hi])
+            streams, buf = (None, None) if rngs is None else (rngs[lo:hi], noise[lo:hi])
+            _train_rows(fed, mus[lo:hi], w, tau, eta_c, streams, delta[lo:hi], buf)
         except BaseException as exc:  # re-raised by the calling thread below
             errors[s] = exc
 

@@ -26,7 +26,7 @@ from .core import (
     as_model_vector,
     ordered_row_sum,
 )
-from .rng import TAG_CENTERS, TAG_OFFSETS, substream
+from .rng import TAG_CENTERS, TAG_OFFSETS, draw_keyed_rows, philox_keys, substream
 
 
 @dataclass(frozen=True)
@@ -134,10 +134,14 @@ def generate_federation(cfg: FederationConfig) -> tuple[Federation, FederationCo
     centers = scale * substream(cfg.seed, TAG_CENTERS).standard_normal((cfg.K_true, cfg.d))
     assign = block_assignment(cfg.N, cfg.K_true)
     half_width = cfg.within_cluster_spread / np.sqrt(cfg.d)  # box offsets keep ||offset|| <= spread
+    lo, hi = -half_width, half_width
+    # Row i holds the uniforms of substream(seed, TAG_OFFSETS, i); the map
+    # after it has the bits of uniform(lo, hi) = lo + (hi - lo) * u.
     mus = np.empty((cfg.N, cfg.d))
-    for i in range(cfg.N):
-        offset = substream(cfg.seed, TAG_OFFSETS, i).uniform(-half_width, half_width, cfg.d)
-        mus[i] = centers[assign[i]] + offset
+    draw_keyed_rows(philox_keys(cfg.seed, TAG_OFFSETS, cfg.N), mus)
+    mus *= hi - lo
+    mus += lo
+    mus += centers[assign]
     eigs = np.linspace(cfg.hessian_eig_min, cfg.hessian_eig_max, cfg.d)
     fed = Federation(eigs=eigs, mus=mus, noise_sigma=cfg.noise_sigma)
     return fed, federation_constants(fed, assign)

@@ -200,6 +200,15 @@ def test_output_dir_blocked_by_a_file_exits_two(config_file, tmp_path, capsys, c
     assert tree(tmp_path) == before
 
 
+def test_artifact_name_taken_by_a_directory_exits_two(config_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "metrics.csv").mkdir(parents=True)
+    before = tree(tmp_path)
+    assert main(["run", "--config", str(config_file), "--set", f"output_dir={out}"]) == 2
+    assert f"configuration error: cannot create output directory {out}" in capsys.readouterr().err
+    assert tree(tmp_path) == before
+
+
 def test_zero_hessian_exits_two(config_file, tmp_path, capsys):
     zero = ["--set", "federation.hessian_eig_min=0", "--set", "federation.hessian_eig_max=0"]
     assert main(["run", "--config", str(config_file), *zero]) == 2

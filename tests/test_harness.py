@@ -296,6 +296,38 @@ def test_divergent_run_persists_partial_results(small_config, tmp_path):
     assert len(lines) >= 2  # header plus the initial point
 
 
+def test_interrupted_run_leaves_no_earlier_artifacts(small_config, tmp_path, monkeypatch):
+    out = tmp_path / "reused"
+    run(small_config(T=20, output_dir=out))
+    assert sorted(p.name for p in out.iterdir()) == sorted(harness.RUN_ARTIFACTS)
+    calls = []
+
+    def failing_step(*args):
+        calls.append(1)
+        if len(calls) == 5:
+            raise RuntimeError("stopped")
+        return aggregator_step(*args)
+
+    monkeypatch.setattr(harness, "aggregator_step", failing_step)
+    with pytest.raises(RuntimeError, match="stopped"):
+        run(small_config(T=50, output_dir=out))
+    for name in ("manifest.json", "metrics.csv", "status.json"):
+        assert not (out / name).exists(), name
+
+
+def test_sweep_removes_an_earlier_summary_when_it_makes_its_base(small_config, tmp_path, monkeypatch):
+    base = small_config(T=5, output_dir=tmp_path / "sweep")
+    assert sweep(base, "eta_s", [1.0]).summary_path.exists()
+
+    def failing_run(*args, **kwargs):
+        raise RuntimeError("stopped")
+
+    monkeypatch.setattr(harness, "run", failing_run)
+    with pytest.raises(RuntimeError, match="stopped"):
+        sweep(base, "eta_s", [1.0])
+    assert not (tmp_path / "sweep" / "sweep_summary.csv").exists()
+
+
 def test_server_side_divergence_detected(small_config, tmp_path):
     # A sane client rate but an absurd server rate: the round-0 server step
     # leaves a finite iterate of order 1e250 whose squared gradient norm

@@ -14,8 +14,9 @@ from fedvarp_sim.objectives import (
     block_assignment,
     global_grad_and_loss,
 )
+from fedvarp_sim import objectives
 from fedvarp_sim.localsgd import local_sgd
-from fedvarp_sim.rng import substream
+from fedvarp_sim.rng import TAG_CENTERS, TAG_OFFSETS, substream
 
 
 def test_two_point_constants():
@@ -111,6 +112,52 @@ def test_offsets_respect_within_cluster_spread():
     assert np.array_equal(centers.mus, centers.mus[assign * 4])
     for mu, center in zip(fed.mus, centers.mus):
         assert 0 < np.linalg.norm(mu - center) <= spread + 1e-12
+
+
+def _old_loop_mus(cfg):
+    """mus as generate_federation built them with one substream per client."""
+    scale = cfg.cluster_center_spread / np.sqrt(cfg.d)
+    centers = scale * substream(cfg.seed, TAG_CENTERS).standard_normal((cfg.K_true, cfg.d))
+    assign = block_assignment(cfg.N, cfg.K_true)
+    hw = cfg.within_cluster_spread / np.sqrt(cfg.d)
+    mus = np.empty((cfg.N, cfg.d))
+    for i in range(cfg.N):
+        mus[i] = centers[assign[i]] + substream(cfg.seed, TAG_OFFSETS, i).uniform(-hw, hw, cfg.d)
+    return mus, assign
+
+
+# The benchmark's three federation shapes, then the edge cases.
+PINNED_FEDERATIONS = {
+    "wide-table": FederationConfig(1000, 100, 10, 1.0, 0.1, 0.0, 0.5, 1.0, seed=2**31 + 5),
+    "deep-local": FederationConfig(200, 2000, 10, 1.0, 0.1, 0.5, 0.5, 1.0, seed=7),
+    "floor-sweep": FederationConfig(40, 8, 40, 1.0, 0.0, 0.0, 0.5, 1.0, seed=0),
+    "d=1": FederationConfig(12, 1, 3, 1.0, 0.4, 0.0, 0.5, 1.0, seed=1),
+    "spread=0": FederationConfig(12, 7, 2, 2.0, 0.0, 0.0, 0.5, 1.0, seed=2**32 + 7),
+    "seed>=2**64": FederationConfig(30, 5, 5, 1.0, 0.3, 0.0, 0.5, 2.0, seed=2**64 + 11),
+}
+
+
+@pytest.mark.parametrize("cfg", PINNED_FEDERATIONS.values(), ids=PINNED_FEDERATIONS.keys())
+def test_generation_matches_one_substream_per_client(cfg):
+    mus, assign = _old_loop_mus(cfg)
+    fed, consts = generate_federation(cfg)
+    assert fed.mus.tobytes() == mus.tobytes()
+    expected = federation_constants(replace(fed, mus=mus), assign)
+    for name in ("L", "sigma_g_sq", "sigma_K_sq", "f_star"):
+        assert getattr(consts, name) == getattr(expected, name), name
+    assert consts.w_star.tobytes() == expected.w_star.tobytes()
+
+
+def test_generation_derives_one_substream_for_the_centers(monkeypatch):
+    paths = []
+
+    def counting(seed, *path):
+        paths.append(path)
+        return substream(seed, *path)
+
+    monkeypatch.setattr(objectives, "substream", counting)
+    generate_federation(PINNED_FEDERATIONS["wide-table"])
+    assert paths == [(TAG_CENTERS,)]
 
 
 
