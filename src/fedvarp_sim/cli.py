@@ -91,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
         for value, r in aborted:
             _say(f"sweep: point {args.axis}={value} aborted at round={r.aborted_round}")
         return 1 if aborted else 0
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:  # MemoryError: a configured size too large to allocate
         _say(f"configuration error: {exc}")
         return 2
     except DivergenceError as exc:

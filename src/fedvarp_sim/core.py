@@ -64,26 +64,24 @@ def as_model_vector(values, d: int | None = None) -> np.ndarray:
 ROW_BLOCK_BYTES = 128 * 1024
 
 
-def ordered_row_sum(n: int, d: int, fill, from_zero: bool = True) -> np.ndarray:
+def ordered_row_sum(n: int, d: int, fill) -> np.ndarray:
     """Sum n rows of width d left to right, with the bits of the Python loop
 
-        acc = zeros(d)                               (from_zero)
-        acc = np.add.reduce(row_0[None], axis=0)     (otherwise)
-        for each further row k:  acc = acc + row_k
-
-    The second start is numpy's own, so for d >= 2 the result equals
-    np.add.reduce(rows, axis=0), the sum that rows.mean(axis=0) divides.
+        acc = zeros(d)
+        for each row k in order:  acc = acc + row_k
 
     fill(lo, hi, out) writes rows lo..hi-1 into out, shape (hi - lo, d).
     Rows pass through one buffer of at most ROW_BLOCK_BYTES whose first
-    row carries the running sum, and np.add.reduce(axis=0) adds a block
-    at least two columns wide row by row, so each block extends the same
-    sequential chain. A single column is reduced pairwise, so d=1 runs
-    two columns wide with the second one left at zero.
+    row carries the running sum, starting from +0.0, and
+    np.add.reduce(axis=0) adds a block at least two columns wide row by
+    row, so each block extends the same sequential chain. A single
+    column is reduced pairwise, so d=1 runs two columns wide with the
+    second one left at zero.
 
     A row of ±0.0 (say a finite row scaled by 0) leaves a sum started at
     +0.0 unchanged, since such a sum never becomes -0.0: skipping the row
-    and adding it give the same bits.
+    and adding it give the same bits. The +0.0 start decides only the
+    sign of a column whose rows are all ±0.0.
     """
     width = max(d, 2)
     block = min(n + 1, max(2, ROW_BLOCK_BYTES // (8 * width)))
@@ -91,12 +89,10 @@ def ordered_row_sum(n: int, d: int, fill, from_zero: bool = True) -> np.ndarray:
     acc = np.zeros(width)
     lo = 0
     while lo < n:
-        head = 1 if from_zero or lo > 0 else 0  # buf[0] carries acc into the block
-        hi = min(n, lo + block - head)
-        fill(lo, hi, buf[head : head + hi - lo, :d])
-        if head:
-            buf[0] = acc
-        np.add.reduce(buf[: head + hi - lo], axis=0, out=acc)
+        hi = min(n, lo + block - 1)
+        fill(lo, hi, buf[1 : 1 + hi - lo, :d])
+        buf[0] = acc  # carries the running sum into the block
+        np.add.reduce(buf[: 1 + hi - lo], axis=0, out=acc)
         lo = hi
     return acc[:d]
 

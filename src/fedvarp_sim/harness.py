@@ -13,7 +13,7 @@ All three are written once, when the run completes or diverges; a run
 stopped by anything else writes none of them. Making the output
 directory removes the three files a previous run left there, so an
 interrupted run leaves none (likewise a sweep's sweep_summary.csv). A
-sweep checks every point's output directory before its first point runs.
+sweep checks, then clears, every point's directory before point 0 runs.
 """
 from __future__ import annotations
 
@@ -474,6 +474,8 @@ def sweep(
             point = Path(cfg.output_dir)
             if not point.is_dir() and (point.exists() or point.is_symlink()):
                 raise ConfigError(f"cannot create output directory {point}: a file is in the way")
+        for cfg in cfgs:  # an interrupted sweep leaves no earlier sweep's point artifacts
+            _make_output_dir(cfg.output_dir, RUN_ARTIFACTS)
     results = []
     rows = []
     for cfg, value in zip(cfgs, values):

@@ -53,7 +53,10 @@ def local_sgd(
     A call whose work reaches SPLIT_MIN_WORK trains contiguous row slabs,
     one per available CPU, in threads; rows and their streams are
     independent, so the bits are those of one slab. Rows sharing a
-    generator draw in row order, so such a call runs as one slab.
+    generator draw in row order, so such a call runs as one slab. The
+    (M, d) result and the (M, tau, d) noise buffer, the largest blocks,
+    are allocated here in the calling thread for either path, so a
+    worker thread's malloc arena does not keep them cached.
 
     A non-finite iterate raises DivergenceError carrying the first
     non-finite step of the lowest row that diverges, which is the step
@@ -69,23 +72,22 @@ def local_sgd(
     noisy = fed.noise_sigma > 0
     if noisy and len(rngs) != M:
         raise ConfigError(f"need one generator per participant, got {len(rngs)} for {M}")
+    out = np.empty_like(mus)
+    noise = np.empty((M, tau, fed.d)) if noisy else None
     slabs = min(M, WORKERS)
     work = M * tau * fed.d * (NOISE_WORK_WEIGHT if noisy else 1)
     if slabs < 2 or work < SPLIT_MIN_WORK or (noisy and len(set(map(id, rngs))) < M):
-        return _train_rows(fed, mus, w, tau, eta_c, rngs if noisy else None)
-    return _train_slabs(fed, mus, w, tau, eta_c, rngs if noisy else None, slabs)
+        return _train_rows(fed, mus, w, tau, eta_c, rngs, out, noise)
+    return _train_slabs(fed, mus, w, tau, eta_c, rngs, out, noise, slabs)
 
 
-def _train_rows(fed, mus, w, tau, eta_c, rngs, out=None, noise=None):
-    """tau steps for the rows of mus; returns their updates, written to out if given.
+def _train_rows(fed, mus, w, tau, eta_c, rngs, out, noise):
+    """tau steps for the rows of mus; writes their updates to out and returns it.
 
-    With rngs, row m draws its noise into noise[m], shape (tau, d); the
-    (M, tau, d) buffer is allocated here unless the caller passes it.
+    noise is None for a noiseless federation; otherwise row m draws its
+    noise from rngs[m] into noise[m], shape (tau, d).
     """
-    M = mus.shape[0]
-    if rngs is not None:
-        if noise is None:
-            noise = np.empty((M, tau, fed.d))
+    if noise is not None:
         for m, rng in enumerate(rngs):
             fed.draw_noise(rng, noise[m])
     step_scale = eta_c * tau
@@ -103,7 +105,7 @@ def _train_rows(fed, mus, w, tau, eta_c, rngs, out=None, noise=None):
             w_k = w - step_scale * (grad_sum / tau)
             if not np.all(np.isfinite(w_k)):
                 if first_bad is None:
-                    first_bad = np.full(M, -1)
+                    first_bad = np.full(mus.shape[0], -1)
                 bad = ~np.all(np.isfinite(w_k), axis=1)
                 first_bad[bad & (first_bad < 0)] = k
     if first_bad is not None:
@@ -111,28 +113,23 @@ def _train_rows(fed, mus, w, tau, eta_c, rngs, out=None, noise=None):
     return np.divide(grad_sum, tau, out=out)
 
 
-def _train_slabs(fed, mus, w, tau, eta_c, rngs, slabs):
+def _train_slabs(fed, mus, w, tau, eta_c, rngs, out, noise, slabs):
     """_train_rows on contiguous row slabs, slab 0 in this thread and one thread per other slab.
 
-    Returns the (M, d) updates. The updates and the (M, tau, d) noise
-    buffer, the largest blocks, are allocated here in the calling thread
-    and each slab fills its own rows, so they are not left cached in a
-    worker thread's malloc arena. Every thread is joined before this
-    returns or raises. The exception of the lowest failing slab is
-    raised, so a divergence names the first bad step of the lowest
-    diverging row.
+    Each slab writes its rows of out and draws into its rows of noise.
+    Every thread is joined before this returns out or raises. The
+    exception of the lowest failing slab is raised, so a divergence
+    names the first bad step of the lowest diverging row.
     """
     M = mus.shape[0]
     bounds = [M * s // slabs for s in range(slabs + 1)]
-    delta = np.empty_like(mus)
-    noise = None if rngs is None else np.empty((M, tau, fed.d))
     errors = [None] * slabs  # the exception each slab raised, if any
 
     def train(s):
         lo, hi = bounds[s], bounds[s + 1]
         try:
-            streams, buf = (None, None) if rngs is None else (rngs[lo:hi], noise[lo:hi])
-            _train_rows(fed, mus[lo:hi], w, tau, eta_c, streams, delta[lo:hi], buf)
+            buf = None if noise is None else noise[lo:hi]
+            _train_rows(fed, mus[lo:hi], w, tau, eta_c, rngs[lo:hi], out[lo:hi], buf)
         except BaseException as exc:  # re-raised by the calling thread below
             errors[s] = exc
 
@@ -148,4 +145,4 @@ def _train_slabs(fed, mus, w, tau, eta_c, rngs, slabs):
     for exc in errors:
         if exc is not None:
             raise exc
-    return delta
+    return out

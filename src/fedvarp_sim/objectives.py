@@ -19,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ROW_BLOCK_BYTES,
-    ConfigError,
-    DimensionError,
-    as_model_vector,
-    ordered_row_sum,
-)
+from .core import ConfigError, DimensionError, as_model_vector, ordered_row_sum
 from .rng import TAG_CENTERS, TAG_OFFSETS, draw_keyed_rows, philox_keys, substream
 
 
@@ -151,17 +145,20 @@ def federation_constants(fed: Federation, assignment: np.ndarray) -> FederationC
     """Exact L, heterogeneity bounds, minimizer, and optimal loss."""
     eigs, mus = fed.eigs, fed.mus
     mu_bar = mus.mean(axis=0)
-    dev = eigs * (mu_bar - mus)  # per-client gradient gap, constant in w
-    sigma_g_sq = float(np.max(np.sum(dev * dev, axis=1)))
-    sigma_K_sq = float(cluster_heterogeneity(fed, assignment))
     f_star = float(np.mean(0.5 * np.sum(eigs * (mu_bar - mus) ** 2, axis=1)))
     return FederationConstants(
         L=float(np.max(eigs)),
-        sigma_g_sq=sigma_g_sq,
-        sigma_K_sq=sigma_K_sq,
+        sigma_g_sq=_max_gap_sq(eigs, mu_bar, mus),
+        sigma_K_sq=cluster_heterogeneity(fed, assignment),
         w_star=mu_bar,
         f_star=f_star,
     )
+
+
+def _max_gap_sq(eigs: np.ndarray, center: np.ndarray, rows: np.ndarray) -> float:
+    """max over rows of ||A(center - row)||^2: a client's gradient gap, constant in w."""
+    dev = eigs * (center - rows)
+    return float(np.max(np.sum(dev * dev, axis=1)))
 
 
 def cluster_heterogeneity(fed: Federation, assignment: np.ndarray) -> float:
@@ -169,23 +166,23 @@ def cluster_heterogeneity(fed: Federation, assignment: np.ndarray) -> float:
     worst = 0.0
     for k in np.unique(assignment):
         members = fed.mus[assignment == k]
-        center = members.mean(axis=0)
-        dev = fed.eigs * (center - members)
-        worst = max(worst, float(np.max(np.sum(dev * dev, axis=1))))
+        worst = max(worst, _max_gap_sq(fed.eigs, members.mean(axis=0), members))
     return worst
 
 
 def global_grad_and_loss(fed: Federation, w: np.ndarray) -> tuple[np.ndarray, float]:
     """Exact global gradient and loss, averaged over all clients.
 
-    The bits are those of grads_and_losses(w) followed by grads.mean(axis=0)
-    and losses.mean(). When mus spans more than one block, the gradients
-    are formed and summed block by block instead of as (N, d) temporaries.
-    At d=1 numpy sums the column pairwise, so d=1 keeps the whole column.
+    The gradients are formed and summed block by block (ordered_row_sum),
+    not as (N, d) temporaries, with the bits of grads_and_losses(w),
+    grads.mean(axis=0) and losses.mean() where numpy's reduction starts
+    from +0.0 (numpy 2.4); elsewhere only the sign of an all-zero column
+    of g could differ, and metrics read g only as dot(g, g). At d=1
+    numpy sums the column pairwise, so d=1 keeps the whole column.
     """
     w = as_model_vector(w, fed.d)
     N, d = fed.mus.shape
-    if d == 1 or fed.mus.nbytes <= ROW_BLOCK_BYTES:
+    if d == 1:
         grads, losses = fed.grads_and_losses(w)
         return grads.mean(axis=0), float(losses.mean())
     row_sums = np.empty(N)
@@ -196,5 +193,5 @@ def global_grad_and_loss(fed: Federation, w: np.ndarray) -> tuple[np.ndarray, fl
         diffs *= out  # grads * diffs, the products each loss sums
         np.add.reduce(diffs, axis=1, out=row_sums[lo:hi])
 
-    grad_sum = ordered_row_sum(N, d, grads_into, from_zero=False)
+    grad_sum = ordered_row_sum(N, d, grads_into)
     return grad_sum / N, float((0.5 * row_sums).mean())

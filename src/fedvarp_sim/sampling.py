@@ -7,7 +7,7 @@ from math import comb
 
 import numpy as np
 
-from .core import ConfigError, OracleScaleError
+from .core import ConfigError, OracleScaleError, sum_rows
 
 ENUMERATION_CAP = 1_000_000
 
@@ -53,27 +53,25 @@ def enumerate_subsets(N: int, M: int) -> list[RoundPlan]:
     return [RoundPlan(participants=subset) for subset in combinations(range(N), M)]
 
 
-def without_replacement_variance(xs: list[np.ndarray], M: int) -> float:
+def without_replacement_variance(xs, M: int) -> float:
     """Closed-form variance of the M-subset mean around the full mean.
 
-    Returns (1/M) ((N-M)/(N-1)) (1/N) sum_i ||x_i - x_bar||^2. For N = 1
-    the formula's (N-1) denominator is vacuous and the variance is zero,
-    so 0.0 is returned directly.
+    xs holds N vectors of one length, as a list or an (N, d) array.
+    Returns (1/M) ((N-M)/(N-1)) (1/N) sum_i ||x_i - x_bar||^2, x_bar
+    and the sum both added in row order. For N = 1 the formula's (N-1)
+    denominator is vacuous and the variance is zero, so 0.0 is returned.
     """
-    vecs = [np.atleast_1d(np.asarray(x, dtype=np.float64)) for x in xs]
-    N = len(vecs)
+    N = len(xs)
     if N == 0:
         raise ConfigError("empty vector list")
     if not 1 <= M <= N:
         raise ConfigError(f"need 1 <= M <= N, got M={M} N={N}")
     if N == 1:
         return 0.0
-    x_bar = np.zeros_like(vecs[0])
-    for x in vecs:
-        x_bar = x_bar + x
-    x_bar = x_bar / N
+    rows = np.asarray(xs, dtype=np.float64).reshape(N, -1)
+    x_bar = sum_rows(rows) / N
     total = 0.0
-    for x in vecs:
+    for x in rows:
         diff = x - x_bar
         total += float(np.dot(diff, diff))
     return (1.0 / M) * ((N - M) / (N - 1.0)) * (total / N)

@@ -209,6 +209,28 @@ def test_artifact_name_taken_by_a_directory_exits_two(config_file, tmp_path, cap
     assert tree(tmp_path) == before
 
 
+def test_sweep_point_artifact_name_taken_by_a_directory_exits_two(config_file, tmp_path, capsys):
+    point = tmp_path / "artifacts" / "point01_eta_c"
+    (point / "metrics.csv").mkdir(parents=True)
+    assert main(["sweep", "--config", str(config_file), *SWEEP[1:]]) == 2
+    assert f"configuration error: cannot create output directory {point}" in capsys.readouterr().err
+    assert [p for p in (tmp_path / "artifacts").rglob("*") if p.is_file()] == []
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [["federation.d=100000000000000"], ["federation.noise_sigma=0.3", "hyper.tau=10000000000000"]],
+    ids=["d", "noisy_tau"],
+)
+def test_size_too_large_to_allocate_exits_two(config_file, tmp_path, capsys, overrides):
+    # Both arrays exceed a 128 TiB address space, so numpy refuses them
+    # without allocating anything.
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    assert main(["run", "--config", str(config_file), *sets]) == 2
+    assert "configuration error: " in capsys.readouterr().err
+    assert [p for p in (tmp_path / "artifacts").rglob("*") if p.is_file()] == []
+
+
 def test_zero_hessian_exits_two(config_file, tmp_path, capsys):
     zero = ["--set", "federation.hessian_eig_min=0", "--set", "federation.hessian_eig_max=0"]
     assert main(["run", "--config", str(config_file), *zero]) == 2

@@ -328,6 +328,25 @@ def test_sweep_removes_an_earlier_summary_when_it_makes_its_base(small_config, t
     assert not (tmp_path / "sweep" / "sweep_summary.csv").exists()
 
 
+def test_interrupted_sweep_leaves_no_earlier_point_artifacts(small_config, tmp_path, monkeypatch):
+    base = small_config(T=5, output_dir=tmp_path / "sweep")
+    sweep(base, "eta_s", [1.0, 0.5])
+    point = tmp_path / "sweep" / "point01_eta_s"
+    assert sorted(p.name for p in point.iterdir()) == sorted(harness.RUN_ARTIFACTS)
+    calls = []
+
+    def run_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("stopped")
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run", run_once)
+    with pytest.raises(RuntimeError, match="stopped"):
+        sweep(base, "eta_s", [1.0, 0.5])
+    assert list(point.iterdir()) == []
+
+
 def test_server_side_divergence_detected(small_config, tmp_path):
     # A sane client rate but an absurd server rate: the round-0 server step
     # leaves a finite iterate of order 1e250 whose squared gradient norm

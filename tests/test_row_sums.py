@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from conftest import make_federation
 from fedvarp_sim.aggregators import aggregator_step, init_state
-from fedvarp_sim.core import CLUSTERFEDVARP, FEDVARP, MIFA, ROW_BLOCK_BYTES, ordered_row_sum
+from fedvarp_sim.core import (
+    CLUSTERFEDVARP,
+    FEDVARP,
+    MIFA,
+    ROW_BLOCK_BYTES,
+    ordered_row_sum,
+    sum_rows,
+)
 from fedvarp_sim.objectives import global_grad_and_loss
 from fedvarp_sim.sampling import RoundPlan
 
@@ -21,25 +28,16 @@ def rows_per_buffer(d):
     return max(2, ROW_BLOCK_BYTES // (8 * max(d, 2)))
 
 
-def loop_sum(rows, scales, from_zero):
-    """The reductions as written before the helper: one row at a time.
-
-    from_zero is the aggregator loop, which starts at +0.0 and skips empty
-    clusters; otherwise the sum starts where numpy's own reduction of the
-    first row does, as rows.mean(axis=0) does.
-    """
+def loop_sum(rows, scales):
+    """The reductions as written before the helper: one row at a time from
+    +0.0, skipping empty clusters, as the aggregator loop did."""
     def row(k):
         return rows[k] if scales is None else rows[k] * scales[k]
 
-    if from_zero:
-        acc = np.zeros(rows.shape[1])
-        for k in range(rows.shape[0]):
-            if scales is None or scales[k] > 0:
-                acc = acc + row(k)
-        return acc
-    acc = np.add.reduce(row(0)[None], axis=0)
-    for k in range(1, rows.shape[0]):
-        acc = acc + row(k)
+    acc = np.zeros(rows.shape[1])
+    for k in range(rows.shape[0]):
+        if scales is None or scales[k] > 0:
+            acc = acc + row(k)
     return acc
 
 
@@ -54,7 +52,6 @@ def test_ordered_row_sum_matches_row_loop_bitwise(data):
     )
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     scaled = data.draw(st.booleans(), label="scaled")
-    from_zero = data.draw(st.booleans(), label="from_zero")
 
     rng = np.random.default_rng(seed)
     edge = rng.random((K, d)) < 0.5
@@ -74,13 +71,12 @@ def test_ordered_row_sum_matches_row_loop_bitwise(data):
         else:
             np.multiply(rows[lo:hi], scales[lo:hi, None], out=out)
 
-    got = ordered_row_sum(K, d, fill, from_zero)
-    assert got.tobytes() == loop_sum(rows, scales, from_zero).tobytes()
+    got = ordered_row_sum(K, d, fill)
+    assert got.tobytes() == loop_sum(rows, scales).tobytes()
     assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
     assert blocks[-1][1] == K
-    if d >= 2 and not from_zero:
-        full = rows if scales is None else rows * scales[:, None]
-        assert got.tobytes() == np.add.reduce(full, axis=0).tobytes()
+    full = rows if scales is None else rows * scales[:, None]
+    assert got.tobytes() == sum_rows(full).tobytes()
 
 
 def test_ordered_row_sum_zero_scale_adds_nothing():
@@ -102,7 +98,8 @@ def old_grad_and_loss(fed, w):
 
 def test_blocked_metrics_match_whole_table_bitwise():
     rng = np.random.default_rng(7)
-    shapes = [(3000, 17), (2000, 100), (900, 300), (3, WIDE_D), (20000, 1), (1, 5)]
+    shapes = [(3000, 17), (2000, 100), (900, 300), (3, WIDE_D), (20000, 1)]
+    shapes += [(1, 5), (40, 8), (8, 3), (50, 10)]  # mus fits in one block
     for N, d in shapes:
         eigs = rng.uniform(0.2, 1.7, size=d)
         eigs[rng.random(d) < 0.3] = 0.0  # zero curvature: gradient components of ±0.0

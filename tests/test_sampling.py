@@ -110,3 +110,40 @@ def test_subset_mean_unbiased():
             axis=0,
         )
         assert np.max(np.abs(avg - x_bar)) < 1e-12
+
+
+def _row_loop_variance(xs, M):
+    """The closed form as written before it took arrays: one vector at a time."""
+    vecs = [np.atleast_1d(np.asarray(x, dtype=np.float64)) for x in xs]
+    N = len(vecs)
+    x_bar = np.zeros_like(vecs[0])
+    for x in vecs:
+        x_bar = x_bar + x
+    x_bar = x_bar / N
+    total = 0.0
+    for x in vecs:
+        diff = x - x_bar
+        total += float(np.dot(diff, diff))
+    return (1.0 / M) * ((N - M) / (N - 1.0)) * (total / N)
+
+
+def test_variance_of_an_array_matches_the_list_and_the_row_loop_bitwise():
+    # Values whose sums cancel or keep a signed zero make the bits depend
+    # on the summation order.
+    edge = np.array([-0.0, 0.0, 1.0, -1.0, 0.1, 3.0, 1e16, -1e16])
+    rng = np.random.default_rng(57)
+    for _ in range(200):
+        N = int(rng.integers(2, 40))
+        M = int(rng.integers(1, N + 1))
+        d = int(rng.choice([1, 2, 5]))
+        rows = np.where(rng.random((N, d)) < 0.5, rng.choice(edge, (N, d)), rng.normal(size=(N, d)))
+        got = without_replacement_variance(rows, M)
+        refs = [without_replacement_variance(list(rows), M), _row_loop_variance(list(rows), M)]
+        if d == 1:  # one scalar per client
+            refs.append(without_replacement_variance([float(x) for x in rows[:, 0]], M))
+        for ref in refs:
+            assert np.float64(ref).tobytes() == np.float64(got).tobytes()
+    for d in (1, 2):
+        zeros = np.full((5, d), -0.0)
+        got = without_replacement_variance(zeros, 2)
+        assert np.float64(got).tobytes() == np.float64(_row_loop_variance(zeros, 2)).tobytes()
