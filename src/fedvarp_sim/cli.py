@@ -9,22 +9,15 @@ import argparse
 import sys
 
 from .core import ConfigError, DivergenceError
-from .harness import (
-    SWEEP_AXES,
-    floor_estimate,
-    load_config,
-    run,
-    sweep,
-    sweep_axis_type,
-    verify,
-)
+from .harness import SWEEP_AXES, RunConfig, floor_estimate, load_config, run, sweep, sweep_axis_type
+from .oracles import verify
 
 
 def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _config_from_args(args) -> "RunConfig":
+def _config_from_args(args) -> RunConfig:
     if not args.config:
         raise ConfigError("--config PATH is required for this subcommand")
     return load_config(args.config, args.set or [])

@@ -1,4 +1,4 @@
-"""Experiment engine: configs, the round loop, sweeps, and self-verification.
+"""Experiment engine: configs, the round loop and sweeps.
 
 A run wires together federation generation, client sampling, local SGD,
 and one server aggregator for T rounds, logging exact global metrics.
@@ -30,8 +30,6 @@ from . import __version__
 from .core import (
     ALGORITHMS,
     CLUSTERFEDVARP,
-    FEDAVG,
-    FEDVARP,
     MIFA,
     ConfigError,
     DivergenceError,
@@ -51,9 +49,8 @@ from .objectives import (
     generate_federation,
     global_grad_and_loss,
 )
-from .reference_saga import saga_trajectory
 from .rng import TAG_LOCAL, TAG_SAMPLING, substream
-from .sampling import RoundPlan, enumerate_subsets, sample_round, without_replacement_variance
+from .sampling import RoundPlan, sample_round
 
 RUN_ARTIFACTS = ("manifest.json", "metrics.csv", "status.json")
 SUMMARY_FILE = "sweep_summary.csv"
@@ -457,17 +454,19 @@ def sweep(
     """
     if not values:
         raise ConfigError("sweep needs at least one value")
-    # Every point, its federation, its initial metrics and its output
-    # directory are checked before the first one runs; points that share
-    # a federation config share one realized federation.
+    # Every point, its federation, its initial metrics, its buffer sizes
+    # and its output directory are checked before the first one runs;
+    # points that share a federation config share one realized federation.
     cfgs = [sweep_point_config(base, axis, value, idx) for idx, value in enumerate(values)]
     realized = {}
     for cfg, value in zip(cfgs, values):
-        if cfg.federation not in realized:
-            try:
+        try:
+            if cfg.federation not in realized:
                 realized[cfg.federation] = _realize(cfg)
-            except ConfigError as exc:
-                raise ConfigError(f"sweep point {axis}={value!r}: {exc}") from exc
+            if cfg.federation.noise_sigma > 0:  # local_sgd's noise block; _realize built the rest
+                np.empty((cfg.hyper.M, cfg.hyper.tau, cfg.federation.d))
+        except (ConfigError, MemoryError) as exc:
+            raise ConfigError(f"sweep point {axis}={value!r}: {exc}") from exc
     if write_artifacts:
         out = _make_output_dir(base.output_dir, (SUMMARY_FILE,))
         for cfg in cfgs:  # the base exists now, so only a point itself can be in the way
@@ -495,174 +494,3 @@ def sweep(
         summary_path = out / SUMMARY_FILE
         _write_csv(summary_path, SUMMARY_HEADER, rows)
     return SweepResult(results=results, summary_path=summary_path)
-
-
-# ---------------------------------------------------------------------------
-# Verification suite
-
-
-@dataclass
-class VerifyCheck:
-    name: str
-    passed: bool
-    detail: str
-
-
-def verify(seed: int = 20240501) -> list[VerifyCheck]:
-    """Run the algebraic oracle checks; all must pass on a healthy build."""
-    checks = [
-        _verify_lemma_variance(seed),
-        _verify_subset_mean(seed),
-        _verify_unbiased_correction(seed, cluster=False),
-        _verify_unbiased_correction(seed, cluster=True),
-        _verify_reductions(seed),
-        _verify_saga(seed),
-        _verify_finite_difference(seed),
-    ]
-    return checks
-
-
-def _verify_lemma_variance(seed: int) -> VerifyCheck:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(40):
-        N = int(rng.integers(2, 9))
-        M = int(rng.integers(1, N + 1))
-        d = int(rng.choice([1, 3, 10]))
-        xs = [rng.normal(size=d) for _ in range(N)]
-        closed = without_replacement_variance(xs, M)
-        x_bar = np.mean(xs, axis=0)
-        exhaustive = np.mean(
-            [
-                float(np.sum((np.mean([xs[i] for i in p.participants], axis=0) - x_bar) ** 2))
-                for p in enumerate_subsets(N, M)
-            ]
-        )
-        worst = max(worst, abs(closed - exhaustive) / max(1e-30, abs(exhaustive), abs(closed)))
-    return VerifyCheck(
-        "subset-mean variance closed form vs enumeration", worst <= 1e-12, f"max rel err {worst:.2e}"
-    )
-
-
-def _verify_subset_mean(seed: int) -> VerifyCheck:
-    rng = np.random.default_rng(seed + 1)
-    worst = 0.0
-    for _ in range(20):
-        N = int(rng.integers(2, 8))
-        M = int(rng.integers(1, N + 1))
-        xs = [rng.normal(size=3) for _ in range(N)]
-        x_bar = np.mean(xs, axis=0)
-        avg = np.mean(
-            [np.mean([xs[i] for i in p.participants], axis=0) for p in enumerate_subsets(N, M)],
-            axis=0,
-        )
-        worst = max(worst, float(np.max(np.abs(avg - x_bar))))
-    return VerifyCheck("subset mean is unbiased over enumeration", worst <= 1e-12, f"max err {worst:.2e}")
-
-
-def _verify_unbiased_correction(seed: int, cluster: bool) -> VerifyCheck:
-    rng = np.random.default_rng(seed + 2 + cluster)
-    worst = 0.0
-    for _ in range(12):
-        N = int(rng.integers(2, 7))
-        M = int(rng.integers(1, N + 1))
-        d = 3
-        deltas = rng.normal(size=(N, d))
-        if cluster:
-            K = int(rng.integers(1, N + 1))
-            assignment = rng.integers(0, K, size=N)
-        else:
-            K, assignment = None, None
-        table = rng.normal(size=((K if cluster else N), d))
-        subsets = enumerate_subsets(N, M)
-        v_sum = np.zeros(d)
-        avg_sum = np.zeros(d)
-        for p in subsets:
-            algo = CLUSTERFEDVARP if cluster else FEDVARP
-            state = init_state(algo, np.zeros(d), N, K, assignment)
-            state.table = table.copy()
-            rows = deltas[list(p.participants)]
-            aggregator_step(state, p, rows, 1.0)
-            v_sum = v_sum - state.w  # w started at zero and moved by -v
-            avg_sum = avg_sum + np.mean(rows, axis=0)
-        worst = max(worst, float(np.max(np.abs((v_sum - avg_sum) / len(subsets)))))
-    label = "clusterfedvarp" if cluster else "fedvarp"
-    return VerifyCheck(
-        f"{label} update is subset-mean unbiased over enumeration",
-        worst <= 1e-12,
-        f"max err {worst:.2e}",
-    )
-
-
-def _verify_reductions(seed: int) -> VerifyCheck:
-    base = _quick_config(seed)
-    varp = run(replace(base, algo=AlgoConfig(FEDVARP)), write_artifacts=False)
-    c_n = run(
-        replace(base, algo=AlgoConfig(CLUSTERFEDVARP, K=base.federation.N)), write_artifacts=False
-    )
-    avg = run(replace(base, algo=AlgoConfig(FEDAVG)), write_artifacts=False)
-    c_1 = run(replace(base, algo=AlgoConfig(CLUSTERFEDVARP, K=1)), write_artifacts=False)
-    ok = varp.records == c_n.records and avg.records == c_1.records
-    return VerifyCheck("cluster reductions K=N and K=1 are bitwise identities", ok, "T=60 trajectories")
-
-
-def _verify_saga(seed: int) -> VerifyCheck:
-    rng = np.random.default_rng(seed + 5)
-    N, steps, lr = 12, 120, 0.04
-    mus = rng.normal(size=N)
-    fed = Federation(eigs=np.array([1.0]), mus=mus.reshape(N, 1))
-    picks = [int(rng.integers(N)) for _ in range(steps)]
-    ref = saga_trajectory(1.0, mus, 0.0, lr, picks)
-    state = init_state(FEDVARP, np.zeros(1), N)
-    eta_tilde = effective_server_lr(HyperConfig(eta_c=lr, eta_s=1.0, tau=1, T=steps, M=1))
-    ok = True
-    for t, j in enumerate(picks):
-        plan = RoundPlan(participants=(j,))
-        block = local_sgd(fed, plan.participants, state.w, 1, lr)
-        fedvarp_like = aggregator_step(state, plan, block, eta_tilde)
-        ok = ok and fedvarp_like.tobytes() == np.array([ref[t + 1]]).tobytes()
-    return VerifyCheck("single-participant path reproduces reference SAGA bitwise", ok, f"{steps} steps")
-
-
-def _verify_finite_difference(seed: int) -> VerifyCheck:
-    rng = np.random.default_rng(seed + 6)
-    d = 6
-    eigs = rng.uniform(0.2, 2.0, size=d)
-    worst = 0.0
-    for _ in range(5):
-        fed = Federation(eigs=eigs, mus=rng.normal(size=(1, d)))
-        w = rng.normal(size=d)
-        (g,), _ = fed.grads_and_losses(w)
-
-        def loss(x):
-            return fed.grads_and_losses(x)[1][0]
-
-        eps = 1e-5
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = eps
-            fd = (loss(w + e) - loss(w - e)) / (2 * eps)
-            worst = max(worst, abs(fd - g[j]))
-    return VerifyCheck("finite differences match exact gradients", worst <= 1e-6, f"max err {worst:.2e}")
-
-
-def _quick_config(seed: int) -> RunConfig:
-    return RunConfig(
-        federation=FederationConfig(
-            N=8,
-            d=3,
-            K_true=8,
-            cluster_center_spread=1.0,
-            within_cluster_spread=0.0,
-            noise_sigma=0.3,
-            hessian_eig_min=0.5,
-            hessian_eig_max=1.0,
-            seed=seed,
-        ),
-        hyper=HyperConfig(eta_c=0.05, eta_s=1.0, tau=2, T=60, M=3),
-        algo=AlgoConfig(FEDAVG),
-        log_every=1,
-        output_dir="unused",
-        seed=seed + 17,
-    )
-

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fedvarp_sim import oracles
 from fedvarp_sim.cli import main
 
 
@@ -34,6 +35,14 @@ def test_verify_exits_zero(capsys):
     assert main(["verify"]) == 0
     err = capsys.readouterr().err
     assert "PASS" in err and "FAIL" not in err
+
+
+def test_verify_failing_check_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(oracles, "saga_matches", lambda *args: False)
+    assert main(["verify"]) == 1
+    err = capsys.readouterr().err
+    assert "[FAIL] single-participant path reproduces reference SAGA bitwise" in err
+    assert "verify: 6/7 checks passed" in err
 
 
 def test_run_writes_artifacts(config_file, tmp_path):
@@ -229,6 +238,16 @@ def test_size_too_large_to_allocate_exits_two(config_file, tmp_path, capsys, ove
     assert main(["run", "--config", str(config_file), *sets]) == 2
     assert "configuration error: " in capsys.readouterr().err
     assert [p for p in (tmp_path / "artifacts").rglob("*") if p.is_file()] == []
+
+
+def test_sweep_buffer_too_large_to_allocate_exits_two_before_any_point(config_file, tmp_path, capsys):
+    # Point 0 (tau=1) fits; point 1's (M, tau, d) noise block exceeds a
+    # 128 TiB address space.
+    noisy = ["--set", "federation.noise_sigma=0.3", "--axis", "tau", "--values", "1,10000000000000"]
+    assert main(["sweep", "--config", str(config_file), *noisy]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: sweep point tau=10000000000000: Unable to allocate" in err
+    assert not (tmp_path / "artifacts").exists()
 
 
 def test_zero_hessian_exits_two(config_file, tmp_path, capsys):

@@ -1,11 +1,13 @@
+import itertools
 import json
-from dataclasses import asdict
+import re
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from fedvarp_sim.aggregators import aggregator_step, init_state
-from fedvarp_sim import harness
+from fedvarp_sim import harness, oracles
 from fedvarp_sim.core import ALGORITHMS, CLUSTERFEDVARP, FEDAVG, ConfigError, DivergenceError
 from fedvarp_sim.harness import (
     apply_overrides,
@@ -16,12 +18,12 @@ from fedvarp_sim.harness import (
     run,
     sweep,
     sweep_point_config,
-    verify,
 )
 from fedvarp_sim.localsgd import local_sgd
-from fedvarp_sim.objectives import FederationConfig, generate_federation
+from fedvarp_sim.objectives import Federation, FederationConfig, generate_federation
+from fedvarp_sim.oracles import verify
 from fedvarp_sim.rng import TAG_LOCAL, TAG_SAMPLING, substream
-from fedvarp_sim.sampling import enumerate_subsets, sample_round, without_replacement_variance
+from fedvarp_sim.sampling import sample_round, without_replacement_variance
 
 
 def raw_config(tmp_path, **edits):
@@ -560,25 +562,111 @@ def test_fedavg_floor_matches_stationary_prediction(small_config):
 # Verification
 
 
+VERIFY_CHECKS = (
+    "subset-mean variance closed form vs enumeration",
+    "subset mean is unbiased over enumeration",
+    "fedvarp update is subset-mean unbiased over enumeration",
+    "clusterfedvarp update is subset-mean unbiased over enumeration",
+    "cluster reductions K=N and K=1 are bitwise identities",
+    "single-participant path reproduces reference SAGA bitwise",
+    "finite differences match exact gradients",
+)
+
+
 def test_verify_all_pass():
     checks = verify()
-    assert checks and all(c.passed for c in checks)
+    assert tuple(c.name for c in checks) == VERIFY_CHECKS
+    assert all(c.passed for c in checks)
+    err = r"max err \d\.\d\de[-+]\d+"
+    details = (r"max rel err \d\.\d\de[-+]\d+", err, err, err, "T=60 trajectories", "120 steps", err)
+    assert [bool(re.fullmatch(p, c.detail)) for p, c in zip(details, checks)] == [True] * 7
 
 
-def test_lemma_check_detects_mutated_formula():
+def test_lemma_check_detects_mutated_formula(monkeypatch):
     # Fault injection: using N instead of N-1 in the closed form must be
     # flagged against the enumeration oracle.
-    rng = np.random.default_rng(71)
-    N, M = 5, 2
-    xs = [rng.normal(size=3) for _ in range(N)]
-    x_bar = np.mean(xs, axis=0)
-    exhaustive = np.mean(
-        [
-            float(np.sum((np.mean([xs[i] for i in p.participants], axis=0) - x_bar) ** 2))
-            for p in enumerate_subsets(N, M)
-        ]
-    )
-    good = without_replacement_variance(xs, M)
-    mutated = good * (N - 1) / N  # the (N-1) -> N mutation
-    assert abs(good - exhaustive) <= 1e-12 * abs(exhaustive)
-    assert abs(mutated - exhaustive) > 1e-3 * abs(exhaustive)
+    assert oracles.variance_gap(np.random.default_rng(71), 5) <= 1e-12
+    closed = oracles.without_replacement_variance
+
+    def mutated(xs, M):  # the (N-1) -> N mutation
+        return closed(xs, M) * (len(xs) - 1) / len(xs)
+
+    monkeypatch.setattr(oracles, "without_replacement_variance", mutated)
+    assert oracles.variance_gap(np.random.default_rng(71), 5) > 1e-3
+
+
+def _shift_stored_update_steps(monkeypatch):
+    step = oracles.aggregator_step
+
+    def shifted(state, *args):
+        w = step(state, *args)
+        if state.algo != FEDAVG:
+            state.w = w = w - 1e-3
+        return w
+
+    monkeypatch.setattr(oracles, "aggregator_step", shifted)
+
+
+def _one_step_off_by_one_ulp(monkeypatch):
+    step = oracles.aggregator_step
+    calls = itertools.count()
+
+    def off(*args):
+        w = step(*args)
+        return np.nextafter(w, np.inf) if next(calls) == 7 else w
+
+    monkeypatch.setattr(oracles, "aggregator_step", off)
+
+
+def _scale_gradients(monkeypatch):
+    exact = Federation.grads_and_losses
+
+    def scaled(fed, w):
+        grads, losses = exact(fed, w)
+        return grads * (1 + 1e-3), losses
+
+    monkeypatch.setattr(Federation, "grads_and_losses", scaled)
+
+
+def _perturb_a_cluster_record(monkeypatch):
+    run_config = oracles.run
+
+    def perturbed(cfg, **kwargs):
+        result = run_config(cfg, **kwargs)
+        if cfg.algo.K == 1:
+            rec = result.records[-1]
+            result.records[-1] = replace(rec, global_loss=float(np.nextafter(rec.global_loss, 1.0)))
+        return result
+
+    monkeypatch.setattr(oracles, "run", perturbed)
+
+
+def _fd_flagged(cfg):
+    rng = np.random.default_rng(5)
+    fed = Federation(eigs=rng.uniform(0.2, 2.0, size=3), mus=rng.normal(size=(2, 3)))
+    return oracles.finite_difference_error(fed, rng.normal(size=(2, 3))) > 1e-6
+
+
+@pytest.mark.parametrize(
+    "plant, flagged",
+    [
+        (
+            _shift_stored_update_steps,
+            lambda cfg: max(oracles.update_bias(np.random.default_rng(5), 2)) > 1e-6,
+        ),
+        (
+            _one_step_off_by_one_ulp,
+            lambda cfg: not oracles.saga_matches(np.random.default_rng(5), 6, 20, 0.05),
+        ),
+        (_scale_gradients, _fd_flagged),
+        (_perturb_a_cluster_record, lambda cfg: not oracles.reductions_hold(cfg)),
+    ],
+    ids=["bias", "saga", "finite_difference", "reductions"],
+)
+def test_oracles_flag_a_planted_fault(small_config, monkeypatch, plant, flagged):
+    # Each oracle has one copy, shared by verify and the acceptance suite:
+    # one that went vacuous would pass in both.
+    cfg = small_config(noise_sigma=0.3, T=10)
+    assert not flagged(cfg)
+    plant(monkeypatch)
+    assert flagged(cfg)
