@@ -9,8 +9,9 @@ effective server step.
     clusterfedvarp  one shared state per client cluster
     mifa            per-client table, equal weight to stored updates
 
-A round's updates arrive as one (M, d) block: row m is the update of
-client plan.participants[m], so rows are in ascending client id. Table
+aggregator_step runs a round of any of them on the participants' ids,
+distinct and ascending, and their updates as one (M, d) block, row m for
+client participants[m]; it branches once on the state's algorithm. Table
 writes are fancy-indexed row assignments and every sum is an array
 reduction; no step loops over participants or clusters in Python.
 
@@ -45,21 +46,22 @@ from .core import (
     ordered_row_sum,
     sum_rows,
 )
-from .sampling import RoundPlan
 
 
 @dataclass
 class ServerAggregatorState:
     """Mutable server memory: the model and a table of stored updates.
 
-    table rows start at zero: one row per client for mifa, one per
-    cluster for fedvarp and clusterfedvarp. assignment maps each client
-    to its row and sizes counts the clients per row (stored-update
-    kernel only; fedvarp uses the identity assignment).
+    N is the number of clients. table rows start at zero: one row per
+    client for mifa, one per cluster for fedvarp and clusterfedvarp.
+    assignment maps each client to its row and sizes counts the clients
+    per row (stored-update kernel only; fedvarp uses the identity
+    assignment).
     """
 
     algo: str
     w: np.ndarray
+    N: int
     table: np.ndarray | None = None
     assignment: np.ndarray | None = None
     sizes: np.ndarray | None = None
@@ -74,7 +76,7 @@ def init_state(
 ) -> ServerAggregatorState:
     """Zero-initialized aggregator state for N clients."""
     d = w0.shape[0]
-    state = ServerAggregatorState(algo=algo, w=np.array(w0, dtype=np.float64))
+    state = ServerAggregatorState(algo=algo, w=np.array(w0, dtype=np.float64), N=N)
     if algo == FEDVARP:  # N singleton clusters
         K, assignment = N, np.arange(N)
     if algo in (FEDVARP, CLUSTERFEDVARP):
@@ -95,52 +97,48 @@ def init_state(
     return state
 
 
-def _checked_block(state: ServerAggregatorState, plan: RoundPlan, block) -> np.ndarray:
-    """The round's updates as an (M, d) float64 array, row m for plan.participants[m]."""
-    M = len(plan.participants)
-    if not M:
-        raise ConfigError("empty participant set")
+def aggregator_step(
+    state: ServerAggregatorState, participants, block: np.ndarray, eta_tilde: float
+) -> np.ndarray:
+    """One server round of state.algo; returns the new model state.w.
+
+    participants: distinct ascending client ids, any 1-D int sequence;
+    row m of the (M, d) block is the update of client participants[m].
+    """
+    ids = np.asarray(participants, dtype=np.intp)
+    N = state.N
+    if ids.ndim != 1 or not ids.size or ids[0] < 0 or ids[-1] >= N or (ids[1:] <= ids[:-1]).any():
+        raise ConfigError(f"participants must be distinct ascending ids in [0, {N}), got {participants}")
+    M, d = ids.size, state.w.shape[0]
     block = np.asarray(block, dtype=np.float64)
-    if block.shape != (M, state.w.shape[0]):
-        raise DimensionError(f"update block shape {block.shape} != {(M, state.w.shape[0])}")
-    return block
-
-
-def _server_step(state: ServerAggregatorState, v: np.ndarray, eta_tilde: float) -> np.ndarray:
+    if block.shape != (M, d):
+        raise DimensionError(f"update block shape {block.shape} != {(M, d)}")
+    if state.algo == FEDAVG:
+        v = sum_rows(block) / M
+    elif state.algo == MIFA:  # stored and fresh updates weigh the same
+        state.table[ids] = block
+        v = sum_rows(state.table) / N
+    else:
+        v = _stored_update(state, ids, block)
     # Overflow surfaces as a divergence error in the run loop, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         state.w = state.w - eta_tilde * v
     return state.w
 
 
-def fedavg_step(
-    state: ServerAggregatorState, plan: RoundPlan, block: np.ndarray, eta_tilde: float
-) -> np.ndarray:
-    """w <- w - eta_tilde * mean of received updates."""
-    if state.algo != FEDAVG:
-        raise ConfigError(f"state is tagged {state.algo!r}, not fedavg")
-    block = _checked_block(state, plan, block)
-    return _server_step(state, sum_rows(block) / block.shape[0], eta_tilde)
-
-
-def clusterfedvarp_step(
-    state: ServerAggregatorState, plan: RoundPlan, block: np.ndarray, eta_tilde: float
-) -> np.ndarray:
-    """Variance-reduced step using one stored update per cluster.
+def _stored_update(state: ServerAggregatorState, ids: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The fedvarp/clusterfedvarp update v; refreshes the table afterwards.
 
     v = mean_{i in S}(delta_i - y_{c_i}) + (1/N) sum_j y_{c_j}, all terms
-    from the pre-round table; afterwards every cluster with sampled
-    members stores the mean update of those members, other clusters keep
-    their state. With singleton clusters this is fedvarp: the
-    coefficients are 1/M and 1/N and the refresh stores delta_i / 1.
+    from the pre-round table; then every cluster with sampled members
+    stores the mean update of those members, other clusters keep their
+    state. With singleton clusters this is fedvarp: the coefficients are
+    1/M and 1/N and the refresh stores delta_i / 1.
     """
-    if state.algo not in (FEDVARP, CLUSTERFEDVARP):
-        raise ConfigError(f"state is tagged {state.algo!r}, not fedvarp or clusterfedvarp")
-    block = _checked_block(state, plan, block)
     table = state.table
     K, d = table.shape
     M = block.shape[0]
-    cl = state.assignment[list(plan.participants)]  # cluster of each row
+    cl = state.assignment[ids]  # cluster of each row
     counts = np.bincount(cl, minlength=K)
     hit = counts.nonzero()[0]  # clusters with sampled members, ascending
     members = counts[hit]
@@ -152,12 +150,11 @@ def clusterfedvarp_step(
     hit_rows = table[hit]
     hit_rows *= (members / M)[:, None]
     t_part = sum_rows(hit_rows)
-    coef = state.sizes / state.assignment.shape[0]
+    coef = state.sizes / state.N
     t_all = ordered_row_sum(
         K, d, lambda lo, hi, out: np.multiply(table[lo:hi], coef[lo:hi, None], out=out)
     )
     v = sum_rows(block) / M + (t_all - t_part)
-    w = _server_step(state, v, eta_tilde)
 
     # Refresh: each hit cluster's members, in row order, are consecutive
     # in `order` from `first`. Pass j adds every hit cluster's j-th
@@ -171,41 +168,7 @@ def clusterfedvarp_step(
         acc[more] += block[order[first[more] + j]]
     acc /= members[:, None]
     table[hit] = acc
-    return w
-
-
-def mifa_step(
-    state: ServerAggregatorState, plan: RoundPlan, block: np.ndarray, eta_tilde: float
-) -> np.ndarray:
-    """Equal-weight baseline: refresh stored updates first, then average all.
-
-    Stored and fresh updates get the same weight, so rounds before full
-    table coverage take a biased (shrunken) step.
-    """
-    if state.algo != MIFA:
-        raise ConfigError(f"state is tagged {state.algo!r}, not mifa")
-    block = _checked_block(state, plan, block)
-    table = state.table
-    table[list(plan.participants)] = block
-    return _server_step(state, sum_rows(table) / table.shape[0], eta_tilde)
-
-
-STEP_FUNCTIONS = {
-    FEDAVG: fedavg_step,
-    FEDVARP: clusterfedvarp_step,
-    CLUSTERFEDVARP: clusterfedvarp_step,
-    MIFA: mifa_step,
-}
-
-
-def aggregator_step(
-    state: ServerAggregatorState, plan: RoundPlan, block: np.ndarray, eta_tilde: float
-) -> np.ndarray:
-    """Dispatch one aggregation round by the state's algorithm tag.
-
-    Row m of the (M, d) block is the update of client plan.participants[m].
-    """
-    return STEP_FUNCTIONS[state.algo](state, plan, block, eta_tilde)
+    return v
 
 
 def cluster_miss_probability(N: int, r: int, M: int) -> float:

@@ -50,7 +50,7 @@ from .objectives import (
     global_grad_and_loss,
 )
 from .rng import TAG_LOCAL, TAG_SAMPLING, substream
-from .sampling import RoundPlan, sample_round
+from .sampling import sample_round
 
 RUN_ARTIFACTS = ("manifest.json", "metrics.csv", "status.json")
 SUMMARY_FILE = "sweep_summary.csv"
@@ -257,6 +257,22 @@ def build_manifest(
     }
 
 
+def _check_sizes(cfg: RunConfig) -> None:
+    """Raise ConfigError if an array cfg sizes cannot be allocated.
+
+    Probes the (N, d) federation and server table and, for a noisy
+    federation, local_sgd's (M, tau, d) noise block, allocating nothing.
+    """
+    shapes = [(cfg.federation.N, cfg.federation.d)]
+    if cfg.federation.noise_sigma > 0:
+        shapes.append((cfg.hyper.M, cfg.hyper.tau, cfg.federation.d))
+    for shape in shapes:
+        try:
+            np.empty(shape)
+        except (MemoryError, ValueError) as exc:  # ValueError: the byte count overflows
+            raise ConfigError(f"{exc} (array shape {shape})") from exc
+
+
 def _realize(cfg: RunConfig) -> tuple[Federation, FederationConstants, RunRecord]:
     """Build cfg's federation and its round-0 record, checking that record is finite.
 
@@ -295,14 +311,18 @@ def run(cfg: RunConfig, write_artifacts: bool = True, realized=None) -> RunResul
     the federation is noisy, and the aggregators reduce in client id
     order, so the result does not depend on how the batch is ordered.
 
-    realized is what _realize(cfg) returns, for a caller that has built
-    the federation already. Initial metrics that overflow are a
-    ConfigError raised before the output directory is made. A non-finite
-    iterate or later metric raises DivergenceError naming the round whose
-    update produced it, with the finite records before it as `result`.
-    The artifacts are written once, when the run completes or diverges.
+    realized is what _realize(cfg) returns, for a caller that has checked
+    cfg's sizes and built the federation already. Array sizes too large
+    to allocate and initial metrics that overflow are ConfigErrors raised
+    before the output directory is made. A non-finite iterate or later
+    metric raises DivergenceError naming the round whose update produced
+    it, with the finite records before it as `result`. The artifacts are
+    written once, when the run completes or diverges.
     """
-    fed, consts, first = realized or _realize(cfg)
+    if realized is None:
+        _check_sizes(cfg)
+        realized = _realize(cfg)
+    fed, consts, first = realized
     h, N = cfg.hyper, cfg.federation.N
     eta_tilde = effective_server_lr(h)
     assignment = _run_assignment(cfg)
@@ -317,14 +337,14 @@ def run(cfg: RunConfig, write_artifacts: bool = True, realized=None) -> RunResul
     try:
         for t in range(h.T):
             if cfg.algo.name == MIFA and cfg.algo.mifa_mode == "full_first_round" and t == 0:
-                plan = RoundPlan(participants=tuple(range(N)))
+                participants = np.arange(N)
             else:
-                plan = sample_round(N, h.M, substream(cfg.seed, TAG_SAMPLING, t))
+                participants = sample_round(N, h.M, substream(cfg.seed, TAG_SAMPLING, t))
             rngs = ()
             if fed.noise_sigma > 0:
-                rngs = [substream(cfg.seed, TAG_LOCAL, t, i) for i in plan.participants]
-            block = local_sgd(fed, plan.participants, state.w, h.tau, h.eta_c, rngs)
-            aggregator_step(state, plan, block, eta_tilde)
+                rngs = [substream(cfg.seed, TAG_LOCAL, t, i) for i in participants.tolist()]
+            block = local_sgd(fed, participants, state.w, h.tau, h.eta_c, rngs)
+            aggregator_step(state, participants, block, eta_tilde)
             if not np.all(np.isfinite(state.w)):
                 raise DivergenceError(step=None)
             if (t + 1) % cfg.log_every == 0 or (t + 1) == h.T:
@@ -454,17 +474,16 @@ def sweep(
     """
     if not values:
         raise ConfigError("sweep needs at least one value")
-    # Every point, its federation, its initial metrics, its buffer sizes
+    # Every point, its array sizes, its federation, its initial metrics
     # and its output directory are checked before the first one runs;
     # points that share a federation config share one realized federation.
     cfgs = [sweep_point_config(base, axis, value, idx) for idx, value in enumerate(values)]
     realized = {}
     for cfg, value in zip(cfgs, values):
         try:
+            _check_sizes(cfg)
             if cfg.federation not in realized:
                 realized[cfg.federation] = _realize(cfg)
-            if cfg.federation.noise_sigma > 0:  # local_sgd's noise block; _realize built the rest
-                np.empty((cfg.hyper.M, cfg.hyper.tau, cfg.federation.d))
         except (ConfigError, MemoryError) as exc:
             raise ConfigError(f"sweep point {axis}={value!r}: {exc}") from exc
     if write_artifacts:

@@ -17,7 +17,7 @@ from .harness import AlgoConfig, RunConfig, run
 from .localsgd import local_sgd
 from .objectives import Federation, FederationConfig
 from .reference_saga import saga_trajectory
-from .sampling import RoundPlan, enumerate_subsets, without_replacement_variance
+from .sampling import enumerate_subsets, without_replacement_variance
 
 
 def variance_gap(rng: np.random.Generator, instances: int) -> float:
@@ -38,8 +38,8 @@ def variance_gap(rng: np.random.Generator, instances: int) -> float:
             exhaustive = float(
                 np.mean(
                     [
-                        np.sum((np.mean(xs[list(p.participants)], axis=0) - x_bar) ** 2)
-                        for p in enumerate_subsets(N, M)
+                        np.sum((np.mean(xs[ids], axis=0) - x_bar) ** 2)
+                        for ids in enumerate_subsets(N, M)
                     ]
                 )
             )
@@ -57,7 +57,7 @@ def subset_mean_bias(rng: np.random.Generator, instances: int, d: int) -> float:
         N = int(rng.integers(2, 8))
         M = int(rng.integers(1, N + 1))
         xs = rng.normal(size=(N, d))
-        means = [np.mean(xs[list(p.participants)], axis=0) for p in enumerate_subsets(N, M)]
+        means = [np.mean(xs[ids], axis=0) for ids in enumerate_subsets(N, M)]
         worst = max(worst, float(np.max(np.abs(np.mean(means, axis=0) - np.mean(xs, axis=0)))))
     return worst
 
@@ -80,13 +80,13 @@ def update_bias(rng: np.random.Generator, d: int) -> tuple[float, float]:
             tables[CLUSTERFEDVARP] = rng.normal(size=(K, d))
             subsets = enumerate_subsets(N, M)
             totals = {algo: np.zeros(d) for algo in (FEDAVG, FEDVARP, CLUSTERFEDVARP)}
-            for plan in subsets:
-                block = deltas[list(plan.participants)]
+            for ids in subsets:
+                block = deltas[ids]
                 for algo in totals:
                     state = init_state(algo, np.zeros(d), N, K, assignment)
                     if algo in tables:
                         state.table = tables[algo].copy()
-                    aggregator_step(state, plan, block, 1.0)
+                    aggregator_step(state, ids, block, 1.0)
                     totals[algo] = totals[algo] - state.w  # w moved from zero by -v
             count = len(subsets)
             for algo in worst:
@@ -120,9 +120,8 @@ def saga_matches(rng: np.random.Generator, N: int, steps: int, lr: float) -> boo
     eta_tilde = effective_server_lr(HyperConfig(eta_c=lr, eta_s=1.0, tau=1, T=steps, M=1))
     state = init_state(FEDVARP, np.zeros(1), N)
     for t, j in enumerate(picks):
-        plan = RoundPlan(participants=(j,))
-        block = local_sgd(fed, plan.participants, state.w, 1, lr)
-        w = aggregator_step(state, plan, block, eta_tilde)
+        block = local_sgd(fed, [j], state.w, 1, lr)
+        w = aggregator_step(state, [j], block, eta_tilde)
         if w.tobytes() != np.array([reference[t + 1]]).tobytes():
             return False
     return True

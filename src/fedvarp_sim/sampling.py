@@ -1,7 +1,6 @@
 """Uniform without-replacement client sampling plus enumeration oracles."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -12,24 +11,8 @@ from .core import ConfigError, OracleScaleError, sum_rows
 ENUMERATION_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class RoundPlan:
-    """The participant set of one round: M distinct sorted client ids."""
-
-    participants: tuple[int, ...]
-
-    def __post_init__(self):
-        p = self.participants
-        if len(set(p)) != len(p):
-            raise ConfigError(f"duplicate participants in {p}")
-        if any(p[i] >= p[i + 1] for i in range(len(p) - 1)):
-            raise ConfigError(f"participants must be sorted ascending, got {p}")
-        if p and p[0] < 0:
-            raise ConfigError(f"negative client id in {p}")
-
-
-def sample_round(N: int, M: int, rng: np.random.Generator) -> RoundPlan:
-    """Sample M of N clients uniformly without replacement.
+def sample_round(N: int, M: int, rng: np.random.Generator) -> np.ndarray:
+    """Sample M of N clients uniformly without replacement; their ids ascending, as np.intp.
 
     Partial Fisher-Yates over [0, N): exactly uniform over all C(N, M)
     subsets, O(N) work, deterministic in the stream.
@@ -40,17 +23,17 @@ def sample_round(N: int, M: int, rng: np.random.Generator) -> RoundPlan:
     for j in range(M):
         r = j + int(rng.integers(N - j))
         idx[j], idx[r] = idx[r], idx[j]
-    return RoundPlan(participants=tuple(sorted(idx[:M])))
+    return np.array(sorted(idx[:M]), dtype=np.intp)
 
 
-def enumerate_subsets(N: int, M: int) -> list[RoundPlan]:
-    """All C(N, M) participant sets in lexicographic order."""
+def enumerate_subsets(N: int, M: int) -> np.ndarray:
+    """All C(N, M) participant sets in lexicographic order, one row of M ids each."""
     if not 1 <= M <= N:
         raise ConfigError(f"need 1 <= M <= N, got M={M} N={N}")
     count = comb(N, M)
     if count > ENUMERATION_CAP:
         raise OracleScaleError(f"C({N},{M}) = {count} exceeds cap {ENUMERATION_CAP}")
-    return [RoundPlan(participants=subset) for subset in combinations(range(N), M)]
+    return np.array(list(combinations(range(N), M)), dtype=np.intp)
 
 
 def without_replacement_variance(xs, M: int) -> float:

@@ -4,14 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_federation
-from fedvarp_sim.aggregators import (
-    aggregator_step,
-    cluster_miss_probability,
-    clusterfedvarp_step,
-    fedavg_step,
-    init_state,
-    mifa_step,
-)
+from fedvarp_sim.aggregators import aggregator_step, cluster_miss_probability, init_state
 from fedvarp_sim.core import (
     ALGORITHMS,
     CLUSTERFEDVARP,
@@ -26,25 +19,25 @@ from fedvarp_sim.core import (
 from fedvarp_sim.localsgd import local_sgd
 from fedvarp_sim.objectives import global_grad_and_loss
 from fedvarp_sim.oracles import update_bias
-from fedvarp_sim.sampling import RoundPlan, enumerate_subsets
+from fedvarp_sim.sampling import enumerate_subsets
 
 
 def updates(deltas):
-    """The (plan, block) of one round from {client id: update}."""
-    parts = tuple(sorted(deltas))
+    """The (participants, block) of one round from {client id: update}."""
+    parts = sorted(deltas)
     block = np.array([np.atleast_1d(np.asarray(deltas[i], dtype=np.float64)) for i in parts])
-    return RoundPlan(participants=parts), block
+    return np.array(parts, dtype=np.intp), block
 
 
 def test_fedavg_mean_and_step():
     state = init_state(FEDAVG, np.zeros(1), N=2)
-    w = fedavg_step(state, *updates({0: [1.0], 1: [3.0]}), eta_tilde=0.1)
+    w = aggregator_step(state, *updates({0: [1.0], 1: [3.0]}), eta_tilde=0.1)
     assert w[0] == pytest.approx(-0.2, rel=1e-15)
 
 
 def test_fedavg_singleton():
     state = init_state(FEDAVG, np.array([1.0, 1.0]), N=5)
-    w = fedavg_step(state, *updates({3: [2.0, -2.0]}), eta_tilde=1.0)
+    w = aggregator_step(state, *updates({3: [2.0, -2.0]}), eta_tilde=1.0)
     assert np.array_equal(w, [-1.0, 3.0])
 
 
@@ -54,37 +47,54 @@ def test_fedavg_full_participation_is_gradient_descent():
     fed = make_federation(rng.normal(size=(5, 3)), rng.uniform(0.5, 1.5, size=3))
     w0 = rng.normal(size=3)
     h = HyperConfig(eta_c=0.08, eta_s=1.25, tau=1, T=1, M=5)
-    plan = RoundPlan(participants=tuple(range(5)))
-    block = local_sgd(fed, plan.participants, w0, h.tau, h.eta_c)
+    block = local_sgd(fed, np.arange(5), w0, h.tau, h.eta_c)
     state = init_state(FEDAVG, w0, N=5)
-    w1 = fedavg_step(state, plan, block, effective_server_lr(h))
+    w1 = aggregator_step(state, np.arange(5), block, effective_server_lr(h))
     g, _ = global_grad_and_loss(fed, w0)
     assert np.allclose(w1, w0 - h.eta_s * h.eta_c * g, rtol=1e-12, atol=1e-14)
 
 
-def test_step_requires_matching_tag():
-    state = init_state(FEDAVG, np.zeros(1), N=2)
-    with pytest.raises(ConfigError):
-        clusterfedvarp_step(state, *updates({0: [1.0]}), 0.1)
-
-
 def test_round_updates_key_mismatch_rejected():
     # The block needs one row per participant, each as wide as the model.
-    plan = RoundPlan(participants=(0, 1))
     for algo in ALGORITHMS:
         for shape in ((1, 2), (3, 2), (2, 1), (2, 3), (2,), (2, 2, 1)):
             state = init_state(algo, np.zeros(2), N=3, K=2, assignment=np.array([0, 0, 1]))
             with pytest.raises(DimensionError):
-                aggregator_step(state, plan, np.zeros(shape), 0.1)
-        with pytest.raises(ConfigError):
-            aggregator_step(state, RoundPlan(participants=()), np.zeros((0, 2)), 0.1)
+                aggregator_step(state, np.array([0, 1]), np.zeros(shape), 0.1)
+
+
+BAD_SETS = {
+    "unsorted": [2, 1],
+    "repeated": [1, 1],
+    "negative": [-1, 0],
+    "at_N": [1, 3],
+    "above_N": [1, 5],
+    "empty": [],
+    "two_dim": [[0, 1]],
+    "scalar": 1,
+}
+
+
+@pytest.mark.parametrize("bad", BAD_SETS)
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_bad_participant_sets_rejected(algo, bad):
+    # N=3: ids must be distinct, ascending and in [0, 3), in a non-empty 1-D set.
+    ids = BAD_SETS[bad]
+    state = init_state(algo, np.zeros(2), N=3, K=2, assignment=np.array([0, 0, 1]))
+    before = (state.w.copy(), None if state.table is None else state.table.copy())
+    block = np.ones((np.size(ids), 2))
+    with pytest.raises(ConfigError):
+        aggregator_step(state, ids, block, 0.1)
+    assert state.w.tobytes() == before[0].tobytes()
+    if state.table is not None:
+        assert state.table.tobytes() == before[1].tobytes()
 
 
 def test_fedvarp_first_round_equals_fedavg():
     upd = updates({0: [1.0, 0.0], 2: [3.0, -4.0]})
     a = init_state(FEDAVG, np.zeros(2), N=4)
     b = init_state(FEDVARP, np.zeros(2), N=4)
-    wa = fedavg_step(a, *upd, 0.3)
+    wa = aggregator_step(a, *upd, 0.3)
     wb = aggregator_step(b, *upd, 0.3)
     assert wa.tobytes() == wb.tobytes()
 
@@ -117,13 +127,13 @@ def test_exhaustive_unbiasedness_example():
     # N=3, M=2, deltas (0,3,6), uniform table: both averages equal 3.
     deltas = {0: [0.0], 1: [3.0], 2: [6.0]}
     v_vals, avg_vals = [], []
-    for plan in enumerate_subsets(3, 2):
-        upd = updates({i: deltas[i] for i in plan.participants})
+    for ids in enumerate_subsets(3, 2):
+        upd = updates({i: deltas[i] for i in ids.tolist()})
         sv = init_state(FEDVARP, np.zeros(1), N=3)
         sv.table = np.ones((3, 1))
         v_vals.append(-aggregator_step(sv, *upd, 1.0)[0])
         sa = init_state(FEDAVG, np.zeros(1), N=3)
-        avg_vals.append(-fedavg_step(sa, *upd, 1.0)[0])
+        avg_vals.append(-aggregator_step(sa, *upd, 1.0)[0])
     assert np.mean(v_vals) == pytest.approx(3.0, abs=1e-13)
     assert np.mean(avg_vals) == pytest.approx(3.0, abs=1e-13)
 
@@ -134,8 +144,8 @@ def test_cluster_single_cluster_matches_fedavg_bitwise():
     a = init_state(FEDAVG, np.zeros(3), N=6)
     c = init_state(CLUSTERFEDVARP, np.zeros(3), N=6, K=1, assignment=np.zeros(6, dtype=int))
     c.table = rng.normal(size=(1, 3))  # arbitrary shared state must cancel
-    wa = fedavg_step(a, *upd, 0.2)
-    wc = clusterfedvarp_step(c, *upd, 0.2)
+    wa = aggregator_step(a, *upd, 0.2)
+    wc = aggregator_step(c, *upd, 0.2)
     assert wa.tobytes() == wc.tobytes()
 
 
@@ -144,7 +154,7 @@ def test_cluster_hand_case():
         CLUSTERFEDVARP, np.zeros(1), N=4, K=2, assignment=np.array([0, 0, 1, 1])
     )
     state.table = np.array([[10.0], [20.0]])
-    w = clusterfedvarp_step(state, *updates({0: [4.0], 2: [6.0]}), eta_tilde=1.0)
+    w = aggregator_step(state, *updates({0: [4.0], 2: [6.0]}), eta_tilde=1.0)
     # v = 1/2[(4-10)+(6-20)] + 1/4(10+10+20+20) = 5
     assert w[0] == pytest.approx(-5.0, rel=1e-12)
     assert np.allclose(state.table[:, 0], [4.0, 6.0])
@@ -155,7 +165,7 @@ def test_cluster_within_cluster_mean():
         CLUSTERFEDVARP, np.zeros(1), N=4, K=2, assignment=np.array([0, 0, 1, 1])
     )
     state.table = np.array([[1.0], [9.0]])
-    clusterfedvarp_step(state, *updates({0: [4.0], 1: [8.0]}), eta_tilde=1.0)
+    aggregator_step(state, *updates({0: [4.0], 1: [8.0]}), eta_tilde=1.0)
     assert state.table[0, 0] == pytest.approx(6.0)
     assert state.table[1, 0] == 9.0  # untouched cluster keeps its state
 
@@ -181,22 +191,22 @@ def test_mifa_full_history_matches_full_participation_average():
     upd = updates(deltas)
     m = init_state(MIFA, np.zeros(2), N=N)
     a = init_state(FEDAVG, np.zeros(2), N=N)
-    wm = mifa_step(m, *upd, 0.5)
-    wa = fedavg_step(a, *upd, 0.5)
+    wm = aggregator_step(m, *upd, 0.5)
+    wa = aggregator_step(a, *upd, 0.5)
     assert np.allclose(wm, wa, rtol=1e-12)
 
 
 def test_mifa_hand_case():
     state = init_state(MIFA, np.zeros(1), N=2)
     state.table = np.array([[0.0], [7.0]])
-    w = mifa_step(state, *updates({0: [3.0]}), eta_tilde=1.0)
+    w = aggregator_step(state, *updates({0: [3.0]}), eta_tilde=1.0)
     assert np.allclose(state.table[:, 0], [3.0, 7.0])
     assert w[0] == pytest.approx(-5.0)
 
 
 def test_mifa_cold_start_bias():
     state = init_state(MIFA, np.zeros(1), N=4)
-    w = mifa_step(state, *updates({0: [4.0]}), eta_tilde=1.0)
+    w = aggregator_step(state, *updates({0: [4.0]}), eta_tilde=1.0)
     assert w[0] == pytest.approx(-1.0)  # averaged against three zero states
 
 
@@ -214,9 +224,8 @@ def edge_rows(rng, n, d):
     return rows
 
 
-def loop_step(state, plan, block, eta_tilde):
-    """The per-participant loops the array-shaped steps replace."""
-    parts = plan.participants
+def loop_step(state, parts, block, eta_tilde):
+    """The per-participant loops the array-shaped step replaces; parts is a tuple of ids."""
     deltas = dict(zip(parts, block))
     M = len(parts)
     mean_delta = np.zeros_like(block[0])
@@ -254,6 +263,10 @@ def loop_step(state, plan, block, eta_tilde):
     return state.w
 
 
+# A tuple of ids must not be read as a multi-axis index.
+ID_FORMS = (tuple, list, lambda parts: np.array(parts, dtype=np.intp))
+
+
 @pytest.mark.parametrize("algo", ALGORITHMS)
 @settings(max_examples=100, deadline=None, database=None)
 @given(
@@ -269,7 +282,8 @@ def test_steps_match_the_participant_loops_bitwise(algo, d, N, rounds, layout, s
     K = int(rng.integers(1, N + 3))
     assignment = rng.integers(0, K, size=N)  # unsorted
     w0 = edge_rows(rng, 1, d)[0]
-    states = [init_state(algo, w0, N, K, assignment) for _ in range(2)]
+    # states[0] runs the loops; the others take the ids as each form in ID_FORMS.
+    states = [init_state(algo, w0, N, K, assignment) for _ in range(1 + len(ID_FORMS))]
     if states[0].table is not None:
         table = edge_rows(rng, *states[0].table.shape)
         for state in states:
@@ -277,7 +291,6 @@ def test_steps_match_the_participant_loops_bitwise(algo, d, N, rounds, layout, s
     for t in range(rounds):
         M = int(rng.integers(1, N + 1))
         parts = tuple(sorted(rng.choice(N, M, replace=False).tolist()))
-        plan = RoundPlan(participants=parts)
         block = edge_rows(rng, M, d)
         if layout == "F":
             passed = np.asfortranarray(block)
@@ -286,12 +299,13 @@ def test_steps_match_the_participant_loops_bitwise(algo, d, N, rounds, layout, s
         else:
             passed = block.copy()
         eta_tilde = float(rng.choice([1.0, 0.3]))
-        expected = loop_step(states[0], plan, block, eta_tilde)
-        w = aggregator_step(states[1], plan, passed, eta_tilde)
-        assert w.tobytes() == expected.tobytes()
-        if algo != FEDAVG:
-            assert states[1].table.tobytes() == states[0].table.tobytes()
-        assert passed.tobytes() == block.tobytes()  # the step leaves its input alone
+        expected = loop_step(states[0], parts, block, eta_tilde)
+        for form, state in zip(ID_FORMS, states[1:]):
+            w = aggregator_step(state, form(parts), passed, eta_tilde)
+            assert w.tobytes() == expected.tobytes()
+            if algo != FEDAVG:
+                assert state.table.tobytes() == states[0].table.tobytes()
+            assert passed.tobytes() == block.tobytes()  # the step leaves its input alone
 
 
 def test_miss_probability_hand_case():
@@ -312,6 +326,6 @@ def test_miss_probability_matches_enumeration():
     N, r, M = 6, 3, 2
     cluster = set(range(r))
     plans = enumerate_subsets(N, M)
-    missing = sum(1 for p in plans if not cluster & set(p.participants))
+    missing = sum(1 for ids in plans if not cluster & set(ids.tolist()))
     assert cluster_miss_probability(N, r, M) == pytest.approx(missing / len(plans), rel=1e-15)
 

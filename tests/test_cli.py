@@ -226,18 +226,28 @@ def test_sweep_point_artifact_name_taken_by_a_directory_exits_two(config_file, t
     assert [p for p in (tmp_path / "artifacts").rglob("*") if p.is_file()] == []
 
 
+NOISY = ["--set", "federation.noise_sigma=0.3"]
+
+
 @pytest.mark.parametrize(
-    "overrides",
-    [["federation.d=100000000000000"], ["federation.noise_sigma=0.3", "hyper.tau=10000000000000"]],
-    ids=["d", "noisy_tau"],
+    "args",
+    [
+        ["run", "--set", "federation.d=100000000000000"],
+        ["run", *NOISY, "--set", "hyper.tau=10000000000000"],
+        ["run", "--set", "federation.d=1000000000000000000"],
+        ["run", *NOISY, "--set", "hyper.tau=1000000000000000000"],
+        ["sweep", *NOISY, "--axis", "tau", "--values", "1,1000000000000000000"],
+    ],
+    ids=["d", "noisy_tau", "d_overflows", "noisy_tau_overflows", "sweep_tau_overflows"],
 )
-def test_size_too_large_to_allocate_exits_two(config_file, tmp_path, capsys, overrides):
-    # Both arrays exceed a 128 TiB address space, so numpy refuses them
-    # without allocating anything.
-    sets = [arg for item in overrides for arg in ("--set", item)]
-    assert main(["run", "--config", str(config_file), *sets]) == 2
+def test_size_too_large_to_allocate_exits_two(config_file, tmp_path, capsys, args):
+    # The first two arrays exceed a 128 TiB address space, so numpy
+    # refuses them without allocating anything; the byte counts of the
+    # others overflow.
+    command, *rest = args
+    assert main([command, "--config", str(config_file), *rest]) == 2
     assert "configuration error: " in capsys.readouterr().err
-    assert [p for p in (tmp_path / "artifacts").rglob("*") if p.is_file()] == []
+    assert not (tmp_path / "artifacts").exists()
 
 
 def test_sweep_buffer_too_large_to_allocate_exits_two_before_any_point(config_file, tmp_path, capsys):

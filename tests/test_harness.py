@@ -232,8 +232,8 @@ def _round_block(fed, w, seed, t, order):
 
 def test_participant_order_does_not_change_step():
     # Training the participants as batch rows in reversed order, then
-    # flipping the rows back to plan order, must give the same bits as
-    # training them in plan order, round after round.
+    # flipping the rows back to id order, must give the same bits as
+    # training them in id order, round after round.
     N, d, seed = 8, 3, 4242
     fed, _ = generate_federation(
         FederationConfig(
@@ -253,11 +253,11 @@ def test_participant_order_does_not_change_step():
         ascending = init_state(algo, np.zeros(d), N, K, assignment)
         reversed_ = init_state(algo, np.zeros(d), N, K, assignment)
         for t in range(6):
-            plan = sample_round(N, 5, substream(seed, TAG_SAMPLING, t))
-            fwd = _round_block(fed, ascending.w, seed, t, plan.participants)
-            rev = _round_block(fed, reversed_.w, seed, t, plan.participants[::-1])
-            aggregator_step(ascending, plan, fwd, 0.1)
-            aggregator_step(reversed_, plan, rev[::-1], 0.1)
+            ids = sample_round(N, 5, substream(seed, TAG_SAMPLING, t))
+            fwd = _round_block(fed, ascending.w, seed, t, ids)
+            rev = _round_block(fed, reversed_.w, seed, t, ids[::-1])
+            aggregator_step(ascending, ids, fwd, 0.1)
+            aggregator_step(reversed_, ids, rev[::-1], 0.1)
             assert ascending.w.tobytes() == reversed_.w.tobytes(), algo
             if algo != FEDAVG:
                 assert ascending.table.tobytes() == reversed_.table.tobytes(), algo

@@ -16,7 +16,6 @@ from fedvarp_sim.core import (
     sum_rows,
 )
 from fedvarp_sim.objectives import global_grad_and_loss
-from fedvarp_sim.sampling import RoundPlan
 
 # Wide enough that a block holds one row besides the running sum.
 WIDE_D = ROW_BLOCK_BYTES // 16
@@ -131,8 +130,7 @@ def test_table_reductions_allocate_far_less_than_the_table():
     w = rng.normal(size=d)
     assert peak_traced_bytes(lambda: global_grad_and_loss(fed, w)) < bound
 
-    parts = tuple(sorted(int(i) for i in rng.choice(N, size=M, replace=False)))
-    plan = RoundPlan(participants=parts)
+    ids = np.sort(rng.choice(N, size=M, replace=False))
     block = rng.normal(size=(M, d))
     states = [
         init_state(FEDVARP, np.zeros(d), N),
@@ -141,5 +139,5 @@ def test_table_reductions_allocate_far_less_than_the_table():
     ]
     for state in states:
         state.table[:] = rng.normal(size=state.table.shape)
-        peak = peak_traced_bytes(lambda: aggregator_step(state, plan, block, 0.1))
+        peak = peak_traced_bytes(lambda: aggregator_step(state, ids, block, 0.1))
         assert peak < bound, (state.algo, peak)

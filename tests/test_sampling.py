@@ -7,24 +7,17 @@ import pytest
 from fedvarp_sim.core import ConfigError, OracleScaleError
 from fedvarp_sim.oracles import subset_mean_bias
 from fedvarp_sim.rng import substream
-from fedvarp_sim.sampling import (
-    RoundPlan,
-    enumerate_subsets,
-    sample_round,
-    without_replacement_variance,
-)
+from fedvarp_sim.sampling import enumerate_subsets, sample_round, without_replacement_variance
 
 
 def test_full_participation_is_identity():
-    plan = sample_round(6, 6, substream(1, 0))
-    assert plan.participants == tuple(range(6))
+    ids = sample_round(6, 6, substream(1, 0))
+    assert ids.dtype == np.intp
+    assert ids.tolist() == list(range(6))
 
 
 def test_plan_validation():
-    with pytest.raises(ConfigError):
-        RoundPlan(participants=(2, 1))
-    with pytest.raises(ConfigError):
-        RoundPlan(participants=(1, 1))
+    # The id checks themselves are made by aggregator_step.
     with pytest.raises(ConfigError):
         sample_round(3, 4, substream(1, 0))
 
@@ -34,7 +27,7 @@ def test_marginal_inclusion_frequencies():
     stream = substream(2024, 1)
     counts = np.zeros(N)
     for _ in range(draws):
-        for i in sample_round(N, M, stream).participants:
+        for i in sample_round(N, M, stream):
             counts[i] += 1
     expected = draws * M / N
     sigma = np.sqrt(draws * (M / N) * (1 - M / N))
@@ -44,7 +37,7 @@ def test_marginal_inclusion_frequencies():
 def test_subset_frequencies_uniform():
     N, M, draws = 4, 2, 100_000
     stream = substream(2024, 2)
-    counts = Counter(sample_round(N, M, stream).participants for _ in range(draws))
+    counts = Counter(tuple(sample_round(N, M, stream).tolist()) for _ in range(draws))
     assert len(counts) == comb(N, M)
     expected = draws / comb(N, M)
     sigma = np.sqrt(draws * (1 / 6) * (5 / 6))
@@ -53,10 +46,12 @@ def test_subset_frequencies_uniform():
 
 
 def test_enumeration_small_cases():
-    plans = enumerate_subsets(3, 2)
-    assert [p.participants for p in plans] == [(0, 1), (0, 2), (1, 2)]
-    assert len(enumerate_subsets(4, 4)) == 1
-    assert len(enumerate_subsets(6, 3)) == 20
+    ids = enumerate_subsets(3, 2)
+    assert ids.dtype == np.intp
+    assert ids.tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert enumerate_subsets(4, 4).shape == (1, 4)
+    assert enumerate_subsets(6, 3).shape == (20, 3)
+    assert enumerate_subsets(5, 1).shape == (5, 1)
 
 
 def test_enumeration_cap():
