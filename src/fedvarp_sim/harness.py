@@ -13,7 +13,7 @@ All three are written once, when the run completes or diverges; a run
 stopped by anything else writes none of them. Making the output
 directory removes the three files a previous run left there, so an
 interrupted run leaves none (likewise a sweep's sweep_summary.csv). A
-sweep checks, then clears, every point's directory before point 0 runs.
+sweep checks its base and every point's directory before it makes any.
 """
 from __future__ import annotations
 
@@ -326,20 +326,17 @@ def run(cfg: RunConfig, write_artifacts: bool = True, realized=None) -> RunResul
     h, N = cfg.hyper, cfg.federation.N
     eta_tilde = effective_server_lr(h)
     assignment = _run_assignment(cfg)
-    result = RunResult(
-        records=[first],
-        manifest=build_manifest(cfg, fed, consts, assignment),
-        completed=False,
-        # Made before round 0, so a blocked directory costs no compute.
-        output_dir=_make_output_dir(cfg.output_dir, RUN_ARTIFACTS) if write_artifacts else None,
-    )
+    manifest = build_manifest(cfg, fed, consts, assignment)
+    out = Path(cfg.output_dir) if write_artifacts else None
+    if out is not None:  # made before round 0, so a blocked directory costs no compute
+        _make_output_dirs({out: RUN_ARTIFACTS})
+    result = RunResult(records=[first], manifest=manifest, completed=False, output_dir=out)
     state = init_state(cfg.algo.name, np.zeros(cfg.federation.d), N, cfg.algo.K, assignment)
+    # Any algo may carry a mifa_mode; only mifa's full_first_round samples all N in round 0.
+    M_0 = N if cfg.algo.name == MIFA and cfg.algo.mifa_mode == "full_first_round" else h.M
     try:
         for t in range(h.T):
-            if cfg.algo.name == MIFA and cfg.algo.mifa_mode == "full_first_round" and t == 0:
-                participants = np.arange(N)
-            else:
-                participants = sample_round(N, h.M, substream(cfg.seed, TAG_SAMPLING, t))
+            participants = sample_round(N, h.M if t else M_0, substream(cfg.seed, TAG_SAMPLING, t))
             rngs = ()
             if fed.noise_sigma > 0:
                 rngs = [substream(cfg.seed, TAG_LOCAL, t, i) for i in participants.tolist()]
@@ -374,19 +371,27 @@ def _write_run_artifacts(result: RunResult) -> None:
     _write_json(out / status, {"completed": result.completed, "aborted_round": result.aborted_round})
 
 
-def _make_output_dir(path: str, stale: tuple[str, ...]) -> Path:
-    """Create an output directory and its parents, removing the stale files named in it.
+def _make_output_dirs(dirs: dict) -> None:
+    """Make each directory of dirs, parents included, and remove the stale files it lists.
 
-    A file in the way of the directory, or a directory in the way of a
-    stale file, is a ConfigError.
+    dirs maps a directory to the names of the artifacts an earlier run
+    left in it. Every directory is checked before any is made: a file in
+    the way of a directory, or a directory in the way of a stale file, is
+    a ConfigError naming that directory, as is any OSError of either pass.
     """
     try:
-        Path(path).mkdir(parents=True, exist_ok=True)
-        for name in stale:
-            (Path(path) / name).unlink(missing_ok=True)
-    except (FileExistsError, NotADirectoryError, IsADirectoryError) as exc:
+        for path, stale in dirs.items():
+            p = Path(path)
+            if any((p / name).is_dir() and not (p / name).is_symlink() for name in stale):
+                raise IsADirectoryError("a directory is in the way of an artifact")
+            if any(not q.is_dir() and (q.exists() or q.is_symlink()) for q in (p, *p.parents)):
+                raise NotADirectoryError("a file is in the way")
+        for path, stale in dirs.items():
+            Path(path).mkdir(parents=True, exist_ok=True)
+            for name in stale:
+                (Path(path) / name).unlink(missing_ok=True)
+    except OSError as exc:
         raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
-    return Path(path)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -434,8 +439,8 @@ def sweep_point_config(base: RunConfig, axis: str, value, index: int) -> RunConf
     """The config of one sweep point: axis applied, child seed, own subdir.
 
     The value is checked like a config key (ints for counts, finite
-    floats for rates and scales); the child seed is derived from the value
-    as given.
+    floats for rates and scales); the child seed is derived from the
+    checked value, so 1, 1.0 and np.float64(1.0) give one seed.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
@@ -452,7 +457,7 @@ def sweep_point_config(base: RunConfig, axis: str, value, index: int) -> RunConf
     return replace(
         base,
         **{section: replace(part, **edit)},
-        seed=derive_sweep_seed(base.seed, axis, value),
+        seed=derive_sweep_seed(base.seed, axis, v),
         output_dir=str(Path(base.output_dir) / f"point{index:02d}_{axis}"),
     )
 
@@ -486,14 +491,9 @@ def sweep(
                 realized[cfg.federation] = _realize(cfg)
         except (ConfigError, MemoryError) as exc:
             raise ConfigError(f"sweep point {axis}={value!r}: {exc}") from exc
-    if write_artifacts:
-        out = _make_output_dir(base.output_dir, (SUMMARY_FILE,))
-        for cfg in cfgs:  # the base exists now, so only a point itself can be in the way
-            point = Path(cfg.output_dir)
-            if not point.is_dir() and (point.exists() or point.is_symlink()):
-                raise ConfigError(f"cannot create output directory {point}: a file is in the way")
-        for cfg in cfgs:  # an interrupted sweep leaves no earlier sweep's point artifacts
-            _make_output_dir(cfg.output_dir, RUN_ARTIFACTS)
+    if write_artifacts:  # an interrupted sweep leaves no earlier sweep's point artifacts
+        points = {cfg.output_dir: RUN_ARTIFACTS for cfg in cfgs}
+        _make_output_dirs({base.output_dir: (SUMMARY_FILE,), **points})
     results = []
     rows = []
     for cfg, value in zip(cfgs, values):
@@ -510,6 +510,6 @@ def sweep(
         rows.append((axis, value, cfg.seed, res.manifest["constants"]["sigma_g_sq"], *tail))
     summary_path = None
     if write_artifacts:
-        summary_path = out / SUMMARY_FILE
+        summary_path = Path(base.output_dir) / SUMMARY_FILE
         _write_csv(summary_path, SUMMARY_HEADER, rows)
     return SweepResult(results=results, summary_path=summary_path)

@@ -50,17 +50,19 @@ def local_sgd(
     fed.noise_sigma > 0; participant m draws its tau noise vectors as one
     (tau, d) block. The input w is not modified.
 
-    A call whose work reaches SPLIT_MIN_WORK trains contiguous row slabs,
-    one per available CPU, in threads; rows and their streams are
-    independent, so the bits are those of one slab. Rows sharing a
-    generator draw in row order, so such a call runs as one slab. The
-    (M, d) result and the (M, tau, d) noise buffer, the largest blocks,
-    are allocated here in the calling thread for either path, so a
-    worker thread's malloc arena does not keep them cached.
+    Every call trains contiguous row slabs, slab 0 in this thread and one
+    thread per other slab: one slab per available CPU once the work
+    reaches SPLIT_MIN_WORK and no two rows share a generator (those draw
+    in row order), else one slab, which starts no thread. Rows and their
+    streams are independent, so the bits are those of one slab. The
+    (M, d) result and the (M, tau, d) noise buffer are allocated here, in
+    the calling thread, so a worker thread's malloc arena does not keep
+    them cached. Every thread is joined before this returns or raises.
 
     A non-finite iterate raises DivergenceError carrying the first
-    non-finite step of the lowest row that diverges, which is the step
-    that training the participants one after another in row order reports.
+    non-finite step of the lowest row that diverges (the lowest failing
+    slab's error is raised), which is the step that training the
+    participants one after another in row order reports.
     """
     if tau < 1:
         raise ConfigError(f"tau must be >= 1, got {tau}")
@@ -74,15 +76,36 @@ def local_sgd(
         raise ConfigError(f"need one generator per participant, got {len(rngs)} for {M}")
     out = np.empty_like(mus)
     noise = np.empty((M, tau, fed.d)) if noisy else None
-    slabs = min(M, WORKERS)
     work = M * tau * fed.d * (NOISE_WORK_WEIGHT if noisy else 1)
-    if slabs < 2 or work < SPLIT_MIN_WORK or (noisy and len(set(map(id, rngs))) < M):
-        return _train_rows(fed, mus, w, tau, eta_c, rngs, out, noise)
-    return _train_slabs(fed, mus, w, tau, eta_c, rngs, out, noise, slabs)
+    split = work >= SPLIT_MIN_WORK and not (noisy and len(set(map(id, rngs))) < M)
+    slabs = min(M, WORKERS) if split else 1
+    errors = [None] * slabs  # the exception each slab raised, if any
+
+    def train(s):
+        lo, hi = M * s // slabs, M * (s + 1) // slabs
+        try:
+            buf = None if noise is None else noise[lo:hi]
+            _train_rows(fed, mus[lo:hi], w, tau, eta_c, rngs[lo:hi], out[lo:hi], buf)
+        except BaseException as exc:  # re-raised by the calling thread below
+            errors[s] = exc
+
+    threads = [threading.Thread(target=train, args=(s,)) for s in range(1, slabs)]
+    try:
+        for t in threads:
+            t.start()
+        train(0)
+    finally:
+        for t in threads:
+            if t.ident is not None:
+                t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return out
 
 
 def _train_rows(fed, mus, w, tau, eta_c, rngs, out, noise):
-    """tau steps for the rows of mus; writes their updates to out and returns it.
+    """tau steps for the rows of mus; writes their updates to out.
 
     noise is None for a noiseless federation; otherwise row m draws its
     noise from rngs[m] into noise[m], shape (tau, d).
@@ -110,39 +133,5 @@ def _train_rows(fed, mus, w, tau, eta_c, rngs, out, noise):
                 first_bad[bad & (first_bad < 0)] = k
     if first_bad is not None:
         raise DivergenceError(step=int(first_bad[first_bad >= 0][0]))
-    return np.divide(grad_sum, tau, out=out)
+    np.divide(grad_sum, tau, out=out)
 
-
-def _train_slabs(fed, mus, w, tau, eta_c, rngs, out, noise, slabs):
-    """_train_rows on contiguous row slabs, slab 0 in this thread and one thread per other slab.
-
-    Each slab writes its rows of out and draws into its rows of noise.
-    Every thread is joined before this returns out or raises. The
-    exception of the lowest failing slab is raised, so a divergence
-    names the first bad step of the lowest diverging row.
-    """
-    M = mus.shape[0]
-    bounds = [M * s // slabs for s in range(slabs + 1)]
-    errors = [None] * slabs  # the exception each slab raised, if any
-
-    def train(s):
-        lo, hi = bounds[s], bounds[s + 1]
-        try:
-            buf = None if noise is None else noise[lo:hi]
-            _train_rows(fed, mus[lo:hi], w, tau, eta_c, rngs[lo:hi], out[lo:hi], buf)
-        except BaseException as exc:  # re-raised by the calling thread below
-            errors[s] = exc
-
-    threads = [threading.Thread(target=train, args=(s,)) for s in range(1, slabs)]
-    try:
-        for t in threads:
-            t.start()
-        train(0)
-    finally:
-        for t in threads:
-            if t.ident is not None:
-                t.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return out

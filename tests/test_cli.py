@@ -191,15 +191,34 @@ SWEEP = ["sweep", "--axis", "eta_c", "--values", "0.01,0.02"]
         (RUN, "under_file"),
         (SWEEP, "is_file"),
         (SWEEP, "under_file"),
-        # The second point's directory is a file: no point may run first.
+        # The second point's directory is a file: no point may run first,
+        # and the base keeps an earlier sweep's summary.
         (SWEEP, "point_is_file"),
+        # An OS error other than a file in the way (ENAMETOOLONG).
+        (RUN, "name_too_long"),
+        (SWEEP, "name_too_long"),
     ],
-    ids=["run-is_file", "run-under_file", "sweep-is_file", "sweep-under_file", "sweep-point_is_file"],
+    ids=[
+        "run-is_file",
+        "run-under_file",
+        "sweep-is_file",
+        "sweep-under_file",
+        "sweep-point_is_file",
+        "run-name_too_long",
+        "sweep-name_too_long",
+    ],
 )
 def test_output_dir_blocked_by_a_file_exits_two(config_file, tmp_path, capsys, command, where):
     blocker = tmp_path / ("point01_eta_c" if where == "point_is_file" else "blocker")
     blocker.write_text("a file, not a directory")
-    out = {"is_file": blocker, "under_file": blocker / "run", "point_is_file": tmp_path}[where]
+    if where == "point_is_file":
+        (tmp_path / "sweep_summary.csv").write_text("an earlier sweep's summary")
+    out = {
+        "is_file": blocker,
+        "under_file": blocker / "run",
+        "point_is_file": tmp_path,
+        "name_too_long": tmp_path / ("a" * 300),
+    }[where]
     blocked = blocker if where == "point_is_file" else out
     before = tree(tmp_path)
     args = [command[0], "--config", str(config_file), "--set", f"output_dir={out}", *command[1:]]

@@ -431,6 +431,13 @@ def test_mifa_cold_start_differs_from_full_first(small_config):
     assert cold.records[-1].grad_norm_sq != warm.records[-1].grad_norm_sq
 
 
+def test_full_first_round_applies_to_mifa_only(small_config):
+    # Any algo may carry a mifa_mode; a fedavg run ignores it.
+    carried = run(small_config(mifa_mode="full_first_round"), write_artifacts=False)
+    plain = run(small_config(mifa_mode=None), write_artifacts=False)
+    assert carried.records == plain.records
+
+
 def test_manifest_constants_match_closed_forms(small_config):
     cfg = small_config(T=0)
     result = run(cfg, write_artifacts=False)
@@ -461,6 +468,14 @@ def test_sweep_seed_derivation_is_stable():
     assert a == derive_sweep_seed(99, "eta_s", 0.5)
     assert a != derive_sweep_seed(99, "eta_s", 0.25)
     assert a != derive_sweep_seed(99, "eta_c", 0.5)
+
+
+def test_sweep_point_seed_comes_from_the_checked_value(small_config):
+    base = small_config()
+    cfgs = [sweep_point_config(base, "eta_s", v, 0) for v in (1, 1.0, np.float64(1.0))]
+    assert cfgs[0] == cfgs[1] == cfgs[2]
+    assert cfgs[0].hyper.eta_s == 1.0
+    assert cfgs[0].seed == derive_sweep_seed(base.seed, "eta_s", 1.0) == 6640729279704080003
 
 
 def test_sweep_invalid_axis(small_config):

@@ -172,12 +172,16 @@ def test_local_steps_and_rate_are_checked():
 
 def test_one_cpu_trains_inline(monkeypatch):
     def no_threads(*args, **kwargs):
-        raise AssertionError("a one-CPU host must not start a thread")
+        raise AssertionError("a one-slab call must not start a thread")
 
     monkeypatch.setattr(localsgd.threading, "Thread", no_threads)
     fed = make_federation(np.ones((4, 3)), [1.0, 0.5, 2.0])
     with forced_split(workers=1):
         local_sgd(fed, (0, 1, 2, 3), np.zeros(3), 2, 0.1)
+    # Eight CPUs, but 4 * 2 * 3 elements of work, far below SPLIT_MIN_WORK.
+    monkeypatch.setattr(localsgd, "WORKERS", 8)
+    assert 4 * 2 * 3 < localsgd.SPLIT_MIN_WORK
+    local_sgd(fed, (0, 1, 2, 3), np.zeros(3), 2, 0.1)
 
 
 @settings(max_examples=80, deadline=None, database=None)
