@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import suppress
 from dataclasses import asdict, dataclass, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -49,7 +50,7 @@ from .objectives import (
     generate_federation,
     global_grad_and_loss,
 )
-from .rng import TAG_LOCAL, TAG_SAMPLING, substream
+from .rng import KEY_INDEX_LIMIT, TAG_LOCAL, TAG_SAMPLING, philox_keys, philox_rekeyer
 from .sampling import sample_round
 
 RUN_ARTIFACTS = ("manifest.json", "metrics.csv", "status.json")
@@ -60,6 +61,8 @@ SUMMARY_HEADER = (
     "completed,aborted_round"
 )
 MIFA_MODES = ("cold_start", "full_first_round")
+# run derives its rounds' sampling keys this many rounds at a time.
+ROUND_KEY_CHUNK = 1024
 # Sweep axis -> the config section it edits and the field it sets.
 # sigma_g_scale sets no field: it scales both spreads by a float.
 SWEEP_AXES = {
@@ -258,11 +261,15 @@ def build_manifest(
 
 
 def _check_sizes(cfg: RunConfig) -> None:
-    """Raise ConfigError if an array cfg sizes cannot be allocated.
+    """Raise ConfigError if an array cfg sizes cannot be allocated or a round cannot be keyed.
 
     Probes the (N, d) federation and server table and, for a noisy
     federation, local_sgd's (M, tau, d) noise block, allocating nothing.
+    Round t's sampling stream is keyed with t as its id, so T - 1 must
+    be below KEY_INDEX_LIMIT.
     """
+    if cfg.hyper.T > KEY_INDEX_LIMIT:
+        raise ConfigError(f"T must be at most 2**32, one key word per round, got {cfg.hyper.T}")
     shapes = [(cfg.federation.N, cfg.federation.d)]
     if cfg.federation.noise_sigma > 0:
         shapes.append((cfg.hyper.M, cfg.hyper.tau, cfg.federation.d))
@@ -306,18 +313,23 @@ def _finite(rec: RunRecord) -> bool:
 def run(cfg: RunConfig, write_artifacts: bool = True, realized=None) -> RunResult:
     """Execute one configured run; deterministic in cfg.seed.
 
-    The participants of a round train as one batch, one row each. Each
-    draws its gradient noise from its own keyed stream, built only when
-    the federation is noisy, and the aggregators reduce in client id
-    order, so the result does not depend on how the batch is ordered.
+    Round t samples its participants from one reused Philox generator
+    rekeyed to substream(seed, TAG_SAMPLING, t)'s key; these keys are
+    derived ROUND_KEY_CHUNK rounds at a time. The participants train as
+    one batch, one row each. In a noisy federation participant i draws
+    its gradient noise from the key of substream(seed, TAG_LOCAL, t, i),
+    the round's keys derived as one block, and the aggregators reduce in
+    client id order, so the result does not depend on how the batch is
+    ordered.
 
     realized is what _realize(cfg) returns, for a caller that has checked
     cfg's sizes and built the federation already. Array sizes too large
-    to allocate and initial metrics that overflow are ConfigErrors raised
-    before the output directory is made. A non-finite iterate or later
-    metric raises DivergenceError naming the round whose update produced
-    it, with the finite records before it as `result`. The artifacts are
-    written once, when the run completes or diverges.
+    to allocate, a T too large to key and initial metrics that overflow
+    are ConfigErrors raised before the output directory is made. A
+    non-finite iterate or later metric raises DivergenceError naming the
+    round whose update produced it, with the finite records before it as
+    `result`. The artifacts are written once, when the run completes or
+    diverges.
     """
     if realized is None:
         _check_sizes(cfg)
@@ -334,13 +346,17 @@ def run(cfg: RunConfig, write_artifacts: bool = True, realized=None) -> RunResul
     state = init_state(cfg.algo.name, np.zeros(cfg.federation.d), N, cfg.algo.K, assignment)
     # Any algo may carry a mifa_mode; only mifa's full_first_round samples all N in round 0.
     M_0 = N if cfg.algo.name == MIFA and cfg.algo.mifa_mode == "full_first_round" else h.M
+    rekey = philox_rekeyer()
     try:
         for t in range(h.T):
-            participants = sample_round(N, h.M if t else M_0, substream(cfg.seed, TAG_SAMPLING, t))
-            rngs = ()
+            if t % ROUND_KEY_CHUNK == 0:
+                rounds = np.arange(t, min(t + ROUND_KEY_CHUNK, h.T))
+                round_keys = philox_keys(cfg.seed, TAG_SAMPLING, ids=rounds)
+            participants = sample_round(N, h.M if t else M_0, rekey(round_keys[t % ROUND_KEY_CHUNK]))
+            keys = None
             if fed.noise_sigma > 0:
-                rngs = [substream(cfg.seed, TAG_LOCAL, t, i) for i in participants.tolist()]
-            block = local_sgd(fed, participants, state.w, h.tau, h.eta_c, rngs)
+                keys = philox_keys(cfg.seed, TAG_LOCAL, t, ids=participants)
+            block = local_sgd(fed, participants, state.w, h.tau, h.eta_c, keys)
             aggregator_step(state, participants, block, eta_tilde)
             if not np.all(np.isfinite(state.w)):
                 raise DivergenceError(step=None)
@@ -377,8 +393,11 @@ def _make_output_dirs(dirs: dict) -> None:
     dirs maps a directory to the names of the artifacts an earlier run
     left in it. Every directory is checked before any is made: a file in
     the way of a directory, or a directory in the way of a stale file, is
-    a ConfigError naming that directory, as is any OSError of either pass.
+    a ConfigError naming that directory, as is any OSError of a later
+    pass. Stale files are removed only once every directory exists; a
+    mkdir that fails removes the directories this call made, deepest first.
     """
+    made = []  # directories this call created, parents first
     try:
         for path, stale in dirs.items():
             p = Path(path)
@@ -386,11 +405,18 @@ def _make_output_dirs(dirs: dict) -> None:
                 raise IsADirectoryError("a directory is in the way of an artifact")
             if any(not q.is_dir() and (q.exists() or q.is_symlink()) for q in (p, *p.parents)):
                 raise NotADirectoryError("a file is in the way")
+        for path in dirs:
+            for q in (*reversed(Path(path).parents), Path(path)):
+                if not q.is_dir():
+                    q.mkdir()
+                    made.append(q)
         for path, stale in dirs.items():
-            Path(path).mkdir(parents=True, exist_ok=True)
             for name in stale:
                 (Path(path) / name).unlink(missing_ok=True)
     except OSError as exc:
+        for q in reversed(made):
+            with suppress(OSError):
+                q.rmdir()
         raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
 
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .core import ConfigError, DivergenceError, as_model_vector
 from .objectives import Federation
+from .rng import philox_rekeyer
 
 # CPUs this process may run on: the most row slabs one call trains at once.
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -40,21 +41,22 @@ def local_sgd(
     w: np.ndarray,
     tau: int,
     eta_c: float,
-    rngs=(),
+    keys=None,
 ) -> np.ndarray:
     """Run tau local SGD steps from w for each participant; return the (M, d) updates.
 
     Row m is (w - w_final_m) / (eta_c * tau), equivalently the mean of the
     stochastic gradients client participants[m] saw along its local path.
-    rngs holds one generator per participant and is read only when
-    fed.noise_sigma > 0; participant m draws its tau noise vectors as one
-    (tau, d) block. The input w is not modified.
+    keys is an (M, 2) block of Philox keys, one per participant, read
+    only when fed.noise_sigma > 0: participant m draws its tau noise
+    vectors as one (tau, d) block from a fresh Philox keyed keys[m]. A
+    noisy call without such a block is a ConfigError. The input w is not
+    modified.
 
     Every call trains contiguous row slabs, slab 0 in this thread and one
     thread per other slab: one slab per available CPU once the work
-    reaches SPLIT_MIN_WORK and no two rows share a generator (those draw
-    in row order), else one slab, which starts no thread. Rows and their
-    streams are independent, so the bits are those of one slab. The
+    reaches SPLIT_MIN_WORK, else one slab, which starts no thread. A row's
+    draws depend on its key alone, so the bits are those of one slab. The
     (M, d) result and the (M, tau, d) noise buffer are allocated here, in
     the calling thread, so a worker thread's malloc arena does not keep
     them cached. Every thread is joined before this returns or raises.
@@ -72,20 +74,19 @@ def local_sgd(
     mus = fed.mus[np.asarray(participants, dtype=np.intp)]
     M = mus.shape[0]
     noisy = fed.noise_sigma > 0
-    if noisy and len(rngs) != M:
-        raise ConfigError(f"need one generator per participant, got {len(rngs)} for {M}")
+    if noisy and np.shape(keys) != (M, 2):
+        raise ConfigError(f"need an (M, 2) key block for M={M} participants, got {np.shape(keys)}")
     out = np.empty_like(mus)
     noise = np.empty((M, tau, fed.d)) if noisy else None
     work = M * tau * fed.d * (NOISE_WORK_WEIGHT if noisy else 1)
-    split = work >= SPLIT_MIN_WORK and not (noisy and len(set(map(id, rngs))) < M)
-    slabs = min(M, WORKERS) if split else 1
+    slabs = min(M, WORKERS) if work >= SPLIT_MIN_WORK else 1
     errors = [None] * slabs  # the exception each slab raised, if any
 
     def train(s):
         lo, hi = M * s // slabs, M * (s + 1) // slabs
         try:
-            buf = None if noise is None else noise[lo:hi]
-            _train_rows(fed, mus[lo:hi], w, tau, eta_c, rngs[lo:hi], out[lo:hi], buf)
+            keys_and_noise = (keys[lo:hi], noise[lo:hi]) if noisy else (None, None)
+            _train_rows(fed, mus[lo:hi], w, tau, eta_c, out[lo:hi], *keys_and_noise)
         except BaseException as exc:  # re-raised by the calling thread below
             errors[s] = exc
 
@@ -104,15 +105,17 @@ def local_sgd(
     return out
 
 
-def _train_rows(fed, mus, w, tau, eta_c, rngs, out, noise):
+def _train_rows(fed, mus, w, tau, eta_c, out, keys, noise):
     """tau steps for the rows of mus; writes their updates to out.
 
     noise is None for a noiseless federation; otherwise row m draws its
-    noise from rngs[m] into noise[m], shape (tau, d).
+    noise into noise[m], shape (tau, d), from this slab's one Philox
+    generator rekeyed to keys[m].
     """
     if noise is not None:
-        for m, rng in enumerate(rngs):
-            fed.draw_noise(rng, noise[m])
+        rekey = philox_rekeyer()
+        for key, row in zip(keys, noise):
+            fed.draw_noise(rekey(key), row)
     step_scale = eta_c * tau
     grad_sum = np.zeros_like(mus)
     w_k = w

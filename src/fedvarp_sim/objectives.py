@@ -132,7 +132,7 @@ def generate_federation(cfg: FederationConfig) -> tuple[Federation, FederationCo
     # Row i holds the uniforms of substream(seed, TAG_OFFSETS, i); the map
     # after it has the bits of uniform(lo, hi) = lo + (hi - lo) * u.
     mus = np.empty((cfg.N, cfg.d))
-    draw_keyed_rows(philox_keys(cfg.seed, TAG_OFFSETS, cfg.N), mus)
+    draw_keyed_rows(philox_keys(cfg.seed, TAG_OFFSETS, ids=np.arange(cfg.N)), mus)
     mus *= hi - lo
     mus += lo
     mus += centers[assign]

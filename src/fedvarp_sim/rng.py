@@ -6,11 +6,12 @@ the order in which work is executed: running the clients of a round in
 any order, or in parallel, draws exactly the same numbers.
 
 `substream` defines every stream. A Philox stream is fully determined
-by its 128-bit key, so a family of streams (seed, tag, i), i < count,
+by its 128-bit key, so a family of streams (seed, *path, i), i in ids,
 can also be had as one key block: `philox_keys` computes the keys of
-substream(seed, tag, i) vectorized over i, and `draw_keyed_rows` draws
-every row through one reused Philox. The federation's offset streams,
-keyed exactly as substream(seed, TAG_OFFSETS, i), are made this way;
+substream(seed, *path, i) vectorized over i, and `philox_rekeyer` gives
+one reused Philox generator set to any key's starting state. A run draws
+all its randomness this way: the federation's offsets (`draw_keyed_rows`),
+each round's participants and each participant's gradient noise.
 `substream` remains the definition the tests check them against.
 """
 from __future__ import annotations
@@ -24,6 +25,9 @@ TAG_SAMPLING = 1
 TAG_LOCAL = 2
 TAG_CENTERS = 3
 TAG_OFFSETS = 4
+
+# philox_keys takes each id as one 32-bit entropy word: ids stay below this.
+KEY_INDEX_LIMIT = 2**32
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -42,7 +46,7 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
 
@@ -55,20 +59,27 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def philox_keys(seed: int, tag: int, count: int) -> np.ndarray:
-    """The Philox keys of substream(seed, tag, i) for i in range(count), shape (count, 2) uint64.
+def philox_keys(seed: int, *path: int, ids) -> np.ndarray:
+    """The Philox keys of substream(seed, *path, i) for i in ids, shape (len(ids), 2) uint64.
 
-    This is SeedSequence((seed, tag, i)).generate_state(2, np.uint64),
-    with numpy's entropy mix run as uint32 array steps over i.
+    This is SeedSequence((seed, *path, i)).generate_state(2, np.uint64),
+    with numpy's entropy mix run as uint32 array steps over i. The words
+    of seed and path are the same for every id, so they are mixed as
+    Python ints until the id word reaches them. Each id must be an
+    integer in [0, KEY_INDEX_LIMIT), one entropy word; any other is a
+    ConfigError.
     """
-    if seed < 0 or tag < 0:
-        raise ValueError(f"seed and tag must be nonnegative, got {seed} and {tag}")
-    if not 0 <= count <= 2**32:  # i must be one entropy word
-        raise ConfigError(f"key count must be in [0, 2**32], got {count}")
-    i = np.arange(count, dtype=np.uint32)
-    entropy = [np.full(count, w, dtype=np.uint32) for w in _words(seed) + _words(tag)] + [i]
+    if seed < 0 or any(x < 0 for x in path):
+        raise ValueError(f"seed and path must be nonnegative, got {seed} and {path}")
+    ids = np.asarray(ids)
+    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+        raise ConfigError(f"key ids must be integers in [0, 2**32), got {ids!r}")
+    if ids.size and not (ids.min() >= 0 and ids.max() < KEY_INDEX_LIMIT):
+        raise ConfigError(f"key ids must be in [0, 2**32), got {ids.min()} to {ids.max()}")
+    entropy = _words(seed) + [w for x in path for w in _words(x)] + [ids.astype(np.uint32)]
+    entropy += [0] * (_POOL_SIZE - len(entropy))
     hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(entropy[j] if j < len(entropy) else np.zeros_like(i)) for j in range(_POOL_SIZE)]
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
@@ -76,50 +87,69 @@ def philox_keys(seed: int, tag: int, count: int) -> np.ndarray:
     for word in entropy[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], hashmix(word))
-    state = np.empty((count, _POOL_SIZE), dtype="<u4")
+    state = np.empty((ids.size, _POOL_SIZE), dtype="<u4")
     out_hash = _hasher(_INIT_B, _MULT_B)
     for j, value in enumerate(pool):  # generate_state: one output word per pool word
         state[:, j] = out_hash(value)
     return state.view("<u8").astype(np.uint64)
 
 
+def _wrap(value):
+    """value mod 2**32: a Python int is reduced, a uint32 array has wrapped already."""
+    return value & _MASK32 if isinstance(value, int) else value
+
+
 def _hasher(init: int, mult: int):
-    """SeedSequence's hashmix with its running constant, over uint32 arrays."""
+    """SeedSequence's hashmix with its running constant, over ints or uint32 arrays."""
     const = init
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
+    def hashmix(value):
         nonlocal const
-        value = value ^ np.uint32(const)
+        value = value ^ const
         const = (const * mult) & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
+        value = _wrap(value * const)
+        return value ^ (value >> 16)
 
     return hashmix
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return result ^ (result >> np.uint32(16))
+def _mix(x, y):
+    result = _wrap(_wrap(_MIX_MULT_L * x) - _wrap(_MIX_MULT_R * y))
+    return result ^ (result >> 16)
+
+
+def philox_rekeyer():
+    """One reused Philox generator and the function that rekeys it.
+
+    rekey(key) sets the generator's key with the counter at 0 and the
+    buffer empty, which is the state Philox(key=key) starts in, and
+    returns it: after rekey(philox_keys(seed, *path, ids=[i])[0]) it
+    draws what substream(seed, *path, i) draws.
+    """
+    gen = np.random.Generator(np.random.Philox(0))
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": None},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+    def rekey(key) -> np.random.Generator:
+        state["state"]["key"] = key
+        gen.bit_generator.state = state
+        return gen
+
+    return rekey
 
 
 def draw_keyed_rows(keys: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill out[i] with random() doubles from a fresh Philox keyed keys[i]; return out.
 
-    One generator is reused: before each row its key is set with the
-    counter at 0 and the buffer empty, which is the state Philox(key=...)
-    starts in, so row i equals Generator(Philox(key=keys[i])).random(d).
+    Row i equals Generator(Philox(key=keys[i])).random(d).
     """
-    gen = np.random.Generator(np.random.Philox(0))
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    rekey = philox_rekeyer()
     for key, row in zip(keys, out):
-        state["state"]["key"] = key
-        gen.bit_generator.state = state
-        gen.random(out=row)
+        rekey(key).random(out=row)
     return out

@@ -15,15 +15,18 @@ def sample_round(N: int, M: int, rng: np.random.Generator) -> np.ndarray:
     """Sample M of N clients uniformly without replacement; their ids ascending, as np.intp.
 
     Partial Fisher-Yates over [0, N): exactly uniform over all C(N, M)
-    subsets, O(N) work, deterministic in the stream.
+    subsets, deterministic in the stream. Step j swaps position j with
+    j + rng.integers(N - j); the M bounds are drawn in one call, which
+    reads the stream as M scalar calls would, and only the swapped
+    positions are stored, so the work is O(M).
     """
     if not 1 <= M <= N:
         raise ConfigError(f"need 1 <= M <= N, got M={M} N={N}")
-    idx = list(range(N))
-    for j in range(M):
-        r = j + int(rng.integers(N - j))
-        idx[j], idx[r] = idx[r], idx[j]
-    return np.array(sorted(idx[:M]), dtype=np.intp)
+    moved = {}  # position -> client id, for every position a swap has touched
+    for j, r in enumerate(rng.integers(np.arange(N, N - M, -1)).tolist()):
+        r += j
+        moved[j], moved[r] = moved.get(r, r), moved.get(j, j)
+    return np.array(sorted(moved[j] for j in range(M)), dtype=np.intp)
 
 
 def enumerate_subsets(N: int, M: int) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 
 from fedvarp_sim.harness import AlgoConfig, FederationConfig, HyperConfig, RunConfig
 from fedvarp_sim.objectives import Federation
+from fedvarp_sim.rng import substream
 
 pytest_plugins = ["pytester"]
 
@@ -30,6 +31,12 @@ def make_federation(mus, eigs, sigma=0.0):
         mus=np.asarray(mus, dtype=np.float64),
         noise_sigma=sigma,
     )
+
+
+def substream_keys(seed, *path, ids):
+    """The Philox key of substream(seed, *path, i) for each i in ids, shape (len(ids), 2) uint64."""
+    keys = [substream(seed, *path, int(i)).bit_generator.state["state"]["key"] for i in ids]
+    return np.array(keys, dtype=np.uint64).reshape(len(keys), 2)
 
 
 @pytest.fixture(autouse=True)

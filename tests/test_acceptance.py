@@ -30,7 +30,7 @@ from fedvarp_sim.oracles import (
     update_bias,
     variance_gap,
 )
-from fedvarp_sim.rng import substream
+from fedvarp_sim.rng import philox_keys
 
 
 def criterion(label, budget_s):
@@ -290,13 +290,13 @@ def test_a9_gradient_oracle():
     assert finite_difference_error(fed, rng.normal(size=(4, 6))) <= 1e-6
 
     # One-step local updates are stochastic gradients; 100k participants
-    # sharing one client and one stream give 100k independent draws.
+    # sharing one client, each with its own key, give 100k independent draws.
     noisy = make_federation([[0.2, -0.4]], [1.0, 1.5], sigma=1.0)
     w = np.array([1.0, 2.0])
     exact = noisy.grads_and_losses(w)[0][0]
     n = 100_000
-    stream = substream(899, 0)
-    draws = local_sgd(noisy, np.zeros(n, dtype=int), w, 1, 0.1, [stream] * n)
+    keys = philox_keys(899, 0, ids=np.arange(n))
+    draws = local_sgd(noisy, np.zeros(n, dtype=int), w, 1, 0.1, keys)
     assert np.all(np.abs(draws.mean(axis=0) - exact) < 0.02)
     noise_sq = np.sum((draws - exact) ** 2, axis=1)
     assert abs(noise_sq.mean() - 1.0) < 0.03

@@ -197,6 +197,9 @@ SWEEP = ["sweep", "--axis", "eta_c", "--values", "0.01,0.02"]
         # An OS error other than a file in the way (ENAMETOOLONG).
         (RUN, "name_too_long"),
         (SWEEP, "name_too_long"),
+        # The check pass cannot see that error below a directory that does
+        # not exist yet: the parent made before the long name fails is removed.
+        (RUN, "name_too_long_under_new_parent"),
     ],
     ids=[
         "run-is_file",
@@ -206,6 +209,7 @@ SWEEP = ["sweep", "--axis", "eta_c", "--values", "0.01,0.02"]
         "sweep-point_is_file",
         "run-name_too_long",
         "sweep-name_too_long",
+        "run-name_too_long_under_new_parent",
     ],
 )
 def test_output_dir_blocked_by_a_file_exits_two(config_file, tmp_path, capsys, command, where):
@@ -218,6 +222,7 @@ def test_output_dir_blocked_by_a_file_exits_two(config_file, tmp_path, capsys, c
         "under_file": blocker / "run",
         "point_is_file": tmp_path,
         "name_too_long": tmp_path / ("a" * 300),
+        "name_too_long_under_new_parent": tmp_path / "new" / "deeper" / ("a" * 300),
     }[where]
     blocked = blocker if where == "point_is_file" else out
     before = tree(tmp_path)

@@ -6,6 +6,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from conftest import substream_keys
 from fedvarp_sim.aggregators import aggregator_step, init_state
 from fedvarp_sim import harness, oracles
 from fedvarp_sim.core import ALGORITHMS, CLUSTERFEDVARP, FEDAVG, ConfigError, DivergenceError
@@ -191,43 +192,65 @@ def test_run_is_deterministic_byte_for_byte(small_config, tmp_path):
         assert (tmp_path / "det" / name).read_bytes() == payload
 
 
-def _count_local_streams(monkeypatch):
-    """Wrap harness.substream; collect (generator, initial Philox position) per local stream."""
-    built = []
-    original = harness.substream
+def _record_local_calls(monkeypatch):
+    """Wrap harness.local_sgd; collect (participants, keys) of every call."""
+    calls = []
+    original = harness.local_sgd
 
-    def counting(seed, *path):
-        gen = original(seed, *path)
-        if path and path[0] == TAG_LOCAL:
-            built.append((gen, _philox_position(gen)))
-        return gen
+    def recording(fed, participants, w, tau, eta_c, keys=None):
+        calls.append((np.array(participants), None if keys is None else np.array(keys)))
+        return original(fed, participants, w, tau, eta_c, keys)
 
-    monkeypatch.setattr(harness, "substream", counting)
-    return built
-
-
-def _philox_position(gen):
-    state = gen.bit_generator.state
-    return state["state"]["counter"].tolist(), state["buffer_pos"]
+    monkeypatch.setattr(harness, "local_sgd", recording)
+    return calls
 
 
 def test_noiseless_run_builds_no_local_streams(small_config, monkeypatch):
-    built = _count_local_streams(monkeypatch)
+    calls = _record_local_calls(monkeypatch)
     for algo in ALGORITHMS:
         K = 2 if algo == CLUSTERFEDVARP else None
         run(small_config(algo=algo, K=K, noise_sigma=0.0, T=12), write_artifacts=False)
-    assert built == []
+    assert len(calls) == 4 * 12
+    assert all(keys is None for _, keys in calls)
+
+
+def _assert_round_streams(cfg, calls):
+    """Round t sampled from substream(seed, TAG_SAMPLING, t)'s key and passed
+    one key per participant i, substream(seed, TAG_LOCAL, t, i)'s."""
+    N, M = cfg.federation.N, cfg.hyper.M
+    assert len(calls) == cfg.hyper.T
+    for t, (ids, keys) in enumerate(calls):
+        assert ids.tolist() == sample_round(N, M, substream(cfg.seed, TAG_SAMPLING, t)).tolist()
+        assert keys.shape == (M, 2) and keys.dtype == np.uint64
+        assert keys.tobytes() == substream_keys(cfg.seed, TAG_LOCAL, t, ids=ids).tobytes()
 
 
 def test_noisy_run_builds_and_draws_one_stream_per_participant_round(small_config, monkeypatch):
-    built = _count_local_streams(monkeypatch)
-    run(small_config(noise_sigma=0.3, T=12, M=3), write_artifacts=False)
-    assert len(built) == 3 * 12
-    assert all(_philox_position(gen) != initial for gen, initial in built)
+    calls = _record_local_calls(monkeypatch)
+    cfg = small_config(noise_sigma=0.3, T=12, M=3)
+    run(cfg, write_artifacts=False)
+    _assert_round_streams(cfg, calls)
+
+
+def test_round_keys_derived_in_chunks_key_every_round(small_config, monkeypatch):
+    # A chunk of 5 splits 12 rounds as 5, 5 and 2.
+    monkeypatch.setattr(harness, "ROUND_KEY_CHUNK", 5)
+    calls = _record_local_calls(monkeypatch)
+    cfg = small_config(noise_sigma=0.3, T=12, M=3)
+    run(cfg, write_artifacts=False)
+    _assert_round_streams(cfg, calls)
+
+
+def test_a_round_index_past_one_key_word_is_a_config_error(small_config, tmp_path):
+    cfg = small_config(T=2**32 + 1, output_dir=tmp_path / "long")
+    with pytest.raises(ConfigError, match=r"T must be at most 2\*\*32"):
+        run(cfg)
+    assert not (tmp_path / "long").exists()
+    harness._check_sizes(replace(cfg, hyper=replace(cfg.hyper, T=2**32)))
 
 
 def _round_block(fed, w, seed, t, order):
-    return local_sgd(fed, order, w, 2, 0.05, [substream(seed, TAG_LOCAL, t, i) for i in order])
+    return local_sgd(fed, order, w, 2, 0.05, substream_keys(seed, TAG_LOCAL, t, ids=order))
 
 
 def test_participant_order_does_not_change_step():

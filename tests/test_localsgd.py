@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_federation
+from conftest import make_federation, substream_keys
 from fedvarp_sim import localsgd
 from fedvarp_sim.core import ConfigError, DivergenceError
 from fedvarp_sim.localsgd import local_sgd
-from fedvarp_sim.rng import substream
+from fedvarp_sim.rng import TAG_LOCAL, philox_keys, substream
 
 
 def gradient(fed, i, w):
@@ -72,7 +72,7 @@ def test_server_step_reproduces_final_iterate_bitwise():
         w = rng.normal(size=4)
         eta_c = float(rng.uniform(0.01, 0.2))
         stream_key = int(rng.integers(1 << 30))
-        delta = local_sgd(fed, (0,), w, tau, eta_c, [substream(stream_key, 0)])
+        delta = local_sgd(fed, (0,), w, tau, eta_c, substream_keys(stream_key, ids=[0]))
         stream = substream(stream_key, 0)
         _, w_final = reference_local_sgd(eigs, fed.mus[0], w, tau, eta_c, 0.4, stream)
         eta_tilde = (1.0 * eta_c) * tau
@@ -83,9 +83,9 @@ def test_server_step_reproduces_final_iterate_bitwise():
 def test_determinism_in_stream_key():
     fed = make_federation([[0.0, 0.0]], [1.0, 1.0], sigma=0.5)
     w = np.array([1.0, -1.0])
-    a = local_sgd(fed, (0,), w, 4, 0.05, [substream(7, 3, 5)])
-    b = local_sgd(fed, (0,), w, 4, 0.05, [substream(7, 3, 5)])
-    c = local_sgd(fed, (0,), w, 4, 0.05, [substream(7, 3, 6)])
+    a = local_sgd(fed, (0,), w, 4, 0.05, substream_keys(7, 3, ids=[5]))
+    b = local_sgd(fed, (0,), w, 4, 0.05, substream_keys(7, 3, ids=[5]))
+    c = local_sgd(fed, (0,), w, 4, 0.05, substream_keys(7, 3, ids=[6]))
     assert a.tobytes() == b.tobytes()
     assert a.tobytes() != c.tobytes()
 
@@ -150,16 +150,32 @@ def test_divergence_in_a_worker_slab_is_a_divergence_not_a_warning():
     assert err.value.step == alone.value.step
 
 
-def test_rows_sharing_a_generator_draw_in_row_order():
-    # One stream shared by every row is read row after row, so such a
-    # call may not split: the draws would interleave across threads.
+def test_equal_keys_give_equal_rows_under_a_split():
+    # A row's noise depends on its key alone: rows given one key are
+    # equal, in one slab or spread over threads that each rekey their
+    # own generator, and equal to that key's stream trained alone.
     fed = make_federation([[0.5, -1.0, 2.0]] * 3, [1.0, 0.5, 2.0], sigma=0.7)
     w = np.array([1.0, 1.0, 1.0])
     parts = np.zeros(64, dtype=int)
-    serial = local_sgd(fed, parts, w, 3, 0.1, [substream(5, 1)] * len(parts))
+    keys = np.repeat(substream_keys(5, ids=[1]), len(parts), axis=0)
+    serial = local_sgd(fed, parts, w, 3, 0.1, keys)
     with forced_split(workers=4):
-        split = local_sgd(fed, parts, w, 3, 0.1, [substream(5, 1)] * len(parts))
-    assert split.tobytes() == serial.tobytes()
+        split = local_sgd(fed, parts, w, 3, 0.1, keys)
+    alone = local_sgd(fed, (0,), w, 3, 0.1, keys[:1])
+    assert split.tobytes() == serial.tobytes() == np.repeat(alone, len(parts), axis=0).tobytes()
+
+
+def test_noisy_call_needs_one_key_per_participant():
+    fed = make_federation([[0.0, 1.0]] * 3, [1.0, 2.0], sigma=0.5)
+    keys = substream_keys(3, ids=[0, 1, 2])
+    for bad in (None, keys[:2], keys[:, :1], keys.ravel(), [substream(3, 0)] * 3):
+        with pytest.raises(ConfigError, match="key block"):
+            local_sgd(fed, (0, 1, 2), np.zeros(2), 1, 0.1, bad)
+    # A noiseless federation reads no keys.
+    plain = make_federation([[0.0, 1.0]] * 3, [1.0, 2.0])
+    assert local_sgd(plain, (0, 1, 2), np.zeros(2), 1, 0.1, keys).tobytes() == (
+        local_sgd(plain, (0, 1, 2), np.zeros(2), 1, 0.1).tobytes()
+    )
 
 
 def test_local_steps_and_rate_are_checked():
@@ -203,8 +219,7 @@ def test_batched_kernel_matches_per_client_recursion(M, tau, d, noisy, seed, wor
     eta_c = float(rng.uniform(0.01, 0.5))
 
     def train():
-        streams = [substream(seed, 2, i) for i in parts]
-        return local_sgd(fed, parts, w, tau, eta_c, streams)
+        return local_sgd(fed, parts, w, tau, eta_c, philox_keys(seed, TAG_LOCAL, 7, ids=parts))
 
     inline = train()
     # The same draws split into min(M, workers) row slabs, M below the
@@ -215,7 +230,7 @@ def test_batched_kernel_matches_per_client_recursion(M, tau, d, noisy, seed, wor
         assert deltas.shape == (M, d)
         for m, i in enumerate(parts):
             ref_delta, ref_final = reference_local_sgd(
-                fed.eigs, fed.mus[i], w, tau, eta_c, sigma, substream(seed, 2, i)
+                fed.eigs, fed.mus[i], w, tau, eta_c, sigma, substream(seed, TAG_LOCAL, 7, i)
             )
             assert deltas[m].tobytes() == ref_delta.tobytes()
             # Module identities: the server step with eta_s = 1 lands on the

@@ -22,6 +22,53 @@ def test_plan_validation():
         sample_round(3, 4, substream(1, 0))
 
 
+def _list_sample_round(N, M, rng):
+    """sample_round as written before its O(M) form: a Fisher-Yates over an O(N) list."""
+    idx = list(range(N))
+    for j in range(M):
+        r = j + int(rng.integers(N - j))
+        idx[j], idx[r] = idx[r], idx[j]
+    return np.array(sorted(idx[:M]), dtype=np.intp)
+
+
+def _philox_state(gen):
+    state = gen.bit_generator.state
+    return (
+        state["state"]["counter"].tolist(),
+        state["state"]["key"].tolist(),
+        state["buffer"].tolist(),
+        state["buffer_pos"],
+        state["has_uint32"],
+        state["uinteger"],
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 5678, 2**62 + 9])
+@pytest.mark.parametrize(
+    "N, M",
+    [(1, 1), (3, 1), (7, 7), (40, 5), (40, 40), (1000, 50), (1000, 1), (2**20, 3), (2**20, 2**10)],
+)
+def test_sample_round_matches_the_list_loop_and_leaves_the_same_stream(seed, N, M):
+    # The batched bounds must read the stream exactly as M scalar calls:
+    # same ids, and the generator left in the same state for later draws.
+    fast, slow = substream(seed, 1, N, M), substream(seed, 1, N, M)
+    ids = sample_round(N, M, fast)
+    assert ids.dtype == np.intp
+    assert ids.tobytes() == _list_sample_round(N, M, slow).tobytes()
+    assert _philox_state(fast) == _philox_state(slow)
+    assert fast.integers(2**40, size=3).tolist() == slow.integers(2**40, size=3).tolist()
+
+
+def test_sample_round_matches_the_list_loop_round_after_round():
+    # One stream read by many calls, as in the tests above; every M from
+    # 1 to N, so consecutive calls start at every buffered half word.
+    fast, slow = substream(77, 1), substream(77, 1)
+    for N in (1, 2, 5, 13, 64):
+        for M in range(1, N + 1):
+            assert sample_round(N, M, fast).tolist() == _list_sample_round(N, M, slow).tolist()
+    assert _philox_state(fast) == _philox_state(slow)
+
+
 def test_marginal_inclusion_frequencies():
     N, M, draws = 5, 2, 100_000
     stream = substream(2024, 1)

@@ -4,6 +4,10 @@ It replaces the module globals of fedvarp_sim.harness and fedvarp_sim.cli
 named in its entry-point tables, and skips a name that is missing. A
 refactor that stops calling a layer through one of those globals would
 drop that layer's spans without any error; this test catches it.
+
+The one name dropped by design is `substream`: a run derives its
+sampling and noise streams as Philox key blocks, so harness no longer
+looks substream up, and the tracer's rng.substream spans read zero.
 """
 import importlib.util
 import json
@@ -14,6 +18,7 @@ from pathlib import Path
 from fedvarp_sim import cli, harness
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+DROPPED_BY_DESIGN = {(harness, "substream")}
 
 
 def _entry_point_tables():
@@ -35,8 +40,13 @@ def test_every_traced_entry_point_is_called(small_config, tmp_path, monkeypatch)
     harness_names, cli_names = _entry_point_tables()
     calls = Counter()
     expected = []
+    assert DROPPED_BY_DESIGN <= {(harness, attr) for attr in harness_names}
+    for module, attr in DROPPED_BY_DESIGN:
+        assert not hasattr(module, attr)
     for module, names in ((harness, harness_names), (cli, cli_names)):
         for attr in names:
+            if (module, attr) in DROPPED_BY_DESIGN:
+                continue
             key = f"{module.__name__}.{attr}"
             expected.append(key)
             monkeypatch.setattr(module, attr, _counted(calls, key, getattr(module, attr)))
