@@ -189,36 +189,21 @@ def lr_precondition_report(
     if algo not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm tag {algo!r}")
     tau, M = h.tau, h.M
-    prod = h.eta_s * h.eta_c
-
-    def cond(quantity: str, value: float, bound: float) -> LrCondition:
-        return LrCondition(quantity, bound, value, value <= bound)
-
     if algo == FEDAVG:
-        return [
-            cond("eta_c", h.eta_c, 1.0 / (8.0 * L * tau)),
-            cond("eta_s_eta_c", prod, 1.0 / (24.0 * tau * L)),
-        ]
-    if algo == FEDVARP:
-        bound = min(
-            M**1.5 / (8.0 * L * tau * N),
-            5.0 * M / (48.0 * tau * L),
-            1.0 / (4.0 * L * tau),
+        bounds = (1.0 / (8.0 * L * tau), 1.0 / (24.0 * tau * L))
+    elif algo == FEDVARP:
+        bounds = (
+            1.0 / (10.0 * L * tau),
+            min(M**1.5 / (8.0 * L * tau * N), 5.0 * M / (48.0 * tau * L), 1.0 / (4.0 * L * tau)),
         )
-        return [
-            cond("eta_c", h.eta_c, 1.0 / (10.0 * L * tau)),
-            cond("eta_s_eta_c", prod, bound),
-        ]
-    if algo == CLUSTERFEDVARP:
+    elif algo == CLUSTERFEDVARP:
         if p is None:
             raise ConfigError("clusterfedvarp report requires the miss probability p")
-        bound = min(
-            sqrt(M) * (1.0 - p) / (8.0 * L * tau),
-            M / (16.0 * tau * L),
-            1.0 / (4.0 * L * tau),
+        bounds = (
+            1.0 / (10.0 * L * tau),
+            min(sqrt(M) * (1.0 - p) / (8.0 * L * tau), M / (16.0 * tau * L), 1.0 / (4.0 * L * tau)),
         )
-        return [
-            cond("eta_c", h.eta_c, 1.0 / (10.0 * L * tau)),
-            cond("eta_s_eta_c", prod, bound),
-        ]
-    return []  # MIFA: baseline without rate guarantees
+    else:
+        return []  # MIFA: baseline without rate guarantees
+    values = (("eta_c", h.eta_c), ("eta_s_eta_c", h.eta_s * h.eta_c))
+    return [LrCondition(q, bound, v, v <= bound) for (q, v), bound in zip(values, bounds)]

@@ -126,6 +126,15 @@ class RunConfig:
             raise ConfigError(f"log_every must be >= 1, got {self.log_every}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not self.output_dir:  # Path("") is the working directory
+            raise ConfigError("output_dir must be non-empty")
+
+    def round_size(self, t: int) -> int:
+        """How many clients round t samples: N in round 0 of mifa's full_first_round, else M."""
+        # Any algo may carry a mifa_mode, so the name is checked as well.
+        if t == 0 and self.algo.name == MIFA and self.algo.mifa_mode == "full_first_round":
+            return self.federation.N
+        return self.hyper.M
 
 
 def _coerce(name: str, value, typ):
@@ -192,13 +201,10 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
         if "=" not in item:
             raise ConfigError(f"override {item!r} must look like key=value")
         dotted, text = item.split("=", 1)
-        keys = dotted.split(".")
+        *path, leaf = dotted.split(".")
         node = raw
-        for k in keys[:-1]:
-            if not isinstance(node, dict) or k not in node:
-                raise ConfigError(f"override references unknown key {dotted!r}")
-            node = node[k]
-        leaf = keys[-1]
+        for k in path:
+            node = node.get(k) if isinstance(node, dict) else None
         if not isinstance(node, dict) or leaf not in node:
             raise ConfigError(f"override references unknown key {dotted!r}")
         try:
@@ -264,15 +270,15 @@ def _check_sizes(cfg: RunConfig) -> None:
     """Raise ConfigError if an array cfg sizes cannot be allocated or a round cannot be keyed.
 
     Probes the (N, d) federation and server table and, for a noisy
-    federation, local_sgd's (M, tau, d) noise block, allocating nothing.
-    Round t's sampling stream is keyed with t as its id, so T - 1 must
-    be below KEY_INDEX_LIMIT.
+    federation, local_sgd's largest (round_size(0), tau, d) noise block,
+    allocating nothing. Round t's sampling stream is keyed with t as its
+    id, so T - 1 must be below KEY_INDEX_LIMIT.
     """
     if cfg.hyper.T > KEY_INDEX_LIMIT:
         raise ConfigError(f"T must be at most 2**32, one key word per round, got {cfg.hyper.T}")
     shapes = [(cfg.federation.N, cfg.federation.d)]
     if cfg.federation.noise_sigma > 0:
-        shapes.append((cfg.hyper.M, cfg.hyper.tau, cfg.federation.d))
+        shapes.append((cfg.round_size(0), cfg.hyper.tau, cfg.federation.d))
     for shape in shapes:
         try:
             np.empty(shape)
@@ -344,18 +350,14 @@ def run(cfg: RunConfig, write_artifacts: bool = True, realized=None) -> RunResul
         _make_output_dirs({out: RUN_ARTIFACTS})
     result = RunResult(records=[first], manifest=manifest, completed=False, output_dir=out)
     state = init_state(cfg.algo.name, np.zeros(cfg.federation.d), N, cfg.algo.K, assignment)
-    # Any algo may carry a mifa_mode; only mifa's full_first_round samples all N in round 0.
-    M_0 = N if cfg.algo.name == MIFA and cfg.algo.mifa_mode == "full_first_round" else h.M
     rekey = philox_rekeyer()
     try:
         for t in range(h.T):
             if t % ROUND_KEY_CHUNK == 0:
                 rounds = np.arange(t, min(t + ROUND_KEY_CHUNK, h.T))
                 round_keys = philox_keys(cfg.seed, TAG_SAMPLING, ids=rounds)
-            participants = sample_round(N, h.M if t else M_0, rekey(round_keys[t % ROUND_KEY_CHUNK]))
-            keys = None
-            if fed.noise_sigma > 0:
-                keys = philox_keys(cfg.seed, TAG_LOCAL, t, ids=participants)
+            participants = sample_round(N, cfg.round_size(t), rekey(round_keys[t % ROUND_KEY_CHUNK]))
+            keys = philox_keys(cfg.seed, TAG_LOCAL, t, ids=participants) if fed.noise_sigma > 0 else None
             block = local_sgd(fed, participants, state.w, h.tau, h.eta_c, keys)
             aggregator_step(state, participants, block, eta_tilde)
             if not np.all(np.isfinite(state.w)):

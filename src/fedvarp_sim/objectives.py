@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, DimensionError, as_model_vector, ordered_row_sum
-from .rng import TAG_CENTERS, TAG_OFFSETS, draw_keyed_rows, philox_keys, substream
+from .rng import TAG_CENTERS, TAG_OFFSETS, philox_keys, philox_rekeyer, substream
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,9 @@ def generate_federation(cfg: FederationConfig) -> tuple[Federation, FederationCo
     # Row i holds the uniforms of substream(seed, TAG_OFFSETS, i); the map
     # after it has the bits of uniform(lo, hi) = lo + (hi - lo) * u.
     mus = np.empty((cfg.N, cfg.d))
-    draw_keyed_rows(philox_keys(cfg.seed, TAG_OFFSETS, ids=np.arange(cfg.N)), mus)
+    rekey = philox_rekeyer()
+    for key, row in zip(philox_keys(cfg.seed, TAG_OFFSETS, ids=np.arange(cfg.N)), mus):
+        rekey(key).random(out=row)
     mus *= hi - lo
     mus += lo
     mus += centers[assign]

@@ -10,8 +10,8 @@ by its 128-bit key, so a family of streams (seed, *path, i), i in ids,
 can also be had as one key block: `philox_keys` computes the keys of
 substream(seed, *path, i) vectorized over i, and `philox_rekeyer` gives
 one reused Philox generator set to any key's starting state. A run draws
-all its randomness this way: the federation's offsets (`draw_keyed_rows`),
-each round's participants and each participant's gradient noise.
+all its randomness this way: the federation's offsets, each round's
+participants and each participant's gradient noise.
 `substream` remains the definition the tests check them against.
 """
 from __future__ import annotations
@@ -143,13 +143,3 @@ def philox_rekeyer():
 
     return rekey
 
-
-def draw_keyed_rows(keys: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill out[i] with random() doubles from a fresh Philox keyed keys[i]; return out.
-
-    Row i equals Generator(Philox(key=keys[i])).random(d).
-    """
-    rekey = philox_rekeyer()
-    for key, row in zip(keys, out):
-        rekey(key).random(out=row)
-    return out

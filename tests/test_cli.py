@@ -251,27 +251,53 @@ def test_sweep_point_artifact_name_taken_by_a_directory_exits_two(config_file, t
 
 
 NOISY = ["--set", "federation.noise_sigma=0.3"]
+# Round 0 of mifa's full_first_round trains all N=2**17 clients: its
+# (N, tau, d) noise block is 128 TiB, while an (M, tau, d) one is 1 GiB.
+FULL_FIRST_ROUND = [
+    arg
+    for key, value in [
+        ("federation.N", 131072),
+        ("federation.d", 1),
+        ("federation.K_true", 1),
+        ("federation.noise_sigma", 0.3),
+        ("hyper.M", 1),
+        ("hyper.T", 2),
+        ("algo.name", "mifa"),
+        ("algo.mifa_mode", "full_first_round"),
+    ]
+    for arg in ("--set", f"{key}={value}")
+]
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args,shape",
     [
-        ["run", "--set", "federation.d=100000000000000"],
-        ["run", *NOISY, "--set", "hyper.tau=10000000000000"],
-        ["run", "--set", "federation.d=1000000000000000000"],
-        ["run", *NOISY, "--set", "hyper.tau=1000000000000000000"],
-        ["sweep", *NOISY, "--axis", "tau", "--values", "1,1000000000000000000"],
+        (["run", "--set", "federation.d=100000000000000"], (8, 10**14)),
+        (["run", *NOISY, "--set", "hyper.tau=10000000000000"], (3, 10**13, 3)),
+        (["run", "--set", "federation.d=1000000000000000000"], (8, 10**18)),
+        (["run", *NOISY, "--set", "hyper.tau=1000000000000000000"], (3, 10**18, 3)),
+        (["sweep", *NOISY, "--axis", "tau", "--values", "1,1000000000000000000"], (3, 10**18, 3)),
+        (["run", *FULL_FIRST_ROUND, "--set", "hyper.tau=134217728"], (131072, 134217728, 1)),
     ],
-    ids=["d", "noisy_tau", "d_overflows", "noisy_tau_overflows", "sweep_tau_overflows"],
+    ids=[
+        "d",
+        "noisy_tau",
+        "d_overflows",
+        "noisy_tau_overflows",
+        "sweep_tau_overflows",
+        "mifa_full_first_round_tau",
+    ],
 )
-def test_size_too_large_to_allocate_exits_two(config_file, tmp_path, capsys, args):
-    # The first two arrays exceed a 128 TiB address space, so numpy
-    # refuses them without allocating anything; the byte counts of the
-    # others overflow.
+def test_size_too_large_to_allocate_exits_two(config_file, tmp_path, capsys, args, shape):
+    # The arrays of d, noisy_tau and mifa_full_first_round_tau exceed a
+    # 128 TiB address space, so numpy refuses them without allocating
+    # anything; the byte counts of the others overflow.
     command, *rest = args
+    before = tree(tmp_path)
     assert main([command, "--config", str(config_file), *rest]) == 2
-    assert "configuration error: " in capsys.readouterr().err
-    assert not (tmp_path / "artifacts").exists()
+    err = capsys.readouterr().err
+    assert "configuration error: " in err and f"(array shape {shape})" in err
+    assert tree(tmp_path) == before
 
 
 def test_sweep_buffer_too_large_to_allocate_exits_two_before_any_point(config_file, tmp_path, capsys):
@@ -282,6 +308,35 @@ def test_sweep_buffer_too_large_to_allocate_exits_two_before_any_point(config_fi
     err = capsys.readouterr().err
     assert "configuration error: sweep point tau=10000000000000: Unable to allocate" in err
     assert not (tmp_path / "artifacts").exists()
+
+
+def test_sweep_full_first_round_block_too_large_exits_two_before_any_point(
+    config_file, tmp_path, capsys
+):
+    # Point 0 (tau=1) fits; point 1's round 0 trains all N clients, whose
+    # (N, tau, d) noise block exceeds a 128 TiB address space.
+    args = [*FULL_FIRST_ROUND, "--axis", "tau", "--values", "1,134217728"]
+    before = tree(tmp_path)
+    assert main(["sweep", "--config", str(config_file), *args]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: sweep point tau=134217728: Unable to allocate" in err
+    assert "(array shape (131072, 134217728, 1))" in err
+    assert tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", [RUN, SWEEP], ids=["run", "sweep"])
+def test_empty_output_dir_exits_two_and_writes_nothing(
+    config_file, tmp_path, capsys, monkeypatch, command
+):
+    # Path("") is the working directory: an earlier run's artifacts there stay as they are.
+    monkeypatch.chdir(tmp_path)
+    for name in ("manifest.json", "metrics.csv", "status.json", "sweep_summary.csv"):
+        (tmp_path / name).write_text(f"an earlier {name}")
+    before = tree(tmp_path)
+    args = [command[0], "--config", str(config_file), "--set", "output_dir=", *command[1:]]
+    assert main(args) == 2
+    assert "configuration error: output_dir must be non-empty" in capsys.readouterr().err
+    assert tree(tmp_path) == before
 
 
 def test_zero_hessian_exits_two(config_file, tmp_path, capsys):

@@ -1,3 +1,6 @@
+import itertools
+from math import sqrt
+
 import numpy as np
 import pytest
 
@@ -100,3 +103,36 @@ def test_report_monotone_in_rates():
         for b, a in zip(before, after):
             if b.satisfied:
                 assert a.satisfied
+
+
+def test_bounds_equal_their_expressions_bitwise():
+    # The manifest prints these floats in full, so a regrouped expression
+    # that rounds differently must fail here: compare with ==, not approx.
+    grid = itertools.product(
+        (0.003, 0.01, 0.125, 0.7),  # eta_c: 0.125 meets fedavg's bound at L=1, tau=1
+        (0.5, 1.0, 3.0),  # eta_s
+        (1, 3, 7, 13),  # tau
+        (1, 2, 5),  # M
+        (1, 5, 13),  # N
+        (0.3, 1.0, 2.7, 3.3333),  # L
+        (0.0, 1 / 6, 0.93),  # p
+    )
+    for eta_c, eta_s, tau, M, N, L, p in grid:
+        h = _hp(eta_c, eta_s, tau, M)
+        expected = {
+            FEDAVG: (1.0 / (8.0 * L * tau), 1.0 / (24.0 * tau * L)),
+            FEDVARP: (
+                1.0 / (10.0 * L * tau),
+                min(M**1.5 / (8.0 * L * tau * N), 5.0 * M / (48.0 * tau * L), 1.0 / (4.0 * L * tau)),
+            ),
+            CLUSTERFEDVARP: (
+                1.0 / (10.0 * L * tau),
+                min(sqrt(M) * (1.0 - p) / (8.0 * L * tau), M / (16.0 * tau * L), 1.0 / (4.0 * L * tau)),
+            ),
+        }
+        for algo, (bound_c, bound_sc) in expected.items():
+            report = lr_precondition_report(h, N, L, algo, p)
+            assert [(c.quantity, c.bound, c.value, c.satisfied) for c in report] == [
+                ("eta_c", bound_c, eta_c, eta_c <= bound_c),
+                ("eta_s_eta_c", bound_sc, eta_s * eta_c, eta_s * eta_c <= bound_sc),
+            ]

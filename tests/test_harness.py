@@ -119,6 +119,7 @@ def test_mifa_mode_defaults_and_validates(tmp_path):
         ({"log_every": 0}, "log_every"),
         ({"seed": -1}, "seed"),
         ({"federation.seed": -1}, "federation.seed"),
+        ({"output_dir": ""}, "output_dir must be non-empty"),
     ],
 )
 def test_out_of_range_values_rejected(tmp_path, edit, message):
@@ -139,8 +140,11 @@ def test_overrides(tmp_path):
 
 
 def test_override_unknown_key(tmp_path):
-    with pytest.raises(ConfigError, match="unknown key"):
-        apply_overrides(raw_config(tmp_path), ["hyper.rho=1"])
+    # An unknown leaf, an unknown first-level section, a path through a
+    # number and an unknown top-level leaf.
+    for dotted in ("hyper.rho", "foo.bar", "hyper.M.x", "rho"):
+        with pytest.raises(ConfigError, match=f"override references unknown key '{dotted}'"):
+            apply_overrides(raw_config(tmp_path), [f"{dotted}=1"])
     with pytest.raises(ConfigError, match="key=value"):
         apply_overrides(raw_config(tmp_path), ["hyper.M"])
 
@@ -452,6 +456,16 @@ def test_mifa_cold_start_differs_from_full_first(small_config):
         write_artifacts=False,
     )
     assert cold.records[-1].grad_norm_sq != warm.records[-1].grad_norm_sq
+
+
+def test_round_size_is_n_only_in_round_zero_of_mifa_full_first_round(small_config):
+    full = small_config(algo="mifa", mifa_mode="full_first_round", N=8, M=3)
+    assert [full.round_size(t) for t in range(3)] == [8, 3, 3]
+    cold = small_config(algo="mifa", mifa_mode="cold_start", N=8, M=3)
+    assert [cold.round_size(t) for t in range(3)] == [3, 3, 3]
+    # Any algo may carry a mifa_mode; a fedavg config keeps M clients in round 0.
+    carried = small_config(algo="fedavg", mifa_mode="full_first_round", N=8, M=3)
+    assert carried.round_size(0) == 3
 
 
 def test_full_first_round_applies_to_mifa_only(small_config):

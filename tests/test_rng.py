@@ -9,7 +9,6 @@ from fedvarp_sim.rng import (
     TAG_LOCAL,
     TAG_OFFSETS,
     TAG_SAMPLING,
-    draw_keyed_rows,
     philox_keys,
     philox_rekeyer,
     substream,
@@ -45,7 +44,11 @@ def _expected_key(seed, *path):
 def test_keys_and_rows_match_substream_bitwise(seed, tag, count, d):
     keys = philox_keys(seed, tag, ids=np.arange(count))
     assert keys.shape == (count, 2) and keys.dtype == np.uint64
-    rows = draw_keyed_rows(keys, np.empty((count, d)))
+    # Rows drawn as generate_federation draws its offsets: one generator rekeyed per row.
+    rekey = philox_rekeyer()
+    rows = np.empty((count, d))
+    for key, row in zip(keys, rows):
+        rekey(key).random(out=row)
     for i in range(count):
         assert keys[i].tobytes() == _expected_key(seed, tag, i).tobytes()
         assert rows[i].tobytes() == substream(seed, tag, i).random(d).tobytes()
