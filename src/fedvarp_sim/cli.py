@@ -9,7 +9,8 @@ import argparse
 import sys
 
 from .core import ConfigError, DivergenceError
-from .harness import SWEEP_AXES, RunConfig, floor_estimate, load_config, run, sweep, sweep_axis_type
+from .config import SWEEP_AXES, RunConfig, load_config, sweep_axis_type
+from .harness import floor_estimate, run, sweep
 from .oracles import verify
 
 

@@ -12,8 +12,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .aggregators import aggregator_step, init_state
+from .config import AlgoConfig, RunConfig
 from .core import CLUSTERFEDVARP, FEDAVG, FEDVARP, HyperConfig, effective_server_lr
-from .harness import AlgoConfig, RunConfig, run
+from .harness import run
 from .localsgd import local_sgd
 from .objectives import Federation, FederationConfig
 from .reference_saga import saga_trajectory

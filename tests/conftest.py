@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from fedvarp_sim.harness import AlgoConfig, FederationConfig, HyperConfig, RunConfig
-from fedvarp_sim.objectives import Federation
+from fedvarp_sim.config import AlgoConfig, RunConfig
+from fedvarp_sim.core import HyperConfig
+from fedvarp_sim.objectives import Federation, FederationConfig
 from fedvarp_sim.rng import substream
 
 pytest_plugins = ["pytester"]

@@ -12,17 +12,11 @@ import numpy as np
 import pytest
 
 from conftest import make_federation
-from fedvarp_sim.core import CLUSTERFEDVARP, FEDAVG, FEDVARP, lr_precondition_report
-from fedvarp_sim.harness import (
-    AlgoConfig,
-    FederationConfig,
-    HyperConfig,
-    RunConfig,
-    floor_estimate,
-    run,
-    sweep,
-)
+from fedvarp_sim.config import AlgoConfig, RunConfig
+from fedvarp_sim.core import CLUSTERFEDVARP, FEDAVG, FEDVARP, HyperConfig, lr_precondition_report
+from fedvarp_sim.harness import floor_estimate, run, sweep
 from fedvarp_sim.localsgd import local_sgd
+from fedvarp_sim.objectives import FederationConfig
 from fedvarp_sim.oracles import (
     finite_difference_error,
     reductions_hold,

@@ -8,18 +8,16 @@ import pytest
 
 from conftest import substream_keys
 from fedvarp_sim.aggregators import aggregator_step, init_state
-from fedvarp_sim import harness, oracles
-from fedvarp_sim.core import ALGORITHMS, CLUSTERFEDVARP, FEDAVG, ConfigError, DivergenceError
-from fedvarp_sim.harness import (
+from fedvarp_sim import artifacts, harness, oracles
+from fedvarp_sim.config import (
     apply_overrides,
     derive_sweep_seed,
-    floor_estimate,
     load_config,
     parse_config,
-    run,
-    sweep,
     sweep_point_config,
 )
+from fedvarp_sim.core import ALGORITHMS, CLUSTERFEDVARP, FEDAVG, ConfigError, DivergenceError
+from fedvarp_sim.harness import floor_estimate, run, sweep
 from fedvarp_sim.localsgd import local_sgd
 from fedvarp_sim.objectives import Federation, FederationConfig, generate_federation
 from fedvarp_sim.oracles import verify
@@ -328,7 +326,7 @@ def test_divergent_run_persists_partial_results(small_config, tmp_path):
 def test_interrupted_run_leaves_no_earlier_artifacts(small_config, tmp_path, monkeypatch):
     out = tmp_path / "reused"
     run(small_config(T=20, output_dir=out))
-    assert sorted(p.name for p in out.iterdir()) == sorted(harness.RUN_ARTIFACTS)
+    assert sorted(p.name for p in out.iterdir()) == sorted(artifacts.RUN_ARTIFACTS)
     calls = []
 
     def failing_step(*args):
@@ -361,7 +359,7 @@ def test_interrupted_sweep_leaves_no_earlier_point_artifacts(small_config, tmp_p
     base = small_config(T=5, output_dir=tmp_path / "sweep")
     sweep(base, "eta_s", [1.0, 0.5])
     point = tmp_path / "sweep" / "point01_eta_s"
-    assert sorted(p.name for p in point.iterdir()) == sorted(harness.RUN_ARTIFACTS)
+    assert sorted(p.name for p in point.iterdir()) == sorted(artifacts.RUN_ARTIFACTS)
     calls = []
 
     def run_once(*args, **kwargs):
@@ -439,6 +437,21 @@ def test_sweep_builds_each_federation_once(small_config, tmp_path, monkeypatch):
     assert len(built) == 1
 
 
+def test_sweep_checks_every_size_before_building_a_federation(small_config, tmp_path, monkeypatch):
+    built = []
+
+    def counting(cfg):
+        built.append(cfg)
+        return generate_federation(cfg)
+
+    monkeypatch.setattr(harness, "generate_federation", counting)
+    base = small_config(noise_sigma=0.3, T=5, output_dir=tmp_path / "sw")
+    with pytest.raises(ConfigError, match="sweep point tau=10000000000000"):
+        sweep(base, "tau", [1, 10**13])
+    assert built == []
+    assert not (tmp_path / "sw").exists()
+
+
 def test_mifa_full_first_round_matches_full_participation(small_config):
     mifa_cfg = small_config(
         algo="mifa", mifa_mode="full_first_round", T=1, tau=1, output_dir="unused_mifa"
@@ -513,6 +526,14 @@ def test_sweep_point_seed_comes_from_the_checked_value(small_config):
     assert cfgs[0] == cfgs[1] == cfgs[2]
     assert cfgs[0].hyper.eta_s == 1.0
     assert cfgs[0].seed == derive_sweep_seed(base.seed, "eta_s", 1.0) == 6640729279704080003
+
+
+def test_sweep_point_seed_comes_from_the_value_the_config_holds(small_config):
+    base = small_config()
+    mixed, lower = (sweep_point_config(base, "algo", name, 0) for name in ("FedAvg", "fedavg"))
+    assert mixed == lower
+    assert mixed.algo.name == "fedavg"
+    assert mixed.seed == derive_sweep_seed(base.seed, "algo", "fedavg") == 6376544525692774143
 
 
 def test_sweep_invalid_axis(small_config):

@@ -59,3 +59,8 @@ def test_every_traced_entry_point_is_called(small_config, tmp_path, monkeypatch)
     assert cli.main(argv) == 0
 
     assert [key for key in expected if calls[key] == 0] == []
+
+
+def test_the_benchmark_entry_points_exist():
+    """perfbench/workloads.prepare calls these three; a missing one fails every benchmark run."""
+    assert all(callable(fn) for fn in (harness.parse_config, harness.run, cli.main))
