@@ -56,7 +56,8 @@ class ServerAggregatorState:
     client for mifa, one per cluster for fedvarp and clusterfedvarp.
     assignment maps each client to its row and sizes counts the clients
     per row (stored-update kernel only; fedvarp uses the identity
-    assignment).
+    assignment). A stack of R servers holds w as (R, d) and table as
+    (R, rows, d); they share N, assignment and sizes.
     """
 
     algo: str
@@ -74,8 +75,8 @@ def init_state(
     K: int | None = None,
     assignment: np.ndarray | None = None,
 ) -> ServerAggregatorState:
-    """Zero-initialized aggregator state for N clients."""
-    d = w0.shape[0]
+    """Zero-initialized aggregator state for N clients; a (R, d) w0 gives a stack of R."""
+    *lead, d = w0.shape
     state = ServerAggregatorState(algo=algo, w=np.array(w0, dtype=np.float64), N=N)
     if algo == FEDVARP:  # N singleton clusters
         K, assignment = N, np.arange(N)
@@ -87,11 +88,11 @@ def init_state(
             raise ConfigError(f"assignment must cover all {N} clients")
         if assignment.min() < 0 or assignment.max() >= K:
             raise ConfigError(f"cluster ids must lie in [0, {K})")
-        state.table = np.zeros((K, d))
+        state.table = np.zeros((*lead, K, d))
         state.assignment = assignment
         state.sizes = np.bincount(assignment, minlength=K)
     elif algo == MIFA:
-        state.table = np.zeros((N, d))
+        state.table = np.zeros((*lead, N, d))
     elif algo != FEDAVG:
         raise ConfigError(f"unknown algorithm tag {algo!r}")
     return state
@@ -104,70 +105,102 @@ def aggregator_step(
 
     participants: distinct ascending client ids, any 1-D int sequence;
     row m of the (M, d) block is the update of client participants[m].
+    A stack of R servers takes (R, M) participants and an (R, M, d)
+    block, one round of each replicate, each with the bits of its own
+    step.
     """
     ids = np.asarray(participants, dtype=np.intp)
-    N = state.N
-    if ids.ndim != 1 or not ids.size or ids[0] < 0 or ids[-1] >= N or (ids[1:] <= ids[:-1]).any():
+    N, lead, d = state.N, state.w.shape[:-1], state.w.shape[-1]
+    if (
+        ids.shape[:-1] != lead
+        or ids.ndim != len(lead) + 1
+        or not ids.size
+        or (ids[..., 1:] <= ids[..., :-1]).any()
+        or ids[..., 0].min() < 0
+        or ids[..., -1].max() >= N
+    ):
         raise ConfigError(f"participants must be distinct ascending ids in [0, {N}), got {participants}")
-    M, d = ids.size, state.w.shape[0]
+    M = ids.shape[-1]
     block = np.asarray(block, dtype=np.float64)
-    if block.shape != (M, d):
-        raise DimensionError(f"update block shape {block.shape} != {(M, d)}")
+    if block.shape != (*lead, M, d):
+        raise DimensionError(f"update block shape {block.shape} != {(*lead, M, d)}")
+    # Every kernel runs on a replicate axis; a lone server is a stack of one.
+    R = lead[0] if lead else 1
+    ids, block = ids.reshape(R, M), block.reshape(R, M, d)
     if state.algo == FEDAVG:
         v = sum_rows(block) / M
     elif state.algo == MIFA:  # stored and fresh updates weigh the same
-        state.table[ids] = block
-        v = sum_rows(state.table) / N
+        table = state.table.reshape(R, N, d)
+        table.reshape(R * N, d)[_stack_rows(ids, N)] = block.reshape(R * M, d)
+        v = sum_rows(table) / N
     else:
         v = _stored_update(state, ids, block)
     # Overflow surfaces as a divergence error in the run loop, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        state.w = state.w - eta_tilde * v
+        state.w = state.w - eta_tilde * v.reshape(state.w.shape)
     return state.w
 
 
+def _stack_rows(ids: np.ndarray, rows: int) -> np.ndarray:
+    """Row r*rows + ids[r, m] of an (R*rows, d) table, flattened: replicate r's row ids[r, m]."""
+    R = ids.shape[0]
+    return ids.ravel() if R == 1 else (ids + rows * np.arange(R)[:, None]).ravel()
+
+
 def _stored_update(state: ServerAggregatorState, ids: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """The fedvarp/clusterfedvarp update v; refreshes the table afterwards.
+    """The fedvarp/clusterfedvarp update v of each replicate; refreshes the tables afterwards.
 
     v = mean_{i in S}(delta_i - y_{c_i}) + (1/N) sum_j y_{c_j}, all terms
     from the pre-round table; then every cluster with sampled members
     stores the mean update of those members, other clusters keep their
     state. With singleton clusters this is fedvarp: the coefficients are
-    1/M and 1/N and the refresh stores delta_i / 1.
+    1/M and 1/N and the refresh stores delta_i / 1. ids is (R, M) and
+    block (R, M, d), R = 1 for a lone server; the R tables are read as
+    one (R*K, d) table whose row r*K + k is cluster k of replicate r.
     """
+    R, M, d = block.shape
+    K = state.sizes.shape[0]
     table = state.table
-    K, d = table.shape
-    M = block.shape[0]
-    cl = state.assignment[ids]  # cluster of each row
-    counts = np.bincount(cl, minlength=K)
-    hit = counts.nonzero()[0]  # clusters with sampled members, ascending
+    flat = table.reshape(R * K, d)
+    slot = _stack_rows(state.assignment[ids], K)  # table row of each block row
+    counts = np.bincount(slot, minlength=R * K)
+    hit = counts.nonzero()[0]  # rows with sampled members: by replicate, clusters ascending
     members = counts[hit]
 
-    # The hit rows are at most M, so they are scaled in one copy. The sum
-    # over all K rows reads the table in small blocks and never copies it
-    # whole. Empty clusters get coefficient 0 instead of being skipped:
-    # that adds ±0.0, which leaves a sum started at +0.0 unchanged.
-    hit_rows = table[hit]
+    # The hit rows are at most M per replicate, so they are scaled in one
+    # copy, then padded with +0.0 rows to the replicate with the most;
+    # the padding leaves each sum unchanged. The sum over all K rows
+    # reads the table in small blocks and never copies it whole. Empty
+    # clusters get coefficient 0 instead of being skipped: that adds
+    # ±0.0, which leaves a sum started at +0.0 unchanged.
+    hit_rows = flat[hit]
     hit_rows *= (members / M)[:, None]
-    t_part = sum_rows(hit_rows)
+    if R > 1:
+        rep = hit // K
+        per_rep = np.bincount(rep, minlength=R)
+        padded = np.zeros((R, per_rep.max(), d))
+        padded[rep, np.arange(hit.size) - (per_rep.cumsum() - per_rep)[rep]] = hit_rows
+        hit_rows = padded
+    t_part = sum_rows(hit_rows.reshape(R, -1, d))
     coef = state.sizes / state.N
     t_all = ordered_row_sum(
-        K, d, lambda lo, hi, out: np.multiply(table[lo:hi], coef[lo:hi, None], out=out)
+        K, d, lambda lo, hi, out: np.multiply(table[..., lo:hi, :], coef[lo:hi, None], out=out), table.shape[:-2]
     )
     v = sum_rows(block) / M + (t_all - t_part)
 
-    # Refresh: each hit cluster's members, in row order, are consecutive
-    # in `order` from `first`. Pass j adds every hit cluster's j-th
-    # member at once, so each cluster sums its rows left to right.
-    order = cl.argsort(kind="stable")
+    # Refresh: each hit row's members, in block order, are consecutive
+    # in `order` from `first`. Pass j adds every hit row's j-th member at
+    # once, so each cluster sums its rows left to right.
+    rows = block.reshape(R * M, d)
+    order = slot.argsort(kind="stable")
     first = members.cumsum() - members
-    acc = block[order[first]]
+    acc = rows[order[first]]
     acc += 0.0  # the loop's +0.0 start: a -0.0 first row stores +0.0
     for j in range(1, members.max()):
         more = (members > j).nonzero()[0]
-        acc[more] += block[order[first[more] + j]]
+        acc[more] += rows[order[first[more] + j]]
     acc /= members[:, None]
-    table[hit] = acc
+    flat[hit] = acc
     return v
 
 

@@ -184,14 +184,15 @@ def sweep_axis_type(axis: str) -> type:
     return (get_args(typ) or (typ,))[0]  # K: int | None takes ints
 
 
-def sweep_point_config(base: RunConfig, axis: str, value, index: int) -> RunConfig:
-    """The config of one sweep point: axis applied, child seed, own subdir.
+def sweep_point(base: RunConfig, axis: str, value, index: int) -> tuple[RunConfig, object]:
+    """The config of one sweep point, axis applied, with child seed and own subdir, and its value as held.
 
     The value is checked like a config key (ints for counts, finite
-    floats for rates and scales). The child seed is derived from the
-    value the point's config holds, so 1, 1.0 and np.float64(1.0) give
-    one seed, and so do "FedAvg" and "fedavg"; a sigma_g_scale point's
-    seed comes from its checked scale.
+    floats for rates and scales); the held value is the checked one, as
+    the point's config holds it (AlgoConfig lower-cases a name). The
+    child seed is derived from the held value, so 1, 1.0 and
+    np.float64(1.0) give one seed, and so do "FedAvg" and "fedavg"; a
+    sigma_g_scale point's seed comes from its checked scale.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
@@ -206,10 +207,16 @@ def sweep_point_config(base: RunConfig, axis: str, value, index: int) -> RunConf
     else:
         edit = {field: v}
     point = replace(part, **edit)
-    held = v if field is None else getattr(point, field)  # AlgoConfig lower-cases a name
-    return replace(
+    held = v if field is None else getattr(point, field)
+    cfg = replace(
         base,
         **{section: point},
         seed=derive_sweep_seed(base.seed, axis, held),
         output_dir=str(Path(base.output_dir) / f"point{index:02d}_{axis}"),
     )
+    return cfg, held
+
+
+def sweep_point_config(base: RunConfig, axis: str, value, index: int) -> RunConfig:
+    """The config of one sweep point (sweep_point without the held value)."""
+    return sweep_point(base, axis, value, index)[0]

@@ -7,7 +7,7 @@ that runs are bitwise reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import prod, sqrt
 
 import numpy as np
 
@@ -50,33 +50,25 @@ class DivergenceError(RuntimeError):
         return f"non-finite iterate at round={self.round} ({where})"
 
 
-def as_model_vector(values, d: int | None = None) -> np.ndarray:
-    """Validate and return a float64 model vector."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise DimensionError(f"model vector must be 1-D, got shape {v.shape}")
-    if d is not None and v.shape[0] != d:
-        raise DimensionError(f"expected dimension {d}, got {v.shape[0]}")
-    return v
-
-
 # Byte budget of the one buffer an ordered row sum reads its rows through.
 ROW_BLOCK_BYTES = 128 * 1024
 
 
-def ordered_row_sum(n: int, d: int, fill) -> np.ndarray:
+def ordered_row_sum(n: int, d: int, fill, lead: tuple = ()) -> np.ndarray:
     """Sum n rows of width d left to right, with the bits of the Python loop
 
         acc = zeros(d)
         for each row k in order:  acc = acc + row_k
 
-    fill(lo, hi, out) writes rows lo..hi-1 into out, shape (hi - lo, d).
-    Rows pass through one buffer of at most ROW_BLOCK_BYTES whose first
-    row carries the running sum, starting from +0.0, and
-    np.add.reduce(axis=0) adds a block at least two columns wide row by
-    row, so each block extends the same sequential chain. A single
-    column is reduced pairwise, so d=1 runs two columns wide with the
-    second one left at zero.
+    once per replicate of the leading shape lead: () sums one set of
+    rows, (R,) sums R sets side by side and returns (R, d). fill(lo, hi,
+    out) writes rows lo..hi-1 of every replicate into out, shape
+    lead + (hi - lo, d). Rows pass through one buffer of at most
+    ROW_BLOCK_BYTES whose first row carries each replicate's running
+    sum, starting from +0.0, and np.add.reduce(axis=-2) adds a block at
+    least two columns wide row by row, so each block extends the same
+    sequential chain. A single column is reduced pairwise, so d=1 runs
+    two columns wide with the second one left at zero.
 
     A row of ±0.0 (say a finite row scaled by 0) leaves a sum started at
     +0.0 unchanged, since such a sum never becomes -0.0: skipping the row
@@ -84,17 +76,17 @@ def ordered_row_sum(n: int, d: int, fill) -> np.ndarray:
     sign of a column whose rows are all ±0.0.
     """
     width = max(d, 2)
-    block = min(n + 1, max(2, ROW_BLOCK_BYTES // (8 * width)))
-    buf = np.zeros((block, width))
-    acc = np.zeros(width)
+    block = min(n + 1, max(2, ROW_BLOCK_BYTES // (8 * width * prod(lead))))
+    buf = np.zeros((*lead, block, width))
+    acc = np.zeros((*lead, width))
     lo = 0
     while lo < n:
         hi = min(n, lo + block - 1)
-        fill(lo, hi, buf[1 : 1 + hi - lo, :d])
-        buf[0] = acc  # carries the running sum into the block
-        np.add.reduce(buf[: 1 + hi - lo], axis=0, out=acc)
+        fill(lo, hi, buf[..., 1 : 1 + hi - lo, :d])
+        buf[..., 0, :] = acc  # carries the running sums into the block
+        np.add.reduce(buf[..., : 1 + hi - lo, :], axis=-2, out=acc)
         lo = hi
-    return acc[:d]
+    return acc[..., :d]
 
 
 def sum_rows(rows: np.ndarray) -> np.ndarray:
@@ -103,17 +95,20 @@ def sum_rows(rows: np.ndarray) -> np.ndarray:
         acc = zeros(d)
         for each row k in order:  acc = acc + row_k
 
-    np.add.reduce(axis=0) over C-contiguous rows at least two columns
-    wide adds them in that order. Where it starts from row_0 instead of
-    +0.0 (numpy versions differ), a sum of -0.0 rows is -0.0; the
-    leading 0.0 + gives the loop's +0.0 either way. A single column is
-    reduced pairwise, so it goes through ordered_row_sum.
+    and those of an (R, n, d) array replicate by replicate, as (R, d).
+    np.add.reduce(axis=-2) over C-contiguous rows at least two columns
+    wide adds them in that order, in each replicate. Where it starts
+    from row_0 instead of +0.0 (numpy versions differ), a sum of -0.0
+    rows is -0.0; the leading 0.0 + gives the loop's +0.0 either way. A
+    single column is reduced pairwise, so it goes through
+    ordered_row_sum. Rows of +0.0 appended to a replicate leave its sum
+    unchanged, so replicates with fewer rows can be padded to a common n.
     """
     rows = np.ascontiguousarray(rows)
-    n, d = rows.shape
+    *lead, n, d = rows.shape
     if d == 1:
-        return ordered_row_sum(n, 1, lambda lo, hi, out: np.copyto(out, rows[lo:hi]))
-    return 0.0 + np.add.reduce(rows, axis=0)
+        return ordered_row_sum(n, 1, lambda lo, hi, out: np.copyto(out, rows[..., lo:hi, :]), tuple(lead))
+    return 0.0 + np.add.reduce(rows, axis=-2)
 
 
 @dataclass(frozen=True)

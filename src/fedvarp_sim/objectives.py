@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DimensionError, as_model_vector, ordered_row_sum
+from .core import ConfigError, DimensionError, ordered_row_sum
 from .rng import TAG_CENTERS, TAG_OFFSETS, philox_keys, philox_rekeyer, substream
 
 
@@ -29,6 +29,10 @@ class Federation:
 
     Client i has f_i(w) = 0.5 (w - mus[i])^T diag(eigs) (w - mus[i]); its
     stochastic gradient adds N(0, (noise_sigma^2/d) I) noise.
+
+    mus may also be (R, N, d): R federations of one shape stacked on a
+    leading replicate axis, sharing eigs and noise_sigma. replicate(r)
+    is federation r alone, a view of its slice.
     """
 
     eigs: np.ndarray
@@ -36,9 +40,9 @@ class Federation:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.mus.ndim != 2 or self.mus.shape[0] < 1:
-            raise ConfigError(f"mus must be an (N, d) array with N >= 1, got {self.mus.shape}")
-        if self.eigs.shape != (self.mus.shape[1],):
+        if self.mus.ndim not in (2, 3) or self.mus.shape[-2] < 1:
+            raise ConfigError(f"mus must be an (N, d) or (R, N, d) array with N >= 1, got {self.mus.shape}")
+        if self.eigs.shape != (self.mus.shape[-1],):
             raise DimensionError("hessian eigenvalues and minimizers must share the dimension")
         if np.any(self.eigs < 0):
             raise ConfigError("hessian eigenvalues must be nonnegative")
@@ -47,13 +51,24 @@ class Federation:
 
     @property
     def d(self) -> int:
-        return self.mus.shape[1]
+        return self.mus.shape[-1]
+
+    @property
+    def lead(self) -> tuple:
+        """The replicate axis: () for one federation, (R,) for a stack."""
+        return self.mus.shape[:-2]
+
+    def replicate(self, r: int) -> "Federation":
+        return Federation(eigs=self.eigs, mus=self.mus[r], noise_sigma=self.noise_sigma)
 
     def grads_and_losses(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Exact per-client gradients A(w - mu_i), shape (N, d), and losses, shape (N,)."""
-        diffs = w - self.mus
+        """Exact per-client gradients A(w - mu_i), shape (N, d), and losses, shape (N,).
+
+        A stack takes w as (R, d) and gives (R, N, d) and (R, N).
+        """
+        diffs = np.asarray(w)[..., None, :] - self.mus
         grads = self.eigs * diffs
-        return grads, 0.5 * np.sum(grads * diffs, axis=1)
+        return grads, 0.5 * np.sum(grads * diffs, axis=-1)
 
     def draw_noise(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
         """Fill out, shape (..., d), with gradient noise rows from rng.
@@ -181,19 +196,28 @@ def global_grad_and_loss(fed: Federation, w: np.ndarray) -> tuple[np.ndarray, fl
     from +0.0 (numpy 2.4); elsewhere only the sign of an all-zero column
     of g could differ, and metrics read g only as dot(g, g). At d=1
     numpy sums the column pairwise, so d=1 keeps the whole column.
+
+    A stacked federation takes w as (R, d) and returns an (R, d)
+    gradient and an (R,) loss array, each replicate with the bits of
+    its own call.
     """
-    w = as_model_vector(w, fed.d)
-    N, d = fed.mus.shape
+    w = np.asarray(w, dtype=np.float64)
+    lead, (N, d) = fed.lead, fed.mus.shape[-2:]
+    if w.shape != (*lead, d):
+        raise DimensionError(f"expected model shape {(*lead, d)}, got {w.shape}")
     if d == 1:
         grads, losses = fed.grads_and_losses(w)
-        return grads.mean(axis=0), float(losses.mean())
-    row_sums = np.empty(N)
+        g, loss = grads.mean(axis=-2), losses.mean(axis=-1)
+    else:
+        row_sums = np.empty((*lead, N))
+        w_row = w[..., None, :]  # each replicate's w against its rows
 
-    def grads_into(lo: int, hi: int, out: np.ndarray) -> None:
-        diffs = np.subtract(w, fed.mus[lo:hi], out=np.empty_like(out))
-        np.multiply(fed.eigs, diffs, out=out)
-        diffs *= out  # grads * diffs, the products each loss sums
-        np.add.reduce(diffs, axis=1, out=row_sums[lo:hi])
+        def grads_into(lo: int, hi: int, out: np.ndarray) -> None:
+            diffs = np.subtract(w_row, fed.mus[..., lo:hi, :], out=np.empty_like(out))
+            np.multiply(fed.eigs, diffs, out=out)
+            diffs *= out  # grads * diffs, the products each loss sums
+            np.add.reduce(diffs, axis=-1, out=row_sums[..., lo:hi])
 
-    grad_sum = ordered_row_sum(N, d, grads_into)
-    return grad_sum / N, float((0.5 * row_sums).mean())
+        g = ordered_row_sum(N, d, grads_into, lead) / N
+        loss = (0.5 * row_sums).mean(axis=-1)
+    return g, (loss if lead else float(loss))

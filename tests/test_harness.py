@@ -346,10 +346,10 @@ def test_sweep_removes_an_earlier_summary_when_it_makes_its_base(small_config, t
     base = small_config(T=5, output_dir=tmp_path / "sweep")
     assert sweep(base, "eta_s", [1.0]).summary_path.exists()
 
-    def failing_run(*args, **kwargs):
+    def failing_stack(*args, **kwargs):
         raise RuntimeError("stopped")
 
-    monkeypatch.setattr(harness, "run", failing_run)
+    monkeypatch.setattr(harness, "run_stack", failing_stack)
     with pytest.raises(RuntimeError, match="stopped"):
         sweep(base, "eta_s", [1.0])
     assert not (tmp_path / "sweep" / "sweep_summary.csv").exists()
@@ -362,13 +362,15 @@ def test_interrupted_sweep_leaves_no_earlier_point_artifacts(small_config, tmp_p
     assert sorted(p.name for p in point.iterdir()) == sorted(artifacts.RUN_ARTIFACTS)
     calls = []
 
+    run_stack = harness.run_stack
+
     def run_once(*args, **kwargs):
         calls.append(1)
         if len(calls) == 2:
             raise RuntimeError("stopped")
-        return run(*args, **kwargs)
+        return run_stack(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "run", run_once)
+    monkeypatch.setattr(harness, "run_stack", run_once)
     with pytest.raises(RuntimeError, match="stopped"):
         sweep(base, "eta_s", [1.0, 0.5])
     assert list(point.iterdir()) == []
