@@ -73,9 +73,8 @@ def write_run_artifacts(result) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """payload as indented JSON, formed in one json.dumps call and written in one write."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def write_csv(path: Path, header: str, rows) -> None:

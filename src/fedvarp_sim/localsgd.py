@@ -18,23 +18,13 @@ bitwise. The aggregator equivalence checks rely on both identities.
 """
 from __future__ import annotations
 
-import os
-import threading
-
 import numpy as np
 
-from .core import ConfigError, DimensionError, DivergenceError
+from .core import ConfigError, DimensionError, DivergenceError, run_slabs
 from .objectives import Federation
 from .rng import philox_rekeyer
 
-# CPUs this process may run on: the most row slabs one call trains at once.
-WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# A call splits into slabs when rows * tau * d, doubled for a noisy
-# federation, reaches SPLIT_MIN_WORK. On a 2-core host a 2-slab split
-# costs 0.1-0.2 ms of thread start, join and handoff; it lost up to
-# 1e5 elements noisy and 2e5 noiseless, and won from 1.5e5 noisy and
-# 3e5 noiseless (d = 1000-2000).
-SPLIT_MIN_WORK = 300_000
+# A call's work for core.run_slabs is rows * tau * d, doubled for a noisy federation.
 NOISE_WORK_WEIGHT = 2
 
 
@@ -63,14 +53,10 @@ def local_sgd(
     loop as one replicate's M, so each row has the bits of its
     replicate's own call.
 
-    Every call trains contiguous row slabs, slab 0 in this thread and one
-    thread per other slab: one slab per available CPU once the work
-    reaches SPLIT_MIN_WORK, else one slab, which starts no thread. A row's
-    draws depend on its key alone, so the bits are those of one slab. The
-    result, the (rows, tau, d) noise buffer and every per-step buffer are
-    allocated here, in the calling thread, so a worker thread's malloc
-    arena does not keep them cached. Every thread is joined before this
-    returns or raises.
+    The rows train on core.run_slabs' slabs; a row's draws depend on its
+    key alone, so the bits are those of one slab. The result, the noise
+    block and every per-step buffer are allocated here, in the calling
+    thread, so a worker thread's malloc arena does not keep them cached.
 
     A non-finite iterate raises DivergenceError carrying the first
     non-finite step of the lowest row that diverges (the lowest failing
@@ -104,33 +90,15 @@ def local_sgd(
     g, w_k = np.empty_like(mus), np.empty_like(mus)
     finite = np.empty(mus.shape, dtype=bool)
     noise = np.empty((rows, tau, d)) if noisy else None
-    work = rows * tau * d * (NOISE_WORK_WEIGHT if noisy else 1)
-    slabs = min(rows, WORKERS) if work >= SPLIT_MIN_WORK else 1
-    errors = [None] * slabs  # the exception each slab raised, if any
 
-    def train(s):
-        lo, hi = rows * s // slabs, rows * (s + 1) // slabs
-        try:
-            keys_and_noise = (keys[lo:hi], noise[lo:hi]) if noisy else (None, None)
-            _train_rows(
-                fed, mus[lo:hi], w_rows[lo:hi] if lead else w_rows, tau, eta_c,
-                out[lo:hi], g[lo:hi], w_k[lo:hi], finite[lo:hi], *keys_and_noise,
-            )
-        except BaseException as exc:  # re-raised by the calling thread below
-            errors[s] = exc
+    def train(lo, hi):
+        keys_and_noise = (keys[lo:hi], noise[lo:hi]) if noisy else (None, None)
+        _train_rows(
+            fed, mus[lo:hi], w_rows[lo:hi] if lead else w_rows, tau, eta_c,
+            out[lo:hi], g[lo:hi], w_k[lo:hi], finite[lo:hi], *keys_and_noise,
+        )
 
-    threads = [threading.Thread(target=train, args=(s,)) for s in range(1, slabs)]
-    try:
-        for t in threads:
-            t.start()
-        train(0)
-    finally:
-        for t in threads:
-            if t.ident is not None:
-                t.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    run_slabs(rows, rows * tau * d * (NOISE_WORK_WEIGHT if noisy else 1), train)
     return out.reshape(*lead, M, d)
 
 

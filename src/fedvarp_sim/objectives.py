@@ -15,11 +15,12 @@ expected squared noise norm equals noise_sigma^2 exactly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DimensionError, ordered_row_sum
+from .core import ROW_BLOCK_BYTES, ConfigError, DimensionError, ordered_row_sum, run_slabs
 from .rng import TAG_CENTERS, TAG_OFFSETS, philox_keys, philox_rekeyer, substream
 
 
@@ -138,53 +139,92 @@ def block_assignment(N: int, K: int) -> np.ndarray:
 
 
 def generate_federation(cfg: FederationConfig) -> tuple[Federation, FederationConstants]:
-    """Build the federation arrays and their exact constants, deterministically in the seed."""
-    scale = cfg.cluster_center_spread / np.sqrt(cfg.d)
-    centers = scale * substream(cfg.seed, TAG_CENTERS).standard_normal((cfg.K_true, cfg.d))
-    assign = block_assignment(cfg.N, cfg.K_true)
-    half_width = cfg.within_cluster_spread / np.sqrt(cfg.d)  # box offsets keep ||offset|| <= spread
-    lo, hi = -half_width, half_width
-    # Row i holds the uniforms of substream(seed, TAG_OFFSETS, i); the map
-    # after it has the bits of uniform(lo, hi) = lo + (hi - lo) * u.
+    """Build the federation arrays and their exact constants, deterministically in the seed.
+
+    Row i holds substream(seed, TAG_OFFSETS, i)'s uniforms u, mapped in place on core.run_slabs'
+    slabs to (hi - lo) * u + lo + center, the bits of uniform(lo, hi) + center.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in the constants
+        scale = cfg.cluster_center_spread / np.sqrt(cfg.d)
+        centers = scale * substream(cfg.seed, TAG_CENTERS).standard_normal((cfg.K_true, cfg.d))
+        half_width = cfg.within_cluster_spread / np.sqrt(cfg.d)  # box offsets keep ||offset|| <= spread
+        lo, width = -half_width, 2 * half_width
+    size = cfg.N // cfg.K_true  # client i belongs to cluster i // size
+    keys = philox_keys(cfg.seed, TAG_OFFSETS, ids=np.arange(cfg.N))
     mus = np.empty((cfg.N, cfg.d))
-    rekey = philox_rekeyer()
-    for key, row in zip(philox_keys(cfg.seed, TAG_OFFSETS, ids=np.arange(cfg.N)), mus):
-        rekey(key).random(out=row)
-    mus *= hi - lo
-    mus += lo
-    mus += centers[assign]
+
+    def draw(a: int, b: int) -> None:
+        rekey = philox_rekeyer()
+        for key, row in zip(keys[a:b], mus[a:b]):
+            rekey(key).random(out=row)
+        with np.errstate(over="ignore", invalid="ignore"):  # the error state is per thread
+            mus[a:b] *= width
+            mus[a:b] += lo
+            for k in range(a // size, (b - 1) // size + 1):  # the clusters this slab meets
+                mus[max(a, k * size) : min(b, k * size + size)] += centers[k]
+
+    run_slabs(cfg.N, cfg.N * cfg.d, draw)
     eigs = np.linspace(cfg.hessian_eig_min, cfg.hessian_eig_max, cfg.d)
     fed = Federation(eigs=eigs, mus=mus, noise_sigma=cfg.noise_sigma)
-    return fed, federation_constants(fed, assign)
+    return fed, federation_constants(fed, block_assignment(cfg.N, cfg.K_true))
 
 
 def federation_constants(fed: Federation, assignment: np.ndarray) -> FederationConstants:
-    """Exact L, heterogeneity bounds, minimizer, and optimal loss."""
-    eigs, mus = fed.eigs, fed.mus
-    mu_bar = mus.mean(axis=0)
-    f_star = float(np.mean(0.5 * np.sum(eigs * (mu_bar - mus) ** 2, axis=1)))
-    return FederationConstants(
-        L=float(np.max(eigs)),
-        sigma_g_sq=_max_gap_sq(eigs, mu_bar, mus),
-        sigma_K_sq=cluster_heterogeneity(fed, assignment),
-        w_star=mu_bar,
-        f_star=f_star,
-    )
-
-
-def _max_gap_sq(eigs: np.ndarray, center: np.ndarray, rows: np.ndarray) -> float:
-    """max over rows of ||A(center - row)||^2: a client's gradient gap, constant in w."""
-    dev = eigs * (center - rows)
-    return float(np.max(np.sum(dev * dev, axis=1)))
+    """Exact L, heterogeneity bounds, minimizer, and optimal loss; a ConfigError if one overflows float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu_bar = fed.mus.mean(axis=0)
+        losses, gaps, cluster_gaps = _client_terms(fed, mu_bar, assignment)
+        L, sigma_g_sq, sigma_K_sq = (float(x.max()) for x in (fed.eigs, gaps, cluster_gaps))
+        f_star = float(np.mean(0.5 * losses))
+    # A non-finite w_star makes sigma_g_sq non-finite, so the four scalars cover it.
+    if not all(map(math.isfinite, (L, sigma_g_sq, sigma_K_sq, f_star))):
+        raise ConfigError("the federation's exact constants overflow float64")
+    return FederationConstants(L=L, sigma_g_sq=sigma_g_sq, sigma_K_sq=sigma_K_sq, w_star=mu_bar, f_star=f_star)
 
 
 def cluster_heterogeneity(fed: Federation, assignment: np.ndarray) -> float:
     """Exact max squared gap between a client gradient and its cluster mean gradient."""
-    worst = 0.0
-    for k in np.unique(assignment):
-        members = fed.mus[assignment == k]
-        worst = max(worst, _max_gap_sq(fed.eigs, members.mean(axis=0), members))
+    with np.errstate(over="ignore", invalid="ignore"):
+        worst = float(_client_terms(fed, None, assignment)[2].max())
+    if not math.isfinite(worst):
+        raise ConfigError("the federation's exact constants overflow float64")
     return worst
+
+
+def _client_terms(fed: Federation, mu_bar: np.ndarray | None, assignment: np.ndarray) -> np.ndarray:
+    """Each client's sum(A (mu_bar - mu_i)^2), ||A(mu_bar - mu_i)||^2 and ||A(c - mu_i)||^2, as (3, N) rows.
+
+    c is the mean of client i's cluster k, with the bits of mus[assignment == k].mean(axis=0): the
+    clusters of each size s reduce as one (clusters, s, d) array along that mean's axis (pairwise at
+    d = 1), a view of mus for equal contiguous blocks, else a gather in row order. Then blocks of at
+    most ROW_BLOCK_BYTES run each expression's steps, with the bits of the whole (N, d) arrays. Without
+    mu_bar, only the cluster row is filled.
+    """
+    eigs, mus = fed.eigs, fed.mus
+    N, d = mus.shape
+    sizes = np.bincount(assignment)
+    order = np.argsort(assignment, kind="stable")
+    centers = np.zeros((sizes.size, d))  # a label no client has keeps a row no client reads
+    for s in set(sizes.tolist()) - {0}:
+        ks = np.flatnonzero(sizes == s)
+        view = ks.size * s == N and (order[1:] > order[:-1]).all()  # one size, in row order
+        starts = np.cumsum(sizes)[ks] - s  # each cluster's first place in order
+        members = mus.reshape(ks.size, s, d) if view else mus[order[starts[:, None] + np.arange(s)]]
+        centers[ks] = np.add.reduce(members, axis=1) / s
+    terms = np.empty((3, N))
+    block = max(1, min(N, ROW_BLOCK_BYTES // (8 * d)))
+    diff, dev, tiled = np.empty((3, block, d))
+    tiled[...] = eigs  # a same-shape product runs faster than one broadcasting eigs
+    for lo in range(0, N, block):
+        hi = min(N, lo + block)
+        x, y, e, rows = diff[: hi - lo], dev[: hi - lo], tiled[: hi - lo], mus[lo:hi]
+        if mu_bar is not None:
+            np.subtract(mu_bar, rows, out=x)
+            np.add.reduce(np.square(np.multiply(e, x, out=y), out=y), axis=1, out=terms[1, lo:hi])
+            np.add.reduce(np.multiply(e, np.square(x, out=x), out=x), axis=1, out=terms[0, lo:hi])
+        np.subtract(np.take(centers, assignment[lo:hi], axis=0, out=x, mode="clip"), rows, out=x)
+        np.add.reduce(np.square(np.multiply(e, x, out=x), out=x), axis=1, out=terms[2, lo:hi])
+    return terms
 
 
 def global_grad_and_loss(fed: Federation, w: np.ndarray) -> tuple[np.ndarray, float]:

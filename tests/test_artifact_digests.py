@@ -56,6 +56,25 @@ SWEEPS = {
     "scale_sweep": ("sigma_g_scale", [0.5, 1.0, 2.0]),
     "algo_sweep": ("algo", ["fedavg", "fedvarp", "mifa"]),
 }
+# case -> overrides of BASE: T=0 runs at the three benchmark federation
+# shapes, whose constants span several row blocks and, at (200, 2000),
+# several generation slabs. Each writes the round-0 metrics and the
+# manifest's exact constants, including a clustering other than the
+# generator's (K != K_true, and K not dividing N).
+SHAPES = {
+    "wide_table_shape": [
+        "federation.N=1000", "federation.d=100", "federation.K_true=10",
+        "hyper.M=50", "hyper.T=0", "algo.name=clusterfedvarp", "algo.K=10",
+    ],
+    "deep_local_shape": [
+        "federation.N=200", "federation.d=2000", "federation.K_true=10", "federation.noise_sigma=0.5",
+        "hyper.M=50", "hyper.T=0", "algo.name=clusterfedvarp", "algo.K=7",
+    ],
+    "floor_sweep_shape": [
+        "federation.N=40", "federation.d=8", "federation.K_true=40", "federation.within_cluster_spread=0.0",
+        "hyper.M=5", "hyper.T=0", "algo.name=clusterfedvarp", "algo.K=8",
+    ],
+}
 DIGESTS = {
     "fedavg/manifest.json": "64dcbdd284b552f778d7251be6de465a8931fc68bafd6ceb250d13b190d3f69a",
     "fedavg/metrics.csv": "a9d5e16a89480b7a035e4b1b931666a190f77789e8c7710b24d7c94c2198beff",
@@ -78,6 +97,18 @@ DIGESTS = {
     "scale_sweep/sweep_summary.csv": "71f66ef91511cb5149234ee5d6da968340e0168cbbaa8437ce788c9ecc4a215c",
     "algo_sweep/sweep_summary.csv": "ee92fe94e5e90d5aa927071f2be6535a394622966078f11aea0e670b4ea66db8",
 }
+# Recorded before the constants and the offset draws went blocked and slab-split.
+SHAPE_DIGESTS = {
+    "wide_table_shape/manifest.json": "79224a520a625979c8004a86108deb90daa5f29040eca411737861d2dc7d1105",
+    "wide_table_shape/metrics.csv": "7ccdd116248841ebc8b0a08093b34aa3cbce52067626e4d2c8c0510b0f9ea901",
+    "wide_table_shape/status.json": "a9d4ac490736cddd27de3395fb93ea1ffbd938d272f02b260c51c46a33598c3d",
+    "deep_local_shape/manifest.json": "4c8caf5cb7b31cf016d742a6e80f1d09563a5082fc3795b99ea70303532bfee6",
+    "deep_local_shape/metrics.csv": "9d3e5b681075da1f9cb7b617e2be0fc1b6a221b4e05fb93908b867994e2ff9c2",
+    "deep_local_shape/status.json": "a9d4ac490736cddd27de3395fb93ea1ffbd938d272f02b260c51c46a33598c3d",
+    "floor_sweep_shape/manifest.json": "713a69865b05b135693833be27dc42f0911060e4db53afd497e60cb454eb843b",
+    "floor_sweep_shape/metrics.csv": "cbc19331b402da66b6b7fa341ce1f10f938358d60cb3f07034445ef4ebf6e7d6",
+    "floor_sweep_shape/status.json": "a9d4ac490736cddd27de3395fb93ea1ffbd938d272f02b260c51c46a33598c3d",
+}
 
 
 def _config(case: str, overrides: list[str]):
@@ -88,15 +119,15 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def artifact_digests() -> dict:
+def artifact_digests(runs: dict = RUNS, sweeps: dict = SWEEPS) -> dict:
     """The digest of every case's artifacts, written under the working directory."""
     digests = {}
-    for case, overrides in RUNS.items():
+    for case, overrides in runs.items():
         with suppress(DivergenceError):
             run(_config(case, overrides))
         for name in RUN_ARTIFACTS:
             digests[f"{case}/{name}"] = _sha256(Path(case) / name)
-    for case, (axis, values) in SWEEPS.items():
+    for case, (axis, values) in sweeps.items():
         sweep(_config(case, []), axis, values)
         digests[f"{case}/{SUMMARY_FILE}"] = _sha256(Path(case) / SUMMARY_FILE)
     return digests
@@ -110,11 +141,19 @@ def test_artifacts_match_recorded_digests(tmp_path, monkeypatch):
     assert digests.keys() == DIGESTS.keys()
 
 
+def test_benchmark_shape_artifacts_match_recorded_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    digests = artifact_digests(SHAPES, {})
+    assert {k: v for k, v in digests.items() if SHAPE_DIGESTS.get(k) != v} == {}
+    assert digests.keys() == SHAPE_DIGESTS.keys()
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        current = artifact_digests()
-    sys.stdout.write("DIGESTS = {\n")
-    for key, digest in current.items():
-        sys.stdout.write(f'    "{key}": "{digest}",\n')
-    sys.stdout.write("}\n")
+        current = {"DIGESTS": artifact_digests(), "SHAPE_DIGESTS": artifact_digests(SHAPES, {})}
+    for name, digests in current.items():
+        sys.stdout.write(f"{name} = {{\n")
+        for key, digest in digests.items():
+            sys.stdout.write(f'    "{key}": "{digest}",\n')
+        sys.stdout.write("}\n")

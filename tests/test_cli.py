@@ -162,6 +162,37 @@ def test_sweep_with_overflowing_initial_point_exits_two_before_any_point(
     assert not (tmp_path / "artifacts").exists()
 
 
+# The README's federation with only sigma_g^2 overflowing, which used to
+# write "sigma_g_sq": Infinity into manifest.json and exit 0, and one
+# whose every constant overflows, which used to end in a numpy warning.
+OVERFLOWING_CONSTANTS = {
+    "gap": [
+        "federation.cluster_center_spread=0.0",
+        "federation.within_cluster_spread=1.15e153",
+        "federation.hessian_eig_min=16.0",
+        "federation.hessian_eig_max=16.0",
+        "hyper.eta_c=0.001",
+    ],
+    "centers": ["federation.cluster_center_spread=1e160"],
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOWING_CONSTANTS)
+def test_overflowing_constants_exit_two_and_write_nothing(config_file, tmp_path, capsys, case):
+    sets = [arg for item in OVERFLOWING_CONSTANTS[case] for arg in ("--set", item)]
+    assert main(["run", "--config", str(config_file), *sets]) == 2
+    assert "configuration error: the federation's exact constants overflow float64" in capsys.readouterr().err
+    assert not (tmp_path / "artifacts").exists()
+
+
+def test_sweep_point_with_overflowing_constants_exits_two_before_any_point(config_file, tmp_path, capsys):
+    args = ["--axis", "sigma_g_scale", "--values", "1,1e160"]
+    assert main(["sweep", "--config", str(config_file), *args]) == 2
+    err = capsys.readouterr().err
+    assert "sweep point sigma_g_scale=1e+160: the federation's exact constants overflow float64" in err
+    assert not (tmp_path / "artifacts").exists()
+
+
 def tree(root):
     """Every path under root, with the bytes of each file."""
     return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
