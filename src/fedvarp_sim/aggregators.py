@@ -182,9 +182,15 @@ def _stored_update(state: ServerAggregatorState, ids: np.ndarray, block: np.ndar
         padded[rep, np.arange(hit.size) - (per_rep.cumsum() - per_rep)[rep]] = hit_rows
         hit_rows = padded
     t_part = sum_rows(hit_rows.reshape(R, -1, d))
+    # Equal clusters (fedvarp always, clusterfedvarp when K | N) share one
+    # coefficient, which scales a block as a scalar: the same products.
     coef = state.sizes / state.N
+    equal = (coef == coef[0]).all()
     t_all = ordered_row_sum(
-        K, d, lambda lo, hi, out: np.multiply(table[..., lo:hi, :], coef[lo:hi, None], out=out), table.shape[:-2]
+        K,
+        d,
+        lambda lo, hi, out: np.multiply(table[..., lo:hi, :], coef[0] if equal else coef[lo:hi, None], out=out),
+        table.shape[:-2],
     )
     v = sum_rows(block) / M + (t_all - t_part)
 

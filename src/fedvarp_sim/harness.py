@@ -10,8 +10,10 @@ One round loop, run_stack, runs a stack of R runs whose configs differ
 only in their seeds, output directories and federation seeds and
 spreads. Their federations sit on a leading replicate axis, (R, N, d),
 and so do the server states, so each round makes one local_sgd, one
-aggregator_step and one metrics call for all R. Sampling and key
-derivation stay per replicate, and every kernel keeps each replicate's
+aggregator_step and one metrics call for all R. Participants are
+drawn a chunk of rounds at a time, one sampling.sample_rounds call per
+replicate, since they do not depend on the model; noise keys are
+derived per replicate and round. Every kernel keeps each replicate's
 bits, so a stacked point writes the artifacts of its solo run byte for
 byte. run(cfg) is the stack of one, run without the replicate axis;
 sweep stacks the points of a sigma_g_scale sweep.
@@ -45,10 +47,11 @@ from .objectives import (
     generate_federation,
     global_grad_and_loss,
 )
-from .rng import KEY_INDEX_LIMIT, TAG_LOCAL, TAG_SAMPLING, philox_keys, philox_rekeyer
-from .sampling import sample_round
+from .rng import KEY_INDEX_LIMIT, TAG_LOCAL, TAG_SAMPLING, philox_keys
+from .sampling import sample_rounds
 
-# run derives its rounds' sampling keys this many rounds at a time.
+# run samples its rounds in chunks of at most this many participant ids
+# per replicate, or of one round where a round has more.
 ROUND_KEY_CHUNK = 1024
 
 
@@ -214,19 +217,23 @@ def run_stack(
     round-0 record) as _realize builds it; the output directories are
     made here, before round 0.
 
-    Round t of point r samples its participants from one reused Philox
-    generator rekeyed to substream(seed_r, TAG_SAMPLING, t)'s key, these
-    keys derived ROUND_KEY_CHUNK rounds at a time. In a noisy
-    federation participant i draws its gradient noise from the key of
-    substream(seed_r, TAG_LOCAL, t, i), the round's keys derived as one
-    block per replicate. The participants of all replicates train in
-    one local_sgd call and step in one aggregator_step call, and the
-    logged rounds are measured in one global_grad_and_loss call.
+    Round t of point r trains the participants sample_round draws from
+    substream(seed_r, TAG_SAMPLING, t). They are drawn a chunk of rounds
+    at a time: one philox_keys and one sample_rounds call per replicate
+    give the chunk's participants, at most max(M, ROUND_KEY_CHUNK) ids
+    per replicate; round 0 of mifa's full_first_round, N ids, is a chunk
+    of its own. In a noisy federation participant i draws its gradient
+    noise from the key of substream(seed_r, TAG_LOCAL, t, i), the
+    round's keys derived as one block per replicate. The participants
+    of all replicates train in one local_sgd call and step in one
+    aggregator_step call, and the logged rounds are measured in one
+    global_grad_and_loss call.
 
     A point leaves the stack when its run diverges, with a
     DivergenceError naming the round, its local step (None for the
     server step or the metrics) and its finite records as `result`; its
-    artifacts are written then, and the other points run on unchanged.
+    artifacts are written then, its rows leave the chunk's participants,
+    and the other points run on unchanged.
     A stacked local_sgd that raises is replayed one replicate at a time,
     which gives each replicate's own bits and step. A point that
     completes writes its artifacts at the end.
@@ -251,12 +258,11 @@ def run_stack(
     live = list(range(len(cfgs)))  # the point of each stack row
     w_star = np.array([consts.w_star for _, consts, _ in realized])
     state = init_state(cfg.algo.name, np.zeros((*fed.lead, d)), N, cfg.algo.K, assignment)
-    rekey = philox_rekeyer()
     noisy = fed.noise_sigma > 0
 
     def leave(t: int, steps: dict) -> list | None:
         """Take the rows in steps (row -> local step) out of the stack; the rows kept, or None if none is."""
-        nonlocal live, fed, w_star, round_keys
+        nonlocal live, fed, w_star, chunk
         for row, step in steps.items():
             exc = DivergenceError(step)
             res = exc.result = results[live[row]]
@@ -267,20 +273,25 @@ def run_stack(
         if not keep:
             return None
         live = [live[row] for row in keep]
-        w_star, round_keys = w_star[keep], round_keys[keep]
+        w_star, chunk = w_star[keep], chunk[keep]
         fed = replace(fed, mus=fed.mus[keep])
         state.w = state.w[keep]
         if state.table is not None:
             state.table = state.table[keep]
         return keep
 
+    chunk_end = 0
     for t in range(h.T):
-        if t % ROUND_KEY_CHUNK == 0:
-            rounds = np.arange(t, min(t + ROUND_KEY_CHUNK, h.T))
-            round_keys = np.array([philox_keys(cfgs[i].seed, TAG_SAMPLING, ids=rounds) for i in live])
-        M = cfg.round_size(t)
-        rows = [sample_round(N, M, rekey(k)) for k in round_keys[:, t % ROUND_KEY_CHUNK]]
-        participants = np.array(rows).reshape(*fed.lead, M)
+        if t == chunk_end:
+            M = cfg.round_size(t)
+            # M != h.M only in round 0 of a full_first_round, N ids.
+            chunk_end = t + 1 if M != h.M else min(h.T, t + max(1, ROUND_KEY_CHUNK // M))
+            rounds = np.arange(t, chunk_end)
+            chunk = np.array(  # (replicates, rounds, M)
+                [sample_rounds(N, M, philox_keys(cfgs[i].seed, TAG_SAMPLING, ids=rounds)) for i in live]
+            )
+        rows = chunk[:, t - rounds[0]]
+        participants = rows.reshape(*fed.lead, M)
         keys = None
         if noisy:
             keys = [philox_keys(cfgs[i].seed, TAG_LOCAL, t, ids=ids) for i, ids in zip(live, rows)]

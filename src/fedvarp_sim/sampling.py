@@ -1,4 +1,10 @@
-"""Uniform without-replacement client sampling plus enumeration oracles."""
+"""Uniform without-replacement client sampling plus enumeration oracles.
+
+sample_round draws one round's participants from a generator and is the
+definition. sample_rounds draws the participants of many rounds, one
+Philox key each, in one array pass with the bits sample_round gives
+each key; a run samples its rounds that way, a chunk at a time.
+"""
 from __future__ import annotations
 
 from itertools import combinations
@@ -7,8 +13,11 @@ from math import comb
 import numpy as np
 
 from .core import ConfigError, OracleScaleError, sum_rows
+from .rng import philox_rekeyer
 
 ENUMERATION_CAP = 1_000_000
+
+_MASK32 = 0xFFFFFFFF
 
 
 def sample_round(N: int, M: int, rng: np.random.Generator) -> np.ndarray:
@@ -27,6 +36,65 @@ def sample_round(N: int, M: int, rng: np.random.Generator) -> np.ndarray:
         r += j
         moved[j], moved[r] = moved.get(r, r), moved.get(j, j)
     return np.array(sorted(moved[j] for j in range(M)), dtype=np.intp)
+
+
+def sample_rounds(N: int, M: int, keys) -> np.ndarray:
+    """sample_round(N, M, rekey(keys[c])) as row c of a (C, M) np.intp array, for a (C, 2) Philox key block.
+
+    numpy draws a bound b = N - j <= 2**32 with Lemire's rule from one
+    uint32, the low half of a 64-bit Philox word first: r = (u * b) >> 32,
+    redrawn while the low 32 bits of u * b are below (2**32 - b) % b
+    (b = 1 gives 0 and draws nothing, which only the last of M = N steps
+    meets). So the first ceil(M/2) words of each key give every row's
+    bounds as uint64 array steps. A row whose bounds meet a redraw
+    (about N / 2**32 per bound) is drawn again by sample_round, as is
+    every row for N > 2**32, where numpy draws 64-bit bounds.
+
+    The M swaps run over compact slots: slot s < M of a row is position
+    s, the others are the distinct positions j + r_j >= M. Step j swaps
+    slot j with the slot of j + r_j in every row at once, so the work and
+    memory are O(C * M) and nothing of size N is made.
+    """
+    if not 1 <= M <= N:
+        raise ConfigError(f"need 1 <= M <= N, got M={M} N={N}")
+    keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 2)
+    C = len(keys)
+    rekey = philox_rekeyer()
+    if N > 2**32:
+        return np.array([sample_round(N, M, rekey(k)) for k in keys], dtype=np.intp).reshape(C, M)
+    W = (M + 1) // 2
+    words = np.array([rekey(k).bit_generator.random_raw(W) for k in keys.tolist()], dtype=np.uint64)
+    u = np.stack([words & _MASK32, words >> 32], axis=-1).reshape(C, 2 * W)[:, :M]
+    bound = np.arange(N, N - M, -1, dtype=np.uint64)
+    scaled = u * bound
+    redrawn = ((scaled & _MASK32) < (2**32 - bound) % bound).any(axis=1)
+
+    # Row c's touched positions: 0..M-1, then each step's j + r_j. Equal
+    # positions share a slot, numbered by rank; as every position below
+    # M is there, position s < M has slot s. Slot s of row c is entry
+    # s * C + c of the (2M, C) array ids, so step j reads row j whole.
+    pos = np.empty((C, 2 * M), dtype=np.intp)
+    pos[:, :M] = np.arange(M)
+    pos[:, M:] = (scaled >> 32).astype(np.intp) + np.arange(M)
+    order = pos.argsort(axis=1)
+    ranked = np.take_along_axis(pos, order, axis=1)
+    rank = np.zeros_like(ranked)
+    np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=rank[:, 1:])
+    entry = rank * C + np.arange(C)[:, None]
+    ids = np.empty((2 * M, C), dtype=np.intp)
+    flat = ids.reshape(-1)
+    flat[entry] = ranked  # a slot starts holding the client at its position
+    swap = np.empty_like(entry)
+    np.put_along_axis(swap, order, entry, axis=1)
+    swap = swap[:, M:].T.copy()  # step j's other entry in every row
+    for j in range(M):
+        held = ids[j].copy()
+        ids[j] = flat[swap[j]]
+        flat[swap[j]] = held
+    out = np.sort(ids[:M].T, axis=1)
+    for c in redrawn.nonzero()[0]:
+        out[c] = sample_round(N, M, rekey(keys[c]))
+    return out
 
 
 def enumerate_subsets(N: int, M: int) -> np.ndarray:

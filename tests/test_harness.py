@@ -2,6 +2,7 @@ import itertools
 import json
 import re
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,12 +217,27 @@ def test_noiseless_run_builds_no_local_streams(small_config, monkeypatch):
     assert all(keys is None for _, keys in calls)
 
 
+def _record_sampling(monkeypatch):
+    """Wrap harness.sample_rounds; collect (N, M, rounds) of every call."""
+    calls = []
+    original = harness.sample_rounds
+
+    def recording(N, M, keys):
+        calls.append((N, M, len(keys)))
+        return original(N, M, keys)
+
+    monkeypatch.setattr(harness, "sample_rounds", recording)
+    return calls
+
+
 def _assert_round_streams(cfg, calls):
-    """Round t sampled from substream(seed, TAG_SAMPLING, t)'s key and passed
-    one key per participant i, substream(seed, TAG_LOCAL, t, i)'s."""
-    N, M = cfg.federation.N, cfg.hyper.M
+    """Round t sampled its round_size(t) ids from substream(seed, TAG_SAMPLING, t)'s
+    key and passed one key per participant i, substream(seed, TAG_LOCAL, t, i)'s."""
+    N = cfg.federation.N
     assert len(calls) == cfg.hyper.T
     for t, (ids, keys) in enumerate(calls):
+        M = cfg.round_size(t)
+        assert ids.shape == (M,)
         assert ids.tolist() == sample_round(N, M, substream(cfg.seed, TAG_SAMPLING, t)).tolist()
         assert keys.shape == (M, 2) and keys.dtype == np.uint64
         assert keys.tobytes() == substream_keys(cfg.seed, TAG_LOCAL, t, ids=ids).tobytes()
@@ -235,12 +251,76 @@ def test_noisy_run_builds_and_draws_one_stream_per_participant_round(small_confi
 
 
 def test_round_keys_derived_in_chunks_key_every_round(small_config, monkeypatch):
-    # A chunk of 5 splits 12 rounds as 5, 5 and 2.
-    monkeypatch.setattr(harness, "ROUND_KEY_CHUNK", 5)
+    # Chunks of 15 ids at M = 3 split 12 rounds as 5, 5 and 2.
+    monkeypatch.setattr(harness, "ROUND_KEY_CHUNK", 15)
+    sampled = _record_sampling(monkeypatch)
     calls = _record_local_calls(monkeypatch)
     cfg = small_config(noise_sigma=0.3, T=12, M=3)
     run(cfg, write_artifacts=False)
+    assert sampled == [(8, 3, 5), (8, 3, 5), (8, 3, 2)]
     _assert_round_streams(cfg, calls)
+
+
+def test_a_run_over_several_chunks_samples_each_chunk_once(small_config, monkeypatch):
+    sampled = _record_sampling(monkeypatch)
+    calls = _record_local_calls(monkeypatch)
+    per_chunk = harness.ROUND_KEY_CHUNK // 3
+    cfg = small_config(noise_sigma=0.3, T=3 * per_chunk + 1, M=3)
+    run(cfg, write_artifacts=False)
+    assert sampled == [(8, 3, per_chunk)] * 3 + [(8, 3, 1)]
+    _assert_round_streams(cfg, calls)
+
+
+def test_a_full_first_round_is_a_chunk_of_its_own(small_config, monkeypatch):
+    # Chunks of 16 ids: 5 rounds of M = 3, or 2 full rounds of N = 8.
+    monkeypatch.setattr(harness, "ROUND_KEY_CHUNK", 16)
+    sampled = _record_sampling(monkeypatch)
+    calls = _record_local_calls(monkeypatch)
+    cfg = small_config(algo="mifa", mifa_mode="full_first_round", noise_sigma=0.3, T=12, M=3)
+    run(cfg, write_artifacts=False)
+    assert sampled == [(8, 8, 1), (8, 3, 5), (8, 3, 5), (8, 3, 1)]
+    _assert_round_streams(cfg, calls)
+
+
+def test_a_point_diverging_inside_a_chunk_leaves_the_others_their_participants(
+    small_config, tmp_path, monkeypatch
+):
+    # Chunks of 4 rounds. At eta_c = 4 a local step can triple the
+    # iterate, so the minimizers scaled by 1e150 overflow the metrics in
+    # round 5, inside the second chunk, and the others stay finite.
+    monkeypatch.setattr(harness, "ROUND_KEY_CHUNK", 12)
+    base = small_config(
+        algo="fedvarp", noise_sigma=0.3, eta_c=4.0, T=12, M=3, output_dir=tmp_path / "sw"
+    )
+    values = [1.0, 1e150, 2.0]
+    cfgs = [sweep_point_config(base, "sigma_g_scale", v, i) for i, v in enumerate(values)]
+    calls = _record_local_calls(monkeypatch)
+    result = sweep(base, "sigma_g_scale", values)
+    stacked = list(calls)
+    ok, boom, ok2 = result.results
+    assert ok.completed and ok2.completed and not boom.completed
+    t0 = boom.aborted_round
+    assert t0 % 4 != 0 and len(stacked) == base.hyper.T
+
+    # Row k of round t's stacked call is the k-th point still running.
+    rows = {0: [], 1: [], 2: []}
+    for t, (ids, keys) in enumerate(stacked):
+        points = [0, 1, 2] if t <= t0 else [0, 2]
+        assert ids.shape == (len(points), 3)
+        for k, point in enumerate(points):
+            rows[point].append((ids[k], keys[k]))
+    _assert_round_streams(cfgs[0], rows[0])
+    _assert_round_streams(cfgs[2], rows[2])
+    _assert_round_streams(replace(cfgs[1], hyper=replace(base.hyper, T=t0 + 1)), rows[1])
+
+    for cfg in cfgs:
+        out = Path(cfg.output_dir)
+        swept = {name: (out / name).read_bytes() for name in artifacts.RUN_ARTIFACTS}
+        try:
+            run(cfg)
+        except DivergenceError as exc:
+            assert exc.round == t0
+        assert {name: (out / name).read_bytes() for name in artifacts.RUN_ARTIFACTS} == swept
 
 
 def test_a_round_index_past_one_key_word_is_a_config_error(small_config, tmp_path):

@@ -1,13 +1,22 @@
+import tracemalloc
 from collections import Counter
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedvarp_sim import sampling
 from fedvarp_sim.core import ConfigError, OracleScaleError
 from fedvarp_sim.oracles import subset_mean_bias
-from fedvarp_sim.rng import substream
-from fedvarp_sim.sampling import enumerate_subsets, sample_round, without_replacement_variance
+from fedvarp_sim.rng import TAG_SAMPLING, philox_keys, substream
+from fedvarp_sim.sampling import (
+    enumerate_subsets,
+    sample_round,
+    sample_rounds,
+    without_replacement_variance,
+)
 
 
 def test_full_participation_is_identity():
@@ -67,6 +76,86 @@ def test_sample_round_matches_the_list_loop_round_after_round():
         for M in range(1, N + 1):
             assert sample_round(N, M, fast).tolist() == _list_sample_round(N, M, slow).tolist()
     assert _philox_state(fast) == _philox_state(slow)
+
+
+def _count_fallbacks(monkeypatch):
+    """Count the rows sample_rounds redraws with sample_round."""
+    calls = []
+    original = sampling.sample_round
+
+    def counting(N, M, rng):
+        calls.append(N)
+        return original(N, M, rng)
+
+    monkeypatch.setattr(sampling, "sample_round", counting)
+    return calls
+
+
+def _assert_rows_are_sample_rounds(seed, N, M, rounds):
+    """sample_rounds over the sampling keys of rounds 0..rounds-1 gives, row t, round t's sample_round bytes."""
+    got = sample_rounds(N, M, philox_keys(seed, TAG_SAMPLING, ids=np.arange(rounds)))
+    assert got.shape == (rounds, M) and got.dtype == np.intp
+    for t, row in enumerate(got):
+        assert row.tobytes() == sample_round(N, M, substream(seed, TAG_SAMPLING, t)).tobytes()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**63),
+    N=st.integers(1, 60),
+    m=st.integers(1, 60),
+    rounds=st.integers(1, 12),
+)
+def test_sample_rounds_rows_are_sample_round_bytes(seed, N, m, rounds):
+    _assert_rows_are_sample_rounds(seed, N, min(m, N), rounds)
+
+
+@pytest.mark.parametrize("N, M", [(1, 1), (2, 2), (7, 7), (64, 64), (1000, 50), (100, 99)])
+def test_sample_rounds_at_full_and_near_full_participation(N, M):
+    # At M = N the last bound is 1, which draws nothing.
+    _assert_rows_are_sample_rounds(31, N, M, 40)
+
+
+def test_sample_rounds_redraws_the_rows_numpy_would_redraw(monkeypatch):
+    # A bound near 3 * 2**30 is redrawn about a quarter of the time, so
+    # about 1 - (3/4)**5 = 76% of rows of five bounds take sample_round.
+    fallbacks = _count_fallbacks(monkeypatch)
+    _assert_rows_are_sample_rounds(5, 3 * 2**30, 5, 200)
+    assert 100 < len(fallbacks) < 200
+
+
+def test_sample_rounds_above_one_word_bounds_uses_sample_round(monkeypatch):
+    # numpy draws bounds past 2**32 from whole 64-bit words.
+    fallbacks = _count_fallbacks(monkeypatch)
+    _assert_rows_are_sample_rounds(6, 2**32 + 5, 3, 20)
+    assert len(fallbacks) == 20
+    fallbacks.clear()
+    _assert_rows_are_sample_rounds(6, 2**32, 3, 20)
+    assert fallbacks == []
+
+
+def test_sample_rounds_memory_does_not_grow_with_N():
+    # A (rounds, N) or (N,) array at N = 1e9 would be gigabytes.
+    N, M, rounds = 10**9, 40, 64
+    keys = philox_keys(8, TAG_SAMPLING, ids=np.arange(rounds))
+    tracemalloc.start()
+    try:
+        got = sample_rounds(N, M, keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * rounds * 2 * M * 8  # a few (rounds, 2M) arrays, not N-sized ones
+    for t, row in enumerate(got):
+        assert row.tobytes() == sample_round(N, M, substream(8, TAG_SAMPLING, t)).tobytes()
+
+
+def test_sample_rounds_of_no_keys_and_bad_sizes():
+    none = sample_rounds(9, 4, np.empty((0, 2), dtype=np.uint64))
+    assert none.shape == (0, 4) and none.dtype == np.intp
+    with pytest.raises(ConfigError):
+        sample_rounds(3, 4, philox_keys(1, TAG_SAMPLING, ids=[0]))
+    with pytest.raises(ConfigError):
+        sample_rounds(3, 0, philox_keys(1, TAG_SAMPLING, ids=[0]))
 
 
 def test_marginal_inclusion_frequencies():

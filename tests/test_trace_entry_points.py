@@ -5,9 +5,13 @@ named in its entry-point tables, and skips a name that is missing. A
 refactor that stops calling a layer through one of those globals would
 drop that layer's spans without any error; this test catches it.
 
-The one name dropped by design is `substream`: a run derives its
+Two names are dropped by design. `substream`: a run derives its
 sampling and noise streams as Philox key blocks, so harness no longer
 looks substream up, and the tracer's rng.substream spans read zero.
+`sample_round`: a run samples a chunk of rounds in one
+sampling.sample_rounds call, so harness no longer looks sample_round up,
+and the tracer's sampling spans, and the round times it takes from them,
+read zero.
 """
 import importlib.util
 import json
@@ -18,7 +22,7 @@ from pathlib import Path
 from fedvarp_sim import cli, harness
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-DROPPED_BY_DESIGN = {(harness, "substream")}
+DROPPED_BY_DESIGN = {(harness, "substream"), (harness, "sample_round")}
 
 
 def _entry_point_tables():
