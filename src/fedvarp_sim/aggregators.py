@@ -127,16 +127,17 @@ def aggregator_step(
     # Every kernel runs on a replicate axis; a lone server is a stack of one.
     R = lead[0] if lead else 1
     ids, block = ids.reshape(R, M), block.reshape(R, M, d)
-    if state.algo == FEDAVG:
-        v = sum_rows(block) / M
-    elif state.algo == MIFA:  # stored and fresh updates weigh the same
-        table = state.table.reshape(R, N, d)
-        table.reshape(R * N, d)[_stack_rows(ids, N)] = block.reshape(R * M, d)
-        v = sum_rows(table) / N
-    else:
-        v = _stored_update(state, ids, block)
-    # Overflow surfaces as a divergence error in the run loop, not a warning.
+    # Overflow anywhere in the step, a sum of finite updates included,
+    # surfaces as a divergence error in the run loop, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
+        if state.algo == FEDAVG:
+            v = sum_rows(block) / M
+        elif state.algo == MIFA:  # stored and fresh updates weigh the same
+            table = state.table.reshape(R, N, d)
+            table.reshape(R * N, d)[_stack_rows(ids, N)] = block.reshape(R * M, d)
+            v = sum_rows(table) / N
+        else:
+            v = _stored_update(state, ids, block)
         state.w = state.w - eta_tilde * v.reshape(state.w.shape)
     return state.w
 

@@ -39,11 +39,15 @@ class DivergenceError(RuntimeError):
     Carries the local step index (None for a server-side step); the round
     index is filled in by the run loop that owns the round counter, which
     also attaches what the run logged before it stopped as `result`.
+    local_sgd also attaches `steps`, each participant's first non-finite
+    step (-1 where it stayed finite), and the finished update `block`.
     """
 
-    def __init__(self, step: int | None):
+    def __init__(self, step: int | None, steps=None, block=None):
         super().__init__(step)
         self.step = step
+        self.steps = steps
+        self.block = block
         self.round = None
         self.result = None
 

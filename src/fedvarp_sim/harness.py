@@ -15,8 +15,9 @@ drawn a chunk of rounds at a time, one sampling.sample_rounds call per
 replicate, since they do not depend on the model; noise keys are
 derived per replicate and round. Every kernel keeps each replicate's
 bits, so a stacked point writes the artifacts of its solo run byte for
-byte. run(cfg) is the stack of one, run without the replicate axis;
-sweep stacks the points of a sigma_g_scale sweep.
+byte. run(cfg) is a stack of one, and sweep stacks the points of a
+sigma_g_scale sweep; a point whose run diverges leaves its stack at the
+end of that round.
 """
 from __future__ import annotations
 
@@ -128,20 +129,18 @@ def _realize(cfg: RunConfig) -> tuple[Federation, FederationConstants, RunRecord
     federation alone; a non-finite one is a ConfigError.
     """
     fed, consts = generate_federation(cfg.federation)
-    [first] = _measure(fed, np.zeros(cfg.federation.d), consts.w_star, 0)
+    [first] = _measure(replace(fed, mus=fed.mus[None]), np.zeros((1, cfg.federation.d)), consts.w_star[None], 0)
     if not _finite(first):
         raise ConfigError("metrics of the initial point overflow float64")
     return fed, consts, first
 
 
 def _measure(fed: Federation, w, w_star, round_index) -> list[RunRecord]:
-    """The metrics of each replicate of fed at w: one record, or one per stacked replicate."""
+    """The metrics of each replicate of the stacked fed at its row of w, one record per replicate."""
     # A finite but huge iterate overflows here; the caller treats it as divergence.
     with np.errstate(over="ignore", invalid="ignore"):
         g, loss = global_grad_and_loss(fed, w)
         diff = w - w_star
-        if not fed.lead:
-            g, loss, diff = (g,), (loss,), (diff,)
         return [
             RunRecord(
                 round=round_index,
@@ -169,8 +168,8 @@ def run(cfg: RunConfig, write_artifacts: bool = True) -> RunResult:
     diverges.
     """
     _check_sizes(cfg)
-    realized = _realize(cfg)
-    [outcome] = run_stack([cfg], realized[0], [realized], write_artifacts)
+    fed, consts, first = _realize(cfg)
+    [outcome] = run_stack([cfg], replace(fed, mus=fed.mus[None]), [(fed, consts, first)], write_artifacts)
     if isinstance(outcome, DivergenceError):
         raise outcome
     return outcome
@@ -211,11 +210,10 @@ def run_stack(
 ) -> list:
     """Run cfgs as one stack of replicates; return each point's RunResult or DivergenceError.
 
-    cfgs share a _stack_key. fed is their federation: a lone point's
-    own, which runs without the replicate axis, or an (R, N, d) stack
-    in cfgs' order. realized holds each point's (federation, constants,
-    round-0 record) as _realize builds it; the output directories are
-    made here, before round 0.
+    cfgs share a _stack_key. fed is their (R, N, d) stack of
+    federations in cfgs' order, R = 1 for a lone run. realized holds
+    each point's (federation, constants, round-0 record) as _realize
+    builds it; the output directories are made here, before round 0.
 
     Round t of point r trains the participants sample_round draws from
     substream(seed_r, TAG_SAMPLING, t). They are drawn a chunk of rounds
@@ -229,14 +227,12 @@ def run_stack(
     aggregator_step call, and the logged rounds are measured in one
     global_grad_and_loss call.
 
-    A point leaves the stack when its run diverges, with a
-    DivergenceError naming the round, its local step (None for the
-    server step or the metrics) and its finite records as `result`; its
-    artifacts are written then, its rows leave the chunk's participants,
-    and the other points run on unchanged.
-    A stacked local_sgd that raises is replayed one replicate at a time,
-    which gives each replicate's own bits and step. A point that
-    completes writes its artifacts at the end.
+    A point whose run diverges finishes the round with the others, whose
+    bits its rows do not touch, logs no record for it and then leaves
+    the stack, with a DivergenceError naming the round, its local step
+    (None for the server step or the metrics; a local step wins) and its
+    finite records as `result`; its artifacts are written then. A point
+    that completes writes its artifacts at the end.
     """
     cfg = cfgs[0]
     h, N, d = cfg.hyper, cfg.federation.N, cfg.federation.d
@@ -257,11 +253,10 @@ def run_stack(
     outcomes = list(results)
     live = list(range(len(cfgs)))  # the point of each stack row
     w_star = np.array([consts.w_star for _, consts, _ in realized])
-    state = init_state(cfg.algo.name, np.zeros((*fed.lead, d)), N, cfg.algo.K, assignment)
-    noisy = fed.noise_sigma > 0
+    state = init_state(cfg.algo.name, np.zeros((len(cfgs), d)), N, cfg.algo.K, assignment)
 
-    def leave(t: int, steps: dict) -> list | None:
-        """Take the rows in steps (row -> local step) out of the stack; the rows kept, or None if none is."""
+    def leave(t: int, steps: dict) -> bool:
+        """Take the rows in steps (row -> local step) out of the stack; whether any row is left."""
         nonlocal live, fed, w_star, chunk
         for row, step in steps.items():
             exc = DivergenceError(step)
@@ -270,15 +265,13 @@ def run_stack(
             outcomes[live[row]] = exc
             artifacts.write_run_artifacts(res)
         keep = [row for row in range(len(live)) if row not in steps]
-        if not keep:
-            return None
         live = [live[row] for row in keep]
         w_star, chunk = w_star[keep], chunk[keep]
         fed = replace(fed, mus=fed.mus[keep])
         state.w = state.w[keep]
         if state.table is not None:
             state.table = state.table[keep]
-        return keep
+        return bool(keep)
 
     chunk_end = 0
     for t in range(h.T):
@@ -290,58 +283,34 @@ def run_stack(
             chunk = np.array(  # (replicates, rounds, M)
                 [sample_rounds(N, M, philox_keys(cfgs[i].seed, TAG_SAMPLING, ids=rounds)) for i in live]
             )
-        rows = chunk[:, t - rounds[0]]
-        participants = rows.reshape(*fed.lead, M)
+        participants = chunk[:, t - rounds[0]]
         keys = None
-        if noisy:
-            keys = [philox_keys(cfgs[i].seed, TAG_LOCAL, t, ids=ids) for i, ids in zip(live, rows)]
-            keys = np.array(keys).reshape(*fed.lead, M, 2)
+        if fed.noise_sigma > 0:
+            keys = np.array([philox_keys(cfgs[i].seed, TAG_LOCAL, t, ids=ids) for i, ids in zip(live, participants)])
+        steps = {}  # row -> the local step it diverged at, None for the server step or metrics
         try:
             block = local_sgd(fed, participants, state.w, h.tau, h.eta_c, keys)
-        except DivergenceError:
-            block, steps = _replay(fed, participants, state.w, h, keys)
-            keep = leave(t, steps)
-            if keep is None:
-                break
-            participants, block = participants[keep], block[keep]
+        except DivergenceError as exc:
+            block = exc.block
+            for row, m in zip(*np.nonzero(exc.steps >= 0)):  # a replicate's step is its first diverging row's
+                steps.setdefault(int(row), int(exc.steps[row, m]))
         aggregator_step(state, participants, block, eta_tilde)
         if not np.isfinite(state.w).all():
-            bad = (~np.isfinite(state.w.reshape(-1, d)).all(axis=1)).nonzero()[0]
-            if leave(t, dict.fromkeys(bad.tolist())) is None:
-                break
+            for row in (~np.isfinite(state.w).all(axis=1)).nonzero()[0].tolist():
+                steps.setdefault(row, None)
         if (t + 1) % cfg.log_every == 0 or (t + 1) == h.T:
-            recs = _measure(fed, state.w, w_star.reshape(state.w.shape), t + 1)
-            bad = {row: None for row, rec in enumerate(recs) if not _finite(rec)}
-            for row, rec in enumerate(recs):
-                if row not in bad:
+            for row, rec in enumerate(_measure(fed, state.w, w_star, t + 1)):
+                if not _finite(rec):
+                    steps.setdefault(row, None)
+                elif row not in steps:
                     results[live[row]].records.append(rec)
-            if bad and leave(t, bad) is None:
-                break
+        if steps and not leave(t, steps):
+            break
     else:
         for i in live:
             results[i].completed = True
             artifacts.write_run_artifacts(results[i])
     return outcomes
-
-
-def _replay(fed: Federation, participants, w, h, keys) -> tuple[np.ndarray, dict]:
-    """local_sgd one replicate at a time: the stacked block, and row -> local step of the rows that diverge.
-
-    A row's bits depend on its own inputs alone, so each replayed row is
-    what the stacked call would have given it; a diverging row's block
-    stays zero, as it leaves the stack before the server step.
-    """
-    M, d = participants.shape[-1], fed.d
-    block = np.zeros((*fed.lead, M, d))
-    steps = {}
-    feds = [fed.replicate(r) for r in range(fed.lead[0])] if fed.lead else [fed]
-    rows = zip(feds, participants.reshape(-1, M), w.reshape(-1, d), block.reshape(-1, M, d))
-    for r, (fed_r, ids, w_r, out) in enumerate(rows):
-        try:
-            out[...] = local_sgd(fed_r, ids, w_r, h.tau, h.eta_c, None if keys is None else keys.reshape(-1, M, 2)[r])
-        except DivergenceError as exc:
-            steps[r] = exc.step
-    return block, steps
 
 
 def floor_estimate(records: list[RunRecord]) -> float:
@@ -381,31 +350,30 @@ def sweep(
         raise ConfigError("sweep needs at least one value")
     # Every point's array sizes are checked before any federation is
     # built, and every federation, initial metrics and output directory
-    # before the first point runs; points that share a federation config
-    # share one realized federation. A stack of R points holds one
-    # (R, N, d) copy of its federations, each point's a view of its slice.
+    # before the first point runs. A stack of R points holds one (R, N, d)
+    # copy of its federations, each point's a view of its slice; points
+    # with one federation config share it, and so do stacks of them.
     points = [sweep_point(base, axis, value, idx) for idx, value in enumerate(values)]
     cfgs = [cfg for cfg, _ in points]
-    built = {}
+    built = {}  # federation config -> its realized federation, a view of a stack's copy
+    copies = {}  # the federation configs of a stack -> its (R, N, d) federation and realized points
     stacks = []
     try:
         for cfg, value in zip(cfgs, values):
             _check_sizes(cfg)
         for idx in _stack_points(cfgs):
-            stacked, realized = None, []
-            for r, i in enumerate(idx):
-                cfg, value = cfgs[i], values[i]
-                if cfg.federation not in built:
-                    built[cfg.federation] = _realize(cfg)
-                fed, consts, first = built[cfg.federation]
-                if len(idx) > 1:
-                    if stacked is None:
-                        stacked = replace(fed, mus=np.empty((len(idx), *fed.mus.shape)))
-                    stacked.mus[r] = fed.mus
-                    fed = replace(fed, mus=stacked.mus[r])
-                    built[cfg.federation] = (fed, consts, first)
-                realized.append((fed, consts, first))
-            stacks.append((idx, fed if stacked is None else stacked, realized))
+            feds = tuple(cfgs[i].federation for i in idx)
+            if feds not in copies:
+                value, realized = values[idx[0]], []
+                mus = np.empty((len(idx), feds[0].N, feds[0].d))
+                for r, i in enumerate(idx):
+                    value = values[i]
+                    fed, consts, first = built.get(feds[r]) or _realize(cfgs[i])
+                    mus[r] = fed.mus
+                    built[feds[r]] = (replace(fed, mus=mus[r]), consts, first)
+                    realized.append(built[feds[r]])
+                copies[feds] = replace(fed, mus=mus), realized
+            stacks.append((idx, *copies[feds]))
     except (ConfigError, MemoryError) as exc:
         raise ConfigError(f"sweep point {axis}={value!r}: {exc}") from exc
     if write_artifacts:  # an interrupted sweep leaves no earlier sweep's point artifacts

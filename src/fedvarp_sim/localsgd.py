@@ -58,10 +58,12 @@ def local_sgd(
     block and every per-step buffer are allocated here, in the calling
     thread, so a worker thread's malloc arena does not keep them cached.
 
-    A non-finite iterate raises DivergenceError carrying the first
-    non-finite step of the lowest row that diverges (the lowest failing
-    slab's error is raised), which is the step that training the
-    participants one after another in row order reports.
+    A non-finite iterate raises DivergenceError once every row has
+    trained. Its step is the first non-finite step of the lowest row
+    that diverges, the step that training the participants one after
+    another in row order reports; it also carries every row's first
+    non-finite step as `steps`, shaped like participants (-1 where the
+    row stayed finite), and the finished result as `block`.
     """
     if tau < 1:
         raise ConfigError(f"tau must be >= 1, got {tau}")
@@ -75,12 +77,12 @@ def local_sgd(
     if ids.ndim != len(lead) + 1 or ids.shape[:-1] != lead:
         raise DimensionError(f"participants must have shape {(*lead, 'M')}, got {ids.shape}")
     M = ids.shape[-1]
-    if lead:
-        mus = fed.mus[np.arange(lead[0])[:, None], ids].reshape(-1, d)
-        w_rows = np.repeat(w, M, axis=0)
-    else:
-        mus, w_rows = fed.mus[ids], w  # every row starts from the one w
-    rows = mus.shape[0]
+    # Every row trains on a replicate axis; a lone call is a stack of one.
+    R = lead[0] if lead else 1
+    mus = fed.mus.reshape(R, -1, d)[np.arange(R)[:, None], ids.reshape(R, M)].reshape(R * M, d)
+    # Each row's start as a contiguous copy: the step ufuncs run faster on it than on a broadcast view.
+    w_rows = np.repeat(w.reshape(R, d), M, axis=0)
+    rows = R * M
     noisy = fed.noise_sigma > 0
     if noisy and np.shape(keys) != (*lead, M, 2):
         raise ConfigError(f"need an {(*lead, M, 2)} key block for M={M} participants, got {np.shape(keys)}")
@@ -90,16 +92,27 @@ def local_sgd(
     g, w_k = np.empty_like(mus), np.empty_like(mus)
     finite = np.empty(mus.shape, dtype=bool)
     noise = np.empty((rows, tau, d)) if noisy else None
+    # (first row, each row's first non-finite step) of every slab that saw one;
+    # list.append is atomic, so the slab threads need no lock.
+    diverged = []
 
     def train(lo, hi):
         keys_and_noise = (keys[lo:hi], noise[lo:hi]) if noisy else (None, None)
-        _train_rows(
-            fed, mus[lo:hi], w_rows[lo:hi] if lead else w_rows, tau, eta_c,
-            out[lo:hi], g[lo:hi], w_k[lo:hi], finite[lo:hi], *keys_and_noise,
+        first_bad = _train_rows(
+            fed, mus[lo:hi], w_rows[lo:hi], tau, eta_c, out[lo:hi], g[lo:hi], w_k[lo:hi], finite[lo:hi],
+            *keys_and_noise,
         )
+        if first_bad is not None:
+            diverged.append((lo, first_bad))
 
     run_slabs(rows, rows * tau * d * (NOISE_WORK_WEIGHT if noisy else 1), train)
-    return out.reshape(*lead, M, d)
+    block = out.reshape(*lead, M, d)
+    if diverged:
+        steps = np.full(rows, -1)
+        for lo, first_bad in diverged:
+            steps[lo : lo + first_bad.size] = first_bad
+        raise DivergenceError(int(steps[steps >= 0][0]), steps.reshape(ids.shape), block)
+    return block
 
 
 def _train_rows(fed, mus, w, tau, eta_c, grad_sum, g, w_k, finite, keys, noise):
@@ -111,6 +124,8 @@ def _train_rows(fed, mus, w, tau, eta_c, grad_sum, g, w_k, finite, keys, noise):
     in that order, so nothing is allocated per step. noise is None for a
     noiseless federation; otherwise row m draws its noise into noise[m],
     shape (tau, d), from this slab's one Philox generator rekeyed to keys[m].
+    Returns each row's first non-finite step (-1 where finite), or None if
+    every row stayed finite; only then is that array allocated.
     """
     if noise is not None:
         rekey = philox_rekeyer()
@@ -136,6 +151,5 @@ def _train_rows(fed, mus, w, tau, eta_c, grad_sum, g, w_k, finite, keys, noise):
                     first_bad = np.full(mus.shape[0], -1)
                 bad = ~finite.all(axis=1)
                 first_bad[bad & (first_bad < 0)] = k
-    if first_bad is not None:
-        raise DivergenceError(step=int(first_bad[first_bad >= 0][0]))
     grad_sum /= tau
+    return first_bad

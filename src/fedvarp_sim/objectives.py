@@ -32,8 +32,7 @@ class Federation:
     stochastic gradient adds N(0, (noise_sigma^2/d) I) noise.
 
     mus may also be (R, N, d): R federations of one shape stacked on a
-    leading replicate axis, sharing eigs and noise_sigma. replicate(r)
-    is federation r alone, a view of its slice.
+    leading replicate axis, sharing eigs and noise_sigma.
     """
 
     eigs: np.ndarray
@@ -58,9 +57,6 @@ class Federation:
     def lead(self) -> tuple:
         """The replicate axis: () for one federation, (R,) for a stack."""
         return self.mus.shape[:-2]
-
-    def replicate(self, r: int) -> "Federation":
-        return Federation(eigs=self.eigs, mus=self.mus[r], noise_sigma=self.noise_sigma)
 
     def grads_and_losses(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exact per-client gradients A(w - mu_i), shape (N, d), and losses, shape (N,).

@@ -1,9 +1,11 @@
 import threading
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from fedvarp_sim import core
 from fedvarp_sim.config import AlgoConfig, RunConfig
 from fedvarp_sim.core import HyperConfig
 from fedvarp_sim.objectives import Federation, FederationConfig
@@ -32,6 +34,15 @@ def make_federation(mus, eigs, sigma=0.0):
         mus=np.asarray(mus, dtype=np.float64),
         noise_sigma=sigma,
     )
+
+
+@contextmanager
+def forced_split(workers=2):
+    """Every core.run_slabs call with at least two rows runs min(rows, workers) slabs in threads."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "SPLIT_MIN_WORK", 0)
+        mp.setattr(core, "WORKERS", workers)
+        yield
 
 
 def substream_keys(seed, *path, ids):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from fedvarp_sim.core import (
     effective_server_lr,
 )
 from fedvarp_sim.localsgd import local_sgd
-from fedvarp_sim.objectives import global_grad_and_loss
+from fedvarp_sim.objectives import block_assignment, global_grad_and_loss
 from fedvarp_sim.oracles import update_bias
 from fedvarp_sim.sampling import enumerate_subsets
 
@@ -208,6 +210,23 @@ def test_mifa_cold_start_bias():
     state = init_state(MIFA, np.zeros(1), N=4)
     w = aggregator_step(state, *updates({0: [4.0]}), eta_tilde=1.0)
     assert w[0] == pytest.approx(-1.0)  # averaged against three zero states
+
+
+@pytest.mark.parametrize("R", [None, 2], ids=["lone", "stack"])
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_an_overflowing_server_step_is_non_finite_without_a_warning(algo, R):
+    # Finite updates whose sums overflow: the mean of the block, mifa's
+    # table sum, and clusterfedvarp's refresh of a cluster with two
+    # sampled members (clients 0 and 1 of cluster 0).
+    N, M, d = 6, 3, 2
+    lead = () if R is None else (R,)
+    K = 2 if algo == CLUSTERFEDVARP else None
+    state = init_state(algo, np.zeros((*lead, d)), N, K, block_assignment(N, K) if K else None)
+    ids = np.tile([0, 1, 4], (*lead, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = aggregator_step(state, ids, np.full((*lead, M, d), 1e308), eta_tilde=0.1)
+    assert w.shape == (*lead, d) and not np.isfinite(w).any()
 
 
 # Values whose sums cancel exactly or keep a signed zero.

@@ -88,6 +88,33 @@ def test_divergent_run_exits_one(config_file):
     assert main(["run", "--config", str(config_file), "--set", "hyper.eta_c=1e200"]) == 1
 
 
+# Finite local updates whose server-step sum overflows: each round about
+# doubles the iterate, and near round 665 the sum of the M = 3 updates of
+# about 1e308 overflows while every update stays finite.
+SERVER_STEP_OVERFLOW = [
+    "hyper.T=2000",
+    "log_every=2000",
+    "federation.hessian_eig_min=1e108",
+    "federation.hessian_eig_max=1e108",
+    "hyper.eta_c=1e-110",
+    "hyper.eta_s=300",
+    "hyper.tau=1",
+]
+
+
+def test_server_step_overflow_exits_one_without_a_warning(config_file, tmp_path, capsys):
+    # The suite turns warnings into errors, so a numpy overflow warning
+    # would end either command with an exception instead.
+    sets = [arg for item in SERVER_STEP_OVERFLOW for arg in ("--set", item)]
+    assert main(["run", "--config", str(config_file), *sets]) == 1
+    err = capsys.readouterr().err
+    assert "run aborted: non-finite iterate at round=" in err and err.rstrip().endswith("(server step)")
+    args = ["--axis", "sigma_g_scale", "--values", "1,2"]
+    assert main(["sweep", "--config", str(config_file), *sets, *args]) == 1
+    lines = (tmp_path / "artifacts" / "sweep_summary.csv").read_text().strip().splitlines()
+    assert [line.split(",")[-2] for line in lines[1:]] == ["false", "false"]
+
+
 def test_identical_invocations_identical_artifacts(config_file, tmp_path):
     out = tmp_path / "artifacts"
     main(["run", "--config", str(config_file)])

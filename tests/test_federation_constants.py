@@ -8,7 +8,7 @@ Python loop over clusters; every result must carry its bits.
 import numpy as np
 import pytest
 
-from conftest import make_federation
+from conftest import forced_split, make_federation
 from fedvarp_sim import core, objectives
 from fedvarp_sim.core import ConfigError
 from fedvarp_sim.objectives import (
@@ -115,12 +115,10 @@ def test_zero_eigenvalue_columns_and_negative_zero_rows_match_the_reference_bitw
 
 
 @pytest.mark.parametrize("workers", [2, 3, 8])
-def test_slab_split_generation_matches_one_slab(monkeypatch, workers):
+def test_slab_split_generation_matches_one_slab(workers):
     for cfg in PINNED_FEDERATIONS.values():
         one_fed, one = generate_federation(cfg)
-        with monkeypatch.context() as mp:
-            mp.setattr(core, "SPLIT_MIN_WORK", 0)
-            mp.setattr(core, "WORKERS", workers)
+        with forced_split(workers):
             fed, consts = generate_federation(cfg)
         assert fed.mus.tobytes() == one_fed.mus.tobytes()
         for name in SCALARS:

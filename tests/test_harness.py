@@ -231,16 +231,16 @@ def _record_sampling(monkeypatch):
 
 
 def _assert_round_streams(cfg, calls):
-    """Round t sampled its round_size(t) ids from substream(seed, TAG_SAMPLING, t)'s
+    """Round t, a stack of one, sampled its round_size(t) ids from substream(seed, TAG_SAMPLING, t)'s
     key and passed one key per participant i, substream(seed, TAG_LOCAL, t, i)'s."""
     N = cfg.federation.N
     assert len(calls) == cfg.hyper.T
     for t, (ids, keys) in enumerate(calls):
         M = cfg.round_size(t)
-        assert ids.shape == (M,)
-        assert ids.tolist() == sample_round(N, M, substream(cfg.seed, TAG_SAMPLING, t)).tolist()
-        assert keys.shape == (M, 2) and keys.dtype == np.uint64
-        assert keys.tobytes() == substream_keys(cfg.seed, TAG_LOCAL, t, ids=ids).tobytes()
+        assert ids.shape == (1, M)
+        assert ids[0].tolist() == sample_round(N, M, substream(cfg.seed, TAG_SAMPLING, t)).tolist()
+        assert keys.shape == (1, M, 2) and keys.dtype == np.uint64
+        assert keys[0].tobytes() == substream_keys(cfg.seed, TAG_LOCAL, t, ids=ids[0]).tobytes()
 
 
 def test_noisy_run_builds_and_draws_one_stream_per_participant_round(small_config, monkeypatch):
@@ -308,7 +308,7 @@ def test_a_point_diverging_inside_a_chunk_leaves_the_others_their_participants(
         points = [0, 1, 2] if t <= t0 else [0, 2]
         assert ids.shape == (len(points), 3)
         for k, point in enumerate(points):
-            rows[point].append((ids[k], keys[k]))
+            rows[point].append((ids[k : k + 1], keys[k : k + 1]))
     _assert_round_streams(cfgs[0], rows[0])
     _assert_round_streams(cfgs[2], rows[2])
     _assert_round_streams(replace(cfgs[1], hyper=replace(base.hyper, T=t0 + 1)), rows[1])

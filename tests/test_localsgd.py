@@ -1,11 +1,11 @@
-from contextlib import contextmanager
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_federation, substream_keys
+from conftest import forced_split, make_federation, substream_keys
 from fedvarp_sim import core
 from fedvarp_sim.core import ConfigError, DivergenceError
 from fedvarp_sim.localsgd import local_sgd
@@ -28,15 +28,6 @@ def reference_local_sgd(eigs, mu, w, tau, eta_c, sigma, rng):
         grad_sum = grad_sum + g
         w_k = w - (eta_c * tau) * (grad_sum / tau)
     return grad_sum / tau, w_k
-
-
-@contextmanager
-def forced_split(workers=2):
-    """Every call with at least two rows trains min(M, workers) row slabs in threads."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "SPLIT_MIN_WORK", 0)
-        mp.setattr(core, "WORKERS", workers)
-        yield
 
 
 def test_single_noiseless_step_returns_gradient_bitwise():
@@ -148,6 +139,52 @@ def test_divergence_in_a_worker_slab_is_a_divergence_not_a_warning():
     with forced_split(), pytest.raises(DivergenceError) as err:
         local_sgd(fed, (0, 1), w, 50, 1e100)
     assert err.value.step == alone.value.step
+
+
+def test_a_stacked_call_reports_each_rows_first_divergent_step():
+    # At eta_c = 10 a local step multiplies |w - mu| by about 10, so over
+    # 50 steps a distance of 1e280 (replicate 0, row 0) overflows, later
+    # than one of 1e300 (replicate 2, row 1), and replicate 1 stays finite.
+    # Split in two, slab 1 holds replicate 2 and diverges at the earlier step.
+    mus = np.array([[[1e280], [0.5]], [[1.0], [-2.0]], [[0.25], [1e300]]])
+    fed = make_federation(mus, [1.0])
+    ids, w = np.array([[0, 1]] * 3), np.zeros((3, 1))
+    solo = []
+    for r in (0, 2):
+        with pytest.raises(DivergenceError) as alone:
+            local_sgd(make_federation(mus[r], [1.0]), ids[r], w[r], 50, 10.0)
+        solo.append(alone.value.step)
+    assert solo[1] < solo[0]
+    finite = local_sgd(make_federation(mus[1], [1.0]), ids[1], w[1], 50, 10.0)
+    for split in (1, 2):
+        with forced_split(split), pytest.raises(DivergenceError) as err:
+            local_sgd(fed, ids, w, 50, 10.0)
+        exc = err.value
+        assert exc.step == solo[0]
+        assert exc.steps.tolist() == [[solo[0], -1], [-1, -1], [-1, solo[1]]]
+        assert exc.block.shape == (3, 2, 1) and exc.block[1].tobytes() == finite.tobytes()
+
+
+def test_no_slabs_steps_are_lost_under_contention():
+    # Eight slabs, more than the cores, record their rows' steps as they
+    # finish; a short switch interval interleaves them. Rows 1e200 to 1e300
+    # from their minimizers diverge at steps that fall with the distance,
+    # and the nearest stay finite.
+    fed = make_federation(10.0 ** np.linspace(200, 300, 64)[:, None], [1.0])
+    ids, w = np.arange(64), np.zeros(1)
+    with pytest.raises(DivergenceError) as one_slab:
+        local_sgd(fed, ids, w, 50, 10.0)
+    expected = one_slab.value.steps.tolist()
+    assert expected[0] == -1 and len(set(expected)) > 10
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            with forced_split(workers=8), pytest.raises(DivergenceError) as err:
+                local_sgd(fed, ids, w, 50, 10.0)
+            assert err.value.steps.tolist() == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_equal_keys_give_equal_rows_under_a_split():

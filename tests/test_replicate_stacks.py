@@ -46,7 +46,7 @@ def test_stacked_metrics_equal_each_replicates_own(d):
         g, loss = global_grad_and_loss(fed, w)
         assert g.shape == (R, d) and loss.shape == (R,)
         for r in range(R):
-            g_r, loss_r = global_grad_and_loss(fed.replicate(r), w[r])
+            g_r, loss_r = global_grad_and_loss(make_federation(fed.mus[r], fed.eigs), w[r])
             assert g[r].tobytes() == g_r.tobytes(), (R, N, d, r)
             assert loss[r].tobytes() == np.float64(loss_r).tobytes(), (R, N, d, r)
 
@@ -63,7 +63,8 @@ def test_stacked_local_sgd_equals_each_replicates_own(sigma, d):
     block = local_sgd(fed, ids, w, tau, 0.05, keys)
     assert block.shape == (R, M, d)
     for r in range(R):
-        own = local_sgd(fed.replicate(r), ids[r], w[r], tau, 0.05, None if keys is None else keys[r])
+        own_fed = make_federation(fed.mus[r], fed.eigs, sigma)
+        own = local_sgd(own_fed, ids[r], w[r], tau, 0.05, None if keys is None else keys[r])
         assert block[r].tobytes() == own.tobytes(), r
 
 
@@ -110,7 +111,7 @@ def test_stacked_server_step_rejects_a_bad_row():
 def test_a_stacked_federation_shares_eigs_and_noise():
     fed = make_federation(np.zeros((3, 4, 2)), [1.0, 2.0], 0.5)
     assert fed.lead == (3,) and fed.d == 2
-    one = fed.replicate(1)
+    one = make_federation(fed.mus[1], fed.eigs, fed.noise_sigma)
     assert one.lead == () and one.noise_sigma == 0.5 and np.shares_memory(one.mus, fed.mus)
     with pytest.raises(ConfigError, match="mus must be"):
         Federation(eigs=np.ones(2), mus=np.zeros((1, 1, 4, 2)))
@@ -262,6 +263,21 @@ def test_a_stack_holds_one_copy_of_its_federations(small_config, tmp_path, monke
     assert fed.mus.shape == (3, 8, 3)
     for r, point_fed in enumerate(point_feds):
         assert point_fed.mus.base is fed.mus and np.shares_memory(point_fed.mus, fed.mus[r])
+
+
+def test_stacks_of_one_federation_share_one_copy(small_config, tmp_path, monkeypatch):
+    # An eta_c sweep runs each point as a stack of one, all of one federation.
+    seen = []
+    run_stack = harness.run_stack
+
+    def recording(cfgs, fed, realized, write_artifacts=True):
+        seen.append(fed)
+        return run_stack(cfgs, fed, realized, write_artifacts)
+
+    monkeypatch.setattr(harness, "run_stack", recording)
+    sweep(small_config(T=3, output_dir=tmp_path / "sw"), "eta_c", [0.01, 0.02, 0.03])
+    assert len(seen) == 3 and seen[0].mus.shape == (1, 8, 3)
+    assert all(fed.mus is seen[0].mus for fed in seen)
 
 
 def test_summary_values_are_the_values_the_points_hold(small_config, tmp_path):
