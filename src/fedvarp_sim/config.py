@@ -215,8 +215,3 @@ def sweep_point(base: RunConfig, axis: str, value, index: int) -> tuple[RunConfi
         output_dir=str(Path(base.output_dir) / f"point{index:02d}_{axis}"),
     )
     return cfg, held
-
-
-def sweep_point_config(base: RunConfig, axis: str, value, index: int) -> RunConfig:
-    """The config of one sweep point (sweep_point without the held value)."""
-    return sweep_point(base, axis, value, index)[0]

@@ -6,18 +6,14 @@ Everything is keyed off the config seed, so identical configs produce
 byte-identical artifacts regardless of client execution order. The
 configs come from config.py and the artifacts go through artifacts.py.
 
-One round loop, run_stack, runs a stack of R runs whose configs differ
-only in their seeds, output directories and federation seeds and
-spreads. Their federations sit on a leading replicate axis, (R, N, d),
-and so do the server states, so each round makes one local_sgd, one
-aggregator_step and one metrics call for all R. Participants are
-drawn a chunk of rounds at a time, one sampling.sample_rounds call per
-replicate, since they do not depend on the model; noise keys are
-derived per replicate and round. Every kernel keeps each replicate's
-bits, so a stacked point writes the artifacts of its solo run byte for
-byte. run(cfg) is a stack of one, and sweep stacks the points of a
-sigma_g_scale sweep; a point whose run diverges leaves its stack at the
-end of that round.
+run_many is the one way to run configs: run(cfg) is its list of one,
+and sweep and the reduction oracle pass it theirs. It runs configs that
+differ only in their seeds, output directories and federation seeds and
+spreads as one stack of R runs in the one round loop, run_stack, their
+federations and server states on a leading replicate axis, (R, N, d):
+each round makes one local_sgd, one aggregator_step and one metrics
+call for all R. Every kernel keeps each replicate's bits, so a stacked
+config writes the artifacts of its solo run byte for byte.
 """
 from __future__ import annotations
 
@@ -69,15 +65,13 @@ class RunResult:
     output_dir: Path | None = None
 
 
-def build_manifest(
-    cfg: RunConfig, fed: Federation, consts: FederationConstants, assignment
-) -> dict:
-    N = cfg.federation.N
+def build_manifest(cfg: RunConfig, fed: Federation, consts: FederationConstants, assignment) -> dict:
+    N, K = cfg.federation.N, cfg.algo.K
     p = None
-    if cfg.algo.name == CLUSTERFEDVARP and N % cfg.algo.K == 0:
-        p = cluster_miss_probability(N, N // cfg.algo.K, cfg.hyper.M)
+    if cfg.algo.name == CLUSTERFEDVARP and N % K == 0:
+        p = cluster_miss_probability(N, N // K, cfg.hyper.M)
     sigma_K_sq = consts.sigma_K_sq
-    if assignment is not None and cfg.algo.K != cfg.federation.K_true:
+    if assignment is not None and K != cfg.federation.K_true:
         # Report the heterogeneity of the clustering the aggregator actually
         # uses; with K == K_true it is the generator's, whose value consts holds.
         sigma_K_sq = cluster_heterogeneity(fed, assignment)
@@ -159,7 +153,7 @@ def _finite(rec: RunRecord) -> bool:
 def run(cfg: RunConfig, write_artifacts: bool = True) -> RunResult:
     """Execute one configured run; deterministic in cfg.seed.
 
-    The run is run_stack's stack of one. Array sizes too large to
+    The run is run_many's list of one. Array sizes too large to
     allocate, a T too large to key and initial metrics that overflow are
     ConfigErrors raised before the output directory is made. A
     non-finite iterate or later metric raises DivergenceError naming the
@@ -167,12 +161,49 @@ def run(cfg: RunConfig, write_artifacts: bool = True) -> RunResult:
     `result`. The artifacts are written once, when the run completes or
     diverges.
     """
-    _check_sizes(cfg)
-    fed, consts, first = _realize(cfg)
-    [outcome] = run_stack([cfg], replace(fed, mus=fed.mus[None]), [(fed, consts, first)], write_artifacts)
-    if isinstance(outcome, DivergenceError):
-        raise outcome
-    return outcome
+    [out] = run_many([cfg], write_artifacts)
+    if isinstance(out, DivergenceError):
+        raise out
+    return out
+
+
+def run_many(cfgs: list[RunConfig], write_artifacts: bool = True, _sweep_dir: str | None = None) -> list:
+    """Run cfgs as stacks (_stack_points); return each one's RunResult or DivergenceError, in cfgs' order.
+
+    All sizes are checked before any federation is built, and every
+    federation, initial metrics and output directory (a sweep's base
+    _sweep_dir first) made before the first stack runs; a ConfigError or
+    MemoryError of that preparation holds its config's index as `point`.
+    A stack of R > 1 holds one (R, N, d) copy of its federations, a stack
+    of one a view; configs of one federation config share it.
+    """
+    built = {}  # federation config -> its realized federation
+    copies = {}  # the federation configs of a stack -> its (R, N, d) federation and realized points
+    stacks = []
+    try:
+        for point, cfg in enumerate(cfgs):
+            _check_sizes(cfg)
+        for idx in _stack_points(cfgs):
+            feds, point = tuple(cfgs[i].federation for i in idx), idx[0]
+            if feds not in copies:
+                mus = np.empty((len(idx), feds[0].N, feds[0].d)) if len(idx) > 1 else None
+                for r, point in enumerate(idx):
+                    fed, consts, first = built.get(feds[r]) or _realize(cfgs[point])
+                    if mus is not None:
+                        mus[r] = fed.mus
+                    built[feds[r]] = (fed if mus is None else replace(fed, mus=mus[r]), consts, first)
+                copies[feds] = replace(fed, mus=fed.mus[None] if mus is None else mus), [built[f] for f in feds]
+            stacks.append((idx, *copies[feds]))
+    except (ConfigError, MemoryError) as exc:  # MemoryError: a configured size too large to allocate
+        exc.point = point
+        raise
+    if write_artifacts:  # made once, before round 0, so a blocked directory costs no compute
+        summary = {} if _sweep_dir is None else {_sweep_dir: (artifacts.SUMMARY_FILE,)}
+        artifacts.make_output_dirs({**summary, **{Path(cfg.output_dir): artifacts.RUN_ARTIFACTS for cfg in cfgs}})
+    outcomes = {}
+    for idx, fed, realized in stacks:
+        outcomes.update(zip(idx, run_stack([cfgs[i] for i in idx], fed, realized, write_artifacts)))
+    return [outcomes[i] for i in range(len(cfgs))]
 
 
 def _stack_key(cfg: RunConfig) -> RunConfig:
@@ -213,19 +244,19 @@ def run_stack(
     cfgs share a _stack_key. fed is their (R, N, d) stack of
     federations in cfgs' order, R = 1 for a lone run. realized holds
     each point's (federation, constants, round-0 record) as _realize
-    builds it; the output directories are made here, before round 0.
+    builds it; run_many has made the output directories, if any.
 
     Round t of point r trains the participants sample_round draws from
-    substream(seed_r, TAG_SAMPLING, t). They are drawn a chunk of rounds
-    at a time: one philox_keys and one sample_rounds call per replicate
-    give the chunk's participants, at most max(M, ROUND_KEY_CHUNK) ids
-    per replicate; round 0 of mifa's full_first_round, N ids, is a chunk
-    of its own. In a noisy federation participant i draws its gradient
-    noise from the key of substream(seed_r, TAG_LOCAL, t, i), the
-    round's keys derived as one block per replicate. The participants
-    of all replicates train in one local_sgd call and step in one
-    aggregator_step call, and the logged rounds are measured in one
-    global_grad_and_loss call.
+    substream(seed_r, TAG_SAMPLING, t). As they do not depend on the
+    model, they are drawn a chunk of rounds at a time: one philox_keys
+    and one sample_rounds call per replicate give the chunk's
+    participants, at most max(M, ROUND_KEY_CHUNK) ids per replicate;
+    round 0 of mifa's full_first_round, N ids, is a chunk of its own. In
+    a noisy federation participant i draws its gradient noise from the
+    key of substream(seed_r, TAG_LOCAL, t, i), the round's keys derived
+    as one block per replicate. The participants of all replicates train
+    in one local_sgd call and step in one aggregator_step call, and the
+    logged rounds are measured in one global_grad_and_loss call.
 
     A point whose run diverges finishes the round with the others, whose
     bits its rows do not touch, logs no record for it and then leaves
@@ -248,8 +279,6 @@ def run_stack(
         )
         for point, (point_fed, consts, first) in zip(cfgs, realized)
     ]
-    if write_artifacts:  # made before round 0, so a blocked directory costs no compute
-        artifacts.make_output_dirs({res.output_dir: artifacts.RUN_ARTIFACTS for res in results})
     outcomes = list(results)
     live = list(range(len(cfgs)))  # the point of each stack row
     w_star = np.array([consts.w_star for _, consts, _ in realized])
@@ -331,15 +360,13 @@ class SweepResult:
     summary_path: Path | None
 
 
-def sweep(
-    base: RunConfig, axis: str, values: list, write_artifacts: bool = True
-) -> SweepResult:
+def sweep(base: RunConfig, axis: str, values: list, write_artifacts: bool = True) -> SweepResult:
     """Run one point per value and write a floor summary CSV.
 
-    Points whose configs differ only in seeds, output_dir and the
-    federation spreads run as one stack (_stack_points): the points of a
-    sigma_g_scale sweep; every other axis runs in stacks of one. Each
-    point's artifacts are those of its solo run, byte for byte.
+    The points are one run_many list, so the points of a sigma_g_scale
+    sweep share a stack and every other axis runs in stacks of one. Each
+    point's artifacts are those of its solo run, byte for byte; a
+    ConfigError of a point's preparation names its value.
 
     A divergent point does not stop the sweep: its result has
     completed=False, and its summary row leaves the floor columns empty
@@ -348,42 +375,14 @@ def sweep(
     """
     if not values:
         raise ConfigError("sweep needs at least one value")
-    # Every point's array sizes are checked before any federation is
-    # built, and every federation, initial metrics and output directory
-    # before the first point runs. A stack of R points holds one (R, N, d)
-    # copy of its federations, each point's a view of its slice; points
-    # with one federation config share it, and so do stacks of them.
     points = [sweep_point(base, axis, value, idx) for idx, value in enumerate(values)]
-    cfgs = [cfg for cfg, _ in points]
-    built = {}  # federation config -> its realized federation, a view of a stack's copy
-    copies = {}  # the federation configs of a stack -> its (R, N, d) federation and realized points
-    stacks = []
     try:
-        for cfg, value in zip(cfgs, values):
-            _check_sizes(cfg)
-        for idx in _stack_points(cfgs):
-            feds = tuple(cfgs[i].federation for i in idx)
-            if feds not in copies:
-                value, realized = values[idx[0]], []
-                mus = np.empty((len(idx), feds[0].N, feds[0].d))
-                for r, i in enumerate(idx):
-                    value = values[i]
-                    fed, consts, first = built.get(feds[r]) or _realize(cfgs[i])
-                    mus[r] = fed.mus
-                    built[feds[r]] = (replace(fed, mus=mus[r]), consts, first)
-                    realized.append(built[feds[r]])
-                copies[feds] = replace(fed, mus=mus), realized
-            stacks.append((idx, *copies[feds]))
+        outcomes = run_many([cfg for cfg, _ in points], write_artifacts, _sweep_dir=base.output_dir)
     except (ConfigError, MemoryError) as exc:
-        raise ConfigError(f"sweep point {axis}={value!r}: {exc}") from exc
-    if write_artifacts:  # an interrupted sweep leaves no earlier sweep's point artifacts
-        dirs = {cfg.output_dir: artifacts.RUN_ARTIFACTS for cfg in cfgs}
-        artifacts.make_output_dirs({base.output_dir: (artifacts.SUMMARY_FILE,), **dirs})
-    results = [None] * len(cfgs)
-    for idx, fed, realized in stacks:
-        outcomes = run_stack([cfgs[i] for i in idx], fed, realized, write_artifacts)
-        for i, out in zip(idx, outcomes):
-            results[i] = out.result if isinstance(out, DivergenceError) else out
+        if getattr(exc, "point", None) is None:  # an output directory; it names itself
+            raise
+        raise ConfigError(f"sweep point {axis}={values[exc.point]!r}: {exc}") from exc
+    results = [out.result if isinstance(out, DivergenceError) else out for out in outcomes]
     rows = []
     for (cfg, held), res in zip(points, results):
         if res.completed:

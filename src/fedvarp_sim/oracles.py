@@ -13,8 +13,8 @@ import numpy as np
 
 from .aggregators import aggregator_step, init_state
 from .config import AlgoConfig, RunConfig
-from .core import CLUSTERFEDVARP, FEDAVG, FEDVARP, HyperConfig, effective_server_lr
-from .harness import run
+from .core import CLUSTERFEDVARP, FEDAVG, FEDVARP, ConfigError, DivergenceError, HyperConfig, effective_server_lr
+from .harness import run_many
 from .localsgd import local_sgd
 from .objectives import Federation, FederationConfig
 from .reference_saga import saga_trajectory
@@ -96,17 +96,23 @@ def update_bias(rng: np.random.Generator, d: int) -> tuple[float, float]:
     return worst[FEDVARP], worst[CLUSTERFEDVARP]
 
 
-def reductions_hold(cfg: RunConfig) -> bool:
-    """Whether clusterfedvarp runs cfg exactly as fedvarp at K=N and as fedavg at K=1."""
+def reductions_hold(cfgs: list[RunConfig]) -> bool:
+    """Whether clusterfedvarp runs each of cfgs exactly as fedvarp at K=N and as fedavg at K=1.
 
-    def records(name: str, K: int | None = None):
-        return run(replace(cfg, algo=AlgoConfig(name, K=K)), write_artifacts=False).records
-
-    N = cfg.federation.N
-    return (
-        records(FEDVARP) == records(CLUSTERFEDVARP, N)
-        and records(FEDAVG) == records(CLUSTERFEDVARP, 1)
-    )
+    The variants run as one run_many list; a diverging run raises its DivergenceError.
+    """
+    if not cfgs:
+        raise ConfigError("reductions_hold needs at least one config")
+    variants = [  # each reference run, then the clusterfedvarp run that must equal it
+        replace(cfg, algo=AlgoConfig(name, K=K))
+        for cfg in cfgs
+        for name, K in ((FEDVARP, None), (CLUSTERFEDVARP, cfg.federation.N), (FEDAVG, None), (CLUSTERFEDVARP, 1))
+    ]
+    outs = run_many(variants, write_artifacts=False)
+    for out in outs:
+        if isinstance(out, DivergenceError):
+            raise out
+    return all(a.records == b.records for a, b in zip(outs[::2], outs[1::2]))
 
 
 def saga_matches(rng: np.random.Generator, N: int, steps: int, lr: float) -> bool:
@@ -169,7 +175,7 @@ def verify(seed: int = 20240501) -> list[VerifyCheck]:
     return [VerifyCheck(name, err <= 1e-12, detail) for name, err, detail in checks] + [
         VerifyCheck(
             "cluster reductions K=N and K=1 are bitwise identities",
-            reductions_hold(_quick_config(seed)),
+            reductions_hold([_quick_config(seed)]),
             "T=60 trajectories",
         ),
         VerifyCheck(

@@ -193,8 +193,8 @@ def test_a5_floor_scaling_in_server_rate():
 
 @criterion("A6 cluster reductions K=N and K=1 are bitwise", 5.0)
 def test_a6_reduction_equivalences():
-    for seed in range(10):
-        base = config(
+    bases = [
+        config(
             N=12,
             d=4,
             K_true=12,
@@ -212,7 +212,9 @@ def test_a6_reduction_equivalences():
             federation_seed=900 + seed,
             seed=300 + seed,
         )
-        assert reductions_hold(base)
+        for seed in range(10)
+    ]
+    assert reductions_hold(bases)
 
 
 @criterion("A7 single-participant path equals reference SAGA bitwise", 1.0)

@@ -15,7 +15,7 @@ from fedvarp_sim.config import (
     derive_sweep_seed,
     load_config,
     parse_config,
-    sweep_point_config,
+    sweep_point,
 )
 from fedvarp_sim.core import ALGORITHMS, CLUSTERFEDVARP, FEDAVG, ConfigError, DivergenceError
 from fedvarp_sim.harness import floor_estimate, run, sweep
@@ -293,7 +293,7 @@ def test_a_point_diverging_inside_a_chunk_leaves_the_others_their_participants(
         algo="fedvarp", noise_sigma=0.3, eta_c=4.0, T=12, M=3, output_dir=tmp_path / "sw"
     )
     values = [1.0, 1e150, 2.0]
-    cfgs = [sweep_point_config(base, "sigma_g_scale", v, i) for i, v in enumerate(values)]
+    cfgs = [sweep_point(base, "sigma_g_scale", v, i)[0] for i, v in enumerate(values)]
     calls = _record_local_calls(monkeypatch)
     result = sweep(base, "sigma_g_scale", values)
     stacked = list(calls)
@@ -604,7 +604,7 @@ def test_sweep_seed_derivation_is_stable():
 
 def test_sweep_point_seed_comes_from_the_checked_value(small_config):
     base = small_config()
-    cfgs = [sweep_point_config(base, "eta_s", v, 0) for v in (1, 1.0, np.float64(1.0))]
+    cfgs = [sweep_point(base, "eta_s", v, 0)[0] for v in (1, 1.0, np.float64(1.0))]
     assert cfgs[0] == cfgs[1] == cfgs[2]
     assert cfgs[0].hyper.eta_s == 1.0
     assert cfgs[0].seed == derive_sweep_seed(base.seed, "eta_s", 1.0) == 6640729279704080003
@@ -612,7 +612,7 @@ def test_sweep_point_seed_comes_from_the_checked_value(small_config):
 
 def test_sweep_point_seed_comes_from_the_value_the_config_holds(small_config):
     base = small_config()
-    mixed, lower = (sweep_point_config(base, "algo", name, 0) for name in ("FedAvg", "fedavg"))
+    mixed, lower = (sweep_point(base, "algo", name, 0)[0] for name in ("FedAvg", "fedavg"))
     assert mixed == lower
     assert mixed.algo.name == "fedavg"
     assert mixed.seed == derive_sweep_seed(base.seed, "algo", "fedavg") == 6376544525692774143
@@ -626,7 +626,7 @@ def test_sweep_invalid_axis(small_config):
 def test_degenerate_sweep_equals_direct_run(small_config, tmp_path):
     base = small_config(T=15, output_dir=tmp_path / "sw")
     result = sweep(base, "eta_c", [0.04])
-    direct = run(sweep_point_config(base, "eta_c", 0.04, 0))
+    direct = run(sweep_point(base, "eta_c", 0.04, 0)[0])
     assert [r.grad_norm_sq for r in result.results[0].records] == [
         r.grad_norm_sq for r in direct.records
     ]
@@ -656,14 +656,14 @@ def test_divergent_sweep_point_keeps_the_other_points(small_config, tmp_path):
     assert float(rows[0]["floor_grad_norm_sq"]) == floor_estimate(ok.records)
     assert float(rows[2]["final_grad_norm_sq"]) == ok2.records[-1].grad_norm_sq
     # Points after the divergent one are the runs they would be alone.
-    direct = run(sweep_point_config(base, "eta_s", 0.5, 2), write_artifacts=False)
+    direct = run(sweep_point(base, "eta_s", 0.5, 2)[0], write_artifacts=False)
     assert ok2.records == direct.records
 
 
 def test_sigma_g_scale_axis_scales_heterogeneity(small_config):
     base = small_config(T=0, within_cluster_spread=0.0)
-    lo = run(sweep_point_config(base, "sigma_g_scale", 1.0, 0), write_artifacts=False)
-    hi = run(sweep_point_config(base, "sigma_g_scale", 3.0, 1), write_artifacts=False)
+    lo = run(sweep_point(base, "sigma_g_scale", 1.0, 0)[0], write_artifacts=False)
+    hi = run(sweep_point(base, "sigma_g_scale", 3.0, 1)[0], write_artifacts=False)
     ratio = hi.manifest["constants"]["sigma_g_sq"] / lo.manifest["constants"]["sigma_g_sq"]
     assert ratio == pytest.approx(9.0, rel=1e-9)
 
@@ -784,16 +784,22 @@ def _scale_gradients(monkeypatch):
 
 
 def _perturb_a_cluster_record(monkeypatch):
-    run_config = oracles.run
+    run_many = oracles.run_many
 
-    def perturbed(cfg, **kwargs):
-        result = run_config(cfg, **kwargs)
-        if cfg.algo.K == 1:
-            rec = result.records[-1]
-            result.records[-1] = replace(rec, global_loss=float(np.nextafter(rec.global_loss, 1.0)))
-        return result
+    def perturbed(cfgs, **kwargs):
+        # The K=1 run of the second config: a check that read only the
+        # first config would miss it.
+        outcomes = run_many(cfgs, **kwargs)
+        result = outcomes[[i for i, cfg in enumerate(cfgs) if cfg.algo.K == 1][1]]
+        rec = result.records[-1]
+        result.records[-1] = replace(rec, global_loss=float(np.nextafter(rec.global_loss, 1.0)))
+        return outcomes
 
-    monkeypatch.setattr(oracles, "run", perturbed)
+    monkeypatch.setattr(oracles, "run_many", perturbed)
+
+
+def _reductions_flagged(cfg):
+    return not oracles.reductions_hold([cfg, replace(cfg, seed=cfg.seed + 1)])
 
 
 def _fd_flagged(cfg):
@@ -814,7 +820,7 @@ def _fd_flagged(cfg):
             lambda cfg: not oracles.saga_matches(np.random.default_rng(5), 6, 20, 0.05),
         ),
         (_scale_gradients, _fd_flagged),
-        (_perturb_a_cluster_record, lambda cfg: not oracles.reductions_hold(cfg)),
+        (_perturb_a_cluster_record, _reductions_flagged),
     ],
     ids=["bias", "saga", "finite_difference", "reductions"],
 )
@@ -825,3 +831,8 @@ def test_oracles_flag_a_planted_fault(small_config, monkeypatch, plant, flagged)
     assert not flagged(cfg)
     plant(monkeypatch)
     assert flagged(cfg)
+
+
+def test_reductions_hold_needs_a_config():
+    with pytest.raises(ConfigError, match="at least one config"):
+        oracles.reductions_hold([])

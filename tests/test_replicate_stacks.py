@@ -16,7 +16,7 @@ from conftest import make_federation
 from fedvarp_sim import harness
 from fedvarp_sim.aggregators import aggregator_step, init_state
 from fedvarp_sim.artifacts import RUN_ARTIFACTS
-from fedvarp_sim.config import sweep_point_config
+from fedvarp_sim.config import sweep_point
 from fedvarp_sim.core import ALGORITHMS, CLUSTERFEDVARP, ConfigError, DivergenceError
 from fedvarp_sim.localsgd import local_sgd
 from fedvarp_sim.objectives import Federation, block_assignment, global_grad_and_loss
@@ -129,7 +129,7 @@ def point_artifacts(cfg) -> dict:
 def assert_points_equal_solo_runs(base, values):
     """Every point of a sigma_g_scale sweep writes what its solo run writes."""
     result = sweep(base, "sigma_g_scale", values)
-    cfgs = [sweep_point_config(base, "sigma_g_scale", v, i) for i, v in enumerate(values)]
+    cfgs = sweep_points(base, values)
     swept = [point_artifacts(cfg) for cfg in cfgs]
     for cfg, artifacts in zip(cfgs, swept):
         try:
@@ -170,9 +170,9 @@ def test_diverging_points_leave_the_stack_as_their_solo_runs_do(small_config, tm
     base = small_config(eta_c=1e150, eta_s=1e100, tau=2, T=4, output_dir=tmp_path / "sw")
     values = [1e10, 1.0, 1e-200, 1e-260, 0.0]
     solo = {}
-    for i, v in enumerate(values):
+    for v, cfg in zip(values, sweep_points(base, values)):
         try:
-            run(sweep_point_config(base, "sigma_g_scale", v, i), write_artifacts=False)
+            run(cfg, write_artifacts=False)
             solo[v] = (None, None)
         except DivergenceError as exc:
             solo[v] = (exc.round, exc.step)
@@ -181,7 +181,7 @@ def test_diverging_points_leave_the_stack_as_their_solo_runs_do(small_config, tm
     assert solo[1e-260][0] == 1 and solo[1e-260][1] is not None
     assert solo[0.0] == (None, None)
 
-    outcomes = harness.run_stack(*stack_of(base, values), write_artifacts=False)
+    outcomes = harness.run_many(sweep_points(base, values), write_artifacts=False)
     for v, out in zip(values, outcomes):
         if solo[v] == (None, None):
             assert out.completed
@@ -192,12 +192,46 @@ def test_diverging_points_leave_the_stack_as_their_solo_runs_do(small_config, tm
     assert [res.completed for res in result.results] == [False, False, False, False, True]
 
 
-def stack_of(base, values):
-    """The run_stack arguments of a sigma_g_scale sweep's points, built as sweep builds them."""
-    cfgs = [sweep_point_config(base, "sigma_g_scale", v, i) for i, v in enumerate(values)]
-    realized = [harness._realize(cfg) for cfg in cfgs]
-    mus = np.array([fed.mus for fed, _, _ in realized])
-    return cfgs, Federation(realized[0][0].eigs, mus, realized[0][0].noise_sigma), realized
+def sweep_points(base, values):
+    return [sweep_point(base, "sigma_g_scale", v, i)[0] for i, v in enumerate(values)]
+
+
+def test_run_many_returns_each_configs_solo_outcome_in_order(small_config, tmp_path):
+    # Two stack keys, interleaved: the eta_s = 1e200 configs diverge in
+    # round 0's server step, the others complete.
+    cfgs = [
+        small_config(algo="fedvarp", noise_sigma=0.3, eta_s=eta_s, T=9, seed=seed, output_dir=tmp_path / f"{i}")
+        for i, (eta_s, seed) in enumerate([(1.0, 1), (1e200, 2), (1.0, 3), (1e200, 4), (1.0, 5)])
+    ]
+    assert len(harness._stack_points(cfgs)) == 2
+    outcomes = harness.run_many(cfgs)
+    assert [isinstance(out, DivergenceError) for out in outcomes] == [False, True, False, True, False]
+    many = [point_artifacts(cfg) for cfg in cfgs]
+    for cfg, out, artifacts in zip(cfgs, outcomes, many):
+        try:
+            solo = run(cfg)
+        except DivergenceError as exc:
+            assert (out.round, out.step) == (exc.round, exc.step) == (0, None)
+            out, solo = out.result, exc.result
+        assert out.records == solo.records and out.output_dir == solo.output_dir
+        assert point_artifacts(cfg) == artifacts, cfg.output_dir
+
+
+def test_a_sweep_makes_its_directories_in_one_call(small_config, tmp_path, monkeypatch):
+    calls = []
+    make_output_dirs = harness.artifacts.make_output_dirs
+
+    def recording(dirs):
+        calls.append([str(path) for path in dirs])
+        make_output_dirs(dirs)
+
+    monkeypatch.setattr(harness.artifacts, "make_output_dirs", recording)
+    for axis, values in (("sigma_g_scale", [0.5, 1.0, 2.0]), ("eta_c", [0.01, 0.02])):
+        calls.clear()
+        base = small_config(T=3, output_dir=tmp_path / axis)
+        sweep(base, axis, values)
+        points = [sweep_point(base, axis, v, i)[0].output_dir for i, v in enumerate(values)]
+        assert calls == [[base.output_dir, *points]]
 
 
 def count_calls(monkeypatch, *names):
@@ -240,11 +274,7 @@ def test_a_stack_grows_only_while_its_sizes_fit(small_config, tmp_path, monkeypa
     calls = count_calls(monkeypatch, "local_sgd")
     base = small_config(noise_sigma=0.3, T=6, output_dir=tmp_path / "sw")
     values = [0.5, 1.0, 2.0, 3.0, 4.0]
-    assert harness._stack_points([sweep_point_config(base, "sigma_g_scale", v, i) for i, v in enumerate(values)]) == [
-        [0, 1],
-        [2, 3],
-        [4],
-    ]
+    assert harness._stack_points(sweep_points(base, values)) == [[0, 1], [2, 3], [4]]
     assert_points_equal_solo_runs(base, values)
     assert calls["local_sgd"] == 3 * 6 + 5 * 6  # the sweep's three stacks, then five solo runs
 
@@ -278,6 +308,26 @@ def test_stacks_of_one_federation_share_one_copy(small_config, tmp_path, monkeyp
     sweep(small_config(T=3, output_dir=tmp_path / "sw"), "eta_c", [0.01, 0.02, 0.03])
     assert len(seen) == 3 and seen[0].mus.shape == (1, 8, 3)
     assert all(fed.mus is seen[0].mus for fed in seen)
+
+
+def test_a_lone_run_views_its_generated_federation(small_config, monkeypatch):
+    generated, seen = [], []
+    generate_federation, run_stack = harness.generate_federation, harness.run_stack
+
+    def generating(cfg):
+        fed, consts = generate_federation(cfg)
+        generated.append(fed.mus)
+        return fed, consts
+
+    def recording(cfgs, fed, realized, write_artifacts=True):
+        seen.append(fed)
+        return run_stack(cfgs, fed, realized, write_artifacts)
+
+    monkeypatch.setattr(harness, "generate_federation", generating)
+    monkeypatch.setattr(harness, "run_stack", recording)
+    run(small_config(T=3), write_artifacts=False)
+    [mus], [fed] = generated, seen
+    assert fed.mus.shape == (1, 8, 3) and fed.mus.base is mus
 
 
 def test_summary_values_are_the_values_the_points_hold(small_config, tmp_path):
