@@ -9,9 +9,10 @@ effective server step.
     clusterfedvarp  one shared state per client cluster
     mifa            per-client table, equal weight to stored updates
 
-aggregator_step runs a round of any of them on the participants' ids,
-distinct and ascending, and their updates as one (M, d) block, row m for
-client participants[m]; it branches once on the state's algorithm. Table
+aggregator_step runs a round of any of them for a stack of R servers on
+each replicate's participant ids, distinct and ascending, and their
+updates as one (R, M, d) block, row [r, m] for client participants[r, m];
+it branches once on the state's algorithm. Table
 writes are fancy-indexed row assignments and every sum is an array
 reduction; no step loops over participants or clusters in Python.
 
@@ -50,14 +51,13 @@ from .core import (
 
 @dataclass
 class ServerAggregatorState:
-    """Mutable server memory: the model and a table of stored updates.
+    """Mutable memory of a stack of R servers: the models w (R, d) and tables (R, rows, d) of stored updates.
 
     N is the number of clients. table rows start at zero: one row per
     client for mifa, one per cluster for fedvarp and clusterfedvarp.
     assignment maps each client to its row and sizes counts the clients
     per row (stored-update kernel only; fedvarp uses the identity
-    assignment). A stack of R servers holds w as (R, d) and table as
-    (R, rows, d); they share N, assignment and sizes.
+    assignment); the R servers share N, assignment and sizes.
     """
 
     algo: str
@@ -75,8 +75,10 @@ def init_state(
     K: int | None = None,
     assignment: np.ndarray | None = None,
 ) -> ServerAggregatorState:
-    """Zero-initialized aggregator state for N clients; a (R, d) w0 gives a stack of R."""
-    *lead, d = w0.shape
+    """Zero-initialized state of a stack of R aggregators for N clients, one per row of the (R, d) w0."""
+    if np.ndim(w0) != 2:
+        raise DimensionError(f"w0 must be an (R, d) stack, got shape {np.shape(w0)}")
+    R, d = np.shape(w0)
     state = ServerAggregatorState(algo=algo, w=np.array(w0, dtype=np.float64), N=N)
     if algo == FEDVARP:  # N singleton clusters
         K, assignment = N, np.arange(N)
@@ -88,11 +90,11 @@ def init_state(
             raise ConfigError(f"assignment must cover all {N} clients")
         if assignment.min() < 0 or assignment.max() >= K:
             raise ConfigError(f"cluster ids must lie in [0, {K})")
-        state.table = np.zeros((*lead, K, d))
+        state.table = np.zeros((R, K, d))
         state.assignment = assignment
         state.sizes = np.bincount(assignment, minlength=K)
     elif algo == MIFA:
-        state.table = np.zeros((*lead, N, d))
+        state.table = np.zeros((R, N, d))
     elif algo != FEDAVG:
         raise ConfigError(f"unknown algorithm tag {algo!r}")
     return state
@@ -101,44 +103,40 @@ def init_state(
 def aggregator_step(
     state: ServerAggregatorState, participants, block: np.ndarray, eta_tilde: float
 ) -> np.ndarray:
-    """One server round of state.algo; returns the new model state.w.
+    """One server round of state.algo for each of its R replicates; returns the new (R, d) models state.w.
 
-    participants: distinct ascending client ids, any 1-D int sequence;
-    row m of the (M, d) block is the update of client participants[m].
-    A stack of R servers takes (R, M) participants and an (R, M, d)
-    block, one round of each replicate, each with the bits of its own
-    step.
+    participants: (R, M) ids, each row distinct and ascending; row [r, m]
+    of the (R, M, d) block is the update of client participants[r, m] of
+    replicate r. Each replicate has the bits of a stack of one.
     """
+    if state.w.ndim != 2:
+        raise DimensionError(f"the server state must hold an (R, d) stack, got shape {state.w.shape}")
     ids = np.asarray(participants, dtype=np.intp)
-    N, lead, d = state.N, state.w.shape[:-1], state.w.shape[-1]
+    (R, d), N = state.w.shape, state.N
     if (
-        ids.shape[:-1] != lead
-        or ids.ndim != len(lead) + 1
+        ids.ndim != 2
+        or ids.shape[0] != R
         or not ids.size
-        or (ids[..., 1:] <= ids[..., :-1]).any()
-        or ids[..., 0].min() < 0
-        or ids[..., -1].max() >= N
+        or (ids[:, 1:] <= ids[:, :-1]).any()
+        or ids[:, 0].min() < 0
+        or ids[:, -1].max() >= N
     ):
-        raise ConfigError(f"participants must be distinct ascending ids in [0, {N}), got {participants}")
-    M = ids.shape[-1]
+        raise ConfigError(f"participants must be ({R}, M) distinct ascending ids in [0, {N}), got {participants}")
+    M = ids.shape[1]
     block = np.asarray(block, dtype=np.float64)
-    if block.shape != (*lead, M, d):
-        raise DimensionError(f"update block shape {block.shape} != {(*lead, M, d)}")
-    # Every kernel runs on a replicate axis; a lone server is a stack of one.
-    R = lead[0] if lead else 1
-    ids, block = ids.reshape(R, M), block.reshape(R, M, d)
+    if block.shape != (R, M, d):
+        raise DimensionError(f"update block shape {block.shape} != {(R, M, d)}")
     # Overflow anywhere in the step, a sum of finite updates included,
     # surfaces as a divergence error in the run loop, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         if state.algo == FEDAVG:
             v = sum_rows(block) / M
         elif state.algo == MIFA:  # stored and fresh updates weigh the same
-            table = state.table.reshape(R, N, d)
-            table.reshape(R * N, d)[_stack_rows(ids, N)] = block.reshape(R * M, d)
-            v = sum_rows(table) / N
+            state.table.reshape(R * N, d)[_stack_rows(ids, N)] = block.reshape(R * M, d)
+            v = sum_rows(state.table) / N
         else:
             v = _stored_update(state, ids, block)
-        state.w = state.w - eta_tilde * v.reshape(state.w.shape)
+        state.w = state.w - eta_tilde * v
     return state.w
 
 
@@ -156,8 +154,8 @@ def _stored_update(state: ServerAggregatorState, ids: np.ndarray, block: np.ndar
     stores the mean update of those members, other clusters keep their
     state. With singleton clusters this is fedvarp: the coefficients are
     1/M and 1/N and the refresh stores delta_i / 1. ids is (R, M) and
-    block (R, M, d), R = 1 for a lone server; the R tables are read as
-    one (R*K, d) table whose row r*K + k is cluster k of replicate r.
+    block (R, M, d); the R tables are read as one (R*K, d) table whose
+    row r*K + k is cluster k of replicate r.
     """
     R, M, d = block.shape
     K = state.sizes.shape[0]
@@ -190,8 +188,8 @@ def _stored_update(state: ServerAggregatorState, ids: np.ndarray, block: np.ndar
     t_all = ordered_row_sum(
         K,
         d,
-        lambda lo, hi, out: np.multiply(table[..., lo:hi, :], coef[0] if equal else coef[lo:hi, None], out=out),
-        table.shape[:-2],
+        lambda lo, hi, out: np.multiply(table[:, lo:hi], coef[0] if equal else coef[lo:hi, None], out=out),
+        (R,),
     )
     v = sum_rows(block) / M + (t_all - t_part)
 

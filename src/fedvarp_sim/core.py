@@ -1,8 +1,8 @@
 """Shared numeric types, hyperparameters, and learning-rate bound reports.
 
-Model state is represented throughout as 1-D float64 numpy arrays of a
-fixed dimension d. All arithmetic is 64-bit and sequentially ordered so
-that runs are bitwise reproducible.
+Model state is represented throughout as (R, d) float64 numpy arrays,
+one model of dimension d per replicate. All arithmetic is 64-bit and
+sequentially ordered so that runs are bitwise reproducible.
 """
 from __future__ import annotations
 

@@ -40,7 +40,7 @@ from .objectives import (
     Federation,
     FederationConstants,
     block_assignment,
-    cluster_heterogeneity,
+    federation_constants,
     generate_federation,
     global_grad_and_loss,
 )
@@ -74,7 +74,7 @@ def build_manifest(cfg: RunConfig, fed: Federation, consts: FederationConstants,
     if assignment is not None and K != cfg.federation.K_true:
         # Report the heterogeneity of the clustering the aggregator actually
         # uses; with K == K_true it is the generator's, whose value consts holds.
-        sigma_K_sq = cluster_heterogeneity(fed, assignment)
+        sigma_K_sq = federation_constants(fed, assignment).sigma_K_sq
     if cfg.algo.name == CLUSTERFEDVARP and p is None:
         # Rate bounds need the equal-size clustering; report only what holds.
         report = []
@@ -123,7 +123,7 @@ def _realize(cfg: RunConfig) -> tuple[Federation, FederationConstants, RunRecord
     federation alone; a non-finite one is a ConfigError.
     """
     fed, consts = generate_federation(cfg.federation)
-    [first] = _measure(replace(fed, mus=fed.mus[None]), np.zeros((1, cfg.federation.d)), consts.w_star[None], 0)
+    [first] = _measure(fed, np.zeros((1, cfg.federation.d)), consts.w_star[None], 0)
     if not _finite(first):
         raise ConfigError("metrics of the initial point overflow float64")
     return fed, consts, first
@@ -170,19 +170,24 @@ def run(cfg: RunConfig, write_artifacts: bool = True) -> RunResult:
 def run_many(cfgs: list[RunConfig], write_artifacts: bool = True, _sweep_dir: str | None = None) -> list:
     """Run cfgs as stacks (_stack_points); return each one's RunResult or DivergenceError, in cfgs' order.
 
-    All sizes are checked before any federation is built, and every
-    federation, initial metrics and output directory (a sweep's base
+    All sizes, and when writing artifacts that no two configs share an
+    output directory, are checked before any federation is built, and
+    every federation, initial metrics and output directory (a sweep's base
     _sweep_dir first) made before the first stack runs; a ConfigError or
     MemoryError of that preparation holds its config's index as `point`.
     A stack of R > 1 holds one (R, N, d) copy of its federations, a stack
-    of one a view; configs of one federation config share it.
+    of one the generated federation; configs of one federation config share it.
     """
     built = {}  # federation config -> its realized federation
     copies = {}  # the federation configs of a stack -> its (R, N, d) federation and realized points
     stacks = []
+    owners = {}  # output directory -> the first config writing to it
     try:
         for point, cfg in enumerate(cfgs):
             _check_sizes(cfg)
+            path = Path(cfg.output_dir).resolve()
+            if write_artifacts and owners.setdefault(path, point) != point:
+                raise ConfigError(f"configs {owners[path]} and {point} share the output_dir {cfg.output_dir}")
         for idx in _stack_points(cfgs):
             feds, point = tuple(cfgs[i].federation for i in idx), idx[0]
             if feds not in copies:
@@ -190,9 +195,9 @@ def run_many(cfgs: list[RunConfig], write_artifacts: bool = True, _sweep_dir: st
                 for r, point in enumerate(idx):
                     fed, consts, first = built.get(feds[r]) or _realize(cfgs[point])
                     if mus is not None:
-                        mus[r] = fed.mus
-                    built[feds[r]] = (fed if mus is None else replace(fed, mus=mus[r]), consts, first)
-                copies[feds] = replace(fed, mus=fed.mus[None] if mus is None else mus), [built[f] for f in feds]
+                        mus[r] = fed.mus[0]
+                    built[feds[r]] = (fed if mus is None else replace(fed, mus=mus[r : r + 1]), consts, first)
+                copies[feds] = fed if mus is None else replace(fed, mus=mus), [built[f] for f in feds]
             stacks.append((idx, *copies[feds]))
     except (ConfigError, MemoryError) as exc:  # MemoryError: a configured size too large to allocate
         exc.point = point

@@ -1,12 +1,10 @@
-"""Client-side local training: tau SGD steps for all M participants of a round.
+"""Client-side local training: tau SGD steps for all participants of a round.
 
-The participants train as one (M, d) array, row m for client
-participants[m]. Every operation is elementwise per row, so a row's bits
-are those of training that client alone. A stack of R federations on a
-leading replicate axis trains its R rounds as one (R*M, d) array, each
-row from its own replicate's minimizer and iterate, so a stacked row has
-the bits of its replicate's own call. The iterate after k+1 steps is
-evaluated as
+A stack of R federations trains the M participants of each replicate as
+one (R*M, d) array, row r*M + m for client participants[r, m] from
+replicate r's minimizer and iterate. Every operation is elementwise per
+row, so a row's bits are those of training that client alone. The
+iterate after k+1 steps is evaluated as
 
     w_k+1 = w - (eta_c * tau) * (running_gradient_sum / tau)
 
@@ -36,27 +34,23 @@ def local_sgd(
     eta_c: float,
     keys=None,
 ) -> np.ndarray:
-    """Run tau local SGD steps from w for each participant; return the (M, d) updates.
+    """Run tau local SGD steps from w for each participant; return the (R, M, d) updates.
 
-    Row m is (w - w_final_m) / (eta_c * tau), equivalently the mean of the
-    stochastic gradients client participants[m] saw along its local path.
-    keys is an (M, 2) block of Philox keys, one per participant, read
-    only when fed.noise_sigma > 0: participant m draws its tau noise
-    vectors as one (tau, d) block from a fresh Philox keyed keys[m]. A
-    noisy call without such a block is a ConfigError. The input w is not
-    modified.
+    fed is a stack of R federations, w (R, d) and participants (R, M): row
+    [r, m] is (w[r] - w_final) / (eta_c * tau) of client participants[r, m]
+    of replicate r, equivalently the mean of the stochastic gradients it
+    saw along its local path. keys is an (R, M, 2) block of Philox keys,
+    one per participant, read only when fed.noise_sigma > 0: participant
+    [r, m] draws its tau noise vectors as one (tau, d) block from a fresh
+    Philox keyed keys[r, m]. A noisy call without such a block is a
+    ConfigError. The input w is not modified.
 
-    A stacked federation (mus of shape (R, N, d)) trains R replicates at
-    once: w is (R, d), participants (R, M), keys (R, M, 2), and the
-    result is (R, M, d), with row [r, m] client participants[r, m] of
-    replicate r trained from w[r]. The R*M rows go through the same
-    loop as one replicate's M, so each row has the bits of its
-    replicate's own call.
-
-    The rows train on core.run_slabs' slabs; a row's draws depend on its
-    key alone, so the bits are those of one slab. The result, the noise
-    block and every per-step buffer are allocated here, in the calling
-    thread, so a worker thread's malloc arena does not keep them cached.
+    The R*M rows train on core.run_slabs' slabs; a row's draws depend on
+    its key alone, so the bits are those of one slab, and each replicate
+    has the bits of a stack of one. The result, the noise block, each
+    row's first non-finite step and every per-step buffer are allocated
+    here, in the calling thread, so a worker thread's malloc arena does
+    not keep them cached.
 
     A non-finite iterate raises DivergenceError once every row has
     trained. Its step is the first non-finite step of the lowest row
@@ -69,70 +63,62 @@ def local_sgd(
         raise ConfigError(f"tau must be >= 1, got {tau}")
     if not eta_c > 0:
         raise ConfigError(f"eta_c must be > 0, got {eta_c}")
-    lead, d = fed.lead, fed.d
+    R, _, d = fed.mus.shape
     ids = np.asarray(participants, dtype=np.intp)
     w = np.asarray(w, dtype=np.float64)
-    if w.shape != (*lead, d):
-        raise DimensionError(f"expected model shape {(*lead, d)}, got {w.shape}")
-    if ids.ndim != len(lead) + 1 or ids.shape[:-1] != lead:
-        raise DimensionError(f"participants must have shape {(*lead, 'M')}, got {ids.shape}")
-    M = ids.shape[-1]
-    # Every row trains on a replicate axis; a lone call is a stack of one.
-    R = lead[0] if lead else 1
-    mus = fed.mus.reshape(R, -1, d)[np.arange(R)[:, None], ids.reshape(R, M)].reshape(R * M, d)
-    # Each row's start as a contiguous copy: the step ufuncs run faster on it than on a broadcast view.
-    w_rows = np.repeat(w.reshape(R, d), M, axis=0)
+    if w.shape != (R, d):
+        raise DimensionError(f"expected model shape {(R, d)}, got {w.shape}")
+    if ids.ndim != 2 or ids.shape[0] != R:
+        raise DimensionError(f"participants must have shape {(R, 'M')}, got {ids.shape}")
+    M = ids.shape[1]
     rows = R * M
+    mus = fed.mus[np.arange(R)[:, None], ids].reshape(rows, d)
+    # Each row's start as a contiguous copy: the step ufuncs run faster on it than on a broadcast view.
+    w_rows = np.repeat(w, M, axis=0)
     noisy = fed.noise_sigma > 0
-    if noisy and np.shape(keys) != (*lead, M, 2):
-        raise ConfigError(f"need an {(*lead, M, 2)} key block for M={M} participants, got {np.shape(keys)}")
+    if noisy and np.shape(keys) != (R, M, 2):
+        raise ConfigError(f"need an {(R, M, 2)} key block for M={M} participants, got {np.shape(keys)}")
     if noisy:
         keys = np.reshape(keys, (rows, 2))
     out = np.zeros_like(mus)  # each row's running gradient sum, divided by tau at the end
     g, w_k = np.empty_like(mus), np.empty_like(mus)
     finite = np.empty(mus.shape, dtype=bool)
     noise = np.empty((rows, tau, d)) if noisy else None
-    # (first row, each row's first non-finite step) of every slab that saw one;
-    # list.append is atomic, so the slab threads need no lock.
-    diverged = []
+    first_bad = np.full(rows, -1)  # each row's first non-finite step, -1 while finite
 
     def train(lo, hi):
         keys_and_noise = (keys[lo:hi], noise[lo:hi]) if noisy else (None, None)
-        first_bad = _train_rows(
+        _train_rows(
             fed, mus[lo:hi], w_rows[lo:hi], tau, eta_c, out[lo:hi], g[lo:hi], w_k[lo:hi], finite[lo:hi],
-            *keys_and_noise,
+            first_bad[lo:hi], *keys_and_noise,
         )
-        if first_bad is not None:
-            diverged.append((lo, first_bad))
 
     run_slabs(rows, rows * tau * d * (NOISE_WORK_WEIGHT if noisy else 1), train)
-    block = out.reshape(*lead, M, d)
-    if diverged:
-        steps = np.full(rows, -1)
-        for lo, first_bad in diverged:
-            steps[lo : lo + first_bad.size] = first_bad
-        raise DivergenceError(int(steps[steps >= 0][0]), steps.reshape(ids.shape), block)
+    block = out.reshape(R, M, d)
+    bad = first_bad[first_bad >= 0]
+    if bad.size:
+        raise DivergenceError(int(bad[0]), first_bad.reshape(R, M), block)
     return block
 
 
-def _train_rows(fed, mus, w, tau, eta_c, grad_sum, g, w_k, finite, keys, noise):
+def _train_rows(fed, mus, w, tau, eta_c, grad_sum, g, w_k, finite, first_bad, keys, noise):
     """tau steps for the rows of mus from the rows of w; leaves their updates in grad_sum.
 
-    grad_sum starts at zero; g, w_k and finite are scratch of the rows'
-    shape. Each step runs in place, with the ufuncs of
+    grad_sum starts at zero and first_bad at -1; g, w_k and finite are
+    scratch of the rows' shape. Each step runs in place, with the ufuncs of
     w_k = w - step_scale * ((grad_sum + eigs * (w_k - mus) [+ noise]) / tau)
     in that order, so nothing is allocated per step. noise is None for a
     noiseless federation; otherwise row m draws its noise into noise[m],
-    shape (tau, d), from this slab's one Philox generator rekeyed to keys[m].
-    Returns each row's first non-finite step (-1 where finite), or None if
-    every row stayed finite; only then is that array allocated.
+    shape (tau, d), from this slab's one Philox generator rekeyed to keys[m],
+    and the slab's block is then scaled to the noise level. Each row's first
+    non-finite step goes into first_bad.
     """
     if noise is not None:
         rekey = philox_rekeyer()
         for key, row in zip(keys, noise):
-            fed.draw_noise(rekey(key), row)
+            rekey(key).standard_normal(out=row)
+        noise *= fed.noise_sigma / np.sqrt(fed.d)
     step_scale = eta_c * tau
-    first_bad = None  # per row: first non-finite step, -1 while finite
     # Overflow here is a reportable divergence, not a warning condition.
     # The error state is per thread, so each slab sets its own.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -147,9 +133,6 @@ def _train_rows(fed, mus, w, tau, eta_c, grad_sum, g, w_k, finite, keys, noise):
             np.subtract(w, w_k, out=w_k)
             np.isfinite(w_k, out=finite)
             if not finite.all():
-                if first_bad is None:
-                    first_bad = np.full(mus.shape[0], -1)
                 bad = ~finite.all(axis=1)
                 first_bad[bad & (first_bad < 0)] = k
     grad_sum /= tau
-    return first_bad

@@ -26,13 +26,11 @@ from .rng import TAG_CENTERS, TAG_OFFSETS, philox_keys, philox_rekeyer, substrea
 
 @dataclass(frozen=True)
 class Federation:
-    """All N clients as arrays: shared Hessian diagonal eigs (d,), minimizers mus (N, d).
+    """R federations of N clients as arrays: shared Hessian diagonal eigs (d,), minimizers mus (R, N, d).
 
-    Client i has f_i(w) = 0.5 (w - mus[i])^T diag(eigs) (w - mus[i]); its
-    stochastic gradient adds N(0, (noise_sigma^2/d) I) noise.
-
-    mus may also be (R, N, d): R federations of one shape stacked on a
-    leading replicate axis, sharing eigs and noise_sigma.
+    Client i of replicate r has f_i(w) = 0.5 (w - mus[r, i])^T diag(eigs) (w - mus[r, i]);
+    its stochastic gradient adds N(0, (noise_sigma^2/d) I) noise. The R
+    federations share one shape, eigs and noise_sigma.
     """
 
     eigs: np.ndarray
@@ -40,8 +38,8 @@ class Federation:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.mus.ndim not in (2, 3) or self.mus.shape[-2] < 1:
-            raise ConfigError(f"mus must be an (N, d) or (R, N, d) array with N >= 1, got {self.mus.shape}")
+        if self.mus.ndim != 3 or self.mus.shape[1] < 1:
+            raise ConfigError(f"mus must be an (R, N, d) array with N >= 1, got {self.mus.shape}")
         if self.eigs.shape != (self.mus.shape[-1],):
             raise DimensionError("hessian eigenvalues and minimizers must share the dimension")
         if np.any(self.eigs < 0):
@@ -53,28 +51,11 @@ class Federation:
     def d(self) -> int:
         return self.mus.shape[-1]
 
-    @property
-    def lead(self) -> tuple:
-        """The replicate axis: () for one federation, (R,) for a stack."""
-        return self.mus.shape[:-2]
-
     def grads_and_losses(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Exact per-client gradients A(w - mu_i), shape (N, d), and losses, shape (N,).
-
-        A stack takes w as (R, d) and gives (R, N, d) and (R, N).
-        """
-        diffs = np.asarray(w)[..., None, :] - self.mus
+        """Exact per-client gradients A(w - mu_i), shape (R, N, d), and losses, shape (R, N), at the (R, d) w."""
+        diffs = np.asarray(w)[:, None, :] - self.mus
         grads = self.eigs * diffs
         return grads, 0.5 * np.sum(grads * diffs, axis=-1)
-
-    def draw_noise(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        """Fill out, shape (..., d), with gradient noise rows from rng.
-
-        A (tau, d) block holds the same numbers as tau successive (d,) draws.
-        """
-        rng.standard_normal(out=out)
-        out *= self.noise_sigma / np.sqrt(self.d)
-        return out
 
 
 @dataclass(frozen=True)
@@ -135,7 +116,7 @@ def block_assignment(N: int, K: int) -> np.ndarray:
 
 
 def generate_federation(cfg: FederationConfig) -> tuple[Federation, FederationConstants]:
-    """Build the federation arrays and their exact constants, deterministically in the seed.
+    """Build the federation, a stack of one, and its exact constants, deterministically in the seed.
 
     Row i holds substream(seed, TAG_OFFSETS, i)'s uniforms u, mapped in place on core.run_slabs'
     slabs to (hi - lo) * u + lo + center, the bits of uniform(lo, hi) + center.
@@ -147,7 +128,8 @@ def generate_federation(cfg: FederationConfig) -> tuple[Federation, FederationCo
         lo, width = -half_width, 2 * half_width
     size = cfg.N // cfg.K_true  # client i belongs to cluster i // size
     keys = philox_keys(cfg.seed, TAG_OFFSETS, ids=np.arange(cfg.N))
-    mus = np.empty((cfg.N, cfg.d))
+    stack = np.empty((1, cfg.N, cfg.d))
+    mus = stack[0]
 
     def draw(a: int, b: int) -> None:
         rekey = philox_rekeyer()
@@ -161,15 +143,19 @@ def generate_federation(cfg: FederationConfig) -> tuple[Federation, FederationCo
 
     run_slabs(cfg.N, cfg.N * cfg.d, draw)
     eigs = np.linspace(cfg.hessian_eig_min, cfg.hessian_eig_max, cfg.d)
-    fed = Federation(eigs=eigs, mus=mus, noise_sigma=cfg.noise_sigma)
+    fed = Federation(eigs=eigs, mus=stack, noise_sigma=cfg.noise_sigma)
     return fed, federation_constants(fed, block_assignment(cfg.N, cfg.K_true))
 
 
 def federation_constants(fed: Federation, assignment: np.ndarray) -> FederationConstants:
-    """Exact L, heterogeneity bounds, minimizer, and optimal loss; a ConfigError if one overflows float64."""
+    """Exact L, heterogeneity bounds, minimizer, and optimal loss of fed's one federation.
+
+    sigma_K_sq is that of the clusters of assignment. A ConfigError if a constant overflows float64.
+    """
+    [mus] = fed.mus
     with np.errstate(over="ignore", invalid="ignore"):
-        mu_bar = fed.mus.mean(axis=0)
-        losses, gaps, cluster_gaps = _client_terms(fed, mu_bar, assignment)
+        mu_bar = mus.mean(axis=0)
+        losses, gaps, cluster_gaps = _client_terms(fed.eigs, mus, mu_bar, assignment)
         L, sigma_g_sq, sigma_K_sq = (float(x.max()) for x in (fed.eigs, gaps, cluster_gaps))
         f_star = float(np.mean(0.5 * losses))
     # A non-finite w_star makes sigma_g_sq non-finite, so the four scalars cover it.
@@ -178,25 +164,14 @@ def federation_constants(fed: Federation, assignment: np.ndarray) -> FederationC
     return FederationConstants(L=L, sigma_g_sq=sigma_g_sq, sigma_K_sq=sigma_K_sq, w_star=mu_bar, f_star=f_star)
 
 
-def cluster_heterogeneity(fed: Federation, assignment: np.ndarray) -> float:
-    """Exact max squared gap between a client gradient and its cluster mean gradient."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        worst = float(_client_terms(fed, None, assignment)[2].max())
-    if not math.isfinite(worst):
-        raise ConfigError("the federation's exact constants overflow float64")
-    return worst
-
-
-def _client_terms(fed: Federation, mu_bar: np.ndarray | None, assignment: np.ndarray) -> np.ndarray:
+def _client_terms(eigs: np.ndarray, mus: np.ndarray, mu_bar: np.ndarray, assignment: np.ndarray) -> np.ndarray:
     """Each client's sum(A (mu_bar - mu_i)^2), ||A(mu_bar - mu_i)||^2 and ||A(c - mu_i)||^2, as (3, N) rows.
 
     c is the mean of client i's cluster k, with the bits of mus[assignment == k].mean(axis=0): the
     clusters of each size s reduce as one (clusters, s, d) array along that mean's axis (pairwise at
     d = 1), a view of mus for equal contiguous blocks, else a gather in row order. Then blocks of at
-    most ROW_BLOCK_BYTES run each expression's steps, with the bits of the whole (N, d) arrays. Without
-    mu_bar, only the cluster row is filled.
+    most ROW_BLOCK_BYTES run each expression's steps, with the bits of the whole (N, d) arrays.
     """
-    eigs, mus = fed.eigs, fed.mus
     N, d = mus.shape
     sizes = np.bincount(assignment)
     order = np.argsort(assignment, kind="stable")
@@ -214,46 +189,40 @@ def _client_terms(fed: Federation, mu_bar: np.ndarray | None, assignment: np.nda
     for lo in range(0, N, block):
         hi = min(N, lo + block)
         x, y, e, rows = diff[: hi - lo], dev[: hi - lo], tiled[: hi - lo], mus[lo:hi]
-        if mu_bar is not None:
-            np.subtract(mu_bar, rows, out=x)
-            np.add.reduce(np.square(np.multiply(e, x, out=y), out=y), axis=1, out=terms[1, lo:hi])
-            np.add.reduce(np.multiply(e, np.square(x, out=x), out=x), axis=1, out=terms[0, lo:hi])
+        np.subtract(mu_bar, rows, out=x)
+        np.add.reduce(np.square(np.multiply(e, x, out=y), out=y), axis=1, out=terms[1, lo:hi])
+        np.add.reduce(np.multiply(e, np.square(x, out=x), out=x), axis=1, out=terms[0, lo:hi])
         np.subtract(np.take(centers, assignment[lo:hi], axis=0, out=x, mode="clip"), rows, out=x)
         np.add.reduce(np.square(np.multiply(e, x, out=x), out=x), axis=1, out=terms[2, lo:hi])
     return terms
 
 
-def global_grad_and_loss(fed: Federation, w: np.ndarray) -> tuple[np.ndarray, float]:
-    """Exact global gradient and loss, averaged over all clients.
+def global_grad_and_loss(fed: Federation, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact global gradients (R, d) and losses (R,) at the (R, d) w, averaged over each replicate's clients.
 
     The gradients are formed and summed block by block (ordered_row_sum),
-    not as (N, d) temporaries, with the bits of grads_and_losses(w),
-    grads.mean(axis=0) and losses.mean() where numpy's reduction starts
-    from +0.0 (numpy 2.4); elsewhere only the sign of an all-zero column
-    of g could differ, and metrics read g only as dot(g, g). At d=1
-    numpy sums the column pairwise, so d=1 keeps the whole column.
-
-    A stacked federation takes w as (R, d) and returns an (R, d)
-    gradient and an (R,) loss array, each replicate with the bits of
-    its own call.
+    not as (R, N, d) temporaries, with the bits of grads_and_losses(w),
+    grads.mean(axis=1) and losses.mean(axis=1) where numpy's reduction
+    starts from +0.0 (numpy 2.4); elsewhere only the sign of an all-zero
+    column of g could differ, and metrics read g only as dot(g, g). At
+    d=1 numpy sums the column pairwise, so d=1 keeps the whole column.
+    Each replicate has the bits of a stack of one.
     """
     w = np.asarray(w, dtype=np.float64)
-    lead, (N, d) = fed.lead, fed.mus.shape[-2:]
-    if w.shape != (*lead, d):
-        raise DimensionError(f"expected model shape {(*lead, d)}, got {w.shape}")
+    R, N, d = fed.mus.shape
+    if w.shape != (R, d):
+        raise DimensionError(f"expected model shape {(R, d)}, got {w.shape}")
     if d == 1:
         grads, losses = fed.grads_and_losses(w)
-        g, loss = grads.mean(axis=-2), losses.mean(axis=-1)
-    else:
-        row_sums = np.empty((*lead, N))
-        w_row = w[..., None, :]  # each replicate's w against its rows
+        return grads.mean(axis=1), losses.mean(axis=1)
+    row_sums = np.empty((R, N))
+    w_row = w[:, None, :]  # each replicate's w against its rows
 
-        def grads_into(lo: int, hi: int, out: np.ndarray) -> None:
-            diffs = np.subtract(w_row, fed.mus[..., lo:hi, :], out=np.empty_like(out))
-            np.multiply(fed.eigs, diffs, out=out)
-            diffs *= out  # grads * diffs, the products each loss sums
-            np.add.reduce(diffs, axis=-1, out=row_sums[..., lo:hi])
+    def grads_into(lo: int, hi: int, out: np.ndarray) -> None:
+        diffs = np.subtract(w_row, fed.mus[:, lo:hi], out=np.empty_like(out))
+        np.multiply(fed.eigs, diffs, out=out)
+        diffs *= out  # grads * diffs, the products each loss sums
+        np.add.reduce(diffs, axis=-1, out=row_sums[:, lo:hi])
 
-        g = ordered_row_sum(N, d, grads_into, lead) / N
-        loss = (0.5 * row_sums).mean(axis=-1)
-    return g, (loss if lead else float(loss))
+    g = ordered_row_sum(N, d, grads_into, (R,)) / N
+    return g, (0.5 * row_sums).mean(axis=1)

@@ -13,7 +13,9 @@ import numpy as np
 
 from .aggregators import aggregator_step, init_state
 from .config import AlgoConfig, RunConfig
-from .core import CLUSTERFEDVARP, FEDAVG, FEDVARP, ConfigError, DivergenceError, HyperConfig, effective_server_lr
+from .core import (
+    CLUSTERFEDVARP, FEDAVG, FEDVARP, ConfigError, DivergenceError, HyperConfig, effective_server_lr, sum_rows
+)
 from .harness import run_many
 from .localsgd import local_sgd
 from .objectives import Federation, FederationConfig
@@ -68,8 +70,9 @@ def update_bias(rng: np.random.Generator, d: int) -> tuple[float, float]:
 
     For every N in [2, 6] and M in [1, N] it draws the (N, d) updates, the
     fedvarp table, K, the client->cluster assignment and the cluster
-    table, and averages each aggregator's update over all M-subsets; the
-    stored-update correction must cancel in that average.
+    table, and averages each aggregator's update over all M-subsets, run
+    as one stack of servers; the stored-update correction must cancel in
+    that average.
     """
     worst = {FEDVARP: 0.0, CLUSTERFEDVARP: 0.0}
     for N in range(2, 7):
@@ -80,19 +83,15 @@ def update_bias(rng: np.random.Generator, d: int) -> tuple[float, float]:
             assignment = rng.integers(0, K, size=N)
             tables[CLUSTERFEDVARP] = rng.normal(size=(K, d))
             subsets = enumerate_subsets(N, M)
-            totals = {algo: np.zeros(d) for algo in (FEDAVG, FEDVARP, CLUSTERFEDVARP)}
-            for ids in subsets:
-                block = deltas[ids]
-                for algo in totals:
-                    state = init_state(algo, np.zeros(d), N, K, assignment)
-                    if algo in tables:
-                        state.table = tables[algo].copy()
-                    aggregator_step(state, ids, block, 1.0)
-                    totals[algo] = totals[algo] - state.w  # w moved from zero by -v
-            count = len(subsets)
+            means = {}
+            for algo in (FEDAVG, FEDVARP, CLUSTERFEDVARP):
+                state = init_state(algo, np.zeros((len(subsets), d)), N, K, assignment)
+                if algo in tables:
+                    state.table[:] = tables[algo]
+                aggregator_step(state, subsets, deltas[subsets], 1.0)
+                means[algo] = -sum_rows(state.w) / len(subsets)  # each w moved from zero by -v
             for algo in worst:
-                gap = np.max(np.abs(totals[algo] / count - totals[FEDAVG] / count))
-                worst[algo] = max(worst[algo], float(gap))
+                worst[algo] = max(worst[algo], float(np.max(np.abs(means[algo] - means[FEDAVG]))))
     return worst[FEDVARP], worst[CLUSTERFEDVARP]
 
 
@@ -121,29 +120,32 @@ def saga_matches(rng: np.random.Generator, N: int, steps: int, lr: float) -> boo
     Draws N scalar minimizers (Hessian 1, start 0), then `steps` picks.
     """
     mus = rng.normal(size=N)
-    fed = Federation(eigs=np.array([1.0]), mus=mus.reshape(N, 1))
+    fed = Federation(eigs=np.array([1.0]), mus=mus.reshape(1, N, 1))
     picks = [int(rng.integers(N)) for _ in range(steps)]
     reference = saga_trajectory(1.0, mus, 0.0, lr, picks)
     eta_tilde = effective_server_lr(HyperConfig(eta_c=lr, eta_s=1.0, tau=1, T=steps, M=1))
-    state = init_state(FEDVARP, np.zeros(1), N)
+    state = init_state(FEDVARP, np.zeros((1, 1)), N)
     for t, j in enumerate(picks):
-        block = local_sgd(fed, [j], state.w, 1, lr)
-        w = aggregator_step(state, [j], block, eta_tilde)
+        block = local_sgd(fed, [[j]], state.w, 1, lr)
+        w = aggregator_step(state, [[j]], block, eta_tilde)
         if w.tobytes() != np.array([reference[t + 1]]).tobytes():
             return False
     return True
 
 
 def finite_difference_error(fed: Federation, points: np.ndarray) -> float:
-    """Worst gap of client i's exact gradient at points[i] to central differences of its loss."""
+    """Worst gap of client i's exact gradient at points[i] to central differences of its loss.
+
+    fed is a stack of one federation.
+    """
     eps = 1e-5
     worst = 0.0
-    for i, w in enumerate(points):
-        g = fed.grads_and_losses(w)[0][i]
+    for i, w in enumerate(points[:, None]):
+        g = fed.grads_and_losses(w)[0][0, i]
         for j in range(fed.d):
             e = np.zeros(fed.d)
             e[j] = eps
-            fd = (fed.grads_and_losses(w + e)[1][i] - fed.grads_and_losses(w - e)[1][i]) / (2 * eps)
+            fd = (fed.grads_and_losses(w + e)[1][0, i] - fed.grads_and_losses(w - e)[1][0, i]) / (2 * eps)
             worst = max(worst, float(abs(fd - g[j])))
     return worst
 
@@ -163,7 +165,7 @@ def verify(seed: int = 20240501) -> list[VerifyCheck]:
     varp, cluster = update_bias(rng(seed + 2), 3)
     fd_rng = rng(seed + 6)
     eigs = fd_rng.uniform(0.2, 2.0, size=6)
-    fed = Federation(eigs=eigs, mus=fd_rng.normal(size=(4, 6)))
+    fed = Federation(eigs=eigs, mus=fd_rng.normal(size=(1, 4, 6)))
     fd = finite_difference_error(fed, fd_rng.normal(size=(4, 6)))
     unbiased = "update is subset-mean unbiased over enumeration"
     checks = [

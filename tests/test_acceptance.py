@@ -282,17 +282,17 @@ def test_a8_cluster_interpolation():
 def test_a9_gradient_oracle():
     rng = np.random.default_rng(899)
     eigs = rng.uniform(0.2, 2.0, size=6)
-    fed = make_federation(rng.normal(size=(4, 6)), eigs)
+    fed = make_federation(rng.normal(size=(1, 4, 6)), eigs)
     assert finite_difference_error(fed, rng.normal(size=(4, 6))) <= 1e-6
 
     # One-step local updates are stochastic gradients; 100k participants
     # sharing one client, each with its own key, give 100k independent draws.
-    noisy = make_federation([[0.2, -0.4]], [1.0, 1.5], sigma=1.0)
-    w = np.array([1.0, 2.0])
-    exact = noisy.grads_and_losses(w)[0][0]
+    noisy = make_federation([[[0.2, -0.4]]], [1.0, 1.5], sigma=1.0)
+    w = np.array([[1.0, 2.0]])
+    exact = noisy.grads_and_losses(w)[0][0, 0]
     n = 100_000
-    keys = philox_keys(899, 0, ids=np.arange(n))
-    draws = local_sgd(noisy, np.zeros(n, dtype=int), w, 1, 0.1, keys)
+    keys = philox_keys(899, 0, ids=np.arange(n))[None]
+    [draws] = local_sgd(noisy, np.zeros((1, n), dtype=int), w, 1, 0.1, keys)
     assert np.all(np.abs(draws.mean(axis=0) - exact) < 0.02)
     noise_sq = np.sum((draws - exact) ** 2, axis=1)
     assert abs(noise_sq.mean() - 1.0) < 0.03

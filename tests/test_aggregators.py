@@ -25,54 +25,56 @@ from fedvarp_sim.sampling import enumerate_subsets
 
 
 def updates(deltas):
-    """The (participants, block) of one round from {client id: update}."""
+    """The (1, M) participants and (1, M, d) block of one round of a stack of one from {client id: update}."""
     parts = sorted(deltas)
-    block = np.array([np.atleast_1d(np.asarray(deltas[i], dtype=np.float64)) for i in parts])
-    return np.array(parts, dtype=np.intp), block
+    block = np.array([[np.atleast_1d(np.asarray(deltas[i], dtype=np.float64)) for i in parts]])
+    return np.array([parts], dtype=np.intp), block
 
 
 def test_fedavg_mean_and_step():
-    state = init_state(FEDAVG, np.zeros(1), N=2)
+    state = init_state(FEDAVG, np.zeros((1, 1)), N=2)
     w = aggregator_step(state, *updates({0: [1.0], 1: [3.0]}), eta_tilde=0.1)
-    assert w[0] == pytest.approx(-0.2, rel=1e-15)
+    assert w[0, 0] == pytest.approx(-0.2, rel=1e-15)
 
 
 def test_fedavg_singleton():
-    state = init_state(FEDAVG, np.array([1.0, 1.0]), N=5)
+    state = init_state(FEDAVG, np.array([[1.0, 1.0]]), N=5)
     w = aggregator_step(state, *updates({3: [2.0, -2.0]}), eta_tilde=1.0)
-    assert np.array_equal(w, [-1.0, 3.0])
+    assert np.array_equal(w, [[-1.0, 3.0]])
 
 
 def test_fedavg_full_participation_is_gradient_descent():
     # tau=1, no noise, M=N: one round equals plain GD with rate eta_s*eta_c on f.
     rng = np.random.default_rng(60)
-    fed = make_federation(rng.normal(size=(5, 3)), rng.uniform(0.5, 1.5, size=3))
-    w0 = rng.normal(size=3)
+    fed = make_federation(rng.normal(size=(1, 5, 3)), rng.uniform(0.5, 1.5, size=3))
+    w0 = rng.normal(size=(1, 3))
     h = HyperConfig(eta_c=0.08, eta_s=1.25, tau=1, T=1, M=5)
-    block = local_sgd(fed, np.arange(5), w0, h.tau, h.eta_c)
+    block = local_sgd(fed, np.arange(5)[None], w0, h.tau, h.eta_c)
     state = init_state(FEDAVG, w0, N=5)
-    w1 = aggregator_step(state, np.arange(5), block, effective_server_lr(h))
+    w1 = aggregator_step(state, np.arange(5)[None], block, effective_server_lr(h))
     g, _ = global_grad_and_loss(fed, w0)
     assert np.allclose(w1, w0 - h.eta_s * h.eta_c * g, rtol=1e-12, atol=1e-14)
 
 
 def test_round_updates_key_mismatch_rejected():
-    # The block needs one row per participant, each as wide as the model.
+    # The block needs one row per participant of each replicate, each as wide as the model.
     for algo in ALGORITHMS:
-        for shape in ((1, 2), (3, 2), (2, 1), (2, 3), (2,), (2, 2, 1)):
-            state = init_state(algo, np.zeros(2), N=3, K=2, assignment=np.array([0, 0, 1]))
+        for shape in ((1, 1, 2), (1, 3, 2), (1, 2, 1), (1, 2, 3), (2, 2, 2), (2, 2), (1, 2, 2, 1)):
+            state = init_state(algo, np.zeros((1, 2)), N=3, K=2, assignment=np.array([0, 0, 1]))
             with pytest.raises(DimensionError):
-                aggregator_step(state, np.array([0, 1]), np.zeros(shape), 0.1)
+                aggregator_step(state, np.array([[0, 1]]), np.zeros(shape), 0.1)
 
 
 BAD_SETS = {
-    "unsorted": [2, 1],
-    "repeated": [1, 1],
-    "negative": [-1, 0],
-    "at_N": [1, 3],
-    "above_N": [1, 5],
-    "empty": [],
-    "two_dim": [[0, 1]],
+    "unsorted": [[2, 1]],
+    "repeated": [[1, 1]],
+    "negative": [[-1, 0]],
+    "at_N": [[1, 3]],
+    "above_N": [[1, 5]],
+    "empty": [[]],
+    "wrong_R": [[0, 1], [0, 1]],
+    "three_dim": [[[0, 1]]],
+    "lone": [0, 1],
     "scalar": 1,
 }
 
@@ -80,11 +82,11 @@ BAD_SETS = {
 @pytest.mark.parametrize("bad", BAD_SETS)
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_bad_participant_sets_rejected(algo, bad):
-    # N=3: ids must be distinct, ascending and in [0, 3), in a non-empty 1-D set.
+    # N=3, a stack of one: ids must be distinct, ascending and in [0, 3), in a non-empty (1, M) set.
     ids = BAD_SETS[bad]
-    state = init_state(algo, np.zeros(2), N=3, K=2, assignment=np.array([0, 0, 1]))
+    state = init_state(algo, np.zeros((1, 2)), N=3, K=2, assignment=np.array([0, 0, 1]))
     before = (state.w.copy(), None if state.table is None else state.table.copy())
-    block = np.ones((np.size(ids), 2))
+    block = np.ones((1, np.size(ids), 2))
     with pytest.raises(ConfigError):
         aggregator_step(state, ids, block, 0.1)
     assert state.w.tobytes() == before[0].tobytes()
@@ -94,26 +96,26 @@ def test_bad_participant_sets_rejected(algo, bad):
 
 def test_fedvarp_first_round_equals_fedavg():
     upd = updates({0: [1.0, 0.0], 2: [3.0, -4.0]})
-    a = init_state(FEDAVG, np.zeros(2), N=4)
-    b = init_state(FEDVARP, np.zeros(2), N=4)
+    a = init_state(FEDAVG, np.zeros((1, 2)), N=4)
+    b = init_state(FEDVARP, np.zeros((1, 2)), N=4)
     wa = aggregator_step(a, *upd, 0.3)
     wb = aggregator_step(b, *upd, 0.3)
     assert wa.tobytes() == wb.tobytes()
 
 
 def test_fedvarp_hand_case():
-    state = init_state(FEDVARP, np.zeros(1), N=3)
-    state.table = np.array([[1.0], [2.0], [3.0]])
+    state = init_state(FEDVARP, np.zeros((1, 1)), N=3)
+    state.table = np.array([[[1.0], [2.0], [3.0]]])
     w = aggregator_step(state, *updates({0: [5.0]}), eta_tilde=1.0)
     # v = (5 - 1) + (1/3)(1 + 2 + 3) = 6
-    assert w[0] == pytest.approx(-6.0, rel=1e-12)
-    assert np.allclose(state.table[:, 0], [5.0, 2.0, 3.0])
+    assert w[0, 0] == pytest.approx(-6.0, rel=1e-12)
+    assert np.allclose(state.table[0, :, 0], [5.0, 2.0, 3.0])
 
 
 def test_fedvarp_table_tracks_latest_updates():
     rng = np.random.default_rng(61)
     N, d = 6, 2
-    state = init_state(FEDVARP, np.zeros(d), N=N)
+    state = init_state(FEDVARP, np.zeros((1, d)), N=N)
     shadow = {i: np.zeros(d) for i in range(N)}
     for _ in range(40):
         M = int(rng.integers(1, N + 1))
@@ -122,7 +124,7 @@ def test_fedvarp_table_tracks_latest_updates():
         aggregator_step(state, *updates(deltas), 0.05)
         shadow.update(deltas)
         for i in range(N):
-            assert np.array_equal(state.table[i], shadow[i])
+            assert np.array_equal(state.table[0, i], shadow[i])
 
 
 def test_exhaustive_unbiasedness_example():
@@ -131,11 +133,11 @@ def test_exhaustive_unbiasedness_example():
     v_vals, avg_vals = [], []
     for ids in enumerate_subsets(3, 2):
         upd = updates({i: deltas[i] for i in ids.tolist()})
-        sv = init_state(FEDVARP, np.zeros(1), N=3)
-        sv.table = np.ones((3, 1))
-        v_vals.append(-aggregator_step(sv, *upd, 1.0)[0])
-        sa = init_state(FEDAVG, np.zeros(1), N=3)
-        avg_vals.append(-aggregator_step(sa, *upd, 1.0)[0])
+        sv = init_state(FEDVARP, np.zeros((1, 1)), N=3)
+        sv.table = np.ones((1, 3, 1))
+        v_vals.append(-aggregator_step(sv, *upd, 1.0)[0, 0])
+        sa = init_state(FEDAVG, np.zeros((1, 1)), N=3)
+        avg_vals.append(-aggregator_step(sa, *upd, 1.0)[0, 0])
     assert np.mean(v_vals) == pytest.approx(3.0, abs=1e-13)
     assert np.mean(avg_vals) == pytest.approx(3.0, abs=1e-13)
 
@@ -143,9 +145,9 @@ def test_exhaustive_unbiasedness_example():
 def test_cluster_single_cluster_matches_fedavg_bitwise():
     rng = np.random.default_rng(62)
     upd = updates({i: rng.normal(size=3) for i in (0, 2, 5)})
-    a = init_state(FEDAVG, np.zeros(3), N=6)
-    c = init_state(CLUSTERFEDVARP, np.zeros(3), N=6, K=1, assignment=np.zeros(6, dtype=int))
-    c.table = rng.normal(size=(1, 3))  # arbitrary shared state must cancel
+    a = init_state(FEDAVG, np.zeros((1, 3)), N=6)
+    c = init_state(CLUSTERFEDVARP, np.zeros((1, 3)), N=6, K=1, assignment=np.zeros(6, dtype=int))
+    c.table = rng.normal(size=(1, 1, 3))  # arbitrary shared state must cancel
     wa = aggregator_step(a, *upd, 0.2)
     wc = aggregator_step(c, *upd, 0.2)
     assert wa.tobytes() == wc.tobytes()
@@ -153,30 +155,30 @@ def test_cluster_single_cluster_matches_fedavg_bitwise():
 
 def test_cluster_hand_case():
     state = init_state(
-        CLUSTERFEDVARP, np.zeros(1), N=4, K=2, assignment=np.array([0, 0, 1, 1])
+        CLUSTERFEDVARP, np.zeros((1, 1)), N=4, K=2, assignment=np.array([0, 0, 1, 1])
     )
-    state.table = np.array([[10.0], [20.0]])
+    state.table = np.array([[[10.0], [20.0]]])
     w = aggregator_step(state, *updates({0: [4.0], 2: [6.0]}), eta_tilde=1.0)
     # v = 1/2[(4-10)+(6-20)] + 1/4(10+10+20+20) = 5
-    assert w[0] == pytest.approx(-5.0, rel=1e-12)
-    assert np.allclose(state.table[:, 0], [4.0, 6.0])
+    assert w[0, 0] == pytest.approx(-5.0, rel=1e-12)
+    assert np.allclose(state.table[0, :, 0], [4.0, 6.0])
 
 
 def test_cluster_within_cluster_mean():
     state = init_state(
-        CLUSTERFEDVARP, np.zeros(1), N=4, K=2, assignment=np.array([0, 0, 1, 1])
+        CLUSTERFEDVARP, np.zeros((1, 1)), N=4, K=2, assignment=np.array([0, 0, 1, 1])
     )
-    state.table = np.array([[1.0], [9.0]])
+    state.table = np.array([[[1.0], [9.0]]])
     aggregator_step(state, *updates({0: [4.0], 1: [8.0]}), eta_tilde=1.0)
-    assert state.table[0, 0] == pytest.approx(6.0)
-    assert state.table[1, 0] == 9.0  # untouched cluster keeps its state
+    assert state.table[0, 0, 0] == pytest.approx(6.0)
+    assert state.table[0, 1, 0] == 9.0  # untouched cluster keeps its state
 
 
 def test_cluster_requires_assignment():
     with pytest.raises(ConfigError):
-        init_state(CLUSTERFEDVARP, np.zeros(1), N=4, K=2, assignment=None)
+        init_state(CLUSTERFEDVARP, np.zeros((1, 1)), N=4, K=2, assignment=None)
     with pytest.raises(ConfigError):
-        init_state(CLUSTERFEDVARP, np.zeros(1), N=4, K=2, assignment=np.array([0, 0, 1, 5]))
+        init_state(CLUSTERFEDVARP, np.zeros((1, 1)), N=4, K=2, assignment=np.array([0, 0, 1, 5]))
 
 
 def test_exhaustive_unbiasedness_property():
@@ -191,42 +193,41 @@ def test_mifa_full_history_matches_full_participation_average():
     N = 4
     deltas = {i: rng.normal(size=2) for i in range(N)}
     upd = updates(deltas)
-    m = init_state(MIFA, np.zeros(2), N=N)
-    a = init_state(FEDAVG, np.zeros(2), N=N)
+    m = init_state(MIFA, np.zeros((1, 2)), N=N)
+    a = init_state(FEDAVG, np.zeros((1, 2)), N=N)
     wm = aggregator_step(m, *upd, 0.5)
     wa = aggregator_step(a, *upd, 0.5)
     assert np.allclose(wm, wa, rtol=1e-12)
 
 
 def test_mifa_hand_case():
-    state = init_state(MIFA, np.zeros(1), N=2)
-    state.table = np.array([[0.0], [7.0]])
+    state = init_state(MIFA, np.zeros((1, 1)), N=2)
+    state.table = np.array([[[0.0], [7.0]]])
     w = aggregator_step(state, *updates({0: [3.0]}), eta_tilde=1.0)
-    assert np.allclose(state.table[:, 0], [3.0, 7.0])
-    assert w[0] == pytest.approx(-5.0)
+    assert np.allclose(state.table[0, :, 0], [3.0, 7.0])
+    assert w[0, 0] == pytest.approx(-5.0)
 
 
 def test_mifa_cold_start_bias():
-    state = init_state(MIFA, np.zeros(1), N=4)
+    state = init_state(MIFA, np.zeros((1, 1)), N=4)
     w = aggregator_step(state, *updates({0: [4.0]}), eta_tilde=1.0)
-    assert w[0] == pytest.approx(-1.0)  # averaged against three zero states
+    assert w[0, 0] == pytest.approx(-1.0)  # averaged against three zero states
 
 
-@pytest.mark.parametrize("R", [None, 2], ids=["lone", "stack"])
+@pytest.mark.parametrize("R", [1, 2], ids=["stack_of_one", "stack"])
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_an_overflowing_server_step_is_non_finite_without_a_warning(algo, R):
     # Finite updates whose sums overflow: the mean of the block, mifa's
     # table sum, and clusterfedvarp's refresh of a cluster with two
     # sampled members (clients 0 and 1 of cluster 0).
     N, M, d = 6, 3, 2
-    lead = () if R is None else (R,)
     K = 2 if algo == CLUSTERFEDVARP else None
-    state = init_state(algo, np.zeros((*lead, d)), N, K, block_assignment(N, K) if K else None)
-    ids = np.tile([0, 1, 4], (*lead, 1))
+    state = init_state(algo, np.zeros((R, d)), N, K, block_assignment(N, K) if K else None)
+    ids = np.tile([0, 1, 4], (R, 1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        w = aggregator_step(state, ids, np.full((*lead, M, d), 1e308), eta_tilde=0.1)
-    assert w.shape == (*lead, d) and not np.isfinite(w).any()
+        w = aggregator_step(state, ids, np.full((R, M, d), 1e308), eta_tilde=0.1)
+    assert w.shape == (R, d) and not np.isfinite(w).any()
 
 
 # Values whose sums cancel exactly or keep a signed zero.
@@ -244,14 +245,14 @@ def edge_rows(rng, n, d):
 
 
 def loop_step(state, parts, block, eta_tilde):
-    """The per-participant loops the array-shaped step replaces; parts is a tuple of ids."""
+    """The per-participant loops the array-shaped step replaces, on a stack of one; parts is a tuple of ids."""
     deltas = dict(zip(parts, block))
     M = len(parts)
     mean_delta = np.zeros_like(block[0])
     for i in parts:
         mean_delta = mean_delta + deltas[i]
     mean_delta = mean_delta / M
-    table = state.table
+    table = None if state.table is None else state.table[0]
     hit = {}
     if state.algo == FEDAVG:
         v = mean_delta
@@ -283,7 +284,7 @@ def loop_step(state, parts, block, eta_tilde):
 
 
 # A tuple of ids must not be read as a multi-axis index.
-ID_FORMS = (tuple, list, lambda parts: np.array(parts, dtype=np.intp))
+ID_FORMS = (lambda parts: (parts,), lambda parts: [list(parts)], lambda parts: np.array([parts], dtype=np.intp))
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
@@ -300,11 +301,11 @@ def test_steps_match_the_participant_loops_bitwise(algo, d, N, rounds, layout, s
     # Few clusters put several sampled members in one; K > N leaves some empty.
     K = int(rng.integers(1, N + 3))
     assignment = rng.integers(0, K, size=N)  # unsorted
-    w0 = edge_rows(rng, 1, d)[0]
+    w0 = edge_rows(rng, 1, d)
     # states[0] runs the loops; the others take the ids as each form in ID_FORMS.
     states = [init_state(algo, w0, N, K, assignment) for _ in range(1 + len(ID_FORMS))]
     if states[0].table is not None:
-        table = edge_rows(rng, *states[0].table.shape)
+        table = edge_rows(rng, *states[0].table.shape[1:])
         for state in states:
             state.table[:] = table
     for t in range(rounds):
@@ -312,11 +313,11 @@ def test_steps_match_the_participant_loops_bitwise(algo, d, N, rounds, layout, s
         parts = tuple(sorted(rng.choice(N, M, replace=False).tolist()))
         block = edge_rows(rng, M, d)
         if layout == "F":
-            passed = np.asfortranarray(block)
+            passed = np.asfortranarray(block[None])
         elif layout == "reversed view":
-            passed = block[::-1].copy()[::-1]
+            passed = block[::-1].copy()[::-1][None]
         else:
-            passed = block.copy()
+            passed = block[None].copy()
         eta_tilde = float(rng.choice([1.0, 0.3]))
         expected = loop_step(states[0], parts, block, eta_tilde)
         for form, state in zip(ID_FORMS, states[1:]):

@@ -1,7 +1,7 @@
 """The exact constants and the offset draws, bit for bit against the formulas they replaced.
 
-federation_constants and cluster_heterogeneity form their per-client
-terms in one pass over row blocks, and generate_federation draws its
+federation_constants forms its per-client terms in one pass over row
+blocks, sigma_K_sq for any clustering, and generate_federation draws its
 rows on row slabs. The reference below is the whole-array code with a
 Python loop over clusters; every result must carry its bits.
 """
@@ -14,7 +14,6 @@ from fedvarp_sim.core import ConfigError
 from fedvarp_sim.objectives import (
     FederationConfig,
     block_assignment,
-    cluster_heterogeneity,
     federation_constants,
     generate_federation,
 )
@@ -31,14 +30,14 @@ def _max_gap_sq(eigs, center, rows):
 def reference_cluster_heterogeneity(fed, assignment):
     worst = 0.0
     for k in np.unique(assignment):
-        members = fed.mus[assignment == k]
+        members = fed.mus[0, assignment == k]
         worst = max(worst, _max_gap_sq(fed.eigs, members.mean(axis=0), members))
     return worst
 
 
 def reference_constants(fed, assignment):
     """name -> value of the four scalar constants, and w_star."""
-    eigs, mus = fed.eigs, fed.mus
+    eigs, [mus] = fed.eigs, fed.mus
     mu_bar = mus.mean(axis=0)
     return {
         "L": float(np.max(eigs)),
@@ -58,7 +57,6 @@ def assert_matches_reference(fed, assignment):
     for name in SCALARS:
         assert bits(getattr(consts, name)) == bits(expected[name]), name
     assert bits(consts.w_star) == bits(w_star)
-    assert bits(cluster_heterogeneity(fed, assignment)) == bits(expected["sigma_K_sq"])
 
 
 def assignments(N, rng):
@@ -80,7 +78,7 @@ def test_pinned_federations_match_the_reference_bitwise(cfg):
     rng = np.random.default_rng(cfg.N)
     for assignment in assignments(cfg.N, rng)[-4:]:  # K = N and the non-contiguous ones
         expected = reference_cluster_heterogeneity(fed, assignment)
-        assert bits(cluster_heterogeneity(fed, assignment)) == bits(expected)
+        assert bits(federation_constants(fed, assignment).sigma_K_sq) == bits(expected)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -98,18 +96,18 @@ def test_random_federations_match_the_reference_bitwise(monkeypatch, N, d, block
     wide = rng.standard_normal((N, d)) * 10.0 ** rng.uniform(-8, 8, (N, d))
     for mus in (near, wide):
         for assignment in assignments(N, rng):
-            assert_matches_reference(make_federation(mus, eigs), assignment)
+            assert_matches_reference(make_federation(mus[None], eigs), assignment)
 
 
 def test_zero_eigenvalue_columns_and_negative_zero_rows_match_the_reference_bitwise():
     rng = np.random.default_rng(5)
-    mus = rng.standard_normal((12, 4))
-    mus[[0, 5, 6, 11]] = -0.0
-    mus[:, 2] = -0.0  # an all -0.0 column
+    mus = rng.standard_normal((1, 12, 4))
+    mus[:, [0, 5, 6, 11]] = -0.0
+    mus[..., 2] = -0.0  # an all -0.0 column
     for eigs in ([0.0, 1.0, 0.0, 2.0], [0.0] * 3 + [1.0]):
         for assignment in assignments(12, rng):
             assert_matches_reference(make_federation(mus, eigs), assignment)
-    all_zero = make_federation(np.full((6, 3), -0.0), [1.0, 0.0, 2.0])
+    all_zero = make_federation(np.full((1, 6, 3), -0.0), [1.0, 0.0, 2.0])
     for assignment in assignments(6, rng):
         assert_matches_reference(all_zero, assignment)
 
@@ -149,6 +147,6 @@ def test_overflowing_constants_are_a_config_error(spreads, eig):
     cfg = FederationConfig(8, 3, 4, *spreads, 0.0, eig, eig, seed=11)
     with pytest.raises(ConfigError, match="constants overflow float64"):
         generate_federation(cfg)
-    fed = make_federation([[1e200, 0.0], [-1e200, 0.0]], [1.0, 1.0])
+    fed = make_federation([[[1e200, 0.0], [-1e200, 0.0]]], [1.0, 1.0])
     with pytest.raises(ConfigError, match="constants overflow float64"):
         federation_constants(fed, block_assignment(2, 1))

@@ -332,7 +332,7 @@ def test_a_round_index_past_one_key_word_is_a_config_error(small_config, tmp_pat
 
 
 def _round_block(fed, w, seed, t, order):
-    return local_sgd(fed, order, w, 2, 0.05, substream_keys(seed, TAG_LOCAL, t, ids=order))
+    return local_sgd(fed, [order], w, 2, 0.05, substream_keys(seed, TAG_LOCAL, t, ids=order)[None])
 
 
 def test_participant_order_does_not_change_step():
@@ -355,14 +355,14 @@ def test_participant_order_does_not_change_step():
     )
     for algo in ALGORITHMS:
         K, assignment = (3, np.arange(N) % 3) if algo == CLUSTERFEDVARP else (None, None)
-        ascending = init_state(algo, np.zeros(d), N, K, assignment)
-        reversed_ = init_state(algo, np.zeros(d), N, K, assignment)
+        ascending = init_state(algo, np.zeros((1, d)), N, K, assignment)
+        reversed_ = init_state(algo, np.zeros((1, d)), N, K, assignment)
         for t in range(6):
             ids = sample_round(N, 5, substream(seed, TAG_SAMPLING, t))
             fwd = _round_block(fed, ascending.w, seed, t, ids)
             rev = _round_block(fed, reversed_.w, seed, t, ids[::-1])
-            aggregator_step(ascending, ids, fwd, 0.1)
-            aggregator_step(reversed_, ids, rev[::-1], 0.1)
+            aggregator_step(ascending, [ids], fwd, 0.1)
+            aggregator_step(reversed_, [ids], rev[:, ::-1], 0.1)
             assert ascending.w.tobytes() == reversed_.w.tobytes(), algo
             if algo != FEDAVG:
                 assert ascending.table.tobytes() == reversed_.table.tobytes(), algo
@@ -703,7 +703,7 @@ def test_fedavg_floor_matches_stationary_prediction(small_config):
     result = run(cfg, write_artifacts=False)
     fed, consts = generate_federation(cfg.federation)
     eigs = fed.eigs
-    gaps = eigs * (consts.w_star - fed.mus)  # N x d, constant in w
+    gaps = eigs * (consts.w_star - fed.mus[0])  # N x d, constant in w
     eta = (1 / 3) * (1 / 8) * 1
     predicted = 0.0
     for j in range(3):
@@ -804,7 +804,7 @@ def _reductions_flagged(cfg):
 
 def _fd_flagged(cfg):
     rng = np.random.default_rng(5)
-    fed = Federation(eigs=rng.uniform(0.2, 2.0, size=3), mus=rng.normal(size=(2, 3)))
+    fed = Federation(eigs=rng.uniform(0.2, 2.0, size=3), mus=rng.normal(size=(1, 2, 3)))
     return oracles.finite_difference_error(fed, rng.normal(size=(2, 3))) > 1e-6
 
 

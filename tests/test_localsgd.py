@@ -13,7 +13,8 @@ from fedvarp_sim.rng import TAG_LOCAL, philox_keys, substream
 
 
 def gradient(fed, i, w):
-    return fed.grads_and_losses(w)[0][i]
+    """Client i's exact gradient at w, of a stack of one federation."""
+    return fed.grads_and_losses(w)[0][0, i]
 
 
 def reference_local_sgd(eigs, mu, w, tau, eta_c, sigma, rng):
@@ -31,26 +32,26 @@ def reference_local_sgd(eigs, mu, w, tau, eta_c, sigma, rng):
 
 
 def test_single_noiseless_step_returns_gradient_bitwise():
-    fed = make_federation([[0.3, -1.7]], [0.8, 1.3])
-    w = np.array([2.0, 0.5])
-    (delta,) = local_sgd(fed, (0,), w, 1, 0.05)
+    fed = make_federation([[[0.3, -1.7]]], [0.8, 1.3])
+    w = np.array([[2.0, 0.5]])
+    [[delta]] = local_sgd(fed, [[0]], w, 1, 0.05)
     assert delta.tobytes() == gradient(fed, 0, w).tobytes()
 
 
 def test_two_step_hand_recursion():
-    fed = make_federation([[2.0]], [1.0])
-    w = np.array([0.0])
-    delta = local_sgd(fed, (0,), w, 2, 0.5)
-    assert delta[0, 0] == -1.5  # iterates 0 -> 1 -> 1.5, and (0 - 1.5) / (0.5 * 2)
-    assert (w - (0.5 * 2) * delta[0])[0] == 1.5  # the server step lands on the final iterate
-    assert w[0] == 0.0  # input untouched
+    fed = make_federation([[[2.0]]], [1.0])
+    w = np.array([[0.0]])
+    delta = local_sgd(fed, [[0]], w, 2, 0.5)
+    assert delta[0, 0, 0] == -1.5  # iterates 0 -> 1 -> 1.5, and (0 - 1.5) / (0.5 * 2)
+    assert (w - (0.5 * 2) * delta[:, 0])[0, 0] == 1.5  # the server step lands on the final iterate
+    assert w[0, 0] == 0.0  # input untouched
 
 
 def test_fixed_point_returns_zero_update():
-    fed = make_federation([[1.0, -2.0, 0.5]], [1.0, 0.7, 0.2])
+    fed = make_federation([[[1.0, -2.0, 0.5]]], [1.0, 0.7, 0.2])
     for tau in (1, 3, 7):
-        delta = local_sgd(fed, (0,), fed.mus[0], tau, 0.1)
-        assert np.array_equal(delta, np.zeros((1, 3)))
+        delta = local_sgd(fed, [[0]], fed.mus[:, 0], tau, 0.1)
+        assert np.array_equal(delta, np.zeros((1, 1, 3)))
 
 
 def test_server_step_reproduces_final_iterate_bitwise():
@@ -59,24 +60,24 @@ def test_server_step_reproduces_final_iterate_bitwise():
     rng = np.random.default_rng(40)
     for tau in (1, 2, 3, 5, 8):
         eigs = rng.uniform(0.3, 1.5, size=4)
-        fed = make_federation([rng.normal(size=4)], eigs, sigma=0.4)
-        w = rng.normal(size=4)
+        fed = make_federation([[rng.normal(size=4)]], eigs, sigma=0.4)
+        w = rng.normal(size=(1, 4))
         eta_c = float(rng.uniform(0.01, 0.2))
         stream_key = int(rng.integers(1 << 30))
-        delta = local_sgd(fed, (0,), w, tau, eta_c, substream_keys(stream_key, ids=[0]))
+        [[delta]] = local_sgd(fed, [[0]], w, tau, eta_c, substream_keys(stream_key, ids=[0])[None])
         stream = substream(stream_key, 0)
-        _, w_final = reference_local_sgd(eigs, fed.mus[0], w, tau, eta_c, 0.4, stream)
+        _, w_final = reference_local_sgd(eigs, fed.mus[0, 0], w[0], tau, eta_c, 0.4, stream)
         eta_tilde = (1.0 * eta_c) * tau
-        reconstructed = w - eta_tilde * delta[0]
+        reconstructed = w[0] - eta_tilde * delta
         assert reconstructed.tobytes() == w_final.tobytes()
 
 
 def test_determinism_in_stream_key():
-    fed = make_federation([[0.0, 0.0]], [1.0, 1.0], sigma=0.5)
-    w = np.array([1.0, -1.0])
-    a = local_sgd(fed, (0,), w, 4, 0.05, substream_keys(7, 3, ids=[5]))
-    b = local_sgd(fed, (0,), w, 4, 0.05, substream_keys(7, 3, ids=[5]))
-    c = local_sgd(fed, (0,), w, 4, 0.05, substream_keys(7, 3, ids=[6]))
+    fed = make_federation([[[0.0, 0.0]]], [1.0, 1.0], sigma=0.5)
+    w = np.array([[1.0, -1.0]])
+    a = local_sgd(fed, [[0]], w, 4, 0.05, substream_keys(7, 3, ids=[5])[None])
+    b = local_sgd(fed, [[0]], w, 4, 0.05, substream_keys(7, 3, ids=[5])[None])
+    c = local_sgd(fed, [[0]], w, 4, 0.05, substream_keys(7, 3, ids=[6])[None])
     assert a.tobytes() == b.tobytes()
     assert a.tobytes() != c.tobytes()
 
@@ -85,22 +86,21 @@ def test_noiseless_contraction():
     rng = np.random.default_rng(41)
     eigs = np.array([0.5, 1.0, 2.0])
     L = eigs.max()
-    fed = make_federation([rng.normal(size=3)], eigs)
+    fed = make_federation([[rng.normal(size=3)]], eigs)
+    mu = fed.mus[0, 0]
     for eta_c in (0.1 / L, 0.9 / L, 1.9 / L):
         for tau in (1, 2, 6):
-            w = rng.normal(size=3)
-            (delta,) = local_sgd(fed, (0,), w, tau, eta_c)
-            _, w_final = reference_local_sgd(eigs, fed.mus[0], w, tau, eta_c, 0.0, None)
-            assert (w - (eta_c * tau) * delta).tobytes() == w_final.tobytes()
-            assert np.linalg.norm(w_final - fed.mus[0]) <= np.linalg.norm(w - fed.mus[0]) * (
-                1 + 1e-12
-            )
+            w = rng.normal(size=(1, 3))
+            [[delta]] = local_sgd(fed, [[0]], w, tau, eta_c)
+            _, w_final = reference_local_sgd(eigs, mu, w[0], tau, eta_c, 0.0, None)
+            assert (w[0] - (eta_c * tau) * delta).tobytes() == w_final.tobytes()
+            assert np.linalg.norm(w_final - mu) <= np.linalg.norm(w[0] - mu) * (1 + 1e-12)
 
 
 def test_divergence_raises_with_step_index():
-    fed = make_federation([[0.0]], [1.0])
+    fed = make_federation([[[0.0]]], [1.0])
     with pytest.raises(DivergenceError) as err:
-        local_sgd(fed, (0,), np.array([1.0]), 500, 1e200)
+        local_sgd(fed, [[0]], np.array([[1.0]]), 500, 1e200)
     assert err.value.step >= 0
     assert err.value.step < 500
 
@@ -110,21 +110,21 @@ def test_divergence_step_is_that_of_the_first_diverging_row():
     # starting 1e-300 from its minimizer, overflows several steps after
     # client 1, starting 1 away. Trained one after another, client 0 is
     # the first to raise, with its own (later) step.
-    fed = make_federation([[1e-300], [1.0]], [1.0])
-    w = np.array([0.0])
+    fed = make_federation([[[1e-300], [1.0]]], [1.0])
+    w = np.array([[0.0]])
     steps = []
     for i in (0, 1):
         with pytest.raises(DivergenceError) as alone:
-            local_sgd(fed, (i,), w, 50, 1e100)
+            local_sgd(fed, [[i]], w, 50, 1e100)
         steps.append(alone.value.step)
     assert steps[0] > steps[1]
     with pytest.raises(DivergenceError) as err:
-        local_sgd(fed, (0, 1), w, 50, 1e100)
+        local_sgd(fed, [[0, 1]], w, 50, 1e100)
     assert err.value.step == steps[0]
     # Split into slabs, client 0 is slab 0 and client 1 diverges first in
     # slab 1; the lower row's step is still the one reported.
     with forced_split(), pytest.raises(DivergenceError) as err:
-        local_sgd(fed, (0, 1), w, 50, 1e100)
+        local_sgd(fed, [[0, 1]], w, 50, 1e100)
     assert err.value.step == steps[0]
 
 
@@ -132,12 +132,12 @@ def test_divergence_in_a_worker_slab_is_a_divergence_not_a_warning():
     # Only client 1, trained in the second slab's thread, overflows. The
     # suite turns warnings into errors, so a worker without its own
     # errstate would surface a RuntimeWarning here instead.
-    fed = make_federation([[0.0], [1.0]], [1.0])
-    w = np.array([0.0])
+    fed = make_federation([[[0.0], [1.0]]], [1.0])
+    w = np.array([[0.0]])
     with pytest.raises(DivergenceError) as alone:
-        local_sgd(fed, (1,), w, 50, 1e100)
+        local_sgd(fed, [[1]], w, 50, 1e100)
     with forced_split(), pytest.raises(DivergenceError) as err:
-        local_sgd(fed, (0, 1), w, 50, 1e100)
+        local_sgd(fed, [[0, 1]], w, 50, 1e100)
     assert err.value.step == alone.value.step
 
 
@@ -152,10 +152,10 @@ def test_a_stacked_call_reports_each_rows_first_divergent_step():
     solo = []
     for r in (0, 2):
         with pytest.raises(DivergenceError) as alone:
-            local_sgd(make_federation(mus[r], [1.0]), ids[r], w[r], 50, 10.0)
+            local_sgd(make_federation(mus[r : r + 1], [1.0]), ids[r : r + 1], w[r : r + 1], 50, 10.0)
         solo.append(alone.value.step)
     assert solo[1] < solo[0]
-    finite = local_sgd(make_federation(mus[1], [1.0]), ids[1], w[1], 50, 10.0)
+    finite = local_sgd(make_federation(mus[1:2], [1.0]), ids[1:2], w[1:2], 50, 10.0)
     for split in (1, 2):
         with forced_split(split), pytest.raises(DivergenceError) as err:
             local_sgd(fed, ids, w, 50, 10.0)
@@ -170,12 +170,12 @@ def test_no_slabs_steps_are_lost_under_contention():
     # finish; a short switch interval interleaves them. Rows 1e200 to 1e300
     # from their minimizers diverge at steps that fall with the distance,
     # and the nearest stay finite.
-    fed = make_federation(10.0 ** np.linspace(200, 300, 64)[:, None], [1.0])
-    ids, w = np.arange(64), np.zeros(1)
+    fed = make_federation(10.0 ** np.linspace(200, 300, 64)[None, :, None], [1.0])
+    ids, w = np.arange(64)[None], np.zeros((1, 1))
     with pytest.raises(DivergenceError) as one_slab:
         local_sgd(fed, ids, w, 50, 10.0)
     expected = one_slab.value.steps.tolist()
-    assert expected[0] == -1 and len(set(expected)) > 10
+    assert expected[0][0] == -1 and len(set(expected[0])) > 10
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -191,36 +191,36 @@ def test_equal_keys_give_equal_rows_under_a_split():
     # A row's noise depends on its key alone: rows given one key are
     # equal, in one slab or spread over threads that each rekey their
     # own generator, and equal to that key's stream trained alone.
-    fed = make_federation([[0.5, -1.0, 2.0]] * 3, [1.0, 0.5, 2.0], sigma=0.7)
-    w = np.array([1.0, 1.0, 1.0])
-    parts = np.zeros(64, dtype=int)
-    keys = np.repeat(substream_keys(5, ids=[1]), len(parts), axis=0)
+    fed = make_federation([[[0.5, -1.0, 2.0]] * 3], [1.0, 0.5, 2.0], sigma=0.7)
+    w = np.array([[1.0, 1.0, 1.0]])
+    parts = np.zeros((1, 64), dtype=int)
+    keys = np.repeat(substream_keys(5, ids=[1]), 64, axis=0)[None]
     serial = local_sgd(fed, parts, w, 3, 0.1, keys)
     with forced_split(workers=4):
         split = local_sgd(fed, parts, w, 3, 0.1, keys)
-    alone = local_sgd(fed, (0,), w, 3, 0.1, keys[:1])
-    assert split.tobytes() == serial.tobytes() == np.repeat(alone, len(parts), axis=0).tobytes()
+    alone = local_sgd(fed, [[0]], w, 3, 0.1, keys[:, :1])
+    assert split.tobytes() == serial.tobytes() == np.repeat(alone, 64, axis=1).tobytes()
 
 
 def test_noisy_call_needs_one_key_per_participant():
-    fed = make_federation([[0.0, 1.0]] * 3, [1.0, 2.0], sigma=0.5)
-    keys = substream_keys(3, ids=[0, 1, 2])
-    for bad in (None, keys[:2], keys[:, :1], keys.ravel(), [substream(3, 0)] * 3):
+    fed = make_federation([[[0.0, 1.0]] * 3], [1.0, 2.0], sigma=0.5)
+    keys = substream_keys(3, ids=[0, 1, 2])[None]
+    for bad in (None, keys[0], keys[:, :2], keys[..., :1], keys.ravel(), [[substream(3, 0)] * 3]):
         with pytest.raises(ConfigError, match="key block"):
-            local_sgd(fed, (0, 1, 2), np.zeros(2), 1, 0.1, bad)
+            local_sgd(fed, [[0, 1, 2]], np.zeros((1, 2)), 1, 0.1, bad)
     # A noiseless federation reads no keys.
-    plain = make_federation([[0.0, 1.0]] * 3, [1.0, 2.0])
-    assert local_sgd(plain, (0, 1, 2), np.zeros(2), 1, 0.1, keys).tobytes() == (
-        local_sgd(plain, (0, 1, 2), np.zeros(2), 1, 0.1).tobytes()
+    plain = make_federation([[[0.0, 1.0]] * 3], [1.0, 2.0])
+    assert local_sgd(plain, [[0, 1, 2]], np.zeros((1, 2)), 1, 0.1, keys).tobytes() == (
+        local_sgd(plain, [[0, 1, 2]], np.zeros((1, 2)), 1, 0.1).tobytes()
     )
 
 
 def test_local_steps_and_rate_are_checked():
-    fed = make_federation([[0.0]], [1.0])
+    fed = make_federation([[[0.0]]], [1.0])
     with pytest.raises(ConfigError, match="tau"):
-        local_sgd(fed, (0,), np.zeros(1), 0, 0.1)
+        local_sgd(fed, [[0]], np.zeros((1, 1)), 0, 0.1)
     with pytest.raises(ConfigError, match="eta_c"):
-        local_sgd(fed, (0,), np.zeros(1), 1, 0.0)
+        local_sgd(fed, [[0]], np.zeros((1, 1)), 1, 0.0)
 
 
 def test_one_cpu_trains_inline(monkeypatch):
@@ -228,13 +228,13 @@ def test_one_cpu_trains_inline(monkeypatch):
         raise AssertionError("a one-slab call must not start a thread")
 
     monkeypatch.setattr(core.threading, "Thread", no_threads)
-    fed = make_federation(np.ones((4, 3)), [1.0, 0.5, 2.0])
+    fed = make_federation(np.ones((1, 4, 3)), [1.0, 0.5, 2.0])
     with forced_split(workers=1):
-        local_sgd(fed, (0, 1, 2, 3), np.zeros(3), 2, 0.1)
+        local_sgd(fed, [[0, 1, 2, 3]], np.zeros((1, 3)), 2, 0.1)
     # Eight CPUs, but 4 * 2 * 3 elements of work, far below SPLIT_MIN_WORK.
     monkeypatch.setattr(core, "WORKERS", 8)
     assert 4 * 2 * 3 < core.SPLIT_MIN_WORK
-    local_sgd(fed, (0, 1, 2, 3), np.zeros(3), 2, 0.1)
+    local_sgd(fed, [[0, 1, 2, 3]], np.zeros((1, 3)), 2, 0.1)
 
 
 @settings(max_examples=80, deadline=None, database=None)
@@ -250,28 +250,28 @@ def test_batched_kernel_matches_per_client_recursion(M, tau, d, noisy, seed, wor
     rng = np.random.default_rng(seed)
     N = M + int(rng.integers(0, 4))
     sigma = float(rng.uniform(0.1, 2.0)) if noisy else 0.0
-    fed = make_federation(rng.normal(size=(N, d)), rng.uniform(0.1, 2.0, size=d), sigma)
+    fed = make_federation(rng.normal(size=(1, N, d)), rng.uniform(0.1, 2.0, size=d), sigma)
     parts = tuple(int(i) for i in rng.choice(N, size=M, replace=False))
-    w = rng.normal(size=d)
+    w = rng.normal(size=(1, d))
     eta_c = float(rng.uniform(0.01, 0.5))
 
     def train():
-        return local_sgd(fed, parts, w, tau, eta_c, philox_keys(seed, TAG_LOCAL, 7, ids=parts))
+        return local_sgd(fed, [parts], w, tau, eta_c, philox_keys(seed, TAG_LOCAL, 7, ids=parts)[None])
 
     inline = train()
     # The same draws split into min(M, workers) row slabs, M below the
     # worker count included.
     with forced_split(workers):
         split = train()
-    for deltas in (inline, split):
+    for [deltas] in (inline, split):
         assert deltas.shape == (M, d)
         for m, i in enumerate(parts):
             ref_delta, ref_final = reference_local_sgd(
-                fed.eigs, fed.mus[i], w, tau, eta_c, sigma, substream(seed, TAG_LOCAL, 7, i)
+                fed.eigs, fed.mus[0, i], w[0], tau, eta_c, sigma, substream(seed, TAG_LOCAL, 7, i)
             )
             assert deltas[m].tobytes() == ref_delta.tobytes()
             # Module identities: the server step with eta_s = 1 lands on the
             # final local iterate, and a noiseless single step is the gradient.
-            assert (w - (1.0 * eta_c * tau) * deltas[m]).tobytes() == ref_final.tobytes()
+            assert (w[0] - (1.0 * eta_c * tau) * deltas[m]).tobytes() == ref_final.tobytes()
             if tau == 1 and not noisy:
                 assert deltas[m].tobytes() == gradient(fed, i, w).tobytes()

@@ -8,7 +8,6 @@ from fedvarp_sim.core import ConfigError
 from fedvarp_sim.objectives import (
     Federation,
     FederationConfig,
-    cluster_heterogeneity,
     federation_constants,
     generate_federation,
     block_assignment,
@@ -22,7 +21,7 @@ from fedvarp_sim.rng import TAG_CENTERS, TAG_OFFSETS, substream
 
 def test_two_point_constants():
     # N=2, d=1, A=[1], minimizers at 0 and 2, two generator clusters.
-    fed = make_federation([[0.0], [2.0]], [1.0])
+    fed = make_federation([[[0.0], [2.0]]], [1.0])
     consts = federation_constants(fed, block_assignment(2, 2))
     assert consts.L == 1.0
     assert consts.w_star[0] == pytest.approx(1.0)
@@ -32,7 +31,7 @@ def test_two_point_constants():
 
 
 def test_identical_clients_have_zero_heterogeneity():
-    fed = make_federation([[1.0, -1.0]] * 4, [1.0, 2.0])
+    fed = make_federation([[[1.0, -1.0]] * 4], [1.0, 2.0])
     consts = federation_constants(fed, block_assignment(4, 1))
     assert consts.sigma_g_sq == 0.0
     assert consts.sigma_K_sq == 0.0
@@ -110,20 +109,20 @@ def test_offsets_respect_within_cluster_spread():
     # With zero spread every client sits exactly at its cluster's center.
     centers, _ = generate_federation(replace(cfg, within_cluster_spread=0.0))
     assign = block_assignment(8, 2)
-    assert np.array_equal(centers.mus, centers.mus[assign * 4])
-    for mu, center in zip(fed.mus, centers.mus):
+    assert np.array_equal(centers.mus, centers.mus[:, assign * 4])
+    for mu, center in zip(fed.mus[0], centers.mus[0]):
         assert 0 < np.linalg.norm(mu - center) <= spread + 1e-12
 
 
 def _old_loop_mus(cfg):
-    """mus as generate_federation built them with one substream per client."""
+    """mus as generate_federation built them with one substream per client, as a stack of one."""
     scale = cfg.cluster_center_spread / np.sqrt(cfg.d)
     centers = scale * substream(cfg.seed, TAG_CENTERS).standard_normal((cfg.K_true, cfg.d))
     assign = block_assignment(cfg.N, cfg.K_true)
     hw = cfg.within_cluster_spread / np.sqrt(cfg.d)
-    mus = np.empty((cfg.N, cfg.d))
+    mus = np.empty((1, cfg.N, cfg.d))
     for i in range(cfg.N):
-        mus[i] = centers[assign[i]] + substream(cfg.seed, TAG_OFFSETS, i).uniform(-hw, hw, cfg.d)
+        mus[0, i] = centers[assign[i]] + substream(cfg.seed, TAG_OFFSETS, i).uniform(-hw, hw, cfg.d)
     return mus, assign
 
 
@@ -175,66 +174,55 @@ def test_block_assignment_is_equal_blocks_or_balanced():
                 assert sizes.min() >= 1 and sizes.max() - sizes.min() <= 1
 
 def test_noiseless_gradient_is_exact():
-    fed = make_federation([[0.0, 0.0]], [1.0, 1.0])
-    w = np.array([3.0, 4.0])
-    g = local_sgd(fed, (0,), w, 1, 0.1)
-    assert np.array_equal(g, [[3.0, 4.0]])
-    at_mu = local_sgd(fed, (0,), fed.mus[0], 1, 0.1)
-    assert np.array_equal(at_mu, [[0.0, 0.0]])
-
-
-def test_noise_mean_and_variance():
-    fed = make_federation([[0.5, -0.5]], [1.0, 2.0], sigma=1.0)
-    w = np.array([1.0, 1.0])
-    exact = fed.grads_and_losses(w)[0][0]
-    draws = exact + fed.draw_noise(substream(123, 1), np.empty((100_000, 2)))
-    mean_err = np.abs(draws.mean(axis=0) - exact)
-    assert np.all(mean_err < 0.02)
-    noise_sq = np.sum((draws - exact) ** 2, axis=1)
-    assert abs(noise_sq.mean() - 1.0) < 0.03
+    fed = make_federation([[[0.0, 0.0]]], [1.0, 1.0])
+    w = np.array([[3.0, 4.0]])
+    g = local_sgd(fed, [[0]], w, 1, 0.1)
+    assert np.array_equal(g, [[[3.0, 4.0]]])
+    at_mu = local_sgd(fed, [[0]], fed.mus[:, 0], 1, 0.1)
+    assert np.array_equal(at_mu, [[[0.0, 0.0]]])
 
 
 def test_global_single_client():
-    fed = make_federation([[2.0]], [1.5])
-    g, loss = global_grad_and_loss(fed, np.array([0.0]))
-    assert g[0] == pytest.approx(-3.0)
-    assert loss == pytest.approx(0.5 * 1.5 * 4.0)
+    fed = make_federation([[[2.0]]], [1.5])
+    g, loss = global_grad_and_loss(fed, np.array([[0.0]]))
+    assert g[0, 0] == pytest.approx(-3.0)
+    assert loss[0] == pytest.approx(0.5 * 1.5 * 4.0)
 
 
 def test_global_zero_gradient_at_mean():
-    fed = make_federation([[0.0, 1.0], [2.0, 3.0], [4.0, -1.0]], [1.0, 0.5])
-    mu_bar = fed.mus.mean(axis=0)
+    fed = make_federation([[[0.0, 1.0], [2.0, 3.0], [4.0, -1.0]]], [1.0, 0.5])
+    mu_bar = fed.mus.mean(axis=1)
     g, _ = global_grad_and_loss(fed, mu_bar)
     assert np.max(np.abs(g)) < 1e-15
 
 
 def test_global_hand_case():
-    fed = make_federation([[0.0], [2.0]], [1.0])
-    g, loss = global_grad_and_loss(fed, np.array([0.0]))
-    assert g[0] == pytest.approx(-1.0)
-    assert loss == pytest.approx(1.0)
+    fed = make_federation([[[0.0], [2.0]]], [1.0])
+    g, loss = global_grad_and_loss(fed, np.array([[0.0]]))
+    assert g[0, 0] == pytest.approx(-1.0)
+    assert loss[0] == pytest.approx(1.0)
 
 
 def test_global_empty_rejected():
     with pytest.raises(ConfigError):
-        Federation(eigs=np.ones(1), mus=np.zeros((0, 1)))
+        Federation(eigs=np.ones(1), mus=np.zeros((1, 0, 1)))
 
 
 def test_finite_difference_agreement():
     rng = np.random.default_rng(21)
     eigs = rng.uniform(0.1, 3.0, size=5)
-    fed = make_federation(rng.normal(size=(3, 5)), eigs)
+    fed = make_federation(rng.normal(size=(1, 3, 5)), eigs)
     assert finite_difference_error(fed, rng.normal(size=(3, 5))) < 1e-6
 
 
 def test_smoothness_with_equality_witness():
     rng = np.random.default_rng(22)
     eigs = np.array([0.3, 0.9, 2.0])
-    fed = make_federation([rng.normal(size=3)], eigs)
+    fed = make_federation([[rng.normal(size=3)]], eigs)
     L = eigs.max()
 
     def grad(w):
-        return fed.grads_and_losses(w)[0][0]
+        return fed.grads_and_losses(w[None])[0][0, 0]
 
     for _ in range(1000):
         x, y = rng.normal(size=(2, 3))
@@ -249,24 +237,24 @@ def test_smoothness_with_equality_witness():
 
 def test_heterogeneity_is_w_independent_and_matches_reported():
     fed, consts = generate_federation(FederationConfig(6, 4, 3, 1.5, 0.3, 0.0, 0.4, 1.2, seed=31))
-    mu_bar = fed.mus.mean(axis=0)
+    mu_bar = fed.mus[0].mean(axis=0)
     rng = np.random.default_rng(32)
     gaps = []
-    for i, mu in enumerate(fed.mus):
+    for i, mu in enumerate(fed.mus[0]):
         expected = float(np.sum((fed.eigs * (mu_bar - mu)) ** 2))
         for _ in range(5):
-            w = rng.normal(size=4)
+            w = rng.normal(size=(1, 4))
             g_global, _ = global_grad_and_loss(fed, w)
-            gap = float(np.sum((fed.grads_and_losses(w)[0][i] - g_global) ** 2))
+            gap = float(np.sum((fed.grads_and_losses(w)[0][0, i] - g_global[0]) ** 2))
             assert gap == pytest.approx(expected, rel=1e-10, abs=1e-14)
         gaps.append(expected)
     assert max(gaps) == pytest.approx(consts.sigma_g_sq, rel=1e-12)
 
 
 def test_cluster_heterogeneity_uses_assignment():
-    fed = make_federation([[0.0], [0.2], [5.0], [5.2]], [1.0])
-    tight = cluster_heterogeneity(fed, np.array([0, 0, 1, 1]))
-    loose = cluster_heterogeneity(fed, np.array([0, 1, 0, 1]))
+    fed = make_federation([[[0.0], [0.2], [5.0], [5.2]]], [1.0])
+    tight = federation_constants(fed, np.array([0, 0, 1, 1])).sigma_K_sq
+    loose = federation_constants(fed, np.array([0, 1, 0, 1])).sigma_K_sq
     assert tight == pytest.approx(0.01)
     assert loose > 1.0
 
@@ -287,10 +275,10 @@ def test_cached_mus_metrics_match_stacked_bitwise(N, d, K_true):
     rng = np.random.default_rng(N * 1000 + d)
     for trial in range(5):
         fed, _ = generate_federation(FederationConfig(N, d, K_true, 1.5, 0.3, 0.0, 0.2, 1.7, trial))
-        mu_list = [fed.mus[i].copy() for i in range(N)]
+        mu_list = [fed.mus[0, i].copy() for i in range(N)]
         for scale in (1e-3, 1.0, 1e150):
-            w = rng.normal(size=d) * scale
+            w = rng.normal(size=(1, d)) * scale
             g, loss = global_grad_and_loss(fed, w)
-            g_ref, loss_ref = stacked_grad_and_loss(mu_list, fed.eigs, w)
+            g_ref, loss_ref = stacked_grad_and_loss(mu_list, fed.eigs, w[0])
             assert g.tobytes() == g_ref.tobytes()
-            assert np.float64(loss).tobytes() == np.float64(loss_ref).tobytes()
+            assert loss.tobytes() == np.float64(loss_ref).tobytes()

@@ -1,10 +1,10 @@
 """A stack of R replicates on a leading axis has each replicate's bits.
 
-The kernels take an optional replicate axis: a stacked Federation's
-(R, N, d) minimizers, (R, d) iterates, (R, M) participants and (R, M, d)
-blocks. Every stacked call must give each replicate the bytes of its own
-call, and a sweep that stacks its points must write each point's
-artifacts exactly as a solo run of that point does.
+The kernels take only stacks: a Federation's (R, N, d) minimizers, (R, d)
+iterates, (R, M) participants and (R, M, d) blocks. Every stacked call
+must give each replicate the bytes of its own stack of one, and a sweep
+that stacks its points must write each point's artifacts exactly as a
+solo run of that point does.
 """
 import json
 from pathlib import Path
@@ -14,12 +14,12 @@ import pytest
 
 from conftest import make_federation
 from fedvarp_sim import harness
-from fedvarp_sim.aggregators import aggregator_step, init_state
+from fedvarp_sim.aggregators import ServerAggregatorState, aggregator_step, init_state
 from fedvarp_sim.artifacts import RUN_ARTIFACTS
 from fedvarp_sim.config import sweep_point
-from fedvarp_sim.core import ALGORITHMS, CLUSTERFEDVARP, ConfigError, DivergenceError
+from fedvarp_sim.core import ALGORITHMS, CLUSTERFEDVARP, ConfigError, DimensionError, DivergenceError
 from fedvarp_sim.localsgd import local_sgd
-from fedvarp_sim.objectives import Federation, block_assignment, global_grad_and_loss
+from fedvarp_sim.objectives import Federation, block_assignment, federation_constants, global_grad_and_loss
 from fedvarp_sim.harness import run, sweep
 
 # ---------------------------------------------------------------------------
@@ -46,9 +46,9 @@ def test_stacked_metrics_equal_each_replicates_own(d):
         g, loss = global_grad_and_loss(fed, w)
         assert g.shape == (R, d) and loss.shape == (R,)
         for r in range(R):
-            g_r, loss_r = global_grad_and_loss(make_federation(fed.mus[r], fed.eigs), w[r])
+            g_r, loss_r = global_grad_and_loss(make_federation(fed.mus[r : r + 1], fed.eigs), w[r : r + 1])
             assert g[r].tobytes() == g_r.tobytes(), (R, N, d, r)
-            assert loss[r].tobytes() == np.float64(loss_r).tobytes(), (R, N, d, r)
+            assert loss[r].tobytes() == loss_r.tobytes(), (R, N, d, r)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.4])
@@ -63,8 +63,8 @@ def test_stacked_local_sgd_equals_each_replicates_own(sigma, d):
     block = local_sgd(fed, ids, w, tau, 0.05, keys)
     assert block.shape == (R, M, d)
     for r in range(R):
-        own_fed = make_federation(fed.mus[r], fed.eigs, sigma)
-        own = local_sgd(own_fed, ids[r], w[r], tau, 0.05, None if keys is None else keys[r])
+        own_fed = make_federation(fed.mus[r : r + 1], fed.eigs, sigma)
+        own = local_sgd(own_fed, ids[r : r + 1], w[r : r + 1], tau, 0.05, None if keys is None else keys[r : r + 1])
         assert block[r].tobytes() == own.tobytes(), r
 
 
@@ -88,14 +88,14 @@ def test_stacked_server_steps_equal_each_replicates_own(algo, K, d):
     R, N, M = 5, 10, 4
     assignment = block_assignment(N, K) if K else None
     stacked = init_state(algo, np.zeros((R, d)), N, K, assignment)
-    alone = [init_state(algo, np.zeros(d), N, K, assignment) for _ in range(R)]
+    alone = [init_state(algo, np.zeros((1, d)), N, K, assignment) for _ in range(R)]
     for t in range(6):
         ids = participant_sets(rng, R, N, M)
         block = rng.normal(size=(R, M, d)) * 10.0 ** rng.integers(-5, 5, size=(R, M, 1))
         block[rng.random((R, M)) < 0.2] = -0.0
         aggregator_step(stacked, ids, block, 0.3)
         for r, state in enumerate(alone):
-            aggregator_step(state, ids[r], block[r], 0.3)
+            aggregator_step(state, ids[r : r + 1], block[r : r + 1], 0.3)
             assert stacked.w[r].tobytes() == state.w.tobytes(), (algo, t, r)
             if state.table is not None:
                 assert stacked.table[r].tobytes() == state.table.tobytes(), (algo, t, r)
@@ -110,11 +110,29 @@ def test_stacked_server_step_rejects_a_bad_row():
 
 def test_a_stacked_federation_shares_eigs_and_noise():
     fed = make_federation(np.zeros((3, 4, 2)), [1.0, 2.0], 0.5)
-    assert fed.lead == (3,) and fed.d == 2
-    one = make_federation(fed.mus[1], fed.eigs, fed.noise_sigma)
-    assert one.lead == () and one.noise_sigma == 0.5 and np.shares_memory(one.mus, fed.mus)
-    with pytest.raises(ConfigError, match="mus must be"):
-        Federation(eigs=np.ones(2), mus=np.zeros((1, 1, 4, 2)))
+    assert fed.mus.shape == (3, 4, 2) and fed.d == 2
+    one = make_federation(fed.mus[1:2], fed.eigs, fed.noise_sigma)
+    assert one.noise_sigma == 0.5 and np.shares_memory(one.mus, fed.mus)
+    for mus in (np.zeros((4, 2)), np.zeros((1, 1, 4, 2))):
+        with pytest.raises(ConfigError, match="mus must be"):
+            Federation(eigs=np.ones(2), mus=mus)
+
+
+def test_lone_shapes_are_refused():
+    # A lone model, participant set or server state is a shape error, not a stack of one.
+    fed = make_federation(np.zeros((1, 4, 3)), np.ones(3))
+    with pytest.raises(DimensionError, match="model shape"):
+        global_grad_and_loss(fed, np.zeros(3))
+    with pytest.raises(DimensionError, match="model shape"):
+        local_sgd(fed, [0, 1], np.zeros(3), 1, 0.1)
+    with pytest.raises(DimensionError, match="participants"):
+        local_sgd(fed, [0, 1], np.zeros((1, 3)), 1, 0.1)
+    with pytest.raises(DimensionError, match="w0"):
+        init_state("mifa", np.zeros(3), N=4)
+    with pytest.raises(DimensionError, match="stack"):
+        aggregator_step(ServerAggregatorState("fedavg", w=np.zeros(3), N=4), [0, 1], np.zeros((2, 3)), 0.1)
+    with pytest.raises(DimensionError, match="update block"):
+        aggregator_step(init_state("fedavg", np.zeros((1, 3)), N=4), [[0, 1]], np.zeros((2, 3)), 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +328,7 @@ def test_stacks_of_one_federation_share_one_copy(small_config, tmp_path, monkeyp
     assert all(fed.mus is seen[0].mus for fed in seen)
 
 
-def test_a_lone_run_views_its_generated_federation(small_config, monkeypatch):
+def test_a_lone_run_runs_its_generated_stack(small_config, monkeypatch):
     generated, seen = [], []
     generate_federation, run_stack = harness.generate_federation, harness.run_stack
 
@@ -327,7 +345,7 @@ def test_a_lone_run_views_its_generated_federation(small_config, monkeypatch):
     monkeypatch.setattr(harness, "run_stack", recording)
     run(small_config(T=3), write_artifacts=False)
     [mus], [fed] = generated, seen
-    assert fed.mus.shape == (1, 8, 3) and fed.mus.base is mus
+    assert fed.mus.shape == (1, 8, 3) and fed.mus is mus
 
 
 def test_summary_values_are_the_values_the_points_hold(small_config, tmp_path):
@@ -343,8 +361,22 @@ def test_summary_values_are_the_values_the_points_hold(small_config, tmp_path):
 def test_manifest_reuses_the_generators_cluster_heterogeneity(small_config, monkeypatch):
     cfg = small_config(algo="clusterfedvarp", K=4, K_true=4, T=0)
     fed, consts, _ = harness._realize(cfg)
-    expected = harness.cluster_heterogeneity(fed, block_assignment(8, 4))
-    monkeypatch.setattr(harness, "cluster_heterogeneity", None)  # a call would fail
+    expected = federation_constants(fed, block_assignment(8, 4)).sigma_K_sq
+    monkeypatch.setattr(harness, "federation_constants", None)  # a second constants call would fail
     manifest = harness.build_manifest(cfg, fed, consts, block_assignment(8, 4))
     assert manifest["constants"]["sigma_K_sq"] == expected
     assert json.dumps(manifest["constants"]) == json.dumps(run(cfg, write_artifacts=False).manifest["constants"])
+
+
+def test_run_many_refuses_configs_that_share_an_output_dir(small_config, tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, "generate_federation")
+    for alias in ("a", "b/../a"):
+        cfgs = [
+            small_config(T=3, seed=seed, output_dir=tmp_path / out) for seed, out in ((1, "a"), (2, "b"), (3, alias))
+        ]
+        with pytest.raises(ConfigError, match="share the output_dir") as err:
+            harness.run_many(cfgs)
+        assert err.value.point == 2 and str(cfgs[2].output_dir) in str(err.value)
+        assert calls == {"generate_federation": 0} and not any(tmp_path.iterdir())
+    # Without artifacts nothing is written, so the configs may share a directory.
+    assert all(out.completed for out in harness.run_many(cfgs, write_artifacts=False))

@@ -90,9 +90,9 @@ def test_ordered_row_sum_zero_scale_adds_nothing():
 
 
 def old_grad_and_loss(fed, w):
-    """The metrics pass before blocking: (N, d) gradients, then numpy means."""
-    grads, losses = fed.grads_and_losses(w)
-    return grads.mean(axis=0), float(losses.mean())
+    """The metrics pass before blocking: (N, d) gradients, then numpy means; fed is a stack of one."""
+    [grads], [losses] = fed.grads_and_losses(w)
+    return grads.mean(axis=0), losses.mean()
 
 
 def test_blocked_metrics_match_whole_table_bitwise():
@@ -102,14 +102,14 @@ def test_blocked_metrics_match_whole_table_bitwise():
     for N, d in shapes:
         eigs = rng.uniform(0.2, 1.7, size=d)
         eigs[rng.random(d) < 0.3] = 0.0  # zero curvature: gradient components of ±0.0
-        fed = make_federation(rng.normal(size=(N, d)), eigs)
-        points = [rng.normal(size=d) * s for s in (1e-3, 1.0, 1e100)]
-        points.append(fed.mus.min(axis=0) - 1.0)  # every w - mu_i < 0: all -0.0 in zero columns
+        fed = make_federation(rng.normal(size=(1, N, d)), eigs)
+        points = [rng.normal(size=(1, d)) * s for s in (1e-3, 1.0, 1e100)]
+        points.append(fed.mus.min(axis=1) - 1.0)  # every w - mu_i < 0: all -0.0 in zero columns
         for w in points:
             g, loss = global_grad_and_loss(fed, w)
             g_ref, loss_ref = old_grad_and_loss(fed, w)
             assert g.tobytes() == g_ref.tobytes(), (N, d)
-            assert np.float64(loss).tobytes() == np.float64(loss_ref).tobytes(), (N, d)
+            assert loss.tobytes() == loss_ref.tobytes(), (N, d)
 
 
 def peak_traced_bytes(fn):
@@ -126,16 +126,16 @@ def test_table_reductions_allocate_far_less_than_the_table():
     N, d, M = 4000, 100, 50
     bound = N * d * 8 / 4
     rng = np.random.default_rng(3)
-    fed = make_federation(rng.normal(size=(N, d)), rng.uniform(0.1, 2.0, size=d))
-    w = rng.normal(size=d)
+    fed = make_federation(rng.normal(size=(1, N, d)), rng.uniform(0.1, 2.0, size=d))
+    w = rng.normal(size=(1, d))
     assert peak_traced_bytes(lambda: global_grad_and_loss(fed, w)) < bound
 
-    ids = np.sort(rng.choice(N, size=M, replace=False))
-    block = rng.normal(size=(M, d))
+    ids = np.sort(rng.choice(N, size=M, replace=False))[None]
+    block = rng.normal(size=(1, M, d))
     states = [
-        init_state(FEDVARP, np.zeros(d), N),
-        init_state(CLUSTERFEDVARP, np.zeros(d), N, K=N // 2, assignment=rng.integers(0, N // 2, N)),
-        init_state(MIFA, np.zeros(d), N),
+        init_state(FEDVARP, np.zeros((1, d)), N),
+        init_state(CLUSTERFEDVARP, np.zeros((1, d)), N, K=N // 2, assignment=rng.integers(0, N // 2, N)),
+        init_state(MIFA, np.zeros((1, d)), N),
     ]
     for state in states:
         state.table[:] = rng.normal(size=state.table.shape)
