@@ -132,7 +132,7 @@ def aggregator_step(
         if state.algo == FEDAVG:
             v = sum_rows(block) / M
         elif state.algo == MIFA:  # stored and fresh updates weigh the same
-            state.table.reshape(R * N, d)[_stack_rows(ids, N)] = block.reshape(R * M, d)
+            state.table[np.arange(R)[:, None], ids] = block  # through the 3-D table: a reshape may copy
             v = sum_rows(state.table) / N
         else:
             v = _stored_update(state, ids, block)
@@ -154,16 +154,16 @@ def _stored_update(state: ServerAggregatorState, ids: np.ndarray, block: np.ndar
     stores the mean update of those members, other clusters keep their
     state. With singleton clusters this is fedvarp: the coefficients are
     1/M and 1/N and the refresh stores delta_i / 1. ids is (R, M) and
-    block (R, M, d); the R tables are read as one (R*K, d) table whose
-    row r*K + k is cluster k of replicate r.
+    block (R, M, d); row r*K + k of the R tables, counted as one (R*K, d)
+    table, is cluster k of replicate r, at (r, k) of the 3-D table.
     """
     R, M, d = block.shape
     K = state.sizes.shape[0]
     table = state.table
-    flat = table.reshape(R * K, d)
     slot = _stack_rows(state.assignment[ids], K)  # table row of each block row
     counts = np.bincount(slot, minlength=R * K)
     hit = counts.nonzero()[0]  # rows with sampled members: by replicate, clusters ascending
+    at = np.divmod(hit, K)  # (replicate, cluster) of each hit row
     members = counts[hit]
 
     # The hit rows are at most M per replicate, so they are scaled in one
@@ -172,10 +172,10 @@ def _stored_update(state: ServerAggregatorState, ids: np.ndarray, block: np.ndar
     # reads the table in small blocks and never copies it whole. Empty
     # clusters get coefficient 0 instead of being skipped: that adds
     # ±0.0, which leaves a sum started at +0.0 unchanged.
-    hit_rows = flat[hit]
+    hit_rows = table[at]
     hit_rows *= (members / M)[:, None]
     if R > 1:
-        rep = hit // K
+        rep = at[0]
         per_rep = np.bincount(rep, minlength=R)
         padded = np.zeros((R, per_rep.max(), d))
         padded[rep, np.arange(hit.size) - (per_rep.cumsum() - per_rep)[rep]] = hit_rows
@@ -205,7 +205,7 @@ def _stored_update(state: ServerAggregatorState, ids: np.ndarray, block: np.ndar
         more = (members > j).nonzero()[0]
         acc[more] += rows[order[first[more] + j]]
     acc /= members[:, None]
-    flat[hit] = acc
+    table[at] = acc
     return v
 
 

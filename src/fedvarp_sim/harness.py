@@ -51,6 +51,10 @@ from .sampling import sample_rounds
 # per replicate, or of one round where a round has more.
 ROUND_KEY_CHUNK = 1024
 
+# run_many's realized federations, kept for its next call: federation
+# config -> (federation, constants, round-0 record), as _realize builds them.
+_realized = {}
+
 
 # ---------------------------------------------------------------------------
 # Running
@@ -123,6 +127,8 @@ def _realize(cfg: RunConfig) -> tuple[Federation, FederationConstants, RunRecord
     federation alone; a non-finite one is a ConfigError.
     """
     fed, consts = generate_federation(cfg.federation)
+    for array in (fed.mus, fed.eigs, consts.w_star):  # run_many keeps them for later calls
+        array.flags.writeable = False
     [first] = _measure(fed, np.zeros((1, cfg.federation.d)), consts.w_star[None], 0)
     if not _finite(first):
         raise ConfigError("metrics of the initial point overflow float64")
@@ -177,8 +183,11 @@ def run_many(cfgs: list[RunConfig], write_artifacts: bool = True, _sweep_dir: st
     MemoryError of that preparation holds its config's index as `point`.
     A stack of R > 1 holds one (R, N, d) copy of its federations, a stack
     of one the generated federation; configs of one federation config share it.
+    The realized federations stay in _realized, read-only, for the next
+    call, which first drops those of the federation configs it does not use.
     """
-    built = {}  # federation config -> its realized federation
+    for unused in _realized.keys() - {cfg.federation for cfg in cfgs}:
+        del _realized[unused]
     copies = {}  # the federation configs of a stack -> its (R, N, d) federation and realized points
     stacks = []
     owners = {}  # output directory -> the first config writing to it
@@ -193,11 +202,16 @@ def run_many(cfgs: list[RunConfig], write_artifacts: bool = True, _sweep_dir: st
             if feds not in copies:
                 mus = np.empty((len(idx), feds[0].N, feds[0].d)) if len(idx) > 1 else None
                 for r, point in enumerate(idx):
-                    fed, consts, first = built.get(feds[r]) or _realize(cfgs[point])
+                    fed, consts, first = _realized.get(feds[r]) or _realize(cfgs[point])
                     if mus is not None:
                         mus[r] = fed.mus[0]
-                    built[feds[r]] = (fed if mus is None else replace(fed, mus=mus[r : r + 1]), consts, first)
-                copies[feds] = fed if mus is None else replace(fed, mus=mus), [built[f] for f in feds]
+                        fed = replace(fed, mus=mus[r : r + 1])
+                        fed.mus.flags.writeable = False
+                    _realized[feds[r]] = (fed, consts, first)
+                if mus is not None:
+                    mus.flags.writeable = False
+                    fed = replace(fed, mus=mus)
+                copies[feds] = fed, [_realized[f] for f in feds]
             stacks.append((idx, *copies[feds]))
     except (ConfigError, MemoryError) as exc:  # MemoryError: a configured size too large to allocate
         exc.point = point

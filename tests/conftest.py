@@ -5,7 +5,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from fedvarp_sim import core
+from fedvarp_sim import core, harness
 from fedvarp_sim.config import AlgoConfig, RunConfig
 from fedvarp_sim.core import HyperConfig
 from fedvarp_sim.objectives import Federation, FederationConfig
@@ -49,6 +49,12 @@ def substream_keys(seed, *path, ids):
     """The Philox key of substream(seed, *path, i) for each i in ids, shape (len(ids), 2) uint64."""
     keys = [substream(seed, *path, int(i)).bit_generator.state["state"]["key"] for i in ids]
     return np.array(keys, dtype=np.uint64).reshape(len(keys), 2)
+
+
+@pytest.fixture(autouse=True)
+def cold_federations():
+    """Empty run_many's kept federations, so each test starts as a fresh process does."""
+    harness._realized.clear()
 
 
 @pytest.fixture(autouse=True)

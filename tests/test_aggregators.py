@@ -208,6 +208,20 @@ def test_mifa_hand_case():
     assert w[0, 0] == pytest.approx(-5.0)
 
 
+@pytest.mark.parametrize("algo", [MIFA, FEDVARP, CLUSTERFEDVARP])
+def test_a_strided_table_takes_the_writes_of_a_contiguous_one(algo):
+    # A transposed view: reshaping it to (R * rows, d) would copy it and drop the writes.
+    participants, block = np.array([[0, 1], [1, 2]]), np.ones((2, 2, 2))
+    states = [init_state(algo, np.zeros((2, 2)), N=3, K=3, assignment=np.arange(3)) for _ in range(2)]
+    states[1].table = np.zeros((2, 2, 3)).transpose(0, 2, 1)
+    for state in states:
+        aggregator_step(state, participants, block, eta_tilde=1.0)
+    contiguous, strided = states
+    assert contiguous.table.any() and contiguous.w.any()
+    assert strided.table.tobytes() == contiguous.table.tobytes()
+    assert strided.w.tobytes() == contiguous.w.tobytes()
+
+
 def test_mifa_cold_start_bias():
     state = init_state(MIFA, np.zeros((1, 1)), N=4)
     w = aggregator_step(state, *updates({0: [4.0]}), eta_tilde=1.0)

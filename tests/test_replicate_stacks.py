@@ -380,3 +380,92 @@ def test_run_many_refuses_configs_that_share_an_output_dir(small_config, tmp_pat
         assert calls == {"generate_federation": 0} and not any(tmp_path.iterdir())
     # Without artifacts nothing is written, so the configs may share a directory.
     assert all(out.completed for out in harness.run_many(cfgs, write_artifacts=False))
+
+
+# ---------------------------------------------------------------------------
+# Realized federations kept across run_many calls
+
+
+def cold_artifacts(cfg) -> dict:
+    """The artifacts of cfg's run made after emptying run_many's kept federations."""
+    harness._realized.clear()
+    run(cfg)
+    return point_artifacts(cfg)
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.3], ids=["noiseless", "noisy"])
+def test_algorithms_sharing_a_federation_write_their_cold_runs_bytes(small_config, tmp_path, monkeypatch, noise_sigma):
+    calls = count_calls(monkeypatch, "generate_federation")
+    cases = [dict(algo="fedavg"), dict(algo="fedvarp"), dict(algo="clusterfedvarp", K=2), dict(algo="mifa")]
+    cfgs = [
+        small_config(**case, noise_sigma=noise_sigma, T=12, log_every=5, output_dir=tmp_path / case["algo"])
+        for case in cases
+    ]
+    warm = []
+    for cfg in cfgs:
+        run(cfg)
+        warm.append(point_artifacts(cfg))
+    assert calls == {"generate_federation": 1}
+    assert [cold_artifacts(cfg) for cfg in cfgs] == warm
+
+
+def test_a_point_run_after_its_sweep_reads_the_sweeps_copy(small_config, tmp_path, monkeypatch):
+    seen = []
+    run_stack = harness.run_stack
+
+    def recording(cfgs, fed, realized, write_artifacts=True):
+        seen.append(fed)
+        return run_stack(cfgs, fed, realized, write_artifacts)
+
+    monkeypatch.setattr(harness, "run_stack", recording)
+    calls = count_calls(monkeypatch, "generate_federation")
+    base = small_config(noise_sigma=0.3, T=12, log_every=5, output_dir=tmp_path / "sw")
+    values = [0.5, 1.0, 2.0]
+    sweep(base, "sigma_g_scale", values)
+    cfg = sweep_points(base, values)[1]
+    swept = point_artifacts(cfg)
+    run(cfg)
+    assert calls == {"generate_federation": 3}
+    [stacked, lone] = seen
+    assert lone.mus.base is stacked.mus and np.shares_memory(lone.mus, stacked.mus[1])
+    assert point_artifacts(cfg) == swept
+    assert cold_artifacts(cfg) == swept
+
+
+def test_a_call_drops_the_federations_it_does_not_use_before_building(small_config, tmp_path, monkeypatch):
+    built = []
+    generate_federation = harness.generate_federation
+
+    def generating(fed_cfg):
+        assert harness._realized.keys() <= {cfg.federation for cfg in cfgs}
+        built.append(fed_cfg)
+        return generate_federation(fed_cfg)
+
+    monkeypatch.setattr(harness, "generate_federation", generating)
+    cfgs = [small_config(T=3, federation_seed=seed, output_dir=tmp_path / str(seed)) for seed in (1, 2)]
+    harness.run_many(cfgs)
+    cfgs = [cfgs[1], small_config(T=3, federation_seed=3, output_dir=tmp_path / "3")]
+    harness.run_many(cfgs)
+    assert [fed_cfg.seed for fed_cfg in built] == [1, 2, 3]
+    assert harness._realized.keys() == {cfg.federation for cfg in cfgs}
+
+
+def test_the_kept_federations_are_read_only(small_config, tmp_path, monkeypatch):
+    seen = []
+    run_stack = harness.run_stack
+
+    def recording(cfgs, fed, realized, write_artifacts=True):
+        seen.append((fed, realized))
+        return run_stack(cfgs, fed, realized, write_artifacts)
+
+    monkeypatch.setattr(harness, "run_stack", recording)
+    base = small_config(T=3, output_dir=tmp_path / "sw")
+    run(base)
+    sweep(base, "sigma_g_scale", [0.5, 1.0])
+    for fed, realized in seen:
+        arrays = [fed.mus, fed.eigs]
+        for point_fed, consts, _ in realized:
+            arrays += [point_fed.mus, point_fed.eigs, consts.w_star]
+        assert not any(array.flags.writeable for array in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            fed.mus[0, 0, 0] = 1.0
