@@ -51,9 +51,9 @@ from .sampling import sample_rounds
 # per replicate, or of one round where a round has more.
 ROUND_KEY_CHUNK = 1024
 
-# run_many's realized federations, kept for its next call: federation
-# config -> (federation, constants, round-0 record), as _realize builds them.
-_realized = {}
+# run_many's stacks, kept for its next call: the federation configs of a
+# stack -> its (R, N, d) federation and realized points, as run_many builds them.
+_copies = {}
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +183,13 @@ def run_many(cfgs: list[RunConfig], write_artifacts: bool = True, _sweep_dir: st
     MemoryError of that preparation holds its config's index as `point`.
     A stack of R > 1 holds one (R, N, d) copy of its federations, a stack
     of one the generated federation; configs of one federation config share it.
-    The realized federations stay in _realized, read-only, for the next
-    call, which first drops those of the federation configs it does not use.
+    The stacks stay in _copies, read-only, for the next call, which first
+    drops those with a federation config it does not use: run_many([]) drops all.
     """
-    for unused in _realized.keys() - {cfg.federation for cfg in cfgs}:
-        del _realized[unused]
-    copies = {}  # the federation configs of a stack -> its (R, N, d) federation and realized points
+    used = {cfg.federation for cfg in cfgs}
+    built = {f: p for feds, (_, points) in _copies.items() for f, p in zip(feds, points) if f in used}
+    for unused in [feds for feds in _copies if not used.issuperset(feds)]:
+        del _copies[unused]
     stacks = []
     owners = {}  # output directory -> the first config writing to it
     try:
@@ -199,20 +200,20 @@ def run_many(cfgs: list[RunConfig], write_artifacts: bool = True, _sweep_dir: st
                 raise ConfigError(f"configs {owners[path]} and {point} share the output_dir {cfg.output_dir}")
         for idx in _stack_points(cfgs):
             feds, point = tuple(cfgs[i].federation for i in idx), idx[0]
-            if feds not in copies:
+            if feds not in _copies:
                 mus = np.empty((len(idx), feds[0].N, feds[0].d)) if len(idx) > 1 else None
                 for r, point in enumerate(idx):
-                    fed, consts, first = _realized.get(feds[r]) or _realize(cfgs[point])
+                    fed, consts, first = built.get(feds[r]) or _realize(cfgs[point])
                     if mus is not None:
                         mus[r] = fed.mus[0]
                         fed = replace(fed, mus=mus[r : r + 1])
                         fed.mus.flags.writeable = False
-                    _realized[feds[r]] = (fed, consts, first)
+                    built[feds[r]] = (fed, consts, first)
                 if mus is not None:
                     mus.flags.writeable = False
                     fed = replace(fed, mus=mus)
-                copies[feds] = fed, [_realized[f] for f in feds]
-            stacks.append((idx, *copies[feds]))
+                _copies[feds] = fed, [built[f] for f in feds]
+            stacks.append((idx, *_copies[feds]))
     except (ConfigError, MemoryError) as exc:  # MemoryError: a configured size too large to allocate
         exc.point = point
         raise

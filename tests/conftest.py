@@ -53,8 +53,8 @@ def substream_keys(seed, *path, ids):
 
 @pytest.fixture(autouse=True)
 def cold_federations():
-    """Empty run_many's kept federations, so each test starts as a fresh process does."""
-    harness._realized.clear()
+    """Drop run_many's kept federations, so each test starts as a fresh process does."""
+    harness.run_many([])
 
 
 @pytest.fixture(autouse=True)

@@ -515,7 +515,7 @@ def test_sweep_builds_each_federation_once(small_config, tmp_path, monkeypatch):
     sweep(base, "sigma_g_scale", [1.0, 2.0, 3.0])
     assert len(built) == 3
     built.clear()
-    harness._realized.clear()  # point 1.0 realized base's federation; this sweep starts cold
+    harness.run_many([])  # point 1.0 realized base's federation; this sweep starts cold
     sweep(base, "eta_c", [0.01, 0.02, 0.03], write_artifacts=False)
     assert len(built) == 1
 

@@ -7,6 +7,7 @@ that stacks its points must write each point's artifacts exactly as a
 solo run of that point does.
 """
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -386,9 +387,13 @@ def test_run_many_refuses_configs_that_share_an_output_dir(small_config, tmp_pat
 # Realized federations kept across run_many calls
 
 
+def kept_federations() -> set:
+    return {fed_cfg for feds in harness._copies for fed_cfg in feds}
+
+
 def cold_artifacts(cfg) -> dict:
-    """The artifacts of cfg's run made after emptying run_many's kept federations."""
-    harness._realized.clear()
+    """The artifacts of cfg's run made after dropping run_many's kept federations."""
+    harness.run_many([])
     run(cfg)
     return point_artifacts(cfg)
 
@@ -437,7 +442,7 @@ def test_a_call_drops_the_federations_it_does_not_use_before_building(small_conf
     generate_federation = harness.generate_federation
 
     def generating(fed_cfg):
-        assert harness._realized.keys() <= {cfg.federation for cfg in cfgs}
+        assert kept_federations() <= {cfg.federation for cfg in cfgs}
         built.append(fed_cfg)
         return generate_federation(fed_cfg)
 
@@ -447,7 +452,9 @@ def test_a_call_drops_the_federations_it_does_not_use_before_building(small_conf
     cfgs = [cfgs[1], small_config(T=3, federation_seed=3, output_dir=tmp_path / "3")]
     harness.run_many(cfgs)
     assert [fed_cfg.seed for fed_cfg in built] == [1, 2, 3]
-    assert harness._realized.keys() == {cfg.federation for cfg in cfgs}
+    assert kept_federations() == {cfg.federation for cfg in cfgs}
+    harness.run_many([])
+    assert not harness._copies
 
 
 def test_the_kept_federations_are_read_only(small_config, tmp_path, monkeypatch):
@@ -469,3 +476,30 @@ def test_the_kept_federations_are_read_only(small_config, tmp_path, monkeypatch)
         assert not any(array.flags.writeable for array in arrays)
         with pytest.raises(ValueError, match="read-only"):
             fed.mus[0, 0, 0] = 1.0
+
+
+def test_a_repeated_stacked_sweep_allocates_no_second_copy(small_config, tmp_path, monkeypatch):
+    # 4 points of 400 x 250 minimizers: each federation is 0.8 MB, the stack's copy 3.2 MB.
+    # The size probe's np.empty is freed untouched, so it costs no memory; it is left out of the trace.
+    monkeypatch.setattr(harness, "_check_sizes", lambda cfg, replicates=1: None)
+    seen = []
+    run_stack = harness.run_stack
+
+    def recording(cfgs, fed, realized, write_artifacts=True):
+        seen.append(fed)
+        return run_stack(cfgs, fed, realized, write_artifacts)
+
+    monkeypatch.setattr(harness, "run_stack", recording)
+    base = small_config(N=400, d=250, K_true=8, M=5, T=2, output_dir=tmp_path / "sw")
+    peaks = []
+    tracemalloc.start()  # from before the first call, so the copy a call keeps counts in the next
+    try:
+        for _ in range(2):
+            tracemalloc.reset_peak()
+            sweep(base, "sigma_g_scale", [0.5, 1.0, 2.0, 4.0], write_artifacts=False)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    cold, warm = peaks
+    assert seen[1] is seen[0] and seen[0].mus.shape == (4, 400, 250)
+    assert warm <= cold
