@@ -6,8 +6,6 @@ sequentially ordered so that runs are bitwise reproducible.
 """
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 from math import prod, sqrt
 
@@ -54,40 +52,6 @@ class DivergenceError(RuntimeError):
     def __str__(self) -> str:
         where = "server step" if self.step is None else f"local_step={self.step}"
         return f"non-finite iterate at round={self.round} ({where})"
-
-
-# CPUs this process may run on: the most row slabs one call runs at once.
-WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# The work (elements) from which a call splits into slabs: on a 2-core host local SGD lost up to
-# 1e5 elements noisy and 2e5 noiseless, and won from 1.5e5 and 3e5 (d = 1000-2000).
-SPLIT_MIN_WORK = 300_000
-
-
-def run_slabs(rows: int, work: int, fill) -> None:
-    """fill(lo, hi) on contiguous slabs covering rows: one per CPU once work reaches SPLIT_MIN_WORK, else one.
-
-    Slab 0 runs in this thread, each other in its own; all are joined, then the lowest failing slab's error raised.
-    """
-    slabs = min(rows, WORKERS) if work >= SPLIT_MIN_WORK else 1
-    errors = [None] * slabs  # the exception each slab raised, if any
-
-    def one(s):
-        try:
-            fill(rows * s // slabs, rows * (s + 1) // slabs)
-        except BaseException as exc:  # re-raised by the calling thread below
-            errors[s] = exc
-
-    threads = [threading.Thread(target=one, args=(s,)) for s in range(1, slabs)]
-    try:
-        for t in threads:
-            t.start()
-        one(0)
-    finally:
-        for t in threads:
-            if t.ident is not None:
-                t.join()
-    for exc in filter(None, errors):
-        raise exc
 
 
 # Byte budget of the one buffer an ordered row sum reads its rows through.

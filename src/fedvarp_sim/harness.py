@@ -13,7 +13,10 @@ spreads as one stack of R runs in the one round loop, run_stack, their
 federations and server states on a leading replicate axis, (R, N, d):
 each round makes one local_sgd, one aggregator_step and one metrics
 call for all R. Every kernel keeps each replicate's bits, so a stacked
-config writes the artifacts of its solo run byte for byte.
+config writes the artifacts of its solo run byte for byte. A stack's
+federations are generated straight into its (R, N, d) array, and the
+whole stack is kept for the next call that runs it: the algorithms of
+one federation, run one after another, build it once.
 """
 from __future__ import annotations
 
@@ -38,6 +41,7 @@ from .core import (
 from .localsgd import local_sgd
 from .objectives import (
     Federation,
+    FederationConfig,
     FederationConstants,
     block_assignment,
     federation_constants,
@@ -52,8 +56,8 @@ from .sampling import sample_rounds
 ROUND_KEY_CHUNK = 1024
 
 # run_many's stacks, kept for its next call: the federation configs of a
-# stack -> its (R, N, d) federation and realized points, as run_many builds them.
-_copies = {}
+# stack -> its (R, N, d) federation and realized points, as _realize builds them.
+_kept = {}
 
 
 # ---------------------------------------------------------------------------
@@ -120,19 +124,23 @@ def _check_sizes(cfg: RunConfig, replicates: int = 1) -> None:
             raise ConfigError(f"{exc} (array shape {shape})") from exc
 
 
-def _realize(cfg: RunConfig) -> tuple[Federation, FederationConstants, RunRecord]:
-    """Build cfg's federation and its round-0 record, checking that record is finite.
+def _realize(feds: tuple[FederationConfig, ...]) -> tuple[Federation, list]:
+    """Build the read-only stack of feds' federations and each one's (row view, constants, round-0 record).
 
     The run starts from w = 0, so the initial metrics depend on the
-    federation alone; a non-finite one is a ConfigError.
+    federation alone; a non-finite one is a ConfigError. A ConfigError of
+    one federation holds its index in feds as `row`.
     """
-    fed, consts = generate_federation(cfg.federation)
-    for array in (fed.mus, fed.eigs, consts.w_star):  # run_many keeps them for later calls
+    fed, consts = generate_federation(list(feds))
+    for array in (fed.mus, fed.eigs, *(c.w_star for c in consts)):  # run_many keeps them for later calls
         array.flags.writeable = False
-    [first] = _measure(fed, np.zeros((1, cfg.federation.d)), consts.w_star[None], 0)
-    if not _finite(first):
-        raise ConfigError("metrics of the initial point overflow float64")
-    return fed, consts, first
+    firsts = _measure(fed, np.zeros((len(feds), fed.d)), np.array([c.w_star for c in consts]), 0)
+    for r, first in enumerate(firsts):
+        if not _finite(first):
+            exc = ConfigError("metrics of the initial point overflow float64")
+            exc.row = r
+            raise exc
+    return fed, [(replace(fed, mus=fed.mus[r : r + 1]), *point) for r, point in enumerate(zip(consts, firsts))]
 
 
 def _measure(fed: Federation, w, w_star, round_index) -> list[RunRecord]:
@@ -181,16 +189,14 @@ def run_many(cfgs: list[RunConfig], write_artifacts: bool = True, _sweep_dir: st
     every federation, initial metrics and output directory (a sweep's base
     _sweep_dir first) made before the first stack runs; a ConfigError or
     MemoryError of that preparation holds its config's index as `point`.
-    A stack of R > 1 holds one (R, N, d) copy of its federations, a stack
-    of one the generated federation; configs of one federation config share it.
-    The stacks stay in _copies, read-only, for the next call, which first
-    drops those with a federation config it does not use: run_many([]) drops all.
+    Each stack's federations are generated into one (R, N, d) array, and
+    each point runs on its row. The stacks stay in _kept, read-only and
+    keyed by their federation configs, for the next call, which first
+    drops those none of its stacks uses: run_many([]) drops all.
     """
-    used = {cfg.federation for cfg in cfgs}
-    built = {f: p for feds, (_, points) in _copies.items() for f, p in zip(feds, points) if f in used}
-    for unused in [feds for feds in _copies if not used.issuperset(feds)]:
-        del _copies[unused]
-    stacks = []
+    stacks = [(idx, tuple(cfgs[i].federation for i in idx)) for idx in _stack_points(cfgs)]
+    for unused in _kept.keys() - {feds for _, feds in stacks}:
+        del _kept[unused]
     owners = {}  # output directory -> the first config writing to it
     try:
         for point, cfg in enumerate(cfgs):
@@ -198,31 +204,19 @@ def run_many(cfgs: list[RunConfig], write_artifacts: bool = True, _sweep_dir: st
             path = Path(cfg.output_dir).resolve()
             if write_artifacts and owners.setdefault(path, point) != point:
                 raise ConfigError(f"configs {owners[path]} and {point} share the output_dir {cfg.output_dir}")
-        for idx in _stack_points(cfgs):
-            feds, point = tuple(cfgs[i].federation for i in idx), idx[0]
-            if feds not in _copies:
-                mus = np.empty((len(idx), feds[0].N, feds[0].d)) if len(idx) > 1 else None
-                for r, point in enumerate(idx):
-                    fed, consts, first = built.get(feds[r]) or _realize(cfgs[point])
-                    if mus is not None:
-                        mus[r] = fed.mus[0]
-                        fed = replace(fed, mus=mus[r : r + 1])
-                        fed.mus.flags.writeable = False
-                    built[feds[r]] = (fed, consts, first)
-                if mus is not None:
-                    mus.flags.writeable = False
-                    fed = replace(fed, mus=mus)
-                _copies[feds] = fed, [built[f] for f in feds]
-            stacks.append((idx, *_copies[feds]))
+        for idx, feds in stacks:
+            point = idx[0]
+            if feds not in _kept:
+                _kept[feds] = _realize(feds)
     except (ConfigError, MemoryError) as exc:  # MemoryError: a configured size too large to allocate
-        exc.point = point
+        exc.point = idx[exc.row] if hasattr(exc, "row") else point  # a federation's error names its row
         raise
     if write_artifacts:  # made once, before round 0, so a blocked directory costs no compute
         summary = {} if _sweep_dir is None else {_sweep_dir: (artifacts.SUMMARY_FILE,)}
         artifacts.make_output_dirs({**summary, **{Path(cfg.output_dir): artifacts.RUN_ARTIFACTS for cfg in cfgs}})
     outcomes = {}
-    for idx, fed, realized in stacks:
-        outcomes.update(zip(idx, run_stack([cfgs[i] for i in idx], fed, realized, write_artifacts)))
+    for idx, feds in stacks:
+        outcomes.update(zip(idx, run_stack([cfgs[i] for i in idx], *_kept[feds], write_artifacts)))
     return [outcomes[i] for i in range(len(cfgs))]
 
 
@@ -386,7 +380,8 @@ def sweep(base: RunConfig, axis: str, values: list, write_artifacts: bool = True
     The points are one run_many list, so the points of a sigma_g_scale
     sweep share a stack and every other axis runs in stacks of one. Each
     point's artifacts are those of its solo run, byte for byte; a
-    ConfigError of a point's preparation names its value.
+    ConfigError of a point's config or preparation names its value, and
+    then nothing is made.
 
     A divergent point does not stop the sweep: its result has
     completed=False, and its summary row leaves the floor columns empty
@@ -395,13 +390,17 @@ def sweep(base: RunConfig, axis: str, values: list, write_artifacts: bool = True
     """
     if not values:
         raise ConfigError("sweep needs at least one value")
-    points = [sweep_point(base, axis, value, idx) for idx, value in enumerate(values)]
+    points = []
     try:
+        for point, value in enumerate(values):
+            points.append(sweep_point(base, axis, value, point))
+        point = None  # run_many's errors hold their point, if they have one
         outcomes = run_many([cfg for cfg, _ in points], write_artifacts, _sweep_dir=base.output_dir)
     except (ConfigError, MemoryError) as exc:
-        if getattr(exc, "point", None) is None:  # an output directory; it names itself
+        point = getattr(exc, "point", point)
+        if point is None:  # an output directory; it names itself
             raise
-        raise ConfigError(f"sweep point {axis}={values[exc.point]!r}: {exc}") from exc
+        raise ConfigError(f"sweep point {axis}={values[point]!r}: {exc}") from exc
     results = [out.result if isinstance(out, DivergenceError) else out for out in outcomes]
     rows = []
     for (cfg, held), res in zip(points, results):

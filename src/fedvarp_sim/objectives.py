@@ -16,11 +16,11 @@ expected squared noise norm equals noise_sigma^2 exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ROW_BLOCK_BYTES, ConfigError, DimensionError, ordered_row_sum, run_slabs
+from .core import ROW_BLOCK_BYTES, ConfigError, DimensionError, ordered_row_sum
 from .rng import TAG_CENTERS, TAG_OFFSETS, philox_keys, philox_rekeyer, substream
 
 
@@ -115,36 +115,36 @@ def block_assignment(N: int, K: int) -> np.ndarray:
     return (np.arange(N) * K) // N
 
 
-def generate_federation(cfg: FederationConfig) -> tuple[Federation, FederationConstants]:
-    """Build the federation, a stack of one, and its exact constants, deterministically in the seed.
+def generate_federation(cfgs: list[FederationConfig]) -> tuple[Federation, list[FederationConstants]]:
+    """Build the (R, N, d) stack of cfgs' federations and each one's exact constants, deterministically in the seeds.
 
-    Row i holds substream(seed, TAG_OFFSETS, i)'s uniforms u, mapped in place on core.run_slabs'
-    slabs to (hi - lo) * u + lo + center, the bits of uniform(lo, hi) + center.
+    cfgs differ at most in their seeds and spreads. Federation r is drawn into row r of the stack in
+    the calling thread: client i holds substream(seed, TAG_OFFSETS, i)'s uniforms u, mapped in place
+    to (hi - lo) * u + lo + center, the bits of uniform(lo, hi) + center. A ConfigError of
+    federation r's constants holds r as `row`.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in the constants
-        scale = cfg.cluster_center_spread / np.sqrt(cfg.d)
-        centers = scale * substream(cfg.seed, TAG_CENTERS).standard_normal((cfg.K_true, cfg.d))
-        half_width = cfg.within_cluster_spread / np.sqrt(cfg.d)  # box offsets keep ||offset|| <= spread
-        lo, width = -half_width, 2 * half_width
-    size = cfg.N // cfg.K_true  # client i belongs to cluster i // size
-    keys = philox_keys(cfg.seed, TAG_OFFSETS, ids=np.arange(cfg.N))
-    stack = np.empty((1, cfg.N, cfg.d))
-    mus = stack[0]
-
-    def draw(a: int, b: int) -> None:
-        rekey = philox_rekeyer()
-        for key, row in zip(keys[a:b], mus[a:b]):
+    first = cfgs[0]
+    N, d, K = first.N, first.d, first.K_true
+    eigs = np.linspace(first.hessian_eig_min, first.hessian_eig_max, d)
+    fed = Federation(eigs=eigs, mus=np.empty((len(cfgs), N, d)), noise_sigma=first.noise_sigma)
+    assignment = block_assignment(N, K)
+    rekey, consts = philox_rekeyer(), []
+    for r, cfg in enumerate(cfgs):
+        for key, row in zip(philox_keys(cfg.seed, TAG_OFFSETS, ids=np.arange(N)), fed.mus[r]):
             rekey(key).random(out=row)
-        with np.errstate(over="ignore", invalid="ignore"):  # the error state is per thread
-            mus[a:b] *= width
-            mus[a:b] += lo
-            for k in range(a // size, (b - 1) // size + 1):  # the clusters this slab meets
-                mus[max(a, k * size) : min(b, k * size + size)] += centers[k]
-
-    run_slabs(cfg.N, cfg.N * cfg.d, draw)
-    eigs = np.linspace(cfg.hessian_eig_min, cfg.hessian_eig_max, cfg.d)
-    fed = Federation(eigs=eigs, mus=stack, noise_sigma=cfg.noise_sigma)
-    return fed, federation_constants(fed, block_assignment(cfg.N, cfg.K_true))
+        clusters = fed.mus[r].reshape(K, N // K, d)  # client i belongs to cluster i // (N / K)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in the constants
+            centers = cfg.cluster_center_spread / np.sqrt(d) * substream(cfg.seed, TAG_CENTERS).standard_normal((K, d))
+            half_width = cfg.within_cluster_spread / np.sqrt(d)  # box offsets keep ||offset|| <= spread
+            clusters *= 2 * half_width
+            clusters += -half_width
+            clusters += centers[:, None]
+        try:
+            consts.append(federation_constants(replace(fed, mus=fed.mus[r : r + 1]), assignment))
+        except ConfigError as exc:
+            exc.row = r
+            raise
+    return fed, consts
 
 
 def federation_constants(fed: Federation, assignment: np.ndarray) -> FederationConstants:

@@ -5,7 +5,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from fedvarp_sim import core, harness
+from fedvarp_sim import harness, localsgd
 from fedvarp_sim.config import AlgoConfig, RunConfig
 from fedvarp_sim.core import HyperConfig
 from fedvarp_sim.objectives import Federation, FederationConfig
@@ -38,10 +38,10 @@ def make_federation(mus, eigs, sigma=0.0):
 
 @contextmanager
 def forced_split(workers=2):
-    """Every core.run_slabs call with at least two rows runs min(rows, workers) slabs in threads."""
+    """Every localsgd.run_slabs call with at least two rows runs min(rows, workers) slabs in threads."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "SPLIT_MIN_WORK", 0)
-        mp.setattr(core, "WORKERS", workers)
+        mp.setattr(localsgd, "SPLIT_MIN_WORK", 0)
+        mp.setattr(localsgd, "WORKERS", workers)
         yield
 
 

@@ -175,6 +175,24 @@ def test_bad_sweep_values_exit_two(config_file, tmp_path, capsys, axis, values, 
     assert not (tmp_path / "artifacts").exists()
 
 
+@pytest.mark.parametrize(
+    "axis,values,point,message",
+    [
+        ("M", "5,100000", "M=100000", "M must satisfy 1 <= M <= N"),
+        ("tau", "2,0", "tau=0", "tau must be >= 1"),
+        ("algo", "fedavg,clusterfedvarp", "algo='clusterfedvarp'", "clusterfedvarp needs 1 <= K <= N"),
+    ],
+)
+def test_a_sweep_point_with_an_invalid_config_is_named_and_nothing_is_made(
+    config_file, tmp_path, capsys, axis, values, point, message
+):
+    code = main(["sweep", "--config", str(config_file), "--axis", axis, "--values", values])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: sweep point {point}: {message}" in err
+    assert not (tmp_path / "artifacts").exists()
+
+
 def test_sweep_with_overflowing_initial_point_exits_two_before_any_point(
     config_file, tmp_path, capsys
 ):

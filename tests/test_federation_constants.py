@@ -1,15 +1,19 @@
 """The exact constants and the offset draws, bit for bit against the formulas they replaced.
 
 federation_constants forms its per-client terms in one pass over row
-blocks, sigma_K_sq for any clustering, and generate_federation draws its
-rows on row slabs. The reference below is the whole-array code with a
-Python loop over clusters; every result must carry its bits.
+blocks, sigma_K_sq for any clustering, and generate_federation draws a
+stack's federations into one array in the calling thread. The reference
+below is the whole-array code with a Python loop over clusters; every
+result must carry its bits.
 """
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import forced_split, make_federation
-from fedvarp_sim import core, objectives
+from fedvarp_sim import localsgd, objectives
 from fedvarp_sim.core import ConfigError
 from fedvarp_sim.objectives import (
     FederationConfig,
@@ -70,7 +74,7 @@ def assignments(N, rng):
 
 @pytest.mark.parametrize("cfg", PINNED_FEDERATIONS.values(), ids=PINNED_FEDERATIONS.keys())
 def test_pinned_federations_match_the_reference_bitwise(cfg):
-    fed, consts = generate_federation(cfg)
+    fed, [consts] = generate_federation([cfg])
     expected, w_star = reference_constants(fed, block_assignment(cfg.N, cfg.K_true))
     for name in SCALARS:
         assert bits(getattr(consts, name)) == bits(expected[name]), name
@@ -112,27 +116,33 @@ def test_zero_eigenvalue_columns_and_negative_zero_rows_match_the_reference_bitw
         assert_matches_reference(all_zero, assignment)
 
 
-@pytest.mark.parametrize("workers", [2, 3, 8])
-def test_slab_split_generation_matches_one_slab(workers):
-    for cfg in PINNED_FEDERATIONS.values():
-        one_fed, one = generate_federation(cfg)
-        with forced_split(workers):
-            fed, consts = generate_federation(cfg)
-        assert fed.mus.tobytes() == one_fed.mus.tobytes()
-        for name in SCALARS:
-            assert bits(getattr(consts, name)) == bits(getattr(one, name)), name
-        assert bits(consts.w_star) == bits(one.w_star)
-
-
-def test_generation_below_the_split_threshold_starts_no_thread(monkeypatch):
+def test_generation_starts_no_thread(monkeypatch):
     def no_threads(*args, **kwargs):
-        raise AssertionError("a one-slab generation must not start a thread")
+        raise AssertionError("generation must not start a thread")
 
-    monkeypatch.setattr(core.threading, "Thread", no_threads)
-    monkeypatch.setattr(core, "WORKERS", 8)
-    cfg = PINNED_FEDERATIONS["wide-table"]  # N * d = 1e5 draws, a GIL-bound row loop
-    assert cfg.N * cfg.d < core.SPLIT_MIN_WORK
-    generate_federation(cfg)
+    cfg = PINNED_FEDERATIONS["deep-local"]  # N * d = 4e5 draws: work local SGD would split
+    assert cfg.N * cfg.d >= localsgd.SPLIT_MIN_WORK
+    monkeypatch.setattr(threading, "Thread", no_threads)
+    with forced_split(workers=8):
+        generate_federation([cfg])
+
+
+@pytest.mark.parametrize("name", ["seed>=2**64", "d=1"])
+def test_each_row_of_a_stack_is_its_federation_generated_alone(name):
+    base = PINNED_FEDERATIONS[name]
+    cfgs = [
+        base,
+        replace(base, seed=3, within_cluster_spread=0.0),
+        replace(base, seed=2**40, cluster_center_spread=7.5, within_cluster_spread=2.0),
+    ]
+    fed, consts = generate_federation(cfgs)
+    assert fed.mus.shape == (3, base.N, base.d)
+    for r, cfg in enumerate(cfgs):
+        alone, [one] = generate_federation([cfg])
+        assert fed.mus[r].tobytes() == alone.mus[0].tobytes(), r
+        for name in SCALARS:
+            assert bits(getattr(consts[r], name)) == bits(getattr(one, name)), (r, name)
+        assert bits(consts[r].w_star) == bits(one.w_star), r
 
 
 @pytest.mark.parametrize(
@@ -146,7 +156,7 @@ def test_generation_below_the_split_threshold_starts_no_thread(monkeypatch):
 def test_overflowing_constants_are_a_config_error(spreads, eig):
     cfg = FederationConfig(8, 3, 4, *spreads, 0.0, eig, eig, seed=11)
     with pytest.raises(ConfigError, match="constants overflow float64"):
-        generate_federation(cfg)
+        generate_federation([cfg])
     fed = make_federation([[[1e200, 0.0], [-1e200, 0.0]]], [1.0, 1.0])
     with pytest.raises(ConfigError, match="constants overflow float64"):
         federation_constants(fed, block_assignment(2, 1))

@@ -340,7 +340,7 @@ def test_participant_order_does_not_change_step():
     # flipping the rows back to id order, must give the same bits as
     # training them in id order, round after round.
     N, d, seed = 8, 3, 4242
-    fed, _ = generate_federation(
+    fed, _ = generate_federation([
         FederationConfig(
             N=N,
             d=d,
@@ -352,7 +352,7 @@ def test_participant_order_does_not_change_step():
             hessian_eig_max=1.0,
             seed=11,
         )
-    )
+    ])
     for algo in ALGORITHMS:
         K, assignment = (3, np.arange(N) % 3) if algo == CLUSTERFEDVARP else (None, None)
         ascending = init_state(algo, np.zeros((1, d)), N, K, assignment)
@@ -506,26 +506,26 @@ def test_sweep_checks_every_cluster_count_before_the_first_runs(small_config, tm
 def test_sweep_builds_each_federation_once(small_config, tmp_path, monkeypatch):
     built = []
 
-    def counting(cfg):
-        built.append(cfg)
-        return generate_federation(cfg)
+    def counting(cfgs):
+        built.extend(cfgs)
+        return generate_federation(cfgs)
 
     monkeypatch.setattr(harness, "generate_federation", counting)
     base = small_config(T=5, output_dir=tmp_path / "sw")
     sweep(base, "sigma_g_scale", [1.0, 2.0, 3.0])
     assert len(built) == 3
     built.clear()
-    harness.run_many([])  # point 1.0 realized base's federation; this sweep starts cold
+    # Point 1.0 holds base's federation as a row of the kept stack; the stacks of one build it once more.
     sweep(base, "eta_c", [0.01, 0.02, 0.03], write_artifacts=False)
-    assert len(built) == 1
+    assert built == [base.federation]
 
 
 def test_sweep_checks_every_size_before_building_a_federation(small_config, tmp_path, monkeypatch):
     built = []
 
-    def counting(cfg):
-        built.append(cfg)
-        return generate_federation(cfg)
+    def counting(cfgs):
+        built.extend(cfgs)
+        return generate_federation(cfgs)
 
     monkeypatch.setattr(harness, "generate_federation", counting)
     base = small_config(noise_sigma=0.3, T=5, output_dir=tmp_path / "sw")
@@ -574,7 +574,7 @@ def test_full_first_round_applies_to_mifa_only(small_config):
 def test_manifest_constants_match_closed_forms(small_config):
     cfg = small_config(T=0)
     result = run(cfg, write_artifacts=False)
-    _, consts = generate_federation(cfg.federation)
+    _, [consts] = generate_federation([cfg.federation])
     man = result.manifest["constants"]
     assert man["L"] == consts.L
     assert man["sigma_g_sq"] == consts.sigma_g_sq
@@ -702,7 +702,7 @@ def test_fedavg_floor_matches_stationary_prediction(small_config):
         T=4000,
     )
     result = run(cfg, write_artifacts=False)
-    fed, consts = generate_federation(cfg.federation)
+    fed, [consts] = generate_federation([cfg.federation])
     eigs = fed.eigs
     gaps = eigs * (consts.w_star - fed.mus[0])  # N x d, constant in w
     eta = (1 / 3) * (1 / 8) * 1

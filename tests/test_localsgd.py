@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import forced_split, make_federation, substream_keys
-from fedvarp_sim import core
+from fedvarp_sim import localsgd
 from fedvarp_sim.core import ConfigError, DivergenceError
 from fedvarp_sim.localsgd import local_sgd
 from fedvarp_sim.rng import TAG_LOCAL, philox_keys, substream
@@ -227,13 +227,13 @@ def test_one_cpu_trains_inline(monkeypatch):
     def no_threads(*args, **kwargs):
         raise AssertionError("a one-slab call must not start a thread")
 
-    monkeypatch.setattr(core.threading, "Thread", no_threads)
+    monkeypatch.setattr(localsgd.threading, "Thread", no_threads)
     fed = make_federation(np.ones((1, 4, 3)), [1.0, 0.5, 2.0])
     with forced_split(workers=1):
         local_sgd(fed, [[0, 1, 2, 3]], np.zeros((1, 3)), 2, 0.1)
     # Eight CPUs, but 4 * 2 * 3 elements of work, far below SPLIT_MIN_WORK.
-    monkeypatch.setattr(core, "WORKERS", 8)
-    assert 4 * 2 * 3 < core.SPLIT_MIN_WORK
+    monkeypatch.setattr(localsgd, "WORKERS", 8)
+    assert 4 * 2 * 3 < localsgd.SPLIT_MIN_WORK
     local_sgd(fed, [[0, 1, 2, 3]], np.zeros((1, 3)), 2, 0.1)
 
 

@@ -49,7 +49,7 @@ def test_singleton_clusters_zero_within_spread():
         hessian_eig_max=1.0,
         seed=9,
     )
-    _, consts = generate_federation(cfg)
+    _, [consts] = generate_federation([cfg])
     assert consts.sigma_K_sq == 0.0
     assert consts.sigma_g_sq > 0.0
 
@@ -95,8 +95,8 @@ def test_federation_config_rejects_out_of_range_knobs(edit):
 
 
 def test_generation_is_deterministic_in_seed():
-    a, ca = generate_federation(VALID)
-    b, cb = generate_federation(VALID)
+    a, [ca] = generate_federation([VALID])
+    b, [cb] = generate_federation([VALID])
     assert a.mus.tobytes() == b.mus.tobytes()
     assert ca.w_star.tobytes() == cb.w_star.tobytes()
     assert ca.sigma_g_sq == cb.sigma_g_sq
@@ -105,9 +105,9 @@ def test_generation_is_deterministic_in_seed():
 def test_offsets_respect_within_cluster_spread():
     spread = 0.3
     cfg = FederationConfig(8, 5, 2, 2.0, spread, 0.0, 1.0, 1.0, seed=13)
-    fed, _ = generate_federation(cfg)
+    fed, _ = generate_federation([cfg])
     # With zero spread every client sits exactly at its cluster's center.
-    centers, _ = generate_federation(replace(cfg, within_cluster_spread=0.0))
+    centers, _ = generate_federation([replace(cfg, within_cluster_spread=0.0)])
     assign = block_assignment(8, 2)
     assert np.array_equal(centers.mus, centers.mus[:, assign * 4])
     for mu, center in zip(fed.mus[0], centers.mus[0]):
@@ -140,7 +140,7 @@ PINNED_FEDERATIONS = {
 @pytest.mark.parametrize("cfg", PINNED_FEDERATIONS.values(), ids=PINNED_FEDERATIONS.keys())
 def test_generation_matches_one_substream_per_client(cfg):
     mus, assign = _old_loop_mus(cfg)
-    fed, consts = generate_federation(cfg)
+    fed, [consts] = generate_federation([cfg])
     assert fed.mus.tobytes() == mus.tobytes()
     expected = federation_constants(replace(fed, mus=mus), assign)
     for name in ("L", "sigma_g_sq", "sigma_K_sq", "f_star"):
@@ -156,7 +156,7 @@ def test_generation_derives_one_substream_for_the_centers(monkeypatch):
         return substream(seed, *path)
 
     monkeypatch.setattr(objectives, "substream", counting)
-    generate_federation(PINNED_FEDERATIONS["wide-table"])
+    generate_federation([PINNED_FEDERATIONS["wide-table"]])
     assert paths == [(TAG_CENTERS,)]
 
 
@@ -236,7 +236,7 @@ def test_smoothness_with_equality_witness():
 
 
 def test_heterogeneity_is_w_independent_and_matches_reported():
-    fed, consts = generate_federation(FederationConfig(6, 4, 3, 1.5, 0.3, 0.0, 0.4, 1.2, seed=31))
+    fed, [consts] = generate_federation([FederationConfig(6, 4, 3, 1.5, 0.3, 0.0, 0.4, 1.2, seed=31)])
     mu_bar = fed.mus[0].mean(axis=0)
     rng = np.random.default_rng(32)
     gaps = []
@@ -274,7 +274,7 @@ def stacked_grad_and_loss(mu_list, eigs, w):
 def test_cached_mus_metrics_match_stacked_bitwise(N, d, K_true):
     rng = np.random.default_rng(N * 1000 + d)
     for trial in range(5):
-        fed, _ = generate_federation(FederationConfig(N, d, K_true, 1.5, 0.3, 0.0, 0.2, 1.7, trial))
+        fed, _ = generate_federation([FederationConfig(N, d, K_true, 1.5, 0.3, 0.0, 0.2, 1.7, trial)])
         mu_list = [fed.mus[0, i].copy() for i in range(N)]
         for scale in (1e-3, 1.0, 1e150):
             w = rng.normal(size=(1, d)) * scale

@@ -270,8 +270,8 @@ def test_a_scale_sweep_makes_one_call_per_round_for_all_points(small_config, tmp
     calls = count_calls(monkeypatch, "local_sgd", "aggregator_step", "global_grad_and_loss")
     base = small_config(algo="fedvarp", T=7, log_every=1, output_dir=tmp_path / "sw")
     sweep(base, "sigma_g_scale", [0.5, 1.0, 2.0])
-    # The metrics of round 0 are measured point by point, before the stack runs.
-    assert calls == {"local_sgd": 7, "aggregator_step": 7, "global_grad_and_loss": 3 + 7}
+    # The metrics of round 0 are measured in one call, as the stack is built.
+    assert calls == {"local_sgd": 7, "aggregator_step": 7, "global_grad_and_loss": 1 + 7}
 
 
 def test_other_axes_run_point_by_point(small_config, tmp_path, monkeypatch):
@@ -333,8 +333,8 @@ def test_a_lone_run_runs_its_generated_stack(small_config, monkeypatch):
     generated, seen = [], []
     generate_federation, run_stack = harness.generate_federation, harness.run_stack
 
-    def generating(cfg):
-        fed, consts = generate_federation(cfg)
+    def generating(fed_cfgs):
+        fed, consts = generate_federation(fed_cfgs)
         generated.append(fed.mus)
         return fed, consts
 
@@ -361,7 +361,7 @@ def test_summary_values_are_the_values_the_points_hold(small_config, tmp_path):
 
 def test_manifest_reuses_the_generators_cluster_heterogeneity(small_config, monkeypatch):
     cfg = small_config(algo="clusterfedvarp", K=4, K_true=4, T=0)
-    fed, consts, _ = harness._realize(cfg)
+    _, [(fed, consts, _)] = harness._realize((cfg.federation,))
     expected = federation_constants(fed, block_assignment(8, 4)).sigma_K_sq
     monkeypatch.setattr(harness, "federation_constants", None)  # a second constants call would fail
     manifest = harness.build_manifest(cfg, fed, consts, block_assignment(8, 4))
@@ -388,7 +388,7 @@ def test_run_many_refuses_configs_that_share_an_output_dir(small_config, tmp_pat
 
 
 def kept_federations() -> set:
-    return {fed_cfg for feds in harness._copies for fed_cfg in feds}
+    return {fed_cfg for feds in harness._kept for fed_cfg in feds}
 
 
 def cold_artifacts(cfg) -> dict:
@@ -414,47 +414,49 @@ def test_algorithms_sharing_a_federation_write_their_cold_runs_bytes(small_confi
     assert [cold_artifacts(cfg) for cfg in cfgs] == warm
 
 
-def test_a_point_run_after_its_sweep_reads_the_sweeps_copy(small_config, tmp_path, monkeypatch):
-    seen = []
-    run_stack = harness.run_stack
-
-    def recording(cfgs, fed, realized, write_artifacts=True):
-        seen.append(fed)
-        return run_stack(cfgs, fed, realized, write_artifacts)
-
-    monkeypatch.setattr(harness, "run_stack", recording)
-    calls = count_calls(monkeypatch, "generate_federation")
-    base = small_config(noise_sigma=0.3, T=12, log_every=5, output_dir=tmp_path / "sw")
-    values = [0.5, 1.0, 2.0]
-    sweep(base, "sigma_g_scale", values)
+def test_a_point_run_after_its_sweep_keeps_no_more_than_its_cold_run(small_config, tmp_path, monkeypatch):
+    # The run drops the sweep's 4 x 400 x 250 stack (3.2 MB) and builds its own 0.8 MB federation.
+    # The size probe's np.empty is freed untouched, so it costs no memory; it is left out of the trace.
+    monkeypatch.setattr(harness, "_check_sizes", lambda cfg, replicates=1: None)
+    base = small_config(N=400, d=250, K_true=8, M=5, T=2, output_dir=tmp_path / "sw")
+    values = [0.5, 1.0, 2.0, 4.0]
     cfg = sweep_points(base, values)[1]
-    swept = point_artifacts(cfg)
-    run(cfg)
-    assert calls == {"generate_federation": 3}
-    [stacked, lone] = seen
-    assert lone.mus.base is stacked.mus and np.shares_memory(lone.mus, stacked.mus[1])
-    assert point_artifacts(cfg) == swept
-    assert cold_artifacts(cfg) == swept
+    traced = []
+    tracemalloc.start()  # from before the sweep, so the stack it keeps counts
+    try:
+        sweep(base, "sigma_g_scale", values)
+        swept = point_artifacts(cfg)
+        for drop in (False, True):
+            if drop:
+                harness.run_many([])
+            run(cfg)
+            traced.append(tracemalloc.get_traced_memory()[0])
+            assert point_artifacts(cfg) == swept
+    finally:
+        tracemalloc.stop()
+    warm, cold = traced
+    assert kept_federations() == {cfg.federation}
+    assert warm <= cold
 
 
 def test_a_call_drops_the_federations_it_does_not_use_before_building(small_config, tmp_path, monkeypatch):
     built = []
     generate_federation = harness.generate_federation
 
-    def generating(fed_cfg):
+    def generating(fed_cfgs):
         assert kept_federations() <= {cfg.federation for cfg in cfgs}
-        built.append(fed_cfg)
-        return generate_federation(fed_cfg)
+        built.append([fed_cfg.seed for fed_cfg in fed_cfgs])
+        return generate_federation(fed_cfgs)
 
     monkeypatch.setattr(harness, "generate_federation", generating)
     cfgs = [small_config(T=3, federation_seed=seed, output_dir=tmp_path / str(seed)) for seed in (1, 2)]
     harness.run_many(cfgs)
     cfgs = [cfgs[1], small_config(T=3, federation_seed=3, output_dir=tmp_path / "3")]
     harness.run_many(cfgs)
-    assert [fed_cfg.seed for fed_cfg in built] == [1, 2, 3]
+    assert built == [[1, 2], [2, 3]]  # a stack's federations are built together, none taken from another stack
     assert kept_federations() == {cfg.federation for cfg in cfgs}
     harness.run_many([])
-    assert not harness._copies
+    assert not harness._kept
 
 
 def test_the_kept_federations_are_read_only(small_config, tmp_path, monkeypatch):
