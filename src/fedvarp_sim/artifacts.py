@@ -21,6 +21,7 @@ from .core import ConfigError
 RUN_ARTIFACTS = ("manifest.json", "metrics.csv", "status.json")
 SUMMARY_FILE = "sweep_summary.csv"
 METRICS_HEADER = "round,grad_norm_sq,global_loss,dist_to_opt_sq"
+METRICS_ROW = "%d,%.17g,%.17g,%.17g\n"
 SUMMARY_HEADER = (
     "axis,value,seed,sigma_g_sq,floor_grad_norm_sq,min_grad_norm_sq,final_grad_norm_sq,"
     "completed,aborted_round"
@@ -61,14 +62,15 @@ def make_output_dirs(dirs: dict) -> None:
 
 
 def write_run_artifacts(result) -> None:
-    """The manifest.json, metrics.csv and status.json of an ended harness.RunResult, if it writes any."""
+    """The manifest.json, metrics.csv (a METRICS_ROW per logged row) and status.json of an ended RunResult, if any."""
     out = result.output_dir
     if out is None:
         return
     manifest, metrics, status = RUN_ARTIFACTS
     _write_json(out / manifest, result.manifest)
-    rows = [(r.round, r.grad_norm_sq, r.global_loss, r.dist_to_opt_sq) for r in result.records]
-    write_csv(out / metrics, METRICS_HEADER, rows)
+    with open(out / metrics, "w", encoding="utf-8", newline="") as fh:  # the bytes write_csv gives the rows
+        fh.write(METRICS_HEADER + "\n")
+        fh.writelines(METRICS_ROW % (t, *row) for t, row in zip(result.rounds.tolist(), result.metrics.tolist()))
     _write_json(out / status, {"completed": result.completed, "aborted_round": result.aborted_round})
 
 

@@ -71,8 +71,8 @@ def main(argv: list[str] | None = None) -> int:
             _say(f"run: algo={cfg.algo.name} N={cfg.federation.N} T={cfg.hyper.T} -> {cfg.output_dir}")
             result = run(cfg)
             _say(
-                f"run: done, {len(result.records)} metric rows, "
-                f"floor {floor_estimate(result.records):.6g}"
+                f"run: done, {len(result.rounds)} metric rows, "
+                f"floor {floor_estimate(result.metrics[:, 0]):.6g}"
             )
             return 0
 

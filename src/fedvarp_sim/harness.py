@@ -11,16 +11,17 @@ and sweep and the reduction oracle pass it theirs. It runs configs that
 differ only in their seeds, output directories and federation seeds and
 spreads as one stack of R runs in the one round loop, run_stack, their
 federations and server states on a leading replicate axis, (R, N, d):
-each round makes one local_sgd, one aggregator_step and one metrics
-call for all R. Every kernel keeps each replicate's bits, so a stacked
-config writes the artifacts of its solo run byte for byte. A stack's
+each round makes one local_sgd and one aggregator_step call for all R,
+and the logged rounds are measured a batch at a time, in one metrics
+call for all R, into one (R, rows, 3) array. Every kernel keeps each
+replicate's bits, so a stacked config writes the artifacts of its solo
+run byte for byte. A stack's
 federations are generated straight into its (R, N, d) array, and the
 whole stack is kept for the next call that runs it: the algorithms of
 one federation, run one after another, build it once.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from .config import RunConfig, sweep_point
 from .config import parse_config  # noqa: F401  perfbench/workloads.py calls harness.parse_config
 from .core import (
     CLUSTERFEDVARP,
+    ROW_BLOCK_BYTES,
     ConfigError,
     DivergenceError,
     RunRecord,
@@ -66,11 +68,19 @@ _kept = {}
 
 @dataclass
 class RunResult:
-    records: list[RunRecord]
+    """A run's logged round indices (rows,) and metrics (rows, 3): grad_norm_sq, global_loss, dist_to_opt_sq."""
+
+    rounds: np.ndarray
+    metrics: np.ndarray
     manifest: dict
     completed: bool
     aborted_round: int | None = None
     output_dir: Path | None = None
+
+    @property
+    def records(self) -> list[RunRecord]:
+        """The logged rows as RunRecords, built on each access."""
+        return [RunRecord(t, *row) for t, row in zip(self.rounds.tolist(), self.metrics.tolist())]
 
 
 def build_manifest(cfg: RunConfig, fed: Federation, consts: FederationConstants, assignment) -> dict:
@@ -107,14 +117,14 @@ def _check_sizes(cfg: RunConfig, replicates: int = 1) -> None:
     """Raise ConfigError if an array of a stack of replicates runs of cfg cannot be allocated, or a round cannot be keyed.
 
     Probes the stack's (replicates * N, d) federations and server
-    tables and, for a noisy federation, local_sgd's largest
-    (replicates * round_size(0), tau, d) noise block, allocating
-    nothing. Round t's sampling stream is keyed with t as its id, so
-    T - 1 must be below KEY_INDEX_LIMIT.
+    tables, its (replicates, rows, 3) metrics and, for a noisy
+    federation, local_sgd's largest (replicates * round_size(0), tau, d)
+    noise block, allocating nothing. Round t's sampling stream is keyed
+    with t as its id, so T - 1 must be below KEY_INDEX_LIMIT.
     """
     if cfg.hyper.T > KEY_INDEX_LIMIT:
         raise ConfigError(f"T must be at most 2**32, one key word per round, got {cfg.hyper.T}")
-    shapes = [(replicates * cfg.federation.N, cfg.federation.d)]
+    shapes = [(replicates * cfg.federation.N, cfg.federation.d), (replicates, _logged_rows(cfg), 3)]
     if cfg.federation.noise_sigma > 0:
         shapes.append((replicates * cfg.round_size(0), cfg.hyper.tau, cfg.federation.d))
     for shape in shapes:
@@ -124,8 +134,13 @@ def _check_sizes(cfg: RunConfig, replicates: int = 1) -> None:
             raise ConfigError(f"{exc} (array shape {shape})") from exc
 
 
+def _logged_rows(cfg: RunConfig) -> int:
+    """How many rows a run of cfg logs: round 0, every log_every-th round and round T."""
+    return 1 + -(-cfg.hyper.T // cfg.log_every)
+
+
 def _realize(feds: tuple[FederationConfig, ...]) -> tuple[Federation, list]:
-    """Build the read-only stack of feds' federations and each one's (row view, constants, round-0 record).
+    """Build the read-only stack of feds' federations and each one's (row view, constants, round-0 metrics).
 
     The run starts from w = 0, so the initial metrics depend on the
     federation alone; a non-finite one is a ConfigError. A ConfigError of
@@ -134,34 +149,26 @@ def _realize(feds: tuple[FederationConfig, ...]) -> tuple[Federation, list]:
     fed, consts = generate_federation(list(feds))
     for array in (fed.mus, fed.eigs, *(c.w_star for c in consts)):  # run_many keeps them for later calls
         array.flags.writeable = False
-    firsts = _measure(fed, np.zeros((len(feds), fed.d)), np.array([c.w_star for c in consts]), 0)
-    for r, first in enumerate(firsts):
-        if not _finite(first):
+    firsts = _measure(fed, np.zeros((len(feds), 1, fed.d)), np.array([c.w_star for c in consts]))[:, 0]
+    for r, finite in enumerate(np.isfinite(firsts).all(axis=1).tolist()):
+        if not finite:
             exc = ConfigError("metrics of the initial point overflow float64")
             exc.row = r
             raise exc
     return fed, [(replace(fed, mus=fed.mus[r : r + 1]), *point) for r, point in enumerate(zip(consts, firsts))]
 
 
-def _measure(fed: Federation, w, w_star, round_index) -> list[RunRecord]:
-    """The metrics of each replicate of the stacked fed at its row of w, one record per replicate."""
+def _measure(fed: Federation, w, w_star) -> np.ndarray:
+    """The (R, C, 3) metrics rows of each replicate of the stacked fed at its C models w (R, C, d)."""
     # A finite but huge iterate overflows here; the caller treats it as divergence.
     with np.errstate(over="ignore", invalid="ignore"):
         g, loss = global_grad_and_loss(fed, w)
-        diff = w - w_star
-        return [
-            RunRecord(
-                round=round_index,
-                grad_norm_sq=float(np.dot(g_r, g_r)),
-                global_loss=float(loss_r),
-                dist_to_opt_sq=float(np.dot(diff_r, diff_r)),
-            )
-            for g_r, loss_r, diff_r in zip(g, loss, diff)
-        ]
-
-
-def _finite(rec: RunRecord) -> bool:
-    return all(map(math.isfinite, (rec.grad_norm_sq, rec.global_loss, rec.dist_to_opt_sq)))
+        diff = w - w_star[:, None]
+        rows = np.empty((*loss.shape, 3))
+        np.vecdot(g, g, out=rows[..., 0])
+        rows[..., 1] = loss
+        np.vecdot(diff, diff, out=rows[..., 2])
+        return rows
 
 
 def run(cfg: RunConfig, write_artifacts: bool = True) -> RunResult:
@@ -257,7 +264,7 @@ def run_stack(
 
     cfgs share a _stack_key. fed is their (R, N, d) stack of
     federations in cfgs' order, R = 1 for a lone run. realized holds
-    each point's (federation, constants, round-0 record) as _realize
+    each point's (federation, constants, round-0 metrics) as _realize
     builds it; run_many has made the output directories, if any.
 
     Round t of point r trains the participants sample_round draws from
@@ -269,47 +276,57 @@ def run_stack(
     a noisy federation participant i draws its gradient noise from the
     key of substream(seed_r, TAG_LOCAL, t, i), the round's keys derived
     as one block per replicate. The participants of all replicates train
-    in one local_sgd call and step in one aggregator_step call, and the
-    logged rounds are measured in one global_grad_and_loss call.
+    in one local_sgd call and step in one aggregator_step call.
 
-    A point whose run diverges finishes the round with the others, whose
-    bits its rows do not touch, logs no record for it and then leaves
-    the stack, with a DivergenceError naming the round, its local step
-    (None for the server step or the metrics; a local step wins) and its
-    finite records as `result`; its artifacts are written then. A point
-    that completes writes its artifacts at the end.
+    The models of the logged rounds are kept and measured in one
+    global_grad_and_loss call for all replicates, into one (R, rows, 3)
+    array, when max(1, ROW_BLOCK_BYTES // (8 R N d)) of them (R the
+    starting size; one ordered_row_sum buffer) wait, a point is about to
+    leave, or the last round has run.
+
+    A point leaves at the earliest round in which its local step, its
+    server step or its metrics are non-finite, with a DivergenceError
+    naming that round, its local step (None for the server step or the
+    metrics; a local step wins) and its earlier rows as `result`; its
+    artifacts are written then. One whose metrics overflow while its
+    model stays finite runs on, touching no other row's bits, until its
+    batch is measured. A completed point writes its artifacts at the end.
     """
     cfg = cfgs[0]
     h, N, d = cfg.hyper, cfg.federation.N, cfg.federation.d
     eta_tilde = effective_server_lr(h)
     # Only clusterfedvarp's aggregator maps clients to clusters.
     assignment = block_assignment(N, cfg.algo.K) if cfg.algo.name == CLUSTERFEDVARP else None
-    results = [
-        RunResult(
-            records=[first],
-            manifest=build_manifest(point, point_fed, consts, assignment),
-            completed=False,
-            output_dir=Path(point.output_dir) if write_artifacts else None,
-        )
-        for point, (point_fed, consts, first) in zip(cfgs, realized)
-    ]
-    outcomes = list(results)
+    rounds = np.minimum(np.arange(_logged_rows(cfg)) * cfg.log_every, h.T)  # the logged round indices
+    table = np.empty((len(cfgs), rounds.size, 3))  # each point's metrics rows
+    table[:, 0] = [first for _, _, first in realized]
+    cap = max(1, ROW_BLOCK_BYTES // (8 * len(cfgs) * N * d))  # logged rounds measured in one call
+    filled, models, n = 1, np.empty((len(cfgs), cap, d)), 0  # rows written; the n logged models since
+    # Built before the server tables: a manifest's cluster constants would add to their peak.
+    manifests = [build_manifest(point, fed_i, consts, assignment) for point, (fed_i, consts, _) in zip(cfgs, realized)]
+    outcomes = [None] * len(cfgs)
     live = list(range(len(cfgs)))  # the point of each stack row
     w_star = np.array([consts.w_star for _, consts, _ in realized])
     state = init_state(cfg.algo.name, np.zeros((len(cfgs), d)), N, cfg.algo.K, assignment)
 
-    def leave(t: int, steps: dict) -> bool:
-        """Take the rows in steps (row -> local step) out of the stack; whether any row is left."""
-        nonlocal live, fed, w_star, chunk
-        for row, step in steps.items():
-            exc = DivergenceError(step)
-            res = exc.result = results[live[row]]
-            exc.round = res.aborted_round = t
-            outcomes[live[row]] = exc
-            artifacts.write_run_artifacts(res)
-        keep = [row for row in range(len(live)) if row not in steps]
+    def finish(i: int, aborted_round: int | None = None) -> RunResult:
+        """Point i's result, with its rows logged up to aborted_round if it diverged; its artifacts are written."""
+        k = rounds.size if aborted_round is None else int(np.searchsorted(rounds, aborted_round, side="right"))
+        out = Path(cfgs[i].output_dir) if write_artifacts else None
+        res = RunResult(rounds[:k], table[i, :k], manifests[i], aborted_round is None, aborted_round, out)
+        artifacts.write_run_artifacts(res)
+        return res
+
+    def leave(diverged: dict) -> bool:
+        """Take the rows in diverged (row -> (round, local step)) out of the stack; whether any row is left."""
+        nonlocal live, fed, w_star, chunk, models
+        for row, (t, step) in diverged.items():
+            exc = outcomes[live[row]] = DivergenceError(step)
+            exc.round = t
+            exc.result = finish(live[row], t)
+        keep = [row for row in range(len(live)) if row not in diverged]
         live = [live[row] for row in keep]
-        w_star, chunk = w_star[keep], chunk[keep]
+        w_star, chunk, models = w_star[keep], chunk[keep], models[keep]
         fed = replace(fed, mus=fed.mus[keep])
         state.w = state.w[keep]
         if state.table is not None:
@@ -322,46 +339,50 @@ def run_stack(
             M = cfg.round_size(t)
             # M != h.M only in round 0 of a full_first_round, N ids.
             chunk_end = t + 1 if M != h.M else min(h.T, t + max(1, ROUND_KEY_CHUNK // M))
-            rounds = np.arange(t, chunk_end)
+            chunk_rounds = np.arange(t, chunk_end)
             chunk = np.array(  # (replicates, rounds, M)
-                [sample_rounds(N, M, philox_keys(cfgs[i].seed, TAG_SAMPLING, ids=rounds)) for i in live]
+                [sample_rounds(N, M, philox_keys(cfgs[i].seed, TAG_SAMPLING, ids=chunk_rounds)) for i in live]
             )
-        participants = chunk[:, t - rounds[0]]
+        participants = chunk[:, t - chunk_rounds[0]]
         keys = None
         if fed.noise_sigma > 0:
             keys = np.array([philox_keys(cfgs[i].seed, TAG_LOCAL, t, ids=ids) for i, ids in zip(live, participants)])
-        steps = {}  # row -> the local step it diverged at, None for the server step or metrics
+        diverged = {}  # row -> (round, the local step it diverged at, None for the server step or metrics)
         try:
             block = local_sgd(fed, participants, state.w, h.tau, h.eta_c, keys)
         except DivergenceError as exc:
             block = exc.block
             for row, m in zip(*np.nonzero(exc.steps >= 0)):  # a replicate's step is its first diverging row's
-                steps.setdefault(int(row), int(exc.steps[row, m]))
+                diverged.setdefault(int(row), (t, int(exc.steps[row, m])))
         aggregator_step(state, participants, block, eta_tilde)
         if not np.isfinite(state.w).all():
             for row in (~np.isfinite(state.w).all(axis=1)).nonzero()[0].tolist():
-                steps.setdefault(row, None)
-        if (t + 1) % cfg.log_every == 0 or (t + 1) == h.T:
-            for row, rec in enumerate(_measure(fed, state.w, w_star, t + 1)):
-                if not _finite(rec):
-                    steps.setdefault(row, None)
-                elif row not in steps:
-                    results[live[row]].records.append(rec)
-        if steps and not leave(t, steps):
+                diverged.setdefault(row, (t, None))
+        if t + 1 == rounds[filled + n]:
+            models[:, n] = state.w
+            n += 1
+        if n and (diverged or n == cap or t + 1 == h.T):
+            batch = table[live, filled : filled + n] = _measure(fed, models[:, :n], w_star)
+            if not np.isfinite(batch).all():
+                for row, c in np.argwhere(~np.isfinite(batch).all(axis=2)).tolist():
+                    t_bad = int(rounds[filled + c]) - 1  # the round whose update overflowed them
+                    if t_bad < diverged.get(row, (h.T,))[0]:  # a local or server step of that round wins
+                        diverged[row] = (t_bad, None)
+            filled, n = filled + n, 0
+        if diverged and not leave(diverged):
             break
     else:
         for i in live:
-            results[i].completed = True
-            artifacts.write_run_artifacts(results[i])
+            outcomes[i] = finish(i)
     return outcomes
 
 
-def floor_estimate(records: list[RunRecord]) -> float:
-    """Mean of the last 20% of logged grad_norm_sq values."""
-    if not records:
+def floor_estimate(grads: np.ndarray) -> float:
+    """Mean of the last 20% of a run's logged grad_norm_sq values (RunResult.metrics[:, 0])."""
+    if not len(grads):
         raise ConfigError("no records to estimate a floor from")
-    k = max(1, len(records) // 5)
-    return float(np.mean([r.grad_norm_sq for r in records[-k:]]))
+    k = max(1, len(grads) // 5)
+    return float(np.mean(grads[-k:]))
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +426,8 @@ def sweep(base: RunConfig, axis: str, values: list, write_artifacts: bool = True
     rows = []
     for (cfg, held), res in zip(points, results):
         if res.completed:
-            grads = [r.grad_norm_sq for r in res.records]
-            tail = (floor_estimate(res.records), min(grads), grads[-1], "true", "")
+            grads = res.metrics[:, 0]
+            tail = (floor_estimate(grads), float(grads.min()), float(grads[-1]), "true", "")
         else:
             tail = ("", "", "", "false", res.aborted_round)
         rows.append((axis, held, cfg.seed, res.manifest["constants"]["sigma_g_sq"], *tail))

@@ -52,8 +52,10 @@ class Federation:
         return self.mus.shape[-1]
 
     def grads_and_losses(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Exact per-client gradients A(w - mu_i), shape (R, N, d), and losses, shape (R, N), at the (R, d) w."""
-        diffs = np.asarray(w)[:, None, :] - self.mus
+        """Exact per-client gradients A(w - mu_i), shape (R, ..., N, d), and losses, shape (R, ..., N), at the
+        (R, ..., d) w, whose middle axes broadcast against replicate r's mus."""
+        w = np.asarray(w)
+        diffs = w[..., None, :] - self.mus[(slice(None),) + (None,) * (w.ndim - 2)]
         grads = self.eigs * diffs
         return grads, 0.5 * np.sum(grads * diffs, axis=-1)
 
@@ -198,31 +200,35 @@ def _client_terms(eigs: np.ndarray, mus: np.ndarray, mu_bar: np.ndarray, assignm
 
 
 def global_grad_and_loss(fed: Federation, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact global gradients (R, d) and losses (R,) at the (R, d) w, averaged over each replicate's clients.
+    """Exact global gradients (R, ..., d) and losses (R, ...) at the (R, ..., d) w, averaged over each replicate's clients.
 
-    The gradients are formed and summed block by block (ordered_row_sum),
-    not as (R, N, d) temporaries, with the bits of grads_and_losses(w),
-    grads.mean(axis=1) and losses.mean(axis=1) where numpy's reduction
-    starts from +0.0 (numpy 2.4); elsewhere only the sign of an all-zero
-    column of g could differ, and metrics read g only as dot(g, g). At
-    d=1 numpy sums the column pairwise, so d=1 keeps the whole column.
-    Each replicate has the bits of a stack of one.
+    The middle axes of w (a batch of logged rounds, say) broadcast
+    against replicate r's mus; entry [r, c] has the bits of an (R, d)
+    call at w[:, c]. The gradients are formed and summed block by block
+    (ordered_row_sum), not as (R, ..., N, d) temporaries, with the bits
+    of grads_and_losses(w) and its means over the clients where numpy's
+    reduction starts from +0.0 (numpy 2.4); elsewhere only the sign of an
+    all-zero column of g could differ, and metrics read g only as its
+    squared norm. At d=1 numpy sums the column pairwise, so d=1 keeps the
+    whole column. Each replicate has the bits of a stack of one.
     """
     w = np.asarray(w, dtype=np.float64)
     R, N, d = fed.mus.shape
-    if w.shape != (R, d):
-        raise DimensionError(f"expected model shape {(R, d)}, got {w.shape}")
+    if w.ndim < 2 or (w.shape[0], w.shape[-1]) != (R, d):
+        raise DimensionError(f"expected model shape ({R}, ..., {d}), got {w.shape}")
     if d == 1:
         grads, losses = fed.grads_and_losses(w)
-        return grads.mean(axis=1), losses.mean(axis=1)
-    row_sums = np.empty((R, N))
-    w_row = w[:, None, :]  # each replicate's w against its rows
+        return grads.mean(axis=-2), losses.mean(axis=-1)
+    lead = w.shape[:-1]
+    row_sums = np.empty((*lead, N))
+    w_row = w[..., None, :]  # each model against its replicate's rows
+    mus = fed.mus[(slice(None),) + (None,) * (w.ndim - 2)]
 
     def grads_into(lo: int, hi: int, out: np.ndarray) -> None:
-        diffs = np.subtract(w_row, fed.mus[:, lo:hi], out=np.empty_like(out))
+        diffs = np.subtract(w_row, mus[..., lo:hi, :], out=np.empty_like(out))
         np.multiply(fed.eigs, diffs, out=out)
         diffs *= out  # grads * diffs, the products each loss sums
-        np.add.reduce(diffs, axis=-1, out=row_sums[:, lo:hi])
+        np.add.reduce(diffs, axis=-1, out=row_sums[..., lo:hi])
 
-    g = ordered_row_sum(N, d, grads_into, (R,)) / N
-    return g, (0.5 * row_sums).mean(axis=1)
+    g = ordered_row_sum(N, d, grads_into, lead) / N
+    return g, (0.5 * row_sums).mean(axis=-1)

@@ -142,7 +142,7 @@ def test_a3_variance_elimination():
     avg = run(replace(base, algo=AlgoConfig(FEDAVG)), write_artifacts=False)
     assert varp.manifest["constants"]["sigma_g_sq"] > 0
     varp_final = varp.records[-1].grad_norm_sq
-    avg_floor = floor_estimate(avg.records)
+    avg_floor = floor_estimate(avg.metrics[:, 0])
     assert varp_final <= 1e-10
     assert avg_floor >= 1e3 * varp_final
     assert avg_floor > 1e-8  # the fedavg floor is a real floor, not noise
@@ -173,7 +173,7 @@ def test_a4_floor_scaling_in_heterogeneity():
     values = [10 ** (j / 8) for j in range(5)]  # sigma_g_sq spans one decade
     result = sweep(_floor_base(), "sigma_g_scale", values, write_artifacts=False)
     log_sigma = [np.log(r.manifest["constants"]["sigma_g_sq"]) for r in result.results]
-    log_floor = [np.log(floor_estimate(r.records)) for r in result.results]
+    log_floor = [np.log(floor_estimate(r.metrics[:, 0])) for r in result.results]
     assert max(log_sigma) - min(log_sigma) == pytest.approx(np.log(10), rel=1e-6)
     slope = np.polyfit(log_sigma, log_floor, 1)[0]
     assert 0.7 <= slope <= 1.3, f"floor-vs-heterogeneity slope {slope:.3f}"
@@ -187,7 +187,7 @@ def test_a5_floor_scaling_in_server_rate():
         replace(base, hyper=replace(base.hyper, eta_s=base.hyper.eta_s / 2)),
         write_artifacts=False,
     )
-    ratio = floor_estimate(halved.records) / floor_estimate(full.records)
+    ratio = floor_estimate(halved.metrics[:, 0]) / floor_estimate(full.metrics[:, 0])
     assert 0.35 <= ratio <= 0.7, f"floor ratio after halving eta_s: {ratio:.3f}"
 
 
@@ -250,7 +250,7 @@ def test_a8_cluster_interpolation():
     )
     consts = clustered.manifest["constants"]
     assert consts["sigma_K_sq"] <= 1e-2 * consts["sigma_g_sq"]
-    assert floor_estimate(clustered.records) <= 0.1 * floor_estimate(avg.records)
+    assert floor_estimate(clustered.metrics[:, 0]) <= 0.1 * floor_estimate(avg.metrics[:, 0])
 
     # Singleton generator clusters: K = N matches the per-client table.
     singleton = config(
@@ -272,8 +272,8 @@ def test_a8_cluster_interpolation():
     varp = run(singleton, write_artifacts=False)
     c_n = run(replace(singleton, algo=AlgoConfig(CLUSTERFEDVARP, K=N)), write_artifacts=False)
     assert c_n.manifest["constants"]["sigma_K_sq"] == 0.0
-    floor_v = floor_estimate(varp.records)
-    floor_c = floor_estimate(c_n.records)
+    floor_v = floor_estimate(varp.metrics[:, 0])
+    floor_c = floor_estimate(c_n.metrics[:, 0])
     assert floor_v > 0
     assert 0.5 <= floor_c / floor_v <= 2.0
 

@@ -285,10 +285,13 @@ def test_a_full_first_round_is_a_chunk_of_its_own(small_config, monkeypatch):
 def test_a_point_diverging_inside_a_chunk_leaves_the_others_their_participants(
     small_config, tmp_path, monkeypatch
 ):
-    # Chunks of 4 rounds. At eta_c = 4 a local step can triple the
-    # iterate, so the minimizers scaled by 1e150 overflow the metrics in
-    # round 5, inside the second chunk, and the others stay finite.
+    # Chunks of 4 rounds and batches of 5 logged rounds. At eta_c = 4 a
+    # local step can triple the iterate, so the minimizers scaled by
+    # 1e150 overflow the metrics in round 5, inside the second chunk and
+    # batch, and the others stay finite. The point leaves when its batch
+    # is measured, after round 9, inside the third chunk.
     monkeypatch.setattr(harness, "ROUND_KEY_CHUNK", 12)
+    monkeypatch.setattr(harness, "ROW_BLOCK_BYTES", 5 * 8 * 3 * 8 * 3)  # 5 * 8 R N d
     base = small_config(
         algo="fedvarp", noise_sigma=0.3, eta_c=4.0, T=12, M=3, output_dir=tmp_path / "sw"
     )
@@ -300,18 +303,19 @@ def test_a_point_diverging_inside_a_chunk_leaves_the_others_their_participants(
     ok, boom, ok2 = result.results
     assert ok.completed and ok2.completed and not boom.completed
     t0 = boom.aborted_round
-    assert t0 % 4 != 0 and len(stacked) == base.hyper.T
+    left = (t0 // 5 + 1) * 5 - 1  # the last round of t0's batch
+    assert t0 % 4 != 0 and left % 4 != 3 and left < base.hyper.T - 1 and len(stacked) == base.hyper.T
 
     # Row k of round t's stacked call is the k-th point still running.
     rows = {0: [], 1: [], 2: []}
     for t, (ids, keys) in enumerate(stacked):
-        points = [0, 1, 2] if t <= t0 else [0, 2]
+        points = [0, 1, 2] if t <= left else [0, 2]
         assert ids.shape == (len(points), 3)
         for k, point in enumerate(points):
             rows[point].append((ids[k : k + 1], keys[k : k + 1]))
     _assert_round_streams(cfgs[0], rows[0])
     _assert_round_streams(cfgs[2], rows[2])
-    _assert_round_streams(replace(cfgs[1], hyper=replace(base.hyper, T=t0 + 1)), rows[1])
+    _assert_round_streams(replace(cfgs[1], hyper=replace(base.hyper, T=left + 1)), rows[1])
 
     for cfg in cfgs:
         out = Path(cfg.output_dir)
@@ -323,12 +327,72 @@ def test_a_point_diverging_inside_a_chunk_leaves_the_others_their_participants(
         assert {name: (out / name).read_bytes() for name in artifacts.RUN_ARTIFACTS} == swept
 
 
+def _outcomes(cfgs):
+    """Each config's (kind, round, step, records, artifact bytes) from one run_many call."""
+    outs = []
+    for cfg, out in zip(cfgs, harness.run_many(cfgs)):
+        res = out.result if isinstance(out, DivergenceError) else out
+        files = {name: (Path(cfg.output_dir) / name).read_bytes() for name in artifacts.RUN_ARTIFACTS}
+        outs.append((type(out), getattr(out, "round", None), getattr(out, "step", None), res.records, files))
+    return outs
+
+
+@pytest.mark.parametrize(
+    "eta_c, noise_sigma, values, T, boom",
+    [
+        # The metrics overflow in round 5, inside a batch of 12 rounds; the model stays finite.
+        (4.0, 0.3, [1.0, 1e150, 2.0], 12, (5, None)),
+        # Its local step overflows near round 166, inside the same batch of 200 rounds.
+        (4.0, 0.3, [1.0, 1e150, 2.0], 200, (5, None)),
+        # A local step and the metrics overflow in round 1, after finite metrics in round 0.
+        (1e80, 0.0, [1e-200, 1e-10, 1e-190], 2, (1, 1)),
+    ],
+    ids=["metrics", "metrics_then_local_step", "local_step_and_metrics"],
+)
+def test_a_point_diverging_inside_a_batch_ends_as_round_by_round(
+    small_config, tmp_path, monkeypatch, eta_c, noise_sigma, values, T, boom
+):
+    base = small_config(algo="fedvarp", noise_sigma=noise_sigma, eta_c=eta_c, T=T, M=3, output_dir=tmp_path / "sw")
+    cfgs = [sweep_point(base, "sigma_g_scale", v, i)[0] for i, v in enumerate(values)]
+    calls = []  # each round's stack size and the rows whose local step overflowed
+    local_sgd = harness.local_sgd
+
+    def recording(fed, participants, *args):
+        overflowed = []
+        try:
+            return local_sgd(fed, participants, *args)
+        except DivergenceError as exc:
+            overflowed = (exc.steps >= 0).any(axis=1).nonzero()[0].tolist()
+            raise
+        finally:
+            calls.append((len(participants), overflowed))
+
+    monkeypatch.setattr(harness, "local_sgd", recording)
+    batched = _outcomes(cfgs)
+    assert harness.ROW_BLOCK_BYTES // (8 * 3 * 8 * 3) >= T  # one batch holds every logged round
+    assert batched[1][1:3] == boom
+    left = next((t for t, (rows, _) in enumerate(calls) if rows < 3), len(calls)) - 1
+    assert left > boom[0] or boom[1] is not None  # a point whose model stays finite runs to its batch's end
+    if T == 200:  # its local step overflowed later in that batch
+        assert calls[left] == (3, [1])
+    monkeypatch.setattr(harness, "ROW_BLOCK_BYTES", 1)  # a batch of one round: measured every round
+    assert _outcomes(cfgs) == batched
+
+
 def test_a_round_index_past_one_key_word_is_a_config_error(small_config, tmp_path):
     cfg = small_config(T=2**32 + 1, output_dir=tmp_path / "long")
     with pytest.raises(ConfigError, match=r"T must be at most 2\*\*32"):
         run(cfg)
     assert not (tmp_path / "long").exists()
-    harness._check_sizes(replace(cfg, hyper=replace(cfg.hyper, T=2**32)))
+    harness._check_sizes(replace(cfg, hyper=replace(cfg.hyper, T=2**32), log_every=2**32))
+
+
+def test_a_metrics_table_too_large_to_allocate_is_a_config_error(small_config, tmp_path):
+    # 2**32 + 1 logged rows of 3 float64s are 96 GiB, refused before anything is made.
+    cfg = small_config(T=2**32, log_every=1, output_dir=tmp_path / "long")
+    with pytest.raises(ConfigError, match=r"array shape \(1, 4294967297, 3\)"):
+        run(cfg)
+    assert not (tmp_path / "long").exists()
 
 
 def _round_block(fed, w, seed, t, order):
@@ -654,7 +718,7 @@ def test_divergent_sweep_point_keeps_the_other_points(small_config, tmp_path):
     assert [r["aborted_round"] for r in rows] == ["", "0", ""]
     floors = ("floor_grad_norm_sq", "min_grad_norm_sq", "final_grad_norm_sq")
     assert all(rows[1][c] == "" for c in floors)
-    assert float(rows[0]["floor_grad_norm_sq"]) == floor_estimate(ok.records)
+    assert float(rows[0]["floor_grad_norm_sq"]) == floor_estimate(ok.metrics[:, 0])
     assert float(rows[2]["final_grad_norm_sq"]) == ok2.records[-1].grad_norm_sq
     # Points after the divergent one are the runs they would be alone.
     direct = run(sweep_point(base, "eta_s", 0.5, 2)[0], write_artifacts=False)
@@ -681,7 +745,7 @@ def test_sweep_floors_decrease_with_participation(small_config, tmp_path):
         output_dir=tmp_path / "m_sweep",
     )
     result = sweep(base, "M", [2, 5, 10], write_artifacts=False)
-    floors = [floor_estimate(r.records) for r in result.results]
+    floors = [floor_estimate(r.metrics[:, 0]) for r in result.results]
     assert floors[0] > floors[1] > floors[2]
 
 
@@ -710,7 +774,7 @@ def test_fedavg_floor_matches_stationary_prediction(small_config):
     for j in range(3):
         vj = without_replacement_variance([g[j : j + 1] for g in gaps], 4)
         predicted += eigs[j] ** 2 * eta**2 * vj / (1 - (1 - eta * eigs[j]) ** 2)
-    floor = floor_estimate(result.records)
+    floor = floor_estimate(result.metrics[:, 0])
     assert floor == pytest.approx(predicted, rel=0.4)
 
 
@@ -792,8 +856,7 @@ def _perturb_a_cluster_record(monkeypatch):
         # first config would miss it.
         outcomes = run_many(cfgs, **kwargs)
         result = outcomes[[i for i, cfg in enumerate(cfgs) if cfg.algo.K == 1][1]]
-        rec = result.records[-1]
-        result.records[-1] = replace(rec, global_loss=float(np.nextafter(rec.global_loss, 1.0)))
+        result.metrics[-1, 1] = np.nextafter(result.metrics[-1, 1], 1.0)  # the last global_loss
         return outcomes
 
     monkeypatch.setattr(oracles, "run_many", perturbed)

@@ -119,6 +119,20 @@ def test_a_stacked_federation_shares_eigs_and_noise():
             Federation(eigs=np.ones(2), mus=mus)
 
 
+def test_measured_rows_hold_the_bits_of_one_dot_per_model():
+    # _measure takes the squared norms of a batch with np.vecdot; a run's
+    # metrics held np.dot's bits of each model's vectors before batches.
+    rng = np.random.default_rng(9)
+    for d in (1, 2, 7, 100, 2000):
+        fed = make_federation(rng.normal(size=(2, 30, d)), rng.uniform(0.2, 1.7, size=d))
+        w, w_star = rng.normal(size=(2, 3, d)), rng.normal(size=(2, d))
+        rows = harness._measure(fed, w, w_star)
+        g, loss = global_grad_and_loss(fed, w)
+        for r, c in np.ndindex(2, 3):
+            diff = w[r, c] - w_star[r]
+            assert rows[r, c].tolist() == [np.dot(g[r, c], g[r, c]), loss[r, c], np.dot(diff, diff)], (d, r, c)
+
+
 def test_lone_shapes_are_refused():
     # A lone model, participant set or server state is a shape error, not a stack of one.
     fed = make_federation(np.zeros((1, 4, 3)), np.ones(3))
@@ -266,12 +280,16 @@ def count_calls(monkeypatch, *names):
     return calls
 
 
-def test_a_scale_sweep_makes_one_call_per_round_for_all_points(small_config, tmp_path, monkeypatch):
+def test_a_scale_sweep_steps_all_points_in_one_call_per_round_and_measures_them_in_one_batch(
+    small_config, tmp_path, monkeypatch
+):
     calls = count_calls(monkeypatch, "local_sgd", "aggregator_step", "global_grad_and_loss")
     base = small_config(algo="fedvarp", T=7, log_every=1, output_dir=tmp_path / "sw")
     sweep(base, "sigma_g_scale", [0.5, 1.0, 2.0])
-    # The metrics of round 0 are measured in one call, as the stack is built.
-    assert calls == {"local_sgd": 7, "aggregator_step": 7, "global_grad_and_loss": 1 + 7}
+    # The metrics of round 0 are measured in one call, as the stack is built,
+    # and a batch of max(1, ROW_BLOCK_BYTES // (8 R N d)) = 227 logged rounds
+    # holds rounds 1 to 7.
+    assert calls == {"local_sgd": 7, "aggregator_step": 7, "global_grad_and_loss": 1 + 1}
 
 
 def test_other_axes_run_point_by_point(small_config, tmp_path, monkeypatch):

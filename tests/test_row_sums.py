@@ -2,6 +2,7 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,6 +113,26 @@ def test_blocked_metrics_match_whole_table_bitwise():
             assert loss.tobytes() == loss_ref.tobytes(), (N, d)
 
 
+@pytest.mark.parametrize("R", [1, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 100])
+def test_a_batch_of_models_matches_one_call_per_model_bitwise(d, R):
+    # N spans at least three blocks of the (R, d) calls, and more of the batched one.
+    C = 4
+    N = 3 * (rows_per_buffer(d) // R) + 1
+    rng = np.random.default_rng(d * 10 + R)
+    eigs = rng.uniform(0.2, 1.7, size=d)
+    eigs[rng.random(d) < 0.3] = 0.0  # zero curvature: gradient components of ±0.0
+    fed = make_federation(rng.normal(size=(R, N, d)), eigs)
+    w = rng.normal(size=(R, C, d)) * np.array([1e-3, 1.0, 1e100, 1.0])[:, None]
+    w[:, 3] = fed.mus.min(axis=1) - 1.0  # every w - mu_i < 0: all -0.0 in zero columns
+    g, loss = global_grad_and_loss(fed, w)
+    assert g.shape == (R, C, d) and loss.shape == (R, C)
+    for c in range(C):
+        g_c, loss_c = global_grad_and_loss(fed, w[:, c])
+        assert g[:, c].tobytes() == g_c.tobytes(), c
+        assert loss[:, c].tobytes() == loss_c.tobytes(), c
+
+
 def peak_traced_bytes(fn):
     tracemalloc.start()
     try:
@@ -129,6 +150,10 @@ def test_table_reductions_allocate_far_less_than_the_table():
     fed = make_federation(rng.normal(size=(1, N, d)), rng.uniform(0.1, 2.0, size=d))
     w = rng.normal(size=(1, d))
     assert peak_traced_bytes(lambda: global_grad_and_loss(fed, w)) < bound
+    R, C = 2, 5  # a batch of logged rounds makes no (R, C, N, d) temporary either
+    stack = make_federation(rng.normal(size=(R, N, d)), fed.eigs)
+    batch = rng.normal(size=(R, C, d))
+    assert peak_traced_bytes(lambda: global_grad_and_loss(stack, batch)) < bound
 
     ids = np.sort(rng.choice(N, size=M, replace=False))[None]
     block = rng.normal(size=(1, M, d))

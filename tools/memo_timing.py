@@ -18,7 +18,9 @@ empties the kept federations, outside the timed calls:
 
 On a checkout that keeps nothing across calls every mode times the same
 work. Prints, per ROOT, the median and interquartile range of all timed
-passes in milliseconds, and each child's median.
+passes in milliseconds, and each child's median. With two ROOTs it also
+prints how many of the processes each ROOT won: process i of one ROOT
+against process i of the other, the lower median winning.
 """
 import argparse
 import contextlib
@@ -88,6 +90,11 @@ def main() -> None:
         q1, median, q3 = statistics.quantiles(pooled, n=4, method="inclusive")
         print(f"{root}: {args.workload} drop={args.drop} pass median {median:.1f} ms, IQR {q3 - q1:.1f} ms "
               f"({len(pooled)} passes); per process {[round(statistics.median(t), 1) for t in lists]}")
+    if len(runs) == 2:
+        (a, a_lists), (b, b_lists) = runs.items()
+        a_wins = sum(statistics.median(x) < statistics.median(y) for x, y in zip(a_lists, b_lists))
+        b_wins = sum(statistics.median(y) < statistics.median(x) for x, y in zip(a_lists, b_lists))
+        print(f"processes won of {args.processes}: {a} {a_wins}, {b} {b_wins}")
 
 
 if __name__ == "__main__":
