@@ -34,23 +34,25 @@ class OracleScaleError(ValueError):
 class DivergenceError(RuntimeError):
     """A trajectory produced a non-finite iterate.
 
-    Carries the local step index (None for a server-side step); the round
-    index is filled in by the run loop that owns the round counter, which
-    also attaches what the run logged before it stopped as `result`.
-    local_sgd also attaches `steps`, each participant's first non-finite
-    step (-1 where it stayed finite), and the finished update `block`.
+    Carries the local step index (None otherwise) and the kind of result
+    that went non-finite: "local step", "server step" or "metrics". The
+    run loop, which owns the round counter, gives the round and what the
+    run logged before it stopped as `result`. local_sgd also attaches
+    `steps`, each participant's first non-finite step (-1 where it stayed
+    finite), and the finished update `block`.
     """
 
-    def __init__(self, step: int | None, steps=None, block=None):
+    def __init__(self, step: int | None, steps=None, block=None, kind="local step", round=None, result=None):
         super().__init__(step)
         self.step = step
         self.steps = steps
         self.block = block
-        self.round = None
-        self.result = None
+        self.kind = kind
+        self.round = round
+        self.result = result
 
     def __str__(self) -> str:
-        where = "server step" if self.step is None else f"local_step={self.step}"
+        where = self.kind if self.step is None else f"local_step={self.step}"
         return f"non-finite iterate at round={self.round} ({where})"
 
 
@@ -148,20 +150,6 @@ def effective_server_lr(h: HyperConfig) -> float:
     receives its value unchanged.
     """
     return h.eta_s * h.eta_c * h.tau
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """Per-round metrics evaluated with exact (noiseless) gradients."""
-
-    round: int
-    grad_norm_sq: float
-    global_loss: float
-    dist_to_opt_sq: float
-
-    def __post_init__(self):
-        if self.grad_norm_sq < 0 or self.dist_to_opt_sq < 0:
-            raise ValueError("squared norms must be nonnegative")
 
 
 @dataclass(frozen=True)

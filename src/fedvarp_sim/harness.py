@@ -36,7 +36,6 @@ from .core import (
     ROW_BLOCK_BYTES,
     ConfigError,
     DivergenceError,
-    RunRecord,
     effective_server_lr,
     lr_precondition_report,
 )
@@ -76,11 +75,6 @@ class RunResult:
     completed: bool
     aborted_round: int | None = None
     output_dir: Path | None = None
-
-    @property
-    def records(self) -> list[RunRecord]:
-        """The logged rows as RunRecords, built on each access."""
-        return [RunRecord(t, *row) for t, row in zip(self.rounds.tolist(), self.metrics.tolist())]
 
 
 def build_manifest(cfg: RunConfig, fed: Federation, consts: FederationConstants, assignment) -> dict:
@@ -178,9 +172,8 @@ def run(cfg: RunConfig, write_artifacts: bool = True) -> RunResult:
     allocate, a T too large to key and initial metrics that overflow are
     ConfigErrors raised before the output directory is made. A
     non-finite iterate or later metric raises DivergenceError naming the
-    round whose update produced it, with the finite records before it as
-    `result`. The artifacts are written once, when the run completes or
-    diverges.
+    round whose update produced it, with the finite rows before it as
+    `result`. The artifacts are written once, after the run's last round.
     """
     [out] = run_many([cfg], write_artifacts)
     if isinstance(out, DivergenceError):
@@ -280,58 +273,37 @@ def run_stack(
 
     The models of the logged rounds are kept and measured in one
     global_grad_and_loss call for all replicates, into one (R, rows, 3)
-    array, when max(1, ROW_BLOCK_BYTES // (8 R N d)) of them (R the
-    starting size; one ordered_row_sum buffer) wait, a point is about to
-    leave, or the last round has run.
+    array, when max(1, ROW_BLOCK_BYTES // (8 R N d)) of them (one
+    ordered_row_sum buffer) wait or the loop ends.
 
-    A point leaves at the earliest round in which its local step, its
-    server step or its metrics are non-finite, with a DivergenceError
-    naming that round, its local step (None for the server step or the
-    metrics; a local step wins) and its earlier rows as `result`; its
-    artifacts are written then. One whose metrics overflow while its
-    model stays finite runs on, touching no other row's bits, until its
-    batch is measured. A completed point writes its artifacts at the end.
+    A point stops at the earliest round in which its local step, its
+    server step or its metrics are non-finite; within a round a local
+    step wins, then the server step. The stack keeps its shape: a
+    stopped point's row runs on (every kernel works per replicate, so no
+    other row's bits change) and its rows logged after its stop are
+    discarded. The loop ends at round T or once every point has stopped.
+    Only a stack with a diverging point pays for dead rows and for the
+    per-row scans behind the isfinite guards; no benchmark workload
+    diverges. After the loop, in point order, each point gets its
+    RunResult, or a DivergenceError naming its stop's round, local step
+    and kind with its earlier rows as `result`, and its artifacts are
+    written, a diverged point's included.
     """
     cfg = cfgs[0]
-    h, N, d = cfg.hyper, cfg.federation.N, cfg.federation.d
+    h, N, d, R = cfg.hyper, cfg.federation.N, cfg.federation.d, len(cfgs)
     eta_tilde = effective_server_lr(h)
     # Only clusterfedvarp's aggregator maps clients to clusters.
     assignment = block_assignment(N, cfg.algo.K) if cfg.algo.name == CLUSTERFEDVARP else None
     rounds = np.minimum(np.arange(_logged_rows(cfg)) * cfg.log_every, h.T)  # the logged round indices
-    table = np.empty((len(cfgs), rounds.size, 3))  # each point's metrics rows
+    table = np.empty((R, rounds.size, 3))  # each point's metrics rows
     table[:, 0] = [first for _, _, first in realized]
-    cap = max(1, ROW_BLOCK_BYTES // (8 * len(cfgs) * N * d))  # logged rounds measured in one call
-    filled, models, n = 1, np.empty((len(cfgs), cap, d)), 0  # rows written; the n logged models since
+    cap = max(1, ROW_BLOCK_BYTES // (8 * R * N * d))  # logged rounds measured in one call
+    filled, models, n = 1, np.empty((R, cap, d)), 0  # rows written; the n logged models since
     # Built before the server tables: a manifest's cluster constants would add to their peak.
     manifests = [build_manifest(point, fed_i, consts, assignment) for point, (fed_i, consts, _) in zip(cfgs, realized)]
-    outcomes = [None] * len(cfgs)
-    live = list(range(len(cfgs)))  # the point of each stack row
     w_star = np.array([consts.w_star for _, consts, _ in realized])
-    state = init_state(cfg.algo.name, np.zeros((len(cfgs), d)), N, cfg.algo.K, assignment)
-
-    def finish(i: int, aborted_round: int | None = None) -> RunResult:
-        """Point i's result, with its rows logged up to aborted_round if it diverged; its artifacts are written."""
-        k = rounds.size if aborted_round is None else int(np.searchsorted(rounds, aborted_round, side="right"))
-        out = Path(cfgs[i].output_dir) if write_artifacts else None
-        res = RunResult(rounds[:k], table[i, :k], manifests[i], aborted_round is None, aborted_round, out)
-        artifacts.write_run_artifacts(res)
-        return res
-
-    def leave(diverged: dict) -> bool:
-        """Take the rows in diverged (row -> (round, local step)) out of the stack; whether any row is left."""
-        nonlocal live, fed, w_star, chunk, models
-        for row, (t, step) in diverged.items():
-            exc = outcomes[live[row]] = DivergenceError(step)
-            exc.round = t
-            exc.result = finish(live[row], t)
-        keep = [row for row in range(len(live)) if row not in diverged]
-        live = [live[row] for row in keep]
-        w_star, chunk, models = w_star[keep], chunk[keep], models[keep]
-        fed = replace(fed, mus=fed.mus[keep])
-        state.w = state.w[keep]
-        if state.table is not None:
-            state.table = state.table[keep]
-        return bool(keep)
+    state = init_state(cfg.algo.name, np.zeros((R, d)), N, cfg.algo.K, assignment)
+    stop = {}  # row -> (round, local step or None, kind) of its earliest non-finite result
 
     chunk_end = 0
     for t in range(h.T):
@@ -341,39 +313,44 @@ def run_stack(
             chunk_end = t + 1 if M != h.M else min(h.T, t + max(1, ROUND_KEY_CHUNK // M))
             chunk_rounds = np.arange(t, chunk_end)
             chunk = np.array(  # (replicates, rounds, M)
-                [sample_rounds(N, M, philox_keys(cfgs[i].seed, TAG_SAMPLING, ids=chunk_rounds)) for i in live]
+                [sample_rounds(N, M, philox_keys(point.seed, TAG_SAMPLING, ids=chunk_rounds)) for point in cfgs]
             )
         participants = chunk[:, t - chunk_rounds[0]]
         keys = None
         if fed.noise_sigma > 0:
-            keys = np.array([philox_keys(cfgs[i].seed, TAG_LOCAL, t, ids=ids) for i, ids in zip(live, participants)])
-        diverged = {}  # row -> (round, the local step it diverged at, None for the server step or metrics)
+            keys = np.array([philox_keys(point.seed, TAG_LOCAL, t, ids=ids) for point, ids in zip(cfgs, participants)])
         try:
             block = local_sgd(fed, participants, state.w, h.tau, h.eta_c, keys)
         except DivergenceError as exc:
             block = exc.block
             for row, m in zip(*np.nonzero(exc.steps >= 0)):  # a replicate's step is its first diverging row's
-                diverged.setdefault(int(row), (t, int(exc.steps[row, m])))
+                stop.setdefault(int(row), (t, int(exc.steps[row, m]), "local step"))
         aggregator_step(state, participants, block, eta_tilde)
         if not np.isfinite(state.w).all():
             for row in (~np.isfinite(state.w).all(axis=1)).nonzero()[0].tolist():
-                diverged.setdefault(row, (t, None))
+                stop.setdefault(row, (t, None, "server step"))
         if t + 1 == rounds[filled + n]:
             models[:, n] = state.w
             n += 1
-        if n and (diverged or n == cap or t + 1 == h.T):
-            batch = table[live, filled : filled + n] = _measure(fed, models[:, :n], w_star)
+        if n and (n == cap or t + 1 == h.T or len(stop) == R):
+            batch = table[:, filled : filled + n] = _measure(fed, models[:, :n], w_star)
             if not np.isfinite(batch).all():
                 for row, c in np.argwhere(~np.isfinite(batch).all(axis=2)).tolist():
                     t_bad = int(rounds[filled + c]) - 1  # the round whose update overflowed them
-                    if t_bad < diverged.get(row, (h.T,))[0]:  # a local or server step of that round wins
-                        diverged[row] = (t_bad, None)
+                    if t_bad < stop.get(row, (h.T,))[0]:  # a local or server step of that round wins
+                        stop[row] = (t_bad, None, "metrics")
             filled, n = filled + n, 0
-        if diverged and not leave(diverged):
+        if len(stop) == R:
             break
-    else:
-        for i in live:
-            outcomes[i] = finish(i)
+
+    outcomes = []
+    for i, point in enumerate(cfgs):
+        aborted, step, kind = stop.get(i, (None, None, None))
+        k = rounds.size if aborted is None else int(np.searchsorted(rounds, aborted, side="right"))
+        out = Path(point.output_dir) if write_artifacts else None
+        res = RunResult(rounds[:k], table[i, :k], manifests[i], aborted is None, aborted, out)
+        artifacts.write_run_artifacts(res)
+        outcomes.append(res if aborted is None else DivergenceError(step, kind=kind, round=aborted, result=res))
     return outcomes
 
 

@@ -111,7 +111,10 @@ def reductions_hold(cfgs: list[RunConfig]) -> bool:
     for out in outs:
         if isinstance(out, DivergenceError):
             raise out
-    return all(a.records == b.records for a, b in zip(outs[::2], outs[1::2]))
+    return all(
+        a.rounds.tobytes() == b.rounds.tobytes() and a.metrics.tobytes() == b.metrics.tobytes()
+        for a, b in zip(outs[::2], outs[1::2])
+    )
 
 
 def saga_matches(rng: np.random.Generator, N: int, steps: int, lr: float) -> bool:

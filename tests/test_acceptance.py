@@ -141,7 +141,7 @@ def test_a3_variance_elimination():
     varp = run(base, write_artifacts=False)
     avg = run(replace(base, algo=AlgoConfig(FEDAVG)), write_artifacts=False)
     assert varp.manifest["constants"]["sigma_g_sq"] > 0
-    varp_final = varp.records[-1].grad_norm_sq
+    varp_final = varp.metrics[-1, 0]
     avg_floor = floor_estimate(avg.metrics[:, 0])
     assert varp_final <= 1e-10
     assert avg_floor >= 1e3 * varp_final

@@ -115,6 +115,23 @@ def test_server_step_overflow_exits_one_without_a_warning(config_file, tmp_path,
     assert [line.split(",")[-2] for line in lines[1:]] == ["false", "false"]
 
 
+# Minimizers near 1e150 at eta_c = 4: the iterate grows each round, and
+# its squared metrics overflow in round 4 while it stays finite.
+METRICS_OVERFLOW = [
+    "hyper.eta_c=4.0",
+    "federation.cluster_center_spread=1e150",
+    "federation.within_cluster_spread=1e149",
+]
+
+
+def test_a_metrics_overflow_exits_one_naming_the_metrics(config_file, tmp_path, capsys):
+    sets = [arg for item in METRICS_OVERFLOW for arg in ("--set", item)]
+    assert main(["run", "--config", str(config_file), *sets]) == 1
+    assert capsys.readouterr().err.rstrip().endswith("run aborted: non-finite iterate at round=4 (metrics)")
+    status = json.loads((tmp_path / "artifacts" / "status.json").read_text())
+    assert status == {"completed": False, "aborted_round": 4}
+
+
 def test_identical_invocations_identical_artifacts(config_file, tmp_path):
     out = tmp_path / "artifacts"
     main(["run", "--config", str(config_file)])

@@ -152,17 +152,21 @@ def test_override_unknown_key(tmp_path):
 # Running
 
 
+def logged(result):
+    """A RunResult's logged round indices and metrics rows, as lists."""
+    return result.rounds.tolist(), result.metrics.tolist()
+
+
 def test_empty_run_logs_initial_point(small_config):
     result = run(small_config(T=0))
-    assert len(result.records) == 1
-    assert result.records[0].round == 0
+    assert result.rounds.tolist() == [0]
+    assert result.metrics.shape == (1, 3)
     assert (result.output_dir / "manifest.json").exists()
 
 
 def test_records_rounds_strictly_increase(small_config):
     result = run(small_config(T=12, log_every=5))
-    rounds = [r.round for r in result.records]
-    assert rounds == [0, 5, 10, 12]
+    assert result.rounds.tolist() == [0, 5, 10, 12]
 
 
 def test_homogeneous_clients_monotone_descent(small_config):
@@ -178,7 +182,7 @@ def test_homogeneous_clients_monotone_descent(small_config):
             output_dir=f"unused_{algo}",
         )
         result = run(cfg, write_artifacts=False)
-        grads = [r.grad_norm_sq for r in result.records]
+        grads = result.metrics[:, 0].tolist()
         assert all(b <= a * (1 + 1e-12) for a, b in zip(grads, grads[1:]))
         assert grads[-1] < grads[0] * 1e-3
 
@@ -288,8 +292,8 @@ def test_a_point_diverging_inside_a_chunk_leaves_the_others_their_participants(
     # Chunks of 4 rounds and batches of 5 logged rounds. At eta_c = 4 a
     # local step can triple the iterate, so the minimizers scaled by
     # 1e150 overflow the metrics in round 5, inside the second chunk and
-    # batch, and the others stay finite. The point leaves when its batch
-    # is measured, after round 9, inside the third chunk.
+    # batch, and the others stay finite. The point keeps its row in the
+    # stack to the last round, and its rows after round 5 are discarded.
     monkeypatch.setattr(harness, "ROUND_KEY_CHUNK", 12)
     monkeypatch.setattr(harness, "ROW_BLOCK_BYTES", 5 * 8 * 3 * 8 * 3)  # 5 * 8 R N d
     base = small_config(
@@ -303,19 +307,16 @@ def test_a_point_diverging_inside_a_chunk_leaves_the_others_their_participants(
     ok, boom, ok2 = result.results
     assert ok.completed and ok2.completed and not boom.completed
     t0 = boom.aborted_round
-    left = (t0 // 5 + 1) * 5 - 1  # the last round of t0's batch
-    assert t0 % 4 != 0 and left % 4 != 3 and left < base.hyper.T - 1 and len(stacked) == base.hyper.T
+    assert t0 % 4 != 0 and t0 < base.hyper.T - 1 and len(stacked) == base.hyper.T
 
-    # Row k of round t's stacked call is the k-th point still running.
+    # Row k of every round's stacked call is point k's, the diverged point's included.
     rows = {0: [], 1: [], 2: []}
-    for t, (ids, keys) in enumerate(stacked):
-        points = [0, 1, 2] if t <= left else [0, 2]
-        assert ids.shape == (len(points), 3)
-        for k, point in enumerate(points):
-            rows[point].append((ids[k : k + 1], keys[k : k + 1]))
-    _assert_round_streams(cfgs[0], rows[0])
-    _assert_round_streams(cfgs[2], rows[2])
-    _assert_round_streams(replace(cfgs[1], hyper=replace(base.hyper, T=left + 1)), rows[1])
+    for ids, keys in stacked:
+        assert ids.shape == (3, 3)
+        for k, point_rows in rows.items():
+            point_rows.append((ids[k : k + 1], keys[k : k + 1]))
+    for cfg, point_rows in zip(cfgs, rows.values()):
+        _assert_round_streams(cfg, point_rows)
 
     for cfg in cfgs:
         out = Path(cfg.output_dir)
@@ -328,12 +329,13 @@ def test_a_point_diverging_inside_a_chunk_leaves_the_others_their_participants(
 
 
 def _outcomes(cfgs):
-    """Each config's (kind, round, step, records, artifact bytes) from one run_many call."""
+    """Each config's (type, round, step, kind, logged rows, artifact bytes) from one run_many call."""
     outs = []
     for cfg, out in zip(cfgs, harness.run_many(cfgs)):
         res = out.result if isinstance(out, DivergenceError) else out
         files = {name: (Path(cfg.output_dir) / name).read_bytes() for name in artifacts.RUN_ARTIFACTS}
-        outs.append((type(out), getattr(out, "round", None), getattr(out, "step", None), res.records, files))
+        stop = tuple(getattr(out, name, None) for name in ("round", "step", "kind"))
+        outs.append((type(out), *stop, logged(res), files))
     return outs
 
 
@@ -341,11 +343,11 @@ def _outcomes(cfgs):
     "eta_c, noise_sigma, values, T, boom",
     [
         # The metrics overflow in round 5, inside a batch of 12 rounds; the model stays finite.
-        (4.0, 0.3, [1.0, 1e150, 2.0], 12, (5, None)),
+        (4.0, 0.3, [1.0, 1e150, 2.0], 12, (5, None, "metrics")),
         # Its local step overflows near round 166, inside the same batch of 200 rounds.
-        (4.0, 0.3, [1.0, 1e150, 2.0], 200, (5, None)),
+        (4.0, 0.3, [1.0, 1e150, 2.0], 200, (5, None, "metrics")),
         # A local step and the metrics overflow in round 1, after finite metrics in round 0.
-        (1e80, 0.0, [1e-200, 1e-10, 1e-190], 2, (1, 1)),
+        (1e80, 0.0, [1e-200, 1e-10, 1e-190], 2, (1, 1, "local step")),
     ],
     ids=["metrics", "metrics_then_local_step", "local_step_and_metrics"],
 )
@@ -370,11 +372,11 @@ def test_a_point_diverging_inside_a_batch_ends_as_round_by_round(
     monkeypatch.setattr(harness, "local_sgd", recording)
     batched = _outcomes(cfgs)
     assert harness.ROW_BLOCK_BYTES // (8 * 3 * 8 * 3) >= T  # one batch holds every logged round
-    assert batched[1][1:3] == boom
-    left = next((t for t, (rows, _) in enumerate(calls) if rows < 3), len(calls)) - 1
-    assert left > boom[0] or boom[1] is not None  # a point whose model stays finite runs to its batch's end
+    assert batched[1][1:4] == boom
+    assert [rows for rows, _ in calls] == [3] * T  # the diverged point keeps its row to the last round
     if T == 200:  # its local step overflowed later in that batch
-        assert calls[left] == (3, [1])
+        first = next(t for t, (_, overflowed) in enumerate(calls) if overflowed)
+        assert first > boom[0] and calls[first] == (3, [1])
     monkeypatch.setattr(harness, "ROW_BLOCK_BYTES", 1)  # a batch of one round: measured every round
     assert _outcomes(cfgs) == batched
 
@@ -443,13 +445,13 @@ def test_metrics_csv_round_trips_at_17_digits(small_config, tmp_path, eta_s):
         result = err.value.result
     lines = (tmp_path / "fmt" / "metrics.csv").read_text().strip().splitlines()
     assert lines[0] == "round,grad_norm_sq,global_loss,dist_to_opt_sq"
-    assert len(lines) == 1 + len(result.records)
-    for rec, line in zip(result.records, lines[1:]):
+    assert len(lines) == 1 + len(result.rounds)
+    for t, (grad, loss, dist), line in zip(result.rounds.tolist(), result.metrics.tolist(), lines[1:]):
         r, g, l, dd = line.split(",")
-        assert int(r) == rec.round
-        assert float(g) == rec.grad_norm_sq  # exact round trip
-        assert float(l) == rec.global_loss
-        assert float(dd) == rec.dist_to_opt_sq
+        assert int(r) == t
+        assert float(g) == grad  # exact round trip
+        assert float(l) == loss
+        assert float(dd) == dist
         assert all(np.isfinite(float(x)) for x in (g, l, dd))
 
 
@@ -606,7 +608,7 @@ def test_mifa_full_first_round_matches_full_participation(small_config):
     avg_cfg = small_config(algo="fedavg", M=8, T=1, tau=1, output_dir="unused_avg")
     mifa_first = run(mifa_cfg, write_artifacts=False)
     avg_full = run(avg_cfg, write_artifacts=False)
-    assert mifa_first.records[-1].grad_norm_sq == avg_full.records[-1].grad_norm_sq
+    assert mifa_first.metrics[-1, 0] == avg_full.metrics[-1, 0]
 
 
 def test_mifa_cold_start_differs_from_full_first(small_config):
@@ -615,7 +617,7 @@ def test_mifa_cold_start_differs_from_full_first(small_config):
         small_config(algo="mifa", mifa_mode="full_first_round", T=3, output_dir="u2"),
         write_artifacts=False,
     )
-    assert cold.records[-1].grad_norm_sq != warm.records[-1].grad_norm_sq
+    assert cold.metrics[-1, 0] != warm.metrics[-1, 0]
 
 
 def test_round_size_is_n_only_in_round_zero_of_mifa_full_first_round(small_config):
@@ -632,7 +634,7 @@ def test_full_first_round_applies_to_mifa_only(small_config):
     # Any algo may carry a mifa_mode; a fedavg run ignores it.
     carried = run(small_config(mifa_mode="full_first_round"), write_artifacts=False)
     plain = run(small_config(mifa_mode=None), write_artifacts=False)
-    assert carried.records == plain.records
+    assert logged(carried) == logged(plain)
 
 
 def test_manifest_constants_match_closed_forms(small_config):
@@ -692,9 +694,7 @@ def test_degenerate_sweep_equals_direct_run(small_config, tmp_path):
     base = small_config(T=15, output_dir=tmp_path / "sw")
     result = sweep(base, "eta_c", [0.04])
     direct = run(sweep_point(base, "eta_c", 0.04, 0)[0])
-    assert [r.grad_norm_sq for r in result.results[0].records] == [
-        r.grad_norm_sq for r in direct.records
-    ]
+    assert result.results[0].metrics[:, 0].tolist() == direct.metrics[:, 0].tolist()
     assert result.summary_path.exists()
     lines = result.summary_path.read_text().strip().splitlines()
     assert len(lines) == 2 and lines[0].startswith("axis,value,seed")
@@ -706,7 +706,7 @@ def test_divergent_sweep_point_keeps_the_other_points(small_config, tmp_path):
     ok, boom, ok2 = result.results
     assert ok.completed and ok2.completed and not boom.completed
     assert boom.aborted_round == 0
-    assert len(boom.records) == 1  # the initial point, logged before the diverging round
+    assert len(boom.rounds) == 1  # the initial point, logged before the diverging round
     status = json.loads((boom.output_dir / "status.json").read_text())
     assert status == {"completed": False, "aborted_round": 0}
     lines = result.summary_path.read_text().strip().splitlines()
@@ -719,10 +719,10 @@ def test_divergent_sweep_point_keeps_the_other_points(small_config, tmp_path):
     floors = ("floor_grad_norm_sq", "min_grad_norm_sq", "final_grad_norm_sq")
     assert all(rows[1][c] == "" for c in floors)
     assert float(rows[0]["floor_grad_norm_sq"]) == floor_estimate(ok.metrics[:, 0])
-    assert float(rows[2]["final_grad_norm_sq"]) == ok2.records[-1].grad_norm_sq
+    assert float(rows[2]["final_grad_norm_sq"]) == ok2.metrics[-1, 0]
     # Points after the divergent one are the runs they would be alone.
     direct = run(sweep_point(base, "eta_s", 0.5, 2)[0], write_artifacts=False)
-    assert ok2.records == direct.records
+    assert logged(ok2) == logged(direct)
 
 
 def test_sigma_g_scale_axis_scales_heterogeneity(small_config):

@@ -6,6 +6,7 @@ must give each replicate the bytes of its own stack of one, and a sweep
 that stacks its points must write each point's artifacts exactly as a
 solo run of that point does.
 """
+import gc
 import json
 import tracemalloc
 from pathlib import Path
@@ -194,7 +195,7 @@ def test_stacked_sweep_points_write_their_solo_runs_bytes(small_config, tmp_path
     assert all(res.completed for res in result.results)
 
 
-def test_diverging_points_leave_the_stack_as_their_solo_runs_do(small_config, tmp_path):
+def test_diverging_points_end_as_their_solo_runs_do(small_config, tmp_path):
     # Spreads scaled by s put the minimizers near s. With these rates a
     # round-0 local iterate is about 1e300 s and the next server iterate
     # about 1e400 s, so s = 1e10 diverges in local SGD, s = 1 at the
@@ -246,7 +247,8 @@ def test_run_many_returns_each_configs_solo_outcome_in_order(small_config, tmp_p
         except DivergenceError as exc:
             assert (out.round, out.step) == (exc.round, exc.step) == (0, None)
             out, solo = out.result, exc.result
-        assert out.records == solo.records and out.output_dir == solo.output_dir
+        assert out.rounds.tolist() == solo.rounds.tolist() and out.metrics.tolist() == solo.metrics.tolist()
+        assert out.output_dir == solo.output_dir
         assert point_artifacts(cfg) == artifacts, cfg.output_dir
 
 
@@ -297,6 +299,17 @@ def test_other_axes_run_point_by_point(small_config, tmp_path, monkeypatch):
     base = small_config(T=7, output_dir=tmp_path / "sw")
     sweep(base, "eta_c", [0.01, 0.02, 0.03])
     assert calls == {"local_sgd": 21, "aggregator_step": 21}
+
+
+def test_a_stack_whose_points_all_diverge_runs_no_round_after_the_latest_stop(small_config, tmp_path, monkeypatch):
+    # The diverging points of test_diverging_points_end_as_their_solo_runs_do, over 20 rounds.
+    base = small_config(eta_c=1e150, eta_s=1e100, tau=2, T=20, output_dir=tmp_path / "sw")
+    calls = count_calls(monkeypatch, "local_sgd")
+    outcomes = harness.run_many(sweep_points(base, [1e10, 1.0, 1e-200, 1e-260]), write_artifacts=False)
+    assert [(out.round, out.kind) for out in outcomes] == [
+        (0, "local step"), (0, "server step"), (0, "metrics"), (1, "local step")
+    ]
+    assert calls == {"local_sgd": 2}  # rounds 0 and 1
 
 
 def test_a_stack_grows_only_while_its_sizes_fit(small_config, tmp_path, monkeypatch):
@@ -448,6 +461,7 @@ def test_a_point_run_after_its_sweep_keeps_no_more_than_its_cold_run(small_confi
             if drop:
                 harness.run_many([])
             run(cfg)
+            gc.collect()  # the json encoder's closures are cycles: count only what the runs keep
             traced.append(tracemalloc.get_traced_memory()[0])
             assert point_artifacts(cfg) == swept
     finally:
