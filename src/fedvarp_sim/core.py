@@ -32,24 +32,23 @@ class OracleScaleError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """A trajectory produced a non-finite iterate.
+    """A run stopped at a non-finite iterate.
 
-    Carries the local step index (None otherwise) and the kind of result
-    that went non-finite: "local step", "server step" or "metrics". The
-    run loop, which owns the round counter, gives the round and what the
-    run logged before it stopped as `result`. local_sgd also attaches
-    `steps`, each participant's first non-finite step (-1 where it stayed
-    finite), and the finished update `block`.
+    Carries the local step index (None otherwise), the kind of result
+    that went non-finite ("local step", "server step" or "metrics") and
+    what the run logged before it stopped as `result`, whose
+    aborted_round is the stop's round.
     """
 
-    def __init__(self, step: int | None, steps=None, block=None, kind="local step", round=None, result=None):
+    def __init__(self, step: int | None, kind: str, result):
         super().__init__(step)
         self.step = step
-        self.steps = steps
-        self.block = block
         self.kind = kind
-        self.round = round
         self.result = result
+
+    @property
+    def round(self) -> int:
+        return self.result.aborted_round
 
     def __str__(self) -> str:
         where = self.kind if self.step is None else f"local_step={self.step}"

@@ -72,9 +72,12 @@ class RunResult:
     rounds: np.ndarray
     metrics: np.ndarray
     manifest: dict
-    completed: bool
     aborted_round: int | None = None
     output_dir: Path | None = None
+
+    @property
+    def completed(self) -> bool:
+        return self.aborted_round is None
 
 
 def build_manifest(cfg: RunConfig, fed: Federation, consts: FederationConstants, assignment) -> dict:
@@ -276,14 +279,16 @@ def run_stack(
     array, when max(1, ROW_BLOCK_BYTES // (8 R N d)) of them (one
     ordered_row_sum buffer) wait or the loop ends.
 
-    A point stops at the earliest round in which its local step, its
+    The kernels hand non-finite results back as data, and this loop is
+    the one place that turns them into a stop. A point stops at the
+    earliest round in which its local step (local_sgd's steps), its
     server step or its metrics are non-finite; within a round a local
     step wins, then the server step. The stack keeps its shape: a
     stopped point's row runs on (every kernel works per replicate, so no
     other row's bits change) and its rows logged after its stop are
     discarded. The loop ends at round T or once every point has stopped.
     Only a stack with a diverging point pays for dead rows and for the
-    per-row scans behind the isfinite guards; no benchmark workload
+    per-row scans behind the one-reduction guards; no benchmark workload
     diverges. After the loop, in point order, each point gets its
     RunResult, or a DivergenceError naming its stop's round, local step
     and kind with its earlier rows as `result`, and its artifacts are
@@ -319,12 +324,10 @@ def run_stack(
         keys = None
         if fed.noise_sigma > 0:
             keys = np.array([philox_keys(point.seed, TAG_LOCAL, t, ids=ids) for point, ids in zip(cfgs, participants)])
-        try:
-            block = local_sgd(fed, participants, state.w, h.tau, h.eta_c, keys)
-        except DivergenceError as exc:
-            block = exc.block
-            for row, m in zip(*np.nonzero(exc.steps >= 0)):  # a replicate's step is its first diverging row's
-                stop.setdefault(int(row), (t, int(exc.steps[row, m]), "local step"))
+        block, steps = local_sgd(fed, participants, state.w, h.tau, h.eta_c, keys)
+        if steps.max() >= 0:
+            for row, m in np.argwhere(steps >= 0).tolist():  # a replicate's step is its first diverging row's
+                stop.setdefault(row, (t, int(steps[row, m]), "local step"))
         aggregator_step(state, participants, block, eta_tilde)
         if not np.isfinite(state.w).all():
             for row in (~np.isfinite(state.w).all(axis=1)).nonzero()[0].tolist():
@@ -348,9 +351,9 @@ def run_stack(
         aborted, step, kind = stop.get(i, (None, None, None))
         k = rounds.size if aborted is None else int(np.searchsorted(rounds, aborted, side="right"))
         out = Path(point.output_dir) if write_artifacts else None
-        res = RunResult(rounds[:k], table[i, :k], manifests[i], aborted is None, aborted, out)
+        res = RunResult(rounds[:k], table[i, :k], manifests[i], aborted, out)
         artifacts.write_run_artifacts(res)
-        outcomes.append(res if aborted is None else DivergenceError(step, kind=kind, round=aborted, result=res))
+        outcomes.append(res if aborted is None else DivergenceError(step, kind, res))
     return outcomes
 
 

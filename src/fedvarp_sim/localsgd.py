@@ -21,7 +21,7 @@ import threading
 
 import numpy as np
 
-from .core import ConfigError, DimensionError, DivergenceError
+from .core import ConfigError, DimensionError
 from .objectives import Federation
 from .rng import philox_rekeyer
 
@@ -70,8 +70,8 @@ def local_sgd(
     tau: int,
     eta_c: float,
     keys=None,
-) -> np.ndarray:
-    """Run tau local SGD steps from w for each participant; return the (R, M, d) updates.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run tau local SGD steps from w for each participant; return the (R, M, d) updates and (R, M) steps.
 
     fed is a stack of R federations, w (R, d) and participants (R, M): row
     [r, m] is (w[r] - w_final) / (eta_c * tau) of client participants[r, m]
@@ -89,12 +89,9 @@ def local_sgd(
     here, in the calling thread, so a worker thread's malloc arena does
     not keep them cached.
 
-    A non-finite iterate raises DivergenceError once every row has
-    trained. Its step is the first non-finite step of the lowest row
-    that diverges, the step that training the participants one after
-    another in row order reports; it also carries every row's first
-    non-finite step as `steps`, shaped like participants (-1 where the
-    row stayed finite), and the finished result as `block`.
+    steps[r, m] is the first local step at which row [r, m]'s iterate
+    went non-finite, -1 where the row stayed finite: the caller decides
+    what a divergence stops.
     """
     if tau < 1:
         raise ConfigError(f"tau must be >= 1, got {tau}")
@@ -131,11 +128,7 @@ def local_sgd(
         )
 
     run_slabs(rows, rows * tau * d * (NOISE_WORK_WEIGHT if noisy else 1), train)
-    block = out.reshape(R, M, d)
-    bad = first_bad[first_bad >= 0]
-    if bad.size:
-        raise DivergenceError(int(bad[0]), first_bad.reshape(R, M), block)
-    return block
+    return out.reshape(R, M, d), first_bad.reshape(R, M)
 
 
 def _train_rows(fed, mus, w, tau, eta_c, grad_sum, g, w_k, finite, first_bad, keys, noise):

@@ -129,7 +129,7 @@ def saga_matches(rng: np.random.Generator, N: int, steps: int, lr: float) -> boo
     eta_tilde = effective_server_lr(HyperConfig(eta_c=lr, eta_s=1.0, tau=1, T=steps, M=1))
     state = init_state(FEDVARP, np.zeros((1, 1)), N)
     for t, j in enumerate(picks):
-        block = local_sgd(fed, [[j]], state.w, 1, lr)
+        block, _ = local_sgd(fed, [[j]], state.w, 1, lr)
         w = aggregator_step(state, [[j]], block, eta_tilde)
         if w.tobytes() != np.array([reference[t + 1]]).tobytes():
             return False

@@ -123,9 +123,7 @@ def without_replacement_variance(xs, M: int) -> float:
     if N == 1:
         return 0.0
     rows = np.asarray(xs, dtype=np.float64).reshape(N, -1)
-    x_bar = sum_rows(rows) / N
-    total = 0.0
-    for x in rows:
-        diff = x - x_bar
-        total += float(np.dot(diff, diff))
+    diffs = rows - sum_rows(rows) / N
+    # cumsum adds the squared norms left to right, as a loop from 0.0 does (each is >= +0.0).
+    total = float(np.cumsum(np.vecdot(diffs, diffs))[-1])
     return (1.0 / M) * ((N - M) / (N - 1.0)) * (total / N)

@@ -292,7 +292,7 @@ def test_a9_gradient_oracle():
     exact = noisy.grads_and_losses(w)[0][0, 0]
     n = 100_000
     keys = philox_keys(899, 0, ids=np.arange(n))[None]
-    [draws] = local_sgd(noisy, np.zeros((1, n), dtype=int), w, 1, 0.1, keys)
+    [draws], _ = local_sgd(noisy, np.zeros((1, n), dtype=int), w, 1, 0.1, keys)
     assert np.all(np.abs(draws.mean(axis=0) - exact) < 0.02)
     noise_sq = np.sum((draws - exact) ** 2, axis=1)
     assert abs(noise_sq.mean() - 1.0) < 0.03

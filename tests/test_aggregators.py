@@ -49,7 +49,7 @@ def test_fedavg_full_participation_is_gradient_descent():
     fed = make_federation(rng.normal(size=(1, 5, 3)), rng.uniform(0.5, 1.5, size=3))
     w0 = rng.normal(size=(1, 3))
     h = HyperConfig(eta_c=0.08, eta_s=1.25, tau=1, T=1, M=5)
-    block = local_sgd(fed, np.arange(5)[None], w0, h.tau, h.eta_c)
+    block, _ = local_sgd(fed, np.arange(5)[None], w0, h.tau, h.eta_c)
     state = init_state(FEDAVG, w0, N=5)
     w1 = aggregator_step(state, np.arange(5)[None], block, effective_server_lr(h))
     g, _ = global_grad_and_loss(fed, w0)
@@ -179,6 +179,13 @@ def test_cluster_requires_assignment():
         init_state(CLUSTERFEDVARP, np.zeros((1, 1)), N=4, K=2, assignment=None)
     with pytest.raises(ConfigError):
         init_state(CLUSTERFEDVARP, np.zeros((1, 1)), N=4, K=2, assignment=np.array([0, 0, 1, 5]))
+    with pytest.raises(ConfigError, match="cover all 4 clients"):
+        init_state(CLUSTERFEDVARP, np.zeros((1, 1)), N=4, K=2, assignment=np.array([0, 1, 1]))
+
+
+def test_unknown_algorithm_has_no_state():
+    with pytest.raises(ConfigError, match="unknown algorithm tag 'sgd'"):
+        init_state("sgd", np.zeros((1, 1)), N=4)
 
 
 def test_exhaustive_unbiasedness_property():
@@ -354,6 +361,9 @@ def test_miss_probability_trivial_cases():
         cluster_miss_probability(4, 5, 1)
     with pytest.raises(ConfigError):
         cluster_miss_probability(6, 4, 1)  # 4 does not divide 6
+    for M in (0, 7):
+        with pytest.raises(ConfigError, match="1 <= M <= N"):
+            cluster_miss_probability(6, 2, M)
 
 
 def test_miss_probability_matches_enumeration():

@@ -66,6 +66,12 @@ def test_missing_config_exits_two(capsys, tmp_path):
     assert str(missing) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "M", "--values", "2"]])
+def test_a_command_without_a_config_exits_two(capsys, command):
+    assert main(command) == 2
+    assert "configuration error: --config PATH is required" in capsys.readouterr().err
+
+
 def test_unknown_override_exits_two(config_file):
     assert main(["run", "--config", str(config_file), "--set", "hyper.rho=1"]) == 2
 
@@ -82,10 +88,6 @@ def test_unknown_override_exits_two(config_file):
 def test_non_finite_override_exits_two(config_file, capsys, override):
     assert main(["run", "--config", str(config_file), "--set", override]) == 2
     assert "must be finite" in capsys.readouterr().err
-
-
-def test_divergent_run_exits_one(config_file):
-    assert main(["run", "--config", str(config_file), "--set", "hyper.eta_c=1e200"]) == 1
 
 
 # Finite local updates whose server-step sum overflows: each round about
@@ -130,6 +132,15 @@ def test_a_metrics_overflow_exits_one_naming_the_metrics(config_file, tmp_path, 
     assert capsys.readouterr().err.rstrip().endswith("run aborted: non-finite iterate at round=4 (metrics)")
     status = json.loads((tmp_path / "artifacts" / "status.json").read_text())
     assert status == {"completed": False, "aborted_round": 4}
+
+
+def test_divergent_run_exits_one(config_file, tmp_path, capsys):
+    # At eta_c = 1e200 the first local step lands near 1e200 and the
+    # second overflows, in round 0.
+    assert main(["run", "--config", str(config_file), "--set", "hyper.eta_c=1e200"]) == 1
+    assert capsys.readouterr().err.rstrip().endswith("run aborted: non-finite iterate at round=0 (local_step=1)")
+    status = json.loads((tmp_path / "artifacts" / "status.json").read_text())
+    assert status == {"completed": False, "aborted_round": 0}
 
 
 def test_identical_invocations_identical_artifacts(config_file, tmp_path):
@@ -182,6 +193,7 @@ def test_sweep_with_divergent_point_writes_summary_then_exits_one(config_file, t
         ("sigma_g_scale", "inf", "must be finite"),
         ("M", "abc", "must be ints"),
         ("eta_c", "1e400", "must be finite"),
+        ("eta_c", ",", "--values must list at least one value"),
     ],
 )
 def test_bad_sweep_values_exit_two(config_file, tmp_path, capsys, axis, values, message):
@@ -260,16 +272,22 @@ def tree(root):
     return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
 
 
-@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+@pytest.mark.parametrize("kind", ["directory", "not_utf8", "not_json"])
 def test_unreadable_config_exits_two(tmp_path, capsys, kind):
     path = tmp_path / "config.json"
     if kind == "directory":
         path.mkdir()
-    else:
+    elif kind == "not_utf8":
         path.write_bytes(b'{"output_dir": "\xff"}')
+    else:
+        path.write_text('{"output_dir": ')
     before = tree(tmp_path)
     assert main(["run", "--config", str(path)]) == 2
-    assert f"configuration error: cannot read config file {path}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if kind == "not_json":
+        assert f"configuration error: config file {path} is not valid JSON" in err
+    else:
+        assert f"configuration error: cannot read config file {path}" in err
     assert tree(tmp_path) == before
 
 

@@ -87,6 +87,11 @@ def test_invalid_smoothness_rejected():
         lr_precondition_report(_hp(0.01, 1.0, 1), N=1, L=0.0, algo=FEDAVG)
 
 
+def test_unknown_algorithm_rejected():
+    with pytest.raises(ConfigError, match="unknown algorithm tag 'sgd'"):
+        lr_precondition_report(_hp(0.01, 1.0, 1), N=1, L=1.0, algo="sgd")
+
+
 def test_report_monotone_in_rates():
     rng = np.random.default_rng(2)
     for _ in range(60):

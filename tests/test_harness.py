@@ -126,6 +126,18 @@ def test_out_of_range_values_rejected(tmp_path, edit, message):
         parse_config(raw_config(tmp_path, **edit))
 
 
+@pytest.mark.parametrize(
+    "raw,message",
+    [([1, 2], "config root must be a JSON object"), ({"hyper": 5}, "config section 'hyper' must be a JSON object")],
+    ids=["root", "section"],
+)
+def test_a_config_part_that_is_not_an_object_is_rejected(tmp_path, raw, message):
+    if isinstance(raw, dict):
+        raw = {**raw_config(tmp_path), **raw}
+    with pytest.raises(ConfigError, match=message):
+        parse_config(raw)
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "absent.json")
@@ -210,6 +222,25 @@ def _record_local_calls(monkeypatch):
 
     monkeypatch.setattr(harness, "local_sgd", recording)
     return calls
+
+
+def test_a_replicates_local_step_is_that_of_its_lowest_diverging_row(small_config, tmp_path, monkeypatch):
+    # Trained one after another in row order, row 0 of replicate 0 would be
+    # the first to overflow, at its own later step. The overflowed rows make
+    # the round's server step non-finite too, and the local step wins.
+    original = harness.local_sgd
+
+    def diverging(*args):
+        block, _ = original(*args)
+        steps = np.array([[5, 2, -1], [-1, -1, 3]])
+        block[steps >= 0] = np.inf
+        return block, steps
+
+    monkeypatch.setattr(harness, "local_sgd", diverging)
+    cfgs = [small_config(T=4, seed=seed, output_dir=tmp_path / str(seed)) for seed in (1, 2)]
+    assert len(harness._stack_points(cfgs)) == 1
+    outcomes = harness.run_many(cfgs, write_artifacts=False)
+    assert [(out.round, out.step, out.kind) for out in outcomes] == [(0, 5, "local step"), (0, 3, "local step")]
 
 
 def test_noiseless_run_builds_no_local_streams(small_config, monkeypatch):
@@ -360,14 +391,9 @@ def test_a_point_diverging_inside_a_batch_ends_as_round_by_round(
     local_sgd = harness.local_sgd
 
     def recording(fed, participants, *args):
-        overflowed = []
-        try:
-            return local_sgd(fed, participants, *args)
-        except DivergenceError as exc:
-            overflowed = (exc.steps >= 0).any(axis=1).nonzero()[0].tolist()
-            raise
-        finally:
-            calls.append((len(participants), overflowed))
+        block, steps = local_sgd(fed, participants, *args)
+        calls.append((len(participants), (steps >= 0).any(axis=1).nonzero()[0].tolist()))
+        return block, steps
 
     monkeypatch.setattr(harness, "local_sgd", recording)
     batched = _outcomes(cfgs)
@@ -398,7 +424,7 @@ def test_a_metrics_table_too_large_to_allocate_is_a_config_error(small_config, t
 
 
 def _round_block(fed, w, seed, t, order):
-    return local_sgd(fed, [order], w, 2, 0.05, substream_keys(seed, TAG_LOCAL, t, ids=order)[None])
+    return local_sgd(fed, [order], w, 2, 0.05, substream_keys(seed, TAG_LOCAL, t, ids=order)[None])[0]
 
 
 def test_participant_order_does_not_change_step():
@@ -895,6 +921,14 @@ def test_oracles_flag_a_planted_fault(small_config, monkeypatch, plant, flagged)
     assert not flagged(cfg)
     plant(monkeypatch)
     assert flagged(cfg)
+
+
+def test_a_sweep_of_no_values_and_a_floor_of_no_rows_are_config_errors(small_config, tmp_path):
+    with pytest.raises(ConfigError, match="at least one value"):
+        sweep(small_config(output_dir=tmp_path / "sw"), "eta_c", [])
+    assert not (tmp_path / "sw").exists()
+    with pytest.raises(ConfigError, match="no records"):
+        floor_estimate(np.empty(0))
 
 
 def test_reductions_hold_needs_a_config():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import forced_split, make_federation, substream_keys
 from fedvarp_sim import localsgd
-from fedvarp_sim.core import ConfigError, DivergenceError
+from fedvarp_sim.core import ConfigError
 from fedvarp_sim.localsgd import local_sgd
 from fedvarp_sim.rng import TAG_LOCAL, philox_keys, substream
 
@@ -34,14 +34,14 @@ def reference_local_sgd(eigs, mu, w, tau, eta_c, sigma, rng):
 def test_single_noiseless_step_returns_gradient_bitwise():
     fed = make_federation([[[0.3, -1.7]]], [0.8, 1.3])
     w = np.array([[2.0, 0.5]])
-    [[delta]] = local_sgd(fed, [[0]], w, 1, 0.05)
+    [[delta]], _ = local_sgd(fed, [[0]], w, 1, 0.05)
     assert delta.tobytes() == gradient(fed, 0, w).tobytes()
 
 
 def test_two_step_hand_recursion():
     fed = make_federation([[[2.0]]], [1.0])
     w = np.array([[0.0]])
-    delta = local_sgd(fed, [[0]], w, 2, 0.5)
+    delta, _ = local_sgd(fed, [[0]], w, 2, 0.5)
     assert delta[0, 0, 0] == -1.5  # iterates 0 -> 1 -> 1.5, and (0 - 1.5) / (0.5 * 2)
     assert (w - (0.5 * 2) * delta[:, 0])[0, 0] == 1.5  # the server step lands on the final iterate
     assert w[0, 0] == 0.0  # input untouched
@@ -50,7 +50,7 @@ def test_two_step_hand_recursion():
 def test_fixed_point_returns_zero_update():
     fed = make_federation([[[1.0, -2.0, 0.5]]], [1.0, 0.7, 0.2])
     for tau in (1, 3, 7):
-        delta = local_sgd(fed, [[0]], fed.mus[:, 0], tau, 0.1)
+        delta, _ = local_sgd(fed, [[0]], fed.mus[:, 0], tau, 0.1)
         assert np.array_equal(delta, np.zeros((1, 1, 3)))
 
 
@@ -64,7 +64,7 @@ def test_server_step_reproduces_final_iterate_bitwise():
         w = rng.normal(size=(1, 4))
         eta_c = float(rng.uniform(0.01, 0.2))
         stream_key = int(rng.integers(1 << 30))
-        [[delta]] = local_sgd(fed, [[0]], w, tau, eta_c, substream_keys(stream_key, ids=[0])[None])
+        [[delta]], _ = local_sgd(fed, [[0]], w, tau, eta_c, substream_keys(stream_key, ids=[0])[None])
         stream = substream(stream_key, 0)
         _, w_final = reference_local_sgd(eigs, fed.mus[0, 0], w[0], tau, eta_c, 0.4, stream)
         eta_tilde = (1.0 * eta_c) * tau
@@ -75,9 +75,9 @@ def test_server_step_reproduces_final_iterate_bitwise():
 def test_determinism_in_stream_key():
     fed = make_federation([[[0.0, 0.0]]], [1.0, 1.0], sigma=0.5)
     w = np.array([[1.0, -1.0]])
-    a = local_sgd(fed, [[0]], w, 4, 0.05, substream_keys(7, 3, ids=[5])[None])
-    b = local_sgd(fed, [[0]], w, 4, 0.05, substream_keys(7, 3, ids=[5])[None])
-    c = local_sgd(fed, [[0]], w, 4, 0.05, substream_keys(7, 3, ids=[6])[None])
+    a, _ = local_sgd(fed, [[0]], w, 4, 0.05, substream_keys(7, 3, ids=[5])[None])
+    b, _ = local_sgd(fed, [[0]], w, 4, 0.05, substream_keys(7, 3, ids=[5])[None])
+    c, _ = local_sgd(fed, [[0]], w, 4, 0.05, substream_keys(7, 3, ids=[6])[None])
     assert a.tobytes() == b.tobytes()
     assert a.tobytes() != c.tobytes()
 
@@ -91,41 +91,34 @@ def test_noiseless_contraction():
     for eta_c in (0.1 / L, 0.9 / L, 1.9 / L):
         for tau in (1, 2, 6):
             w = rng.normal(size=(1, 3))
-            [[delta]] = local_sgd(fed, [[0]], w, tau, eta_c)
+            [[delta]], _ = local_sgd(fed, [[0]], w, tau, eta_c)
             _, w_final = reference_local_sgd(eigs, mu, w[0], tau, eta_c, 0.0, None)
             assert (w[0] - (eta_c * tau) * delta).tobytes() == w_final.tobytes()
             assert np.linalg.norm(w_final - mu) <= np.linalg.norm(w[0] - mu) * (1 + 1e-12)
 
 
-def test_divergence_raises_with_step_index():
+def test_divergence_reports_its_step_index():
     fed = make_federation([[[0.0]]], [1.0])
-    with pytest.raises(DivergenceError) as err:
-        local_sgd(fed, [[0]], np.array([[1.0]]), 500, 1e200)
-    assert err.value.step >= 0
-    assert err.value.step < 500
+    _, [[step]] = local_sgd(fed, [[0]], np.array([[1.0]]), 500, 1e200)
+    assert 0 <= step < 500
 
 
-def test_divergence_step_is_that_of_the_first_diverging_row():
+def test_each_row_reports_its_own_first_divergent_step():
     # Each local step multiplies |w - mu| by about 1e100, so client 0,
     # starting 1e-300 from its minimizer, overflows several steps after
-    # client 1, starting 1 away. Trained one after another, client 0 is
-    # the first to raise, with its own (later) step.
+    # client 1, starting 1 away. Trained together, each row reports the
+    # step it reports alone.
     fed = make_federation([[[1e-300], [1.0]]], [1.0])
     w = np.array([[0.0]])
-    steps = []
-    for i in (0, 1):
-        with pytest.raises(DivergenceError) as alone:
-            local_sgd(fed, [[i]], w, 50, 1e100)
-        steps.append(alone.value.step)
-    assert steps[0] > steps[1]
-    with pytest.raises(DivergenceError) as err:
-        local_sgd(fed, [[0, 1]], w, 50, 1e100)
-    assert err.value.step == steps[0]
+    alone = [local_sgd(fed, [[i]], w, 50, 1e100)[1][0, 0] for i in (0, 1)]
+    assert alone[0] > alone[1] >= 0
+    _, steps = local_sgd(fed, [[0, 1]], w, 50, 1e100)
+    assert steps.tolist() == [alone]
     # Split into slabs, client 0 is slab 0 and client 1 diverges first in
-    # slab 1; the lower row's step is still the one reported.
-    with forced_split(), pytest.raises(DivergenceError) as err:
-        local_sgd(fed, [[0, 1]], w, 50, 1e100)
-    assert err.value.step == steps[0]
+    # slab 1; each row still reports its own step.
+    with forced_split():
+        _, steps = local_sgd(fed, [[0, 1]], w, 50, 1e100)
+    assert steps.tolist() == [alone]
 
 
 def test_divergence_in_a_worker_slab_is_a_divergence_not_a_warning():
@@ -134,11 +127,11 @@ def test_divergence_in_a_worker_slab_is_a_divergence_not_a_warning():
     # errstate would surface a RuntimeWarning here instead.
     fed = make_federation([[[0.0], [1.0]]], [1.0])
     w = np.array([[0.0]])
-    with pytest.raises(DivergenceError) as alone:
-        local_sgd(fed, [[1]], w, 50, 1e100)
-    with forced_split(), pytest.raises(DivergenceError) as err:
-        local_sgd(fed, [[0, 1]], w, 50, 1e100)
-    assert err.value.step == alone.value.step
+    _, [[alone]] = local_sgd(fed, [[1]], w, 50, 1e100)
+    assert alone >= 0
+    with forced_split():
+        _, steps = local_sgd(fed, [[0, 1]], w, 50, 1e100)
+    assert steps.tolist() == [[-1, alone]]
 
 
 def test_a_stacked_call_reports_each_rows_first_divergent_step():
@@ -149,20 +142,17 @@ def test_a_stacked_call_reports_each_rows_first_divergent_step():
     mus = np.array([[[1e280], [0.5]], [[1.0], [-2.0]], [[0.25], [1e300]]])
     fed = make_federation(mus, [1.0])
     ids, w = np.array([[0, 1]] * 3), np.zeros((3, 1))
-    solo = []
-    for r in (0, 2):
-        with pytest.raises(DivergenceError) as alone:
-            local_sgd(make_federation(mus[r : r + 1], [1.0]), ids[r : r + 1], w[r : r + 1], 50, 10.0)
-        solo.append(alone.value.step)
-    assert solo[1] < solo[0]
-    finite = local_sgd(make_federation(mus[1:2], [1.0]), ids[1:2], w[1:2], 50, 10.0)
+    solo = [
+        local_sgd(make_federation(mus[r : r + 1], [1.0]), ids[r : r + 1], w[r : r + 1], 50, 10.0)[1].max()
+        for r in (0, 2)
+    ]
+    assert 0 <= solo[1] < solo[0]
+    finite, _ = local_sgd(make_federation(mus[1:2], [1.0]), ids[1:2], w[1:2], 50, 10.0)
     for split in (1, 2):
-        with forced_split(split), pytest.raises(DivergenceError) as err:
-            local_sgd(fed, ids, w, 50, 10.0)
-        exc = err.value
-        assert exc.step == solo[0]
-        assert exc.steps.tolist() == [[solo[0], -1], [-1, -1], [-1, solo[1]]]
-        assert exc.block.shape == (3, 2, 1) and exc.block[1].tobytes() == finite.tobytes()
+        with forced_split(split):
+            block, steps = local_sgd(fed, ids, w, 50, 10.0)
+        assert steps.tolist() == [[solo[0], -1], [-1, -1], [-1, solo[1]]]
+        assert block.shape == (3, 2, 1) and block[1].tobytes() == finite.tobytes()
 
 
 def test_no_slabs_steps_are_lost_under_contention():
@@ -172,19 +162,38 @@ def test_no_slabs_steps_are_lost_under_contention():
     # and the nearest stay finite.
     fed = make_federation(10.0 ** np.linspace(200, 300, 64)[None, :, None], [1.0])
     ids, w = np.arange(64)[None], np.zeros((1, 1))
-    with pytest.raises(DivergenceError) as one_slab:
-        local_sgd(fed, ids, w, 50, 10.0)
-    expected = one_slab.value.steps.tolist()
+    expected = local_sgd(fed, ids, w, 50, 10.0)[1].tolist()
     assert expected[0][0] == -1 and len(set(expected[0])) > 10
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            with forced_split(workers=8), pytest.raises(DivergenceError) as err:
-                local_sgd(fed, ids, w, 50, 10.0)
-            assert err.value.steps.tolist() == expected
+            with forced_split(workers=8):
+                _, steps = local_sgd(fed, ids, w, 50, 10.0)
+            assert steps.tolist() == expected
     finally:
         sys.setswitchinterval(interval)
+
+
+class SlabError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing,raised", [((1, 3), 1), ((0, 1, 3), 0)])
+def test_a_failing_slab_is_raised_once_every_slab_ran(failing, raised):
+    # Eight rows in four slabs of two: the lowest failing slab's error is
+    # the one raised, after every slab, a failing one included, has run.
+    ran = []
+
+    def fill(lo, hi):
+        ran.append((lo, hi))
+        if lo // 2 in failing:
+            raise SlabError(lo // 2)
+
+    with forced_split(workers=4), pytest.raises(SlabError) as err:
+        localsgd.run_slabs(8, 1, fill)
+    assert sorted(ran) == [(0, 2), (2, 4), (4, 6), (6, 8)]
+    assert err.value.args == (raised,)
 
 
 def test_equal_keys_give_equal_rows_under_a_split():
@@ -195,10 +204,10 @@ def test_equal_keys_give_equal_rows_under_a_split():
     w = np.array([[1.0, 1.0, 1.0]])
     parts = np.zeros((1, 64), dtype=int)
     keys = np.repeat(substream_keys(5, ids=[1]), 64, axis=0)[None]
-    serial = local_sgd(fed, parts, w, 3, 0.1, keys)
+    serial, _ = local_sgd(fed, parts, w, 3, 0.1, keys)
     with forced_split(workers=4):
-        split = local_sgd(fed, parts, w, 3, 0.1, keys)
-    alone = local_sgd(fed, [[0]], w, 3, 0.1, keys[:, :1])
+        split, _ = local_sgd(fed, parts, w, 3, 0.1, keys)
+    alone, _ = local_sgd(fed, [[0]], w, 3, 0.1, keys[:, :1])
     assert split.tobytes() == serial.tobytes() == np.repeat(alone, 64, axis=1).tobytes()
 
 
@@ -210,8 +219,8 @@ def test_noisy_call_needs_one_key_per_participant():
             local_sgd(fed, [[0, 1, 2]], np.zeros((1, 2)), 1, 0.1, bad)
     # A noiseless federation reads no keys.
     plain = make_federation([[[0.0, 1.0]] * 3], [1.0, 2.0])
-    assert local_sgd(plain, [[0, 1, 2]], np.zeros((1, 2)), 1, 0.1, keys).tobytes() == (
-        local_sgd(plain, [[0, 1, 2]], np.zeros((1, 2)), 1, 0.1).tobytes()
+    assert local_sgd(plain, [[0, 1, 2]], np.zeros((1, 2)), 1, 0.1, keys)[0].tobytes() == (
+        local_sgd(plain, [[0, 1, 2]], np.zeros((1, 2)), 1, 0.1)[0].tobytes()
     )
 
 
@@ -256,7 +265,7 @@ def test_batched_kernel_matches_per_client_recursion(M, tau, d, noisy, seed, wor
     eta_c = float(rng.uniform(0.01, 0.5))
 
     def train():
-        return local_sgd(fed, [parts], w, tau, eta_c, philox_keys(seed, TAG_LOCAL, 7, ids=parts)[None])
+        return local_sgd(fed, [parts], w, tau, eta_c, philox_keys(seed, TAG_LOCAL, 7, ids=parts)[None])[0]
 
     inline = train()
     # The same draws split into min(M, workers) row slabs, M below the

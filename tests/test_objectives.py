@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_federation
-from fedvarp_sim.core import ConfigError
+from fedvarp_sim.core import ConfigError, DimensionError
 from fedvarp_sim.objectives import (
     Federation,
     FederationConfig,
@@ -176,9 +176,9 @@ def test_block_assignment_is_equal_blocks_or_balanced():
 def test_noiseless_gradient_is_exact():
     fed = make_federation([[[0.0, 0.0]]], [1.0, 1.0])
     w = np.array([[3.0, 4.0]])
-    g = local_sgd(fed, [[0]], w, 1, 0.1)
+    g, _ = local_sgd(fed, [[0]], w, 1, 0.1)
     assert np.array_equal(g, [[[3.0, 4.0]]])
-    at_mu = local_sgd(fed, [[0]], fed.mus[:, 0], 1, 0.1)
+    at_mu, _ = local_sgd(fed, [[0]], fed.mus[:, 0], 1, 0.1)
     assert np.array_equal(at_mu, [[[0.0, 0.0]]])
 
 
@@ -206,6 +206,20 @@ def test_global_hand_case():
 def test_global_empty_rejected():
     with pytest.raises(ConfigError):
         Federation(eigs=np.ones(1), mus=np.zeros((1, 0, 1)))
+
+
+@pytest.mark.parametrize(
+    "eigs,sigma,error,message",
+    [
+        ([1.0], 0.0, DimensionError, "share the dimension"),
+        ([1.0, -0.5], 0.0, ConfigError, "eigenvalues must be nonnegative"),
+        ([1.0, 0.5], -0.1, ConfigError, "noise_sigma must be nonnegative"),
+    ],
+    ids=["eigs_length", "negative_eig", "negative_sigma"],
+)
+def test_federation_rejects_bad_hessians_and_noise(eigs, sigma, error, message):
+    with pytest.raises(error, match=message):
+        Federation(eigs=np.array(eigs), mus=np.zeros((1, 3, 2)), noise_sigma=sigma)
 
 
 def test_finite_difference_agreement():

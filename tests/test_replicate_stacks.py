@@ -62,11 +62,11 @@ def test_stacked_local_sgd_equals_each_replicates_own(sigma, d):
     ids = participant_sets(rng, R, N, M)
     w = rng.normal(size=(R, d))
     keys = rng.integers(0, 2**63, size=(R, M, 2), dtype=np.uint64) if sigma else None
-    block = local_sgd(fed, ids, w, tau, 0.05, keys)
+    block, _ = local_sgd(fed, ids, w, tau, 0.05, keys)
     assert block.shape == (R, M, d)
     for r in range(R):
         own_fed = make_federation(fed.mus[r : r + 1], fed.eigs, sigma)
-        own = local_sgd(own_fed, ids[r : r + 1], w[r : r + 1], tau, 0.05, None if keys is None else keys[r : r + 1])
+        own, _ = local_sgd(own_fed, ids[r : r + 1], w[r : r + 1], tau, 0.05, None if keys is None else keys[r : r + 1])
         assert block[r].tobytes() == own.tobytes(), r
 
 

@@ -80,6 +80,15 @@ def test_keys_take_ids_of_every_integer_dtype(dtype):
     assert philox_keys(9, TAG_LOCAL, 3, ids=ids).tobytes() == np.array(expected).tobytes()
 
 
+@pytest.mark.parametrize("seed,path", [(-1, ()), (3, (TAG_LOCAL, -2))], ids=["seed", "path"])
+def test_negative_seed_or_path_word_is_rejected(seed, path):
+    if not path:
+        with pytest.raises(ValueError, match="root seed must be nonnegative"):
+            substream(seed)
+    with pytest.raises(ValueError, match="seed and path must be nonnegative"):
+        philox_keys(seed, *path, ids=[0])
+
+
 def test_key_count_above_one_index_word_is_rejected():
     # An id must be one 32-bit entropy word; a larger one is refused,
     # never wrapped into another client's key.

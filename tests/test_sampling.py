@@ -204,6 +204,14 @@ def test_variance_trivial_cases():
         without_replacement_variance([], 1)
 
 
+@pytest.mark.parametrize("M", [0, 4])
+def test_subset_sizes_outside_one_to_n_are_rejected(M):
+    with pytest.raises(ConfigError, match="1 <= M <= N"):
+        enumerate_subsets(3, M)
+    with pytest.raises(ConfigError, match="1 <= M <= N"):
+        without_replacement_variance(np.ones((3, 2)), M)
+
+
 def test_variance_hand_case():
     xs = [np.array([0.0]), np.array([1.0]), np.array([2.0])]
     assert without_replacement_variance(xs, 2) == pytest.approx(1 / 6, rel=1e-15)
@@ -248,3 +256,16 @@ def test_variance_of_an_array_matches_the_list_and_the_row_loop_bitwise():
         zeros = np.full((5, d), -0.0)
         got = without_replacement_variance(zeros, 2)
         assert np.float64(got).tobytes() == np.float64(_row_loop_variance(zeros, 2)).tobytes()
+
+
+def test_variance_array_form_matches_the_row_loop_bitwise_at_any_scale():
+    # Sizes up to N = 300 and d = 257, and scales whose squared norms
+    # underflow, or overflow to inf.
+    rng = np.random.default_rng(70)
+    for _ in range(300):
+        N, d = int(rng.integers(2, 301)), int(rng.integers(1, 258))
+        xs = rng.normal(size=(N, d)) * 10.0 ** rng.choice([-200, -5, 0, 5, 150, 200])
+        M = int(rng.integers(1, N + 1))
+        with np.errstate(over="ignore"):
+            got, want = without_replacement_variance(xs, M), _row_loop_variance(xs, M)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (N, d, M)
