@@ -12,9 +12,12 @@ effective server step.
 aggregator_step runs a round of any of them for a stack of R servers on
 each replicate's participant ids, distinct and ascending, and their
 updates as one (R, M, d) block, row [r, m] for client participants[r, m];
-it branches once on the state's algorithm. Table
-writes are fancy-indexed row assignments and every sum is an array
-reduction; no step loops over participants or clusters in Python.
+it branches once on the state's algorithm. Table writes are
+fancy-indexed row assignments and every sum is an array reduction. No
+step loops over participants or clusters in Python; the one Python loop
+is the stored-update refresh's, one in-place slice add per member rank
+after the first, so as many as the most members any sampled cluster
+has, less one (none for fedvarp).
 
 Floating-point schedule is part of the contract here, not an accident.
 Every sum has the bits of a sequential loop acc = 0; acc = acc + row in
@@ -55,9 +58,12 @@ class ServerAggregatorState:
 
     N is the number of clients. table rows start at zero: one row per
     client for mifa, one per cluster for fedvarp and clusterfedvarp.
-    assignment maps each client to its row and sizes counts the clients
-    per row (stored-update kernel only; fedvarp uses the identity
-    assignment); the R servers share N, assignment and sizes.
+    The stored-update kernel alone has the rest: assignment maps each
+    client to its row (the identity for fedvarp), and weights holds each
+    row's coefficient n_k/N in the sum over all rows, n_k being the
+    row's number of clients: one scalar when every row has the same size
+    (fedvarp always, clusterfedvarp when K | N), else a (K, 1) column.
+    The R servers share N, assignment and weights.
     """
 
     algo: str
@@ -65,7 +71,7 @@ class ServerAggregatorState:
     N: int
     table: np.ndarray | None = None
     assignment: np.ndarray | None = None
-    sizes: np.ndarray | None = None
+    weights: np.ndarray | np.float64 | None = None
 
 
 def init_state(
@@ -92,7 +98,10 @@ def init_state(
             raise ConfigError(f"cluster ids must lie in [0, {K})")
         state.table = np.zeros((R, K, d))
         state.assignment = assignment
-        state.sizes = np.bincount(assignment, minlength=K)
+        weights = np.bincount(assignment, minlength=K) / N
+        # Equal clusters (fedvarp always, clusterfedvarp when K | N) share
+        # one weight, which scales a block as a scalar: the same products.
+        state.weights = weights[0] if (weights == weights[0]).all() else weights[:, None]
     elif algo == MIFA:
         state.table = np.zeros((R, N, d))
     elif algo != FEDAVG:
@@ -140,12 +149,6 @@ def aggregator_step(
     return state.w
 
 
-def _stack_rows(ids: np.ndarray, rows: int) -> np.ndarray:
-    """Row r*rows + ids[r, m] of an (R*rows, d) table, flattened: replicate r's row ids[r, m]."""
-    R = ids.shape[0]
-    return ids.ravel() if R == 1 else (ids + rows * np.arange(R)[:, None]).ravel()
-
-
 def _stored_update(state: ServerAggregatorState, ids: np.ndarray, block: np.ndarray) -> np.ndarray:
     """The fedvarp/clusterfedvarp update v of each replicate; refreshes the tables afterwards.
 
@@ -158,54 +161,75 @@ def _stored_update(state: ServerAggregatorState, ids: np.ndarray, block: np.ndar
     table, is cluster k of replicate r, at (r, k) of the 3-D table.
     """
     R, M, d = block.shape
-    K = state.sizes.shape[0]
     table = state.table
-    slot = _stack_rows(state.assignment[ids], K)  # table row of each block row
-    counts = np.bincount(slot, minlength=R * K)
-    hit = counts.nonzero()[0]  # rows with sampled members: by replicate, clusters ascending
-    at = np.divmod(hit, K)  # (replicate, cluster) of each hit row
-    members = counts[hit]
-
-    # The hit rows are at most M per replicate, so they are scaled in one
-    # copy, then padded with +0.0 rows to the replicate with the most;
-    # the padding leaves each sum unchanged. The sum over all K rows
-    # reads the table in small blocks and never copies it whole. Empty
-    # clusters get coefficient 0 instead of being skipped: that adds
-    # ±0.0, which leaves a sum started at +0.0 unchanged.
-    hit_rows = table[at]
-    hit_rows *= (members / M)[:, None]
+    K, n = table.shape[1], R * M
+    slot = state.assignment[ids]
     if R > 1:
-        rep = at[0]
-        per_rep = np.bincount(rep, minlength=R)
-        padded = np.zeros((R, per_rep.max(), d))
-        padded[rep, np.arange(hit.size) - (per_rep.cumsum() - per_rep)[rep]] = hit_rows
-        hit_rows = padded
-    t_part = sum_rows(hit_rows.reshape(R, -1, d))
-    # Equal clusters (fedvarp always, clusterfedvarp when K | N) share one
-    # coefficient, which scales a block as a scalar: the same products.
-    coef = state.sizes / state.N
-    equal = (coef == coef[0]).all()
+        slot += np.arange(0, R * K, K)[:, None]
+    slot = slot.ravel()
+    # Sorted by table row, each row's members keep their block order and
+    # replicate r's rows are the places r*M..(r+1)*M-1. rank is a row's
+    # place among its cluster's members; ranks[j] counts the clusters
+    # with more than j members, so ranks[0] is the number of hit rows.
+    order = slot.argsort(kind="stable")
+    sorted_slot = slot.take(order)
+    first = sorted_slot.searchsorted(sorted_slot)
+    rank = np.arange(n) - first
+    ranks = np.bincount(rank).tolist()
+    hits, single = ranks[0], len(ranks) == 1
+    if single:  # one member per hit row: the refresh takes the rows in sorted order
+        hit, pick = sorted_slot, order
+    else:
+        # The refresh takes the rows by rank, then by member count, then
+        # by table row: rank j's clusters are the last ranks[j] of rank
+        # j - 1's, and the first `hits` rows are the hit rows' first
+        # members, at the sorted places `heads`.
+        counts = sorted_slot.searchsorted(sorted_slot, side="right") - first
+        pass_order = np.lexsort((counts, rank))
+        heads = pass_order[:hits]
+        hit, members = sorted_slot.take(heads), counts.take(heads)
+        pick = order.take(pass_order)
+    at = np.divmod(hit, K) if R > 1 else (0, hit)  # (replicate, cluster) of each hit row
+
+    # t_part sums each replicate's hit rows, scaled by m_k/M, in
+    # ascending cluster order: in sorted order when every hit row has one
+    # member, else each at its first member's sorted place. Replicates
+    # with fewer hit rows get +0.0 rows at their other members' places,
+    # which leave each sum unchanged. The sum over all K rows reads the
+    # table in small blocks and never copies it whole. Empty clusters get
+    # weight 0 instead of being skipped: that adds ±0.0, which leaves a
+    # sum started at +0.0 unchanged.
+    part = table[at]
+    if single:
+        part *= 1 / M
+    else:
+        part *= (members / M)[:, None]
+        if R == 1:
+            part = part.take(heads.argsort(), axis=0)
+        else:
+            scaled, part = part, np.zeros((n, d))
+            part[heads] = scaled
+    t_part = sum_rows(part.reshape(R, -1, d))
+    weights = state.weights
     t_all = ordered_row_sum(
-        K,
-        d,
-        lambda lo, hi, out: np.multiply(table[:, lo:hi], coef[0] if equal else coef[lo:hi, None], out=out),
-        (R,),
+        K, d, lambda lo, hi, out: np.multiply(table[:, lo:hi], weights[lo:hi] if weights.ndim else weights, out=out), (R,)
     )
     v = sum_rows(block) / M + (t_all - t_part)
 
-    # Refresh: each hit row's members, in block order, are consecutive
-    # in `order` from `first`. Pass j adds every hit row's j-th member at
-    # once, so each cluster sums its rows left to right.
-    rows = block.reshape(R * M, d)
-    order = slot.argsort(kind="stable")
-    first = members.cumsum() - members
-    acc = rows[order[first]]
-    acc += 0.0  # the loop's +0.0 start: a -0.0 first row stores +0.0
-    for j in range(1, members.max()):
-        more = (members > j).nonzero()[0]
-        acc[more] += rows[order[first[more] + j]]
-    acc /= members[:, None]
-    table[at] = acc
+    # Refresh: the block rows in pass order, rank by rank. Rank 0 starts
+    # every hit row's sum from +0.0 (a -0.0 update stores +0.0), and
+    # rank j adds its rows to the sums of the last ranks[j] clusters, so
+    # each cluster adds its members left to right.
+    rows = block.reshape(n, d).take(pick, axis=0)
+    sums = rows[:hits]
+    sums += 0.0
+    lo = hits
+    for clusters in ranks[1:]:
+        sums[hits - clusters :] += rows[lo : lo + clusters]
+        lo += clusters
+    if not single:
+        sums /= members[:, None]
+    table[at] = sums
     return v
 
 

@@ -83,15 +83,15 @@ def ordered_row_sum(n: int, d: int, fill, lead: tuple = ()) -> np.ndarray:
     width = max(d, 2)
     block = min(n + 1, max(2, ROW_BLOCK_BYTES // (8 * width * prod(lead))))
     buf = np.zeros((*lead, block, width))
-    acc = np.zeros((*lead, width))
     lo = 0
-    while lo < n:
+    while True:
         hi = min(n, lo + block - 1)
         fill(lo, hi, buf[..., 1 : 1 + hi - lo, :d])
-        buf[..., 0, :] = acc  # carries the running sums into the block
-        np.add.reduce(buf[..., : 1 + hi - lo, :], axis=-2, out=acc)
+        acc = np.add.reduce(buf[..., : 1 + hi - lo, :], axis=-2)
+        if hi == n:
+            return acc[..., :d]
+        buf[..., 0, :] = acc  # carries the running sums into the next block
         lo = hi
-    return acc[..., :d]
 
 
 def sum_rows(rows: np.ndarray) -> np.ndarray:

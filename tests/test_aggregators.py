@@ -291,9 +291,10 @@ def loop_step(state, parts, block, eta_tilde):
         t_part = np.zeros_like(mean_delta)
         for k in sorted(hit):
             t_part = t_part + table[k] * (len(hit[k]) / M)
+        sizes = np.bincount(state.assignment, minlength=table.shape[0])
         t_all = np.zeros_like(mean_delta)
         for k in range(table.shape[0]):
-            t_all = t_all + table[k] * (state.sizes[k] / N)
+            t_all = t_all + table[k] * (sizes[k] / N)
         v = mean_delta + (t_all - t_part)
     state.w = state.w - eta_tilde * v
     for k in sorted(hit):
@@ -305,47 +306,52 @@ def loop_step(state, parts, block, eta_tilde):
 
 
 # A tuple of ids must not be read as a multi-axis index.
-ID_FORMS = (lambda parts: (parts,), lambda parts: [list(parts)], lambda parts: np.array([parts], dtype=np.intp))
+ID_FORMS = (tuple, lambda parts: [list(p) for p in parts], lambda parts: np.array(parts, dtype=np.intp))
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
 @settings(max_examples=100, deadline=None, database=None)
 @given(
+    R=st.sampled_from([1, 2, 3]),
     d=st.sampled_from([1, 2, 3, 17]),
     N=st.one_of(st.integers(1, 8), st.integers(9, 24)),  # d=1 sums turn pairwise from 8 rows
+    crowded=st.booleans(),
     rounds=st.integers(1, 4),
     layout=st.sampled_from(["C", "F", "reversed view"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_steps_match_the_participant_loops_bitwise(algo, d, N, rounds, layout, seed):
+def test_steps_match_the_participant_loops_bitwise(algo, R, d, N, crowded, rounds, layout, seed):
     rng = np.random.default_rng(seed)
-    # Few clusters put several sampled members in one; K > N leaves some empty.
-    K = int(rng.integers(1, N + 3))
+    # K <= 2 puts most sampled members in one cluster; K > N leaves some empty.
+    K = int(rng.integers(1, 3 if crowded else N + 3))
     assignment = rng.integers(0, K, size=N)  # unsorted
-    w0 = edge_rows(rng, 1, d)
-    # states[0] runs the loops; the others take the ids as each form in ID_FORMS.
-    states = [init_state(algo, w0, N, K, assignment) for _ in range(1 + len(ID_FORMS))]
-    if states[0].table is not None:
-        table = edge_rows(rng, *states[0].table.shape[1:])
-        for state in states:
-            state.table[:] = table
+    w0 = edge_rows(rng, R, d)
+    # refs[r] runs the loops on replicate r alone; each stack of R takes the ids as one form in ID_FORMS.
+    refs = [init_state(algo, w0[r : r + 1], N, K, assignment) for r in range(R)]
+    stacks = [init_state(algo, w0, N, K, assignment) for _ in ID_FORMS]
+    if refs[0].table is not None:
+        for r, ref in enumerate(refs):
+            ref.table[0] = edge_rows(rng, *ref.table.shape[1:])
+            for stack in stacks:
+                stack.table[r] = ref.table[0]
     for t in range(rounds):
         M = int(rng.integers(1, N + 1))
-        parts = tuple(sorted(rng.choice(N, M, replace=False).tolist()))
-        block = edge_rows(rng, M, d)
+        parts = [tuple(sorted(rng.choice(N, M, replace=False).tolist())) for _ in range(R)]
+        block = np.stack([edge_rows(rng, M, d) for _ in range(R)])
         if layout == "F":
-            passed = np.asfortranarray(block[None])
+            passed = np.asfortranarray(block)
         elif layout == "reversed view":
-            passed = block[::-1].copy()[::-1][None]
+            passed = block[:, ::-1].copy()[:, ::-1]
         else:
-            passed = block[None].copy()
+            passed = block.copy()
         eta_tilde = float(rng.choice([1.0, 0.3]))
-        expected = loop_step(states[0], parts, block, eta_tilde)
-        for form, state in zip(ID_FORMS, states[1:]):
-            w = aggregator_step(state, form(parts), passed, eta_tilde)
-            assert w.tobytes() == expected.tobytes()
-            if algo != FEDAVG:
-                assert state.table.tobytes() == states[0].table.tobytes()
+        expected = [loop_step(ref, parts[r], block[r], eta_tilde) for r, ref in enumerate(refs)]
+        for form, stack in zip(ID_FORMS, stacks):
+            w = aggregator_step(stack, form(parts), passed, eta_tilde)
+            for r, ref in enumerate(refs):
+                assert w[r].tobytes() == expected[r].tobytes()
+                if algo != FEDAVG:
+                    assert stack.table[r].tobytes() == ref.table[0].tobytes()
             assert passed.tobytes() == block.tobytes()  # the step leaves its input alone
 
 
