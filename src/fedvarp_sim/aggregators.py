@@ -163,10 +163,7 @@ def _stored_update(state: ServerAggregatorState, ids: np.ndarray, block: np.ndar
     R, M, d = block.shape
     table = state.table
     K, n = table.shape[1], R * M
-    slot = state.assignment[ids]
-    if R > 1:
-        slot += np.arange(0, R * K, K)[:, None]
-    slot = slot.ravel()
+    slot = (state.assignment[ids] + np.arange(0, R * K, K)[:, None]).ravel()
     # Sorted by table row, each row's members keep their block order and
     # replicate r's rows are the places r*M..(r+1)*M-1. rank is a row's
     # place among its cluster's members; ranks[j] counts the clusters
@@ -189,7 +186,7 @@ def _stored_update(state: ServerAggregatorState, ids: np.ndarray, block: np.ndar
         heads = pass_order[:hits]
         hit, members = sorted_slot.take(heads), counts.take(heads)
         pick = order.take(pass_order)
-    at = np.divmod(hit, K) if R > 1 else (0, hit)  # (replicate, cluster) of each hit row
+    at = np.divmod(hit, K)  # (replicate, cluster) of each hit row
 
     # t_part sums each replicate's hit rows, scaled by m_k/M, in
     # ascending cluster order: in sorted order when every hit row has one

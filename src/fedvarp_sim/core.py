@@ -7,7 +7,7 @@ sequentially ordered so that runs are bitwise reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod, sqrt
+from math import isfinite, prod, sqrt
 
 import numpy as np
 
@@ -140,6 +140,16 @@ class HyperConfig:
             raise ConfigError(f"T must be >= 0, got {self.T}")
         if self.M < 1:
             raise ConfigError(f"M must be >= 1, got {self.M}")
+        # A run scales its steps by these products: one that overflows would read as a divergence.
+        try:
+            finite = isfinite(self.eta_c * self.tau) and isfinite(effective_server_lr(self))
+        except OverflowError:  # a float times an int too large to convert
+            finite = False
+        if not finite:
+            raise ConfigError(
+                "eta_c * tau and eta_s * eta_c * tau must be finite, "
+                f"got eta_c={self.eta_c} eta_s={self.eta_s} tau={self.tau}"
+            )
 
 
 def effective_server_lr(h: HyperConfig) -> float:

@@ -299,7 +299,8 @@ def run_stack(
     eta_tilde = effective_server_lr(h)
     # Only clusterfedvarp's aggregator maps clients to clusters.
     assignment = block_assignment(N, cfg.algo.K) if cfg.algo.name == CLUSTERFEDVARP else None
-    rounds = np.minimum(np.arange(_logged_rows(cfg)) * cfg.log_every, h.T)  # the logged round indices
+    # The logged round indices. Any log_every >= T logs rounds 0 and T, so one past int64 steps by T.
+    rounds = np.minimum(np.arange(_logged_rows(cfg)) * min(cfg.log_every, max(h.T, 1)), h.T)
     table = np.empty((R, rounds.size, 3))  # each point's metrics rows
     table[:, 0] = [first for _, _, first in realized]
     cap = max(1, ROW_BLOCK_BYTES // (8 * R * N * d))  # logged rounds measured in one call
@@ -360,7 +361,7 @@ def run_stack(
 def floor_estimate(grads: np.ndarray) -> float:
     """Mean of the last 20% of a run's logged grad_norm_sq values (RunResult.metrics[:, 0])."""
     if not len(grads):
-        raise ConfigError("no records to estimate a floor from")
+        raise ConfigError("no logged rows to estimate a floor from")
     k = max(1, len(grads) // 5)
     return float(np.mean(grads[-k:]))
 

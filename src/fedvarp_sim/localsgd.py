@@ -119,50 +119,37 @@ def local_sgd(
     finite = np.empty(mus.shape, dtype=bool)
     noise = np.empty((rows, tau, d)) if noisy else None
     first_bad = np.full(rows, -1)  # each row's first non-finite step, -1 while finite
+    step_scale = eta_c * tau
 
     def train(lo, hi):
-        keys_and_noise = (keys[lo:hi], noise[lo:hi]) if noisy else (None, None)
-        _train_rows(
-            fed, mus[lo:hi], w_rows[lo:hi], tau, eta_c, out[lo:hi], g[lo:hi], w_k[lo:hi], finite[lo:hi],
-            first_bad[lo:hi], *keys_and_noise,
+        # The slab's rows of every buffer. Each step runs in place, with the ufuncs of
+        # w_k = w - step_scale * ((grad_sum + eigs * (w_k - mus) [+ noise]) / tau) in that order.
+        mu, w0, grad_sum, g_s, w_s, finite_s, bad_s = (
+            mus[lo:hi], w_rows[lo:hi], out[lo:hi], g[lo:hi], w_k[lo:hi], finite[lo:hi], first_bad[lo:hi]
         )
+        if noisy:  # row m draws its (tau, d) noise from one generator rekeyed to its key
+            noise_s = noise[lo:hi]
+            rekey = philox_rekeyer()
+            for key, row in zip(keys[lo:hi], noise_s):
+                rekey(key).standard_normal(out=row)
+            noise_s *= fed.noise_sigma / np.sqrt(fed.d)
+        # Overflow here is a reportable divergence, not a warning condition.
+        # The error state is per thread, so each slab sets its own.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(tau):
+                np.subtract(w0 if k == 0 else w_s, mu, out=g_s)
+                g_s *= fed.eigs
+                if noisy:
+                    g_s += noise_s[:, k]
+                grad_sum += g_s
+                np.divide(grad_sum, tau, out=w_s)
+                w_s *= step_scale
+                np.subtract(w0, w_s, out=w_s)
+                np.isfinite(w_s, out=finite_s)
+                if not finite_s.all():
+                    bad = ~finite_s.all(axis=1)
+                    bad_s[bad & (bad_s < 0)] = k
+        grad_sum /= tau
 
     run_slabs(rows, rows * tau * d * (NOISE_WORK_WEIGHT if noisy else 1), train)
     return out.reshape(R, M, d), first_bad.reshape(R, M)
-
-
-def _train_rows(fed, mus, w, tau, eta_c, grad_sum, g, w_k, finite, first_bad, keys, noise):
-    """tau steps for the rows of mus from the rows of w; leaves their updates in grad_sum.
-
-    grad_sum starts at zero and first_bad at -1; g, w_k and finite are
-    scratch of the rows' shape. Each step runs in place, with the ufuncs of
-    w_k = w - step_scale * ((grad_sum + eigs * (w_k - mus) [+ noise]) / tau)
-    in that order, so nothing is allocated per step. noise is None for a
-    noiseless federation; otherwise row m draws its noise into noise[m],
-    shape (tau, d), from this slab's one Philox generator rekeyed to keys[m],
-    and the slab's block is then scaled to the noise level. Each row's first
-    non-finite step goes into first_bad.
-    """
-    if noise is not None:
-        rekey = philox_rekeyer()
-        for key, row in zip(keys, noise):
-            rekey(key).standard_normal(out=row)
-        noise *= fed.noise_sigma / np.sqrt(fed.d)
-    step_scale = eta_c * tau
-    # Overflow here is a reportable divergence, not a warning condition.
-    # The error state is per thread, so each slab sets its own.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(tau):
-            np.subtract(w if k == 0 else w_k, mus, out=g)
-            g *= fed.eigs
-            if noise is not None:
-                g += noise[:, k]
-            grad_sum += g
-            np.divide(grad_sum, tau, out=w_k)
-            w_k *= step_scale
-            np.subtract(w, w_k, out=w_k)
-            np.isfinite(w_k, out=finite)
-            if not finite.all():
-                bad = ~finite.all(axis=1)
-                first_bad[bad & (first_bad < 0)] = k
-    grad_sum /= tau

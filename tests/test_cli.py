@@ -90,6 +90,24 @@ def test_non_finite_override_exits_two(config_file, capsys, override):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [["hyper.eta_c=1e308"], ["hyper.eta_s=1e307", "hyper.eta_c=10"], [f"hyper.tau={10**400}"]],
+)
+def test_step_sizes_that_overflow_exit_two_and_make_nothing(config_file, tmp_path, capsys, overrides):
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    assert main(["run", "--config", str(config_file), *sets]) == 2
+    assert "configuration error: eta_c * tau and eta_s * eta_c * tau must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "artifacts").exists()
+
+
+def test_a_sweep_tau_point_whose_step_overflows_is_named_and_nothing_is_made(config_file, tmp_path, capsys):
+    big = 10**400
+    assert main(["sweep", "--config", str(config_file), "--axis", "tau", "--values", f"1,{big}"]) == 2
+    assert f"configuration error: sweep point tau={big}: eta_c * tau" in capsys.readouterr().err
+    assert not (tmp_path / "artifacts").exists()
+
+
 # Finite local updates whose server-step sum overflows: each round about
 # doubles the iterate, and near round 665 the sum of the M = 3 updates of
 # about 1e308 overflows while every update stays finite.

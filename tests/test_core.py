@@ -52,6 +52,27 @@ def test_hyperparams_validation(small_config):
         small_config(N=2, K_true=1, M=3)
 
 
+@pytest.mark.parametrize(
+    "eta_c,eta_s,tau",
+    [
+        (float("inf"), 1.0, 1),
+        (0.1, float("inf"), 1),
+        (1e308, 1.0, 2),  # eta_c * tau overflows
+        (10.0, 1e307, 2),  # only eta_s * eta_c * tau overflows
+        (0.1, 1.0, 10**400),  # a tau too large to convert to a float
+    ],
+    ids=["eta_c_inf", "eta_s_inf", "local_product", "server_product", "huge_tau"],
+)
+def test_step_sizes_whose_products_are_not_finite_are_config_errors(eta_c, eta_s, tau):
+    with pytest.raises(ConfigError, match=r"eta_c \* tau and eta_s \* eta_c \* tau must be finite"):
+        _hp(eta_c, eta_s, tau)
+
+
+def test_the_largest_finite_step_sizes_are_accepted():
+    assert effective_server_lr(_hp(1e308, 1.0, 1)) == 1e308
+    assert effective_server_lr(_hp(1e150, 1e100, 2)) == 2e250
+
+
 def test_fedavg_bounds_hand_case():
     report = lr_precondition_report(_hp(0.01, 1.0, 4), N=1, L=1.0, algo=FEDAVG)
     by_name = {c.quantity: c for c in report}

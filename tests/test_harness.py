@@ -181,6 +181,14 @@ def test_records_rounds_strictly_increase(small_config):
     assert result.rounds.tolist() == [0, 5, 10, 12]
 
 
+@pytest.mark.parametrize("log_every", [2**63, 2**64])
+def test_a_log_every_past_int64_logs_rounds_zero_and_T(small_config, tmp_path, log_every):
+    run(small_config(T=7, log_every=7, output_dir=tmp_path / "T"))
+    result = run(small_config(T=7, log_every=log_every, output_dir=tmp_path / "big"))
+    assert result.rounds.tolist() == [0, 7]
+    assert (tmp_path / "big" / "metrics.csv").read_bytes() == (tmp_path / "T" / "metrics.csv").read_bytes()
+
+
 def test_homogeneous_clients_monotone_descent(small_config):
     # identical clients, no noise: plain GD on a quadratic must descend
     for algo in ("fedavg", "fedvarp", "mifa"):
@@ -927,7 +935,7 @@ def test_a_sweep_of_no_values_and_a_floor_of_no_rows_are_config_errors(small_con
     with pytest.raises(ConfigError, match="at least one value"):
         sweep(small_config(output_dir=tmp_path / "sw"), "eta_c", [])
     assert not (tmp_path / "sw").exists()
-    with pytest.raises(ConfigError, match="no records"):
+    with pytest.raises(ConfigError, match="no logged rows"):
         floor_estimate(np.empty(0))
 
 
