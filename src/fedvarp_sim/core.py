@@ -7,7 +7,7 @@ sequentially ordered so that runs are bitwise reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, prod, sqrt
+from math import inf, prod, sqrt
 
 import numpy as np
 
@@ -140,14 +140,15 @@ class HyperConfig:
             raise ConfigError(f"T must be >= 0, got {self.T}")
         if self.M < 1:
             raise ConfigError(f"M must be >= 1, got {self.M}")
-        # A run scales its steps by these products: one that overflows would read as a divergence.
+        # A run scales its steps by these products: one that overflows would read as a divergence,
+        # one that underflows to 0.0 as a run that never moves.
         try:
-            finite = isfinite(self.eta_c * self.tau) and isfinite(effective_server_lr(self))
+            valid = all(0 < x < inf for x in (self.eta_c * self.tau, effective_server_lr(self)))
         except OverflowError:  # a float times an int too large to convert
-            finite = False
-        if not finite:
+            valid = False
+        if not valid:
             raise ConfigError(
-                "eta_c * tau and eta_s * eta_c * tau must be finite, "
+                "eta_c * tau and eta_s * eta_c * tau must be finite and positive, "
                 f"got eta_c={self.eta_c} eta_s={self.eta_s} tau={self.tau}"
             )
 

@@ -101,6 +101,15 @@ def test_step_sizes_that_overflow_exit_two_and_make_nothing(config_file, tmp_pat
     assert not (tmp_path / "artifacts").exists()
 
 
+def test_step_sizes_that_underflow_exit_two_and_make_nothing(config_file, tmp_path, capsys):
+    sets = ["--set", "hyper.eta_s=1e-200", "--set", "hyper.eta_c=1e-200"]  # eta_s * eta_c * tau is 0.0
+    assert main(["run", "--config", str(config_file), *sets]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: eta_c * tau and eta_s * eta_c * tau must be finite and positive" in err
+    assert "eta_c=1e-200 eta_s=1e-200" in err
+    assert not (tmp_path / "artifacts").exists()
+
+
 def test_a_sweep_tau_point_whose_step_overflows_is_named_and_nothing_is_made(config_file, tmp_path, capsys):
     big = 10**400
     assert main(["sweep", "--config", str(config_file), "--axis", "tau", "--values", f"1,{big}"]) == 2

@@ -68,6 +68,24 @@ def test_step_sizes_whose_products_are_not_finite_are_config_errors(eta_c, eta_s
         _hp(eta_c, eta_s, tau)
 
 
+@pytest.mark.parametrize(
+    "eta_c,eta_s,tau",
+    [
+        (1e-200, 1e-200, 1),  # eta_s * eta_c * tau underflows to 0.0
+        (5e-324, 0.5, 1),  # the smallest subnormal times 0.5 rounds to 0.0
+    ],
+    ids=["both_tiny", "subnormal"],
+)
+def test_step_sizes_whose_products_underflow_to_zero_are_config_errors(eta_c, eta_s, tau):
+    with pytest.raises(ConfigError, match=r"eta_c \* tau and eta_s \* eta_c \* tau must be finite and positive"):
+        _hp(eta_c, eta_s, tau)
+
+
+def test_the_smallest_positive_step_sizes_are_accepted():
+    assert effective_server_lr(_hp(5e-324, 1.0, 1)) == 5e-324
+    assert effective_server_lr(_hp(1e-200, 1e-100, 3)) > 0
+
+
 def test_the_largest_finite_step_sizes_are_accepted():
     assert effective_server_lr(_hp(1e308, 1.0, 1)) == 1e308
     assert effective_server_lr(_hp(1e150, 1e100, 2)) == 2e250

@@ -133,6 +133,35 @@ def test_a_batch_of_models_matches_one_call_per_model_bitwise(d, R):
         assert loss[:, c].tobytes() == loss_c.tobytes(), c
 
 
+def whole_array_grad_and_loss(fed, w):
+    """The (R, ..., N, d) gradients and (R, ..., N) losses of every model at once, then numpy means over the clients."""
+    grads, losses = fed.grads_and_losses(w)
+    return grads.mean(axis=-2), losses.mean(axis=-1)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_the_metrics_pass_matches_whole_arrays_bitwise(data):
+    d = data.draw(st.sampled_from([1, 2, 3, 8, 100]), label="d")
+    R = data.draw(st.integers(1, 3), label="R")
+    C = data.draw(st.integers(1, 3), label="C")
+    # Block boundaries of a call with one model per replicate and of this call's R * C models.
+    caps = {rows_per_buffer(d), max(1, rows_per_buffer(d) // (R * C))}
+    boundaries = sorted({max(1, b * cap + s) for cap in caps for b in (1, 2, 3) for s in (-1, 0, 1)})
+    N = data.draw(st.sampled_from(boundaries), label="N")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+
+    rng = np.random.default_rng(seed)
+    eigs = rng.uniform(0.2, 1.7, size=d)
+    eigs[rng.random(d) < 0.3] = 0.0  # zero curvature: gradient components of ±0.0
+    fed = make_federation(rng.normal(size=(R, N, d)), eigs)
+    w = rng.normal(size=(R, C, d)) * rng.choice([1e-3, 1.0, 1e100], size=(R, C, 1))
+    g, loss = global_grad_and_loss(fed, w)
+    g_ref, loss_ref = whole_array_grad_and_loss(fed, w)
+    assert g.tobytes() == g_ref.tobytes()
+    assert loss.tobytes() == loss_ref.tobytes()
+
+
 def peak_traced_bytes(fn):
     tracemalloc.start()
     try:
@@ -166,3 +195,12 @@ def test_table_reductions_allocate_far_less_than_the_table():
         state.table[:] = rng.normal(size=state.table.shape)
         peak = peak_traced_bytes(lambda: aggregator_step(state, ids, block, 0.1))
         assert peak < bound, (state.algo, peak)
+
+
+def test_the_metrics_pass_keeps_one_block_of_scratch():
+    # ordered_row_sum's buffer, one block of differences and the row sums; no (N, d) temporary.
+    N, d = 4000, 100
+    rng = np.random.default_rng(5)
+    fed = make_federation(rng.normal(size=(1, N, d)), rng.uniform(0.1, 2.0, size=d))
+    w = rng.normal(size=(1, d))
+    assert peak_traced_bytes(lambda: global_grad_and_loss(fed, w)) < 4 * ROW_BLOCK_BYTES + 8 * N
