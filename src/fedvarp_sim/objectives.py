@@ -122,22 +122,16 @@ def generate_federation(cfgs: list[FederationConfig]) -> tuple[Federation, list[
 
     cfgs differ at most in their seeds and spreads. Federation r is drawn into row r of the stack in
     the calling thread: client i holds substream(seed, TAG_OFFSETS, i)'s uniforms u, mapped in place
-    to (hi - lo) * u + lo + center, the bits of uniform(lo, hi) + center. A config equal to an
-    earlier one (points that differ only in their run seed) is drawn once: its row and constants are
-    those of its first occurrence. A ConfigError of federation r's constants holds r as `row`.
+    to (hi - lo) * u + lo + center, the bits of uniform(lo, hi) + center. A ConfigError of
+    federation r's constants holds r as `row`.
     """
     first = cfgs[0]
     N, d, K = first.N, first.d, first.K_true
     eigs = np.linspace(first.hessian_eig_min, first.hessian_eig_max, d)
     fed = Federation(eigs=eigs, mus=np.empty((len(cfgs), N, d)), noise_sigma=first.noise_sigma)
     assignment = block_assignment(N, K)
-    rekey, consts, first_row = philox_rekeyer(), [], {}
+    rekey, consts = philox_rekeyer(), []
     for r, cfg in enumerate(cfgs):
-        if cfg in first_row:
-            fed.mus[r] = fed.mus[first_row[cfg]]
-            consts.append(consts[first_row[cfg]])
-            continue
-        first_row[cfg] = r
         for key, row in zip(philox_keys(cfg.seed, TAG_OFFSETS, ids=np.arange(N)), fed.mus[r]):
             rekey(key).random(out=row)
         clusters = fed.mus[r].reshape(K, N // K, d)  # client i belongs to cluster i // (N / K)
@@ -218,15 +212,12 @@ def global_grad_and_loss(fed: Federation, w: np.ndarray) -> tuple[np.ndarray, np
     squared norm. At d=1 numpy sums the column pairwise, so d=1 keeps the
     whole column. Each replicate has the bits of a stack of one.
 
-    Each block's elementwise passes read same-shape operands: w and eigs
-    are first copied across the block's rows (into one scratch block,
-    allocated at the first and largest block and dropped on return, and
-    into the gradient block itself), and then w - mu_i, eigs * diffs and
-    grads * diffs run as in-place ufuncs of one length, with the IEEE
-    operations of the broadcasting form, so no bit changes. A ufunc that
-    broadcasts a (d,) row runs one inner loop per row; the copies run
-    cheaper, and the layer takes 259 rather than 304 us at (N, d) =
-    (1000, 100) and 965 rather than 1068 us at (200, 2000) (BENCH_31.json).
+    Each block's elementwise passes read same-shape operands: w is copied
+    across the block's rows into a block of differences and eigs into the
+    gradient block, and then w - mu_i, eigs * diffs and grads * diffs run
+    in place with the IEEE operations of the broadcasting form, so no bit
+    changes. A ufunc that broadcasts a (d,) row runs one short inner loop
+    per row; a broadcast copy followed by same-shape ufuncs costs less.
     """
     w = np.asarray(w, dtype=np.float64)
     R, N, d = fed.mus.shape
@@ -240,13 +231,8 @@ def global_grad_and_loss(fed: Federation, w: np.ndarray) -> tuple[np.ndarray, np
     w_row = w[..., None, :]  # each model against its replicate's rows
     mus = fed.mus[(slice(None),) + (None,) * (w.ndim - 2)]
 
-    scratch = None
-
     def grads_into(lo: int, hi: int, out: np.ndarray) -> None:
-        nonlocal scratch
-        if scratch is None:  # the first block is the largest
-            scratch = np.empty(out.size)
-        diffs = scratch[: out.size].reshape(out.shape)
+        diffs = np.empty_like(out)
         np.copyto(diffs, w_row)
         diffs -= mus[..., lo:hi, :]
         np.copyto(out, fed.eigs)

@@ -16,7 +16,7 @@ from fedvarp_sim.objectives import (
 from fedvarp_sim import objectives
 from fedvarp_sim.localsgd import local_sgd
 from fedvarp_sim.oracles import finite_difference_error
-from fedvarp_sim.rng import TAG_CENTERS, TAG_OFFSETS, philox_keys, substream
+from fedvarp_sim.rng import TAG_CENTERS, TAG_OFFSETS, substream
 
 
 def test_two_point_constants():
@@ -159,30 +159,6 @@ def test_generation_derives_one_substream_for_the_centers(monkeypatch):
     generate_federation([PINNED_FEDERATIONS["wide-table"]])
     assert paths == [(TAG_CENTERS,)]
 
-
-def test_a_stack_of_one_federation_draws_its_offsets_once(monkeypatch):
-    cfg = PINNED_FEDERATIONS["seed>=2**64"]
-    solo, [solo_consts] = generate_federation([cfg])
-    calls = []
-
-    def counting(seed, *path, ids):
-        calls.append(path)
-        return philox_keys(seed, *path, ids=ids)
-
-    monkeypatch.setattr(objectives, "philox_keys", counting)
-    stack, consts = generate_federation([cfg] * 3)
-    assert calls == [(TAG_OFFSETS,)]
-    assert stack.mus.shape == (3, cfg.N, cfg.d)
-    for row, row_consts in zip(stack.mus, consts):
-        assert row.tobytes() == solo.mus[0].tobytes()
-        assert row_consts.w_star.tobytes() == solo_consts.w_star.tobytes()
-        for name in ("L", "sigma_g_sq", "sigma_K_sq", "f_star"):
-            assert getattr(row_consts, name) == getattr(solo_consts, name), name
-    other = replace(cfg, seed=cfg.seed + 1)
-    mixed, _ = generate_federation([cfg, other, cfg])  # a repeat after another config
-    assert len(calls) == 3
-    assert mixed.mus[2].tobytes() == solo.mus[0].tobytes()
-    assert mixed.mus[1].tobytes() == generate_federation([other])[0].mus[0].tobytes()
 
 
 def test_block_assignment_is_equal_blocks_or_balanced():

@@ -179,6 +179,8 @@ def test_table_reductions_allocate_far_less_than_the_table():
     fed = make_federation(rng.normal(size=(1, N, d)), rng.uniform(0.1, 2.0, size=d))
     w = rng.normal(size=(1, d))
     assert peak_traced_bytes(lambda: global_grad_and_loss(fed, w)) < bound
+    # ordered_row_sum's buffer, one block of differences and the row sums: no (N, d) temporary.
+    assert peak_traced_bytes(lambda: global_grad_and_loss(fed, w)) < 4 * ROW_BLOCK_BYTES + 8 * N
     R, C = 2, 5  # a batch of logged rounds makes no (R, C, N, d) temporary either
     stack = make_federation(rng.normal(size=(R, N, d)), fed.eigs)
     batch = rng.normal(size=(R, C, d))
@@ -195,12 +197,3 @@ def test_table_reductions_allocate_far_less_than_the_table():
         state.table[:] = rng.normal(size=state.table.shape)
         peak = peak_traced_bytes(lambda: aggregator_step(state, ids, block, 0.1))
         assert peak < bound, (state.algo, peak)
-
-
-def test_the_metrics_pass_keeps_one_block_of_scratch():
-    # ordered_row_sum's buffer, one block of differences and the row sums; no (N, d) temporary.
-    N, d = 4000, 100
-    rng = np.random.default_rng(5)
-    fed = make_federation(rng.normal(size=(1, N, d)), rng.uniform(0.1, 2.0, size=d))
-    w = rng.normal(size=(1, d))
-    assert peak_traced_bytes(lambda: global_grad_and_loss(fed, w)) < 4 * ROW_BLOCK_BYTES + 8 * N
