@@ -1,4 +1,4 @@
-"""Output directories and the files a run or a sweep writes into them.
+"""Output directories, a run's manifest, and the files a run or a sweep writes into them.
 
 Artifacts per run, all inside the configured output directory:
     manifest.json   config echo, derived constants, rate-bound report
@@ -14,9 +14,14 @@ from __future__ import annotations
 
 import json
 from contextlib import suppress
+from dataclasses import asdict
 from pathlib import Path
 
-from .core import ConfigError
+from . import __version__
+from .aggregators import cluster_miss_probability
+from .config import RunConfig
+from .core import CLUSTERFEDVARP, ConfigError, lr_precondition_report
+from .objectives import Federation, FederationConstants, federation_constants
 
 RUN_ARTIFACTS = ("manifest.json", "metrics.csv", "status.json")
 SUMMARY_FILE = "sweep_summary.csv"
@@ -39,16 +44,26 @@ def make_output_dirs(dirs: dict) -> None:
     mkdir that fails removes the directories this call made, deepest first.
     """
     made = []  # directories this call created, parents first
+    missing = {}  # each directory of dirs -> those of it and its parents not there yet, parents first
+    seen = set()  # every directory checked so far
     try:
         for path, stale in dirs.items():
             p = Path(path)
             if any((p / name).is_dir() and not (p / name).is_symlink() for name in stale):
                 raise IsADirectoryError("a directory is in the way of an artifact")
-            if any(not q.is_dir() and (q.exists() or q.is_symlink()) for q in (p, *p.parents)):
-                raise NotADirectoryError("a file is in the way")
-        for path in dirs:
-            for q in (*reversed(Path(path).parents), Path(path)):
-                if not q.is_dir():
+            missing[path] = []
+            for q in (p, *p.parents):  # an existing directory's parents exist, and a seen one's are checked
+                if q in seen:
+                    break
+                seen.add(q)
+                if q.is_dir():
+                    break
+                if q.exists() or q.is_symlink():
+                    raise NotADirectoryError("a file is in the way")
+                missing[path].insert(0, q)
+        for path, new in missing.items():
+            for q in new:
+                if not q.is_dir():  # an alias such as "a/.." exists once "a" is made
                     q.mkdir()
                     made.append(q)
         for path, stale in dirs.items():
@@ -59,6 +74,37 @@ def make_output_dirs(dirs: dict) -> None:
             with suppress(OSError):
                 q.rmdir()
         raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+
+
+def build_manifest(cfg: RunConfig, fed: Federation, consts: FederationConstants, assignment) -> dict:
+    """manifest.json of a run of cfg on fed, whose constants are consts; assignment is clusterfedvarp's, else None."""
+    N, K = cfg.federation.N, cfg.algo.K
+    p = None
+    if cfg.algo.name == CLUSTERFEDVARP and N % K == 0:
+        p = cluster_miss_probability(N, N // K, cfg.hyper.M)
+    sigma_K_sq = consts.sigma_K_sq
+    if assignment is not None and K != cfg.federation.K_true:
+        # Report the heterogeneity of the clustering the aggregator actually
+        # uses; with K == K_true it is the generator's, whose value consts holds.
+        sigma_K_sq = federation_constants(fed, assignment).sigma_K_sq
+    if cfg.algo.name == CLUSTERFEDVARP and p is None:
+        # Rate bounds need the equal-size clustering; report only what holds.
+        report = []
+    else:
+        report = [asdict(c) for c in lr_precondition_report(cfg.hyper, N, consts.L, cfg.algo.name, p)]
+    return {
+        "artifact_version": __version__,
+        "config": asdict(cfg),
+        "constants": {
+            "L": consts.L,
+            "sigma_g_sq": consts.sigma_g_sq,
+            "sigma_K_sq": sigma_K_sq,
+            "w_star": [float(x) for x in consts.w_star],
+            "f_star": consts.f_star,
+            "p": p,
+        },
+        "lr_preconditions": report,
+    }
 
 
 def write_run_artifacts(result) -> None:

@@ -10,8 +10,9 @@ import sys
 
 from .core import ConfigError, DivergenceError
 from .config import SWEEP_AXES, RunConfig, load_config, sweep_axis_type
-from .harness import floor_estimate, run, sweep
+from .harness import run
 from .oracles import verify
+from .sweeps import floor_estimate, sweep
 
 
 def _say(msg: str) -> None:

@@ -9,7 +9,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, is_dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from functools import cache
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -105,26 +106,33 @@ def _coerce(name: str, value, typ):
 
 
 def parse_config(raw: dict) -> RunConfig:
-    """Validate a raw config dict: each RunConfig field is one required key."""
+    """Validate a raw config dict: each RunConfig field is a key, required unless it has a default."""
     return _parse_section(raw, RunConfig, None)
 
 
+@cache
+def _field_table(cls) -> dict:
+    """cls's fields, their type hints read once: name -> (type, required), a field without a default being required."""
+    types = get_type_hints(cls)
+    return {f.name: (types[f.name], f.default is MISSING and f.default_factory is MISSING) for f in fields(cls)}
+
+
 def _parse_section(raw, cls, section: str | None):
-    """raw as a cls whose fields are required keys; a dataclass field is a nested section."""
+    """raw as a cls whose fields are its keys; a dataclass field is a nested section, a defaulted one optional."""
     if not isinstance(raw, dict):
         where = "config root" if section is None else f"config section {section!r}"
         raise ConfigError(f"{where} must be a JSON object")
     keys = "config keys" if section is None else f"keys in {section!r}"
-    types = get_type_hints(cls)
-    unknown = set(raw) - set(types)
+    table = _field_table(cls)
+    unknown = set(raw) - set(table)
     if unknown:
         raise ConfigError(f"unknown {keys}: {sorted(unknown)}")
-    missing = set(types) - set(raw)
+    missing = {key for key, (_, required) in table.items() if required} - set(raw)
     if missing:
         raise ConfigError(f"missing {keys}: {sorted(missing)}")
     values = {}
     for key, value in raw.items():
-        typ = types[key]
+        typ = table[key][0]
         if is_dataclass(typ):
             values[key] = _parse_section(value, typ, key)
         else:
@@ -146,17 +154,21 @@ def load_config(path: str | Path, overrides: tuple[str, ...] | list[str] = ()) -
 
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
-    """Apply dotted-path key=value overrides onto a raw config dict."""
+    """Apply dotted-path key=value overrides onto a raw config dict; a path names RunConfig fields, set or not."""
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} must look like key=value")
         dotted, text = item.split("=", 1)
         *path, leaf = dotted.split(".")
-        node = raw
+        cls, node = RunConfig, raw
+        for k in path:
+            cls = _field_table(cls).get(k, (None,))[0] if is_dataclass(cls) else None
+        if not is_dataclass(cls) or leaf not in _field_table(cls):
+            raise ConfigError(f"override references unknown key {dotted!r}")
         for k in path:
             node = node.get(k) if isinstance(node, dict) else None
-        if not isinstance(node, dict) or leaf not in node:
-            raise ConfigError(f"override references unknown key {dotted!r}")
+        if not isinstance(node, dict):
+            raise ConfigError(f"override {dotted!r} runs through a config part that is missing or not a JSON object")
         try:
             value = json.loads(text)
         except json.JSONDecodeError:
@@ -180,7 +192,7 @@ def sweep_axis_type(axis: str) -> type:
     section, field = SWEEP_AXES[axis]
     if field is None:
         return float
-    typ = get_type_hints(get_type_hints(RunConfig)[section])[field]
+    typ = _field_table(_field_table(RunConfig)[section][0])[field][0]
     return (get_args(typ) or (typ,))[0]  # K: int | None takes ints
 
 

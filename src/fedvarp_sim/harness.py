@@ -1,56 +1,33 @@
-"""Experiment engine: the round loop and sweeps.
+"""The run path: configs in, each run's exact logged metrics and artifacts out.
 
-A run wires together federation generation, client sampling, local SGD,
-and one server aggregator for T rounds, logging exact global metrics.
-Everything is keyed off the config seed, so identical configs produce
-byte-identical artifacts regardless of client execution order. The
-configs come from config.py and the artifacts go through artifacts.py.
-
-run_many is the one way to run configs: run(cfg) is its list of one,
-and sweep and the reduction oracle pass it theirs. It runs configs that
-differ only in their seeds, output directories and federation seeds and
-spreads as one stack of R runs in the one round loop, run_stack, their
-federations and server states on a leading replicate axis, (R, N, d):
-each round makes one local_sgd and one aggregator_step call for all R,
-and the logged rounds are measured a batch at a time, in one metrics
-call for all R, into one (R, rows, 3) array. Every kernel keeps each
-replicate's bits, so a stacked config writes the artifacts of its solo
-run byte for byte. A stack's
-federations are generated straight into its (R, N, d) array, and the
-whole stack is kept for the next call that runs it: the algorithms of
-one federation, run one after another, build it once.
+run_many is the one way to run configs; run(cfg) is its list of one.
+Configs that differ only in their seeds, output directories and
+federation spreads run as one stack of R runs in the one round loop,
+run_stack, their federations and server states on a leading replicate
+axis, (R, N, d): each round makes one local_sgd and one aggregator_step
+call for all R, and the logged rounds are measured a batch at a time
+into one (R, rows, 3) array. Every kernel keeps each replicate's bits
+and every draw is keyed off the config seeds, so a config writes the
+same bytes stacked or alone, in any client order. A stack's federations
+are kept for the next call that runs it: the algorithms of one
+federation, run one after another, build it once.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, artifacts
-from .aggregators import aggregator_step, cluster_miss_probability, init_state
-from .config import RunConfig, sweep_point
+from . import artifacts
+from .aggregators import aggregator_step, init_state
+from .config import RunConfig
 from .config import parse_config  # noqa: F401  perfbench/workloads.py calls harness.parse_config
-from .core import (
-    CLUSTERFEDVARP,
-    ROW_BLOCK_BYTES,
-    ConfigError,
-    DivergenceError,
-    effective_server_lr,
-    lr_precondition_report,
-)
+from .core import CLUSTERFEDVARP, ROW_BLOCK_BYTES, ConfigError, DivergenceError, effective_server_lr
 from .localsgd import local_sgd
-from .objectives import (
-    Federation,
-    FederationConfig,
-    FederationConstants,
-    block_assignment,
-    federation_constants,
-    generate_federation,
-    global_grad_and_loss,
-)
-from .rng import KEY_INDEX_LIMIT, TAG_LOCAL, TAG_SAMPLING, philox_keys
-from .sampling import sample_rounds
+from .objectives import Federation, FederationConfig, block_assignment, generate_federation, global_grad_and_loss
+from .rng import KEY_INDEX_LIMIT, TAG_LOCAL, philox_keys
+from .sampling import sample_participants
 
 # run samples its rounds in chunks of at most this many participant ids
 # per replicate, or of one round where a round has more.
@@ -59,10 +36,6 @@ ROUND_KEY_CHUNK = 1024
 # run_many's stacks, kept for its next call: the federation configs of a
 # stack -> its (R, N, d) federation and realized points, as _realize builds them.
 _kept = {}
-
-
-# ---------------------------------------------------------------------------
-# Running
 
 
 @dataclass
@@ -78,36 +51,6 @@ class RunResult:
     @property
     def completed(self) -> bool:
         return self.aborted_round is None
-
-
-def build_manifest(cfg: RunConfig, fed: Federation, consts: FederationConstants, assignment) -> dict:
-    N, K = cfg.federation.N, cfg.algo.K
-    p = None
-    if cfg.algo.name == CLUSTERFEDVARP and N % K == 0:
-        p = cluster_miss_probability(N, N // K, cfg.hyper.M)
-    sigma_K_sq = consts.sigma_K_sq
-    if assignment is not None and K != cfg.federation.K_true:
-        # Report the heterogeneity of the clustering the aggregator actually
-        # uses; with K == K_true it is the generator's, whose value consts holds.
-        sigma_K_sq = federation_constants(fed, assignment).sigma_K_sq
-    if cfg.algo.name == CLUSTERFEDVARP and p is None:
-        # Rate bounds need the equal-size clustering; report only what holds.
-        report = []
-    else:
-        report = [asdict(c) for c in lr_precondition_report(cfg.hyper, N, consts.L, cfg.algo.name, p)]
-    return {
-        "artifact_version": __version__,
-        "config": asdict(cfg),
-        "constants": {
-            "L": consts.L,
-            "sigma_g_sq": consts.sigma_g_sq,
-            "sigma_K_sq": sigma_K_sq,
-            "w_star": [float(x) for x in consts.w_star],
-            "f_star": consts.f_star,
-            "p": p,
-        },
-        "lr_preconditions": report,
-    }
 
 
 def _check_sizes(cfg: RunConfig, replicates: int = 1) -> None:
@@ -265,10 +208,10 @@ def run_stack(
 
     Round t of point r trains the participants sample_round draws from
     substream(seed_r, TAG_SAMPLING, t). As they do not depend on the
-    model, they are drawn a chunk of rounds at a time: one philox_keys
-    and one sample_rounds call per replicate give the chunk's
-    participants, at most max(M, ROUND_KEY_CHUNK) ids per replicate;
-    round 0 of mifa's full_first_round, N ids, is a chunk of its own. In
+    model, they are drawn a chunk of rounds at a time, in one
+    sample_participants call for the stack, at most
+    max(M, ROUND_KEY_CHUNK) ids per replicate; round 0 of mifa's
+    full_first_round, N ids, is a chunk of its own. In
     a noisy federation participant i draws its gradient noise from the
     key of substream(seed_r, TAG_LOCAL, t, i), the round's keys derived
     as one block per replicate. The participants of all replicates train
@@ -306,7 +249,9 @@ def run_stack(
     cap = max(1, ROW_BLOCK_BYTES // (8 * R * N * d))  # logged rounds measured in one call
     filled, models, n = 1, np.empty((R, cap, d)), 0  # rows written; the n logged models since
     # Built before the server tables: a manifest's cluster constants would add to their peak.
-    manifests = [build_manifest(point, fed_i, consts, assignment) for point, (fed_i, consts, _) in zip(cfgs, realized)]
+    manifests = [
+        artifacts.build_manifest(point, fed_i, consts, assignment) for point, (fed_i, consts, _) in zip(cfgs, realized)
+    ]
     w_star = np.array([consts.w_star for _, consts, _ in realized])
     state = init_state(cfg.algo.name, np.zeros((R, d)), N, cfg.algo.K, assignment)
     stop = {}  # row -> (round, local step or None, kind) of its earliest non-finite result
@@ -314,14 +259,11 @@ def run_stack(
     chunk_end = 0
     for t in range(h.T):
         if t == chunk_end:
-            M = cfg.round_size(t)
+            chunk_start, M = t, cfg.round_size(t)
             # M != h.M only in round 0 of a full_first_round, N ids.
             chunk_end = t + 1 if M != h.M else min(h.T, t + max(1, ROUND_KEY_CHUNK // M))
-            chunk_rounds = np.arange(t, chunk_end)
-            chunk = np.array(  # (replicates, rounds, M)
-                [sample_rounds(N, M, philox_keys(point.seed, TAG_SAMPLING, ids=chunk_rounds)) for point in cfgs]
-            )
-        participants = chunk[:, t - chunk_rounds[0]]
+            chunk = sample_participants([point.seed for point in cfgs], N, M, np.arange(t, chunk_end))
+        participants = chunk[:, t - chunk_start]
         keys = None
         if fed.noise_sigma > 0:
             keys = np.array([philox_keys(point.seed, TAG_LOCAL, t, ids=ids) for point, ids in zip(cfgs, participants)])
@@ -356,64 +298,3 @@ def run_stack(
         artifacts.write_run_artifacts(res)
         outcomes.append(res if aborted is None else DivergenceError(step, kind, res))
     return outcomes
-
-
-def floor_estimate(grads: np.ndarray) -> float:
-    """Mean of the last 20% of a run's logged grad_norm_sq values (RunResult.metrics[:, 0])."""
-    if not len(grads):
-        raise ConfigError("no logged rows to estimate a floor from")
-    k = max(1, len(grads) // 5)
-    return float(np.mean(grads[-k:]))
-
-
-# ---------------------------------------------------------------------------
-# Sweeps
-
-
-@dataclass
-class SweepResult:
-    results: list[RunResult]
-    summary_path: Path | None
-
-
-def sweep(base: RunConfig, axis: str, values: list, write_artifacts: bool = True) -> SweepResult:
-    """Run one point per value and write a floor summary CSV.
-
-    The points are one run_many list, so the points of a sigma_g_scale
-    sweep share a stack and every other axis runs in stacks of one. Each
-    point's artifacts are those of its solo run, byte for byte; a
-    ConfigError of a point's config or preparation names its value, and
-    then nothing is made.
-
-    A divergent point does not stop the sweep: its result has
-    completed=False, and its summary row leaves the floor columns empty
-    and names the aborted round. The summary's value column is the value
-    the point's config holds, so "FedAvg" reads fedavg.
-    """
-    if not values:
-        raise ConfigError("sweep needs at least one value")
-    points = []
-    try:
-        for point, value in enumerate(values):
-            points.append(sweep_point(base, axis, value, point))
-        point = None  # run_many's errors hold their point, if they have one
-        outcomes = run_many([cfg for cfg, _ in points], write_artifacts, _sweep_dir=base.output_dir)
-    except (ConfigError, MemoryError) as exc:
-        point = getattr(exc, "point", point)
-        if point is None:  # an output directory; it names itself
-            raise
-        raise ConfigError(f"sweep point {axis}={values[point]!r}: {exc}") from exc
-    results = [out.result if isinstance(out, DivergenceError) else out for out in outcomes]
-    rows = []
-    for (cfg, held), res in zip(points, results):
-        if res.completed:
-            grads = res.metrics[:, 0]
-            tail = (floor_estimate(grads), float(grads.min()), float(grads[-1]), "true", "")
-        else:
-            tail = ("", "", "", "false", res.aborted_round)
-        rows.append((axis, held, cfg.seed, res.manifest["constants"]["sigma_g_sq"], *tail))
-    summary_path = None
-    if write_artifacts:
-        summary_path = Path(base.output_dir) / artifacts.SUMMARY_FILE
-        artifacts.write_csv(summary_path, artifacts.SUMMARY_HEADER, rows)
-    return SweepResult(results=results, summary_path=summary_path)

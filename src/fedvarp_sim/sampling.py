@@ -3,7 +3,8 @@
 sample_round draws one round's participants from a generator and is the
 definition. sample_rounds draws the participants of many rounds, one
 Philox key each, in one array pass with the bits sample_round gives
-each key; a run samples its rounds that way, a chunk at a time.
+each key. sample_participants is the one place a run draws its
+participants: a chunk of rounds for every replicate of a stack.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from math import comb
 import numpy as np
 
 from .core import ConfigError, OracleScaleError, sum_rows
-from .rng import philox_rekeyer
+from .rng import TAG_SAMPLING, philox_keys, philox_rekeyer
 
 ENUMERATION_CAP = 1_000_000
 
@@ -95,6 +96,11 @@ def sample_rounds(N: int, M: int, keys) -> np.ndarray:
     for c in redrawn.nonzero()[0]:
         out[c] = sample_round(N, M, rekey(keys[c]))
     return out
+
+
+def sample_participants(seeds, N: int, M: int, rounds) -> np.ndarray:
+    """The (R, C, M) ids whose row r, round c is sample_round(N, M, substream(seeds[r], TAG_SAMPLING, rounds[c]))."""
+    return np.array([sample_rounds(N, M, philox_keys(seed, TAG_SAMPLING, ids=rounds)) for seed in seeds])
 
 
 def enumerate_subsets(N: int, M: int) -> np.ndarray:

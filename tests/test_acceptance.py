@@ -14,7 +14,8 @@ import pytest
 from conftest import make_federation
 from fedvarp_sim.config import AlgoConfig, RunConfig
 from fedvarp_sim.core import CLUSTERFEDVARP, FEDAVG, FEDVARP, HyperConfig, lr_precondition_report
-from fedvarp_sim.harness import floor_estimate, run, sweep
+from fedvarp_sim.harness import run
+from fedvarp_sim.sweeps import floor_estimate, sweep
 from fedvarp_sim.localsgd import local_sgd
 from fedvarp_sim.objectives import FederationConfig
 from fedvarp_sim.oracles import (

@@ -22,7 +22,8 @@ from pathlib import Path
 from fedvarp_sim.artifacts import RUN_ARTIFACTS, SUMMARY_FILE
 from fedvarp_sim.config import apply_overrides, parse_config
 from fedvarp_sim.core import DivergenceError
-from fedvarp_sim.harness import run, sweep
+from fedvarp_sim.harness import run
+from fedvarp_sim.sweeps import sweep
 
 BASE = {
     "federation": {

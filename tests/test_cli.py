@@ -3,7 +3,9 @@ import json
 import pytest
 
 from fedvarp_sim import oracles
+from fedvarp_sim.artifacts import RUN_ARTIFACTS
 from fedvarp_sim.cli import main
+from fedvarp_sim.config import load_config
 
 
 @pytest.fixture
@@ -29,6 +31,43 @@ def config_file(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
     return path
+
+
+def _without(config_file, *dotted):
+    """A copy of config_file with the dotted keys deleted."""
+    raw = json.loads(config_file.read_text())
+    for key in dotted:
+        section, leaf = key.split(".")
+        del raw[section][leaf]
+    path = config_file.with_name("without_" + "_".join(dotted) + ".json")
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def test_a_file_without_the_defaulted_algo_keys_runs_as_one_with_nulls(config_file, tmp_path):
+    short = _without(config_file, "algo.K", "algo.mifa_mode")
+    assert load_config(short) == load_config(config_file)
+    written = []
+    for path in (config_file, short):  # into one output_dir, which the manifest echoes
+        assert main(["run", "--config", str(path)]) == 0
+        written.append([(tmp_path / "artifacts" / name).read_bytes() for name in RUN_ARTIFACTS])
+    assert written[0] == written[1]
+
+
+def test_an_override_sets_a_key_the_file_omits(config_file, tmp_path):
+    short = _without(config_file, "algo.K", "algo.mifa_mode")
+    assert main(["run", "--config", str(short), "--set", "algo.name=clusterfedvarp", "--set", "algo.K=2"]) == 0
+    manifest = json.loads((tmp_path / "artifacts" / "manifest.json").read_text())
+    assert manifest["config"]["algo"] == {"name": "clusterfedvarp", "K": 2, "mifa_mode": None}
+
+
+def test_a_missing_required_key_and_an_unknown_override_still_exit_two(config_file, tmp_path, capsys):
+    assert main(["run", "--config", str(_without(config_file, "hyper.M"))]) == 2
+    assert "configuration error: missing keys in 'hyper': ['M']" in capsys.readouterr().err
+    short = _without(config_file, "algo.K", "algo.mifa_mode")
+    assert main(["run", "--config", str(short), "--set", "algo.bogus=1"]) == 2
+    assert "configuration error: override references unknown key 'algo.bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "artifacts").exists()
 
 
 def test_verify_exits_zero(capsys):

@@ -18,7 +18,8 @@ from fedvarp_sim.config import (
     sweep_point,
 )
 from fedvarp_sim.core import ALGORITHMS, CLUSTERFEDVARP, FEDAVG, ConfigError, DivergenceError
-from fedvarp_sim.harness import floor_estimate, run, sweep
+from fedvarp_sim.harness import run
+from fedvarp_sim.sweeps import floor_estimate, sweep
 from fedvarp_sim.localsgd import local_sgd
 from fedvarp_sim.objectives import Federation, FederationConfig, generate_federation
 from fedvarp_sim.oracles import verify
@@ -160,6 +161,36 @@ def test_override_unknown_key(tmp_path):
         apply_overrides(raw_config(tmp_path), ["hyper.M"])
 
 
+def test_an_override_of_a_known_key_needs_its_section_in_the_file(tmp_path):
+    message = "runs through a config part that is missing or not a JSON object"
+    for raw, dotted in (
+        ({**raw_config(tmp_path), "hyper": 5}, "hyper.M"),
+        ({key: value for key, value in raw_config(tmp_path).items() if key != "algo"}, "algo.K"),
+        ([1, 2], "seed"),
+    ):
+        with pytest.raises(ConfigError, match=f"override '{dotted}' {message}"):
+            apply_overrides(raw, [f"{dotted}=3"])
+
+
+def test_output_dirs_check_each_parent_once_and_stop_at_an_existing_one(tmp_path, monkeypatch):
+    checked = []
+    is_dir = Path.is_dir
+
+    def recording(self, *args, **kwargs):
+        checked.append(self)
+        return is_dir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "is_dir", recording)
+    base = tmp_path / "new" / ".." / "sweep"  # "new/.." exists only once "new" is made
+    dirs = {base: (artifacts.SUMMARY_FILE,), **{base / f"point{i}": artifacts.RUN_ARTIFACTS for i in range(3)}}
+    artifacts.make_output_dirs(dirs)
+    assert all((tmp_path / "sweep" / f"point{i}").is_dir() for i in range(3))
+    parents = [q for q in checked if q.name not in (artifacts.SUMMARY_FILE, *artifacts.RUN_ARTIFACTS)]
+    assert tmp_path.parent not in parents  # tmp_path exists, so nothing above it is checked
+    # An existing directory is checked once; a missing one again just before it is made.
+    assert parents.count(tmp_path) == 1 and parents.count(base) == 2
+
+
 # ---------------------------------------------------------------------------
 # Running
 
@@ -261,15 +292,15 @@ def test_noiseless_run_builds_no_local_streams(small_config, monkeypatch):
 
 
 def _record_sampling(monkeypatch):
-    """Wrap harness.sample_rounds; collect (N, M, rounds) of every call."""
+    """Wrap harness.sample_participants; collect (N, M, rounds) of every call."""
     calls = []
-    original = harness.sample_rounds
+    original = harness.sample_participants
 
-    def recording(N, M, keys):
-        calls.append((N, M, len(keys)))
-        return original(N, M, keys)
+    def recording(seeds, N, M, rounds):
+        calls.append((N, M, len(rounds)))
+        return original(seeds, N, M, rounds)
 
-    monkeypatch.setattr(harness, "sample_rounds", recording)
+    monkeypatch.setattr(harness, "sample_participants", recording)
     return calls
 
 

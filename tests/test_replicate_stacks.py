@@ -15,14 +15,15 @@ import numpy as np
 import pytest
 
 from conftest import make_federation
-from fedvarp_sim import harness
+from fedvarp_sim import artifacts, harness
 from fedvarp_sim.aggregators import ServerAggregatorState, aggregator_step, init_state
 from fedvarp_sim.artifacts import RUN_ARTIFACTS
 from fedvarp_sim.config import sweep_point
 from fedvarp_sim.core import ALGORITHMS, CLUSTERFEDVARP, ConfigError, DimensionError, DivergenceError
 from fedvarp_sim.localsgd import local_sgd
 from fedvarp_sim.objectives import Federation, block_assignment, federation_constants, global_grad_and_loss
-from fedvarp_sim.harness import run, sweep
+from fedvarp_sim.harness import run
+from fedvarp_sim.sweeps import sweep
 
 # ---------------------------------------------------------------------------
 # Kernels
@@ -394,8 +395,8 @@ def test_manifest_reuses_the_generators_cluster_heterogeneity(small_config, monk
     cfg = small_config(algo="clusterfedvarp", K=4, K_true=4, T=0)
     _, [(fed, consts, _)] = harness._realize((cfg.federation,))
     expected = federation_constants(fed, block_assignment(8, 4)).sigma_K_sq
-    monkeypatch.setattr(harness, "federation_constants", None)  # a second constants call would fail
-    manifest = harness.build_manifest(cfg, fed, consts, block_assignment(8, 4))
+    monkeypatch.setattr(artifacts, "federation_constants", None)  # a second constants call would fail
+    manifest = artifacts.build_manifest(cfg, fed, consts, block_assignment(8, 4))
     assert manifest["constants"]["sigma_K_sq"] == expected
     assert json.dumps(manifest["constants"]) == json.dumps(run(cfg, write_artifacts=False).manifest["constants"])
 

@@ -4,15 +4,16 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedvarp_sim import sampling
+from fedvarp_sim import harness, sampling
 from fedvarp_sim.core import ConfigError, OracleScaleError
 from fedvarp_sim.oracles import subset_mean_bias
 from fedvarp_sim.rng import TAG_SAMPLING, philox_keys, substream
 from fedvarp_sim.sampling import (
     enumerate_subsets,
+    sample_participants,
     sample_round,
     sample_rounds,
     without_replacement_variance,
@@ -156,6 +157,31 @@ def test_sample_rounds_of_no_keys_and_bad_sizes():
         sample_rounds(3, 4, philox_keys(1, TAG_SAMPLING, ids=[0]))
     with pytest.raises(ConfigError):
         sample_rounds(3, 0, philox_keys(1, TAG_SAMPLING, ids=[0]))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    seeds=st.lists(st.integers(0, 2**70), min_size=1, max_size=4),
+    N=st.integers(1, 40),
+    m=st.integers(1, 40),
+    start=st.integers(0, 2**32 - harness.ROUND_KEY_CHUNK - 1),
+    kind=st.sampled_from(["some rounds", "one round of N ids", "a full chunk"]),
+    length=st.integers(1, 6),
+)
+@example(seeds=[2**64, 2**64 - 1, 0, 2**70], N=5, m=1, start=2**32 - 1025, kind="a full chunk", length=1)
+@example(seeds=[2**64 + 3], N=40, m=40, start=0, kind="one round of N ids", length=1)
+def test_sample_participants_is_the_per_seed_sample_rounds_of_a_chunk(seeds, N, m, start, kind, length):
+    """Bit for bit the per-seed sample_rounds calls a stack made inline, for chunks as run_stack cuts them."""
+    M = N if kind == "one round of N ids" else min(m, N)
+    C = {"some rounds": length, "one round of N ids": 1, "a full chunk": max(1, harness.ROUND_KEY_CHUNK // M)}[kind]
+    rounds = np.arange(start, start + C)
+    got = sample_participants(seeds, N, M, rounds)
+    reference = [sample_rounds(N, M, philox_keys(seed, TAG_SAMPLING, ids=rounds)) for seed in seeds]
+    assert got.shape == (len(seeds), C, M) and got.dtype == np.intp
+    assert got.tobytes() == np.array(reference).tobytes()
+    for r, seed in enumerate(seeds):  # and the definition, at the chunk's ends
+        for c in (0, C - 1):
+            assert got[r, c].tobytes() == sample_round(N, M, substream(seed, TAG_SAMPLING, int(rounds[c]))).tobytes()
 
 
 def test_marginal_inclusion_frequencies():
