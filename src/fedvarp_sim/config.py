@@ -8,13 +8,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
-from functools import cache
+from dataclasses import dataclass, is_dataclass, replace
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import get_args
 
-from .core import ALGORITHMS, CLUSTERFEDVARP, MIFA, ConfigError, HyperConfig
+from .core import ALGORITHMS, CLUSTERFEDVARP, MIFA, ConfigError, HyperConfig, check_fields, config_value, field_table
 from .objectives import FederationConfig
 
 MIFA_MODES = ("cold_start", "full_first_round")
@@ -43,6 +41,7 @@ class AlgoConfig:
     mifa_mode: str | None = None
 
     def __post_init__(self):
+        check_fields(self, "algo")
         object.__setattr__(self, "name", self.name.lower())
         if self.name not in ALGORITHMS:
             raise ConfigError(f"algo.name must be one of {ALGORITHMS}, got {self.name!r}")
@@ -68,6 +67,7 @@ class RunConfig:
     seed: int
 
     def __post_init__(self):
+        check_fields(self)
         N, M, K = self.federation.N, self.hyper.M, self.algo.K
         if M > N:
             raise ConfigError(f"M must satisfy 1 <= M <= N, got M={M} N={N}")
@@ -88,33 +88,9 @@ class RunConfig:
         return self.hyper.M
 
 
-def _coerce(name: str, value, typ):
-    """value as a config field of type typ: int, finite float, str, or one of them | None."""
-    if get_args(typ):  # X | None
-        if value is None:
-            return None
-        typ = get_args(typ)[0]
-    if typ is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        if not math.isfinite(value):
-            raise ConfigError(f"config key {name!r} must be finite, got {value!r}")
-        return float(value)
-    if typ is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if typ is str and isinstance(value, str):
-        return value
-    raise ConfigError(f"config key {name!r} must be {typ.__name__}, got {value!r}")
-
-
 def parse_config(raw: dict) -> RunConfig:
     """Validate a raw config dict: each RunConfig field is a key, required unless it has a default."""
     return _parse_section(raw, RunConfig, None)
-
-
-@cache
-def _field_table(cls) -> dict:
-    """cls's fields, their type hints read once: name -> (type, required), a field without a default being required."""
-    types = get_type_hints(cls)
-    return {f.name: (types[f.name], f.default is MISSING and f.default_factory is MISSING) for f in fields(cls)}
 
 
 def _parse_section(raw, cls, section: str | None):
@@ -123,20 +99,17 @@ def _parse_section(raw, cls, section: str | None):
         where = "config root" if section is None else f"config section {section!r}"
         raise ConfigError(f"{where} must be a JSON object")
     keys = "config keys" if section is None else f"keys in {section!r}"
-    table = _field_table(cls)
+    table = field_table(cls)
     unknown = set(raw) - set(table)
     if unknown:
         raise ConfigError(f"unknown {keys}: {sorted(unknown)}")
     missing = {key for key, (_, required) in table.items() if required} - set(raw)
     if missing:
         raise ConfigError(f"missing {keys}: {sorted(missing)}")
-    values = {}
+    values = dict(raw)
     for key, value in raw.items():
-        typ = table[key][0]
-        if is_dataclass(typ):
-            values[key] = _parse_section(value, typ, key)
-        else:
-            values[key] = _coerce(key if section is None else f"{section}.{key}", value, typ)
+        if is_dataclass(table[key][0]):
+            values[key] = _parse_section(value, table[key][0], key)
     return cls(**values)
 
 
@@ -162,8 +135,8 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
         *path, leaf = dotted.split(".")
         cls, node = RunConfig, raw
         for k in path:
-            cls = _field_table(cls).get(k, (None,))[0] if is_dataclass(cls) else None
-        if not is_dataclass(cls) or leaf not in _field_table(cls):
+            cls = field_table(cls).get(k, (None,))[0] if is_dataclass(cls) else None
+        if not is_dataclass(cls) or leaf not in field_table(cls):
             raise ConfigError(f"override references unknown key {dotted!r}")
         for k in path:
             node = node.get(k) if isinstance(node, dict) else None
@@ -192,34 +165,32 @@ def sweep_axis_type(axis: str) -> type:
     section, field = SWEEP_AXES[axis]
     if field is None:
         return float
-    typ = _field_table(_field_table(RunConfig)[section][0])[field][0]
+    typ = field_table(field_table(RunConfig)[section][0])[field][0]
     return (get_args(typ) or (typ,))[0]  # K: int | None takes ints
 
 
 def sweep_point(base: RunConfig, axis: str, value, index: int) -> tuple[RunConfig, object]:
     """The config of one sweep point, axis applied, with child seed and own subdir, and its value as held.
 
-    The value is checked like a config key (ints for counts, finite
-    floats for rates and scales); the held value is the checked one, as
-    the point's config holds it (AlgoConfig lower-cases a name). The
-    child seed is derived from the held value, so 1, 1.0 and
-    np.float64(1.0) give one seed, and so do "FedAvg" and "fedavg"; a
-    sigma_g_scale point's seed comes from its checked scale.
+    The edited section checks the value as it checks any field (ints
+    for counts, finite floats for rates); the held value is the one the
+    point's config holds (an int rate widened to a float, a name
+    lower-cased by AlgoConfig). The child seed is derived from the held
+    value, so 1, 1.0 and np.float64(1.0) give one seed, and so do
+    "FedAvg" and "fedavg". A sigma_g_scale value sets no field: it is
+    checked as a finite float, and the point's seed comes from that.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
-    v = _coerce(f"sweep {axis} value", value, sweep_axis_type(axis))
     section, field = SWEEP_AXES[axis]
     part = getattr(base, section)
     if field is None:
-        edit = {
-            key: _coerce(f"federation.{key}", getattr(part, key) * v, float)
-            for key in ("cluster_center_spread", "within_cluster_spread")
-        }
+        held = config_value(f"sweep {axis} value", value, float)
+        spreads = ("cluster_center_spread", "within_cluster_spread")
+        point = replace(part, **{key: getattr(part, key) * held for key in spreads})
     else:
-        edit = {field: v}
-    point = replace(part, **edit)
-    held = v if field is None else getattr(point, field)
+        point = replace(part, **{field: value})
+        held = getattr(point, field)
     cfg = replace(
         base,
         **{section: point},

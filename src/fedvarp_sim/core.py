@@ -6,8 +6,11 @@ sequentially ordered so that runs are bitwise reproducible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import inf, prod, sqrt
+from dataclasses import MISSING, dataclass, fields
+from functools import cache
+from math import inf, isfinite, prod, sqrt
+from sys import float_info
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -21,6 +24,40 @@ ALGORITHMS = (FEDAVG, FEDVARP, CLUSTERFEDVARP, MIFA)
 
 class ConfigError(ValueError):
     """Invalid configuration: bad keys, inconsistent sizes, missing files."""
+
+
+@cache
+def field_table(cls) -> dict:
+    """cls's fields, their type hints read once: name -> (type, required), a field without a default being required."""
+    types = get_type_hints(cls)
+    return {f.name: (types[f.name], f.default is MISSING and f.default_factory is MISSING) for f in fields(cls)}
+
+
+def config_value(name: str, value, typ):
+    """value as a config field of type typ: int, finite float, str, a section, or one of them | None."""
+    if get_args(typ):  # X | None
+        if value is None:
+            return None
+        typ = get_args(typ)[0]
+    if typ is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if not abs(value) <= float_info.max:  # isfinite would raise OverflowError on an int too large for a float
+            raise ConfigError(f"config key {name!r} must be finite, got {value!r}")
+        return float(value)
+    if type(value) is typ or typ in (int, str) and isinstance(value, typ) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"config key {name!r} must be {typ.__name__}, got {value!r}")
+
+
+def check_fields(obj, section: str | None = None) -> None:
+    """Check each field of the config section obj by config_value, named section.field (the field alone when
+    section is None), keeping the value it returns, so an int in a float field is widened.
+
+    A value of its field's exact type costs one type test (a float one finiteness test more), so replace stays cheap.
+    """
+    for key, (typ, _) in field_table(type(obj)).items():
+        value = getattr(obj, key)
+        if type(value) is not typ or typ is float and not isfinite(value):
+            object.__setattr__(obj, key, config_value(key if section is None else f"{section}.{key}", value, typ))
 
 
 class DimensionError(ValueError):
@@ -130,6 +167,7 @@ class HyperConfig:
     M: int
 
     def __post_init__(self):
+        check_fields(self, "hyper")
         if not self.eta_c > 0:
             raise ConfigError(f"eta_c must be > 0, got {self.eta_c}")
         if not self.eta_s > 0:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ROW_BLOCK_BYTES, ConfigError, DimensionError, ordered_row_sum
+from .core import ROW_BLOCK_BYTES, ConfigError, DimensionError, check_fields, ordered_row_sum
 from .rng import TAG_CENTERS, TAG_OFFSETS, philox_keys, philox_rekeyer, substream
 
 
@@ -42,10 +42,10 @@ class Federation:
             raise ConfigError(f"mus must be an (R, N, d) array with N >= 1, got {self.mus.shape}")
         if self.eigs.shape != (self.mus.shape[-1],):
             raise DimensionError("hessian eigenvalues and minimizers must share the dimension")
-        if np.any(self.eigs < 0):
-            raise ConfigError("hessian eigenvalues must be nonnegative")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be nonnegative")
+        if not np.all((self.eigs >= 0) & (self.eigs < math.inf)):
+            raise ConfigError("hessian eigenvalues must be nonnegative and finite")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ConfigError("noise_sigma must be nonnegative and finite")
 
     @property
     def d(self) -> int:
@@ -83,6 +83,7 @@ class FederationConfig:
     seed: int
 
     def __post_init__(self):
+        check_fields(self, "federation")
         if self.N < 1 or self.d < 1:
             raise ConfigError(f"need N >= 1 and d >= 1, got N={self.N} d={self.d}")
         if not 1 <= self.K_true <= self.N:

@@ -1,9 +1,15 @@
 import itertools
-from math import sqrt
+import json
+import re
+from dataclasses import asdict, is_dataclass, replace
+from math import inf, nan, sqrt
+from pathlib import Path
+from typing import get_args
 
 import numpy as np
 import pytest
 
+from fedvarp_sim.config import RunConfig, parse_config
 from fedvarp_sim.core import (
     CLUSTERFEDVARP,
     FEDAVG,
@@ -12,6 +18,7 @@ from fedvarp_sim.core import (
     ConfigError,
     HyperConfig,
     effective_server_lr,
+    field_table,
     lr_precondition_report,
 )
 
@@ -52,19 +59,73 @@ def test_hyperparams_validation(small_config):
         small_config(N=2, K_true=1, M=3)
 
 
+# Wrong values for a field of each type, made from the field's valid value v.
+WRONG_VALUES = {
+    int: {"bool": lambda v: True, "float": float, "str": str, "np.int64": np.int64},
+    float: {
+        "bool": lambda v: True,
+        "str": str,
+        "nan": lambda v: nan,
+        "inf": lambda v: inf,
+        "-inf": lambda v: -inf,
+        "huge_int": lambda v: 10**400,  # JSON reads a long integer literal as an int too large for a float
+    },
+    str: {"bool": lambda v: True, "Path": Path},
+}
+
+
+def _wrong_field_cases():
+    """(section, key, kind) for every field of every config section, section None for RunConfig's own."""
+    for key, (typ, _) in field_table(RunConfig).items():
+        if is_dataclass(typ):
+            yield None, key, "dict"
+            for field, (ftyp, _) in field_table(typ).items():
+                yield from ((key, field, kind) for kind in WRONG_VALUES[(get_args(ftyp) or (ftyp,))[0]])
+        else:
+            yield from ((None, key, kind) for kind in WRONG_VALUES[typ])
+
+
 @pytest.mark.parametrize(
-    "eta_c,eta_s,tau",
+    "section,key,kind", list(_wrong_field_cases()), ids=lambda x: str(x) if x is not None else "run"
+)
+def test_a_wrong_field_value_is_a_config_error_naming_the_field(small_config, section, key, kind):
+    # Every field set; a value of the wrong type or a non-finite float is refused however the config is built.
+    base = small_config(algo=CLUSTERFEDVARP, K=2, mifa_mode="cold_start")
+    part = base if section is None else getattr(base, section)
+    value = asdict if kind == "dict" else WRONG_VALUES[type(getattr(part, key))][kind]
+    value = value(getattr(part, key))
+    name = key if section is None else f"{section}.{key}"
+    with pytest.raises(ConfigError, match=f"^config key {re.escape(repr(name))} must be ") as built:
+        if section is None:
+            replace(base, **{key: value})
+        else:
+            replace(base, **{section: replace(part, **{key: value})})
+    assert not Path(base.output_dir).exists()
+    if type(value) in (bool, int, float, str):  # JSON carries it: parse_config gives the same message
+        raw = json.loads(json.dumps(asdict(base)))
+        (raw if section is None else raw[section])[key] = value
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(raw)
+        assert str(parsed.value) == str(built.value)
+
+
+PRODUCTS_NOT_FINITE = r"eta_c \* tau and eta_s \* eta_c \* tau must be finite"
+
+
+@pytest.mark.parametrize(
+    "eta_c,eta_s,tau,message",
     [
-        (float("inf"), 1.0, 1),
-        (0.1, float("inf"), 1),
-        (1e308, 1.0, 2),  # eta_c * tau overflows
-        (10.0, 1e307, 2),  # only eta_s * eta_c * tau overflows
-        (0.1, 1.0, 10**400),  # a tau too large to convert to a float
+        # An infinite rate is a bad field value, as `--set hyper.eta_s=Infinity` reports it.
+        (float("inf"), 1.0, 1, "config key 'hyper.eta_c' must be finite, got inf"),
+        (0.1, float("inf"), 1, "config key 'hyper.eta_s' must be finite, got inf"),
+        (1e308, 1.0, 2, PRODUCTS_NOT_FINITE),  # eta_c * tau overflows
+        (10.0, 1e307, 2, PRODUCTS_NOT_FINITE),  # only eta_s * eta_c * tau overflows
+        (0.1, 1.0, 10**400, PRODUCTS_NOT_FINITE),  # a tau too large to convert to a float
     ],
     ids=["eta_c_inf", "eta_s_inf", "local_product", "server_product", "huge_tau"],
 )
-def test_step_sizes_whose_products_are_not_finite_are_config_errors(eta_c, eta_s, tau):
-    with pytest.raises(ConfigError, match=r"eta_c \* tau and eta_s \* eta_c \* tau must be finite"):
+def test_step_sizes_whose_products_are_not_finite_are_config_errors(eta_c, eta_s, tau, message):
+    with pytest.raises(ConfigError, match=message):
         _hp(eta_c, eta_s, tau)
 
 

@@ -214,8 +214,12 @@ def test_global_empty_rejected():
         ([1.0], 0.0, DimensionError, "share the dimension"),
         ([1.0, -0.5], 0.0, ConfigError, "eigenvalues must be nonnegative"),
         ([1.0, 0.5], -0.1, ConfigError, "noise_sigma must be nonnegative"),
+        ([1.0, np.nan], 0.0, ConfigError, "eigenvalues must be nonnegative and finite"),
+        ([1.0, np.inf], 0.0, ConfigError, "eigenvalues must be nonnegative and finite"),
+        ([1.0, 0.5], np.nan, ConfigError, "noise_sigma must be nonnegative and finite"),
+        ([1.0, 0.5], np.inf, ConfigError, "noise_sigma must be nonnegative and finite"),
     ],
-    ids=["eigs_length", "negative_eig", "negative_sigma"],
+    ids=["eigs_length", "negative_eig", "negative_sigma", "nan_eig", "inf_eig", "nan_sigma", "inf_sigma"],
 )
 def test_federation_rejects_bad_hessians_and_noise(eigs, sigma, error, message):
     with pytest.raises(error, match=message):
