@@ -123,6 +123,8 @@ def load_config(path: str | Path, overrides: tuple[str, ...] | list[str] = ()) -
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except ValueError as exc:  # an integer literal past Python's int conversion limit
+        raise ConfigError(f"config file {path} holds a number too long to read: {exc}") from None
     return parse_config(apply_overrides(raw, overrides))
 
 
@@ -146,6 +148,8 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
             value = json.loads(text)
         except json.JSONDecodeError:
             value = text  # bare strings (algo names, paths) come through unquoted
+        except ValueError as exc:  # an integer literal past Python's int conversion limit
+            raise ConfigError(f"override {dotted!r} holds a number too long to read: {exc}") from None
         node[leaf] = value
     return raw
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_federation
+from reference import edge_rows, loop_step
 from fedvarp_sim.aggregators import aggregator_step, cluster_miss_probability, init_state
 from fedvarp_sim.core import (
     ALGORITHMS,
@@ -249,60 +250,6 @@ def test_an_overflowing_server_step_is_non_finite_without_a_warning(algo, R):
         warnings.simplefilter("error")
         w = aggregator_step(state, ids, np.full((R, M, d), 1e308), eta_tilde=0.1)
     assert w.shape == (R, d) and not np.isfinite(w).any()
-
-
-# Values whose sums cancel exactly or keep a signed zero.
-EDGE_VALUES = np.array([-0.0, 0.0, 1.0, -1.0, 0.1, -0.1, 3.0, 1e16, -1e16])
-
-
-def edge_rows(rng, n, d):
-    """Rows mixing normals and edge values, some all -0.0, some cancelling others."""
-    normal = rng.normal(size=(n, d))
-    rows = np.where(rng.random((n, d)) < 0.5, normal, rng.choice(EDGE_VALUES, size=(n, d)))
-    rows[rng.random(n) < 0.2] = -0.0
-    for m in np.flatnonzero(rng.random(n) < 0.2):
-        rows[m] = -rows[rng.integers(n)]
-    return rows
-
-
-def loop_step(state, parts, block, eta_tilde):
-    """The per-participant loops the array-shaped step replaces, on a stack of one; parts is a tuple of ids."""
-    deltas = dict(zip(parts, block))
-    M = len(parts)
-    mean_delta = np.zeros_like(block[0])
-    for i in parts:
-        mean_delta = mean_delta + deltas[i]
-    mean_delta = mean_delta / M
-    table = None if state.table is None else state.table[0]
-    hit = {}
-    if state.algo == FEDAVG:
-        v = mean_delta
-    elif state.algo == MIFA:
-        for i in parts:
-            table[i] = deltas[i]
-        acc = np.zeros_like(mean_delta)
-        for row in table:
-            acc = acc + row
-        v = acc / table.shape[0]
-    else:
-        N = state.assignment.shape[0]
-        for i in parts:
-            hit.setdefault(int(state.assignment[i]), []).append(i)
-        t_part = np.zeros_like(mean_delta)
-        for k in sorted(hit):
-            t_part = t_part + table[k] * (len(hit[k]) / M)
-        sizes = np.bincount(state.assignment, minlength=table.shape[0])
-        t_all = np.zeros_like(mean_delta)
-        for k in range(table.shape[0]):
-            t_all = t_all + table[k] * (sizes[k] / N)
-        v = mean_delta + (t_all - t_part)
-    state.w = state.w - eta_tilde * v
-    for k in sorted(hit):
-        acc = np.zeros_like(mean_delta)
-        for i in hit[k]:
-            acc = acc + deltas[i]
-        table[k] = acc / len(hit[k])
-    return state.w
 
 
 # A tuple of ids must not be read as a multi-axis index.

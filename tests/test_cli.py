@@ -357,6 +357,20 @@ def test_unreadable_config_exits_two(tmp_path, capsys, kind):
     assert tree(tmp_path) == before
 
 
+@pytest.mark.parametrize("where", ["file", "override"])
+def test_an_integer_past_the_digit_limit_exits_two(config_file, tmp_path, capsys, where):
+    # json.loads raises a plain ValueError for an integer literal of more than 4300 digits.
+    long_int = "1" * 5000
+    if where == "file":
+        config_file.write_text(config_file.read_text().replace('"T": 15', f'"T": {long_int}'))
+        args, source = [], f"config file {config_file}"
+    else:
+        args, source = ["--set", f"hyper.T={long_int}"], "override 'hyper.T'"
+    assert main(["run", "--config", str(config_file), *args]) == 2
+    assert f"configuration error: {source} holds a number too long to read" in capsys.readouterr().err
+    assert not (tmp_path / "artifacts").exists()
+
+
 RUN = ["run"]
 SWEEP = ["sweep", "--axis", "eta_c", "--values", "0.01,0.02"]
 

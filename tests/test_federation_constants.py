@@ -2,9 +2,9 @@
 
 federation_constants forms its per-client terms in one pass over row
 blocks, sigma_K_sq for any clustering, and generate_federation draws a
-stack's federations into one array in the calling thread. The reference
-below is the whole-array code with a Python loop over clusters; every
-result must carry its bits.
+stack's federations into one array in the calling thread. The reference,
+reference.whole_array_constants, is the whole-array code with a Python
+loop over clusters; every result must carry its bits.
 """
 import threading
 from dataclasses import replace
@@ -21,34 +21,10 @@ from fedvarp_sim.objectives import (
     federation_constants,
     generate_federation,
 )
+from reference import cluster_heterogeneity, whole_array_constants
 from test_objectives import PINNED_FEDERATIONS
 
 SCALARS = ("L", "sigma_g_sq", "sigma_K_sq", "f_star")
-
-
-def _max_gap_sq(eigs, center, rows):
-    dev = eigs * (center - rows)
-    return float(np.max(np.sum(dev * dev, axis=1)))
-
-
-def reference_cluster_heterogeneity(fed, assignment):
-    worst = 0.0
-    for k in np.unique(assignment):
-        members = fed.mus[0, assignment == k]
-        worst = max(worst, _max_gap_sq(fed.eigs, members.mean(axis=0), members))
-    return worst
-
-
-def reference_constants(fed, assignment):
-    """name -> value of the four scalar constants, and w_star."""
-    eigs, [mus] = fed.eigs, fed.mus
-    mu_bar = mus.mean(axis=0)
-    return {
-        "L": float(np.max(eigs)),
-        "sigma_g_sq": _max_gap_sq(eigs, mu_bar, mus),
-        "sigma_K_sq": reference_cluster_heterogeneity(fed, assignment),
-        "f_star": float(np.mean(0.5 * np.sum(eigs * (mu_bar - mus) ** 2, axis=1))),
-    }, mu_bar
 
 
 def bits(x):
@@ -56,7 +32,7 @@ def bits(x):
 
 
 def assert_matches_reference(fed, assignment):
-    expected, w_star = reference_constants(fed, assignment)
+    expected, w_star = whole_array_constants(fed, assignment)
     consts = federation_constants(fed, assignment)
     for name in SCALARS:
         assert bits(getattr(consts, name)) == bits(expected[name]), name
@@ -75,13 +51,13 @@ def assignments(N, rng):
 @pytest.mark.parametrize("cfg", PINNED_FEDERATIONS.values(), ids=PINNED_FEDERATIONS.keys())
 def test_pinned_federations_match_the_reference_bitwise(cfg):
     fed, [consts] = generate_federation([cfg])
-    expected, w_star = reference_constants(fed, block_assignment(cfg.N, cfg.K_true))
+    expected, w_star = whole_array_constants(fed, block_assignment(cfg.N, cfg.K_true))
     for name in SCALARS:
         assert bits(getattr(consts, name)) == bits(expected[name]), name
     assert bits(consts.w_star) == bits(w_star)
     rng = np.random.default_rng(cfg.N)
     for assignment in assignments(cfg.N, rng)[-4:]:  # K = N and the non-contiguous ones
-        expected = reference_cluster_heterogeneity(fed, assignment)
+        expected = cluster_heterogeneity(fed, assignment)
         assert bits(federation_constants(fed, assignment).sigma_K_sq) == bits(expected)
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import forced_split, make_federation, substream_keys
+from reference import local_sgd as reference_local_sgd
 from fedvarp_sim import localsgd
 from fedvarp_sim.core import ConfigError
 from fedvarp_sim.localsgd import local_sgd
@@ -15,20 +16,6 @@ from fedvarp_sim.rng import TAG_LOCAL, philox_keys, substream
 def gradient(fed, i, w):
     """Client i's exact gradient at w, of a stack of one federation."""
     return fed.grads_and_losses(w)[0][0, i]
-
-
-def reference_local_sgd(eigs, mu, w, tau, eta_c, sigma, rng):
-    """The per-client recursion the batched kernel must reproduce row by row."""
-    d = w.shape[0]
-    grad_sum = np.zeros_like(w)
-    w_k = w
-    for _ in range(tau):
-        g = eigs * (w_k - mu)
-        if sigma > 0:
-            g = g + rng.standard_normal(d) * (sigma / np.sqrt(d))
-        grad_sum = grad_sum + g
-        w_k = w - (eta_c * tau) * (grad_sum / tau)
-    return grad_sum / tau, w_k
 
 
 def test_single_noiseless_step_returns_gradient_bitwise():
@@ -66,7 +53,7 @@ def test_server_step_reproduces_final_iterate_bitwise():
         stream_key = int(rng.integers(1 << 30))
         [[delta]], _ = local_sgd(fed, [[0]], w, tau, eta_c, substream_keys(stream_key, ids=[0])[None])
         stream = substream(stream_key, 0)
-        _, w_final = reference_local_sgd(eigs, fed.mus[0, 0], w[0], tau, eta_c, 0.4, stream)
+        _, w_final, _ = reference_local_sgd(eigs, fed.mus[0, 0], w[0], tau, eta_c, 0.4, stream)
         eta_tilde = (1.0 * eta_c) * tau
         reconstructed = w[0] - eta_tilde * delta
         assert reconstructed.tobytes() == w_final.tobytes()
@@ -92,7 +79,7 @@ def test_noiseless_contraction():
         for tau in (1, 2, 6):
             w = rng.normal(size=(1, 3))
             [[delta]], _ = local_sgd(fed, [[0]], w, tau, eta_c)
-            _, w_final = reference_local_sgd(eigs, mu, w[0], tau, eta_c, 0.0, None)
+            _, w_final, _ = reference_local_sgd(eigs, mu, w[0], tau, eta_c, 0.0, None)
             assert (w[0] - (eta_c * tau) * delta).tobytes() == w_final.tobytes()
             assert np.linalg.norm(w_final - mu) <= np.linalg.norm(w[0] - mu) * (1 + 1e-12)
 
@@ -248,6 +235,7 @@ def test_one_cpu_trains_inline(monkeypatch):
 
 @settings(max_examples=80, deadline=None, database=None)
 @given(
+    R=st.integers(1, 3),
     M=st.integers(1, 8),
     tau=st.integers(1, 6),
     d=st.sampled_from([1, 2, 3, 17]),
@@ -255,32 +243,34 @@ def test_one_cpu_trains_inline(monkeypatch):
     seed=st.integers(0, 2**32 - 1),
     workers=st.sampled_from([2, 3, 8]),
 )
-def test_batched_kernel_matches_per_client_recursion(M, tau, d, noisy, seed, workers):
+def test_batched_kernel_matches_per_client_recursion(R, M, tau, d, noisy, seed, workers):
+    # Replicate r: minimizers at its own scale, 1e-3 to 1e3, participants in a random order (each row's
+    # bits depend on its own inputs alone), and participant i's draws from (seed, TAG_LOCAL, r, i).
     rng = np.random.default_rng(seed)
     N = M + int(rng.integers(0, 4))
     sigma = float(rng.uniform(0.1, 2.0)) if noisy else 0.0
-    fed = make_federation(rng.normal(size=(1, N, d)), rng.uniform(0.1, 2.0, size=d), sigma)
-    parts = tuple(int(i) for i in rng.choice(N, size=M, replace=False))
-    w = rng.normal(size=(1, d))
+    eigs = rng.uniform(0.1, 2.0, size=d)
+    eigs[rng.random(d) < 0.3] = 0.0  # zero curvature: gradient components of ±0.0
+    mus = rng.normal(size=(R, N, d)) * 10.0 ** rng.integers(-3, 4, size=(R, 1, 1))
+    fed = make_federation(mus, eigs, sigma)
+    parts = [tuple(int(i) for i in rng.choice(N, size=M, replace=False)) for _ in range(R)]
+    w = rng.normal(size=(R, d))
     eta_c = float(rng.uniform(0.01, 0.5))
+    keys = np.array([philox_keys(seed, TAG_LOCAL, r, ids=ids) for r, ids in enumerate(parts)])
 
-    def train():
-        return local_sgd(fed, [parts], w, tau, eta_c, philox_keys(seed, TAG_LOCAL, 7, ids=parts)[None])[0]
-
-    inline = train()
-    # The same draws split into min(M, workers) row slabs, M below the
-    # worker count included.
+    inline, _ = local_sgd(fed, parts, w, tau, eta_c, keys)
+    # The same draws split into min(R * M, workers) row slabs, R * M below the worker count included.
     with forced_split(workers):
-        split = train()
-    for [deltas] in (inline, split):
-        assert deltas.shape == (M, d)
-        for m, i in enumerate(parts):
-            ref_delta, ref_final = reference_local_sgd(
-                fed.eigs, fed.mus[0, i], w[0], tau, eta_c, sigma, substream(seed, TAG_LOCAL, 7, i)
-            )
-            assert deltas[m].tobytes() == ref_delta.tobytes()
-            # Module identities: the server step with eta_s = 1 lands on the
-            # final local iterate, and a noiseless single step is the gradient.
-            assert (w[0] - (1.0 * eta_c * tau) * deltas[m]).tobytes() == ref_final.tobytes()
+        split, _ = local_sgd(fed, parts, w, tau, eta_c, keys)
+    for deltas in (inline, split):
+        assert deltas.shape == (R, M, d)
+        for r, m in np.ndindex(R, M):
+            i = parts[r][m]
+            rng_i = substream(seed, TAG_LOCAL, r, i)
+            ref_delta, ref_final, _ = reference_local_sgd(eigs, fed.mus[r, i], w[r], tau, eta_c, sigma, rng_i)
+            assert deltas[r, m].tobytes() == ref_delta.tobytes()
+            # Module identities: the server step with eta_s = 1 lands on the final local iterate, and
+            # a noiseless single step is the gradient, added to a sum started at +0.0 (a -0.0 reads +0.0).
+            assert (w[r] - (1.0 * eta_c * tau) * deltas[r, m]).tobytes() == ref_final.tobytes()
             if tau == 1 and not noisy:
-                assert deltas[m].tobytes() == gradient(fed, i, w).tobytes()
+                assert deltas[r, m].tobytes() == (0.0 + fed.grads_and_losses(w[:, None])[0][r, 0, i]).tobytes()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_federation
+from reference import federation_mus
 from fedvarp_sim.core import ConfigError, DimensionError
 from fedvarp_sim.objectives import (
     Federation,
@@ -16,7 +17,7 @@ from fedvarp_sim.objectives import (
 from fedvarp_sim import objectives
 from fedvarp_sim.localsgd import local_sgd
 from fedvarp_sim.oracles import finite_difference_error
-from fedvarp_sim.rng import TAG_CENTERS, TAG_OFFSETS, substream
+from fedvarp_sim.rng import TAG_CENTERS, substream
 
 
 def test_two_point_constants():
@@ -114,18 +115,6 @@ def test_offsets_respect_within_cluster_spread():
         assert 0 < np.linalg.norm(mu - center) <= spread + 1e-12
 
 
-def _old_loop_mus(cfg):
-    """mus as generate_federation built them with one substream per client, as a stack of one."""
-    scale = cfg.cluster_center_spread / np.sqrt(cfg.d)
-    centers = scale * substream(cfg.seed, TAG_CENTERS).standard_normal((cfg.K_true, cfg.d))
-    assign = block_assignment(cfg.N, cfg.K_true)
-    hw = cfg.within_cluster_spread / np.sqrt(cfg.d)
-    mus = np.empty((1, cfg.N, cfg.d))
-    for i in range(cfg.N):
-        mus[0, i] = centers[assign[i]] + substream(cfg.seed, TAG_OFFSETS, i).uniform(-hw, hw, cfg.d)
-    return mus, assign
-
-
 # The benchmark's three federation shapes, then the edge cases.
 PINNED_FEDERATIONS = {
     "wide-table": FederationConfig(1000, 100, 10, 1.0, 0.1, 0.0, 0.5, 1.0, seed=2**31 + 5),
@@ -139,10 +128,10 @@ PINNED_FEDERATIONS = {
 
 @pytest.mark.parametrize("cfg", PINNED_FEDERATIONS.values(), ids=PINNED_FEDERATIONS.keys())
 def test_generation_matches_one_substream_per_client(cfg):
-    mus, assign = _old_loop_mus(cfg)
+    mus = federation_mus(cfg)[None]
     fed, [consts] = generate_federation([cfg])
     assert fed.mus.tobytes() == mus.tobytes()
-    expected = federation_constants(replace(fed, mus=mus), assign)
+    expected = federation_constants(replace(fed, mus=mus), block_assignment(cfg.N, cfg.K_true))
     for name in ("L", "sigma_g_sq", "sigma_K_sq", "f_star"):
         assert getattr(consts, name) == getattr(expected, name), name
     assert consts.w_star.tobytes() == expected.w_star.tobytes()
@@ -275,28 +264,3 @@ def test_cluster_heterogeneity_uses_assignment():
     loose = federation_constants(fed, np.array([0, 1, 0, 1])).sigma_K_sq
     assert tight == pytest.approx(0.01)
     assert loose > 1.0
-
-
-def stacked_grad_and_loss(mu_list, eigs, w):
-    """The metrics pass before the federation kept its mus matrix: np.stack per call."""
-    mus = np.stack(mu_list)
-    diffs = w - mus
-    grads = eigs * diffs
-    losses = 0.5 * np.sum(grads * diffs, axis=1)
-    return grads.mean(axis=0), float(losses.mean())
-
-
-@pytest.mark.parametrize(
-    "N,d,K_true", [(1, 1, 1), (1, 6, 1), (9, 1, 3), (12, 17, 4), (40, 8, 40), (200, 100, 10)]
-)
-def test_cached_mus_metrics_match_stacked_bitwise(N, d, K_true):
-    rng = np.random.default_rng(N * 1000 + d)
-    for trial in range(5):
-        fed, _ = generate_federation([FederationConfig(N, d, K_true, 1.5, 0.3, 0.0, 0.2, 1.7, trial)])
-        mu_list = [fed.mus[0, i].copy() for i in range(N)]
-        for scale in (1e-3, 1.0, 1e150):
-            w = rng.normal(size=(1, d)) * scale
-            g, loss = global_grad_and_loss(fed, w)
-            g_ref, loss_ref = stacked_grad_and_loss(mu_list, fed.eigs, w[0])
-            assert g.tobytes() == g_ref.tobytes()
-            assert loss.tobytes() == np.float64(loss_ref).tobytes()

@@ -3,10 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_federation
+from reference import EDGE_VALUES, grad_and_loss, loop_sum
 from fedvarp_sim.aggregators import aggregator_step, init_state
 from fedvarp_sim.core import (
     CLUSTERFEDVARP,
@@ -20,25 +21,10 @@ from fedvarp_sim.objectives import global_grad_and_loss
 
 # Wide enough that a block holds one row besides the running sum.
 WIDE_D = ROW_BLOCK_BYTES // 16
-# Values whose sums cancel exactly or keep a signed zero.
-EDGE_VALUES = np.array([-0.0, 0.0, 1.0, -1.0, 0.1, -0.1, 3.0, 1e16, -1e16])
 
 
 def rows_per_buffer(d):
     return max(2, ROW_BLOCK_BYTES // (8 * max(d, 2)))
-
-
-def loop_sum(rows, scales):
-    """The reductions as written before the helper: one row at a time from
-    +0.0, skipping empty clusters, as the aggregator loop did."""
-    def row(k):
-        return rows[k] if scales is None else rows[k] * scales[k]
-
-    acc = np.zeros(rows.shape[1])
-    for k in range(rows.shape[0]):
-        if scales is None or scales[k] > 0:
-            acc = acc + row(k)
-    return acc
 
 
 @settings(max_examples=80, deadline=None, database=None)
@@ -72,7 +58,8 @@ def test_ordered_row_sum_matches_row_loop_bitwise(data):
             np.multiply(rows[lo:hi], scales[lo:hi, None], out=out)
 
     got = ordered_row_sum(K, d, fill)
-    assert got.tobytes() == loop_sum(rows, scales).tobytes()
+    # Skipping the rows of empty clusters (scale 0) leaves the bits unchanged.
+    assert got.tobytes() == loop_sum(rows if scales is None else (rows * scales[:, None])[scales > 0]).tobytes()
     assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
     assert blocks[-1][1] == K
     full = rows if scales is None else rows * scales[:, None]
@@ -88,29 +75,6 @@ def test_ordered_row_sum_zero_scale_adds_nothing():
         3, 2, lambda lo, hi, out: np.multiply(rows[lo:hi], scales[lo:hi, None], out=out)
     )
     assert got.tobytes() == np.zeros(2).tobytes()
-
-
-def old_grad_and_loss(fed, w):
-    """The metrics pass before blocking: (N, d) gradients, then numpy means; fed is a stack of one."""
-    [grads], [losses] = fed.grads_and_losses(w)
-    return grads.mean(axis=0), losses.mean()
-
-
-def test_blocked_metrics_match_whole_table_bitwise():
-    rng = np.random.default_rng(7)
-    shapes = [(3000, 17), (2000, 100), (900, 300), (3, WIDE_D), (20000, 1)]
-    shapes += [(1, 5), (40, 8), (8, 3), (50, 10)]  # mus fits in one block
-    for N, d in shapes:
-        eigs = rng.uniform(0.2, 1.7, size=d)
-        eigs[rng.random(d) < 0.3] = 0.0  # zero curvature: gradient components of ±0.0
-        fed = make_federation(rng.normal(size=(1, N, d)), eigs)
-        points = [rng.normal(size=(1, d)) * s for s in (1e-3, 1.0, 1e100)]
-        points.append(fed.mus.min(axis=1) - 1.0)  # every w - mu_i < 0: all -0.0 in zero columns
-        for w in points:
-            g, loss = global_grad_and_loss(fed, w)
-            g_ref, loss_ref = old_grad_and_loss(fed, w)
-            assert g.tobytes() == g_ref.tobytes(), (N, d)
-            assert loss.tobytes() == loss_ref.tobytes(), (N, d)
 
 
 @pytest.mark.parametrize("R", [1, 3])
@@ -133,31 +97,44 @@ def test_a_batch_of_models_matches_one_call_per_model_bitwise(d, R):
         assert loss[:, c].tobytes() == loss_c.tobytes(), c
 
 
-def whole_array_grad_and_loss(fed, w):
-    """The (R, ..., N, d) gradients and (R, ..., N) losses of every model at once, then numpy means over the clients."""
-    grads, losses = fed.grads_and_losses(w)
-    return grads.mean(axis=-2), losses.mean(axis=-1)
-
-
-@settings(max_examples=60, deadline=None, database=None)
-@given(data=st.data())
-def test_the_metrics_pass_matches_whole_arrays_bitwise(data):
-    d = data.draw(st.sampled_from([1, 2, 3, 8, 100]), label="d")
-    R = data.draw(st.integers(1, 3), label="R")
-    C = data.draw(st.integers(1, 3), label="C")
-    # Block boundaries of a call with one model per replicate and of this call's R * C models.
+@st.composite
+def metrics_shapes(draw):
+    """(N, d, R, C): N at a block boundary of a call with one model per replicate or with its R * C models."""
+    d = draw(st.sampled_from([1, 2, 3, 8, 100]), label="d")
+    R, C = draw(st.integers(1, 3), label="R"), draw(st.integers(1, 3), label="C")
     caps = {rows_per_buffer(d), max(1, rows_per_buffer(d) // (R * C))}
     boundaries = sorted({max(1, b * cap + s) for cap in caps for b in (1, 2, 3) for s in (-1, 0, 1)})
-    N = data.draw(st.sampled_from(boundaries), label="N")
-    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    return draw(st.sampled_from(boundaries), label="N"), d, R, C
 
+
+# Pinned (N, d): blocks of many rows, rows wider than a block, a pairwise d = 1 column, mus in one block,
+# one client, and the benchmark's and the acceptance suite's federation shapes.
+PINNED_SHAPES = [(3000, 17), (2000, 100), (900, 300), (3, WIDE_D), (20000, 1), (1, 5), (40, 8), (8, 3), (50, 10)]
+PINNED_SHAPES += [(1, 1), (1, 6), (9, 1), (12, 17), (200, 100)]
+
+
+def pinned_shapes(test):
+    for N, d in PINNED_SHAPES:
+        test = example(shape=(N, d, 1, 4), seed=N * 1000 + d)(test)
+    return test
+
+
+@pinned_shapes
+@settings(max_examples=60, deadline=None, database=None)
+@given(shape=metrics_shapes(), seed=st.integers(0, 2**32 - 1))
+def test_the_metrics_pass_matches_whole_arrays_bitwise(shape, seed):
+    # Each replicate's models at 1e-3 to 1e150, and the last below every minimizer: all w - mu_i < 0,
+    # so the zero-curvature columns hold -0.0 gradients.
+    N, d, R, C = shape
     rng = np.random.default_rng(seed)
     eigs = rng.uniform(0.2, 1.7, size=d)
     eigs[rng.random(d) < 0.3] = 0.0  # zero curvature: gradient components of ±0.0
     fed = make_federation(rng.normal(size=(R, N, d)), eigs)
-    w = rng.normal(size=(R, C, d)) * rng.choice([1e-3, 1.0, 1e100], size=(R, C, 1))
+    w = rng.normal(size=(R, C, d)) * rng.choice([1e-3, 1.0, 1e100, 1e150], size=(R, C, 1))
+    if C > 1:
+        w[:, -1] = fed.mus.min(axis=1) - 1.0
     g, loss = global_grad_and_loss(fed, w)
-    g_ref, loss_ref = whole_array_grad_and_loss(fed, w)
+    g_ref, loss_ref = grad_and_loss(fed, w)
     assert g.tobytes() == g_ref.tobytes()
     assert loss.tobytes() == loss_ref.tobytes()
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference import list_sample_round, row_loop_variance
 from fedvarp_sim import harness, sampling
 from fedvarp_sim.core import ConfigError, OracleScaleError
 from fedvarp_sim.oracles import subset_mean_bias
@@ -32,15 +33,6 @@ def test_plan_validation():
         sample_round(3, 4, substream(1, 0))
 
 
-def _list_sample_round(N, M, rng):
-    """sample_round as written before its O(M) form: a Fisher-Yates over an O(N) list."""
-    idx = list(range(N))
-    for j in range(M):
-        r = j + int(rng.integers(N - j))
-        idx[j], idx[r] = idx[r], idx[j]
-    return np.array(sorted(idx[:M]), dtype=np.intp)
-
-
 def _philox_state(gen):
     state = gen.bit_generator.state
     return (
@@ -64,7 +56,7 @@ def test_sample_round_matches_the_list_loop_and_leaves_the_same_stream(seed, N, 
     fast, slow = substream(seed, 1, N, M), substream(seed, 1, N, M)
     ids = sample_round(N, M, fast)
     assert ids.dtype == np.intp
-    assert ids.tobytes() == _list_sample_round(N, M, slow).tobytes()
+    assert ids.tobytes() == list_sample_round(N, M, slow).tobytes()
     assert _philox_state(fast) == _philox_state(slow)
     assert fast.integers(2**40, size=3).tolist() == slow.integers(2**40, size=3).tolist()
 
@@ -75,7 +67,7 @@ def test_sample_round_matches_the_list_loop_round_after_round():
     fast, slow = substream(77, 1), substream(77, 1)
     for N in (1, 2, 5, 13, 64):
         for M in range(1, N + 1):
-            assert sample_round(N, M, fast).tolist() == _list_sample_round(N, M, slow).tolist()
+            assert sample_round(N, M, fast).tolist() == list_sample_round(N, M, slow).tolist()
     assert _philox_state(fast) == _philox_state(slow)
 
 
@@ -247,21 +239,6 @@ def test_subset_mean_unbiased():
     assert subset_mean_bias(np.random.default_rng(56), 30, 4) < 1e-12
 
 
-def _row_loop_variance(xs, M):
-    """The closed form as written before it took arrays: one vector at a time."""
-    vecs = [np.atleast_1d(np.asarray(x, dtype=np.float64)) for x in xs]
-    N = len(vecs)
-    x_bar = np.zeros_like(vecs[0])
-    for x in vecs:
-        x_bar = x_bar + x
-    x_bar = x_bar / N
-    total = 0.0
-    for x in vecs:
-        diff = x - x_bar
-        total += float(np.dot(diff, diff))
-    return (1.0 / M) * ((N - M) / (N - 1.0)) * (total / N)
-
-
 def test_variance_of_an_array_matches_the_list_and_the_row_loop_bitwise():
     # Values whose sums cancel or keep a signed zero make the bits depend
     # on the summation order.
@@ -273,7 +250,7 @@ def test_variance_of_an_array_matches_the_list_and_the_row_loop_bitwise():
         d = int(rng.choice([1, 2, 5]))
         rows = np.where(rng.random((N, d)) < 0.5, rng.choice(edge, (N, d)), rng.normal(size=(N, d)))
         got = without_replacement_variance(rows, M)
-        refs = [without_replacement_variance(list(rows), M), _row_loop_variance(list(rows), M)]
+        refs = [without_replacement_variance(list(rows), M), row_loop_variance(list(rows), M)]
         if d == 1:  # one scalar per client
             refs.append(without_replacement_variance([float(x) for x in rows[:, 0]], M))
         for ref in refs:
@@ -281,7 +258,7 @@ def test_variance_of_an_array_matches_the_list_and_the_row_loop_bitwise():
     for d in (1, 2):
         zeros = np.full((5, d), -0.0)
         got = without_replacement_variance(zeros, 2)
-        assert np.float64(got).tobytes() == np.float64(_row_loop_variance(zeros, 2)).tobytes()
+        assert np.float64(got).tobytes() == np.float64(row_loop_variance(zeros, 2)).tobytes()
 
 
 def test_variance_array_form_matches_the_row_loop_bitwise_at_any_scale():
@@ -293,5 +270,5 @@ def test_variance_array_form_matches_the_row_loop_bitwise_at_any_scale():
         xs = rng.normal(size=(N, d)) * 10.0 ** rng.choice([-200, -5, 0, 5, 150, 200])
         M = int(rng.integers(1, N + 1))
         with np.errstate(over="ignore"):
-            got, want = without_replacement_variance(xs, M), _row_loop_variance(xs, M)
+            got, want = without_replacement_variance(xs, M), row_loop_variance(xs, M)
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), (N, d, M)
