@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import run_config, sweep_points
-from fedvarp_sim.aggregators import aggregator_step
+from conftest import run_config, substream_keys, sweep_points
+from fedvarp_sim.aggregators import aggregator_step, init_state
 from fedvarp_sim import aggregators, artifacts, harness, oracles
 from fedvarp_sim.config import (
     apply_overrides,
@@ -24,8 +24,10 @@ from fedvarp_sim.core import ALGORITHMS, CLUSTERFEDVARP, FEDAVG, ConfigError, Di
 from fedvarp_sim.harness import run
 from fedvarp_sim.sweeps import floor_estimate, sweep
 from fedvarp_sim.objectives import Federation, block_assignment, federation_constants, generate_federation
+from fedvarp_sim.localsgd import local_sgd
 from fedvarp_sim.oracles import verify
-from fedvarp_sim.sampling import without_replacement_variance
+from fedvarp_sim.rng import TAG_LOCAL, TAG_SAMPLING, substream
+from fedvarp_sim.sampling import sample_round, without_replacement_variance
 
 
 def raw_config(tmp_path, **edits):
@@ -196,11 +198,29 @@ def test_output_dirs_check_each_parent_once_and_stop_at_an_existing_one(tmp_path
 # Running
 
 
+def logged(result):
+    """A RunResult's logged round indices and metrics rows, as lists."""
+    return result.rounds.tolist(), result.metrics.tolist()
+
+
 def test_empty_run_logs_initial_point(small_config):
     result = run(small_config(T=0))
     assert result.rounds.tolist() == [0]
     assert result.metrics.shape == (1, 3)
     assert (result.output_dir / "manifest.json").exists()
+
+
+def test_records_rounds_strictly_increase(small_config):
+    result = run(small_config(T=12, log_every=5))
+    assert result.rounds.tolist() == [0, 5, 10, 12]
+
+
+@pytest.mark.parametrize("log_every", [2**63, 2**64])
+def test_a_log_every_past_int64_logs_rounds_zero_and_T(small_config, tmp_path, log_every):
+    run(small_config(T=7, log_every=7, output_dir=tmp_path / "T"))
+    result = run(small_config(T=7, log_every=log_every, output_dir=tmp_path / "big"))
+    assert result.rounds.tolist() == [0, 7]
+    assert (tmp_path / "big" / "metrics.csv").read_bytes() == (tmp_path / "T" / "metrics.csv").read_bytes()
 
 
 def test_homogeneous_clients_monotone_descent(small_config):
@@ -240,7 +260,7 @@ def _record_local_calls(monkeypatch):
 
     def recording(fed, participants, w, tau, eta_c, keys=None):
         block, steps = original(fed, participants, w, tau, eta_c, keys)
-        calls.append((np.array(participants), keys, steps))
+        calls.append((np.array(participants), None if keys is None else np.array(keys), steps))
         return block, steps
 
     monkeypatch.setattr(harness, "local_sgd", recording)
@@ -288,27 +308,94 @@ def _record_sampling(monkeypatch):
     return calls
 
 
+def _assert_round_streams(cfg, calls):
+    """Round t, a stack of one, sampled its round_size(t) ids from substream(seed, TAG_SAMPLING, t)'s
+    key and passed one key per participant i, substream(seed, TAG_LOCAL, t, i)'s."""
+    N = cfg.federation.N
+    assert len(calls) == cfg.hyper.T
+    for t, (ids, keys, _) in enumerate(calls):
+        M = cfg.round_size(t)
+        assert ids.shape == (1, M)
+        assert ids[0].tolist() == sample_round(N, M, substream(cfg.seed, TAG_SAMPLING, t)).tolist()
+        assert keys.shape == (1, M, 2) and keys.dtype == np.uint64
+        assert keys[0].tobytes() == substream_keys(cfg.seed, TAG_LOCAL, t, ids=ids[0]).tobytes()
+
+
+def test_noisy_run_builds_and_draws_one_stream_per_participant_round(small_config, monkeypatch):
+    calls = _record_local_calls(monkeypatch)
+    cfg = small_config(noise_sigma=0.3, T=12, M=3)
+    run(cfg, write_artifacts=False)
+    _assert_round_streams(cfg, calls)
+
+
 def test_round_keys_derived_in_chunks_key_every_round(small_config, monkeypatch):
     # Chunks of 15 ids at M = 3 split 12 rounds as 5, 5 and 2.
     monkeypatch.setattr(harness, "ROUND_KEY_CHUNK", 15)
     sampled = _record_sampling(monkeypatch)
-    run(small_config(noise_sigma=0.3, T=12, M=3), write_artifacts=False)
+    calls = _record_local_calls(monkeypatch)
+    cfg = small_config(noise_sigma=0.3, T=12, M=3)
+    run(cfg, write_artifacts=False)
     assert sampled == [(8, 3, 5), (8, 3, 5), (8, 3, 2)]
+    _assert_round_streams(cfg, calls)
 
 
 def test_a_run_over_several_chunks_samples_each_chunk_once(small_config, monkeypatch):
     sampled = _record_sampling(monkeypatch)
+    calls = _record_local_calls(monkeypatch)
     per_chunk = harness.ROUND_KEY_CHUNK // 3
-    run(small_config(noise_sigma=0.3, T=3 * per_chunk + 1, M=3), write_artifacts=False)
+    cfg = small_config(noise_sigma=0.3, T=3 * per_chunk + 1, M=3)
+    run(cfg, write_artifacts=False)
     assert sampled == [(8, 3, per_chunk)] * 3 + [(8, 3, 1)]
+    _assert_round_streams(cfg, calls)
 
 
 def test_a_full_first_round_is_a_chunk_of_its_own(small_config, monkeypatch):
     # Chunks of 16 ids: 5 rounds of M = 3, or 2 full rounds of N = 8.
     monkeypatch.setattr(harness, "ROUND_KEY_CHUNK", 16)
     sampled = _record_sampling(monkeypatch)
-    run(small_config(algo="mifa", mifa_mode="full_first_round", noise_sigma=0.3, T=12, M=3), write_artifacts=False)
+    calls = _record_local_calls(monkeypatch)
+    cfg = small_config(algo="mifa", mifa_mode="full_first_round", noise_sigma=0.3, T=12, M=3)
+    run(cfg, write_artifacts=False)
     assert sampled == [(8, 8, 1), (8, 3, 5), (8, 3, 5), (8, 3, 1)]
+    _assert_round_streams(cfg, calls)
+
+
+def test_a_point_diverging_inside_a_chunk_leaves_the_others_their_participants(
+    small_config, tmp_path, monkeypatch
+):
+    # Chunks of 4 rounds and batches of 5 logged rounds. At eta_c = 4 a
+    # local step can triple the iterate, so the minimizers scaled by
+    # 1e150 overflow the metrics in round 5, inside the second chunk and
+    # batch, and the others stay finite. The point keeps its row in the
+    # stack to the last round, and its rows after round 5 are discarded.
+    monkeypatch.setattr(harness, "ROUND_KEY_CHUNK", 12)
+    monkeypatch.setattr(harness, "ROW_BLOCK_BYTES", 5 * 8 * 3 * 8 * 3)  # 5 * 8 R N d
+    base = small_config(
+        algo="fedvarp", noise_sigma=0.3, eta_c=4.0, T=12, M=3, output_dir=tmp_path / "sw"
+    )
+    values = [1.0, 1e150, 2.0]
+    cfgs = sweep_points(base, values)
+    calls = _record_local_calls(monkeypatch)
+    result = sweep(base, "sigma_g_scale", values)
+    stacked = list(calls)
+    ok, boom, ok2 = result.results
+    assert ok.completed and ok2.completed and not boom.completed
+    t0 = boom.aborted_round
+    assert t0 % 4 != 0 and t0 < base.hyper.T - 1 and len(stacked) == base.hyper.T
+
+    # Row k of every round's stacked call is point k's, the diverged point's included.
+    for k, cfg in enumerate(cfgs):
+        assert all(ids.shape == (3, 3) for ids, _, _ in stacked)
+        _assert_round_streams(cfg, [(ids[k : k + 1], keys[k : k + 1], None) for ids, keys, _ in stacked])
+
+    for cfg in cfgs:
+        out = Path(cfg.output_dir)
+        swept = {name: (out / name).read_bytes() for name in artifacts.RUN_ARTIFACTS}
+        try:
+            run(cfg)
+        except DivergenceError as exc:
+            assert exc.round == t0
+        assert {name: (out / name).read_bytes() for name in artifacts.RUN_ARTIFACTS} == swept
 
 
 def test_a_diverged_point_keeps_its_row_in_the_stack_to_the_last_round(small_config, monkeypatch):
@@ -321,6 +408,41 @@ def test_a_diverged_point_keeps_its_row_in_the_stack_to_the_last_round(small_con
     assert [ids.shape[0] for ids, _, _ in calls] == [3] * 200
     first = next(t for t, (_, _, steps) in enumerate(calls) if (steps >= 0).any())
     assert first > 5 and (calls[first][2] >= 0).any(axis=1).tolist() == [False, True, False]
+
+
+def _outcomes(cfgs):
+    """Each config's (type, round, step, kind, logged rows, artifact bytes) from one run_many call."""
+    outs = []
+    for cfg, out in zip(cfgs, harness.run_many(cfgs)):
+        res = out.result if isinstance(out, DivergenceError) else out
+        files = {name: (Path(cfg.output_dir) / name).read_bytes() for name in artifacts.RUN_ARTIFACTS}
+        stop = tuple(getattr(out, name, None) for name in ("round", "step", "kind"))
+        outs.append((type(out), *stop, logged(res), files))
+    return outs
+
+
+@pytest.mark.parametrize(
+    "eta_c, noise_sigma, values, T, boom",
+    [
+        # The metrics overflow in round 5, inside a batch of 12 rounds; the model stays finite.
+        (4.0, 0.3, [1.0, 1e150, 2.0], 12, (5, None, "metrics")),
+        # Its local step overflows near round 166, inside the same batch of 200 rounds.
+        (4.0, 0.3, [1.0, 1e150, 2.0], 200, (5, None, "metrics")),
+        # A local step and the metrics overflow in round 1, after finite metrics in round 0.
+        (1e80, 0.0, [1e-200, 1e-10, 1e-190], 2, (1, 1, "local step")),
+    ],
+    ids=["metrics", "metrics_then_local_step", "local_step_and_metrics"],
+)
+def test_a_point_diverging_inside_a_batch_ends_as_round_by_round(
+    small_config, tmp_path, monkeypatch, eta_c, noise_sigma, values, T, boom
+):
+    base = small_config(algo="fedvarp", noise_sigma=noise_sigma, eta_c=eta_c, T=T, M=3, output_dir=tmp_path / "sw")
+    cfgs = sweep_points(base, values)
+    batched = _outcomes(cfgs)
+    assert harness.ROW_BLOCK_BYTES // (8 * 3 * 8 * 3) >= T  # one batch holds every logged round
+    assert batched[1][1:4] == boom
+    monkeypatch.setattr(harness, "ROW_BLOCK_BYTES", 1)  # a batch of one round: measured every round
+    assert _outcomes(cfgs) == batched
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +646,31 @@ def test_a_metrics_table_too_large_to_allocate_is_a_config_error(small_config, t
     assert not (tmp_path / "long").exists()
 
 
+def _round_block(fed, w, seed, t, order):
+    return local_sgd(fed, [order], w, 2, 0.05, substream_keys(seed, TAG_LOCAL, t, ids=order)[None])[0]
+
+
+def test_participant_order_does_not_change_step():
+    # Training the participants as batch rows in reversed order, then
+    # flipping the rows back to id order, must give the same bits as
+    # training them in id order, round after round.
+    N, d, seed = 8, 3, 4242
+    fed, _ = generate_federation([run_config(N=N, d=d, noise_sigma=0.4).federation])
+    for algo in ALGORITHMS:
+        K, assignment = (3, np.arange(N) % 3) if algo == CLUSTERFEDVARP else (None, None)
+        ascending = init_state(algo, np.zeros((1, d)), N, K, assignment)
+        reversed_ = init_state(algo, np.zeros((1, d)), N, K, assignment)
+        for t in range(6):
+            ids = sample_round(N, 5, substream(seed, TAG_SAMPLING, t))
+            fwd = _round_block(fed, ascending.w, seed, t, ids)
+            rev = _round_block(fed, reversed_.w, seed, t, ids[::-1])
+            aggregator_step(ascending, [ids], fwd, 0.1)
+            aggregator_step(reversed_, [ids], rev[:, ::-1], 0.1)
+            assert ascending.w.tobytes() == reversed_.w.tobytes(), algo
+            if algo != FEDAVG:
+                assert ascending.table.tobytes() == reversed_.table.tobytes(), algo
+
+
 @pytest.mark.parametrize("eta_s", [1.0, 1e250], ids=["completed", "diverged"])
 def test_metrics_csv_round_trips_at_17_digits(small_config, tmp_path, eta_s):
     cfg = small_config(noise_sigma=0.3, eta_s=eta_s, T=10, output_dir=tmp_path / "fmt")
@@ -720,6 +867,13 @@ def test_round_size_is_n_only_in_round_zero_of_mifa_full_first_round(small_confi
     assert carried.round_size(0) == 3
 
 
+def test_full_first_round_applies_to_mifa_only(small_config):
+    # Any algo may carry a mifa_mode; a fedavg run ignores it.
+    carried = run(small_config(mifa_mode="full_first_round"), write_artifacts=False)
+    plain = run(small_config(mifa_mode=None), write_artifacts=False)
+    assert logged(carried) == logged(plain)
+
+
 def test_manifest_constants_match_closed_forms(small_config):
     cfg = small_config(T=0)
     result = run(cfg, write_artifacts=False)
@@ -803,6 +957,9 @@ def test_divergent_sweep_point_keeps_the_other_points(small_config, tmp_path):
     assert all(rows[1][c] == "" for c in floors)
     assert float(rows[0]["floor_grad_norm_sq"]) == floor_estimate(ok.metrics[:, 0])
     assert float(rows[2]["final_grad_norm_sq"]) == ok2.metrics[-1, 0]
+    # Points after the divergent one are the runs they would be alone.
+    direct = run(sweep_point(base, "eta_s", 0.5, 2)[0], write_artifacts=False)
+    assert logged(ok2) == logged(direct)
 
 
 def test_sigma_g_scale_axis_scales_heterogeneity(small_config):

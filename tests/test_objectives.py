@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_federation
-from reference import federation_mus
+from reference import federation_mus, grad_and_loss
 from fedvarp_sim.core import ConfigError, DimensionError
 from fedvarp_sim.objectives import (
     Federation,
@@ -264,3 +264,20 @@ def test_cluster_heterogeneity_uses_assignment():
     loose = federation_constants(fed, np.array([0, 1, 0, 1])).sigma_K_sq
     assert tight == pytest.approx(0.01)
     assert loose > 1.0
+
+
+@pytest.mark.parametrize(
+    "N,d,K_true", [(1, 1, 1), (1, 6, 1), (9, 1, 3), (12, 17, 4), (40, 8, 40), (200, 100, 10)]
+)
+def test_cached_mus_metrics_match_stacked_bitwise(N, d, K_true):
+    # The federation's cached mus measure as a federation stacked from each client's own copy.
+    rng = np.random.default_rng(N * 1000 + d)
+    for trial in range(5):
+        fed, _ = generate_federation([FederationConfig(N, d, K_true, 1.5, 0.3, 0.0, 0.2, 1.7, trial)])
+        stacked = make_federation(np.stack([fed.mus[0, i].copy() for i in range(N)])[None], fed.eigs)
+        for scale in (1e-3, 1.0, 1e150):
+            w = rng.normal(size=(1, d)) * scale
+            g, loss = global_grad_and_loss(fed, w)
+            g_ref, loss_ref = grad_and_loss(stacked, w)
+            assert g.tobytes() == g_ref.tobytes()
+            assert loss.tobytes() == loss_ref.tobytes()

@@ -2,10 +2,9 @@
 
 The kernels take only stacks: a Federation's (R, N, d) minimizers, (R, d)
 iterates, (R, M) participants and (R, M, d) blocks. Every stacked call
-must give each replicate the bytes of its own stack of one, which the
-kernel tests check for stacks of up to 3 against the reference module,
-and a sweep that stacks its points must write each point's artifacts
-exactly as a solo run of that point does.
+must give each replicate the bytes of its own stack of one, and a sweep
+that stacks its points must write each point's artifacts exactly as a
+solo run of that point does.
 """
 import gc
 import json
@@ -20,7 +19,7 @@ from fedvarp_sim import artifacts, harness
 from fedvarp_sim.aggregators import ServerAggregatorState, aggregator_step, init_state
 from fedvarp_sim.artifacts import RUN_ARTIFACTS
 from fedvarp_sim.config import sweep_point
-from fedvarp_sim.core import ConfigError, DimensionError, DivergenceError
+from fedvarp_sim.core import ALGORITHMS, CLUSTERFEDVARP, ConfigError, DimensionError, DivergenceError
 from fedvarp_sim.localsgd import local_sgd
 from fedvarp_sim.objectives import Federation, block_assignment, federation_constants, global_grad_and_loss
 from fedvarp_sim.harness import run
@@ -28,6 +27,48 @@ from fedvarp_sim.sweeps import sweep
 
 # ---------------------------------------------------------------------------
 # Kernels
+
+
+def stacked_federation(rng, R, N, d, sigma=0.0):
+    eigs = rng.uniform(0.2, 1.7, size=d)
+    eigs[rng.random(d) < 0.3] = 0.0  # zero curvature: gradient components of ±0.0
+    mus = rng.normal(size=(R, N, d)) * 10.0 ** rng.integers(-3, 4, size=(R, 1, 1))
+    return make_federation(mus, eigs, sigma)
+
+
+def participant_sets(rng, R, N, M):
+    return np.array([np.sort(rng.choice(N, size=M, replace=False)) for _ in range(R)])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_stacked_metrics_equal_each_replicates_own(d):
+    rng = np.random.default_rng(d)
+    for R, N in ((1, 5), (3, 40), (4, 700)):
+        fed = stacked_federation(rng, R, N, d)
+        w = rng.normal(size=(R, d)) * 10.0 ** rng.integers(-3, 100, size=(R, 1))
+        g, loss = global_grad_and_loss(fed, w)
+        assert g.shape == (R, d) and loss.shape == (R,)
+        for r in range(R):
+            g_r, loss_r = global_grad_and_loss(make_federation(fed.mus[r : r + 1], fed.eigs), w[r : r + 1])
+            assert g[r].tobytes() == g_r.tobytes(), (R, N, d, r)
+            assert loss[r].tobytes() == loss_r.tobytes(), (R, N, d, r)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.4])
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_stacked_local_sgd_equals_each_replicates_own(sigma, d):
+    rng = np.random.default_rng(int(sigma * 10) + d)
+    R, N, M, tau = 4, 12, 5, 3
+    fed = stacked_federation(rng, R, N, d, sigma)
+    ids = participant_sets(rng, R, N, M)
+    w = rng.normal(size=(R, d))
+    keys = rng.integers(0, 2**63, size=(R, M, 2), dtype=np.uint64) if sigma else None
+    block, _ = local_sgd(fed, ids, w, tau, 0.05, keys)
+    assert block.shape == (R, M, d)
+    for r in range(R):
+        own_fed = make_federation(fed.mus[r : r + 1], fed.eigs, sigma)
+        own, _ = local_sgd(own_fed, ids[r : r + 1], w[r : r + 1], tau, 0.05, None if keys is None else keys[r : r + 1])
+        assert block[r].tobytes() == own.tobytes(), r
 
 
 def test_stacked_local_sgd_checks_its_shapes():
@@ -39,6 +80,28 @@ def test_stacked_local_sgd_checks_its_shapes():
         local_sgd(fed, ids, np.zeros(3), 1, 0.1, np.zeros((2, 2, 2), dtype=np.uint64))
     with pytest.raises(ValueError, match="participants"):
         local_sgd(fed, ids[0], np.zeros((2, 3)), 1, 0.1, np.zeros((2, 2, 2), dtype=np.uint64))
+
+
+@pytest.mark.parametrize("d", [1, 2, 8])
+@pytest.mark.parametrize("algo, K", [(a, 3 if a == CLUSTERFEDVARP else None) for a in ALGORITHMS])
+def test_stacked_server_steps_equal_each_replicates_own(algo, K, d):
+    # Replicates sample different clusters, so their hit rows are ragged;
+    # some blocks carry -0.0 rows, which a table must store as +0.0.
+    rng = np.random.default_rng(d)
+    R, N, M = 5, 10, 4
+    assignment = block_assignment(N, K) if K else None
+    stacked = init_state(algo, np.zeros((R, d)), N, K, assignment)
+    alone = [init_state(algo, np.zeros((1, d)), N, K, assignment) for _ in range(R)]
+    for t in range(6):
+        ids = participant_sets(rng, R, N, M)
+        block = rng.normal(size=(R, M, d)) * 10.0 ** rng.integers(-5, 5, size=(R, M, 1))
+        block[rng.random((R, M)) < 0.2] = -0.0
+        aggregator_step(stacked, ids, block, 0.3)
+        for r, state in enumerate(alone):
+            aggregator_step(state, ids[r : r + 1], block[r : r + 1], 0.3)
+            assert stacked.w[r].tobytes() == state.w.tobytes(), (algo, t, r)
+            if state.table is not None:
+                assert stacked.table[r].tobytes() == state.table.tobytes(), (algo, t, r)
 
 
 def test_stacked_server_step_rejects_a_bad_row():
@@ -133,14 +196,34 @@ def test_stacked_sweep_points_write_their_solo_runs_bytes(small_config, tmp_path
     assert all(res.completed for res in result.results)
 
 
-def test_diverging_points_write_their_solo_runs_bytes(small_config, tmp_path):
+def test_diverging_points_end_as_their_solo_runs_do(small_config, tmp_path):
     # Spreads scaled by s put the minimizers near s. With these rates a
     # round-0 local iterate is about 1e300 s and the next server iterate
     # about 1e400 s, so s = 1e10 diverges in local SGD, s = 1 at the
     # server step, s = 1e-200 in the metrics (|w| ~ 1e200) and s = 1e-260
     # in local SGD of round 1; s = 0 never moves and completes.
     base = small_config(eta_c=1e150, eta_s=1e100, tau=2, T=4, output_dir=tmp_path / "sw")
-    result = assert_points_equal_solo_runs(base, [1e10, 1.0, 1e-200, 1e-260, 0.0])
+    values = [1e10, 1.0, 1e-200, 1e-260, 0.0]
+    solo = {}
+    for v, cfg in zip(values, sweep_points(base, values)):
+        try:
+            run(cfg, write_artifacts=False)
+            solo[v] = (None, None)
+        except DivergenceError as exc:
+            solo[v] = (exc.round, exc.step)
+    assert solo[1e10][0] == 0 and solo[1e10][1] is not None
+    assert solo[1.0] == (0, None) and solo[1e-200] == (0, None)
+    assert solo[1e-260][0] == 1 and solo[1e-260][1] is not None
+    assert solo[0.0] == (None, None)
+
+    outcomes = harness.run_many(sweep_points(base, values), write_artifacts=False)
+    for v, out in zip(values, outcomes):
+        if solo[v] == (None, None):
+            assert out.completed
+        else:
+            assert (out.round, out.step) == solo[v], v
+            assert out.result.aborted_round == out.round
+    result = assert_points_equal_solo_runs(base, values)
     assert [res.completed for res in result.results] == [False, False, False, False, True]
 
 
@@ -216,7 +299,7 @@ def test_other_axes_run_point_by_point(small_config, tmp_path, monkeypatch):
 
 
 def test_a_stack_whose_points_all_diverge_runs_no_round_after_the_latest_stop(small_config, tmp_path, monkeypatch):
-    # The diverging points of test_diverging_points_write_their_solo_runs_bytes, over 20 rounds.
+    # The diverging points of test_diverging_points_end_as_their_solo_runs_do, over 20 rounds.
     base = small_config(eta_c=1e150, eta_s=1e100, tau=2, T=20, output_dir=tmp_path / "sw")
     calls = count_calls(monkeypatch, "local_sgd")
     outcomes = harness.run_many(sweep_points(base, [1e10, 1.0, 1e-200, 1e-260]), write_artifacts=False)

@@ -77,6 +77,23 @@ def test_ordered_row_sum_zero_scale_adds_nothing():
     assert got.tobytes() == np.zeros(2).tobytes()
 
 
+def test_blocked_metrics_match_whole_table_bitwise():
+    rng = np.random.default_rng(7)
+    shapes = [(3000, 17), (2000, 100), (900, 300), (3, WIDE_D), (20000, 1)]
+    shapes += [(1, 5), (40, 8), (8, 3), (50, 10)]  # mus fits in one block
+    for N, d in shapes:
+        eigs = rng.uniform(0.2, 1.7, size=d)
+        eigs[rng.random(d) < 0.3] = 0.0  # zero curvature: gradient components of ±0.0
+        fed = make_federation(rng.normal(size=(1, N, d)), eigs)
+        points = [rng.normal(size=(1, d)) * s for s in (1e-3, 1.0, 1e100)]
+        points.append(fed.mus.min(axis=1) - 1.0)  # every w - mu_i < 0: all -0.0 in zero columns
+        for w in points:
+            g, loss = global_grad_and_loss(fed, w)
+            g_ref, loss_ref = grad_and_loss(fed, w)
+            assert g.tobytes() == g_ref.tobytes(), (N, d)
+            assert loss.tobytes() == loss_ref.tobytes(), (N, d)
+
+
 @pytest.mark.parametrize("R", [1, 3])
 @pytest.mark.parametrize("d", [1, 2, 3, 100])
 def test_a_batch_of_models_matches_one_call_per_model_bitwise(d, R):
