@@ -30,11 +30,15 @@ def _parse_values(axis: str, text: str) -> list:
     if not items:
         raise ConfigError("--values must list at least one value")
     typ = sweep_axis_type(axis)
-    try:
-        return [typ(s) for s in items]
-    except ValueError:
-        msg = f"--values for axis {axis} must be {typ.__name__}s, got {text!r}"
-        raise ConfigError(msg) from None
+    values = []
+    for s in items:
+        try:
+            values.append(typ(s))
+        except ValueError as exc:
+            if s.strip().lstrip("+-").isdecimal():  # an integer literal past Python's int conversion limit
+                raise ConfigError(f"--values for axis {axis} holds a number too long to read: {exc}") from None
+            raise ConfigError(f"--values for axis {axis} must be {typ.__name__}s, got {text!r}") from None
+    return values
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -24,7 +24,7 @@ from .aggregators import aggregator_step, init_state
 from .config import RunConfig
 from .config import parse_config  # noqa: F401  perfbench/workloads.py calls harness.parse_config
 from .core import CLUSTERFEDVARP, ROW_BLOCK_BYTES, ConfigError, DivergenceError, effective_server_lr
-from .localsgd import local_sgd
+from .localsgd import local_sgd, tile_rows
 from .objectives import Federation, FederationConfig, block_assignment, generate_federation, global_grad_and_loss
 from .rng import KEY_INDEX_LIMIT, TAG_LOCAL, philox_keys
 from .sampling import sample_participants
@@ -58,15 +58,18 @@ def _check_sizes(cfg: RunConfig, replicates: int = 1) -> None:
 
     Probes the stack's (replicates * N, d) federations and server
     tables, its (replicates, rows, 3) metrics and, for a noisy
-    federation, local_sgd's largest (replicates * round_size(0), tau, d)
-    noise block, allocating nothing. Round t's sampling stream is keyed
-    with t as its id, so T - 1 must be below KEY_INDEX_LIMIT.
+    federation, the largest noise buffer local_sgd allocates, (tile,
+    tau, d) for tile = min(replicates * round_size(0), tile_rows(d)),
+    allocating nothing. The tile does not depend on tau, so the probe
+    grows with tau as a run's work does. Round t's sampling stream is
+    keyed with t as its id, so T - 1 must be below KEY_INDEX_LIMIT.
     """
     if cfg.hyper.T > KEY_INDEX_LIMIT:
         raise ConfigError(f"T must be at most 2**32, one key word per round, got {cfg.hyper.T}")
-    shapes = [(replicates * cfg.federation.N, cfg.federation.d), (replicates, _logged_rows(cfg), 3)]
+    N, d = cfg.federation.N, cfg.federation.d
+    shapes = [(replicates * N, d), (replicates, _logged_rows(cfg), 3)]
     if cfg.federation.noise_sigma > 0:
-        shapes.append((replicates * cfg.round_size(0), cfg.hyper.tau, cfg.federation.d))
+        shapes.append((min(replicates * cfg.round_size(0), tile_rows(d)), cfg.hyper.tau, d))
     for shape in shapes:
         try:
             np.empty(shape)

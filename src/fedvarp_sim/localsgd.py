@@ -11,8 +11,10 @@ iterate after k+1 steps is evaluated as
 which is the plain SGD recursion regrouped. Holding this exact grouping
 matters: the returned update delta = gradient_sum / tau then satisfies
 w - (eta_s*eta_c*tau) * delta == final local iterate bitwise when
-eta_s = 1, and a one-step noiseless update returns the gradient itself
-bitwise. The aggregator equivalence checks rely on both identities.
+eta_s = 1, and a one-step noiseless update returns the gradient added to
+a sum started at +0.0: the gradient's bits, except that a -0.0
+component comes back as +0.0. The aggregator equivalence checks rely on
+both identities.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import threading
 
 import numpy as np
 
-from .core import ConfigError, DimensionError
+from .core import ROW_BLOCK_BYTES, ConfigError, DimensionError
 from .objectives import Federation
 from .rng import philox_rekeyer
 
@@ -32,17 +34,22 @@ WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 
 SPLIT_MIN_WORK = 300_000
 
 
-def run_slabs(rows: int, work: int, fill) -> None:
-    """fill(lo, hi) on contiguous slabs covering rows: one per CPU once work reaches SPLIT_MIN_WORK, else one.
+def run_slabs(rows: int, work: int, fill, scratch) -> None:
+    """fill(lo, hi, *scratch(hi - lo)) on contiguous slabs covering rows: one per CPU once work reaches SPLIT_MIN_WORK,
+    else one.
 
-    Slab 0 runs in this thread, each other in its own; all are joined, then the lowest failing slab's error raised.
+    Every slab's scratch is made in this thread before any slab runs, so a worker thread's malloc arena does not keep
+    it cached. Slab 0 runs in this thread, each other in its own; all are joined, then the lowest failing slab's error
+    raised.
     """
     slabs = min(rows, WORKERS) if work >= SPLIT_MIN_WORK else 1
+    bounds = [(rows * s // slabs, rows * (s + 1) // slabs) for s in range(slabs)]
+    args = [(lo, hi, *scratch(hi - lo)) for lo, hi in bounds]
     errors = [None] * slabs  # the exception each slab raised, if any
 
     def one(s):
         try:
-            fill(rows * s // slabs, rows * (s + 1) // slabs)
+            fill(*args[s])
         except BaseException as exc:  # re-raised by the calling thread below
             errors[s] = exc
 
@@ -57,6 +64,11 @@ def run_slabs(rows: int, work: int, fill) -> None:
                 t.join()
     for exc in filter(None, errors):
         raise exc
+
+
+def tile_rows(d: int) -> int:
+    """The rows a slab trains at once: as many as fill ROW_BLOCK_BYTES of a (rows, d) float64 buffer, at least one."""
+    return max(1, ROW_BLOCK_BYTES // (8 * d))
 
 
 # A call's work for run_slabs is rows * tau * d, doubled for a noisy federation.
@@ -82,12 +94,16 @@ def local_sgd(
     Philox keyed keys[r, m]. A noisy call without such a block is a
     ConfigError. The input w is not modified.
 
-    The R*M rows train on run_slabs' slabs; a row's draws depend on
-    its key alone, so the bits are those of one slab, and each replicate
-    has the bits of a stack of one. The result, the noise block, each
-    row's first non-finite step and every per-step buffer are allocated
-    here, in the calling thread, so a worker thread's malloc arena does
-    not keep them cached.
+    The R*M rows train on run_slabs' slabs, and each slab trains its
+    rows tile_rows(d) at a time, through scratch of one tile: the
+    gradient, the iterate, the finite mask and, for a noisy federation,
+    a (tile, tau, d) noise buffer, so the scratch does not grow with
+    R*M. A row's draws depend on its key alone and every operation works
+    row by row, so the bits are those of one slab of one tile, and each
+    replicate has the bits of a stack of one. The result, each row's
+    first non-finite step and every slab's scratch are allocated here,
+    in the calling thread, so a worker thread's malloc arena does not
+    keep them cached.
 
     steps[r, m] is the first local step at which row [r, m]'s iterate
     went non-finite, -1 where the row stayed finite: the caller decides
@@ -115,41 +131,47 @@ def local_sgd(
     if noisy:
         keys = np.reshape(keys, (rows, 2))
     out = np.zeros_like(mus)  # each row's running gradient sum, divided by tau at the end
-    g, w_k = np.empty_like(mus), np.empty_like(mus)
-    finite = np.empty(mus.shape, dtype=bool)
-    noise = np.empty((rows, tau, d)) if noisy else None
     first_bad = np.full(rows, -1)  # each row's first non-finite step, -1 while finite
     step_scale = eta_c * tau
+    noise_scale = fed.noise_sigma / np.sqrt(fed.d)
+    tile = tile_rows(d)
 
-    def train(lo, hi):
-        # The slab's rows of every buffer. Each step runs in place, with the ufuncs of
-        # w_k = w - step_scale * ((grad_sum + eigs * (w_k - mus) [+ noise]) / tau) in that order.
-        mu, w0, grad_sum, g_s, w_s, finite_s, bad_s = (
-            mus[lo:hi], w_rows[lo:hi], out[lo:hi], g[lo:hi], w_k[lo:hi], finite[lo:hi], first_bad[lo:hi]
-        )
-        if noisy:  # row m draws its (tau, d) noise from one generator rekeyed to its key
-            noise_s = noise[lo:hi]
-            rekey = philox_rekeyer()
-            for key, row in zip(keys[lo:hi], noise_s):
-                rekey(key).standard_normal(out=row)
-            noise_s *= fed.noise_sigma / np.sqrt(fed.d)
-        # Overflow here is a reportable divergence, not a warning condition.
-        # The error state is per thread, so each slab sets its own.
+    def scratch(slab_rows):
+        """A slab's gradient, iterate, finite-mask and noise buffers, each as many rows as its largest tile."""
+        n = min(slab_rows, tile)
+        noise = np.empty((n, tau, d)) if noisy else None
+        return np.empty((n, d)), np.empty((n, d)), np.empty((n, d), dtype=bool), noise
+
+    def train(lo, hi, g, w_k, finite, noise):
+        rekey = philox_rekeyer() if noisy else None
+        # Overflow here, the noise scaling's included, is a reportable divergence, not a warning
+        # condition. The error state is per thread, so each slab sets its own.
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(tau):
-                np.subtract(w0 if k == 0 else w_s, mu, out=g_s)
-                g_s *= fed.eigs
-                if noisy:
-                    g_s += noise_s[:, k]
-                grad_sum += g_s
-                np.divide(grad_sum, tau, out=w_s)
-                w_s *= step_scale
-                np.subtract(w0, w_s, out=w_s)
-                np.isfinite(w_s, out=finite_s)
-                if not finite_s.all():
-                    bad = ~finite_s.all(axis=1)
-                    bad_s[bad & (bad_s < 0)] = k
-        grad_sum /= tau
+            for a in range(lo, hi, tile):
+                b = min(a + tile, hi)
+                # The tile's rows of every buffer. Each step runs in place, with the ufuncs of
+                # w_k = w - step_scale * ((grad_sum + eigs * (w_k - mus) [+ noise]) / tau) in that order.
+                mu, w0, grad_sum, bad_t = mus[a:b], w_rows[a:b], out[a:b], first_bad[a:b]
+                g_t, w_t, finite_t = g[: b - a], w_k[: b - a], finite[: b - a]
+                if noisy:  # row m draws its (tau, d) noise from one generator rekeyed to its key
+                    noise_t = noise[: b - a]
+                    for key, row in zip(keys[a:b], noise_t):
+                        rekey(key).standard_normal(out=row)
+                    noise_t *= noise_scale
+                for k in range(tau):
+                    np.subtract(w0 if k == 0 else w_t, mu, out=g_t)
+                    g_t *= fed.eigs
+                    if noisy:
+                        g_t += noise_t[:, k]
+                    grad_sum += g_t
+                    np.divide(grad_sum, tau, out=w_t)
+                    w_t *= step_scale
+                    np.subtract(w0, w_t, out=w_t)
+                    np.isfinite(w_t, out=finite_t)
+                    if not finite_t.all():
+                        bad = ~finite_t.all(axis=1)
+                        bad_t[bad & (bad_t < 0)] = k
+                grad_sum /= tau
 
-    run_slabs(rows, rows * tau * d * (NOISE_WORK_WEIGHT if noisy else 1), train)
+    run_slabs(rows, rows * tau * d * (NOISE_WORK_WEIGHT if noisy else 1), train, scratch)
     return out.reshape(R, M, d), first_bad.reshape(R, M)

@@ -69,7 +69,8 @@ class FederationConfig:
     offset of norm at most within_cluster_spread. Centers are
     standard-normal draws scaled by cluster_center_spread/sqrt(d)
     (expected squared norm = spread^2); the Hessian eigenvalues are
-    evenly spaced over [hessian_eig_min, hessian_eig_max].
+    evenly spaced over [hessian_eig_min, hessian_eig_max], so at d = 1
+    the one eigenvalue is hessian_eig_min.
     """
 
     N: int
@@ -98,6 +99,8 @@ class FederationConfig:
             raise ConfigError("need 0 <= hessian_eig_min <= hessian_eig_max")
         if not self.hessian_eig_max > 0:
             raise ConfigError(f"hessian_eig_max must be > 0, got {self.hessian_eig_max}")
+        if self.d == 1 and not self.hessian_eig_min > 0:  # the one eigenvalue, and so L
+            raise ConfigError(f"with d = 1 the one eigenvalue hessian_eig_min must be > 0, got {self.hessian_eig_min}")
         if self.seed < 0:
             raise ConfigError(f"federation.seed must be >= 0, got {self.seed}")
 

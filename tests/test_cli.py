@@ -209,6 +209,17 @@ def test_divergent_run_exits_one(config_file, tmp_path, capsys):
     assert status == {"completed": False, "aborted_round": 0}
 
 
+def test_noise_whose_scaling_overflows_is_a_local_step_divergence(config_file, tmp_path, capsys):
+    # At d = 1 each draw is scaled by noise_sigma = 1.7e308 itself, so a draw of magnitude past about 1.06
+    # overflows in the noise scaling; here a first draw of round 0 does. The suite turns a numpy overflow
+    # warning into an error.
+    sets = ["--set", "federation.noise_sigma=1.7e308", "--set", "federation.d=1"]
+    assert main(["run", "--config", str(config_file), *sets]) == 1
+    assert capsys.readouterr().err.rstrip().endswith("run aborted: non-finite iterate at round=0 (local_step=0)")
+    status = json.loads((tmp_path / "artifacts" / "status.json").read_text())
+    assert status == {"completed": False, "aborted_round": 0}
+
+
 def test_identical_invocations_identical_artifacts(config_file, tmp_path):
     out = tmp_path / "artifacts"
     main(["run", "--config", str(config_file)])
@@ -267,6 +278,15 @@ def test_bad_sweep_values_exit_two(config_file, tmp_path, capsys, axis, values, 
     assert code == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and message in err
+    assert not (tmp_path / "artifacts").exists()
+
+
+def test_a_sweep_value_past_the_digit_limit_exits_two_without_echoing_it(config_file, tmp_path, capsys):
+    long_int = "1" * 5000
+    assert main(["sweep", "--config", str(config_file), "--axis", "tau", "--values", f"1,{long_int}"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: --values for axis tau holds a number too long to read" in err
+    assert long_int[:100] not in err
     assert not (tmp_path / "artifacts").exists()
 
 
@@ -442,8 +462,10 @@ def test_sweep_point_artifact_name_taken_by_a_directory_exits_two(config_file, t
 
 
 NOISY = ["--set", "federation.noise_sigma=0.3"]
-# Round 0 of mifa's full_first_round trains all N=2**17 clients: its
-# (N, tau, d) noise block is 128 TiB, while an (M, tau, d) one is 1 GiB.
+# Round 0 of mifa's full_first_round trains all N=2**17 clients, so at
+# d=1 local_sgd's noise buffer is a full tile of 16384 rows: (16384,
+# tau, 1) is 256 TiB at tau=2**31, while the (M, tau, 1) one of M=1 is
+# 16 GiB.
 FULL_FIRST_ROUND = [
     arg
     for key, value in [
@@ -468,7 +490,7 @@ FULL_FIRST_ROUND = [
         (["run", "--set", "federation.d=1000000000000000000"], (8, 10**18)),
         (["run", *NOISY, "--set", "hyper.tau=1000000000000000000"], (3, 10**18, 3)),
         (["sweep", *NOISY, "--axis", "tau", "--values", "1,1000000000000000000"], (3, 10**18, 3)),
-        (["run", *FULL_FIRST_ROUND, "--set", "hyper.tau=134217728"], (131072, 134217728, 1)),
+        (["run", *FULL_FIRST_ROUND, "--set", "hyper.tau=2147483648"], (16384, 2147483648, 1)),
     ],
     ids=[
         "d",
@@ -492,7 +514,7 @@ def test_size_too_large_to_allocate_exits_two(config_file, tmp_path, capsys, arg
 
 
 def test_sweep_buffer_too_large_to_allocate_exits_two_before_any_point(config_file, tmp_path, capsys):
-    # Point 0 (tau=1) fits; point 1's (M, tau, d) noise block exceeds a
+    # Point 0 (tau=1) fits; point 1's (M, tau, d) noise buffer exceeds a
     # 128 TiB address space.
     noisy = ["--set", "federation.noise_sigma=0.3", "--axis", "tau", "--values", "1,10000000000000"]
     assert main(["sweep", "--config", str(config_file), *noisy]) == 2
@@ -505,13 +527,13 @@ def test_sweep_full_first_round_block_too_large_exits_two_before_any_point(
     config_file, tmp_path, capsys
 ):
     # Point 0 (tau=1) fits; point 1's round 0 trains all N clients, whose
-    # (N, tau, d) noise block exceeds a 128 TiB address space.
-    args = [*FULL_FIRST_ROUND, "--axis", "tau", "--values", "1,134217728"]
+    # (tile, tau, d) noise buffer exceeds a 128 TiB address space.
+    args = [*FULL_FIRST_ROUND, "--axis", "tau", "--values", "1,2147483648"]
     before = tree(tmp_path)
     assert main(["sweep", "--config", str(config_file), *args]) == 2
     err = capsys.readouterr().err
-    assert "configuration error: sweep point tau=134217728: Unable to allocate" in err
-    assert "(array shape (131072, 134217728, 1))" in err
+    assert "configuration error: sweep point tau=2147483648: Unable to allocate" in err
+    assert "(array shape (16384, 2147483648, 1))" in err
     assert tree(tmp_path) == before
 
 
@@ -534,6 +556,16 @@ def test_zero_hessian_exits_two(config_file, tmp_path, capsys):
     zero = ["--set", "federation.hessian_eig_min=0", "--set", "federation.hessian_eig_max=0"]
     assert main(["run", "--config", str(config_file), *zero]) == 2
     assert "configuration error: hessian_eig_max must be > 0" in capsys.readouterr().err
+    assert not (tmp_path / "artifacts").exists()
+
+
+def test_one_dimension_with_a_zero_eigenvalue_exits_two(config_file, tmp_path, capsys):
+    # At d = 1 linspace keeps hessian_eig_min alone, so the smoothness constant would be 0.
+    sets = ["--set", "federation.d=1", "--set", "federation.hessian_eig_min=0"]
+    assert main(["run", "--config", str(config_file), *sets]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: with d = 1 the one eigenvalue hessian_eig_min must be > 0, got 0.0" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "artifacts").exists()
 
 

@@ -1,4 +1,6 @@
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,16 +172,23 @@ class SlabError(Exception):
 def test_a_failing_slab_is_raised_once_every_slab_ran(failing, raised):
     # Eight rows in four slabs of two: the lowest failing slab's error is
     # the one raised, after every slab, a failing one included, has run.
-    ran = []
+    # Each slab's scratch is made in the calling thread before any slab runs.
+    ran, made = [], []
 
-    def fill(lo, hi):
+    def scratch(rows):
+        made.append((threading.get_ident(), rows, len(ran)))
+        return (rows,)
+
+    def fill(lo, hi, rows):
+        assert rows == hi - lo
         ran.append((lo, hi))
         if lo // 2 in failing:
             raise SlabError(lo // 2)
 
     with forced_split(workers=4), pytest.raises(SlabError) as err:
-        localsgd.run_slabs(8, 1, fill)
+        localsgd.run_slabs(8, 1, fill, scratch)
     assert sorted(ran) == [(0, 2), (2, 4), (4, 6), (6, 8)]
+    assert made == [(threading.get_ident(), 2, 0)] * 4
     assert err.value.args == (raised,)
 
 
@@ -233,6 +242,59 @@ def test_one_cpu_trains_inline(monkeypatch):
     local_sgd(fed, [[0, 1, 2, 3]], np.zeros((1, 3)), 2, 0.1)
 
 
+@pytest.mark.parametrize("tile", [1, 2, 3])
+def test_rows_trained_a_tile_at_a_time_match_the_per_client_recursion(monkeypatch, tile):
+    # Two replicates of M = 7 split into two slabs of 7 rows, each trained tile rows at a time: 7 is no
+    # multiple of 2 or 3, so every slab ends on a short tile. Rows [0, 4] and [1, 6], 1e300 and 1e298 from
+    # their minimizers, diverge in a later tile of their slab at steps of their own; the rest stay finite.
+    R, M, N, d, tau, eta_c, sigma, seed = 2, 7, 9, 3, 12, 10.0, 0.5, 8
+    rng = np.random.default_rng(seed)
+    eigs = rng.uniform(0.5, 1.0, size=d)
+    mus = rng.normal(size=(R, N, d))
+    parts = np.array([rng.permutation(N)[:M] for _ in range(R)])
+    mus[0, parts[0, 4]] = 1e300
+    mus[1, parts[1, 6]] = 1e298
+    fed = make_federation(mus, eigs, sigma)
+    w = rng.normal(size=(R, d))
+    keys = np.array([philox_keys(seed, TAG_LOCAL, r, ids=ids) for r, ids in enumerate(parts)])
+    monkeypatch.setattr(localsgd, "ROW_BLOCK_BYTES", 8 * d * tile)
+    assert localsgd.tile_rows(d) == tile
+    with forced_split():
+        deltas, steps = local_sgd(fed, parts, w, tau, eta_c, keys)
+    with np.errstate(over="ignore", invalid="ignore"):
+        refs = [
+            reference_local_sgd(eigs, mus[r, i], w[r], tau, eta_c, sigma, substream(seed, TAG_LOCAL, r, i))
+            for r, i in np.ndindex(R, M) for i in [parts[r, i]]
+        ]
+    assert deltas.tobytes() == np.array([delta for delta, _, _ in refs]).tobytes()
+    expected = [-1 if bad is None else bad for _, _, bad in refs]
+    assert steps.ravel().tolist() == expected
+    assert [m for m, step in enumerate(expected) if step >= 0] == [4, M + 6]
+    assert expected[4] != expected[M + 6]
+
+
+def test_a_noisy_call_allocates_no_noise_block_of_all_its_rows(monkeypatch):
+    # deep-local's shape in one slab. The old call drew all R*M*tau*d noise values into one 4 MB block
+    # next to five (R*M, d) buffers, 8.2 MB at its peak; now the peak is the three (R*M, d) arrays it
+    # must hold (minimizers, start rows and result) plus one tile's scratch, (8, tau, d) of noise at
+    # d = 2000: 3.4 MB.
+    R, M, N, d, tau = 1, 50, 200, 2000, 5
+    monkeypatch.setattr(localsgd, "WORKERS", 1)
+    rng = np.random.default_rng(3)
+    fed = make_federation(rng.normal(size=(R, N, d)), rng.uniform(0.5, 1.0, size=d), sigma=0.5)
+    parts, w = np.arange(M)[None], np.zeros((R, d))
+    keys = philox_keys(3, TAG_LOCAL, 0, ids=parts[0])[None]
+    block, rows = 8 * R * M * tau * d, 8 * R * M * d
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        local_sgd(fed, parts, w, tau, 0.01, keys)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * rows + block / 3 < block
+
+
 @settings(max_examples=80, deadline=None, database=None)
 @given(
     R=st.integers(1, 3),
@@ -242,8 +304,9 @@ def test_one_cpu_trains_inline(monkeypatch):
     noisy=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
     workers=st.sampled_from([2, 3, 8]),
+    tile=st.sampled_from([None, 1, 2, 3]),
 )
-def test_batched_kernel_matches_per_client_recursion(R, M, tau, d, noisy, seed, workers):
+def test_batched_kernel_matches_per_client_recursion(R, M, tau, d, noisy, seed, workers, tile):
     # Replicate r: minimizers at its own scale, 1e-3 to 1e3, participants in a random order (each row's
     # bits depend on its own inputs alone), and participant i's draws from (seed, TAG_LOCAL, r, i).
     rng = np.random.default_rng(seed)
@@ -259,8 +322,11 @@ def test_batched_kernel_matches_per_client_recursion(R, M, tau, d, noisy, seed, 
     keys = np.array([philox_keys(seed, TAG_LOCAL, r, ids=ids) for r, ids in enumerate(parts)])
 
     inline, _ = local_sgd(fed, parts, w, tau, eta_c, keys)
-    # The same draws split into min(R * M, workers) row slabs, R * M below the worker count included.
-    with forced_split(workers):
+    # The same draws split into min(R * M, workers) row slabs, R * M below the worker count included,
+    # each trained tile rows at a time, or all at once (tile None) at these d.
+    with forced_split(workers), pytest.MonkeyPatch.context() as mp:
+        if tile is not None:
+            mp.setattr(localsgd, "ROW_BLOCK_BYTES", 8 * d * tile)
         split, _ = local_sgd(fed, parts, w, tau, eta_c, keys)
     for deltas in (inline, split):
         assert deltas.shape == (R, M, d)
