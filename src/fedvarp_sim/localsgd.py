@@ -43,6 +43,8 @@ def run_slabs(rows: int, work: int, fill, scratch) -> None:
     raised.
     """
     slabs = min(rows, WORKERS) if work >= SPLIT_MIN_WORK else 1
+    if slabs == 1:
+        return fill(0, rows, *scratch(rows))
     bounds = [(rows * s // slabs, rows * (s + 1) // slabs) for s in range(slabs)]
     args = [(lo, hi, *scratch(hi - lo)) for lo, hi in bounds]
     errors = [None] * slabs  # the exception each slab raised, if any
@@ -133,7 +135,6 @@ def local_sgd(
     out = np.zeros_like(mus)  # each row's running gradient sum, divided by tau at the end
     first_bad = np.full(rows, -1)  # each row's first non-finite step, -1 while finite
     step_scale = eta_c * tau
-    noise_scale = fed.noise_sigma / np.sqrt(fed.d)
     tile = tile_rows(d)
 
     def scratch(slab_rows):
@@ -157,7 +158,7 @@ def local_sgd(
                     noise_t = noise[: b - a]
                     for key, row in zip(keys[a:b], noise_t):
                         rekey(key).standard_normal(out=row)
-                    noise_t *= noise_scale
+                    noise_t *= fed.noise_sigma / np.sqrt(fed.d)
                 for k in range(tau):
                     np.subtract(w0 if k == 0 else w_t, mu, out=g_t)
                     g_t *= fed.eigs
