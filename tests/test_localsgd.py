@@ -274,10 +274,9 @@ def test_rows_trained_a_tile_at_a_time_match_the_per_client_recursion(monkeypatc
 
 
 def test_a_noisy_call_allocates_no_noise_block_of_all_its_rows(monkeypatch):
-    # deep-local's shape in one slab. The old call drew all R*M*tau*d noise values into one 4 MB block
-    # next to five (R*M, d) buffers, 8.2 MB at its peak; now the peak is the three (R*M, d) arrays it
-    # must hold (minimizers, start rows and result) plus one tile's scratch, (8, tau, d) of noise at
-    # d = 2000: 3.4 MB.
+    # deep-local's shape in one slab. The peak is the three (R*M, d) arrays a call must hold (minimizers,
+    # start rows and result) plus one tile's scratch, (8, tau, d) of noise at d = 2000: 3.4 MB, where
+    # one (R*M, tau, d) noise block alone is 4 MB.
     R, M, N, d, tau = 1, 50, 200, 2000, 5
     monkeypatch.setattr(localsgd, "WORKERS", 1)
     rng = np.random.default_rng(3)
