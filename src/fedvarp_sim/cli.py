@@ -35,7 +35,10 @@ def _parse_values(axis: str, text: str) -> list:
         try:
             values.append(typ(s))
         except ValueError as exc:
-            if s.strip().lstrip("+-").isdecimal():  # an integer literal past Python's int conversion limit
+            # One sign and decimal digits: int reads those unless they run past its conversion limit.
+            digits = s.strip()
+            digits = digits[1:] if digits[:1] in ("+", "-") else digits
+            if digits.isdecimal():
                 raise ConfigError(f"--values for axis {axis} holds a number too long to read: {exc}") from None
             raise ConfigError(f"--values for axis {axis} must be {typ.__name__}s, got {text!r}") from None
     return values

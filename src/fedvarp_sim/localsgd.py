@@ -43,9 +43,6 @@ def run_slabs(rows: int, work: int, fill, scratch) -> None:
     raised.
     """
     slabs = min(rows, WORKERS) if work >= SPLIT_MIN_WORK else 1
-    if slabs == 1:
-        fill(0, rows, *scratch(rows))
-        return
     bounds = [(rows * s // slabs, rows * (s + 1) // slabs) for s in range(slabs)]
     args = [(lo, hi, *scratch(hi - lo)) for lo, hi in bounds]
     errors = [None] * slabs  # the exception each slab raised, if any

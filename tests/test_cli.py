@@ -269,6 +269,8 @@ def test_sweep_with_divergent_point_writes_summary_then_exits_one(config_file, t
     [
         ("sigma_g_scale", "inf", "must be finite"),
         ("M", "abc", "must be ints"),
+        ("tau", "1,--5", "must be ints"),
+        ("tau", "1,+-5", "must be ints"),
         ("eta_c", "1e400", "must be finite"),
         ("eta_c", ",", "--values must list at least one value"),
     ],
