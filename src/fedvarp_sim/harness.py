@@ -135,9 +135,10 @@ def run_many(cfgs: list[RunConfig], write_artifacts: bool = True, _sweep_dir: st
 
     All sizes, and when writing artifacts that no two configs share an
     output directory, are checked before any federation is built, and
-    every federation, initial metrics and output directory (a sweep's base
-    _sweep_dir first) made before the first stack runs; a ConfigError or
-    MemoryError of that preparation holds its config's index as `point`.
+    every federation, initial metrics, manifest and output directory (a
+    sweep's base _sweep_dir first) made before the first stack runs; a
+    ConfigError or MemoryError of that preparation holds its config's
+    index as `point`, and then no directory is made.
     Each stack's federations are generated into one (R, N, d) array, and
     each point runs on its row. The stacks stay in _kept, read-only and
     keyed by their federation configs, for the next call, which first
@@ -147,6 +148,7 @@ def run_many(cfgs: list[RunConfig], write_artifacts: bool = True, _sweep_dir: st
     for unused in _kept.keys() - {feds for _, feds in stacks}:
         del _kept[unused]
     owners = {}  # output directory -> the first config writing to it
+    manifests = {}  # config index -> its manifest
     try:
         for point, cfg in enumerate(cfgs):
             _check_sizes(cfg)
@@ -157,6 +159,10 @@ def run_many(cfgs: list[RunConfig], write_artifacts: bool = True, _sweep_dir: st
             point = idx[0]
             if feds not in _kept:
                 _kept[feds] = _realize(feds)
+            # A manifest of an aggregator's own clustering recomputes its constants, which can overflow.
+            for point, (fed, consts, _) in zip(idx, _kept[feds][1]):
+                cfg = cfgs[point]
+                manifests[point] = artifacts.build_manifest(cfg, fed, consts, _assignment(cfg))
     except (ConfigError, MemoryError) as exc:  # MemoryError: a configured size too large to allocate
         exc.point = idx[exc.row] if hasattr(exc, "row") else point  # a federation's error names its row
         raise
@@ -165,8 +171,14 @@ def run_many(cfgs: list[RunConfig], write_artifacts: bool = True, _sweep_dir: st
         artifacts.make_output_dirs({**summary, **{Path(cfg.output_dir): artifacts.RUN_ARTIFACTS for cfg in cfgs}})
     outcomes = {}
     for idx, feds in stacks:
-        outcomes.update(zip(idx, run_stack([cfgs[i] for i in idx], *_kept[feds], write_artifacts)))
+        outs = run_stack([cfgs[i] for i in idx], *_kept[feds], [manifests[i] for i in idx], write_artifacts)
+        outcomes.update(zip(idx, outs))
     return [outcomes[i] for i in range(len(cfgs))]
+
+
+def _assignment(cfg: RunConfig) -> np.ndarray | None:
+    """The client->cluster map of cfg's aggregator: only clusterfedvarp's has one."""
+    return block_assignment(cfg.federation.N, cfg.algo.K) if cfg.algo.name == CLUSTERFEDVARP else None
 
 
 def _stack_key(cfg: RunConfig) -> RunConfig:
@@ -200,14 +212,15 @@ def _stack_points(cfgs: list[RunConfig]) -> list[list[int]]:
 
 
 def run_stack(
-    cfgs: list[RunConfig], fed: Federation, realized: list, write_artifacts: bool = True
+    cfgs: list[RunConfig], fed: Federation, realized: list, manifests: list, write_artifacts: bool = True
 ) -> list:
     """Run cfgs as one stack of replicates; return each point's RunResult or DivergenceError.
 
     cfgs share a _stack_key. fed is their (R, N, d) stack of
     federations in cfgs' order, R = 1 for a lone run. realized holds
     each point's (federation, constants, round-0 metrics) as _realize
-    builds it; run_many has made the output directories, if any.
+    builds it, and manifests each point's manifest; run_many has made
+    the output directories, if any.
 
     Round t of point r trains the participants sample_round draws from
     substream(seed_r, TAG_SAMPLING, t). As they do not depend on the
@@ -243,20 +256,14 @@ def run_stack(
     cfg = cfgs[0]
     h, N, d, R = cfg.hyper, cfg.federation.N, cfg.federation.d, len(cfgs)
     eta_tilde = effective_server_lr(h)
-    # Only clusterfedvarp's aggregator maps clients to clusters.
-    assignment = block_assignment(N, cfg.algo.K) if cfg.algo.name == CLUSTERFEDVARP else None
     # The logged round indices. Any log_every >= T logs rounds 0 and T, so one past int64 steps by T.
     rounds = np.minimum(np.arange(_logged_rows(cfg)) * min(cfg.log_every, max(h.T, 1)), h.T)
     table = np.empty((R, rounds.size, 3))  # each point's metrics rows
     table[:, 0] = [first for _, _, first in realized]
     cap = max(1, ROW_BLOCK_BYTES // (8 * R * N * d))  # logged rounds measured in one call
     filled, models, n = 1, np.empty((R, cap, d)), 0  # rows written; the n logged models since
-    # Built before the server tables: a manifest's cluster constants would add to their peak.
-    manifests = [
-        artifacts.build_manifest(point, fed_i, consts, assignment) for point, (fed_i, consts, _) in zip(cfgs, realized)
-    ]
     w_star = np.array([consts.w_star for _, consts, _ in realized])
-    state = init_state(cfg.algo.name, np.zeros((R, d)), N, cfg.algo.K, assignment)
+    state = init_state(cfg.algo.name, np.zeros((R, d)), N, cfg.algo.K, _assignment(cfg))
     stop = {}  # row -> (round, local step or None, kind) of its earliest non-finite result
 
     chunk_end = 0

@@ -1,9 +1,13 @@
 """Exact oracles: each check of the simulator against enumeration or a reference, once.
 
-Each check is a plain function of an rng (or a config or federation) and
-instance counts or sizes, returning its worst error or a bool. verify()
-runs all seven at fixed seeds; the acceptance and unit tests call the same
-functions at their own seeds and sizes, so a check has one copy.
+subset_gaps enumerates the M-subsets of its instances once and reads every
+subset identity from that pass: the without-replacement variance lemma,
+the unbiased subset mean, and the fedvarp and clusterfedvarp updates
+against fedavg's. Each other check is a plain function of an rng (or a
+config or federation) and sizes, returning its worst error or a bool.
+verify() runs all seven checks at fixed seeds; the acceptance and unit
+tests call the same functions at their own seeds and sizes, so a check
+has one copy.
 """
 from __future__ import annotations
 
@@ -23,76 +27,56 @@ from .reference_saga import saga_trajectory
 from .sampling import enumerate_subsets, without_replacement_variance
 
 
-def variance_gap(rng: np.random.Generator, instances: int) -> float:
-    """Worst relative gap of without_replacement_variance to the enumerated variance.
+# The (N, d) shapes subset_gaps cycles through: N in [2, 8] for each d in turn.
+SUBSET_SHAPES = [(N, d) for d in (1, 2, 3, 10) for N in range(2, 9)]
 
-    Each instance draws N in [2, 8], d in {1, 3, 10} and the (N, d) rows,
-    then compares the closed form with the mean squared deviation of the
-    subset mean over all M-subsets, for every M in [1, N].
+
+def subset_gaps(rng: np.random.Generator, instances: int) -> dict[str, float]:
+    """Worst gaps of every subset identity, over one enumeration of all M-subsets per instance and M.
+
+    Instance i takes the (N, d) of SUBSET_SHAPES[i % 28], so 28
+    instances cover every shape, and draws the (N, d) updates, the
+    fedvarp table, K in [1, N], the client->cluster assignment and the
+    cluster table. For every M in [1, N] it forms the means of all
+    M-subsets as one array and reports, each the worst over all
+    instances and M:
+      "variance": the relative gap of without_replacement_variance to the
+        mean squared deviation of the subset means from the full mean;
+      "mean": the gap of the average subset mean to the full mean;
+      FEDVARP, CLUSTERFEDVARP: the gap of the aggregator's update,
+        averaged over the subsets, to fedavg's; each aggregator runs once
+        as a stack of servers, one per subset, and its stored-update
+        correction must cancel in that average.
     """
-    worst = 0.0
-    for _ in range(instances):
-        N = int(rng.integers(2, 9))
-        d = int(rng.choice([1, 3, 10]))
-        xs = rng.normal(size=(N, d))
-        x_bar = np.mean(xs, axis=0)
+    worst = dict.fromkeys(("variance", "mean", FEDVARP, CLUSTERFEDVARP), 0.0)
+    for i in range(instances):
+        N, d = SUBSET_SHAPES[i % len(SUBSET_SHAPES)]
+        deltas = rng.normal(size=(N, d))
+        K = int(rng.integers(1, N + 1))
+        assignment = rng.integers(0, K, size=N)
+        tables = {FEDVARP: rng.normal(size=(N, d)), CLUSTERFEDVARP: rng.normal(size=(K, d))}
+        full = deltas.mean(axis=0)
         for M in range(1, N + 1):
-            closed = without_replacement_variance(xs, M)
-            exhaustive = float(
-                np.mean(
-                    [
-                        np.sum((np.mean(xs[ids], axis=0) - x_bar) ** 2)
-                        for ids in enumerate_subsets(N, M)
-                    ]
-                )
-            )
-            worst = max(worst, abs(closed - exhaustive) / max(abs(exhaustive), abs(closed), 1e-30))
-    return worst
-
-
-def subset_mean_bias(rng: np.random.Generator, instances: int, d: int) -> float:
-    """Worst gap of the subset mean, averaged over all M-subsets, to the full mean.
-
-    Each instance draws N in [2, 7], M in [1, N] and the (N, d) rows.
-    """
-    worst = 0.0
-    for _ in range(instances):
-        N = int(rng.integers(2, 8))
-        M = int(rng.integers(1, N + 1))
-        xs = rng.normal(size=(N, d))
-        means = [np.mean(xs[ids], axis=0) for ids in enumerate_subsets(N, M)]
-        worst = max(worst, float(np.max(np.abs(np.mean(means, axis=0) - np.mean(xs, axis=0)))))
-    return worst
-
-
-def update_bias(rng: np.random.Generator, d: int) -> tuple[float, float]:
-    """Worst gaps of the mean fedvarp and clusterfedvarp updates to the mean fedavg update.
-
-    For every N in [2, 6] and M in [1, N] it draws the (N, d) updates, the
-    fedvarp table, K, the client->cluster assignment and the cluster
-    table, and averages each aggregator's update over all M-subsets, run
-    as one stack of servers; the stored-update correction must cancel in
-    that average.
-    """
-    worst = {FEDVARP: 0.0, CLUSTERFEDVARP: 0.0}
-    for N in range(2, 7):
-        for M in range(1, N + 1):
-            deltas = rng.normal(size=(N, d))
-            tables = {FEDVARP: rng.normal(size=(N, d))}
-            K = int(rng.integers(1, N + 1))
-            assignment = rng.integers(0, K, size=N)
-            tables[CLUSTERFEDVARP] = rng.normal(size=(K, d))
             subsets = enumerate_subsets(N, M)
-            means = {}
+            block = deltas[subsets]
+            means = block.mean(axis=1)
+            closed = without_replacement_variance(deltas, M)
+            enumerated = float(np.mean(np.sum((means - full) ** 2, axis=1)))
+            gaps = {
+                "variance": abs(closed - enumerated) / max(abs(enumerated), abs(closed), 1e-30),
+                "mean": float(np.max(np.abs(means.mean(axis=0) - full))),
+            }
+            updates = {}
             for algo in (FEDAVG, FEDVARP, CLUSTERFEDVARP):
                 state = init_state(algo, np.zeros((len(subsets), d)), N, K, assignment)
                 if algo in tables:
                     state.table[:] = tables[algo]
-                aggregator_step(state, subsets, deltas[subsets], 1.0)
-                means[algo] = -sum_rows(state.w) / len(subsets)  # each w moved from zero by -v
-            for algo in worst:
-                worst[algo] = max(worst[algo], float(np.max(np.abs(means[algo] - means[FEDAVG]))))
-    return worst[FEDVARP], worst[CLUSTERFEDVARP]
+                aggregator_step(state, subsets, block, 1.0)
+                updates[algo] = -sum_rows(state.w) / len(subsets)  # each w moved from zero by -v
+            for algo in tables:
+                gaps[algo] = float(np.max(np.abs(updates[algo] - updates[FEDAVG])))
+            worst = {key: max(worst[key], gaps[key]) for key in worst}
+    return worst
 
 
 def reductions_hold(cfgs: list[RunConfig]) -> bool:
@@ -163,21 +147,19 @@ class VerifyCheck:
 def verify(seed: int = 20240501) -> list[VerifyCheck]:
     """Run the seven oracle checks at fixed seeds; all must pass on a healthy build."""
     rng = np.random.default_rng
-    lemma = variance_gap(rng(seed), 40)
-    mean = subset_mean_bias(rng(seed + 1), 20, 3)
-    varp, cluster = update_bias(rng(seed + 2), 3)
+    gaps = subset_gaps(rng(seed), 40)
     fd_rng = rng(seed + 6)
     eigs = fd_rng.uniform(0.2, 2.0, size=6)
     fed = Federation(eigs=eigs, mus=fd_rng.normal(size=(1, 4, 6)))
     fd = finite_difference_error(fed, fd_rng.normal(size=(4, 6)))
     unbiased = "update is subset-mean unbiased over enumeration"
     checks = [
-        ("subset-mean variance closed form vs enumeration", lemma, f"max rel err {lemma:.2e}"),
-        ("subset mean is unbiased over enumeration", mean, f"max err {mean:.2e}"),
-        (f"fedvarp {unbiased}", varp, f"max err {varp:.2e}"),
-        (f"clusterfedvarp {unbiased}", cluster, f"max err {cluster:.2e}"),
+        ("subset-mean variance closed form vs enumeration", "variance", "max rel err"),
+        ("subset mean is unbiased over enumeration", "mean", "max err"),
+        (f"fedvarp {unbiased}", FEDVARP, "max err"),
+        (f"clusterfedvarp {unbiased}", CLUSTERFEDVARP, "max err"),
     ]
-    return [VerifyCheck(name, err <= 1e-12, detail) for name, err, detail in checks] + [
+    return [VerifyCheck(name, gaps[key] <= 1e-12, f"{err} {gaps[key]:.2e}") for name, key, err in checks] + [
         VerifyCheck(
             "cluster reductions K=N and K=1 are bitwise identities",
             reductions_hold([_quick_config(seed)]),

@@ -19,11 +19,11 @@ from fedvarp_sim.sweeps import floor_estimate, sweep
 from fedvarp_sim.localsgd import local_sgd
 from fedvarp_sim.objectives import FederationConfig
 from fedvarp_sim.oracles import (
+    SUBSET_SHAPES,
     finite_difference_error,
     reductions_hold,
     saga_matches,
-    update_bias,
-    variance_gap,
+    subset_gaps,
 )
 from fedvarp_sim.rng import philox_keys
 
@@ -108,13 +108,13 @@ def theory_rates(L, tau, M, N):
 
 @criterion("A1 subset-variance closed form vs enumeration", 1.0)
 def test_a1_lemma_identity():
-    assert variance_gap(np.random.default_rng(811), 100) <= 1e-12
+    assert subset_gaps(np.random.default_rng(811), 100)["variance"] <= 1e-12
 
 
 @criterion("A2 exhaustive subset-mean unbiasedness", 1.0)
 def test_a2_unbiasedness():
-    varp_gap, cluster_gap = update_bias(np.random.default_rng(822), 3)
-    assert varp_gap <= 1e-12 and cluster_gap <= 1e-12
+    gaps = subset_gaps(np.random.default_rng(822), len(SUBSET_SHAPES))
+    assert gaps[FEDVARP] <= 1e-12 and gaps[CLUSTERFEDVARP] <= 1e-12
 
 
 @criterion("A3 variance elimination: linear convergence vs floor", 10.0)

@@ -336,6 +336,24 @@ OVERFLOWING_CONSTANTS = {
         "hyper.eta_c=0.001",
     ],
     "centers": ["federation.cluster_center_spread=1e160"],
+    # Only clusterfedvarp's own clustering (K=3, not the generator's K_true=12) overflows, which the
+    # manifest recomputes: found once the output directory was made, it used to leave that empty.
+    "own_clustering": [
+        "federation.N=12",
+        "federation.d=1",
+        "federation.K_true=12",
+        "federation.cluster_center_spread=1.1550266902666783e+54",
+        "federation.within_cluster_spread=0.0",
+        "federation.hessian_eig_min=1e100",
+        "federation.hessian_eig_max=1e100",
+        "federation.seed=2",
+        "hyper.eta_c=1e-101",
+        "hyper.tau=1",
+        "hyper.T=2",
+        "hyper.M=2",
+        "algo.name=clusterfedvarp",
+        "algo.K=3",
+    ],
 }
 
 
@@ -352,6 +370,16 @@ def test_sweep_point_with_overflowing_constants_exits_two_before_any_point(confi
     assert main(["sweep", "--config", str(config_file), *args]) == 2
     err = capsys.readouterr().err
     assert "sweep point sigma_g_scale=1e+160: the federation's exact constants overflow float64" in err
+    assert not (tmp_path / "artifacts").exists()
+
+
+def test_sweep_point_whose_own_clustering_constants_overflow_exits_two_before_any_point(
+    config_file, tmp_path, capsys
+):
+    sets = [arg for item in OVERFLOWING_CONSTANTS["own_clustering"] for arg in ("--set", item)]
+    assert main(["sweep", "--config", str(config_file), *sets, "--axis", "K", "--values", "12,3"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: sweep point K=3: the federation's exact constants overflow float64" in err
     assert not (tmp_path / "artifacts").exists()
 
 

@@ -20,7 +20,7 @@ from fedvarp_sim.config import (
     parse_config,
     sweep_point,
 )
-from fedvarp_sim.core import ALGORITHMS, CLUSTERFEDVARP, FEDAVG, ConfigError, DivergenceError
+from fedvarp_sim.core import ALGORITHMS, CLUSTERFEDVARP, FEDAVG, FEDVARP, ConfigError, DivergenceError
 from fedvarp_sim.harness import run
 from fedvarp_sim.sweeps import floor_estimate, sweep
 from fedvarp_sim.objectives import Federation, block_assignment, federation_constants, generate_federation
@@ -1042,14 +1042,14 @@ def test_verify_all_pass():
 def test_lemma_check_detects_mutated_formula(monkeypatch):
     # Fault injection: using N instead of N-1 in the closed form must be
     # flagged against the enumeration oracle.
-    assert oracles.variance_gap(np.random.default_rng(71), 5) <= 1e-12
+    assert oracles.subset_gaps(np.random.default_rng(71), 5)["variance"] <= 1e-12
     closed = oracles.without_replacement_variance
 
     def mutated(xs, M):  # the (N-1) -> N mutation
         return closed(xs, M) * (len(xs) - 1) / len(xs)
 
     monkeypatch.setattr(oracles, "without_replacement_variance", mutated)
-    assert oracles.variance_gap(np.random.default_rng(71), 5) > 1e-3
+    assert oracles.subset_gaps(np.random.default_rng(71), 5)["variance"] > 1e-3
 
 
 def _shift_stored_update_steps(monkeypatch):
@@ -1103,6 +1103,11 @@ def _reductions_flagged(cfg):
     return not oracles.reductions_hold([cfg, replace(cfg, seed=cfg.seed + 1)])
 
 
+def _bias_flagged(cfg):
+    gaps = oracles.subset_gaps(np.random.default_rng(5), 5)
+    return gaps[FEDVARP] > 1e-6 and gaps[CLUSTERFEDVARP] > 1e-6
+
+
 def _fd_flagged(cfg):
     rng = np.random.default_rng(5)
     fed = Federation(eigs=rng.uniform(0.2, 2.0, size=3), mus=rng.normal(size=(1, 2, 3)))
@@ -1112,10 +1117,7 @@ def _fd_flagged(cfg):
 @pytest.mark.parametrize(
     "plant, flagged",
     [
-        (
-            _shift_stored_update_steps,
-            lambda cfg: max(oracles.update_bias(np.random.default_rng(5), 2)) > 1e-6,
-        ),
+        (_shift_stored_update_steps, _bias_flagged),
         (
             _one_step_off_by_one_ulp,
             lambda cfg: not oracles.saga_matches(np.random.default_rng(5), 6, 20, 0.05),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from reference import list_sample_round, row_loop_variance
 from fedvarp_sim import harness, sampling
 from fedvarp_sim.core import ConfigError, OracleScaleError
-from fedvarp_sim.oracles import subset_mean_bias
+from fedvarp_sim.oracles import subset_gaps
 from fedvarp_sim.rng import TAG_SAMPLING, philox_keys, substream
 from fedvarp_sim.sampling import (
     enumerate_subsets,
@@ -236,7 +236,7 @@ def test_variance_hand_case():
 
 
 def test_subset_mean_unbiased():
-    assert subset_mean_bias(np.random.default_rng(56), 30, 4) < 1e-12
+    assert subset_gaps(np.random.default_rng(56), 30)["mean"] < 1e-12
 
 
 def test_variance_of_an_array_matches_the_list_and_the_row_loop_bitwise():
